@@ -2,7 +2,7 @@
 """Hot-path microbenchmark: simulated MIPS of the per-instruction data
 plane, emitted as machine-readable JSON.
 
-Two pinned scenarios track the data-plane trajectory (ISSUE 7):
+Pinned scenarios track the data-plane trajectory (ISSUE 7):
 
 * ``single`` — a bench_fig7-style single-thread run: 1 Westmere OOO
   core, weave contention, one compute-bound and one memory-bound
@@ -13,6 +13,10 @@ Two pinned scenarios track the data-plane trajectory (ISSUE 7):
   high-sharing pointer chase bounces written lines between private
   caches, so wall time lives in the directory walk, not the L1 fast
   path.  This is where the flattened coherence walk is measured.
+* ``tiled64`` — 4 tiles x 16 cores (ISSUE 15), the only scenario with
+  more than one weave domain: the merged-heap drain and its domain
+  crossings, on a chip whose cache sets the run mostly never touches
+  (``dbt.cache_sets_materialised`` against ``dbt.cache_sets_total``).
 
 Unlike the pytest figure benchmarks, this is a standalone script so CI
 can run it directly and assert a MIPS floor::
@@ -61,87 +65,72 @@ def _dbt_stats(result):
     return tree.get("host", {}).get("dbt", {})
 
 
+def _best_of(name, cores, repeats, make_sim):
+    """Best-MIPS run of ``repeats`` fresh simulators, as a JSON entry."""
+    best = None
+    for _ in range(repeats):
+        result = make_sim().run()
+        if best is None or result.mips > best.mips:
+            best = result
+    weave = best.weave_stats
+    return {
+        "name": name,
+        "cores": cores,
+        "instrs": best.instrs,
+        "cycles": best.cycles,
+        "wall_seconds": best.wall_seconds,
+        "mips": best.mips,
+        "ipc": best.ipc,
+        "dbt": _dbt_stats(best),
+        "weave": {"events": weave.events, "crossings": weave.crossings},
+    }
+
+
+def _mt_sim(config, kernel, threads, target_instrs):
+    workload = mt_workload(kernel, scale=1 / 32, num_threads=threads)
+    return ZSim(config,
+                threads=workload.make_threads(target_instrs=target_instrs,
+                                              num_threads=threads),
+                contention_model="weave", flight=False)
+
+
 def run_single(target_instrs, repeats):
     """Single-thread OOO+weave MIPS per app (best of ``repeats``)."""
+    config = with_core_model(westmere(num_cores=1), "ooo")
     runs = []
-    config = westmere(num_cores=1)
     for app in SINGLE_APPS:
-        best = None
-        for _ in range(repeats):
+        def make_sim():
             workload = spec_workload(app, scale=1 / 32)
-            threads = workload.make_threads(target_instrs=target_instrs)
-            sim = ZSim(with_core_model(config, "ooo"), threads=threads,
-                       contention_model="weave", flight=False)
-            result = sim.run()
-            if best is None or result.mips > best[0].mips:
-                best = (result, _dbt_stats(result))
-        result, dbt = best
-        runs.append({
-            "name": "single/%s" % app,
-            "cores": 1,
-            "instrs": result.instrs,
-            "cycles": result.cycles,
-            "wall_seconds": result.wall_seconds,
-            "mips": result.mips,
-            "ipc": result.ipc,
-            "dbt": dbt,
-        })
+            return ZSim(config, threads=workload.make_threads(
+                            target_instrs=target_instrs),
+                        contention_model="weave", flight=False)
+        runs.append(_best_of("single/%s" % app, 1, repeats, make_sim))
     return runs
 
 
 def run_16core(target_instrs, repeats):
     """16-core end-to-end MIPS (best of ``repeats``)."""
     config = tiled_chip(num_tiles=1, cores_per_tile=16)
-    best = None
-    for _ in range(repeats):
-        workload = mt_workload("blackscholes", scale=1 / 32,
-                               num_threads=16)
-        threads = workload.make_threads(target_instrs=target_instrs,
-                                        num_threads=16)
-        sim = ZSim(config, threads=threads, contention_model="weave",
-                   flight=False)
-        result = sim.run()
-        if best is None or result.mips > best[0].mips:
-            best = (result, _dbt_stats(result))
-    result, dbt = best
-    return [{
-        "name": "16core/blackscholes",
-        "cores": 16,
-        "instrs": result.instrs,
-        "cycles": result.cycles,
-        "wall_seconds": result.wall_seconds,
-        "mips": result.mips,
-        "ipc": result.ipc,
-        "dbt": dbt,
-    }]
+    return [_best_of("16core/blackscholes", 16, repeats, lambda: _mt_sim(
+        config, "blackscholes", 16, target_instrs))]
 
 
 def run_pingpong(target_instrs, repeats):
     """Coherence-heavy 4-core MIPS (best of ``repeats``): canneal on a
     Westmere-like chip — 60% shared footprint, chase pattern, lock
     traffic — so upgrades, downgrades, and directory fan-out dominate."""
-    config = westmere(num_cores=4)
-    best = None
-    for _ in range(repeats):
-        workload = mt_workload("canneal", scale=1 / 32, num_threads=4)
-        threads = workload.make_threads(target_instrs=target_instrs,
-                                        num_threads=4)
-        sim = ZSim(with_core_model(config, "ooo"), threads=threads,
-                   contention_model="weave", flight=False)
-        result = sim.run()
-        if best is None or result.mips > best[0].mips:
-            best = (result, _dbt_stats(result))
-    result, dbt = best
-    return [{
-        "name": "pingpong/canneal",
-        "cores": 4,
-        "instrs": result.instrs,
-        "cycles": result.cycles,
-        "wall_seconds": result.wall_seconds,
-        "mips": result.mips,
-        "ipc": result.ipc,
-        "dbt": dbt,
-    }]
+    config = with_core_model(westmere(num_cores=4), "ooo")
+    return [_best_of("pingpong/canneal", 4, repeats, lambda: _mt_sim(
+        config, "canneal", 4, target_instrs))]
+
+
+def run_tiled64(target_instrs, repeats):
+    """4-tile 64-core MIPS (best of ``repeats``): four weave domains
+    with crossings between them, and 78k configured cache sets of
+    which a short run fills a few percent."""
+    config = tiled_chip(num_tiles=4, cores_per_tile=16)
+    return [_best_of("tiled64/blackscholes", 64, repeats, lambda: _mt_sim(
+        config, "blackscholes", 64, target_instrs))]
 
 
 def run_fingerprint(target_instrs, repeats):
@@ -214,11 +203,12 @@ def main(argv=None):
                              "bench_hotpath_<label>.json)")
     parser.add_argument("--scenario",
                         choices=("single", "16core", "pingpong",
-                                 "fingerprint", "all"),
+                                 "tiled64", "fingerprint", "all"),
                         default="all")
     parser.add_argument("--instrs", type=int, default=60_000,
                         help="single-thread instruction target "
-                             "(the 16-core run uses instrs/4 per thread)")
+                             "(the 16-core run uses instrs/4 per thread, "
+                             "the 64-core run instrs/16)")
     parser.add_argument("--repeats", type=int, default=2,
                         help="take the best MIPS of N runs (default 2)")
     parser.add_argument("--assert-mips", type=float, default=None,
@@ -247,6 +237,9 @@ def main(argv=None):
     if args.scenario in ("pingpong", "all"):
         runs.extend(run_pingpong(max(2_000, args.instrs // 2),
                                  args.repeats))
+    if args.scenario in ("tiled64", "all"):
+        runs.extend(run_tiled64(max(1_000, args.instrs // 16),
+                                args.repeats))
     if args.scenario in ("fingerprint", "all"):
         fingerprint = run_fingerprint(max(2_000, args.instrs // 4),
                                       args.repeats)
@@ -256,6 +249,8 @@ def main(argv=None):
     multi = [r["mips"] for r in runs if r["name"].startswith("16core/")]
     pingpong = [r["mips"] for r in runs
                 if r["name"].startswith("pingpong/")]
+    tiled64 = [r["mips"] for r in runs
+               if r["name"].startswith("tiled64/")]
     payload = {
         "schema": SCHEMA_VERSION,
         "bench": "hotpath",
@@ -270,6 +265,7 @@ def main(argv=None):
             "single_thread_hmean_mips": hmean(single) if single else None,
             "multicore_mips": multi[0] if multi else None,
             "pingpong_mips": pingpong[0] if pingpong else None,
+            "tiled64_mips": tiled64[0] if tiled64 else None,
             "fingerprint_overhead_pct": (fingerprint["overhead_pct"]
                                          if fingerprint else None),
         },
@@ -294,6 +290,8 @@ def main(argv=None):
         print("16-core end-to-end  : %.4f MIPS" % multi[0])
     if pingpong:
         print("pingpong coherence  : %.4f MIPS" % pingpong[0])
+    if tiled64:
+        print("64-core 4-tile      : %.4f MIPS" % tiled64[0])
     if fingerprint:
         print("fingerprint off/on  : %.4f / %.4f MIPS  (overhead %+.2f%%)"
               % (fingerprint["mips_off"], fingerprint["mips_on"],

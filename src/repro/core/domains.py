@@ -15,6 +15,16 @@ import heapq
 from repro.errors import HorizonViolation
 
 
+def horizon_violation(domain_id, cycle, floor):
+    """The error for a pop below a domain's interval floor (one wording
+    for every drain loop that checks it)."""
+    return HorizonViolation(
+        "domain %d popped an event at cycle %d below its interval floor "
+        "%d: corrupt event timestamp or broken horizon discipline"
+        % (domain_id, cycle, floor),
+        cycle=cycle, floor=floor, phase="weave", domain=domain_id)
+
+
 class Domain:
     """One weave domain: an event priority queue with its own clock."""
 
@@ -41,12 +51,7 @@ class Domain:
         cycle, _seq, item = heapq.heappop(self._queue)
         floor = self._pop_floor
         if floor is not None and cycle < floor:
-            raise HorizonViolation(
-                "domain %d popped an event at cycle %d below its "
-                "interval floor %d: corrupt event timestamp or broken "
-                "horizon discipline" % (self.domain_id, cycle, floor),
-                cycle=cycle, floor=floor, phase="weave",
-                domain=self.domain_id)
+            raise horizon_violation(self.domain_id, cycle, floor)
         self._pop_floor = cycle
         if cycle > self.current_cycle:
             self.current_cycle = cycle
@@ -74,6 +79,11 @@ class Domain:
         if self._queue:
             yield tuple(sorted((cycle, seq)
                                for cycle, seq, _item in self._queue))
+
+    def reset(self):
+        """Back to the freshly built state: empty queue, push sequence
+        and clock at zero, no floor, no counts."""
+        self.__init__(self.domain_id)
 
     def reset_interval_stats(self):
         self.events_executed = 0

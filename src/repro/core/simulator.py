@@ -125,6 +125,7 @@ class SimulationResult:
         fast = getattr(hierarchy, "fastpath_hits", 0)
         slow = getattr(hierarchy, "slow_accesses", 0)
         accesses = fast + slow
+        caches = hierarchy.all_caches()
         summary = {
             "translations": translations,
             "translation_hits": thits,
@@ -138,8 +139,13 @@ class SimulationResult:
             "slow_accesses": slow,
             "fastpath_hit_rate": fast / accesses if accesses else 0.0,
             "dir_bitmask_ops": (
-                sum(c.dir_ops for c in hierarchy.all_caches())
+                sum(c.dir_ops for c in caches)
                 + hierarchy.mainmem.dir_ops),
+            # Sparse per-set state: how much of the configured chip this
+            # run paid for.  Counted here, never on the access path.
+            "cache_sets_total": sum(c.array.num_sets for c in caches),
+            "cache_sets_materialised": sum(c.array.num_materialised()
+                                           for c in caches),
             "ctx_reuses": getattr(hierarchy, "ctx_reuses", 0),
             "result_reuses": getattr(hierarchy, "result_reuses", 0),
             "trace_recycles": getattr(sim, "trace_recycles", 0),

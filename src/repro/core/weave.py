@@ -25,8 +25,8 @@ import heapq
 import time
 
 from repro.core.events import EventPool, WeaveEvent
-from repro.core.domains import CoreWeave, assign_domains
-from repro.errors import HorizonViolation
+from repro.core.domains import (CoreWeave, assign_domains,
+                                horizon_violation)
 from repro.obs.tracer import TID_DOMAIN
 
 
@@ -306,28 +306,39 @@ class WeaveEngine:
     # ------------------------------------------------------------------
 
     def _execute(self, events):
-        """Reference execution: seed the domain queues, then drain
-        earliest-first.  Backends may replace the drain (via the
-        ``executor`` hook of :meth:`run_interval`) but reuse
-        :meth:`seed_queues`.
+        """Seed and drain one interval's event graph in the total order
+        ``(cycle, domain, per-domain push seq)``: the earliest pending
+        event runs next, the lowest domain wins a cycle tie, and push
+        order breaks ties within a domain.
 
-        The single-domain case inlines the seeding as well: every event
-        lands in domain 0 with the same incrementing-seq heap entries
-        :meth:`Domain.push` would build, skipping the per-event
-        ``domain`` property and push call."""
+        Ordinary runs never build per-domain queues.  One domain drains
+        a plain ``(cycle, seq)`` heap (:meth:`_drain_single`, seeded
+        inline here with the entries :meth:`Domain.push` would build);
+        several domains share one merged heap (:meth:`_drain_merged`),
+        so an event costs the same however many domains the chip has.
+        :meth:`seed_queues` + :meth:`_drain_earliest_first` realise the
+        same order by scanning real per-domain queues; they remain for
+        the users that need those queues — the journal, the
+        crossing-probe ablation, fault injection between seeding and
+        draining, the parallel backend's batches — and as the reference
+        the merged heap is tested against."""
         domains = self.domains
-        if len(domains) == 1 and self.journal is None:
-            domain = domains[0]
-            queue = domain._queue
-            seq = domain._seq
-            heappush = heapq.heappush
-            for event in events:
-                if event.parents_left == 0:
-                    seq += 1
-                    heappush(queue, (event.min_cycle, seq, event))
-            domain._seq = seq
-            self._drain_single(domain)
-            return
+        if self.journal is None:
+            if len(domains) == 1:
+                domain = domains[0]
+                queue = domain._queue
+                seq = domain._seq
+                heappush = heapq.heappush
+                for event in events:
+                    if event.parents_left == 0:
+                        seq += 1
+                        heappush(queue, (event.min_cycle, seq, event))
+                domain._seq = seq
+                self._drain_single(domain)
+                return
+            if self.crossing_deps:
+                self._drain_merged(events)
+                return
         self.seed_queues(events)
         self._drain_earliest_first()
 
@@ -353,7 +364,9 @@ class WeaveEngine:
     def _drain_earliest_first(self):
         """Always advance the domain with the earliest pending event —
         a deterministic, conservative emulation of zsim's
-        thread-per-domain execution (see module docs)."""
+        thread-per-domain execution (see module docs).  The scan costs
+        O(domains) per event; :meth:`_drain_merged` is the same order
+        at O(log events)."""
         domains = self.domains
         if len(domains) == 1 and self.journal is None:
             # With one domain there is nothing to arbitrate between and
@@ -396,13 +409,7 @@ class WeaveEngine:
             while queue:
                 cycle, _s, event = heappop(queue)
                 if floor is not None and cycle < floor:
-                    raise HorizonViolation(
-                        "domain %d popped an event at cycle %d below its "
-                        "interval floor %d: corrupt event timestamp or "
-                        "broken horizon discipline"
-                        % (domain.domain_id, cycle, floor),
-                        cycle=cycle, floor=floor, phase="weave",
-                        domain=domain.domain_id)
+                    raise horizon_violation(domain.domain_id, cycle, floor)
                 floor = cycle
                 start = event.ready
                 if cycle > start:
@@ -436,6 +443,81 @@ class WeaveEngine:
             domain.events_executed += executed
             if floor is not None and floor > domain.current_cycle:
                 domain.current_cycle = floor
+
+    def _drain_merged(self, events):
+        """Seed and drain several domains through one heap keyed
+        ``(cycle, domain, seq)`` — exactly the pop order of
+        :meth:`seed_queues` + :meth:`_drain_earliest_first` (earliest
+        head, lowest domain on ties, push order within a domain) without
+        re-scanning every domain per event.  Everything a domain
+        accounts stays per domain and bit-identical to the scan: push
+        sequence numbers, the horizon floor and its violation, the
+        clock, executed events and crossings (they feed the fingerprint
+        chain and the host model).  Counters are written back on every
+        exit, and an aborted drain spills what it had not run into the
+        domains' own queues, where the scan would have left it."""
+        domains = self.domains
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        seqs = [domain._seq for domain in domains]
+        floors = [domain._pop_floor for domain in domains]
+        executed = [0] * len(domains)
+        crossings = [0] * len(domains)
+        heap = []
+        for event in events:
+            if event.parents_left == 0:
+                did = event.component.domain
+                seq = seqs[did] = seqs[did] + 1
+                heap.append((event.min_cycle, did, seq, event))
+        # Keys are unique, so the pop order does not depend on how the
+        # heap was built.
+        heapq.heapify(heap)
+        try:
+            while heap:
+                cycle, did, _s, event = heappop(heap)
+                floor = floors[did]
+                if floor is not None and cycle < floor:
+                    raise horizon_violation(did, cycle, floor)
+                floors[did] = cycle
+                start = event.ready
+                if cycle > start:
+                    start = cycle
+                comp = event.component
+                if type(comp) is CoreWeave:
+                    # CoreWeave.occupy, inlined (see _drain_single).
+                    comp.events_executed += 1
+                    done = start
+                else:
+                    done = comp.occupy(start, event.kind, event.line)
+                event.done = done
+                executed[did] += 1
+                for child, gap in event.children:
+                    left = child.parents_left - 1
+                    child.parents_left = left
+                    candidate = done + gap
+                    if candidate > child.ready:
+                        child.ready = candidate
+                    if left == 0:
+                        ready = child.ready
+                        min_cycle = child.min_cycle
+                        target = child.component.domain
+                        if target != did:
+                            crossings[target] += 1
+                        seq = seqs[target] = seqs[target] + 1
+                        heappush(heap,
+                                 (ready if ready > min_cycle
+                                  else min_cycle, target, seq, child))
+        finally:
+            for domain, seq, floor, ran, crossed in zip(
+                    domains, seqs, floors, executed, crossings):
+                domain._seq = seq
+                domain._pop_floor = floor
+                domain.events_executed += ran
+                domain.crossings += crossed
+                if floor is not None and floor > domain.current_cycle:
+                    domain.current_cycle = floor
+            for cycle, did, seq, event in heap:
+                heappush(domains[did]._queue, (cycle, seq, event))
 
     def _run_event(self, domain, cycle, event):
         start = cycle if cycle >= event.ready else event.ready
@@ -477,4 +559,7 @@ class WeaveEngine:
             comp.reset()
         for core_weave in self.core_weaves:
             core_weave.reset()
+        for domain in self.domains:
+            domain.reset()
+        self.last_interval_domain_events = [0] * len(self.domains)
         self.stats = WeaveStats()

@@ -9,12 +9,25 @@ from __future__ import annotations
 
 import zlib
 
-from repro.memory.coherence import MESI
 from repro.memory.replacement import make_policy
+
+#: The line map every untouched set shares.  Never written: the two fill
+#: sites materialise a set first, and every other path only reads
+#: (``get`` / ``pop`` with a default / ``in`` all miss on it).
+_NO_LINES = {}
 
 
 class CacheArray:
-    """One bank's worth of sets x ways."""
+    """One bank's worth of sets x ways.
+
+    Per-set state is sparse: a set that no fill has reached yet holds no
+    dict, way list or policy object of its own — ``_repl[idx] is None``
+    marks it, ``_lines[idx]`` is the shared empty map and ``_ways[idx]``
+    a shared all-free tuple — and :meth:`_materialise` builds the real
+    thing on the first fill.  Host cost then follows the sets a run
+    touches, not the sets the chip was configured with.  ``_free`` (and
+    the cheap integrity digest over it) deliberately stays dense.
+    """
 
     def __init__(self, num_sets, ways, repl="lru", seed=0,
                  hash_sets=False):
@@ -25,19 +38,66 @@ class CacheArray:
         #: hashed arrays): spreads pathological strides across sets.
         self.hash_sets = hash_sets
         self.ways = ways
-        # Per set: way index -> (line, state); and line -> way for lookup.
-        self._lines = [dict() for _ in range(num_sets)]
-        self._ways = [[None] * ways for _ in range(num_sets)]
-        self._repl = [make_policy(repl, ways, seed + i)
-                      for i in range(num_sets)]
+        #: Policy name and seed base: set ``idx`` gets its policy seeded
+        #: ``seed + idx`` whenever it is materialised, so a lazily built
+        #: ``random`` set draws the victims an eagerly built one would.
+        self.repl = repl
+        self.seed = seed
+        make_policy(repl, ways, seed)  # reject a bad name or geometry now
+        self._blank_sets()
         #: Free ways per set: lets a steady-state fill() (full set) skip
         #: the way scan and go straight to the replacement policy.
         self._free = [ways] * num_sets
 
+    def _blank_sets(self):
+        # Per set: line -> (way, state); way -> line; replacement policy.
+        self._lines = [_NO_LINES] * self.num_sets
+        self._ways = [(None,) * self.ways] * self.num_sets
+        self._repl = [None] * self.num_sets
+
+    def _materialise(self, idx):
+        """Give untouched set ``idx`` its own line map, way list and
+        replacement policy; returns the three."""
+        lines = self._lines[idx] = {}
+        ways = self._ways[idx] = [None] * self.ways
+        repl = self._repl[idx] = make_policy(self.repl, self.ways,
+                                             self.seed + idx)
+        return lines, ways, repl
+
+    def num_materialised(self):
+        """How many sets own state (a C-speed count, for stats)."""
+        return self.num_sets - self._repl.count(None)
+
+    def materialised_sets(self):
+        """Indices of the sets that own state, ascending."""
+        return [idx for idx, repl in enumerate(self._repl)
+                if repl is not None]
+
+    def __getstate__(self):
+        # Carry only materialised sets: capsules and snapshots shrink
+        # with the array, and the placeholders are rebuilt on load
+        # rather than pickled (an unpickled copy of the shared map would
+        # no longer be the object the rest of the module knows).
+        state = dict(self.__dict__)
+        lines, ways, repl = (state.pop("_lines"), state.pop("_ways"),
+                             state.pop("_repl"))
+        state["_sets"] = {idx: (lines[idx], ways[idx], repl[idx])
+                          for idx in self.materialised_sets()}
+        return state
+
     def __setstate__(self, state):
+        # A capsule from before sparse sets has no ``_sets``: its dense
+        # per-set lists load as they are, every set materialised.
+        sets = state.pop("_sets", None)
+        self.__dict__.update(state)
+        if sets is not None:
+            self._blank_sets()
+            for idx, (lines, ways, repl) in sets.items():
+                self._lines[idx] = lines
+                self._ways[idx] = ways
+                self._repl[idx] = repl
         # Checkpoints written before free-way tracking lack _free:
         # recompute it from the way arrays.
-        self.__dict__.update(state)
         if "_free" not in state:
             self._free = [sum(way is None for way in ways)
                           for ways in self._ways]
@@ -71,11 +131,15 @@ class CacheArray:
         the victim (writeback + inclusive invalidations) before relying on
         the fill."""
         idx = self.set_index(line)
-        lines = self._lines[idx]
-        if line in lines:
-            raise ValueError("fill() of already-present line 0x%x" % line)
-        ways = self._ways[idx]
         repl = self._repl[idx]
+        if repl is None:
+            lines, ways, repl = self._materialise(idx)
+        else:
+            lines = self._lines[idx]
+            if line in lines:
+                raise ValueError("fill() of already-present line 0x%x"
+                                 % line)
+            ways = self._ways[idx]
         victim_line = victim_state = None
         if self._free[idx]:
             # Lowest free way, matching the historical scan order.
@@ -138,7 +202,12 @@ class CacheArray:
         resident line's way back-pointer agrees with the way array.
         Returns ``(component, excerpt)`` violation pairs."""
         violations = []
-        for idx, lines in enumerate(self._lines):
+        if _NO_LINES:
+            violations.append(
+                (component, "the shared untouched-set map holds %d line(s): "
+                 "a fill skipped materialisation" % len(_NO_LINES)))
+        for idx in self.materialised_sets():
+            lines = self._lines[idx]
             if self._free[idx] != self.ways - len(lines):
                 violations.append(
                     (component,

@@ -767,9 +767,13 @@ class MemoryHierarchy:
             # CacheArray.fill, inlined (the walk guarantees a miss here).
             carray = cc.array
             cidx = idxs[i]
-            clines = carray._lines[cidx]
-            cways = carray._ways[cidx]
             crepl = carray._repl[cidx]
+            if crepl is None:
+                # First fill into this set (sparse per-set state).
+                clines, cways, crepl = carray._materialise(cidx)
+            else:
+                clines = carray._lines[cidx]
+                cways = carray._ways[cidx]
             cfree = carray._free
             crepl_lru = type(crepl) is _LRU
             if cfree[cidx]:

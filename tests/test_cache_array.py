@@ -1,11 +1,15 @@
 """Tests for the set-associative cache array."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory.cache_array import CacheArray
 from repro.memory.coherence import MESI
+from repro.memory.replacement import LRU
 
 
 class TestBasics:
@@ -112,3 +116,168 @@ def test_occupancy_counts():
     for line in range(4):
         array.fill(line, MESI.E)
     assert array.occupancy() == 4
+
+
+# ---------------------------------------------------------------------
+# Sparse per-set state
+# ---------------------------------------------------------------------
+
+
+def eager(*args, **kwargs):
+    """An array with every set materialised up front — what the
+    constructor built before per-set state went sparse."""
+    array = CacheArray(*args, **kwargs)
+    for idx in range(array.num_sets):
+        array._materialise(idx)
+    return array
+
+
+def picture(array):
+    """Everything observable about an array without touching it."""
+    return {
+        "occupancy": array.occupancy(),
+        "resident": sorted(array.resident_lines()),
+        "free": list(array._free),
+        "audit": array.audit_invariants("a"),
+        "cheap": list(array.integrity_items()),
+        "deep": list(array.integrity_items(deep=True)),
+    }
+
+
+class TestSparseSets:
+    def test_untouched_sets_own_nothing(self):
+        array = CacheArray(64, 4)
+        assert array.num_materialised() == 0
+        # Reads never materialise.
+        assert array.lookup(5) is None
+        assert array.invalidate(5) is None
+        assert array.would_evict(5) is None
+        assert array.num_materialised() == 0
+        array.fill(5, MESI.E)
+        array.fill(5 + 64, MESI.S)
+        array.fill(9, MESI.M)
+        assert array.materialised_sets() == [5, 9]
+        # An emptied set stays materialised (its policy has history).
+        array.invalidate(9)
+        assert array.num_materialised() == 2
+        assert array.audit_invariants("a") == []
+
+    def test_bad_policy_fails_at_construction(self):
+        with pytest.raises(ValueError):
+            CacheArray(4, 2, repl="mru")
+        with pytest.raises(ValueError):
+            CacheArray(4, 3, repl="tree")
+
+    @pytest.mark.parametrize("clone", (
+        lambda a: pickle.loads(pickle.dumps(a, pickle.HIGHEST_PROTOCOL)),
+        lambda a: pickle.loads(pickle.dumps(a, 2)),
+        copy.deepcopy,
+        lambda a: copy.deepcopy(copy.deepcopy(a)),
+    ), ids=("pickle", "pickle-proto2", "deepcopy", "deepcopy-twice"))
+    def test_copies_keep_untouched_sets_apart(self, clone):
+        """The untouched-set placeholder must not come back from a copy
+        as one ordinary dict aliased by every untouched set."""
+        array = CacheArray(16, 2)
+        array.fill(3, MESI.E)
+        array.fill(3 + 16, MESI.M)
+        twin = clone(array)
+        before = picture(array)
+        assert picture(twin) == before
+        assert twin.materialised_sets() == [3]
+        # A fill into an untouched set of the copy changes that set only.
+        assert twin.fill(7, MESI.S) == (None, None)
+        assert sorted(twin.resident_lines()) == sorted(
+            before["resident"] + [(7, MESI.S)])
+        assert twin.materialised_sets() == [3, 7]
+        assert twin._free == [2] * 3 + [0] + [2] * 3 + [1] + [2] * 8
+        for idx in set(range(16)) - {3, 7}:
+            assert twin.lookup(idx, touch=False) is None
+            assert not twin._lines[idx]
+        assert twin.audit_invariants("twin") == []
+        # ... and nothing in the original, nor the other way round.
+        assert picture(array) == before
+        array.fill(8, MESI.E)
+        assert twin.lookup(8, touch=False) is None
+        # The copy keeps working like any array: evictions included.
+        twin.fill(7 + 16, MESI.E)
+        assert twin.fill(7 + 32, MESI.E) == (7, MESI.S)
+
+    def test_lazy_random_set_draws_the_eager_victims(self):
+        """Set ``idx`` is seeded ``seed + idx`` whenever it is built."""
+        lazy = CacheArray(8, 2, repl="random", seed=7)
+        dense = eager(8, 2, repl="random", seed=7)
+        victims = []
+        for array in (lazy, dense):
+            seen = []
+            for line in range(8 * 40):
+                # Visit the sets in a scattered order.
+                seen.append(array.fill((line * 7) % (8 * 40), MESI.E))
+            victims.append(seen)
+        assert victims[0] == victims[1]
+        assert any(victim is not None for victim, _ in victims[0])
+        assert lazy.num_materialised() == 8
+
+    def test_dense_capsule_loads_fully_materialised(self):
+        """State pickled by the pre-sparse build: per-set lists for
+        every set, no policy name or seed."""
+        array = CacheArray.__new__(CacheArray)
+        ways0 = [4, None]
+        array.__setstate__({
+            "num_sets": 4, "ways": 2, "hash_sets": False,
+            "_lines": [{4: (0, MESI.M)}, {}, {}, {}],
+            "_ways": [ways0, [None, None], [None, None], [None, None]],
+            "_repl": [LRU(2) for _ in range(4)],
+            "_free": [1, 2, 2, 2],
+        })
+        assert array.num_materialised() == 4
+        assert array.audit_invariants("a") == []
+        assert array.lookup(4) == MESI.M
+        assert array.fill(1, MESI.E) == (None, None)
+        array.fill(8, MESI.E)
+        assert array.fill(12, MESI.E) == (4, MESI.M)
+        # It round-trips through the sparse form like any other.
+        twin = pickle.loads(pickle.dumps(array))
+        assert picture(twin) == picture(array)
+        assert twin.num_materialised() == 4
+
+
+_array_ops = st.lists(
+    st.tuples(st.sampled_from(("access", "access", "access", "lookup",
+                               "invalidate", "would_evict", "copy")),
+              st.integers(0, 255),
+              st.sampled_from([MESI.S, MESI.E, MESI.M])),
+    min_size=1, max_size=300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("lru", "random", "tree")), st.booleans(),
+       _array_ops)
+def test_sparse_array_matches_eager_array(repl, hash_sets, ops):
+    """A sparse array and an eagerly materialised one are the same
+    array: same lookups, fill victims, invalidations, occupancy,
+    residents, eviction candidates, audits and deep digests over a
+    random op sequence — with pickle round trips thrown in."""
+    sparse = CacheArray(16, 4, repl=repl, seed=3, hash_sets=hash_sets)
+    dense = eager(16, 4, repl=repl, seed=3, hash_sets=hash_sets)
+    for op, line, state in ops:
+        if op == "access":
+            got = sparse.lookup(line)
+            assert got == dense.lookup(line)
+            if got is None:
+                assert sparse.fill(line, state) == dense.fill(line, state)
+            else:
+                sparse.update_state(line, state)
+                dense.update_state(line, state)
+        elif op == "lookup":
+            assert sparse.lookup(line, touch=False) \
+                == dense.lookup(line, touch=False)
+        elif op == "invalidate":
+            assert sparse.invalidate(line) == dense.invalidate(line)
+        elif op == "would_evict":
+            if repl != "random":  # random's victim() draws from the RNG
+                assert sparse.would_evict(line) == dense.would_evict(line)
+        else:
+            sparse = pickle.loads(pickle.dumps(sparse))
+    assert picture(sparse) == picture(dense)
+    assert sparse.audit_invariants("a") == []
+    assert sparse.num_materialised() <= dense.num_materialised() == 16

@@ -17,12 +17,14 @@ Two guarantees pin the ISSUE 10 coherence-walk refactor:
 import pickle
 import random
 import zlib
+from unittest import mock
 
 import pytest
 
 from repro.config import small_test_system
 from repro.core import ZSim
 from repro.memory.cache import Cache, MainMemory
+from repro.memory.cache_array import CacheArray
 from repro.memory.coherence import MESI
 from repro.memory.replacement import LRU
 from repro.resilience import Checkpointer, latest, read_checkpoint
@@ -336,14 +338,31 @@ class TestBitmaskDirectoryLockstep:
 # ---------------------------------------------------------------------
 
 
+def _dense_array_state(array):
+    """What a pre-sparse build pickled for an array: the instance dict
+    with a line map, a way list and a policy object for *every* set
+    (and no policy name or seed to build one later)."""
+    state = dict(array.__dict__)
+    del state["repl"], state["seed"]
+    assert None not in state["_repl"]
+    return state
+
+
 def _write_legacy_capsule(src_path, dst_path):
     """Rewrite a capsule into the pre-refactor on-disk form: directory
-    entries as object graphs, no child ids, no dir odometer, and the
+    entries as object graphs, no child ids, no dir odometer, the
     hierarchy stripped of the fast-path/slab fields this PR and the
-    data-plane one added."""
+    data-plane one added, and every cache array dense."""
     capsule = read_checkpoint(src_path)
     sim = capsule["sim"]
     hier = sim.hierarchy
+    arrays = [cache.array for cache in hier.all_caches()]
+    # The source capsule is sparse, so densifying it changes something.
+    assert any(a.num_materialised() < a.num_sets for a in arrays)
+    for array in arrays:
+        for idx in set(range(array.num_sets)) \
+                - set(array.materialised_sets()):
+            array._materialise(idx)
     for cache in hier.all_caches():
         children = cache.children
         cache._sharers = {
@@ -377,7 +396,10 @@ def _write_legacy_capsule(src_path, dst_path):
                 repl.__dict__.pop("_clock")
                 repl.__dict__["_order"] = sorted(
                     range(len(stamp)), key=stamp.__getitem__)
-    capsule["sim"] = pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL)
+    with mock.patch.object(CacheArray, "__getstate__",
+                           _dense_array_state):
+        capsule["sim"] = pickle.dumps(sim,
+                                      protocol=pickle.HIGHEST_PROTOCOL)
     body = pickle.dumps(capsule, protocol=pickle.HIGHEST_PROTOCOL)
     header = b"%s %d %08x\n" % (MAGIC, FORMAT_VERSION,
                                 zlib.crc32(body) & 0xFFFFFFFF)
@@ -430,6 +452,11 @@ class TestLegacyCapsuleMigration:
         assert hier.mainmem._net_to_ctrl is not None
         l1_repl = hier.l1d[0].array._repl[0]
         assert isinstance(l1_repl, LRU) and hasattr(l1_repl, "_stamp")
+        # The dense per-set lists loaded as they were written: every
+        # set materialised, no policy name to build more from.
+        for cache in hier.all_caches():
+            assert cache.array.num_materialised() == cache.array.num_sets
+            assert "repl" not in cache.array.__dict__
 
         resumed = ZSim.resume(capsule, threads())
         got = resumed.run().stats().to_dict()

@@ -1,7 +1,11 @@
 """Tests for the weave engine: event graphs, domains, delays, crossings."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.domains import CoreWeave
 from repro.core.weave import WeaveEngine
+from repro.errors import HorizonViolation
 from repro.memory.access import AccessContext, AccessResult, StepKind
 from repro.memory.weave import CacheBankWeave
 
@@ -25,6 +29,14 @@ def engine_with_bank(num_cores=2, bank_tile=0, tiles=1, ports=1,
                          crossing_deps=crossing_deps,
                          mlp_window={i: mlp for i in range(num_cores)})
     return engine, bank
+
+
+def domain_picture(engine):
+    """Everything a domain accounts, as the fingerprint chain sees it
+    (plus the floor and the per-interval vector of the host model)."""
+    return ([(list(d.integrity_items()), d._pop_floor)
+             for d in engine.domains],
+            engine.last_interval_domain_events)
 
 
 class TestRetiming:
@@ -139,12 +151,37 @@ class TestDeterminismAndReuse:
         assert engine.pool.allocated == allocated  # fully recycled
 
     def test_reset_clears_components(self):
-        engine, bank = engine_with_bank()
-        res = make_result(0, 5, 30, [(bank, 10, StepKind.HIT)])
-        engine.run_interval({0: [(100, res)]})
-        engine.reset()
-        assert bank.events_executed == 0
-        assert engine.stats.intervals == 0
+        """A reset engine is a fresh engine: components, stats *and*
+        domains (queue, push sequence, clock, floor) start over, so the
+        next interval runs and fingerprints exactly as on a new one."""
+        def traces(bank, base):
+            return {core: [(base + i * 7,
+                            make_result(core, i, 30,
+                                        [(bank, 10, StepKind.HIT)]))
+                           for i in range(6)]
+                    for core in range(2)}
+
+        for crossing_deps in (True, False):
+            def build():
+                return engine_with_bank(num_cores=2, bank_tile=1, tiles=2,
+                                        crossing_deps=crossing_deps)
+
+            engine, bank = build()
+            engine.run_interval(traces(bank, 5000))
+            engine.reset()
+            assert bank.events_executed == 0
+            assert engine.stats.intervals == 0
+            assert engine.last_interval_domain_events == [0, 0]
+            fresh, fresh_bank = build()
+            assert domain_picture(engine) == domain_picture(fresh)
+            # The old clock (>= 5000) must not leak into an earlier
+            # interval: with the optimization ablated, probes requeue
+            # off it.
+            assert engine.run_interval(traces(bank, 100)) \
+                == fresh.run_interval(traces(fresh_bank, 100))
+            assert domain_picture(engine) == domain_picture(fresh)
+            assert repr(engine.stats) == repr(fresh.stats)
+            assert bank.events_executed == fresh_bank.events_executed
 
 
 class TestConservatism:
@@ -189,3 +226,165 @@ class TestJournal:
         # Events execute in nondecreasing start order (single domain).
         starts = [entry[3] for entry in journal]
         assert starts == sorted(starts)
+
+
+# ---------------------------------------------------------------------
+# The merged heap against the per-domain-queue reference
+# ---------------------------------------------------------------------
+
+
+class _LoggedBank:
+    """Single-port server that records every ``occupy`` call in one log
+    shared by all banks of an engine: the log is the global order in
+    which timing state was touched."""
+
+    def __init__(self, name, tile, occupancy, log):
+        self.name = name
+        self.tile = tile
+        self.domain = 0
+        self.occupancy = occupancy
+        self.busy_until = None
+        self.log = log
+
+    def occupy(self, cycle, kind, line=0):
+        start = cycle if self.busy_until is None \
+            else max(cycle, self.busy_until)
+        self.busy_until = start + self.occupancy
+        self.log.append((self.name, cycle, kind, line))
+        return start + self.occupancy
+
+    def zero_load_service(self, kind):
+        return self.occupancy
+
+    def reset(self):
+        self.busy_until = None
+
+
+#: One event: (component pick, min_cycle — a tiny range so that cycle
+#: ties are the rule —, parent picks among the earlier events).
+_event_descs = st.lists(
+    st.tuples(st.integers(0, 63), st.integers(0, 6),
+              st.lists(st.integers(0, 10_000), max_size=2)),
+    min_size=1, max_size=60)
+
+_DELTA = 1 << 40
+
+
+class _Lockstep:
+    """One engine plus the hand-built event graph of a description."""
+
+    def __init__(self, num_domains):
+        self.log = []
+        cores = [CoreWeave("core%d" % d, d, tile=d)
+                 for d in range(num_domains)]
+        banks = [_LoggedBank("bank%d" % d, d, 1 + d % 3, self.log)
+                 for d in range(num_domains)]
+        self.engine = WeaveEngine(cores, banks, num_tiles=num_domains)
+        assert len(self.engine.domains) == num_domains
+        self.cores = cores
+        self.comps = cores + banks
+        self.events = []
+
+    def build(self, descs, base):
+        for domain in self.engine.domains:
+            domain.reset_interval_stats()
+        self.engine.pool.free_all(self.events)
+        events = self.events = []
+        for i, (pick, cycle, parents) in enumerate(descs):
+            comp = self.comps[pick % len(self.comps)]
+            event = self.engine.pool.alloc(
+                comp, "HIT", i, base + cycle,
+                comp.zero_load_service("HIT"), core_id=0)
+            for parent in {p % i for p in parents} if i else ():
+                events[parent].link(event)
+            events.append(event)
+
+    def corrupt(self, victim):
+        """Throw one event's timestamp far into the past: its lower
+        bound, the ready time seeded from it, and the edge gaps derived
+        from it (unclamped, as a corrupt timestamp would leave them)."""
+        child = self.events[victim % len(self.events)]
+        child.min_cycle = child.ready = -_DELTA
+        for event in self.events:
+            event.children[:] = [
+                (c, -2 * _DELTA if c is child else gap)
+                for c, gap in event.children]
+
+    def run(self, merged):
+        """Execute the built graph; returns what the run did."""
+        engine = self.engine
+        error = None
+        try:
+            if merged:
+                engine._execute(self.events)
+            else:
+                engine.seed_queues(self.events)
+                engine._drain_earliest_first()
+        except HorizonViolation as exc:
+            error = (exc.domain, exc.cycle, exc.floor, str(exc))
+        leftovers = [sorted((cycle, seq, event.line)
+                            for cycle, seq, event in domain._queue)
+                     for domain in engine.domains]
+        for domain in engine.domains:
+            del domain._queue[:]
+        return {
+            "error": error,
+            "occupy": list(self.log),
+            "done": [event.done for event in self.events],
+            "cores": [core.events_executed for core in self.cores],
+            "domains": domain_picture(engine),
+            "leftovers": leftovers,
+        }
+
+
+class TestMergedHeapLockstep:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 16), _event_descs, st.integers(0, 12))
+    def test_same_total_order_as_the_domain_scan(self, num_domains,
+                                                 descs, second_base):
+        """Random DAGs over 2-16 domains, dense in cycle ties and
+        cross-domain edges, two intervals back to back (the second may
+        start below the first's clock): the merged heap and the
+        per-domain scan touch the components in the same order with the
+        same cycles and leave identical domain bookkeeping."""
+        merged, scan = _Lockstep(num_domains), _Lockstep(num_domains)
+        assert merged.engine.crossing_deps and merged.engine.journal is None
+        for base in (20, second_base):
+            merged.build(descs, base)
+            scan.build(descs, base)
+            got, want = merged.run(merged=True), scan.run(merged=False)
+            assert got == want
+            assert got["error"] is None and not any(got["leftovers"])
+            assert all(done is not None for done in got["done"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 16), _event_descs, st.integers(0, 10_000))
+    def test_corrupt_timestamp_raises_the_same_violation(
+            self, num_domains, descs, victim):
+        """A timestamp thrown far into the past trips the per-domain
+        horizon floor at the same pop on both paths — same domain,
+        cycle, floor and message — or on neither (a domain with no pop
+        yet has no floor); the aborted drains leave the same counters
+        and the same events queued in the same domains."""
+        merged, scan = _Lockstep(num_domains), _Lockstep(num_domains)
+        for lock in (merged, scan):
+            lock.build(descs, 20)
+            lock.corrupt(victim)
+        assert merged.run(merged=True) == scan.run(merged=False)
+
+    def test_corrupt_timestamp_is_caught(self):
+        """Directed case: domain 1 has already popped at cycle 20 when
+        the corrupted child of a domain-0 event lands in it."""
+        descs = [(1, 0, []),        # core1 (domain 1), root
+                 (0, 5, []),        # core0 (domain 0), root
+                 (3, 6, [1])]       # bank1 (domain 1), child of event 1
+        outcomes = []
+        for is_merged in (True, False):
+            lock = _Lockstep(2)
+            lock.build(descs, 20)
+            lock.corrupt(2)
+            outcomes.append(lock.run(merged=is_merged))
+        assert outcomes[0] == outcomes[1]
+        domain, cycle, floor, message = outcomes[0]["error"]
+        assert (domain, cycle, floor) == (1, -_DELTA, 20)
+        assert "domain 1 popped an event at cycle" in message
