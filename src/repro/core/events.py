@@ -16,24 +16,29 @@ from __future__ import annotations
 class WeaveEvent:
     """One event in the weave phase.
 
-    ``children`` holds ``(child_event, gap)`` edges: when this event
-    finishes at cycle ``d``, the child may start no earlier than
-    ``d + gap``, where ``gap`` is the zero-load transfer time between the
-    two events.  ``parents_left`` counts unfinished parents.
+    An edge ``(child, gap)`` means: when this event finishes at cycle
+    ``d``, the child may start no earlier than ``d + gap``, where
+    ``gap`` is the zero-load transfer time between the two events.  The
+    first edge lives inline in ``child`` / ``gap`` — every hop of a miss
+    chain has exactly one — and ``overflow`` is ``None`` until a second
+    edge is linked, then a list of ``(child, gap)`` in link order.
+    Edges are delivered first linked, first delivered.
+    ``parents_left`` counts unfinished parents.
     """
 
     __slots__ = ("component", "kind", "line", "min_cycle", "service",
-                 "parents_left", "ready", "done", "children", "core_id",
-                 "is_response")
+                 "parents_left", "ready", "done", "child", "gap",
+                 "overflow", "core_id", "is_response")
 
     def __init__(self):
-        self.children = []
+        self.child = None
+        self.gap = 0
+        self.overflow = None
         self.reset(None, "", 0, 0, 0, 0)
 
     def reset(self, component, kind, line, min_cycle, service, core_id):
-        # ``children`` is deliberately left alone: the pool clears it in
-        # place on free (invariant: a pooled event has an empty edge
-        # list), so reset never reallocates.
+        # The edge slots are deliberately left alone: the pool unlinks
+        # them on free (invariant: a pooled event has no edges).
         self.component = component
         self.kind = kind
         self.line = line
@@ -52,8 +57,28 @@ class WeaveEvent:
         gap = child.min_cycle - self.min_cycle - self.service
         if gap < 0:
             gap = 0
-        self.children.append((child, gap))
+        if self.child is None:
+            self.child = child
+            self.gap = gap
+        elif self.overflow is None:
+            self.overflow = [(child, gap)]
+        else:
+            self.overflow.append((child, gap))
         child.parents_left += 1
+
+    def edges(self):
+        """Yield this event's ``(child, gap)`` edges in delivery order."""
+        if self.child is not None:
+            yield self.child, self.gap
+            if self.overflow is not None:
+                yield from self.overflow
+
+    def set_gap(self, index, gap):
+        """Rewrite the gap of the ``index``-th edge (delivery order)."""
+        if index == 0:
+            self.gap = gap
+        else:
+            self.overflow[index - 1] = (self.overflow[index - 1][0], gap)
 
     @property
     def domain(self):
@@ -87,13 +112,21 @@ class EventPool:
                            core_id)
 
     def free_all(self, events):
-        """Recycle a whole interval's events (LIFO order).  Edge lists
-        are cleared in place — the paired reset() skips them — so a
-        steady-state interval allocates no per-event lists at all."""
+        """Recycle a whole interval's events (LIFO order), unlinking
+        their edges — the paired reset() skips the edge slots."""
         free = self._free
         for event in events:
-            event.children.clear()
+            event.child = None
+            event.overflow = None
             free.append(event)
+
+    def __getstate__(self):
+        # Pooled events are blank host-side shells: a snapshot or
+        # checkpoint carries simulated state only, and a restored pool
+        # refills itself from the first interval it frees.
+        state = self.__dict__.copy()
+        state["_free"] = []
+        return state
 
     def __len__(self):
         return len(self._free)

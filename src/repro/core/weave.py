@@ -174,7 +174,11 @@ class WeaveEngine:
         # traced access per interval and the call overhead dominates the
         # work.  Chain/resp/wback events always have exactly one parent,
         # so their parents_left is assigned, not incremented; only REQ
-        # events can pick up a second (MLP-window) edge.
+        # events can pick up a second (MLP-window) edge.  Edges go
+        # straight into the inline slot wherever the parent provably has
+        # none yet (a fresh chain event; a RESP, which is the MLP parent
+        # of exactly one later REQ); only write-backs, which hang off an
+        # anchor that already feeds its chain, allocate an overflow list.
         pool = self.pool
         free_list = pool._free
         svc_cache = self.__dict__.get("_svc_cache")
@@ -202,8 +206,8 @@ class WeaveEngine:
                     pool.allocated += 1
                     req = WeaveEvent()
                 # WeaveEvent.reset, inlined at each allocation site
-                # below: plain field stores, children left alone (the
-                # pool cleared them on free).
+                # below: plain field stores, edge slots left alone (the
+                # pool unlinked them on free).
                 req.component = core_weave
                 req.kind = "REQ"
                 req.line = line
@@ -218,7 +222,8 @@ class WeaveEngine:
                 if len(resp_history) >= mlp:
                     parent = resp_history[-mlp]
                     gap = issue_cycle - parent.min_cycle - parent.service
-                    parent.children.append((req, gap if gap > 0 else 0))
+                    parent.child = req
+                    parent.gap = gap if gap > 0 else 0
                     req.parents_left += 1
                 prev = req
                 prev_base = issue_cycle    # prev.min_cycle + prev.service
@@ -246,7 +251,8 @@ class WeaveEngine:
                     ev.is_response = False
                     events_append(ev)
                     gap = min_cycle - prev_base
-                    prev.children.append((ev, gap if gap > 0 else 0))
+                    prev.child = ev
+                    prev.gap = gap if gap > 0 else 0
                     ev.parents_left = 1
                     prev = ev
                     prev_base = min_cycle + service
@@ -268,35 +274,38 @@ class WeaveEngine:
                 resp.is_response = True
                 events_append(resp)
                 gap = resp_cycle - prev_base
-                prev.children.append((resp, gap if gap > 0 else 0))
+                prev.child = resp
+                prev.gap = gap if gap > 0 else 0
                 resp.parents_left = 1
-                anchor = events[-len(steps) - 1] if steps else req
-                anchor_base = anchor.min_cycle + anchor.service
-                for comp, offset, kind in result.wbacks:
-                    min_cycle = issue_cycle + offset
-                    if free_list:
-                        pool.recycled += 1
-                        wb = free_list.pop()
-                    else:
-                        pool.allocated += 1
-                        wb = WeaveEvent()
-                    service = svc_get((comp, kind))
-                    if service is None:
-                        service = svc_cache[(comp, kind)] = \
-                            comp.zero_load_service(kind)
-                    wb.component = comp
-                    wb.kind = kind
-                    wb.line = line
-                    wb.min_cycle = min_cycle
-                    wb.service = service
-                    wb.core_id = core_id
-                    wb.ready = min_cycle
-                    wb.done = None
-                    wb.is_response = False
-                    events_append(wb)
-                    gap = min_cycle - anchor_base
-                    anchor.children.append((wb, gap if gap > 0 else 0))
-                    wb.parents_left = 1
+                if result.wbacks:
+                    anchor = events[-len(steps) - 1] if steps else req
+                    anchor_base = anchor.min_cycle + anchor.service
+                    wb_edges = anchor.overflow = []
+                    for comp, offset, kind in result.wbacks:
+                        min_cycle = issue_cycle + offset
+                        if free_list:
+                            pool.recycled += 1
+                            wb = free_list.pop()
+                        else:
+                            pool.allocated += 1
+                            wb = WeaveEvent()
+                        service = svc_get((comp, kind))
+                        if service is None:
+                            service = svc_cache[(comp, kind)] = \
+                                comp.zero_load_service(kind)
+                        wb.component = comp
+                        wb.kind = kind
+                        wb.line = line
+                        wb.min_cycle = min_cycle
+                        wb.service = service
+                        wb.core_id = core_id
+                        wb.ready = min_cycle
+                        wb.done = None
+                        wb.is_response = False
+                        events_append(wb)
+                        gap = min_cycle - anchor_base
+                        wb_edges.append((wb, gap if gap > 0 else 0))
+                        wb.parents_left = 1
                 resp_append(resp)
                 if len(resp_history) > mlp + 64:
                     del resp_history[:32]
@@ -356,7 +365,7 @@ class WeaveEngine:
                 domains[event.domain].push(event.min_cycle, event)
         if not self.crossing_deps:
             for event in events:
-                for child, gap in event.children:
+                for child, gap in event.edges():
                     if child.domain != event.domain:
                         probe = _Crossing(event, gap)
                         domains[child.domain].push(child.min_cycle, probe)
@@ -424,7 +433,15 @@ class WeaveEngine:
                     done = comp.occupy(start, event.kind, event.line)
                 event.done = done
                 executed += 1
-                for child, gap in event.children:
+                child = event.child
+                if child is None:
+                    continue
+                # Deliver the inline edge, then any overflow edges, in
+                # link order.
+                gap = event.gap
+                overflow = event.overflow
+                index = 0
+                while True:
                     left = child.parents_left - 1
                     child.parents_left = left
                     candidate = done + gap
@@ -437,6 +454,10 @@ class WeaveEngine:
                         heappush(queue,
                                  (ready if ready > min_cycle
                                   else min_cycle, seq, child))
+                    if overflow is None or index == len(overflow):
+                        break
+                    child, gap = overflow[index]
+                    index += 1
         finally:
             domain._pop_floor = floor
             domain._seq = seq
@@ -491,7 +512,14 @@ class WeaveEngine:
                     done = comp.occupy(start, event.kind, event.line)
                 event.done = done
                 executed[did] += 1
-                for child, gap in event.children:
+                child = event.child
+                if child is None:
+                    continue
+                # Inline edge first, then overflow (see _drain_single).
+                gap = event.gap
+                overflow = event.overflow
+                index = 0
+                while True:
                     left = child.parents_left - 1
                     child.parents_left = left
                     candidate = done + gap
@@ -507,6 +535,10 @@ class WeaveEngine:
                         heappush(heap,
                                  (ready if ready > min_cycle
                                   else min_cycle, target, seq, child))
+                    if overflow is None or index == len(overflow):
+                        break
+                    child, gap = overflow[index]
+                    index += 1
         finally:
             for domain, seq, floor, ran, crossed in zip(
                     domains, seqs, floors, executed, crossings):
@@ -527,7 +559,7 @@ class WeaveEngine:
             self.journal.append((event.component.name, event.kind,
                                  event.min_cycle, start, event.done,
                                  event.core_id))
-        for child, gap in event.children:
+        for child, gap in event.edges():
             child.parents_left -= 1
             candidate = event.done + gap
             if candidate > child.ready:

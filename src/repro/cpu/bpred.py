@@ -24,7 +24,7 @@ class BranchPredictor:
         self._history = 0
         self._history_mask = (1 << self.history_bits) - 1
         # 2-bit counters, initialized weakly taken.
-        self._pht = [2] * self.table_size
+        self._pht = bytearray([2]) * self.table_size
         self.predictions = 0
         self.mispredictions = 0
 
@@ -57,6 +57,6 @@ class BranchPredictor:
 
     def reset(self):
         self._history = 0
-        self._pht = [2] * self.table_size
+        self._pht = bytearray([2]) * self.table_size
         self.predictions = 0
         self.mispredictions = 0

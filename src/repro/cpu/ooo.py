@@ -24,6 +24,8 @@ system at their store-address execution cycle.
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.cpu.base import Core, RunOutcome
 from repro.cpu.bpred import BranchPredictor
 from repro.isa.registers import NUM_REGS
@@ -90,13 +92,16 @@ class OOOCore(Core):
         self._retire_slots = 0
         self._scoreboard = [0] * NUM_REGS
         self._ports = PortWindow()
-        self._rob = []              # ring of retire cycles
-        self._rob_head = 0
-        self._window = []           # ring of exec cycles (issue window)
-        self._window_head = 0
+        # Rings sized by the hardware they model: full <=> len == size,
+        # the head is [0], and append() on a full ring evicts it.
+        self._rob = deque(maxlen=config.rob_size)   # retire cycles
+        self._window = deque(                       # exec cycles
+            maxlen=config.issue_window_size)
         self._store_buffer = {}     # word addr -> data ready cycle
-        self._store_order = []      # FIFO of (word, done) for SQ capacity
-        self._load_releases = []    # FIFO of load done cycles (LQ capacity)
+        self._store_order = deque(                  # (word, done), SQ
+            maxlen=config.store_queue_size)
+        self._load_releases = deque(                # load done cycles, LQ
+            maxlen=config.load_queue_size)
         self._last_store_cycle = 0  # TSO: stores execute in order
         self._last_mem_done = 0     # completion of latest memory op
         self._fence_cycle = 0
@@ -263,10 +268,8 @@ class OOOCore(Core):
         ports_used_get = ports_used.get
         ports_ops = ports._ops
         rob = self._rob
-        rob_head = self._rob_head
         rob_append = rob.append
         window = self._window
-        window_head = self._window_head
         window_append = window.append
         store_buffer = self._store_buffer
         store_order = self._store_order
@@ -300,24 +303,16 @@ class OOOCore(Core):
 
             # ROB capacity: stall issue until the head-of-line µop
             # retires when the ROB is full.
-            if len(rob) - rob_head >= rob_size:
-                head_retire = rob[rob_head]
-                rob_head += 1
-                if rob_head > 8192:
-                    del rob[:rob_head]
-                    rob_head = 0
+            if len(rob) == rob_size:
+                head_retire = rob[0]
                 if head_retire > dispatch:
                     dispatch = head_retire
                     issue_clock = head_retire
                     issue_slots = 1
 
             # Issue-window capacity: oldest unexecuted µop must leave.
-            if len(window) - window_head >= window_size:
-                head_exec = window[window_head]
-                window_head += 1
-                if window_head > 8192:
-                    del window[:window_head]
-                    window_head = 0
+            if len(window) == window_size:
+                head_exec = window[0]
                 if head_exec > dispatch:
                     dispatch = head_exec
 
@@ -367,8 +362,8 @@ class OOOCore(Core):
                 if fence_cycle > exec_min:
                     exec_min = fence_cycle
                 # Load-queue capacity.
-                if len(releases) >= load_queue_size:
-                    head = releases.pop(0)
+                if len(releases) == load_queue_size:
+                    head = releases[0]
                     if head > exec_min:
                         exec_min = head
                 exec_cycle = exec_min
@@ -416,8 +411,8 @@ class OOOCore(Core):
                 if last_store > exec_min:
                     exec_min = last_store
                 # Store-queue capacity.
-                if len(store_order) >= store_queue_size:
-                    word_old, done_old = store_order.pop(0)
+                if len(store_order) == store_queue_size:
+                    word_old, done_old = store_order[0]
                     if store_buffer.get(word_old) == done_old:
                         del store_buffer[word_old]
                     if done_old > exec_min:
@@ -532,8 +527,6 @@ class OOOCore(Core):
             sb[reg] = done_cycles[idx]
 
         ports._ops = ports_ops
-        self._rob_head = rob_head
-        self._window_head = window_head
         self._last_store_cycle = last_store
         self._last_mem_done = last_mem_done
         self._fence_cycle = fence_cycle

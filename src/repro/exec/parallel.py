@@ -140,7 +140,7 @@ def _emits_crossing(event):
     """True when executing ``event`` would deliver to another domain —
     the weave phase's only synchronization points."""
     domain = event.domain
-    for child, _gap in event.children:
+    for child, _gap in event.edges():
         if child.domain != domain:
             return True
     return False

@@ -37,7 +37,9 @@ from repro.errors import CheckpointError, CheckpointVersionError
 from repro.obs.log import get_logger
 
 #: On-disk format version; bump on any incompatible capsule change.
-FORMAT_VERSION = 1
+#: v2: OOO core rings are bounded deques (no head indices), weave events
+#: keep their first edge inline, and the event pool pickles empty.
+FORMAT_VERSION = 2
 MAGIC = b"repro-ckpt"
 
 _log = get_logger("resilience.checkpoint")

@@ -133,11 +133,11 @@ def audit_invariants(sim):
                      % len(domain._queue)))
         # Slab hygiene (PR 6): a pooled event must carry no edges.
         for event in sim.weave.pool._free:
-            if event.children:
+            if event.child is not None or event.overflow is not None:
                 violations.append(
                     ("weave.pool",
-                     "recycled event kept %d dependency edge(s): %r"
-                     % (len(event.children), event)))
+                     "recycled event kept its dependency edge(s): %r"
+                     % (event,)))
                 break
     # Scheduler bookkeeping (run queue vs. running slots).
     violations.extend(sim.scheduler.audit_invariants())

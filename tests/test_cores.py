@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.config import westmere
 from repro.config.system import CoreConfig
+from repro.core import ZSim
 from repro.cpu import OOOCore, SimpleCore, make_core
 from repro.cpu.base import RunOutcome
 from repro.isa.opcodes import Opcode
@@ -10,6 +12,7 @@ from repro.isa.program import BBLExec, Instruction, Program
 from repro.isa.registers import fp, gp
 from repro.dbt.instrumentation import InstrumentedStream
 from repro.virt.syscalls import GetTime
+from repro.workloads import spec_workload
 
 
 class FakeResult:
@@ -278,6 +281,47 @@ class TestOOOCore:
         run_core(core, [BBLExec(block, (0x40,))])
         assert core.instrs == 2
         assert core.uops == 3  # store fissions into 2 µops
+
+
+class _BarrierProbe:
+    """Stands in for the checkpointer, which ``ZSim.run`` calls at every
+    interval barrier: records core 0's ring occupancies there."""
+
+    def __init__(self):
+        self.seen = []
+
+    def maybe_save(self, sim, interval, limit):
+        core = sim.cores[0]
+        self.seen.append((len(core._rob), len(core._window),
+                          len(core._store_order), len(core._load_releases),
+                          core.uops, core.stores, core.loads))
+
+
+class TestOOORingBounds:
+    def test_rings_hold_exactly_what_the_hardware_holds(self):
+        """Every µop enters the ROB and the issue window, every store
+        the store queue, every load the load queue; a full structure
+        evicts its head.  So at every barrier each ring holds
+        min(entered so far, its configured size) — the ring never
+        outgrows the hardware, and the queue lengths the fingerprint
+        chain digests are what an append-and-pop FIFO would hold."""
+        config = westmere(1, "ooo")
+        threads = spec_workload("namd", 1 / 32).make_threads(
+            target_instrs=25_000)
+        sim = ZSim(config, threads=threads, flight=False)
+        probe = sim.checkpointer = _BarrierProbe()
+        sim.run()
+        core_cfg = config.core
+        assert sim.cores[0].uops >= 20_000 and len(probe.seen) >= 4
+        for rob, window, stq, ldq, uops, stores, loads in probe.seen:
+            assert rob == min(uops, core_cfg.rob_size)
+            assert window == min(uops, core_cfg.issue_window_size)
+            assert stq == min(stores, core_cfg.store_queue_size)
+            assert ldq == min(loads, core_cfg.load_queue_size)
+        # The run filled all four, so the eviction path was exercised.
+        assert probe.seen[-1][:4] == (
+            core_cfg.rob_size, core_cfg.issue_window_size,
+            core_cfg.store_queue_size, core_cfg.load_queue_size)
 
 
 class TestMakeCore:

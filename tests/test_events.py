@@ -1,7 +1,12 @@
 """Tests for weave events, the event pool, and domains."""
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.core.domains import CoreWeave, Domain, assign_domains
 from repro.core.events import EventPool
+from repro.core.weave import WeaveEngine
 from repro.memory.weave import CacheBankWeave
 
 
@@ -13,7 +18,7 @@ class TestWeaveEvent:
         child = pool.alloc(None, "RESP", 0, min_cycle=130, service=0,
                            core_id=0)
         parent.link(child)
-        (linked, gap), = parent.children
+        (linked, gap), = parent.edges()
         assert linked is child
         assert gap == 20  # 130 - 100 - 10
         assert child.parents_left == 1
@@ -23,7 +28,7 @@ class TestWeaveEvent:
         parent = pool.alloc(None, "REQ", 0, 100, 50, 0)
         child = pool.alloc(None, "X", 0, 120, 0, 0)  # 120 < 100+50
         parent.link(child)
-        assert parent.children[0][1] == 0
+        assert [gap for _child, gap in parent.edges()] == [0]
 
     def test_multiple_parents_counted(self):
         pool = EventPool()
@@ -31,6 +36,80 @@ class TestWeaveEvent:
         for _ in range(3):
             pool.alloc(None, "P", 0, 0, 0, 0).link(child)
         assert child.parents_left == 3
+
+
+class _LoggedServer:
+    """Fixed-latency component recording every ``occupy`` call."""
+
+    def __init__(self, name, tile, service, log):
+        self.name = name
+        self.tile = tile
+        self.domain = 0
+        self.service = service
+        self.log = log
+
+    def occupy(self, cycle, kind, line=0):
+        self.log.append((cycle, line))
+        return cycle + self.service
+
+    def zero_load_service(self, kind):
+        return self.service
+
+
+def _list_of_edges_reference(parent_min, service, child_mins):
+    """The plain list-of-edges model of one uncontended root delivering
+    to its children: edges in link order, then the children's pops in
+    (enqueue cycle, push order)."""
+    edges = [(i, max(0, child_min - parent_min - service))
+             for i, child_min in enumerate(child_mins)]
+    done = parent_min + service
+    pushes = sorted((max(done + gap, child_mins[i]), seq, i)
+                    for seq, (i, gap) in enumerate(edges))
+    return edges, [(cycle, i) for cycle, _seq, i in pushes]
+
+
+class TestEdgeDeliveryOrder:
+    @pytest.mark.parametrize("drain", ("single", "merged", "scan"))
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=8), st.integers(0, 4))
+    @example([], 2)
+    @example([3], 2)
+    @example([3, 3], 2)
+    def test_inline_and_overflow_edges_deliver_in_link_order(
+            self, drain, child_offsets, service):
+        """0 / 1 / 2 / n linked children (the inline slot, then the
+        overflow list) reach every drain first linked, first delivered,
+        with the gaps a plain list of edges would carry."""
+        log = []
+        tiles = 1 if drain == "single" else 2
+        parent_bank = _LoggedServer("parent", 0, service, [])
+        child_bank = _LoggedServer("child", tiles - 1, 0, log)
+        engine = WeaveEngine([CoreWeave("core0", 0)],
+                             [parent_bank, child_bank], num_tiles=tiles)
+        assert len(engine.domains) == tiles
+        child_mins = [100 + offset for offset in child_offsets]
+        parent = engine.pool.alloc(parent_bank, "HIT", 99, 100, service, 0)
+        children = [engine.pool.alloc(child_bank, "HIT", i, child_min, 0, 0)
+                    for i, child_min in enumerate(child_mins)]
+        for child in children:
+            parent.link(child)
+        want_edges, want_log = _list_of_edges_reference(
+            100, service, child_mins)
+        assert [(child.line, gap) for child, gap in parent.edges()] \
+            == want_edges
+        assert (parent.overflow is None) == (len(children) < 2)
+        events = [parent] + children
+        if drain == "scan":
+            engine.seed_queues(events)
+            engine._drain_earliest_first()
+        else:
+            engine._execute(events)
+        assert log == want_log
+        assert engine.domains[-1].crossings == \
+            (len(children) if tiles == 2 else 0)
+        engine.pool.free_all(events)
+        assert all(not list(event.edges()) and event.overflow is None
+                   for event in events)
 
 
 class TestEventPool:
@@ -41,7 +120,7 @@ class TestEventPool:
         again = pool.alloc(None, "B", 1, 5, 2, 1)
         assert again is event  # recycled object
         assert again.kind == "B" and again.min_cycle == 5
-        assert again.children == []
+        assert list(again.edges()) == []
         assert again.done is None
 
     def test_alloc_counts(self):

@@ -30,6 +30,7 @@ from repro.config.loader import config_from_dict
 from repro.core import ZSim
 from repro.errors import ConfigError, ExecutionFault, IntegrityError
 from repro.resilience import (
+    FORMAT_VERSION,
     Checkpointer,
     FaultPlan,
     IntegritySentinel,
@@ -308,8 +309,8 @@ class TestCheckpointIntegration:
         capsule["meta"]["integrity"]["components"][key] ^= 1
         body = pickle.dumps(capsule, protocol=pickle.HIGHEST_PROTOCOL)
         with open(path, "wb") as fh:
-            fh.write(b"repro-ckpt 1 %08x\n"
-                     % (zlib.crc32(body) & 0xFFFFFFFF))
+            fh.write(b"repro-ckpt %d %08x\n"
+                     % (FORMAT_VERSION, zlib.crc32(body) & 0xFFFFFFFF))
             fh.write(body)
         tampered = read_checkpoint(path)
         config = _config("serial")
@@ -385,8 +386,8 @@ class TestVerifyCommand:
         capsule["meta"]["integrity"]["components"][key] ^= 1
         body = pickle.dumps(capsule, protocol=pickle.HIGHEST_PROTOCOL)
         with open(path, "wb") as fh:
-            fh.write(b"repro-ckpt 1 %08x\n"
-                     % (zlib.crc32(body) & 0xFFFFFFFF))
+            fh.write(b"repro-ckpt %d %08x\n"
+                     % (FORMAT_VERSION, zlib.crc32(body) & 0xFFFFFFFF))
             fh.write(body)
         assert cli_main(["verify", str(ckpts), "--replay", "0"]) == 1
         out = capsys.readouterr().out

@@ -306,9 +306,9 @@ class _Lockstep:
         child = self.events[victim % len(self.events)]
         child.min_cycle = child.ready = -_DELTA
         for event in self.events:
-            event.children[:] = [
-                (c, -2 * _DELTA if c is child else gap)
-                for c, gap in event.children]
+            for index, (c, _gap) in enumerate(list(event.edges())):
+                if c is child:
+                    event.set_gap(index, -2 * _DELTA)
 
     def run(self, merged):
         """Execute the built graph; returns what the run did."""
