@@ -745,11 +745,6 @@ def build_parser():
                        metavar="N",
                        help="offset the workload's RNG seeds (the "
                             "statistical axis for sweeps; default 0)")
-        p.add_argument("--strict-config", action="store_true",
-                       help="alias documenting the default: config "
-                            "loading always rejects unknown keys and "
-                            "wrong-typed values with the full dotted "
-                            "path (there is no lenient mode)")
 
     run = sub.add_parser("run", help="simulate a workload")
     add_common(run)

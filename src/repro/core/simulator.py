@@ -96,15 +96,11 @@ class SimulationResult:
         self.uops = sum(core.uops for core in sim.cores)
         self.cycles = max((core.cycle for core in sim.cores), default=0)
         self.intervals = sim.bound.intervals
-        supervisor = getattr(sim, "supervisor", None)
-        self.resilience = (supervisor.summary()
-                           if supervisor is not None else None)
-        sentinel = getattr(sim, "integrity", None)
-        self.integrity = (sentinel.summary()
-                          if sentinel is not None else None)
-        backend = getattr(sim, "backend", None)
-        self.host_exec = (backend.host_stats()
-                          if backend is not None else {})
+        self.resilience = (sim.supervisor.summary()
+                           if sim.supervisor is not None else None)
+        self.integrity = (sim.integrity.summary()
+                          if sim.integrity is not None else None)
+        self.host_exec = sim.backend.host_stats()
         self.host_dbt = self._dbt_summary(sim)
 
     @staticmethod
@@ -122,8 +118,8 @@ class SimulationResult:
         thits = sum(t.hits for t in tcaches.values())
         lookups = translations + thits
         hierarchy = sim.hierarchy
-        fast = getattr(hierarchy, "fastpath_hits", 0)
-        slow = getattr(hierarchy, "slow_accesses", 0)
+        fast = hierarchy.fastpath_hits
+        slow = hierarchy.slow_accesses
         accesses = fast + slow
         caches = hierarchy.all_caches()
         summary = {
@@ -135,7 +131,8 @@ class SimulationResult:
             "translation_invalidations": sum(t.invalidations
                                              for t in tcaches.values()),
             "fastpath_hits": fast,
-            "l2_fastpath_hits": getattr(hierarchy, "l2_fastpath_hits", 0),
+            # No such path any more; benchmarks/perf/worker.py indexes it.
+            "l2_fastpath_hits": 0,
             "slow_accesses": slow,
             "fastpath_hit_rate": fast / accesses if accesses else 0.0,
             "dir_bitmask_ops": (
@@ -146,9 +143,9 @@ class SimulationResult:
             "cache_sets_total": sum(c.array.num_sets for c in caches),
             "cache_sets_materialised": sum(c.array.num_materialised()
                                            for c in caches),
-            "ctx_reuses": getattr(hierarchy, "ctx_reuses", 0),
-            "result_reuses": getattr(hierarchy, "result_reuses", 0),
-            "trace_recycles": getattr(sim, "trace_recycles", 0),
+            "ctx_reuses": hierarchy.ctx_reuses,
+            "result_reuses": hierarchy.result_reuses,
+            "trace_recycles": sim.trace_recycles,
         }
         if sim.weave is not None:
             pool = sim.weave.pool
@@ -555,8 +552,7 @@ class ZSim:
     def _check_stop_request(self, intervals_run, limit):
         """Honor request_stop() at the interval barrier (a consistent
         global state, so the final checkpoint is sound)."""
-        # getattr: checkpoints written by older builds predate the flag.
-        reason = getattr(self, "_stop_requested", None)
+        reason = self._stop_requested
         if reason is None:
             return
         path = None
@@ -737,7 +733,7 @@ class ZSim:
         backend.start(sim)
         sim.host_model.backend_name = backend.name
         bw = sim.config.boundweave
-        if getattr(bw, "watchdog_budget_s", 0.0):
+        if bw.watchdog_budget_s:
             backend.watchdog_budget = bw.watchdog_budget_s
         if telemetry is not None:
             sim.attach_telemetry(telemetry)
@@ -750,15 +746,8 @@ class ZSim:
             flight = None
         sim.flight = flight
         sim.monitor = None
-        # Checkpoints written by builds without the data-plane slabs
-        # predate these host-side attributes.
-        sim.__dict__.setdefault("_trace_freelist", [])
-        sim.__dict__.setdefault("trace_recycles", 0)
-        # Checkpoints written by builds without the integrity sentinel
-        # predate the attribute; with a sentinel aboard, prove the
-        # capsule restored exactly what was saved before running a
-        # single interval on top of it.
-        sim.__dict__.setdefault("integrity", None)
+        # With a sentinel aboard, prove the capsule restored exactly
+        # what was saved before running a single interval on top of it.
         record = (capsule.get("meta") or {}).get("integrity")
         if record and sim.integrity is not None:
             from repro.resilience.integrity import verify_state

@@ -181,9 +181,7 @@ class WeaveEngine:
         # anchor that already feeds its chain, allocate an overflow list.
         pool = self.pool
         free_list = pool._free
-        svc_cache = self.__dict__.get("_svc_cache")
-        if svc_cache is None:  # engine restored from an older capsule
-            svc_cache = self._svc_cache = {}
+        svc_cache = self._svc_cache
         svc_get = svc_cache.get
         events = []
         events_append = events.append

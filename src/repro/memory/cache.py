@@ -20,8 +20,7 @@ owner lookups are dict-of-int reads, and invalidation/downgrade fan-out
 iterates set bits.  Parent routing is a precomputed table
 (``_parent_banks`` / ``_parent_net`` / ``_parent_hashed``) installed by
 the hierarchy builder — the per-line bank arithmetic is inlined at the
-call sites, and the old unpickleable ``parent_select`` closures are gone
-(a compatible :meth:`parent_select` method remains for introspection).
+call sites (:meth:`Cache.parent_select` wraps it for introspection).
 """
 
 from __future__ import annotations
@@ -54,11 +53,11 @@ class Cache:
         self.down_latency = 0         # cost of inv/downgrade round trip
         self.weave = None             # weave component, shared caches only
         self.noc_routes = None        # (src,dst) -> NoC weave component
-        # Routing table (replaces the old parent_select closure): the
-        # candidate parent banks, the per-bank zero-load net latency,
-        # and whether the line is hashed across banks.  Dropped from
-        # pickles (parent references point *up* the hierarchy) and
-        # reinstalled by MemoryHierarchy._rewire_parents.
+        # Routing table: the candidate parent banks, the per-bank
+        # zero-load net latency, and whether the line is hashed across
+        # banks.  Dropped from pickles (parent references point *up*
+        # the hierarchy) and reinstalled by
+        # MemoryHierarchy._rewire_parents.
         self._parent_banks = None     # tuple of parent objects
         self._parent_net = None       # tuple of ints, same order
         self._parent_hashed = False
@@ -84,35 +83,11 @@ class Cache:
         """The routing table points *up* the hierarchy; shipping it
         would put reference cycles in every capsule.  It is dropped
         here and re-created by ``MemoryHierarchy.__setstate__``
-        (checkpoint support), exactly like the closures it replaced."""
+        (checkpoint support)."""
         state = self.__dict__.copy()
         state["_parent_banks"] = None
         state["_parent_net"] = None
-        state.pop("parent_select", None)  # legacy instance attribute
         return state
-
-    def __setstate__(self, state):
-        """Restore, migrating legacy capsules (ISSUE 10): checkpoints
-        written before the bitmask directories hold ``_sharers`` as
-        line -> set-of-child-Cache and ``_owner`` as line -> Cache;
-        both convert to child-index form via the pickled children list
-        (the same order the ids are assigned from)."""
-        state.pop("parent_select", None)  # pre-table capsules store None
-        self.__dict__.update(state)
-        d = self.__dict__
-        d.setdefault("child_id", 0)
-        d.setdefault("dir_ops", 0)
-        d.setdefault("_parent_banks", None)
-        d.setdefault("_parent_net", None)
-        d.setdefault("_parent_hashed", False)
-        sharers = self._sharers
-        if any(not isinstance(mask, int) for mask in sharers.values()):
-            index = {id(child): i for i, child in enumerate(self.children)}
-            self._sharers = {
-                line: sum(1 << index[id(child)] for child in members)
-                for line, members in sharers.items()}
-            self._owner = {line: index[id(owner)]
-                           for line, owner in self._owner.items()}
 
     # ------------------------------------------------------------------
     # Requests from below (the "up" path)
@@ -397,9 +372,7 @@ class Cache:
         """Digest items for the integrity sentinel: name, hot counters,
         directory sizes, and the array summary; ``deep`` adds the full
         directory contents (children named, never repr'd — object reprs
-        would leak host addresses into the digest).  The named form also
-        keeps deep digests identical across the bitmask migration:
-        a converted legacy capsule digests to the same values."""
+        would leak host addresses into the digest)."""
         yield self.name
         yield (self.accesses, self.hits, self.misses, self.evictions,
                self.writebacks, self.invalidations, self.downgrades,
@@ -464,36 +437,6 @@ class MainMemory:
         self.reads = 0
         self.writebacks = 0
         self.dir_ops = 0
-
-    def __setstate__(self, state):
-        """Same legacy-capsule migration as :meth:`Cache.__setstate__`.
-        Pre-bitmask capsules also ship ``children`` empty when there is
-        no L3; ``MemoryHierarchy.__setstate__`` re-wires it before the
-        conversion can be needed, so by the time a directory entry
-        exists the children list covers every requester."""
-        self.__dict__.update(state)
-        self.__dict__.setdefault("dir_ops", 0)
-        self._migrate_directory()
-
-    def _migrate_directory(self):
-        """Convert legacy set-of-objects directory entries to bitmask
-        form (idempotent; called from __setstate__ and again by the
-        hierarchy once the children list is rebuilt).  Conversion is
-        deferred — entries left as sets — while the children list does
-        not yet cover every tracked requester (pre-bitmask capsules
-        ship ``children`` empty when there is no L3)."""
-        sharers = self._sharers
-        if all(isinstance(mask, int) for mask in sharers.values()):
-            return
-        index = {id(child): i for i, child in enumerate(self.children)}
-        if any(id(member) not in index
-               for members in sharers.values() for member in members):
-            return
-        self._sharers = {
-            line: sum(1 << index[id(child)] for child in members)
-            for line, members in sharers.items()}
-        self._owner = {line: index[id(owner)]
-                       for line, owner in self._owner.items()}
 
     def controller_of(self, line):
         return line % self.config.controllers

@@ -86,21 +86,13 @@ class CacheArray:
         return state
 
     def __setstate__(self, state):
-        # A capsule from before sparse sets has no ``_sets``: its dense
-        # per-set lists load as they are, every set materialised.
-        sets = state.pop("_sets", None)
+        sets = state.pop("_sets")
         self.__dict__.update(state)
-        if sets is not None:
-            self._blank_sets()
-            for idx, (lines, ways, repl) in sets.items():
-                self._lines[idx] = lines
-                self._ways[idx] = ways
-                self._repl[idx] = repl
-        # Checkpoints written before free-way tracking lack _free:
-        # recompute it from the way arrays.
-        if "_free" not in state:
-            self._free = [sum(way is None for way in ways)
-                          for ways in self._ways]
+        self._blank_sets()
+        for idx, (lines, ways, repl) in sets.items():
+            self._lines[idx] = lines
+            self._ways[idx] = ways
+            self._repl[idx] = repl
 
     def set_index(self, line):
         if self.hash_sets:

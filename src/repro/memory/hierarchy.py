@@ -163,30 +163,12 @@ class MemoryHierarchy:
         self._wire_children()
         self._rewire_parents()
 
-        # --- Data-plane slabs and the L1-hit fast path ----------------
-        #: Tests may clear this to force every access down the full
-        #: coherence walk (used to prove fast-path equivalence).  The
-        #: fast path is only legal while L1s carry no weave component,
-        #: which the builder guarantees (private levels are bound-phase
-        #: only); recomputed here in case a config ever changes that.
-        self.enable_fastpath = all(
-            c.weave is None for c in self.l1i + self.l1d)
-        #: The one-level-down fast path (L1 miss, parent read hit with
-        #: no downgrade needed; see access()).  Separately switchable so
-        #: tests can prove each path invisible on its own.
-        self.enable_l2_fastpath = self.enable_fastpath
-        #: The flattened walk (ISSUE 10): demand accesses that leave the
-        #: fast paths run in one iterative frame (_walk_access) instead
-        #: of recursing through Cache.handle_access.  Tests flip this
-        #: off to prove the two walks byte-identical; the recursive walk
-        #: also still serves prefetch fills and subtree coherence.
-        self.enable_flat_walk = True
+        # --- Data-plane slabs: walk scratch and recycling pools --------
         self._walk_caches = [None] * _WALK_DEPTH
         self._walk_idx = [0] * _WALK_DEPTH
         self._ctx_pool = []
         self._result_pool = []
         self.fastpath_hits = 0
-        self.l2_fastpath_hits = 0
         self.slow_accesses = 0
         self.ctx_reuses = 0
         self.result_reuses = 0
@@ -212,10 +194,9 @@ class MemoryHierarchy:
         The tables hold references *up* the hierarchy (banks, main
         memory); ``Cache.__getstate__`` drops them to keep capsules
         cycle-free and :meth:`__setstate__` re-runs this pass after a
-        checkpoint load.  Idempotent by construction.  This replaced
-        the per-cache ``parent_select`` closures: the per-line bank
-        arithmetic (hash mult + mask included) is inlined at the walk's
-        call sites, and nothing unpickleable is installed anywhere."""
+        checkpoint load.  Idempotent by construction.  The per-line
+        bank arithmetic (hash mult + mask included) is inlined at the
+        walk's call sites, so nothing unpickleable is installed."""
         # Controller routing tables for the flattened walk's terminal
         # level: the tile of every controller and the zero-load network
         # latency from every source tile to it (both pure functions of
@@ -253,7 +234,7 @@ class MemoryHierarchy:
 
     def __getstate__(self):
         """Telemetry and the profiler are host-side observers, never
-        simulated state; the routing closures are rebuilt on load.  The
+        simulated state; the routing tables are rebuilt on load.  The
         recycling slabs hold only dead scratch objects, so checkpoints
         ship them empty."""
         state = self.__dict__.copy()
@@ -268,31 +249,6 @@ class MemoryHierarchy:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # Checkpoints written by builds without the data-plane slabs
-        # lack these attributes; default them rather than crash.
-        d = self.__dict__
-        d.setdefault("enable_fastpath", all(
-            c.weave is None for c in self.l1i + self.l1d))
-        d.setdefault("enable_l2_fastpath", d["enable_fastpath"])
-        d.setdefault("enable_flat_walk", True)
-        d.setdefault("_walk_caches", [None] * _WALK_DEPTH)
-        d.setdefault("_walk_idx", [0] * _WALK_DEPTH)
-        d.setdefault("_ctx_pool", [])
-        d.setdefault("_result_pool", [])
-        d.setdefault("fastpath_hits", 0)
-        d.setdefault("l2_fastpath_hits", 0)
-        d.setdefault("slow_accesses", 0)
-        d.setdefault("ctx_reuses", 0)
-        d.setdefault("result_reuses", 0)
-        # Legacy capsules (pre-bitmask directories) ship main memory's
-        # children empty when there is no L3; rebuild the requester
-        # list in _wire_children order, restamp child ids, and finish
-        # any directory conversion Cache.__setstate__ had to defer.
-        if not self.l3_banks and not self.mainmem.children:
-            self.mainmem.children.extend(
-                self.l2s if self.l2s else self.l1i + self.l1d)
-        self._assign_child_ids()
-        self.mainmem._migrate_directory()
         self._rewire_parents()
 
     def _wire_children(self):
@@ -301,9 +257,10 @@ class MemoryHierarchy:
         ``MainMemory.children`` holds every potential requester — the
         L3 banks, or the whole top cache level when there is no L3 —
         so its bitmask directory always has a child index to grant to.
-        Child ids are assigned from these lists by
-        :meth:`_assign_child_ids`; all banks of a level share one
-        children order, so ids are stable across banks."""
+        Every cache's ``child_id`` is its index in its parent level's
+        children list; each cache has exactly one parent level and all
+        banks of a level share one children order, so ids are
+        unambiguous and stable across banks."""
         for cache in self.l3_banks:
             self.mainmem.children.append(cache)
         if self.l2s:
@@ -323,13 +280,6 @@ class MemoryHierarchy:
                     cache.children.append(upper)
         else:
             self.mainmem.children.extend(uppers)
-        self._assign_child_ids()
-
-    def _assign_child_ids(self):
-        """Stamp every cache's ``child_id`` — its index in its parent
-        level's children list.  Each cache has exactly one parent
-        level, and banks of a level share one children order, so the
-        assignment is unambiguous and idempotent."""
         for parent in ([self.mainmem] + self.l3_banks + self.l2s):
             for idx, child in enumerate(parent.children):
                 child.child_id = idx
@@ -346,84 +296,69 @@ class MemoryHierarchy:
         is the zero-load bound and whose steps feed the weave phase.
 
         The dominant case — a private-L1 hit with no coherence side
-        effects — is served by a fast path that allocates no
+        effects — is served inline, allocating no
         :class:`AccessContext` at all: it peeks the array, touches the
-        replacement state once (exactly like the slow path's single
+        replacement state once (exactly like the walk's single
         ``lookup``), bumps the same counters, and fills a slab-recycled
         result.  A write hit needs the line in E or M; a write hit in S
-        requires an upgrade and falls through to the coherence walk.
-
-        One level down (ISSUE 10), an L1 *read* miss whose parent holds
-        the line with no owner to downgrade is served by
-        :meth:`_shared_hit_fastpath` without recursing into
-        ``handle_access``."""
+        requires an upgrade and goes down the coherence walk
+        (:meth:`_walk_access`) like every miss.  Legal because L1s carry
+        no weave component: private levels are bound-phase only."""
         line = addr >> self.line_bits
         l1 = self.l1i[core_id] if ifetch else self.l1d[core_id]
-        l1_idx = -1
-        entry = None
-        if self.enable_fastpath or self.enable_l2_fastpath:
-            array = l1.array
-            # Private L1 arrays are unhashed in every shipped config;
-            # inline that set-index case.
-            idx = (line % array.num_sets if not array.hash_sets
-                   else array.set_index(line))
-            l1_idx = idx
-            entry = array._lines[idx].get(line)
-            if entry is not None:
-                if self.enable_fastpath and \
-                        (not write or entry[1] >= _MESI_E):
-                    way = entry[0]
-                    repl = array._repl[idx]
-                    if type(repl) is _LRU:
-                        # LRU.touch, inlined (one stamp store).
-                        repl._stamp[way] = repl._clock
-                        repl._clock += 1
-                    else:
-                        repl.touch(way)
-                    l1.accesses += 1
-                    l1.hits += 1
-                    if write:
-                        array._lines[idx][line] = (way, _MESI_M)
-                    self.fastpath_hits += 1
-                    pool = self._result_pool
-                    if pool:
-                        result = pool.pop()
-                        self.result_reuses += 1
-                    else:
-                        result = AccessResult.__new__(AccessResult)
-                    latency = l1.latency
-                    result.latency = latency
-                    result.missed_levels = ()
-                    result.hit_level = l1.level
-                    result.steps = ()
-                    result.wbacks = ()
-                    result.line = line
-                    result.write = write
-                    result.core_id = core_id
-                    result.invalidations = 0
-                    result.shared_evictions = ()
-                    # Log2Histogram.record, inlined (latency is a
-                    # non-negative int, so the guards drop out).
-                    hist = self.access_latency
-                    b = latency.bit_length()
-                    hist._counts[b if b < 64 else 63] += 1
-                    hist.count += 1
-                    hist.total += latency
-                    if hist.min is None or latency < hist.min:
-                        hist.min = latency
-                    if hist.max is None or latency > hist.max:
-                        hist.max = latency
-                    if self._metrics_latency is not None:
-                        self._metrics_latency.record(latency)
-                    if self.profiler is not None:
-                        self.profiler.record(result, cycle)
-                    return result
-            elif not write and self.enable_l2_fastpath \
-                    and (ifetch or not self.prefetchers):
-                result = self._shared_hit_fastpath(l1, line, core_id,
-                                                   cycle)
-                if result is not None:
-                    return result
+        array = l1.array
+        # Private L1 arrays are unhashed in every shipped config;
+        # inline that set-index case.
+        idx = (line % array.num_sets if not array.hash_sets
+               else array.set_index(line))
+        entry = array._lines[idx].get(line)
+        if entry is not None and (not write or entry[1] >= _MESI_E):
+            way = entry[0]
+            repl = array._repl[idx]
+            if type(repl) is _LRU:
+                # LRU.touch, inlined (one stamp store).
+                repl._stamp[way] = repl._clock
+                repl._clock += 1
+            else:
+                repl.touch(way)
+            l1.accesses += 1
+            l1.hits += 1
+            if write:
+                array._lines[idx][line] = (way, _MESI_M)
+            self.fastpath_hits += 1
+            pool = self._result_pool
+            if pool:
+                result = pool.pop()
+                self.result_reuses += 1
+            else:
+                result = AccessResult.__new__(AccessResult)
+            latency = l1.latency
+            result.latency = latency
+            result.missed_levels = ()
+            result.hit_level = l1.level
+            result.steps = ()
+            result.wbacks = ()
+            result.line = line
+            result.write = write
+            result.core_id = core_id
+            result.invalidations = 0
+            result.shared_evictions = ()
+            # Log2Histogram.record, inlined (latency is a
+            # non-negative int, so the guards drop out).
+            hist = self.access_latency
+            b = latency.bit_length()
+            hist._counts[b if b < 64 else 63] += 1
+            hist.count += 1
+            hist.total += latency
+            if hist.min is None or latency < hist.min:
+                hist.min = latency
+            if hist.max is None or latency > hist.max:
+                hist.max = latency
+            if self._metrics_latency is not None:
+                self._metrics_latency.record(latency)
+            if self.profiler is not None:
+                self.profiler.record(result, cycle)
+            return result
         self.slow_accesses += 1
         ctx_pool = self._ctx_pool
         if ctx_pool:
@@ -432,10 +367,7 @@ class MemoryHierarchy:
             self.ctx_reuses += 1
         else:
             ctx = AccessContext(core_id, line, write, ifetch)
-        if self.enable_flat_walk:
-            self._walk_access(l1, line, write, ctx, l1_idx, entry)
-        else:
-            l1.handle_access(line, write, None, ctx)
+        self._walk_access(l1, line, write, ctx, idx, entry)
         if (self.prefetchers and not ifetch
                 and "l1d" in ctx.missed_levels):
             self._prefetch(core_id, line, ctx)
@@ -466,109 +398,20 @@ class MemoryHierarchy:
             self.profiler.record(result, cycle)
         return result
 
-    def _shared_hit_fastpath(self, l1, line, core_id, cycle):
-        """Serve an L1 read miss that hits in the (single) parent with no
-        owner to downgrade, without recursing into ``handle_access``.
-
-        Every condition is checked on peeked state before any effect, so
-        a ``None`` return leaves zero side effects and the caller falls
-        through to the full walk.  The effects replicate the slow path
-        exactly — same counters, single repl touch at the parent, same
-        directory grant, same weave step at the same arrival offset —
-        which is what keeps fast-path on/off byte-identical."""
-        banks = l1._parent_banks
-        if banks is None or len(banks) != 1 or l1.noc_routes is not None:
-            return None
-        p = banks[0]
-        if p.level == "mem":
-            return None
-        parray = p.array
-        pidx = (line % parray.num_sets if not parray.hash_sets
-                else parray.set_index(line))
-        pentry = parray._lines[pidx].get(line)
-        if pentry is None:
-            return None
-        cid = l1.child_id
-        owner = p._owner.get(line)
-        if owner is not None and owner != cid:
-            return None
-        # Conditions hold — apply the slow walk's effects in its order.
-        l1.accesses += 1
-        l1.misses += 1
-        p.accesses += 1
-        p.hits += 1
-        p.dir_ops += 1
-        prepl = parray._repl[pidx]
-        if type(prepl) is _LRU:
-            prepl._stamp[pentry[0]] = prepl._clock
-            prepl._clock += 1
-        else:
-            prepl.touch(pentry[0])
-        rbit = 1 << cid
-        mask = p._sharers.get(line, 0) | rbit
-        p._sharers[line] = mask
-        if mask == rbit and pentry[1] >= _MESI_E:
-            p._owner[line] = cid
-            granted = _MESI_E
-        else:
-            granted = _MESI_S
-        victim, vstate = l1.array.fill(line, granted)
-        if victim is not None:
-            # L1s have no children, so the eviction needs no context:
-            # no shared_evictions, and Cache.child_evicted ignores ctx.
-            l1._evict(victim, vstate, None)
-        net = l1._parent_net[0]
-        arrival = l1.latency + net
-        latency = arrival + p.latency
-        self.l2_fastpath_hits += 1
-        pool = self._result_pool
-        if pool:
-            result = pool.pop()
-            self.result_reuses += 1
-        else:
-            result = AccessResult.__new__(AccessResult)
-        result.latency = latency
-        result.missed_levels = (l1.level,)
-        result.hit_level = p.level
-        weave = p.weave
-        result.steps = (() if weave is None
-                        else ((weave, arrival, StepKind.HIT),))
-        result.wbacks = ()
-        result.line = line
-        result.write = False
-        result.core_id = core_id
-        result.invalidations = 0
-        result.shared_evictions = ()
-        hist = self.access_latency
-        b = latency.bit_length()
-        hist._counts[b if b < 64 else 63] += 1
-        hist.count += 1
-        hist.total += latency
-        if hist.min is None or latency < hist.min:
-            hist.min = latency
-        if hist.max is None or latency > hist.max:
-            hist.max = latency
-        if self._metrics_latency is not None:
-            self._metrics_latency.record(latency)
-            self._telem.metrics.inc("mem.misses.%s" % l1.level)
-        if self.profiler is not None:
-            self.profiler.record(result, cycle)
-        return result
-
-    def _walk_access(self, l1, line, write, ctx, l1_idx=-1,
-                     l1_entry=None):
+    def _walk_access(self, l1, line, write, ctx, l1_idx, l1_entry):
         """The demand coherence walk, flattened into one iterative frame
-        (ISSUE 10).
+        (ISSUE 10); ``l1_idx`` / ``l1_entry`` are what :meth:`access`
+        already peeked in the L1.
 
         Byte-identical in effects *and effect order* to the recursive
         walk (``Cache.handle_access`` -> ``_fetch_and_fill`` ->
-        ``_grant_to_child`` -> ``_evict``), which remains in place as
-        the reference implementation (``enable_flat_walk=False``), for
-        prefetch fills, and for subtree coherence.  The recursion is
-        replaced by two loops over a preallocated path scratch — descend
-        recording misses until a hit or main memory, then unwind
-        granting and filling — with the latency accumulator, step list,
-        and routing tables bound to locals.  Rare coherence fan-out
+        ``_grant_to_child`` -> ``_evict``), which remains in place for
+        prefetch fills and subtree coherence, and as the reference the
+        tests run this walk against.  The recursion is replaced by two
+        loops over a preallocated path scratch — descend recording
+        misses until a hit or main memory, then unwind granting and
+        filling — with the latency accumulator, step list, and routing
+        tables bound to locals.  Rare coherence fan-out
         (subtree invalidation/downgrade, upgrade acquires) still
         dispatches into the recursive helpers; of those only
         ``acquire_exclusive`` and main memory's ``child_evicted`` read
@@ -589,7 +432,7 @@ class MemoryHierarchy:
             latency = arrival + c.latency
             array = c.array
             lines = array._lines
-            if depth or l1_idx < 0:
+            if depth:
                 ns = array.num_sets
                 if array.hash_sets:
                     idx = (line ^ line // ns ^ line // (ns * ns)) % ns
@@ -597,7 +440,7 @@ class MemoryHierarchy:
                     idx = line % ns
                 entry = lines[idx].get(line)
             else:
-                # The caller's fast-path prologue already peeked L1.
+                # access() already peeked L1.
                 idx = l1_idx
                 entry = l1_entry
             if entry is not None:

@@ -43,17 +43,6 @@ class LRU(ReplacementPolicy):
         self._stamp = list(range(ways))
         self._clock = ways
 
-    def __setstate__(self, state):
-        # Checkpoints written by recency-list builds carry _order (most
-        # recent last); its positions are exactly the relative stamps.
-        if "_order" in state:
-            order = state.pop("_order")
-            state["_stamp"] = [0] * len(order)
-            for pos, way in enumerate(order):
-                state["_stamp"][way] = pos
-            state["_clock"] = len(order)
-        self.__dict__.update(state)
-
     def touch(self, way):
         self._stamp[way] = self._clock
         self._clock += 1

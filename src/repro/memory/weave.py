@@ -160,15 +160,6 @@ class MemCtrlWeave(WeaveComponent):
         bank = (line >> 1) % self.num_banks
         return channel, bank
 
-    def __setstate__(self, state):
-        # Capsules written before the precomputed powerdown constants
-        # lack them; re-derive from the pickled config.
-        self.__dict__.update(state)
-        if "_pd_threshold" not in state:
-            self._pd_threshold = self.cfg.powerdown_threshold * self.ratio
-            self._pd_exit = int(round(
-                self.cfg.powerdown_exit_cycles * self.ratio))
-
     def occupy(self, cycle, kind, line=0):
         self.events_executed += 1
         channel = (line >> 4) % self.channels

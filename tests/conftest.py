@@ -8,6 +8,7 @@ from repro.config import small_test_system
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BBLExec, Instruction, Program
 from repro.isa.registers import gp
+from repro.memory.access import AccessContext, AccessResult
 
 
 def build_program(num_blocks=1, body=None):
@@ -53,6 +54,32 @@ def stream_of(block, addr_lists=None, count=None, taken=True):
     else:
         for _ in range(count or 1):
             yield BBLExec(block, (), taken=taken)
+
+
+def reference_access(hier, core_id, addr, write, cycle=0, ifetch=False):
+    """``MemoryHierarchy.access`` as the reference model: no inline L1
+    hit, no pools, every access down the recursive walk
+    (``Cache.handle_access``).  Tests install it in place of the
+    shipped ``access`` to prove the fast path and the flat walk
+    invisible in simulated results."""
+    line = addr >> hier.line_bits
+    l1 = hier.l1i[core_id] if ifetch else hier.l1d[core_id]
+    ctx = AccessContext(core_id, line, write, ifetch)
+    l1.handle_access(line, write, None, ctx)
+    if hier.prefetchers and not ifetch and "l1d" in ctx.missed_levels:
+        hier._prefetch(core_id, line, ctx)
+    result = AccessResult(ctx)
+    hier.access_latency.record(result.latency)
+    if hier.profiler is not None:
+        hier.profiler.record(result, cycle)
+    return result
+
+
+def recursive_walk(l1, line, write, ctx, l1_idx, l1_entry):
+    """Stand-in for ``MemoryHierarchy._walk_access`` (install with
+    ``staticmethod``): the shipped fast path stays live and only the
+    walk beneath it is the recursive reference."""
+    return l1.handle_access(line, write, None, ctx)
 
 
 @pytest.fixture

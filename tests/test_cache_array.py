@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.memory.cache_array import CacheArray
 from repro.memory.coherence import MESI
-from repro.memory.replacement import LRU
 
 
 class TestBasics:
@@ -216,29 +215,6 @@ class TestSparseSets:
         assert victims[0] == victims[1]
         assert any(victim is not None for victim, _ in victims[0])
         assert lazy.num_materialised() == 8
-
-    def test_dense_capsule_loads_fully_materialised(self):
-        """State pickled by the pre-sparse build: per-set lists for
-        every set, no policy name or seed."""
-        array = CacheArray.__new__(CacheArray)
-        ways0 = [4, None]
-        array.__setstate__({
-            "num_sets": 4, "ways": 2, "hash_sets": False,
-            "_lines": [{4: (0, MESI.M)}, {}, {}, {}],
-            "_ways": [ways0, [None, None], [None, None], [None, None]],
-            "_repl": [LRU(2) for _ in range(4)],
-            "_free": [1, 2, 2, 2],
-        })
-        assert array.num_materialised() == 4
-        assert array.audit_invariants("a") == []
-        assert array.lookup(4) == MESI.M
-        assert array.fill(1, MESI.E) == (None, None)
-        array.fill(8, MESI.E)
-        assert array.fill(12, MESI.E) == (4, MESI.M)
-        # It round-trips through the sparse form like any other.
-        twin = pickle.loads(pickle.dumps(array))
-        assert picture(twin) == picture(array)
-        assert twin.num_materialised() == 4
 
 
 _array_ops = st.lists(

@@ -5,23 +5,25 @@ Three layers of guarantees:
 * the schedule-once ``DecodedBBL`` tables (``flat``, ``mem_ops``,
   ``fetch_lines``, ``final_writes``) are field-for-field faithful to the
   legacy per-µop objects and to an independently simulated scoreboard;
-* the L1-hit fast path can be switched off with zero effect on
-  simulated stats;
+* the shipped access path (inline L1 hit, flattened walk) produces the
+  simulated stats of the recursive reference walk;
 * slab recycling (contexts, results, trace lists) survives the full
   matrix — backends, kill faults, checkpoint/resume — byte-identically.
 """
 
 import pytest
 
-from repro.config import small_test_system
+from repro.config import small_test_system, tiled_chip, westmere
 from repro.core import ZSim
 from repro.isa.decoder import FETCH_LINE_BYTES, decode_bbl
 from repro.isa.uops import UopType
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.resilience import Checkpointer, latest, read_checkpoint
 from repro.stats import assert_equivalent
 from repro.workloads import mt_workload, spec_workload
 
-from conftest import alu_block, build_program, mem_block
+from conftest import (alu_block, build_program, mem_block,
+                      recursive_walk, reference_access)
 
 
 # ---------------------------------------------------------------------
@@ -120,7 +122,7 @@ class TestFlatDescriptorFidelity:
 
 
 # ---------------------------------------------------------------------
-# L1-hit fast path: switchable, invisible
+# The shipped access path vs the recursive reference
 # ---------------------------------------------------------------------
 
 
@@ -128,97 +130,114 @@ def _stats_tree(result):
     return result.stats().to_dict()
 
 
-def _run(config, contention, fastpath=None, backend=None,
-         instrs=15_000, l2_fastpath=None, flat=None):
-    wl = mt_workload("blackscholes", scale=1 / 64,
-                     num_threads=config.num_cores)
+def _run(config, contention, backend=None, instrs=15_000,
+         kernel="blackscholes", scale=1 / 64):
+    wl = mt_workload(kernel, scale=scale, num_threads=config.num_cores)
     sim = ZSim(config, threads=wl.make_threads(target_instrs=instrs),
                contention_model=contention, backend=backend)
-    if fastpath is not None:
-        sim.hierarchy.enable_fastpath = fastpath
-    if l2_fastpath is not None:
-        sim.hierarchy.enable_l2_fastpath = l2_fastpath
-    if flat is not None:
-        sim.hierarchy.enable_flat_walk = flat
     return sim, _stats_tree(sim.run())
 
 
+#: What a test installs on MemoryHierarchy to get the reference model.
+_REFERENCES = {
+    # Every access down the recursive walk, no inline L1 hit.
+    "access": ("access", reference_access),
+    # The shipped fast path over the recursive walk: isolates the
+    # flattened walk.
+    "walk": ("_walk_access", staticmethod(recursive_walk)),
+}
+
+
+def _assert_amortization_counters_live(sim, tree):
+    dbt = tree["host"]["dbt"]
+    hier = sim.hierarchy
+    fast, slow = dbt["fastpath_hits"], dbt["slow_accesses"]
+    assert fast == hier.fastpath_hits > 0
+    assert slow == hier.slow_accesses > 0
+    # One fast path, so the rate is over every access — the ratio
+    # benchmarks/perf computes from fast + l2fast + slow.
+    assert dbt["l2_fastpath_hits"] == 0
+    assert dbt["fastpath_hit_rate"] == fast / (fast + slow)
+    assert dbt["translation_hit_rate"] > 0.9
+    assert dbt["trace_recycles"] > 0
+    assert dbt["dir_bitmask_ops"] == \
+        sum(c.dir_ops for c in hier.all_caches()) \
+        + hier.mainmem.dir_ops > 0
+    return dbt
+
+
+def _assert_reference_invisible(monkeypatch, reference, num_cores,
+                                core_model, contention):
+    """Run the shipped hierarchy, then the same run with ``reference``
+    installed: every simulated stat must be byte-identical (host-side
+    counters legitimately differ)."""
+    cfg = small_test_system(num_cores=num_cores, core_model=core_model)
+    sim, got = _run(cfg, contention)
+    assert sim.hierarchy.fastpath_hits > 0
+    assert sim.hierarchy.slow_accesses > 0
+    monkeypatch.setattr(MemoryHierarchy, *_REFERENCES[reference])
+    cfg = small_test_system(num_cores=num_cores, core_model=core_model)
+    ref_sim, want = _run(cfg, contention)
+    if reference == "access":
+        assert ref_sim.hierarchy.fastpath_hits == 0
+    assert_equivalent(got, want, ignore=("host",),
+                      context="production vs reference %s (%d, %s, %s)"
+                      % (reference, num_cores, core_model, contention))
+
+
 class TestFastpathEquivalence:
-    @pytest.mark.parametrize("contention", ("none", "md1", "weave"))
-    @pytest.mark.parametrize("core_model", ("simple", "ooo"))
-    def test_fastpath_off_is_invisible(self, core_model, contention):
-        cfg = small_test_system(num_cores=2, core_model=core_model)
-        sim_on, on = _run(cfg, contention)
-        cfg = small_test_system(num_cores=2, core_model=core_model)
-        sim_off, off = _run(cfg, contention, fastpath=False)
-        # Host-side counters (fastpath_hits etc.) legitimately differ;
-        # every simulated stat must be byte-identical.
-        assert_equivalent(on, off, ignore=("host",),
-                          context="fastpath on vs off (%s, %s)"
-                          % (core_model, contention))
-        assert sim_on.hierarchy.fastpath_hits > 0
-        assert sim_off.hierarchy.fastpath_hits == 0
+    """Production vs reference.  The inline L1 hit and the flattened
+    walk are host-side shortcuts with no switch in ``src/``; each test
+    installs the recursive reference in their place."""
 
     @pytest.mark.parametrize("contention", ("none", "md1", "weave"))
     @pytest.mark.parametrize("core_model", ("simple", "ooo"))
-    def test_l2_fastpath_off_is_invisible(self, core_model, contention):
-        """The shared-level hit fast path (ISSUE 10) must be invisible
-        on its own: L1 fast path held constant, L2 path toggled."""
-        cfg = small_test_system(num_cores=2, core_model=core_model)
-        sim_on, on = _run(cfg, contention)
-        cfg = small_test_system(num_cores=2, core_model=core_model)
-        sim_off, off = _run(cfg, contention, l2_fastpath=False)
-        assert_equivalent(on, off, ignore=("host",),
-                          context="l2 fastpath on vs off (%s, %s)"
-                          % (core_model, contention))
-        assert sim_on.hierarchy.l2_fastpath_hits > 0
-        assert sim_off.hierarchy.l2_fastpath_hits == 0
+    def test_fastpath_off_is_invisible(self, monkeypatch, core_model,
+                                       contention):
+        _assert_reference_invisible(monkeypatch, "access", 2, core_model,
+                                    contention)
 
     @pytest.mark.parametrize("contention", ("none", "weave"))
-    def test_both_fastpaths_off_is_invisible(self, contention):
-        """Every access down the full coherence walk still matches."""
-        cfg = small_test_system(num_cores=4, core_model="ooo")
-        _, on = _run(cfg, contention)
-        cfg = small_test_system(num_cores=4, core_model="ooo")
-        sim_off, off = _run(cfg, contention, fastpath=False,
-                            l2_fastpath=False)
-        assert_equivalent(on, off, ignore=("host",),
-                          context="both fastpaths off (%s)" % contention)
-        assert sim_off.hierarchy.fastpath_hits == 0
-        assert sim_off.hierarchy.l2_fastpath_hits == 0
-        assert sim_off.hierarchy.slow_accesses > 0
+    def test_both_fastpaths_off_is_invisible(self, monkeypatch,
+                                             contention):
+        """Neither shortcut on four sharing cores: every access down
+        the recursive coherence walk still matches."""
+        _assert_reference_invisible(monkeypatch, "access", 4, "ooo",
+                                    contention)
 
     @pytest.mark.parametrize("contention", ("none", "md1", "weave"))
     @pytest.mark.parametrize("core_model", ("simple", "ooo"))
-    def test_flat_walk_off_is_invisible(self, core_model, contention):
+    def test_flat_walk_off_is_invisible(self, monkeypatch, core_model,
+                                        contention):
         """The flattened coherence walk (ISSUE 10) against the recursive
-        reference implementation, fast paths disabled so every access
-        exercises the walk under test."""
-        cfg = small_test_system(num_cores=4, core_model=core_model)
-        _, on = _run(cfg, contention, fastpath=False, l2_fastpath=False)
-        cfg = small_test_system(num_cores=4, core_model=core_model)
-        sim_off, off = _run(cfg, contention, fastpath=False,
-                            l2_fastpath=False, flat=False)
-        assert_equivalent(on, off, ignore=("host",),
-                          context="flat walk on vs off (%s, %s)"
-                          % (core_model, contention))
-        assert sim_off.hierarchy.slow_accesses > 0
+        one, the inline L1 hit live on both sides."""
+        _assert_reference_invisible(monkeypatch, "walk", 4, core_model,
+                                    contention)
 
     def test_host_dbt_counters_are_reported(self):
         cfg = small_test_system(num_cores=2, core_model="ooo")
         sim, tree = _run(cfg, "weave")
-        dbt = tree["host"]["dbt"]
-        assert dbt["fastpath_hits"] == sim.hierarchy.fastpath_hits > 0
-        assert dbt["l2_fastpath_hits"] == \
-            sim.hierarchy.l2_fastpath_hits > 0
-        assert dbt["slow_accesses"] == sim.hierarchy.slow_accesses > 0
-        assert 0.0 < dbt["fastpath_hit_rate"] < 1.0
-        assert dbt["translation_hit_rate"] > 0.9
-        assert dbt["trace_recycles"] > 0
-        hier = sim.hierarchy
-        assert dbt["dir_bitmask_ops"] == \
-            sum(c.dir_ops for c in hier.all_caches()) \
-            + hier.mainmem.dir_ops > 0
+        _assert_amortization_counters_live(sim, tree)
+
+    @pytest.mark.parametrize("scenario", ("westmere4", "tiled64"))
+    def test_amortization_counters_on_pinned_chips(self, scenario):
+        """The counter asserts of the retired perf-smoke CI job: a
+        dropped slab pool or a dead fast path reads 0 here.  ``tiled64``
+        (4 tiles x 16 cores) is the run with several weave domains:
+        crossings must be delivered and cache-set state must be sparse
+        — some sets filled, most of the chip never materialised."""
+        if scenario == "tiled64":
+            cfg = tiled_chip(num_tiles=4, cores_per_tile=16)
+            sim, tree = _run(cfg, "weave", instrs=20_000, scale=1 / 32)
+        else:
+            cfg = westmere(num_cores=4, core_model="ooo")
+            sim, tree = _run(cfg, "weave", instrs=20_000,
+                             kernel="canneal", scale=1 / 32)
+        dbt = _assert_amortization_counters_live(sim, tree)
+        if scenario == "tiled64":
+            assert tree["weave"]["crossings"] > 0
+            assert 0 < dbt["cache_sets_materialised"] \
+                < dbt["cache_sets_total"]
 
     def test_slabs_stay_bounded_and_recycle(self):
         cfg = small_test_system(num_cores=2, core_model="ooo")
@@ -271,38 +290,3 @@ class TestRecyclingMatrix:
         assert_equivalent(_stats_tree(resumed.run()), baseline,
                           ignore=("host",),
                           context="kill-and-resume vs straight run")
-
-    def test_old_checkpoint_without_slab_fields_resumes(self, tmp_path):
-        """A capsule written before the data-plane refactor lacks the
-        pool/counter attributes; __setstate__ must default them."""
-        cfg = small_test_system(num_cores=2, core_model="ooo")
-        wl = mt_workload("blackscholes", scale=1 / 64,
-                         num_threads=cfg.num_cores)
-        partial = ZSim(cfg, threads=wl.make_threads(target_instrs=15_000),
-                       contention_model="weave")
-        partial.checkpointer = Checkpointer(str(tmp_path), every=1)
-        partial.run(max_intervals=2)
-
-        capsule = read_checkpoint(latest(str(tmp_path)))
-        resumed = ZSim.resume(
-            capsule, wl.make_threads(target_instrs=15_000))
-        hier = resumed.hierarchy
-        # Strip the new attributes as an old capsule would have them.
-        state = hier.__getstate__()
-        for attr in ("_ctx_pool", "_result_pool", "enable_fastpath",
-                     "enable_l2_fastpath", "fastpath_hits",
-                     "l2_fastpath_hits", "slow_accesses", "ctx_reuses",
-                     "result_reuses", "enable_flat_walk", "_walk_caches",
-                     "_walk_idx"):
-            state.pop(attr, None)
-        hier.__setstate__(state)
-        assert hier._ctx_pool == [] and hier._result_pool == []
-        assert hier.enable_fastpath in (True, False)
-        # And an array pickled without free-way counts recomputes them.
-        array = hier.l1d[0].array
-        array_state = dict(array.__dict__)
-        array_state.pop("_free")
-        array.__setstate__(array_state)
-        assert array._free == [sum(w is None for w in ways)
-                               for ways in array._ways]
-        resumed.run()

@@ -1,37 +1,25 @@
 """The bitmask directories must be a pure representation change.
 
-Two guarantees pin the ISSUE 10 coherence-walk refactor:
-
-* **Lockstep property test** — a reference hierarchy whose directories
-  are the pre-refactor line -> set-of-child-Cache / line -> Cache form
-  (the seed implementation, inlined below verbatim) is driven through
-  the same randomized MESI traffic as the bitmask hierarchy.  Every
-  access must return the same latency/miss/invalidation record, and the
-  final arrays, counters, and (decoded) directories must match.
-* **Legacy-capsule migration** — a capsule rewritten on the fly into
-  the pre-refactor on-disk form (object-graph directories, no child
-  ids, no routing tables) must resume to byte-identical stats and pass
-  ``repro verify`` end-to-end.
+A lockstep property test pins the ISSUE 10 coherence-walk refactor: a
+reference hierarchy whose directories are the pre-refactor line ->
+set-of-child-Cache / line -> Cache form (the seed implementation,
+inlined below verbatim), accessed through the recursive reference walk,
+is driven through the same randomized MESI traffic as the shipped
+hierarchy (bitmask directories, inline L1 hit, flattened walk).  Every
+access must return the same latency/miss/invalidation record, and the
+final arrays, counters, and (decoded) directories must match.
 """
 
-import pickle
+import functools
 import random
-import zlib
-from unittest import mock
 
 import pytest
 
 from repro.config import small_test_system
-from repro.core import ZSim
 from repro.memory.cache import Cache, MainMemory
-from repro.memory.cache_array import CacheArray
 from repro.memory.coherence import MESI
-from repro.memory.replacement import LRU
-from repro.resilience import Checkpointer, latest, read_checkpoint
-from repro.resilience.checkpoint import FORMAT_VERSION, MAGIC
-from repro.resilience.integrity import IntegritySentinel
-from repro.stats import assert_equivalent
-from repro.workloads import mt_workload
+
+from conftest import reference_access
 
 
 # ---------------------------------------------------------------------
@@ -232,14 +220,11 @@ def _build_hierarchy(monkeypatch, reference):
         monkeypatch.setattr(hmod, "Cache", Cache)
         monkeypatch.setattr(hmod, "MainMemory", MainMemory)
     h = hmod.MemoryHierarchy(cfg, build_weave=False)
-    # The fast paths read bitmask directories directly; the reference
-    # hierarchy cannot serve them, so both run the full walk.
-    h.enable_fastpath = False
-    h.enable_l2_fastpath = False
     if reference:
         # The flat walk inlines bitmask directory ops; the reference
-        # hierarchy must take the recursive (set-of-objects) walk.
-        h.enable_flat_walk = False
+        # hierarchy takes the recursive (set-of-objects) walk.  The
+        # bitmask side runs the shipped access(), fast path live.
+        h.access = functools.partial(reference_access, h)
     return h
 
 
@@ -313,6 +298,7 @@ class TestBitmaskDirectoryLockstep:
                       want.invalidations, want.shared_evictions)
             assert record == expect, \
                 "access %d diverged: %r vs %r" % (i, record, expect)
+        assert bit.fastpath_hits > 0 and bit.slow_accesses > 0
         assert _state_picture(bit) == _state_picture(ref)
         assert _directory_picture(bit) == _directory_picture(ref)
         assert bit.check_inclusion() == [] and bit.check_coherence() == []
@@ -331,154 +317,3 @@ class TestBitmaskDirectoryLockstep:
             assert (got.latency, got.invalidations) == \
                 (want.latency, want.invalidations)
         assert _directory_picture(bit) == _directory_picture(ref)
-
-
-# ---------------------------------------------------------------------
-# Legacy-capsule migration, end to end
-# ---------------------------------------------------------------------
-
-
-def _dense_array_state(array):
-    """What a pre-sparse build pickled for an array: the instance dict
-    with a line map, a way list and a policy object for *every* set
-    (and no policy name or seed to build one later)."""
-    state = dict(array.__dict__)
-    del state["repl"], state["seed"]
-    assert None not in state["_repl"]
-    return state
-
-
-def _write_legacy_capsule(src_path, dst_path):
-    """Rewrite a capsule into the pre-refactor on-disk form: directory
-    entries as object graphs, no child ids, no dir odometer, the
-    hierarchy stripped of the fast-path/slab fields this PR and the
-    data-plane one added, and every cache array dense."""
-    capsule = read_checkpoint(src_path)
-    sim = capsule["sim"]
-    hier = sim.hierarchy
-    arrays = [cache.array for cache in hier.all_caches()]
-    # The source capsule is sparse, so densifying it changes something.
-    assert any(a.num_materialised() < a.num_sets for a in arrays)
-    for array in arrays:
-        for idx in set(range(array.num_sets)) \
-                - set(array.materialised_sets()):
-            array._materialise(idx)
-    for cache in hier.all_caches():
-        children = cache.children
-        cache._sharers = {
-            line: {children[i] for i in range(mask.bit_length())
-                   if mask >> i & 1}
-            for line, mask in cache._sharers.items()}
-        cache._owner = {line: children[i]
-                        for line, i in cache._owner.items()}
-        del cache.__dict__["child_id"]
-        del cache.__dict__["dir_ops"]
-    mem = hier.mainmem
-    mem._sharers = {
-        line: {mem.children[i] for i in range(mask.bit_length())
-               if mask >> i & 1}
-        for line, mask in mem._sharers.items()}
-    mem._owner = {line: mem.children[i]
-                  for line, i in mem._owner.items()}
-    del mem.__dict__["dir_ops"]
-    for attr in ("_num_ctrls", "_zero_load", "_ctrl_tiles",
-                 "_net_to_ctrl"):
-        mem.__dict__.pop(attr, None)
-    for attr in ("enable_l2_fastpath", "l2_fastpath_hits"):
-        del hier.__dict__[attr]
-    for attr in ("enable_flat_walk", "_walk_caches", "_walk_idx"):
-        hier.__dict__.pop(attr, None)
-    # Pre-refactor LRU kept a recency list; rewrite stamps back.
-    for cache in hier.all_caches():
-        for repl in cache.array._repl:
-            if isinstance(repl, LRU):
-                stamp = repl.__dict__.pop("_stamp")
-                repl.__dict__.pop("_clock")
-                repl.__dict__["_order"] = sorted(
-                    range(len(stamp)), key=stamp.__getitem__)
-    with mock.patch.object(CacheArray, "__getstate__",
-                           _dense_array_state):
-        capsule["sim"] = pickle.dumps(sim,
-                                      protocol=pickle.HIGHEST_PROTOCOL)
-    body = pickle.dumps(capsule, protocol=pickle.HIGHEST_PROTOCOL)
-    header = b"%s %d %08x\n" % (MAGIC, FORMAT_VERSION,
-                                zlib.crc32(body) & 0xFFFFFFFF)
-    with open(dst_path, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
-
-
-class TestLegacyCapsuleMigration:
-    def _straight_and_capsule(self, tmp_path):
-        def threads():
-            wl = mt_workload("canneal", scale=1 / 64, num_threads=4)
-            return wl.make_threads(target_instrs=12_000, num_threads=4)
-
-        cfg = small_test_system(num_cores=4, core_model="ooo")
-        straight = ZSim(cfg, threads=threads(), contention_model="weave")
-        straight.integrity = IntegritySentinel(audit_every=1)
-        want = straight.run().stats().to_dict()
-
-        cfg = small_test_system(num_cores=4, core_model="ooo")
-        partial = ZSim(cfg, threads=threads(), contention_model="weave")
-        partial.integrity = IntegritySentinel(audit_every=1)
-        partial.checkpointer = Checkpointer(
-            str(tmp_path / "new"), every=1,
-            meta={"workload": "canneal", "scale": 1 / 64,
-                  "instrs": 12_000, "threads": 4})
-        partial.run(max_intervals=3)
-        return want, latest(str(tmp_path / "new")), threads
-
-    def test_legacy_capsule_resumes_byte_identical(self, tmp_path):
-        want, new_path, threads = self._straight_and_capsule(tmp_path)
-        legacy_dir = tmp_path / "legacy"
-        legacy_dir.mkdir()
-        legacy_path = str(legacy_dir / "ckpt-deadbeef-00000003.pkl")
-        _write_legacy_capsule(new_path, legacy_path)
-
-        capsule = read_checkpoint(legacy_path)
-        hier = capsule["sim"].hierarchy
-        # Migration happened during unpickling: bitmasks, ids, tables.
-        for cache in hier.all_caches():
-            assert all(isinstance(m, int)
-                       for m in cache._sharers.values())
-            assert all(isinstance(o, int) for o in cache._owner.values())
-            assert cache._parent_banks is not None
-        assert all(isinstance(m, int)
-                   for m in hier.mainmem._sharers.values())
-        assert hier.enable_l2_fastpath == hier.enable_fastpath
-        assert hier.l2_fastpath_hits == 0
-        assert hier.enable_flat_walk
-        assert hier.mainmem._net_to_ctrl is not None
-        l1_repl = hier.l1d[0].array._repl[0]
-        assert isinstance(l1_repl, LRU) and hasattr(l1_repl, "_stamp")
-        # The dense per-set lists loaded as they were written: every
-        # set materialised, no policy name to build more from.
-        for cache in hier.all_caches():
-            assert cache.array.num_materialised() == cache.array.num_sets
-            assert "repl" not in cache.array.__dict__
-
-        resumed = ZSim.resume(capsule, threads())
-        got = resumed.run().stats().to_dict()
-        assert_equivalent(got, want, ignore=("host",),
-                          context="legacy capsule resume vs straight")
-
-    def test_repro_verify_certifies_legacy_capsule(self, tmp_path,
-                                                   capsys):
-        """Both kept capsules rewritten to the legacy form: ``repro
-        verify`` re-derives the deep digests (the named-directory form
-        must digest identically post-migration) and replays the span
-        between them, re-deriving the fingerprint chain."""
-        from repro.cli import main
-        from repro.resilience.checkpoint import checkpoints
-        _, new_path, _ = self._straight_and_capsule(tmp_path)
-        legacy_dir = tmp_path / "legacy"
-        legacy_dir.mkdir()
-        for interval, path in checkpoints(str(tmp_path / "new")):
-            _write_legacy_capsule(
-                path,
-                str(legacy_dir / ("ckpt-deadbeef-%08d.pkl" % interval)))
-        assert main(["verify", str(legacy_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "0 failure(s)" in out
-        assert "replayed 1 span(s)" in out

@@ -438,9 +438,3 @@ class TestConfigTyping:
     def test_audit_every_validated(self):
         with pytest.raises(ConfigError, match="audit_every"):
             config_from_dict({"boundweave": {"audit_every": -1}})
-
-    def test_strict_config_flag_is_accepted(self):
-        from repro.cli import build_parser
-        args = build_parser().parse_args(
-            ["run", "--strict-config", "--instrs", "1000"])
-        assert args.strict_config
