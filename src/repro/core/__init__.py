@@ -12,7 +12,7 @@
 
 from repro.core.bound import BoundPhase
 from repro.core.domains import CoreWeave, Domain, assign_domains
-from repro.core.events import EventPool, WeaveEvent
+from repro.core.events import WeaveEvent
 from repro.core.host import HostModel, makespan
 from repro.core.interference import InterferenceProfiler
 from repro.core.simulator import (
@@ -27,7 +27,6 @@ __all__ = [
     "CONTENTION_MODELS",
     "CoreWeave",
     "Domain",
-    "EventPool",
     "HostModel",
     "InterferenceProfiler",
     "SimulationResult",

@@ -6,8 +6,7 @@ zero-load cycle) and (b) fully specified parent/child dependencies.  That
 prior knowledge is what lets domains synchronize only when an actual
 dependency crosses them (Section 3.2.2, Figure 4).
 
-Events are pooled and recycled LIFO, mirroring zsim's per-core slab
-allocators for trace events.
+An interval's events are plain objects that die with the interval.
 """
 
 from __future__ import annotations
@@ -30,15 +29,7 @@ class WeaveEvent:
                  "parents_left", "ready", "done", "child", "gap",
                  "overflow", "core_id", "is_response")
 
-    def __init__(self):
-        self.child = None
-        self.gap = 0
-        self.overflow = None
-        self.reset(None, "", 0, 0, 0, 0)
-
-    def reset(self, component, kind, line, min_cycle, service, core_id):
-        # The edge slots are deliberately left alone: the pool unlinks
-        # them on free (invariant: a pooled event has no edges).
+    def __init__(self, component, kind, line, min_cycle, service, core_id):
         self.component = component
         self.kind = kind
         self.line = line
@@ -49,7 +40,9 @@ class WeaveEvent:
         self.ready = min_cycle
         self.done = None
         self.is_response = False
-        return self
+        self.child = None
+        self.gap = 0
+        self.overflow = None
 
     def link(self, child):
         """Add a dependency edge to ``child`` with the zero-load gap
@@ -89,44 +82,3 @@ class WeaveEvent:
                 % (self.kind,
                    self.component.name if self.component else "?",
                    self.min_cycle, self.done))
-
-
-class EventPool:
-    """LIFO-recycled pool of :class:`WeaveEvent` (slab-allocator
-    analogue: events for an interval are freed together as soon as the
-    interval is fully simulated)."""
-
-    def __init__(self):
-        self._free = []
-        self.allocated = 0
-        self.recycled = 0
-
-    def alloc(self, component, kind, line, min_cycle, service, core_id):
-        if self._free:
-            self.recycled += 1
-            event = self._free.pop()
-        else:
-            self.allocated += 1
-            event = WeaveEvent()
-        return event.reset(component, kind, line, min_cycle, service,
-                           core_id)
-
-    def free_all(self, events):
-        """Recycle a whole interval's events (LIFO order), unlinking
-        their edges — the paired reset() skips the edge slots."""
-        free = self._free
-        for event in events:
-            event.child = None
-            event.overflow = None
-            free.append(event)
-
-    def __getstate__(self):
-        # Pooled events are blank host-side shells: a snapshot or
-        # checkpoint carries simulated state only, and a restored pool
-        # refills itself from the first interval it frees.
-        state = self.__dict__.copy()
-        state["_free"] = []
-        return state
-
-    def __len__(self):
-        return len(self._free)

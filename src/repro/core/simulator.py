@@ -106,8 +106,8 @@ class SimulationResult:
     @staticmethod
     def _dbt_summary(sim):
         """Host-side data-plane amortization counters (ISSUE 7): how much
-        per-instruction work the schedule-once descriptors, the L1 fast
-        path, and the recycling slabs actually absorbed this run."""
+        per-instruction work the schedule-once descriptors and the L1
+        fast path actually absorbed this run."""
         tcaches = {}
         for thread in sim.scheduler.threads:
             stream = getattr(thread, "stream", None)
@@ -143,14 +143,7 @@ class SimulationResult:
             "cache_sets_total": sum(c.array.num_sets for c in caches),
             "cache_sets_materialised": sum(c.array.num_materialised()
                                            for c in caches),
-            "ctx_reuses": hierarchy.ctx_reuses,
-            "result_reuses": hierarchy.result_reuses,
-            "trace_recycles": sim.trace_recycles,
         }
-        if sim.weave is not None:
-            pool = sim.weave.pool
-            summary["events_allocated"] = pool.allocated
-            summary["events_recycled"] = pool.recycled
         return summary
 
     @property
@@ -212,7 +205,7 @@ class SimulationResult:
                 node.set(key, value)
         if self.host_dbt:
             # Data-plane amortization (decode/schedule-once, L1 fast
-            # path, slabs): host-side — hit rates depend on interval
+            # path): host-side — hit rates depend on interval
             # sizing and wrappers, never on simulated results.
             node = host.child("dbt")
             for key, value in sorted(self.host_dbt.items()):
@@ -344,10 +337,6 @@ class ZSim:
         #: N intervals a (cycle, instrs) sample is appended.
         self.stats_period_intervals = stats_period_intervals
         self.stat_samples = []
-        #: Trace-list freelist: emptied list shells from past intervals,
-        #: reinstalled on cores by _collect_traces (host-side only).
-        self._trace_freelist = []
-        self.trace_recycles = 0
         if telemetry is not None and telemetry.tracer is not None:
             self._name_tracks(telemetry.tracer)
         for thread in threads:
@@ -404,7 +393,8 @@ class ZSim:
             _log.info("resuming at interval %d (limit cycle %d)",
                       intervals_run, limit)
         run_state = "done"
-        # The hot loops recycle their objects through slab pools, so
+        # An interval's records, trace lists and weave events hold no
+        # reference cycles: they die by refcount at the barrier, so
         # gen-0 collections mostly scan survivors for nothing; raising
         # the thresholds for the run's duration trims that overhead
         # without changing observable behavior (restored in finally).
@@ -579,14 +569,11 @@ class ZSim:
             max(c.cycle for c in self.cores) >= max_cycles
 
     def _collect_traces(self):
-        """Harvest the weave traces every core recorded this interval,
-        handing each core a recycled list from the trace freelist."""
+        """Harvest the weave traces every core recorded this interval."""
         traces = {}
-        freelist = self._trace_freelist
         for core in self.cores:
             if core.trace:
-                fresh = freelist.pop() if freelist else None
-                traces[core.core_id] = core.take_trace(fresh)
+                traces[core.core_id] = core.take_trace()
         return traces
 
     def _weave_interval(self, backend=None):
@@ -605,22 +592,6 @@ class ZSim:
         weave_seconds = time.perf_counter() - weave_start
         for core_id, delay in delays.items():
             self.cores[core_id].apply_delay(delay)
-        # run_weave is the feedback barrier in every backend: once it
-        # returns, nothing observes this interval's trace records again,
-        # so both the AccessResults and the list shells go back to their
-        # slabs.  Result recycling is gated on the cores talking to the
-        # bare hierarchy — wrappers (_MD1Memory, test mem_wrappers) may
-        # mutate or retain results, so they opt out.
-        recycle = (self.hierarchy.recycle_results
-                   if self.mem is self.hierarchy else None)
-        freelist = self._trace_freelist
-        for trace in traces.values():
-            if recycle is not None:
-                recycle(result for _cycle, result in trace)
-            self.trace_recycles += len(trace)
-            trace.clear()
-            if len(freelist) < 64:
-                freelist.append(trace)
         return weave_seconds, self.weave.last_interval_domain_events
 
     def attach_telemetry(self, telemetry):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import time
 
-from repro.core.events import EventPool, WeaveEvent
+from repro.core.events import WeaveEvent
 from repro.core.domains import (CoreWeave, assign_domains,
                                 horizon_violation)
 from repro.obs.tracer import TID_DOMAIN
@@ -71,7 +71,6 @@ class WeaveEngine:
         self.mlp_window = mlp_window or {}
         self.domains = assign_domains(
             list(core_weaves) + self.components, num_tiles, num_domains)
-        self.pool = EventPool()
         self.stats = WeaveStats()
         #: (component, kind) -> zero-load service cycles.  Service times
         #: are pure per key, so one call each is enough for the run.
@@ -89,7 +88,7 @@ class WeaveEngine:
 
     def run_interval(self, traces, executor=None):
         """Simulate one interval.  ``traces`` maps core_id -> list of
-        (issue_cycle, AccessResult).  Returns {core_id: delay}.
+        (issue_cycle, AccessRecord).  Returns {core_id: delay}.
 
         ``executor`` — a callable taking the built event list — replaces
         *how* the event graph executes (an execution backend's parallel
@@ -119,7 +118,6 @@ class WeaveEngine:
             self.stats.events += domain.events_executed
             self.stats.crossings += domain.crossings
             self.stats.crossing_requeues += domain.crossing_requeues
-        self.pool.free_all(events)
         if telem is not None:
             self._record_interval_telemetry(telem, start,
                                             time.perf_counter(),
@@ -169,18 +167,20 @@ class WeaveEngine:
     # ------------------------------------------------------------------
 
     def _build_events(self, traces):
-        # Allocation and linking are inlined (the slab pop, the reset,
-        # and the gap arithmetic of WeaveEvent.link) — this runs once per
-        # traced access per interval and the call overhead dominates the
-        # work.  Chain/resp/wback events always have exactly one parent,
+        # Construction and linking are inlined (WeaveEvent.__init__'s
+        # field stores and the gap arithmetic of WeaveEvent.link) — this
+        # runs once per traced access per interval and the call overhead
+        # dominates the work.  A REQ or chain event's inline edge is
+        # always written by its successor, so only its ``overflow`` is
+        # initialised here; RESP and write-back events get all three edge
+        # slots.  Chain/resp/wback events always have exactly one parent,
         # so their parents_left is assigned, not incremented; only REQ
         # events can pick up a second (MLP-window) edge.  Edges go
         # straight into the inline slot wherever the parent provably has
         # none yet (a fresh chain event; a RESP, which is the MLP parent
         # of exactly one later REQ); only write-backs, which hang off an
         # anchor that already feeds its chain, allocate an overflow list.
-        pool = self.pool
-        free_list = pool._free
+        new_event = WeaveEvent.__new__
         svc_cache = self._svc_cache
         svc_get = svc_cache.get
         events = []
@@ -197,15 +197,7 @@ class WeaveEngine:
             resp_append = resp_history.append
             for issue_cycle, result in trace:
                 line = result.line
-                if free_list:
-                    pool.recycled += 1
-                    req = free_list.pop()
-                else:
-                    pool.allocated += 1
-                    req = WeaveEvent()
-                # WeaveEvent.reset, inlined at each allocation site
-                # below: plain field stores, edge slots left alone (the
-                # pool unlinked them on free).
+                req = new_event(WeaveEvent)
                 req.component = core_weave
                 req.kind = "REQ"
                 req.line = line
@@ -216,6 +208,7 @@ class WeaveEngine:
                 req.ready = issue_cycle
                 req.done = None
                 req.is_response = False
+                req.overflow = None
                 events_append(req)
                 if len(resp_history) >= mlp:
                     parent = resp_history[-mlp]
@@ -232,12 +225,7 @@ class WeaveEngine:
                     if service is None:
                         service = svc_cache[(comp, kind)] = \
                             comp.zero_load_service(kind)
-                    if free_list:
-                        pool.recycled += 1
-                        ev = free_list.pop()
-                    else:
-                        pool.allocated += 1
-                        ev = WeaveEvent()
+                    ev = new_event(WeaveEvent)
                     ev.component = comp
                     ev.kind = kind
                     ev.line = line
@@ -247,6 +235,7 @@ class WeaveEngine:
                     ev.ready = min_cycle
                     ev.done = None
                     ev.is_response = False
+                    ev.overflow = None
                     events_append(ev)
                     gap = min_cycle - prev_base
                     prev.child = ev
@@ -255,12 +244,7 @@ class WeaveEngine:
                     prev = ev
                     prev_base = min_cycle + service
                 resp_cycle = issue_cycle + result.latency
-                if free_list:
-                    pool.recycled += 1
-                    resp = free_list.pop()
-                else:
-                    pool.allocated += 1
-                    resp = WeaveEvent()
+                resp = new_event(WeaveEvent)
                 resp.component = core_weave
                 resp.kind = "RESP"
                 resp.line = line
@@ -270,6 +254,9 @@ class WeaveEngine:
                 resp.ready = resp_cycle
                 resp.done = None
                 resp.is_response = True
+                resp.child = None
+                resp.gap = 0
+                resp.overflow = None
                 events_append(resp)
                 gap = resp_cycle - prev_base
                 prev.child = resp
@@ -281,12 +268,7 @@ class WeaveEngine:
                     wb_edges = anchor.overflow = []
                     for comp, offset, kind in result.wbacks:
                         min_cycle = issue_cycle + offset
-                        if free_list:
-                            pool.recycled += 1
-                            wb = free_list.pop()
-                        else:
-                            pool.allocated += 1
-                            wb = WeaveEvent()
+                        wb = new_event(WeaveEvent)
                         service = svc_get((comp, kind))
                         if service is None:
                             service = svc_cache[(comp, kind)] = \
@@ -300,6 +282,9 @@ class WeaveEngine:
                         wb.ready = min_cycle
                         wb.done = None
                         wb.is_response = False
+                        wb.child = None
+                        wb.gap = 0
+                        wb.overflow = None
                         events_append(wb)
                         gap = min_cycle - anchor_base
                         wb_edges.append((wb, gap if gap > 0 else 0))

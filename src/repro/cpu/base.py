@@ -6,14 +6,12 @@ bound-weave engine:
 * :meth:`Core.run_until` simulates the attached thread until the core's
   cycle passes the interval limit, the stream ends, or a syscall is hit.
 * Memory accesses that escape the private levels are appended to
-  ``self.trace`` as ``(issue_cycle, AccessResult)`` for the weave phase.
+  ``self.trace`` as ``(issue_cycle, AccessRecord)`` for the weave phase.
 * :meth:`Core.apply_delay` applies the weave phase's contention feedback
   by shifting the core's clocks forward (the delay is always >= 0).
 """
 
 from __future__ import annotations
-
-from repro.isa.uops import UopType
 
 
 class RunOutcome:
@@ -34,7 +32,7 @@ class Core:
         self.config = config
         self.stream = None
         self.pending_syscall = None
-        #: Weave-phase trace: list of (issue_cycle, AccessResult).
+        #: Weave-phase trace: list of (issue_cycle, AccessRecord).
         self.trace = []
         self.record_all_levels = False
         # Retired-work counters.
@@ -92,29 +90,13 @@ class Core:
     # Shared helpers
     # ------------------------------------------------------------------
 
-    def _account_access(self, result, ifetch=False):
-        """Update per-core MPKI counters from one access result."""
-        if ifetch:
-            if "l1i" in result.missed_levels:
-                self.l1i_misses += 1
-        elif "l1d" in result.missed_levels:
-            self.l1d_misses += 1
-        if "l2" in result.missed_levels:
-            self.l2_misses += 1
-        if "l3" in result.missed_levels:
-            self.l3_misses += 1
-
     def _record_trace(self, issue_cycle, result):
         if result.steps or result.wbacks:
             self.trace.append((issue_cycle, result))
 
-    def take_trace(self, fresh=None):
-        """Detach and return this interval's trace.  ``fresh`` installs a
-        recycled (already-cleared) list instead of allocating one — the
-        simulator feeds traces back through a freelist once the weave
-        phase has consumed them."""
-        trace = self.trace
-        self.trace = [] if fresh is None else fresh
+    def take_trace(self):
+        """Detach and return this interval's trace."""
+        trace, self.trace = self.trace, []
         return trace
 
     def fill_stats(self, node):
@@ -159,19 +141,3 @@ def config_line_bytes(mem):
     if config is not None and hasattr(config, "l1d"):
         return config.l1d.line_bytes
     return 64
-
-
-def iter_fetch_lines(address, num_bytes, line_bytes):
-    """Yield the line addresses an instruction fetch touches."""
-    line = address & ~(line_bytes - 1)
-    end = address + num_bytes
-    while line < end:
-        yield line
-        line += line_bytes
-
-
-_SYSCALL_TYPES = (UopType.SYSCALL,)
-
-
-def is_syscall_uop(uop):
-    return uop.type in _SYSCALL_TYPES

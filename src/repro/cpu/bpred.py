@@ -51,10 +51,6 @@ class BranchPredictor:
             & self._history_mask
         return correct
 
-    @property
-    def mpki_numerator(self):
-        return self.mispredictions
-
     def reset(self):
         self._history = 0
         self._pht = bytearray([2]) * self.table_size

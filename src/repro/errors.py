@@ -109,7 +109,7 @@ class HorizonViolation(ExecutionFault):
 class IntegrityError(ExecutionFault):
     """The state-integrity sentinel caught silent corruption: an online
     invariant audit failed (MESI single-writer, inclusion, weave queue
-    discipline, scheduler bookkeeping, slab hygiene) or an interval
+    discipline, scheduler bookkeeping) or an interval
     fingerprint diverged from its recorded chain value.  Recoverable —
     but unlike other execution faults the damage may predate detection,
     so the supervisor rewinds to the last *fingerprint-verified*

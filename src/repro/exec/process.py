@@ -96,7 +96,7 @@ _DEATH_RECOVERY = ("victim cores re-run inline on the driver; "
 
 def _fingerprint(result):
     """Order-sensitive digest of everything a core (or the weave trace)
-    reads from an :class:`~repro.memory.access.AccessResult`.  Computed
+    reads from an :class:`~repro.memory.access.AccessRecord`.  Computed
     identically in the forked worker and the driver (same interpreter
     image, same hash seed), so equal fingerprints mean the speculated
     access saw exactly the result the authoritative replay produced."""
@@ -104,7 +104,7 @@ def _fingerprint(result):
         result.latency,
         result.line,
         result.hit_level,
-        result.missed_levels,
+        tuple(result.missed_levels),
         result.invalidations,
         result.shared_evictions,
         tuple((comp.name, off, kind) for comp, off, kind in result.steps),

@@ -626,6 +626,7 @@ class FleetOrchestrator:
                 pass
             raise
         finally:
+            self._restore_signals(previous)
             if state == "running":
                 state = "done" if self._all_done() else "failed"
             self.journal.append("end", state=state,

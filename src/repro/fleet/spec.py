@@ -112,9 +112,6 @@ class SweepSpec:
     def __len__(self):
         return len(self.jobs)
 
-    def by_id(self):
-        return {job.job_id: job for job in self.jobs}
-
     @classmethod
     def from_dict(cls, data):
         if not isinstance(data, dict):

@@ -1,6 +1,6 @@
 """Memory-system substrate: caches, coherence, NoC, DRAM, contention."""
 
-from repro.memory.access import AccessContext, AccessResult, StepKind
+from repro.memory.access import AccessRecord, StepKind
 from repro.memory.cache import Cache, MainMemory
 from repro.memory.cache_array import CacheArray
 from repro.memory.coherence import MESI, check_single_writer
@@ -15,8 +15,7 @@ from repro.memory.replacement import LRU, RandomRepl, TreePLRU, make_policy
 from repro.memory.weave import CacheBankWeave, MemCtrlWeave, WeaveComponent
 
 __all__ = [
-    "AccessContext",
-    "AccessResult",
+    "AccessRecord",
     "Cache",
     "CacheArray",
     "CacheBankWeave",

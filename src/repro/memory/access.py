@@ -1,12 +1,14 @@
-"""Access context threaded through the memory hierarchy.
+"""The per-access record threaded through the memory hierarchy.
 
-Every core memory access (ifetch, load, store) carries one
-:class:`AccessContext` down the hierarchy.  It accumulates the zero-load
-latency (the *bound* on the access), the per-level hit/miss record for
-stats attribution, and — for accesses that reach contention-modeled
-components — the *weave chain*: the ordered list of (component, offset,
-kind) steps that the weave phase turns into timed events (Figure 4 of the
-paper).
+Every core memory access (ifetch, load, store) is one
+:class:`AccessRecord`: the coherence walk fills it on the way down the
+hierarchy, ``MemoryHierarchy.access`` returns it to the core timing
+model, and — when the access reached contention-modeled components — the
+core's weave trace holds it until the interval's weave phase has run.
+It accumulates the zero-load latency (the *bound* on the access), the
+per-level hit/miss record for stats attribution, and the *weave chain*:
+the ordered list of (component, offset, kind) steps that the weave phase
+turns into timed events (Figure 4 of the paper).
 """
 
 from __future__ import annotations
@@ -23,18 +25,19 @@ class StepKind:
     NOC = "NOC"
 
 
-class AccessContext:
-    """Mutable state for one access's trip through the hierarchy."""
+class AccessRecord:
+    """One access: filled by the walk, returned to the core, traced for
+    the weave phase.  Nothing recycles records — whoever holds one owns
+    it for as long as they hold it."""
 
-    __slots__ = ("core_id", "line", "write", "ifetch", "latency", "steps",
+    __slots__ = ("core_id", "line", "write", "latency", "steps",
                  "missed_levels", "hit_level", "invalidations", "wbacks",
                  "shared_evictions")
 
-    def __init__(self, core_id, line, write, ifetch=False):
+    def __init__(self, core_id, line, write):
         self.core_id = core_id
         self.line = line
         self.write = write
-        self.ifetch = ifetch
         self.latency = 0
         #: Lines this access evicted from shared caches (fills beyond
         #: the private levels) — the second class of path-altering
@@ -50,28 +53,6 @@ class AccessContext:
         #: Off-critical-path writebacks: (weave_component, offset, kind).
         self.wbacks = []
 
-    def reset(self, core_id, line, write, ifetch=False):
-        """Reinitialize a slab-recycled context for a new access.
-
-        The list attributes are cleared in place rather than reallocated:
-        :class:`AccessResult` copies them into tuples, so nothing retains
-        the lists themselves across accesses."""
-        self.core_id = core_id
-        self.line = line
-        self.write = write
-        self.ifetch = ifetch
-        self.latency = 0
-        self.shared_evictions = ()
-        self.steps.clear()
-        self.missed_levels.clear()
-        self.hit_level = None
-        self.invalidations = 0
-        self.wbacks.clear()
-
-    def add_step(self, weave_component, kind):
-        if weave_component is not None:
-            self.steps.append((weave_component, self.latency, kind))
-
     def add_step_at(self, weave_component, offset, kind):
         """Record a weave step at an explicit zero-load offset."""
         if weave_component is not None:
@@ -81,61 +62,11 @@ class AccessContext:
         if weave_component is not None:
             self.wbacks.append((weave_component, self.latency, kind))
 
-    def record_miss(self, level_name):
-        self.missed_levels.append(level_name)
-
-    def record_hit(self, level_name):
-        if self.hit_level is None:
-            self.hit_level = level_name
-
     @property
     def beyond_private(self):
         """True if the access generated weave-phase events."""
         return bool(self.steps)
 
-
-class AccessResult:
-    """Immutable summary returned to the core timing model."""
-
-    __slots__ = ("latency", "missed_levels", "hit_level", "steps", "wbacks",
-                 "line", "write", "core_id", "invalidations",
-                 "shared_evictions")
-
-    def __init__(self, ctx):
-        self.latency = ctx.latency
-        self.missed_levels = tuple(ctx.missed_levels)
-        self.hit_level = ctx.hit_level
-        self.steps = tuple(ctx.steps)
-        self.wbacks = tuple(ctx.wbacks)
-        self.line = ctx.line
-        self.write = ctx.write
-        self.core_id = ctx.core_id
-        self.invalidations = ctx.invalidations
-        self.shared_evictions = ctx.shared_evictions
-
-    def refill(self, ctx):
-        """Rewrite every slot from ``ctx`` — the slab-recycle analogue of
-        ``__init__``.  Callers own the instance exclusively (results are
-        only recycled once the weave phase has consumed them), so "immutable
-        summary" still holds for everyone who can observe one."""
-        self.latency = ctx.latency
-        self.missed_levels = tuple(ctx.missed_levels)
-        self.hit_level = ctx.hit_level
-        self.steps = tuple(ctx.steps)
-        self.wbacks = tuple(ctx.wbacks)
-        self.line = ctx.line
-        self.write = ctx.write
-        self.core_id = ctx.core_id
-        self.invalidations = ctx.invalidations
-        self.shared_evictions = ctx.shared_evictions
-
-    @property
-    def beyond_private(self):
-        return bool(self.steps)
-
-    def missed(self, level_name):
-        return level_name in self.missed_levels
-
     def __repr__(self):
-        return ("AccessResult(lat=%d, hit=%s, missed=%s)"
+        return ("AccessRecord(lat=%d, hit=%s, missed=%s)"
                 % (self.latency, self.hit_level, list(self.missed_levels)))

@@ -10,7 +10,7 @@ private levels is predominantly due to the core itself, Section 3.2.1).
 
 from __future__ import annotations
 
-from repro.memory.access import AccessContext, AccessResult, StepKind
+from repro.memory.access import AccessRecord, StepKind
 from repro.memory.cache import Cache, MainMemory
 from repro.memory.coherence import MESI
 from repro.memory.network import Network
@@ -33,11 +33,6 @@ _SK_WBACK = StepKind.WBACK
 #: Scratch depth for the flattened walk: strictly more cache levels than
 #: any buildable hierarchy has (L1 -> L2 -> L3 is the deepest).
 _WALK_DEPTH = 8
-
-#: Upper bound on pooled AccessResults; beyond this, recycled results are
-#: simply dropped to the GC (an interval with a pathological miss storm
-#: must not pin memory forever).
-_RESULT_POOL_CAP = 4096
 
 
 def hash_line(line):
@@ -163,15 +158,11 @@ class MemoryHierarchy:
         self._wire_children()
         self._rewire_parents()
 
-        # --- Data-plane slabs: walk scratch and recycling pools --------
+        # --- Walk scratch (preallocated path of the flattened walk) ----
         self._walk_caches = [None] * _WALK_DEPTH
         self._walk_idx = [0] * _WALK_DEPTH
-        self._ctx_pool = []
-        self._result_pool = []
         self.fastpath_hits = 0
         self.slow_accesses = 0
-        self.ctx_reuses = 0
-        self.result_reuses = 0
 
     # ------------------------------------------------------------------
     # Wiring helpers
@@ -235,14 +226,12 @@ class MemoryHierarchy:
     def __getstate__(self):
         """Telemetry and the profiler are host-side observers, never
         simulated state; the routing tables are rebuilt on load.  The
-        recycling slabs hold only dead scratch objects, so checkpoints
-        ship them empty."""
+        walk scratch holds only a dead path, so checkpoints ship it
+        blank."""
         state = self.__dict__.copy()
         state["_telem"] = None
         state["_metrics_latency"] = None
         state["profiler"] = None
-        state["_ctx_pool"] = []
-        state["_result_pool"] = []
         state["_walk_caches"] = [None] * _WALK_DEPTH
         state["_walk_idx"] = [0] * _WALK_DEPTH
         return state
@@ -292,15 +281,15 @@ class MemoryHierarchy:
         return addr >> self.line_bits
 
     def access(self, core_id, addr, write, cycle=0, ifetch=False):
-        """One core access; returns an :class:`AccessResult` whose latency
+        """One core access; returns an :class:`AccessRecord` whose latency
         is the zero-load bound and whose steps feed the weave phase.
 
         The dominant case — a private-L1 hit with no coherence side
-        effects — is served inline, allocating no
-        :class:`AccessContext` at all: it peeks the array, touches the
+        effects — is served inline: it peeks the array, touches the
         replacement state once (exactly like the walk's single
-        ``lookup``), bumps the same counters, and fills a slab-recycled
-        result.  A write hit needs the line in E or M; a write hit in S
+        ``lookup``), bumps the same counters, and stores the record's
+        slots directly (empty tuples where the walk would have grown
+        lists).  A write hit needs the line in E or M; a write hit in S
         requires an upgrade and goes down the coherence walk
         (:meth:`_walk_access`) like every miss.  Legal because L1s carry
         no weave component: private levels are bound-phase only."""
@@ -326,12 +315,7 @@ class MemoryHierarchy:
             if write:
                 array._lines[idx][line] = (way, _MESI_M)
             self.fastpath_hits += 1
-            pool = self._result_pool
-            if pool:
-                result = pool.pop()
-                self.result_reuses += 1
-            else:
-                result = AccessResult.__new__(AccessResult)
+            result = AccessRecord.__new__(AccessRecord)
             latency = l1.latency
             result.latency = latency
             result.missed_levels = ()
@@ -360,25 +344,11 @@ class MemoryHierarchy:
                 self.profiler.record(result, cycle)
             return result
         self.slow_accesses += 1
-        ctx_pool = self._ctx_pool
-        if ctx_pool:
-            ctx = ctx_pool.pop()
-            ctx.reset(core_id, line, write, ifetch)
-            self.ctx_reuses += 1
-        else:
-            ctx = AccessContext(core_id, line, write, ifetch)
-        self._walk_access(l1, line, write, ctx, idx, entry)
+        result = AccessRecord(core_id, line, write)
+        self._walk_access(l1, line, write, result, idx, entry)
         if (self.prefetchers and not ifetch
-                and "l1d" in ctx.missed_levels):
-            self._prefetch(core_id, line, ctx)
-        pool = self._result_pool
-        if pool:
-            result = pool.pop()
-            result.refill(ctx)
-            self.result_reuses += 1
-        else:
-            result = AccessResult(ctx)
-        ctx_pool.append(ctx)
+                and "l1d" in result.missed_levels):
+            self._prefetch(core_id, line, result)
         latency = result.latency
         hist = self.access_latency
         b = latency.bit_length()
@@ -721,18 +691,6 @@ class MemoryHierarchy:
         ctx.latency = latency
         return state
 
-    def recycle_results(self, results):
-        """Return dead :class:`AccessResult` objects to the slab.
-
-        Callers must guarantee nothing observes the objects afterwards —
-        in practice the simulator hands back an interval's trace results
-        once the weave phase (the last consumer) has run."""
-        pool = self._result_pool
-        for result in results:
-            if len(pool) >= _RESULT_POOL_CAP:
-                break
-            pool.append(result)
-
     def attach_telemetry(self, telemetry):
         """Install (or detach, with None) the observability context; the
         metrics-side latency histogram is cached so the hot path pays a
@@ -751,19 +709,12 @@ class MemoryHierarchy:
             l2 = self.l2s[self.config.core_tile(core_id)]
         else:
             l2 = self.l2s[core_id]
-        ctx_pool = self._ctx_pool
         wbacks = ctx.wbacks
         for pf_line in self.prefetchers[core_id].observe(line):
-            if ctx_pool:
-                pf_ctx = ctx_pool.pop()
-                pf_ctx.reset(core_id, pf_line, False)
-                self.ctx_reuses += 1
-            else:
-                pf_ctx = AccessContext(core_id, pf_line, False)
+            pf_ctx = AccessRecord(core_id, pf_line, False)
             if l2.prefetch_fill(pf_line, pf_ctx):
                 wbacks.extend(pf_ctx.steps)
                 wbacks.extend(pf_ctx.wbacks)
-            ctx_pool.append(pf_ctx)
 
     # ------------------------------------------------------------------
     # Stats and invariants
@@ -778,12 +729,6 @@ class MemoryHierarchy:
             cache.fill_stats(node.child(cache.name))
         self.mainmem.fill_stats(node.child("mem"))
         node.histogram("access_latency").merge(self.access_latency)
-
-    def reset_weave(self):
-        for comp in self.weave_components:
-            comp.reset()
-        if self.noc_fabric is not None:
-            self.noc_fabric.reset()
 
     def check_inclusion(self):
         """Invariant: every line in a child is present in its parent.

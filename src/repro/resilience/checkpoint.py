@@ -37,9 +37,10 @@ from repro.errors import CheckpointError, CheckpointVersionError
 from repro.obs.log import get_logger
 
 #: On-disk format version; bump on any incompatible capsule change.
-#: v2: OOO core rings are bounded deques (no head indices), weave events
-#: keep their first edge inline, and the event pool pickles empty.
-FORMAT_VERSION = 2
+#: v2: OOO core rings are bounded deques (no head indices) and weave
+#: events keep their first edge inline.  v3: no recycling pools — the
+#: weave engine and the hierarchy pickle without them.
+FORMAT_VERSION = 3
 MAGIC = b"repro-ckpt"
 
 _log = get_logger("resilience.checkpoint")

@@ -25,8 +25,8 @@ three pieces (ISSUE 9):
   (``--audit-every N``; 0 = off) the sentinel checks structural
   invariants the engine must preserve at every barrier: MESI
   single-writer and inclusion, cache-array free-way bookkeeping, weave
-  queues drained and horizon floors respected, scheduler run-queue /
-  running-slot consistency, and the PR-6 slab/freelist hygiene rules.
+  queues drained and horizon floors respected, and scheduler run-queue /
+  running-slot consistency.
   A violation raises :class:`~repro.errors.IntegrityError` carrying the
   component path and a state excerpt.
 
@@ -50,10 +50,6 @@ from __future__ import annotations
 import zlib
 
 from repro.errors import IntegrityError
-
-#: Caps mirrored from the PR-6 data-plane slabs; the auditor flags any
-#: pool that grew past its documented bound (a leak or a broken cap).
-_TRACE_FREELIST_CAP = 64
 
 
 def _crc(items, crc=0):
@@ -131,31 +127,8 @@ def audit_invariants(sim):
                     ("weave.domain%d" % domain.domain_id,
                      "%d event(s) still queued at the interval barrier"
                      % len(domain._queue)))
-        # Slab hygiene (PR 6): a pooled event must carry no edges.
-        for event in sim.weave.pool._free:
-            if event.child is not None or event.overflow is not None:
-                violations.append(
-                    ("weave.pool",
-                     "recycled event kept its dependency edge(s): %r"
-                     % (event,)))
-                break
     # Scheduler bookkeeping (run queue vs. running slots).
     violations.extend(sim.scheduler.audit_invariants())
-    # Trace freelist (PR 6): bounded, and every shell handed back empty.
-    freelist = getattr(sim, "_trace_freelist", None)
-    if freelist is not None:
-        if len(freelist) > _TRACE_FREELIST_CAP:
-            violations.append(
-                ("sim.trace_freelist",
-                 "freelist grew to %d shells (cap %d)"
-                 % (len(freelist), _TRACE_FREELIST_CAP)))
-        for trace in freelist:
-            if trace:
-                violations.append(
-                    ("sim.trace_freelist",
-                     "recycled trace shell holds %d record(s)"
-                     % len(trace)))
-                break
     return violations
 
 

@@ -301,11 +301,6 @@ class Scheduler:
     def all_done(self):
         return not self.live_threads
 
-    def has_pending_work(self, cycle):
-        """True if any thread could run now or later."""
-        return bool(self._run_queue or self._sleepers
-                    or any(t is not None for t in self._running))
-
     @_locked
     def wake_sleepers_until(self, cycle):
         """Move sleepers due by ``cycle`` onto the run queue (used by the

@@ -8,7 +8,7 @@ from repro.config import small_test_system
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BBLExec, Instruction, Program
 from repro.isa.registers import gp
-from repro.memory.access import AccessContext, AccessResult
+from repro.memory.access import AccessRecord
 
 
 def build_program(num_blocks=1, body=None):
@@ -58,17 +58,16 @@ def stream_of(block, addr_lists=None, count=None, taken=True):
 
 def reference_access(hier, core_id, addr, write, cycle=0, ifetch=False):
     """``MemoryHierarchy.access`` as the reference model: no inline L1
-    hit, no pools, every access down the recursive walk
+    hit, every access down the recursive walk
     (``Cache.handle_access``).  Tests install it in place of the
     shipped ``access`` to prove the fast path and the flat walk
     invisible in simulated results."""
     line = addr >> hier.line_bits
     l1 = hier.l1i[core_id] if ifetch else hier.l1d[core_id]
-    ctx = AccessContext(core_id, line, write, ifetch)
-    l1.handle_access(line, write, None, ctx)
-    if hier.prefetchers and not ifetch and "l1d" in ctx.missed_levels:
-        hier._prefetch(core_id, line, ctx)
-    result = AccessResult(ctx)
+    result = AccessRecord(core_id, line, write)
+    l1.handle_access(line, write, None, result)
+    if hier.prefetchers and not ifetch and "l1d" in result.missed_levels:
+        hier._prefetch(core_id, line, result)
     hier.access_latency.record(result.latency)
     if hier.profiler is not None:
         hier.profiler.record(result, cycle)

@@ -16,7 +16,7 @@ from repro.workloads import spec_workload
 
 
 class FakeResult:
-    """Minimal AccessResult stand-in with controllable latency."""
+    """Minimal AccessRecord stand-in with controllable latency."""
 
     def __init__(self, latency, missed, line, write, core_id):
         self.latency = latency

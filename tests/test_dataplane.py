@@ -7,14 +7,19 @@ Three layers of guarantees:
   legacy per-µop objects and to an independently simulated scoreboard;
 * the shipped access path (inline L1 hit, flattened walk) produces the
   simulated stats of the recursive reference walk;
-* slab recycling (contexts, results, trace lists) survives the full
-  matrix — backends, kill faults, checkpoint/resume — byte-identically.
+* an access record belongs to whoever holds it (nothing recycles
+  records, trace lists or weave events), and the data plane survives
+  the full matrix — backends, kill faults, checkpoint/resume —
+  byte-identically.
 """
+
+import types
 
 import pytest
 
 from repro.config import small_test_system, tiled_chip, westmere
 from repro.core import ZSim
+from repro.exec.serial import SerialBackend
 from repro.isa.decoder import FETCH_LINE_BYTES, decode_bbl
 from repro.isa.uops import UopType
 from repro.memory.hierarchy import MemoryHierarchy
@@ -131,10 +136,10 @@ def _stats_tree(result):
 
 
 def _run(config, contention, backend=None, instrs=15_000,
-         kernel="blackscholes", scale=1 / 64):
+         kernel="blackscholes", scale=1 / 64, **extra):
     wl = mt_workload(kernel, scale=scale, num_threads=config.num_cores)
     sim = ZSim(config, threads=wl.make_threads(target_instrs=instrs),
-               contention_model=contention, backend=backend)
+               contention_model=contention, backend=backend, **extra)
     return sim, _stats_tree(sim.run())
 
 
@@ -159,7 +164,6 @@ def _assert_amortization_counters_live(sim, tree):
     assert dbt["l2_fastpath_hits"] == 0
     assert dbt["fastpath_hit_rate"] == fast / (fast + slow)
     assert dbt["translation_hit_rate"] > 0.9
-    assert dbt["trace_recycles"] > 0
     assert dbt["dir_bitmask_ops"] == \
         sum(c.dir_ops for c in hier.all_caches()) \
         + hier.mainmem.dir_ops > 0
@@ -222,7 +226,7 @@ class TestFastpathEquivalence:
     @pytest.mark.parametrize("scenario", ("westmere4", "tiled64"))
     def test_amortization_counters_on_pinned_chips(self, scenario):
         """The counter asserts of the retired perf-smoke CI job: a
-        dropped slab pool or a dead fast path reads 0 here.  ``tiled64``
+        dead fast path reads 0 here.  ``tiled64``
         (4 tiles x 16 cores) is the run with several weave domains:
         crossings must be delivered and cache-set state must be sparse
         — some sets filled, most of the chip never materialised."""
@@ -239,23 +243,55 @@ class TestFastpathEquivalence:
             assert 0 < dbt["cache_sets_materialised"] \
                 < dbt["cache_sets_total"]
 
-    def test_slabs_stay_bounded_and_recycle(self):
-        cfg = small_test_system(num_cores=2, core_model="ooo")
-        sim, _ = _run(cfg, "weave")
-        assert sim.hierarchy.ctx_reuses > 0
-        assert sim.hierarchy.result_reuses > 0
-        assert len(sim.hierarchy._result_pool) <= 4096
-        # Pooled weave events must come back with no edges.
-        for event in sim.weave.pool._free:
-            assert list(event.edges()) == [] and event.overflow is None
-
 
 # ---------------------------------------------------------------------
-# Recycling across the backend/fault/resume matrix
+# Record ownership, and the backend/fault/resume matrix
 # ---------------------------------------------------------------------
+
+
+class _HoldingBackend(SerialBackend):
+    """Keeps every record each interval traced, next to a copy of what
+    it said when the weave phase received it."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = []
+
+    def run_weave(self, weave, traces):
+        self.held.append([(record, _record_facts(record))
+                          for trace in traces.values()
+                          for _cycle, record in trace])
+        return super().run_weave(weave, traces)
+
+
+def _record_facts(record):
+    return (record.latency, record.line, record.hit_level,
+            tuple(record.missed_levels), tuple(record.steps),
+            tuple(record.wbacks))
+
+
+def _wrapped(mem):
+    """The smallest ``mem_wrapper``: what a core reads, forwarded."""
+    return types.SimpleNamespace(access=mem.access, config=mem.config)
 
 
 class TestRecyclingMatrix:
+    @pytest.mark.parametrize("mem_wrapper", (None, _wrapped),
+                             ids=("bare", "wrapped"))
+    def test_held_records_never_change(self, mem_wrapper):
+        """A record traced in interval k still says the same thing
+        three intervals (and a whole run) later: whoever holds a record
+        owns it, whether the cores talk to the bare hierarchy or to a
+        wrapper."""
+        backend = _HoldingBackend()
+        _run(small_test_system(num_cores=2, core_model="ooo"), "weave",
+             backend=backend, mem_wrapper=mem_wrapper)
+        held = backend.held
+        assert len(held) > 4 and all(held[:-3])
+        for interval in held[:-3]:
+            for record, facts in interval:
+                assert _record_facts(record) == facts
+
     def test_backends_match_serial_with_recycling(self):
         cfg = small_test_system(num_cores=2, core_model="ooo")
         _, baseline = _run(cfg, "weave", backend="serial")
@@ -267,9 +303,8 @@ class TestRecyclingMatrix:
                               % backend)
 
     def test_kill_and_resume_matches_straight_run(self, tmp_path):
-        """Checkpoint mid-run (with populated slabs), resume in a fresh
-        simulator, and the final stats match an uninterrupted run: the
-        pools are host-side state and must not leak into capsules."""
+        """Checkpoint mid-run, resume in a fresh simulator, and the
+        final stats match an uninterrupted run."""
         cfg = small_test_system(num_cores=2, core_model="ooo")
         _, baseline = _run(cfg, "weave")
 
@@ -279,14 +314,15 @@ class TestRecyclingMatrix:
         partial = ZSim(cfg, threads=wl.make_threads(target_instrs=15_000),
                        contention_model="weave")
         partial.checkpointer = Checkpointer(str(tmp_path), every=1)
-        partial.run(max_intervals=3)  # "killed" mid-run, slabs warm
-        assert partial.hierarchy.result_reuses > 0
+        partial.run(max_intervals=3)  # "killed" mid-run
 
         capsule = read_checkpoint(latest(str(tmp_path)))
+        # The OOO rings pickle as the bounded deques they are.
+        rob = capsule["sim"].cores[0]._rob
+        assert rob.maxlen == cfg.core.rob_size
+        assert list(rob) == list(partial.cores[0]._rob)
         resumed = ZSim.resume(
             capsule, wl.make_threads(target_instrs=15_000))
-        # Resume starts with cold slabs but identical simulated state.
-        assert resumed.hierarchy._result_pool == []
         assert_equivalent(_stats_tree(resumed.run()), baseline,
                           ignore=("host",),
                           context="kill-and-resume vs straight run")

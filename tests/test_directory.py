@@ -292,10 +292,12 @@ class TestBitmaskDirectoryLockstep:
                 _traffic(seed, 4000, 4, bit.line_bits)):
             got = bit.access(core, addr, write)
             want = ref.access(core, addr, write)
-            record = (got.latency, got.missed_levels, got.hit_level,
-                      got.invalidations, got.shared_evictions)
-            expect = (want.latency, want.missed_levels, want.hit_level,
-                      want.invalidations, want.shared_evictions)
+            record = (got.latency, tuple(got.missed_levels),
+                      got.hit_level, got.invalidations,
+                      got.shared_evictions)
+            expect = (want.latency, tuple(want.missed_levels),
+                      want.hit_level, want.invalidations,
+                      want.shared_evictions)
             assert record == expect, \
                 "access %d diverged: %r vs %r" % (i, record, expect)
         assert bit.fastpath_hits > 0 and bit.slow_accesses > 0

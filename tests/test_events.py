@@ -1,21 +1,20 @@
-"""Tests for weave events, the event pool, and domains."""
+"""Tests for weave events and domains."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.domains import CoreWeave, Domain, assign_domains
-from repro.core.events import EventPool
+from repro.core.events import WeaveEvent
 from repro.core.weave import WeaveEngine
 from repro.memory.weave import CacheBankWeave
 
 
 class TestWeaveEvent:
     def test_link_gap_from_lower_bounds(self):
-        pool = EventPool()
-        parent = pool.alloc(None, "REQ", 0, min_cycle=100, service=10,
+        parent = WeaveEvent(None, "REQ", 0, min_cycle=100, service=10,
                             core_id=0)
-        child = pool.alloc(None, "RESP", 0, min_cycle=130, service=0,
+        child = WeaveEvent(None, "RESP", 0, min_cycle=130, service=0,
                            core_id=0)
         parent.link(child)
         (linked, gap), = parent.edges()
@@ -24,17 +23,15 @@ class TestWeaveEvent:
         assert child.parents_left == 1
 
     def test_negative_gap_clamped(self):
-        pool = EventPool()
-        parent = pool.alloc(None, "REQ", 0, 100, 50, 0)
-        child = pool.alloc(None, "X", 0, 120, 0, 0)  # 120 < 100+50
+        parent = WeaveEvent(None, "REQ", 0, 100, 50, 0)
+        child = WeaveEvent(None, "X", 0, 120, 0, 0)  # 120 < 100+50
         parent.link(child)
         assert [gap for _child, gap in parent.edges()] == [0]
 
     def test_multiple_parents_counted(self):
-        pool = EventPool()
-        child = pool.alloc(None, "X", 0, 10, 0, 0)
+        child = WeaveEvent(None, "X", 0, 10, 0, 0)
         for _ in range(3):
-            pool.alloc(None, "P", 0, 0, 0, 0).link(child)
+            WeaveEvent(None, "P", 0, 0, 0, 0).link(child)
         assert child.parents_left == 3
 
 
@@ -88,8 +85,8 @@ class TestEdgeDeliveryOrder:
                              [parent_bank, child_bank], num_tiles=tiles)
         assert len(engine.domains) == tiles
         child_mins = [100 + offset for offset in child_offsets]
-        parent = engine.pool.alloc(parent_bank, "HIT", 99, 100, service, 0)
-        children = [engine.pool.alloc(child_bank, "HIT", i, child_min, 0, 0)
+        parent = WeaveEvent(parent_bank, "HIT", 99, 100, service, 0)
+        children = [WeaveEvent(child_bank, "HIT", i, child_min, 0, 0)
                     for i, child_min in enumerate(child_mins)]
         for child in children:
             parent.link(child)
@@ -107,30 +104,6 @@ class TestEdgeDeliveryOrder:
         assert log == want_log
         assert engine.domains[-1].crossings == \
             (len(children) if tiles == 2 else 0)
-        engine.pool.free_all(events)
-        assert all(not list(event.edges()) and event.overflow is None
-                   for event in events)
-
-
-class TestEventPool:
-    def test_recycles_lifo(self):
-        pool = EventPool()
-        event = pool.alloc(None, "A", 0, 0, 0, 0)
-        pool.free_all([event])
-        again = pool.alloc(None, "B", 1, 5, 2, 1)
-        assert again is event  # recycled object
-        assert again.kind == "B" and again.min_cycle == 5
-        assert list(again.edges()) == []
-        assert again.done is None
-
-    def test_alloc_counts(self):
-        pool = EventPool()
-        events = [pool.alloc(None, "A", 0, 0, 0, 0) for _ in range(5)]
-        assert pool.allocated == 5
-        pool.free_all(events)
-        pool.alloc(None, "B", 0, 0, 0, 0)
-        assert pool.recycled == 1
-        assert pool.allocated == 5
 
 
 class TestDomain:

@@ -7,15 +7,15 @@ import pytest
 
 from repro.config import small_test_system
 from repro.core import InterferenceProfiler, ZSim
-from repro.memory.access import AccessContext, AccessResult
+from repro.memory.access import AccessRecord
 from repro.workloads.base import KernelSpec, Workload
 
 
 def access(core, line, cycle, evictions=()):
-    ctx = AccessContext(core, line, write=True)
-    ctx.record_miss("l1d")
-    ctx.shared_evictions = tuple(evictions)
-    return AccessResult(ctx), cycle
+    record = AccessRecord(core, line, write=True)
+    record.missed_levels.append("l1d")
+    record.shared_evictions = tuple(evictions)
+    return record, cycle
 
 
 class TestEvictionClassification:

@@ -308,6 +308,15 @@ class TestOrchestrator:
         assert again.run() == 0
         assert all(st.attempts == 1 for st in again.jobs.values())
 
+    def test_run_restores_the_callers_signal_handlers(self, tmp_path):
+        """An in-process caller gets its SIGTERM / SIGINT handlers back:
+        a handler left behind would swallow the caller's first Ctrl-C
+        and write to the finished campaign."""
+        signums = (signal.SIGTERM, signal.SIGINT)
+        before = [signal.getsignal(signum) for signum in signums]
+        assert _orchestrate(tmp_path, TINY_SPEC).run() == 0
+        assert [signal.getsignal(signum) for signum in signums] == before
+
     def test_fresh_run_refuses_an_existing_campaign_dir(self, tmp_path):
         orchestrator = _orchestrate(tmp_path, TINY_SPEC)
         orchestrator.run()

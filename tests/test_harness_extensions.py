@@ -243,11 +243,11 @@ class TestPipelineInvariants:
 
 class _FakeMem:
     def access(self, core_id, addr, write, cycle=0, ifetch=False):
-        from repro.memory.access import AccessContext, AccessResult
-        ctx = AccessContext(core_id, addr >> 6, write, ifetch)
-        ctx.latency = 4
-        ctx.record_hit("l1d" if not ifetch else "l1i")
-        return AccessResult(ctx)
+        from repro.memory.access import AccessRecord
+        record = AccessRecord(core_id, addr >> 6, write)
+        record.latency = 4
+        record.hit_level = "l1d" if not ifetch else "l1i"
+        return record
 
 
 class TestCli:

@@ -86,7 +86,7 @@ class TestZeroLoadLatency:
         floor = (cfg.l1d.latency + cfg.l2.latency + cfg.l3.latency
                  + cfg.memory.zero_load_latency)
         assert result.latency >= floor
-        assert result.missed_levels == ("l1d", "l2", "l3")
+        assert list(result.missed_levels) == ["l1d", "l2", "l3"]
 
     def test_l3_hit_cheaper_than_memory(self, tiny_config):
         h = MemoryHierarchy(tiny_config)

@@ -1,15 +1,15 @@
 """Tests for the path-altering interference profiler (Figure 2)."""
 
 from repro.core.interference import InterferenceProfiler
-from repro.memory.access import AccessContext, AccessResult
+from repro.memory.access import AccessRecord
 
 
 def access(core, line, cycle, write=False, hit=True, invs=0):
-    ctx = AccessContext(core, line, write)
+    record = AccessRecord(core, line, write)
     if not hit:
-        ctx.record_miss("l1d")
-    ctx.invalidations = invs
-    return AccessResult(ctx), cycle
+        record.missed_levels.append("l1d")
+    record.invalidations = invs
+    return record, cycle
 
 
 class TestClassification:

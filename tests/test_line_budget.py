@@ -20,13 +20,13 @@ import repro
 SRC = pathlib.Path(repro.__file__).parent
 
 BUDGETS = {
-    "memory": 2767,
-    "core": 2107,
-    "cpu": 955,
-    "resilience": 1572,
+    "memory": 2642,
+    "core": 2014,
+    "cpu": 917,
+    "resilience": 1546,
     "obs": 1361,
     "exec": 1719,
-    "fleet": 1199,
+    "fleet": 1197,
     "cli.py": 1022,
 }
 

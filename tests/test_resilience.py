@@ -44,7 +44,6 @@ from repro.resilience import (
     read_latest_checkpoint,
     write_checkpoint,
 )
-from repro.resilience.checkpoint import capture_state
 from repro.stats import assert_equivalent
 from repro.workloads import mt_workload
 
@@ -398,22 +397,24 @@ class TestCheckpointFormat:
         assert excinfo.value.found == FORMAT_VERSION + 1
         assert excinfo.value.expected == FORMAT_VERSION
 
-    def test_v1_capsule_is_refused_not_migrated(self, tmp_path):
+    @pytest.mark.parametrize("found", (1, 2))
+    def test_old_capsule_is_refused_not_migrated(self, tmp_path, found):
         """A v1 capsule holds list rings with head indices and
-        list-of-edge events; read against the ring-sized layout it would
-        resume wrong, so it is refused typed — with a valid checksum,
-        by file and through the directory fallback."""
-        assert FORMAT_VERSION == 2
+        list-of-edge events, a v2 capsule a pickled event pool this
+        build has no class for; neither is migrated, both are refused
+        typed — with a valid checksum, by file and through the directory
+        fallback."""
+        assert FORMAT_VERSION == 3
         sim, _ = _small_sim()
         path = str(tmp_path / "ckpt-00000001.pkl")
         write_checkpoint(path, sim, interval=1, limit=1000)
         _header, body = open(path, "rb").read().split(b"\n", 1)
         open(path, "wb").write(
-            b"repro-ckpt 1 %08x\n" % zlib.crc32(body) + body)
+            b"repro-ckpt %d %08x\n" % (found, zlib.crc32(body)) + body)
         with pytest.raises(CheckpointVersionError) as excinfo:
             read_checkpoint(path)
-        assert (excinfo.value.found, excinfo.value.expected) == (1, 2)
-        with pytest.raises(CheckpointError, match="format v1"):
+        assert (excinfo.value.found, excinfo.value.expected) == (found, 3)
+        with pytest.raises(CheckpointError, match="format v%d" % found):
             read_latest_checkpoint(str(tmp_path))
 
     def test_corrupt_payload_fails_the_checksum(self, tmp_path):
@@ -479,28 +480,6 @@ class TestResume:
         resumed = ZSim.resume(capsule, threads)
         assert_equivalent(_stats_tree(resumed.run()), baseline,
                           context="resume vs uninterrupted")
-
-    def test_capsule_carries_no_pooled_events(self, tmp_path):
-        """Pooled weave events are blank host-side shells: a mid-run
-        capsule of an OOO run holds none (and its rings pickle as the
-        bounded deques they are), and resuming it finishes with the
-        uninterrupted run's stats."""
-        baseline = _stats_tree(_small_sim(core_model="ooo")[0].run())
-        partial, wl = _small_sim(core_model="ooo")
-        partial.checkpointer = Checkpointer(str(tmp_path), every=1)
-        partial.run(max_intervals=5)
-        assert len(partial.weave.pool) > 0  # the live pool has blanks
-        assert b"WeaveEvent" not in capture_state(partial)
-
-        capsule = read_checkpoint(latest(str(tmp_path)))
-        restored = capsule["sim"]
-        assert len(restored.weave.pool) == 0
-        rob = restored.cores[0]._rob
-        assert rob.maxlen == restored.config.core.rob_size
-        assert list(rob) == list(partial.cores[0]._rob)
-        resumed = ZSim.resume(capsule, wl.make_threads(target_instrs=8_000))
-        assert_equivalent(_stats_tree(resumed.run()), baseline,
-                          context="resume across a v2 capsule")
 
     def test_resume_after_fault_recovery_matches(self, tmp_path,
                                                  serial_baseline):

@@ -4,19 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.domains import CoreWeave
+from repro.core.events import WeaveEvent
 from repro.core.weave import WeaveEngine
 from repro.errors import HorizonViolation
-from repro.memory.access import AccessContext, AccessResult, StepKind
+from repro.memory.access import AccessRecord, StepKind
 from repro.memory.weave import CacheBankWeave
 
 
 def make_result(core_id, line, latency, steps):
-    """Fabricate an AccessResult with an explicit weave chain."""
-    ctx = AccessContext(core_id, line, write=False)
-    ctx.latency = latency
+    """Fabricate an AccessRecord with an explicit weave chain."""
+    record = AccessRecord(core_id, line, write=False)
+    record.latency = latency
     for comp, offset, kind in steps:
-        ctx.add_step_at(comp, offset, kind)
-    return AccessResult(ctx)
+        record.add_step_at(comp, offset, kind)
+    return record
 
 
 def engine_with_bank(num_cores=2, bank_tile=0, tiles=1, ports=1,
@@ -80,11 +81,10 @@ class TestRetiming:
 
     def test_writeback_events_execute(self):
         engine, bank = engine_with_bank(num_cores=1)
-        ctx = AccessContext(0, 7, write=True)
-        ctx.latency = 30
-        ctx.add_step_at(bank, 10, StepKind.MISS)
-        ctx.add_wback(bank)
-        res = AccessResult(ctx)
+        res = AccessRecord(0, 7, write=True)
+        res.latency = 30
+        res.add_step_at(bank, 10, StepKind.MISS)
+        res.add_wback(bank)
         engine.run_interval({0: [(50, res)]})
         assert bank.events_executed == 2  # miss + writeback
 
@@ -141,14 +141,6 @@ class TestDeterminismAndReuse:
                       for c in range(4)}
             return engine.run_interval(traces)
         assert run() == run()
-
-    def test_event_pool_recycled_between_intervals(self):
-        engine, bank = engine_with_bank()
-        res = make_result(0, 5, 30, [(bank, 10, StepKind.HIT)])
-        engine.run_interval({0: [(100, res)]})
-        allocated = engine.pool.allocated
-        engine.run_interval({0: [(2100, res)]})
-        assert engine.pool.allocated == allocated  # fully recycled
 
     def test_reset_clears_components(self):
         """A reset engine is a fresh engine: components, stats *and*
@@ -288,13 +280,11 @@ class _Lockstep:
     def build(self, descs, base):
         for domain in self.engine.domains:
             domain.reset_interval_stats()
-        self.engine.pool.free_all(self.events)
         events = self.events = []
         for i, (pick, cycle, parents) in enumerate(descs):
             comp = self.comps[pick % len(self.comps)]
-            event = self.engine.pool.alloc(
-                comp, "HIT", i, base + cycle,
-                comp.zero_load_service("HIT"), core_id=0)
+            event = WeaveEvent(comp, "HIT", i, base + cycle,
+                               comp.zero_load_service("HIT"), core_id=0)
             for parent in {p % i for p in parents} if i else ():
                 events[parent].link(event)
             events.append(event)
