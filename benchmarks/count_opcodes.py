@@ -1,6 +1,6 @@
 """The deterministic cost meter: interpreter opcodes inside ``sim.run()``.
 
-    python3 benchmarks/count_opcodes.py <workload> [--scale S]
+    python3 benchmarks/count_opcodes.py <workload> [--scale S] [--layers]
 
 Runs one of the repo benchmark's pinned workloads
 (``benchmarks/perf/spec.py``; ``seed_offset=4``, ``flight=False``) under
@@ -13,6 +13,11 @@ each; it is about 15x slower than an untraced run.  docs/performance.md
 ("Fork ledger") is written in this unit.  A count compares two versions
 of one program and omits everything that is not bytecode dispatch
 (allocator, GC, C calls): it is not a speed claim.
+
+``--layers`` also splits the count by the source file of the code that
+executed it, one line per layer and then the total.  Library code (the
+standard library's ``random``, ``heapq`` ...) counts toward the nearest
+``repro`` caller on the stack.
 """
 
 import argparse
@@ -20,6 +25,26 @@ import os
 import sys
 
 SEED = 4
+
+#: Layer of each ``repro`` subpackage (or ``core`` module); anything not
+#: listed here is the driver.
+LAYERS = ("cpu", "memory", "core.weave", "core.driver", "workloads", "dbt",
+          "resilience", "obs")
+LAYER_OF = {
+    "cpu": "cpu", "memory": "memory", "baselines": "memory",
+    "core/weave.py": "core.weave", "core/events.py": "core.weave",
+    "core/domains.py": "core.weave", "workloads": "workloads",
+    "dbt": "dbt", "isa": "dbt", "resilience": "resilience", "obs": "obs",
+}
+
+
+def layer_of(filename, package_dir):
+    """Layer of a source file under ``package_dir``, or None outside."""
+    if not filename.startswith(package_dir):
+        return None
+    rel = filename[len(package_dir):].replace(os.sep, "/")
+    return LAYER_OF.get(rel, LAYER_OF.get(rel.split("/")[0],
+                                          "core.driver"))
 
 
 def main(argv):
@@ -37,6 +62,8 @@ def main(argv):
     parser.add_argument("workload", choices=sorted(spec.BY_NAME))
     parser.add_argument("--scale", type=float, default=1.0,
                         help="multiply the workload's pinned size")
+    parser.add_argument("--layers", action="store_true",
+                        help="split the count by source layer")
     args = parser.parse_args(argv[1:])
 
     workload = spec.BY_NAME[args.workload]
@@ -46,20 +73,49 @@ def main(argv):
                threads=kernel.make_threads(
                    target_instrs=asked, num_threads=threads,
                    seed_offset=SEED))
-    opcodes = 0
+    import repro
+    package_dir = os.path.dirname(repro.__file__) + os.sep
+    counts = dict.fromkeys(LAYERS, 0)
+    code_layer = {}
+
+    def counter(layer):
+        def count(frame, event, arg):
+            if event == "opcode":
+                counts[layer] += 1
+            return count
+        return count
+
+    counters = {layer: counter(layer) for layer in LAYERS}
 
     def tracer(frame, event, arg):
-        nonlocal opcodes
+        # A new frame: find its layer once, then count with that
+        # layer's local tracer.
         frame.f_trace_opcodes = True
-        opcodes += event == "opcode"
-        return tracer
+        code = frame.f_code
+        layer = code_layer.get(code)
+        if layer is None:
+            layer = layer_of(code.co_filename, package_dir)
+            if layer is not None:
+                code_layer[code] = layer
+            else:
+                caller = frame.f_back
+                while layer is None:
+                    layer = layer_of(caller.f_code.co_filename,
+                                     package_dir)
+                    caller = caller.f_back
+        return counters[layer]
 
     sys.settrace(tracer)
     try:
         result = sim.run()
     finally:
         sys.settrace(None)
-    print(args.workload, opcodes, worker.stats_digest(result))
+    total = sum(counts.values())
+    print(args.workload, total, worker.stats_digest(result))
+    if args.layers:
+        for layer in LAYERS:
+            print("%-12s %d" % (layer, counts[layer]))
+        print("%-12s %d" % ("total", total))
 
 
 if __name__ == "__main__":

@@ -15,11 +15,7 @@ from repro.core.domains import CoreWeave, Domain, assign_domains
 from repro.core.events import WeaveEvent
 from repro.core.host import HostModel, makespan
 from repro.core.interference import InterferenceProfiler
-from repro.core.simulator import (
-    CONTENTION_MODELS,
-    SimulationResult,
-    ZSim,
-)
+from repro.core.simulator import CONTENTION_MODELS, SimulationResult, ZSim
 from repro.core.weave import WeaveEngine, WeaveStats
 
 __all__ = [

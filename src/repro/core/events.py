@@ -66,13 +66,6 @@ class WeaveEvent:
             if self.overflow is not None:
                 yield from self.overflow
 
-    def set_gap(self, index, gap):
-        """Rewrite the gap of the ``index``-th edge (delivery order)."""
-        if index == 0:
-            self.gap = gap
-        else:
-            self.overflow[index - 1] = (self.overflow[index - 1][0], gap)
-
     @property
     def domain(self):
         return self.component.domain if self.component is not None else 0

@@ -64,7 +64,8 @@ class HostModel:
         if measured_seconds is not None:
             self.measured_wall += measured_seconds
         times = [t for _cid, t in bound_times]
-        self.bound_serial += sum(times)
+        bound = sum(times)
+        self.bound_serial += bound
         self.weave_serial += weave_seconds
         self.other_serial += other_seconds
         total_events = sum(weave_domain_events)
@@ -74,6 +75,13 @@ class HostModel:
                             if n > 0]
         else:
             domain_times = []
+        if len(times) < 2 and len(domain_times) < 2:
+            # One item's makespan is the item on any worker count.
+            weave = sum(domain_times)
+            for h in self.host_threads:
+                self._bound_parallel[h] += bound
+                self._weave_parallel[h] += weave
+            return
         for h in self.host_threads:
             self._bound_parallel[h] += makespan(times, h)
             self._weave_parallel[h] += makespan(domain_times, h)

@@ -354,17 +354,14 @@ class ZSim:
         """Replace the native memory-controller weave models with the
         cycle-driven DRAMSim-style model (the 'glue code' experiment)."""
         mainmem = self.hierarchy.mainmem
-        replaced = []
+        components = self.hierarchy.weave_components
         for idx, weave in enumerate(mainmem.ctrl_weaves):
             dram = DRAMSimWeave("dramsim%d" % idx, self.config.memory,
                                 self.config.core.freq_mhz,
                                 tile=mainmem.controller_tile(idx))
             mainmem.ctrl_weaves[idx] = dram
-            replaced.append((weave, dram))
-        components = self.hierarchy.weave_components
-        for old, new in replaced:
-            if old in components:
-                components[components.index(old)] = new
+            if weave in components:
+                components[components.index(weave)] = dram
 
     # ------------------------------------------------------------------
 

@@ -572,6 +572,9 @@ class WeaveEngine:
     def reset(self):
         for comp in self.components:
             comp.reset()
+        for fabric in {getattr(c, "fabric", None) for c in self.components}:
+            if fabric is not None:
+                fabric.reset()
         for core_weave in self.core_weaves:
             core_weave.reset()
         for domain in self.domains:

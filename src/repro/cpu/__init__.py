@@ -15,12 +15,5 @@ def make_core(core_id, mem, config):
     raise ValueError("Unknown core model: %r" % (config.model,))
 
 
-__all__ = [
-    "BranchPredictor",
-    "Core",
-    "OOOCore",
-    "PortWindow",
-    "RunOutcome",
-    "SimpleCore",
-    "make_core",
-]
+__all__ = ["BranchPredictor", "Core", "OOOCore", "PortWindow", "RunOutcome",
+           "SimpleCore", "make_core"]

@@ -7,6 +7,8 @@ bound-weave engine:
   cycle passes the interval limit, the stream ends, or a syscall is hit.
 * Memory accesses that escape the private levels are appended to
   ``self.trace`` as ``(issue_cycle, AccessRecord)`` for the weave phase.
+* L1 hits are served inside the core from the memory's :func:`l1_view`;
+  everything else goes through ``mem.access``.
 * :meth:`Core.apply_delay` applies the weave phase's contention feedback
   by shifting the core's clocks forward (the delay is always >= 0).
 """
@@ -34,7 +36,6 @@ class Core:
         self.pending_syscall = None
         #: Weave-phase trace: list of (issue_cycle, AccessRecord).
         self.trace = []
-        self.record_all_levels = False
         # Retired-work counters.
         self.instrs = 0
         self.uops = 0
@@ -46,7 +47,6 @@ class Core:
         self.l3_misses = 0
         self.loads = 0
         self.stores = 0
-        self._line_mask = ~(config_line_bytes(mem) - 1)
 
     # ------------------------------------------------------------------
     # Thread attach/detach (driven by the scheduler / engine)
@@ -90,9 +90,21 @@ class Core:
     # Shared helpers
     # ------------------------------------------------------------------
 
-    def _record_trace(self, issue_cycle, result):
-        if result.steps or result.wbacks:
-            self.trace.append((issue_cycle, result))
+    def _access(self, addr, write, cycle, ifetch=False):
+        """An access the L1 view did not serve: ``mem.access``, plus the
+        per-level miss attribution."""
+        result = self.mem.access(self.core_id, addr, write, cycle, ifetch)
+        missed = result.missed_levels
+        if missed:
+            if "l1i" in missed:
+                self.l1i_misses += 1
+            if "l1d" in missed:
+                self.l1d_misses += 1
+            if "l2" in missed:
+                self.l2_misses += 1
+            if "l3" in missed:
+                self.l3_misses += 1
+        return result
 
     def take_trace(self):
         """Detach and return this interval's trace."""
@@ -122,22 +134,22 @@ class Core:
                self.l1i_misses, self.l1d_misses, self.l2_misses,
                self.l3_misses, self.loads, self.stores)
 
-    def mpki(self, level):
-        misses = {"l1i": self.l1i_misses, "l1d": self.l1d_misses,
-                  "l2": self.l2_misses, "l3": self.l3_misses}[level]
-        if self.instrs == 0:
-            return 0.0
-        return 1000.0 * misses / self.instrs
-
     @property
     def ipc(self):
         cycle = self.cycle
         return self.instrs / cycle if cycle > 0 else 0.0
 
 
-def config_line_bytes(mem):
-    """Line size of the attached memory system (64 when unspecified)."""
-    config = getattr(mem, "config", None)
-    if config is not None and hasattr(config, "l1d"):
-        return config.l1d.line_bytes
-    return 64
+#: One empty set per L1: every probe misses, every access reaches
+#: ``mem.access``.
+_MISS_VIEW = ([{}], [None], 1, [{}], [None], 1, 0, 0)
+
+
+def l1_view(mem, core_id):
+    """``(l1i line maps, l1i LRU, l1i sets, l1d line maps, l1d LRU, l1d
+    sets, l1d latency, line shift)`` of core ``core_id``.  Looked up on
+    the *type*: a wrapper forwarding ``__getattr__`` must not hand out
+    its inner memory's view, or hits would bypass its ``access``."""
+    view = getattr(type(mem), "l1_view", None)
+    view = view(mem, core_id) if view is not None else None
+    return _MISS_VIEW if view is None else view

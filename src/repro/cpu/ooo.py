@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.cpu.base import Core, RunOutcome
+from repro.cpu.base import Core, RunOutcome, l1_view
 from repro.cpu.bpred import BranchPredictor
 from repro.isa.registers import NUM_REGS
 from repro.isa.uops import UopType
+from repro.memory.coherence import MESI
 
 # Flat dispatch constants: locals in the inner loop resolve faster than
 # class-attribute lookups per µop.
@@ -49,26 +50,10 @@ class PortWindow:
     dispatchCycle that has a free port compatible with uop ports").
     """
 
-    PRUNE_PERIOD = 4096
-
     def __init__(self):
         self._used = {}
         self._ops = 0
         self._prune_before = 0
-
-    def schedule(self, min_cycle, portmask):
-        used = self._used
-        cycle = min_cycle
-        while True:
-            occupancy = used.get(cycle, 0)
-            free = portmask & ~occupancy
-            if free:
-                used[cycle] = occupancy | (free & -free)
-                self._ops += 1
-                if self._ops >= self.PRUNE_PERIOD:
-                    self._prune(min_cycle)
-                return cycle
-            cycle += 1
 
     def _prune(self, horizon):
         self._ops = 0
@@ -114,6 +99,9 @@ class OOOCore(Core):
         self.mispredicts = 0
         self.forwarded_loads = 0
         self.wrong_path_fetches = 0
+        # L1 hits served from the view since run_until began.
+        self._ifetch_hits = 0
+        self._data_hits = 0
         #: When set to a list, every µop appends a
         #: (dispatch, exec, done, retire) tuple — used by pipeline
         #: invariant tests; None (default) costs nothing.
@@ -164,31 +152,41 @@ class OOOCore(Core):
             return RunOutcome.BLOCKED
         stream_next = stream.__next__
         simulate_bbl = self._simulate_bbl
-        while self._retire_clock < limit_cycle:
-            try:
-                decoded, bbl_exec = stream_next()
-            except StopIteration:
-                return RunOutcome.DONE
-            syscall = simulate_bbl(decoded, bbl_exec)
-            if syscall is not None:
-                self.pending_syscall = syscall
-                return RunOutcome.SYSCALL
-        return RunOutcome.LIMIT
+        view = l1_view(self.mem, self.core_id)
+        try:
+            while self._retire_clock < limit_cycle:
+                try:
+                    decoded, bbl_exec = stream_next()
+                except StopIteration:
+                    return RunOutcome.DONE
+                syscall = simulate_bbl(decoded, bbl_exec, view)
+                if syscall is not None:
+                    self.pending_syscall = syscall
+                    return RunOutcome.SYSCALL
+            return RunOutcome.LIMIT
+        finally:
+            i_hits, d_hits = self._ifetch_hits, self._data_hits
+            if i_hits or d_hits:
+                self._ifetch_hits = self._data_hits = 0
+                self.mem.count_l1_hits(self.core_id, i_hits, d_hits)
 
     # ------------------------------------------------------------------
 
-    def _simulate_bbl(self, decoded, bbl_exec):
+    def _simulate_bbl(self, decoded, bbl_exec, view):
         # The inner loop consumes the flat schedule-once descriptor
         # (decoded.flat + the static dependency schedule) with every hot
         # name bound to a local.  Stage clocks live in locals and are
         # written back at the end; a fault mid-block is recovered by the
         # supervisor's snapshot restore, never by reusing this core.
+        # L1 hits are probed in ``view`` (see cpu.base.l1_view).
         block = decoded.block
         num_uops = decoded.num_uops
         config = self.config
         self.bbls += 1
         self.instrs += block.num_instrs
         self.uops += num_uops
+        self.loads += decoded.num_loads
+        self.stores += decoded.num_stores
 
         # Loop stream detector: a tight loop (the same small block
         # repeating) replays µops from the queue, skipping fetch and
@@ -210,9 +208,9 @@ class OOOCore(Core):
             if len(recent) > 4:
                 del recent[0]
 
-        mem_access = self.mem.access
-        core_id = self.core_id
+        access = self._access
         trace_append = self.trace.append
+        i_lines, i_repl, i_sets, d_lines, d_repl, d_sets, d_lat, shift = view
 
         # (1) IFetch + BPred: adjust fetchClock.
         fetch = self._fetch_clock
@@ -225,16 +223,17 @@ class OOOCore(Core):
             for line_addr in decoded.fetch_lines:
                 if line_addr != last_line:
                     last_line = line_addr
-                    result = mem_access(core_id, line_addr, False, fetch,
-                                        ifetch=True)
-                    missed = result.missed_levels
-                    if missed:
-                        if "l1i" in missed:
-                            self.l1i_misses += 1
-                        if "l2" in missed:
-                            self.l2_misses += 1
-                        if "l3" in missed:
-                            self.l3_misses += 1
+                    line = line_addr >> shift
+                    idx = line % i_sets
+                    entry = i_lines[idx].get(line)
+                    if entry is not None:
+                        repl = i_repl[idx]
+                        repl._stamp[entry[0]] = repl._clock
+                        repl._clock += 1
+                        self._ifetch_hits += 1
+                        continue
+                    result = access(line_addr, False, fetch, True)
+                    if result.missed_levels:
                         fetch += result.latency
                     if result.steps or result.wbacks:
                         trace_append((fetch, result))
@@ -261,8 +260,7 @@ class OOOCore(Core):
         store_queue_size = config.store_queue_size
         # Port window, inlined: the occupancy dict, its getter, and the
         # prune countdown live in locals shared by every schedule site
-        # below, so prune points land exactly where PortWindow.schedule
-        # would put them.
+        # below.
         ports = self._ports
         ports_used = ports._used
         ports_used_get = ports_used.get
@@ -357,7 +355,6 @@ class OOOCore(Core):
                     ports_ops = 0
                 done = exec_cycle + lat
             elif utype == _LOAD:
-                self.loads += 1
                 addr = addrs[mem_slot]
                 if fence_cycle > exec_min:
                     exec_min = fence_cycle
@@ -387,23 +384,24 @@ class OOOCore(Core):
                     done = (exec_cycle if exec_cycle >= ready
                             else ready) + 1
                 else:
-                    result = mem_access(core_id, addr, False, exec_cycle)
-                    missed = result.missed_levels
-                    if missed:
-                        if "l1d" in missed:
-                            self.l1d_misses += 1
-                        if "l2" in missed:
-                            self.l2_misses += 1
-                        if "l3" in missed:
-                            self.l3_misses += 1
-                    if result.steps or result.wbacks:
-                        trace_append((exec_cycle, result))
-                    done = exec_cycle + result.latency
+                    line = addr >> shift
+                    idx = line % d_sets
+                    entry = d_lines[idx].get(line)
+                    if entry is not None:
+                        repl = d_repl[idx]
+                        repl._stamp[entry[0]] = repl._clock
+                        repl._clock += 1
+                        self._data_hits += 1
+                        done = exec_cycle + d_lat
+                    else:
+                        result = access(addr, False, exec_cycle)
+                        if result.steps or result.wbacks:
+                            trace_append((exec_cycle, result))
+                        done = exec_cycle + result.latency
                 releases.append(done)
                 if done > last_mem_done:
                     last_mem_done = done
             elif utype == _STORE_ADDR:
-                self.stores += 1
                 addr = addrs[mem_slot]
                 if fence_cycle > exec_min:
                     exec_min = fence_cycle
@@ -432,47 +430,35 @@ class OOOCore(Core):
                     ports_used_get = ports_used.get
                     ports_ops = 0
                 last_store = exec_cycle
-                result = mem_access(core_id, addr, True, exec_cycle)
-                missed = result.missed_levels
-                if missed:
-                    if "l1d" in missed:
-                        self.l1d_misses += 1
-                    if "l2" in missed:
-                        self.l2_misses += 1
-                    if "l3" in missed:
-                        self.l3_misses += 1
-                if result.steps or result.wbacks:
-                    trace_append((exec_cycle, result))
                 done = exec_cycle + (lat if lat > 1 else 1)
-                avail = done + result.latency
+                line = addr >> shift
+                idx = line % d_sets
+                lines = d_lines[idx]
+                entry = lines.get(line)
+                if entry is not None and entry[1] >= MESI.E:
+                    repl = d_repl[idx]
+                    repl._stamp[entry[0]] = repl._clock
+                    repl._clock += 1
+                    lines[line] = (entry[0], MESI.M)
+                    self._data_hits += 1
+                    avail = done + d_lat
+                else:
+                    result = access(addr, True, exec_cycle)
+                    if result.steps or result.wbacks:
+                        trace_append((exec_cycle, result))
+                    avail = done + result.latency
                 if avail > last_mem_done:
                     last_mem_done = avail
                 word = addr >> 3
                 store_buffer[word] = avail
                 store_order.append((word, avail))
-            elif utype == _FENCE:
-                # A full fence orders *all* prior memory operations.
-                if last_store > exec_min:
-                    exec_min = last_store
-                if last_mem_done > exec_min:
-                    exec_min = last_mem_done
-                exec_cycle = exec_min
-                occ = ports_used_get(exec_cycle, 0)
-                free = portmask & ~occ
-                while not free:
-                    exec_cycle += 1
-                    occ = ports_used_get(exec_cycle, 0)
-                    free = portmask & ~occ
-                ports_used[exec_cycle] = occ | (free & -free)
-                ports_ops += 1
-                if ports_ops >= 4096:
-                    ports._prune(exec_min)
-                    ports_used = ports._used
-                    ports_used_get = ports_used.get
-                    ports_ops = 0
-                done = exec_cycle + lat
-                fence_cycle = done
             else:
+                if utype == _FENCE:
+                    # A full fence orders *all* prior memory operations.
+                    if last_store > exec_min:
+                        exec_min = last_store
+                    if last_mem_done > exec_min:
+                        exec_min = last_mem_done
                 exec_cycle = exec_min
                 occ = ports_used_get(exec_cycle, 0)
                 free = portmask & ~occ
@@ -488,7 +474,9 @@ class OOOCore(Core):
                     ports_used_get = ports_used.get
                     ports_ops = 0
                 done = exec_cycle + lat
-                if utype == _SYSCALL:
+                if utype == _FENCE:
+                    fence_cycle = done
+                elif utype == _SYSCALL:
                     syscall = bbl_exec.syscall or True
                 elif utype == _BRANCH and conditional:
                     self.cond_branches += 1
@@ -553,7 +541,8 @@ class OOOCore(Core):
                                  branch_cycle, ifetch=True)
         # Wrong-path fetch latency is hidden by the recovery penalty;
         # only the cache-state side effects persist.
-        self._record_trace(branch_cycle, result)
+        if result.steps or result.wbacks:
+            self.trace.append((branch_cycle, result))
 
     # ------------------------------------------------------------------
 
@@ -564,9 +553,3 @@ class OOOCore(Core):
         node.set("forwarded_loads", self.forwarded_loads)
         node.set("wrong_path_fetches", self.wrong_path_fetches)
         node.set("lsd_streams", self.lsd_streams)
-
-    @property
-    def branch_mpki(self):
-        if self.instrs == 0:
-            return 0.0
-        return 1000.0 * self.mispredicts / self.instrs

@@ -9,7 +9,8 @@ count."
 
 from __future__ import annotations
 
-from repro.cpu.base import Core, RunOutcome
+from repro.cpu.base import Core, RunOutcome, l1_view
+from repro.memory.coherence import MESI
 
 
 class SimpleCore(Core):
@@ -18,7 +19,6 @@ class SimpleCore(Core):
     def __init__(self, core_id, mem, config):
         super().__init__(core_id, mem, config)
         self._cycle = 0
-        self._line_bytes = 64
         self._last_fetch_line = -1
 
     @property
@@ -28,81 +28,89 @@ class SimpleCore(Core):
     def run_until(self, limit_cycle):
         # Consumes only the flat schedule-once descriptor fields
         # (fetch_lines, mem_ops, has_syscall): no per-µop object walks.
-        # Clocks live in locals and are written back on every exit; a
-        # fault mid-run is recovered by the supervisor's snapshot
-        # restore, never by reusing this core.
+        # L1 hits are probed in the memory's view, counted in locals and
+        # flushed on every exit; the clock is written back before each
+        # stream_next(), whose magic-op handlers read it.
         stream = self.stream
         if stream is None:
             return RunOutcome.BLOCKED
         stream_next = stream.__next__
-        mem_access = self.mem.access
+        mem = self.mem
         core_id = self.core_id
+        access = self._access
         trace_append = self.trace.append
+        i_lines, i_repl, i_sets, d_lines, d_repl, d_sets, _, shift = \
+            l1_view(mem, core_id)
+        i_hits = d_hits = 0
         cycle = self._cycle
         last_line = self._last_fetch_line
-        while cycle < limit_cycle:
-            try:
-                decoded, bbl_exec = stream_next()
-            except StopIteration:
+        try:
+            while cycle < limit_cycle:
                 self._cycle = cycle
-                self._last_fetch_line = last_line
-                return RunOutcome.DONE
-            block = decoded.block
-            self.bbls += 1
-            self.instrs += block.num_instrs
-            self.uops += decoded.num_uops
-            # Instruction fetch: one L1I access per new line touched.
-            for line_addr in decoded.fetch_lines:
-                if line_addr != last_line:
-                    last_line = line_addr
-                    result = mem_access(core_id, line_addr, False,
-                                        cycle, ifetch=True)
-                    missed = result.missed_levels
-                    if missed:
-                        if "l1i" in missed:
-                            self.l1i_misses += 1
-                        if "l2" in missed:
-                            self.l2_misses += 1
-                        if "l3" in missed:
-                            self.l3_misses += 1
-                        cycle += result.latency
+                try:
+                    decoded, bbl_exec = stream_next()
+                except StopIteration:
+                    return RunOutcome.DONE
+                block = decoded.block
+                self.bbls += 1
+                self.instrs += block.num_instrs
+                self.uops += decoded.num_uops
+                self.loads += decoded.num_loads
+                self.stores += decoded.num_stores
+                # Instruction fetch: one L1I access per new line touched.
+                for line_addr in decoded.fetch_lines:
+                    if line_addr != last_line:
+                        last_line = line_addr
+                        line = line_addr >> shift
+                        idx = line % i_sets
+                        entry = i_lines[idx].get(line)
+                        if entry is not None:
+                            repl = i_repl[idx]
+                            repl._stamp[entry[0]] = repl._clock
+                            repl._clock += 1
+                            i_hits += 1
+                            continue
+                        result = access(line_addr, False, cycle, True)
+                        if result.missed_levels:
+                            cycle += result.latency
+                        if result.steps or result.wbacks:
+                            trace_append((cycle, result))
+                # One cycle per instruction; misses add their latency.
+                addrs = bbl_exec.addrs
+                for mem_slot, write in decoded.mem_ops:
+                    addr = addrs[mem_slot]
+                    line = addr >> shift
+                    idx = line % d_sets
+                    lines = d_lines[idx]
+                    entry = lines.get(line)
+                    if entry is not None and (not write or entry[1] >= MESI.E):
+                        # A hit costs nothing beyond its instruction.
+                        repl = d_repl[idx]
+                        repl._stamp[entry[0]] = repl._clock
+                        repl._clock += 1
+                        if write:
+                            lines[line] = (entry[0], MESI.M)
+                        d_hits += 1
+                        continue
+                    result = access(addr, write, cycle)
+                    # Data traces are stamped at the issue cycle, before
+                    # the miss latency lands (ifetch stamps after).
                     if result.steps or result.wbacks:
                         trace_append((cycle, result))
-            # One cycle per instruction; memory µops add their latency.
-            addrs = bbl_exec.addrs
-            for mem_slot, write in decoded.mem_ops:
-                if write:
-                    self.stores += 1
-                else:
-                    self.loads += 1
-                result = mem_access(core_id, addrs[mem_slot], write,
-                                    cycle)
-                missed = result.missed_levels
-                # Data traces are stamped at the issue cycle, before
-                # the miss latency lands (ifetch stamps after).
-                if result.steps or result.wbacks:
-                    trace_append((cycle, result))
-                if missed:
-                    if "l1d" in missed:
-                        self.l1d_misses += 1
-                    if "l2" in missed:
-                        self.l2_misses += 1
-                    if "l3" in missed:
-                        self.l3_misses += 1
-                    # L1 hits are covered by the instruction's own
-                    # cycle; misses add their full latency.
-                    cycle += result.latency
-            cycle += block.num_instrs
-            if decoded.has_syscall:
-                syscall = bbl_exec.syscall
-                if syscall is not None:
-                    self.pending_syscall = syscall
-                    self._cycle = cycle
-                    self._last_fetch_line = last_line
-                    return RunOutcome.SYSCALL
-        self._cycle = cycle
-        self._last_fetch_line = last_line
-        return RunOutcome.LIMIT
+                    if result.missed_levels:
+                        cycle += result.latency
+                cycle += block.num_instrs
+                if decoded.has_syscall:
+                    syscall = bbl_exec.syscall
+                    if syscall is not None:
+                        self.pending_syscall = syscall
+                        return RunOutcome.SYSCALL
+            return RunOutcome.LIMIT
+        finally:
+            self._cycle = cycle
+            self._last_fetch_line = last_line
+            if i_hits or d_hits:
+                mem.count_l1_hits(core_id, i_hits, d_hits)
 
     def integrity_items(self):
         yield from super().integrity_items()

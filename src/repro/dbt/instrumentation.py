@@ -80,7 +80,12 @@ class InstrumentedStream:
         return record
 
     def __next__(self):
-        bbl_exec = self._next_record()
+        if self._pushback or self._log is not None:
+            bbl_exec = self._next_record()
+        else:
+            # The common case, _next_record inlined: read the source.
+            bbl_exec = next(self._stream)
+            self.pulled += 1
         block = bbl_exec.block
         decoded = self.tcache.translate(block, self.program_id)
         self.instrs_retired += block.num_instrs

@@ -133,8 +133,9 @@ class BBLExec:
         self.block = block
         self.addrs = addrs
         self.taken = taken
-        self.next_address = (block.end_address if next_address is None
-                             else next_address)
+        # The fall-through address, without the end_address property.
+        self.next_address = (block.address + block.num_bytes
+                             if next_address is None else next_address)
         self.syscall = syscall
 
     def __repr__(self):

@@ -53,19 +53,9 @@ class AccessRecord:
         #: Off-critical-path writebacks: (weave_component, offset, kind).
         self.wbacks = []
 
-    def add_step_at(self, weave_component, offset, kind):
-        """Record a weave step at an explicit zero-load offset."""
-        if weave_component is not None:
-            self.steps.append((weave_component, offset, kind))
-
     def add_wback(self, weave_component, kind=StepKind.WBACK):
         if weave_component is not None:
             self.wbacks.append((weave_component, self.latency, kind))
-
-    @property
-    def beyond_private(self):
-        """True if the access generated weave-phase events."""
-        return bool(self.steps)
 
     def __repr__(self):
         return ("AccessRecord(lat=%d, hit=%s, missed=%s)"

@@ -363,11 +363,6 @@ class Cache:
             members.add(children[low.bit_length() - 1])
         return members
 
-    def owner_of(self, line):
-        """Owning child of ``line`` (the one granted E/M), or None."""
-        owner = self._owner.get(line)
-        return None if owner is None else self.children[owner]
-
     def integrity_items(self, deep=False):
         """Digest items for the integrity sentinel: name, hot counters,
         directory sizes, and the array summary; ``deep`` adds the full
@@ -437,9 +432,6 @@ class MainMemory:
         self.reads = 0
         self.writebacks = 0
         self.dir_ops = 0
-
-    def controller_of(self, line):
-        return line % self.config.controllers
 
     def controller_tile(self, ctrl):
         if self.config.controllers >= self.num_tiles:

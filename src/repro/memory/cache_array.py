@@ -214,17 +214,3 @@ class CacheArray:
                          "0x%x" % (idx, way, ways[way], line)))
                     break
         return violations
-
-    def would_evict(self, line):
-        """Line that filling ``line`` would evict right now, or None.
-
-        Used by the interference profiler to detect eviction-driven
-        path-altering interference without mutating the array.
-        """
-        idx = self.set_index(line)
-        lines = self._lines[idx]
-        if line in lines:
-            return None
-        if self._free[idx]:
-            return None
-        return self._ways[idx][self._repl[idx].victim()]

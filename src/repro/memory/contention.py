@@ -48,12 +48,6 @@ class MD1Model:
         self.total_wait += wait
         return int(round(self.service + wait))
 
-    @property
-    def mean_wait(self):
-        if self.requests == 0:
-            return 0.0
-        return self.total_wait / self.requests
-
     def reset(self):
         self._arrivals.clear()
         self.requests = 0

@@ -277,22 +277,46 @@ class MemoryHierarchy:
     # Access entry points (bound phase)
     # ------------------------------------------------------------------
 
-    def line_of(self, addr):
-        return addr >> self.line_bits
+    def l1_view(self, core_id):
+        """Core ``core_id``'s L1 probe state (see ``cpu.base.l1_view``),
+        or None while an observer must see every access (profiler,
+        metrics histogram) or an L1 is hashed or not LRU."""
+        if self.profiler is not None or self._metrics_latency is not None:
+            return None
+        l1i, l1d = self.l1i[core_id].array, self.l1d[core_id].array
+        if (l1i.hash_sets or l1d.hash_sets or l1i.repl != "lru"
+                or l1d.repl != "lru"):
+            return None
+        return (l1i._lines, l1i._repl, l1i.num_sets, l1d._lines, l1d._repl,
+                l1d.num_sets, self.l1d[core_id].latency, self.line_bits)
+
+    def count_l1_hits(self, core_id, ifetch_hits, data_hits):
+        """Record in bulk the L1 hits a core served from its view: the
+        counters and histogram :meth:`access` bumps per hit are sums, so
+        the order of recording does not matter."""
+        for l1, hits in ((self.l1i[core_id], ifetch_hits),
+                         (self.l1d[core_id], data_hits)):
+            if hits:
+                l1.accesses += hits
+                l1.hits += hits
+                self.access_latency.record(l1.latency, hits)
+        self.fastpath_hits += ifetch_hits + data_hits
 
     def access(self, core_id, addr, write, cycle=0, ifetch=False):
         """One core access; returns an :class:`AccessRecord` whose latency
         is the zero-load bound and whose steps feed the weave phase.
 
-        The dominant case — a private-L1 hit with no coherence side
-        effects — is served inline: it peeks the array, touches the
-        replacement state once (exactly like the walk's single
-        ``lookup``), bumps the same counters, and stores the record's
-        slots directly (empty tuples where the walk would have grown
-        lists).  A write hit needs the line in E or M; a write hit in S
-        requires an upgrade and goes down the coherence walk
-        (:meth:`_walk_access`) like every miss.  Legal because L1s carry
-        no weave component: private levels are bound-phase only."""
+        Cores probe their L1 through :meth:`l1_view` and call this only
+        on a miss or an upgrade; memories without a live view (wrappers,
+        a profiler, a metrics histogram) bring their hits here.  A hit
+        with no coherence side effects is served inline: it peeks the
+        array, touches the replacement state once (exactly like the
+        walk's single ``lookup``), bumps the same counters, and stores
+        the record's slots directly (empty tuples where the walk would
+        have grown lists).  A write hit needs the line in E or M; a
+        write hit in S requires an upgrade and goes down the coherence
+        walk (:meth:`_walk_access`) like every miss.  Legal because L1s
+        carry no weave component: private levels are bound-phase only."""
         line = addr >> self.line_bits
         l1 = self.l1i[core_id] if ifetch else self.l1d[core_id]
         array = l1.array

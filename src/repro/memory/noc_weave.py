@@ -122,9 +122,8 @@ class NocRouteWeave(WeaveComponent):
 
     def reset(self):
         super().reset()
-        # The shared fabric is reset once by whoever owns it; resetting
-        # per-route would clear links mid-iteration, so route components
-        # only clear their own counters.
+        # Route components clear only their own counters: the shared
+        # fabric is reset once, by WeaveEngine.reset.
 
 
 NOC_STEP = StepKind.NOC

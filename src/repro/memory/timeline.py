@@ -110,11 +110,6 @@ class Timeline:
             del self._starts[:cut]
             del ends[:cut]
 
-    def busy_at(self, cycle):
-        """Whether the resource is busy at ``cycle`` (for tests)."""
-        idx = bisect_right(self._starts, cycle)
-        return idx > 0 and self._ends[idx - 1] > cycle
-
     def __len__(self):
         return len(self._starts)
 

@@ -187,9 +187,13 @@ def kernel_stream(kprog, thread_id=0, num_threads=1, target_instrs=200_000,
 
     def body_exec(iteration):
         body = bodies[iteration % num_bodies]
+        if shared_pattern is None:
+            return BBLExec(body, tuple([pattern() for _ in
+                                        range(body.num_mem_slots)]),
+                           taken=True)
         addrs = []
         for _ in range(body.num_mem_slots):
-            if shared_pattern is not None and rng.random() < shared_frac:
+            if rng.random() < shared_frac:
                 addrs.append(shared_pattern())
             else:
                 addrs.append(pattern())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import pytest
 
 from repro.config import small_test_system
@@ -72,6 +74,21 @@ def reference_access(hier, core_id, addr, write, cycle=0, ifetch=False):
     if hier.profiler is not None:
         hier.profiler.record(result, cycle)
     return result
+
+
+def would_evict(array, line):
+    """Line that filling ``line`` into ``array`` (a ``CacheArray``)
+    would evict right now, or None; mutates nothing."""
+    idx = array.set_index(line)
+    if line in array._lines[idx] or array._free[idx]:
+        return None
+    return array._ways[idx][array._repl[idx].victim()]
+
+
+def busy_at(timeline, cycle):
+    """Whether ``timeline`` is busy at ``cycle`` (end-exclusive)."""
+    idx = bisect_right(timeline._starts, cycle)
+    return idx > 0 and timeline._ends[idx - 1] > cycle
 
 
 def recursive_walk(l1, line, write, ctx, l1_idx, l1_entry):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from repro.memory.cache_array import CacheArray
 from repro.memory.coherence import MESI
 
+from conftest import would_evict
+
 
 class TestBasics:
     def test_miss_returns_none(self):
@@ -77,13 +79,13 @@ class TestEviction:
     def test_would_evict_is_pure(self):
         array = CacheArray(1, 2)
         array.fill(0, MESI.E)
-        assert array.would_evict(5) is None  # free way remains
+        assert would_evict(array, 5) is None  # free way remains
         array.fill(1, MESI.E)
-        candidate = array.would_evict(5)
+        candidate = would_evict(array, 5)
         assert candidate == 0
         # No mutation happened.
         assert array.lookup(0, touch=False) == MESI.E
-        assert array.would_evict(0) is None  # already present
+        assert would_evict(array, 0) is None  # already present
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,7 +152,7 @@ class TestSparseSets:
         # Reads never materialise.
         assert array.lookup(5) is None
         assert array.invalidate(5) is None
-        assert array.would_evict(5) is None
+        assert would_evict(array, 5) is None
         assert array.num_materialised() == 0
         array.fill(5, MESI.E)
         array.fill(5 + 64, MESI.S)
@@ -251,7 +253,7 @@ def test_sparse_array_matches_eager_array(repl, hash_sets, ops):
             assert sparse.invalidate(line) == dense.invalidate(line)
         elif op == "would_evict":
             if repl != "random":  # random's victim() draws from the RNG
-                assert sparse.would_evict(line) == dense.would_evict(line)
+                assert would_evict(sparse, line) == would_evict(dense, line)
         else:
             sparse = pickle.loads(pickle.dumps(sparse))
     assert picture(sparse) == picture(dense)

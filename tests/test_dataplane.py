@@ -5,8 +5,10 @@ Three layers of guarantees:
 * the schedule-once ``DecodedBBL`` tables (``flat``, ``mem_ops``,
   ``fetch_lines``, ``final_writes``) are field-for-field faithful to the
   legacy per-µop objects and to an independently simulated scoreboard;
-* the shipped access path (inline L1 hit, flattened walk) produces the
-  simulated stats of the recursive reference walk;
+* the shipped access path (L1 hits served in the core, inline L1 hit,
+  flattened walk) produces the simulated stats of the recursive
+  reference walk, and memories without a live L1 view still see every
+  access;
 * an access record belongs to whoever holds it (nothing recycles
   records, trace lists or weave events), and the data plane survives
   the full matrix — backends, kill faults, checkpoint/resume —
@@ -17,12 +19,15 @@ import types
 
 import pytest
 
+from repro.baselines.reference import reference_simulator
 from repro.config import small_test_system, tiled_chip, westmere
-from repro.core import ZSim
+from repro.core import InterferenceProfiler, ZSim
+from repro.exec.process import _RecordingMem
 from repro.exec.serial import SerialBackend
 from repro.isa.decoder import FETCH_LINE_BYTES, decode_bbl
 from repro.isa.uops import UopType
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.obs import Telemetry
 from repro.resilience import Checkpointer, latest, read_checkpoint
 from repro.stats import assert_equivalent
 from repro.workloads import mt_workload, spec_workload
@@ -143,13 +148,20 @@ def _run(config, contention, backend=None, instrs=15_000,
     return sim, _stats_tree(sim.run())
 
 
+def _no_view(hier, core_id):
+    """``MemoryHierarchy.l1_view`` for the reference arm: the cores get
+    the always-miss view, so every access reaches ``access``."""
+    return None
+
+
 #: What a test installs on MemoryHierarchy to get the reference model.
 _REFERENCES = {
-    # Every access down the recursive walk, no inline L1 hit.
-    "access": ("access", reference_access),
-    # The shipped fast path over the recursive walk: isolates the
-    # flattened walk.
-    "walk": ("_walk_access", staticmethod(recursive_walk)),
+    # Every access down the recursive walk: no hit served in the core,
+    # no inline L1 hit in access().
+    "access": (("access", reference_access), ("l1_view", _no_view)),
+    # The shipped core probe and fast path over the recursive walk:
+    # isolates the flattened walk.
+    "walk": (("_walk_access", staticmethod(recursive_walk)),),
 }
 
 
@@ -179,7 +191,8 @@ def _assert_reference_invisible(monkeypatch, reference, num_cores,
     sim, got = _run(cfg, contention)
     assert sim.hierarchy.fastpath_hits > 0
     assert sim.hierarchy.slow_accesses > 0
-    monkeypatch.setattr(MemoryHierarchy, *_REFERENCES[reference])
+    for name, value in _REFERENCES[reference]:
+        monkeypatch.setattr(MemoryHierarchy, name, value)
     cfg = small_test_system(num_cores=num_cores, core_model=core_model)
     ref_sim, want = _run(cfg, contention)
     if reference == "access":
@@ -218,6 +231,18 @@ class TestFastpathEquivalence:
         _assert_reference_invisible(monkeypatch, "walk", 4, core_model,
                                     contention)
 
+    @pytest.mark.parametrize("contention",
+                             ("none", "md1", "weave", "dramsim"))
+    @pytest.mark.parametrize("core_model", ("simple", "ooo"))
+    @pytest.mark.parametrize("num_cores", (1, 4))
+    def test_core_probe_off_is_invisible(self, monkeypatch, num_cores,
+                                         core_model, contention):
+        """The L1 hits cores serve from their view, on every contention
+        model and core count, against every access down the recursive
+        walk."""
+        _assert_reference_invisible(monkeypatch, "access", num_cores,
+                                    core_model, contention)
+
     def test_host_dbt_counters_are_reported(self):
         cfg = small_test_system(num_cores=2, core_model="ooo")
         sim, tree = _run(cfg, "weave")
@@ -242,6 +267,130 @@ class TestFastpathEquivalence:
             assert tree["weave"]["crossings"] > 0
             assert 0 < dbt["cache_sets_materialised"] \
                 < dbt["cache_sets_total"]
+
+
+class _Boom(Exception):
+    pass
+
+
+def _count_access_calls(monkeypatch):
+    """Count every ``MemoryHierarchy.access`` call from here on."""
+    calls = []
+    real = MemoryHierarchy.access
+
+    def access(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(MemoryHierarchy, "access", access)
+    return calls
+
+
+def _l1_picture(hier):
+    """Everything an L1 hit updates outside the arrays."""
+    hist = hier.access_latency
+    return ([(c.accesses, c.hits, c.misses) for c in hier.l1i + hier.l1d],
+            hier.fastpath_hits, hier.slow_accesses, hist.count, hist.total,
+            hist.min, hist.max, list(hist._counts))
+
+
+class TestCoreProbe:
+    """Cores serve L1 hits from the view a bare hierarchy hands out;
+    every other memory object gets the always-miss view, so wrappers,
+    profilers and metrics still see every access."""
+
+    @pytest.mark.parametrize("contention, served_in_core",
+                             (("none", True), ("md1", False)))
+    def test_only_a_bare_hierarchy_hands_out_a_live_view(
+            self, monkeypatch, contention, served_in_core):
+        calls = _count_access_calls(monkeypatch)
+        sim, _ = _run(small_test_system(num_cores=2, core_model="ooo"),
+                      contention)
+        accesses = sim.hierarchy.fastpath_hits + sim.hierarchy.slow_accesses
+        assert (len(calls) < accesses) == served_in_core
+        assert len(calls) >= sim.hierarchy.slow_accesses > 0
+
+    def test_recording_wrapper_sees_every_access(self, monkeypatch):
+        def run():
+            wrappers = []
+
+            def wrap(mem):
+                wrappers.append(_RecordingMem(mem))
+                return wrappers[0]
+
+            cfg = small_test_system(num_cores=2, core_model="simple")
+            sim, tree = _run(cfg, "weave", mem_wrapper=wrap)
+            hier = sim.hierarchy
+            assert len(wrappers[0].addrs) \
+                == hier.fastpath_hits + hier.slow_accesses
+            tree.pop("host")
+            return len(wrappers[0].addrs), tree
+
+        count, got = run()
+        monkeypatch.setattr(MemoryHierarchy, "l1_view", _no_view)
+        assert run() == (count, got)
+
+    def test_reference_simulator_ipc_is_unchanged(self, monkeypatch):
+        def ipc():
+            cfg = small_test_system(num_cores=1, core_model="ooo")
+            wl = spec_workload("libquantum", scale=1 / 64)
+            return reference_simulator(
+                cfg, wl.make_threads(target_instrs=20_000)).run().ipc
+
+        got = ipc()
+        monkeypatch.setattr(MemoryHierarchy, "l1_view", _no_view)
+        assert got == ipc()
+
+    def test_profiler_and_metrics_see_every_access(self, monkeypatch):
+        def run():
+            profiler = InterferenceProfiler()
+            telemetry = Telemetry(trace=False, metrics=True)
+            cfg = small_test_system(num_cores=2, core_model="ooo")
+            sim, _ = _run(cfg, "none", profiler=profiler,
+                          telemetry=telemetry)
+            hier = sim.hierarchy
+            accesses = hier.fastpath_hits + hier.slow_accesses
+            latency = telemetry.metrics.histogram("mem.access_latency")
+            assert profiler.total_accesses == latency.count == accesses
+            return accesses
+
+        accesses = run()
+        monkeypatch.setattr(MemoryHierarchy, "l1_view", _no_view)
+        assert run() == accesses
+
+    @pytest.mark.parametrize("core_model", ("simple", "ooo"))
+    def test_hits_before_a_raise_are_recorded(self, monkeypatch,
+                                              core_model):
+        """``mem.access`` raising partway through ``run_until``: the L1
+        counters and the latency histogram already hold every hit the
+        core served before the raise."""
+        def run():
+            cfg = small_test_system(num_cores=1, core_model=core_model)
+            wl = spec_workload("libquantum", scale=1 / 64)
+            sim = ZSim(cfg, threads=wl.make_threads(target_instrs=30_000),
+                       contention_model="none", flight=False)
+            hier = sim.hierarchy
+            real = hier.access
+            misses = []
+
+            def access(core_id, addr, write, cycle=0, ifetch=False):
+                result = real(core_id, addr, write, cycle, ifetch)
+                if result.missed_levels:
+                    misses.append(1)
+                    if len(misses) == 300:
+                        raise _Boom()
+                return result
+
+            hier.access = access
+            with pytest.raises(_Boom):
+                sim.run()
+            assert 0 < sim.cores[0].instrs < 30_000
+            return _l1_picture(hier)
+
+        got = run()
+        assert got[1] > 0
+        monkeypatch.setattr(MemoryHierarchy, "l1_view", _no_view)
+        assert got == run()
 
 
 # ---------------------------------------------------------------------

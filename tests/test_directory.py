@@ -139,26 +139,24 @@ class SetDirectoryCache(Cache):
     def sharers_of(self, line):
         return set(self._sharers.get(line, ()))
 
-    def owner_of(self, line):
-        return self._owner.get(line)
-
 
 class SetDirectoryMainMemory(MainMemory):
     """Pre-refactor MainMemory directory (sets of top-level caches)."""
 
     def handle_access(self, line, write, requester, ctx):
         self.reads += 1
-        ctrl = self.controller_of(line)
+        ctrl = line % self.config.controllers
         src_tile = getattr(requester, "tile", 0)
         ctrl_tile = self.controller_tile(ctrl)
         if self.noc_routes is not None and src_tile != ctrl_tile:
             route = self.noc_routes.get((src_tile, ctrl_tile))
             if route is not None:
-                ctx.add_step_at(route, ctx.latency, "NOC")
+                ctx.steps.append((route, ctx.latency, "NOC"))
         ctx.latency += self.network.latency(src_tile, ctrl_tile)
         arrival = ctx.latency
         ctx.latency += self.config.zero_load_latency
-        ctx.add_step_at(self.ctrl_weaves[ctrl], arrival, "READ")
+        if self.ctrl_weaves[ctrl] is not None:
+            ctx.steps.append((self.ctrl_weaves[ctrl], arrival, "READ"))
         sharers = self._sharers.setdefault(line, set())
         if write:
             for child in list(sharers):
@@ -197,7 +195,7 @@ class SetDirectoryMainMemory(MainMemory):
             del self._owner[line]
         if dirty:
             self.writebacks += 1
-            ctrl = self.controller_of(line)
+            ctrl = line % self.config.controllers
             if ctx is not None:
                 ctx.add_wback(self.ctrl_weaves[ctrl])
 
@@ -238,8 +236,7 @@ def _directory_picture(h):
                    for line in cache._sharers}
         owners = {}
         for line in list(cache._owner):
-            owner = cache.owner_of(line) if isinstance(cache, Cache) \
-                else cache._owner[line]
+            owner = cache._owner[line]
             if not isinstance(owner, (Cache, MainMemory)):
                 owner = cache.children[owner]
             owners[line] = owner.name

@@ -58,6 +58,21 @@ class TestRoi:
         sim.run()
         assert tracker.roi_ipc > 0.5
 
+    def test_roi_begin_reads_the_live_clock(self):
+        """Magic-op handlers run inside the stream's ``__next__``: the
+        ROI-begin snapshot must read the core's clock after the
+        warm-up, not the one written back at the last barrier."""
+        sim, tracker, _ = self.make_sim()
+        sim.run()
+        program = Program("warm-only")
+        work = program.add_block(
+            [Instruction(Opcode.ALU, gp(1), gp(2), gp(1))] * 8)
+        warm = ZSim(small_test_system(num_cores=1, core_model="simple"),
+                    threads=[SimThread(InstrumentedStream(
+                        BBLExec(work) for _ in range(200)))])
+        assert tracker.begin[0] == warm.run().cycles
+        assert tracker.roi_ipc >= 0.99
+
     def test_no_markers_no_roi(self):
         program = Program("no-roi")
         work = program.add_block([Instruction(Opcode.NOP)])

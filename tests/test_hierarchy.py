@@ -102,7 +102,7 @@ class TestTraceRecording:
         h.access(0, 0x1000, write=False)
         result = h.access(0, 0x1000, write=False)
         assert result.steps == ()
-        assert not result.beyond_private
+        assert not result.steps
 
     def test_memory_miss_records_chain(self, tiny_config):
         h = MemoryHierarchy(tiny_config)

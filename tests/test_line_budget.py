@@ -20,9 +20,9 @@ import repro
 SRC = pathlib.Path(repro.__file__).parent
 
 BUDGETS = {
-    "memory": 2642,
-    "core": 2014,
-    "cpu": 917,
+    "memory": 2622,
+    "core": 2011,
+    "cpu": 913,
     "resilience": 1546,
     "obs": 1361,
     "exec": 1719,

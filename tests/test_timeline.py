@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from repro.memory.timeline import MultiTimeline, Timeline
 
+from conftest import busy_at
+
 
 class TestTimeline:
     def test_empty_grants_immediately(self):
@@ -46,9 +48,9 @@ class TestTimeline:
     def test_busy_at(self):
         t = Timeline()
         t.reserve(100, 10)
-        assert t.busy_at(105)
-        assert not t.busy_at(99)
-        assert not t.busy_at(110)  # end-exclusive
+        assert busy_at(t, 105)
+        assert not busy_at(t, 99)
+        assert not busy_at(t, 110)  # end-exclusive
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 50)),

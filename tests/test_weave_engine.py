@@ -1,13 +1,17 @@
 """Tests for the weave engine: event graphs, domains, delays, crossings."""
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import tiled_chip
 from repro.core.domains import CoreWeave
 from repro.core.events import WeaveEvent
 from repro.core.weave import WeaveEngine
 from repro.errors import HorizonViolation
 from repro.memory.access import AccessRecord, StepKind
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.weave import CacheBankWeave
 
 
@@ -15,9 +19,32 @@ def make_result(core_id, line, latency, steps):
     """Fabricate an AccessRecord with an explicit weave chain."""
     record = AccessRecord(core_id, line, write=False)
     record.latency = latency
-    for comp, offset, kind in steps:
-        record.add_step_at(comp, offset, kind)
+    record.steps.extend(steps)
     return record
+
+
+def set_gap(event, index, gap):
+    """Rewrite the gap of ``event``'s ``index``-th edge (delivery
+    order)."""
+    if index == 0:
+        event.gap = gap
+    else:
+        event.overflow[index - 1] = (event.overflow[index - 1][0], gap)
+
+
+def noc_engine():
+    """A weave engine over a 4-tile chip's components with the NoC
+    weave model on: every route shares one link fabric."""
+    cfg = tiled_chip(num_tiles=4, core_model="simple", cores_per_tile=1)
+    cfg = dataclasses.replace(cfg, network=dataclasses.replace(
+        cfg.network, weave_model=True))
+    hier = MemoryHierarchy(cfg)
+    cores = [CoreWeave("core%d" % i, i, tile=cfg.core_tile(i))
+             for i in range(cfg.num_cores)]
+    engine = WeaveEngine(cores, hier.weave_components, num_tiles=4,
+                         num_domains=0,
+                         mlp_window={i: 1 for i in range(cfg.num_cores)})
+    return engine, hier
 
 
 def engine_with_bank(num_cores=2, bank_tile=0, tiles=1, ports=1,
@@ -83,7 +110,7 @@ class TestRetiming:
         engine, bank = engine_with_bank(num_cores=1)
         res = AccessRecord(0, 7, write=True)
         res.latency = 30
-        res.add_step_at(bank, 10, StepKind.MISS)
+        res.steps.append((bank, 10, StepKind.MISS))
         res.add_wback(bank)
         engine.run_interval({0: [(50, res)]})
         assert bank.events_executed == 2  # miss + writeback
@@ -175,6 +202,28 @@ class TestDeterminismAndReuse:
             assert repr(engine.stats) == repr(fresh.stats)
             assert bank.events_executed == fresh_bank.events_executed
 
+        # A NoC-weave chip: the routes leave their shared link fabric to
+        # its owner, so the engine must clear it, or the next interval
+        # queues behind the old link reservations.
+        def noc_traces(hier):
+            route = hier.noc_routes[(0, 3)]
+            return {core: [(100 + i,
+                            make_result(core, i, 30,
+                                        [(route, 10, StepKind.NOC)]))
+                           for i in range(8)]
+                    for core in range(4)}
+
+        engine, hier = noc_engine()
+        engine.run_interval(noc_traces(hier))
+        assert hier.noc_fabric.link_stall_cycles > 0
+        engine.reset()
+        assert hier.noc_fabric.link_stall_cycles == 0
+        fresh, fresh_hier = noc_engine()
+        assert engine.run_interval(noc_traces(hier)) \
+            == fresh.run_interval(noc_traces(fresh_hier))
+        assert hier.noc_fabric.link_stall_cycles \
+            == fresh_hier.noc_fabric.link_stall_cycles
+        assert domain_picture(engine) == domain_picture(fresh)
 
 class TestConservatism:
     def test_response_never_before_lower_bound(self):
@@ -298,7 +347,7 @@ class _Lockstep:
         for event in self.events:
             for index, (c, _gap) in enumerate(list(event.edges())):
                 if c is child:
-                    event.set_gap(index, -2 * _DELTA)
+                    set_gap(event, index, -2 * _DELTA)
 
     def run(self, merged):
         """Execute the built graph; returns what the run did."""

@@ -25,14 +25,16 @@ from repro.workloads.multithreaded import (
     default_threads,
     mt_workload,
 )
-from repro.workloads.patterns import (
+from repro.workloads.patterns import make_pattern
+from repro.workloads.spec_cpu import SPEC_CPU2006, spec_suite, spec_workload
+
+from pattern_reference import (
     ChasePattern,
     HotColdPattern,
     RandomPattern,
     StreamPattern,
-    make_pattern,
+    reference_pattern,
 )
-from repro.workloads.spec_cpu import SPEC_CPU2006, spec_suite, spec_workload
 
 
 class TestPatterns:
@@ -73,6 +75,25 @@ class TestPatterns:
             assert isinstance(pattern(), int)
         with pytest.raises(ValueError):
             make_pattern("zigzag", 0, 4096, rng)
+
+    @pytest.mark.parametrize("hot_fraction", (0.0, 0.3))
+    @pytest.mark.parametrize("kind", ("stream", "stride", "random", "chase"))
+    def test_closures_match_class_reference(self, kind, hot_fraction):
+        """Same addresses and the same draws as the class-based
+        patterns: the getrandbits loop is Random.randrange on this
+        interpreter.  Footprints and hot sets that are not powers of two
+        make the rejection loop reject."""
+        for seed in (0, 1, 2):
+            rngs = random.Random(seed), random.Random(seed)
+            patterns = [make(kind, 0x10_0000, 48 * 1024 + 192, rng,
+                             hot_fraction=hot_fraction,
+                             hot_bytes=6 * 1024 + 40)
+                        for make, rng in zip((make_pattern,
+                                              reference_pattern), rngs)]
+            got, want = ([pattern() for _ in range(10_000)]
+                         for pattern in patterns)
+            assert got == want
+            assert rngs[0].getstate() == rngs[1].getstate()
 
 
 class TestKernelProgram:
