@@ -1,6 +1,6 @@
 """The deterministic cost meter: interpreter opcodes inside ``sim.run()``.
 
-    python3 benchmarks/count_opcodes.py <workload> [--scale S] [--layers]
+    python3 benchmarks/count_opcodes.py <workload> [--scale S]
 
 Runs one of the repo benchmark's pinned workloads
 (``benchmarks/perf/spec.py``; ``seed_offset=4``, ``flight=False``) under
@@ -14,10 +14,10 @@ each; it is about 15x slower than an untraced run.  docs/performance.md
 of one program and omits everything that is not bytecode dispatch
 (allocator, GC, C calls): it is not a speed claim.
 
-``--layers`` also splits the count by the source file of the code that
-executed it, one line per layer and then the total.  Library code (the
-standard library's ``random``, ``heapq`` ...) counts toward the nearest
-``repro`` caller on the stack.
+The lines after the first split the count by the source file of the
+code that executed it, one line per layer and then the total.  Library
+code (the standard library's ``random``, ``heapq`` ...) counts toward
+the nearest ``repro`` caller on the stack.
 """
 
 import argparse
@@ -62,8 +62,6 @@ def main(argv):
     parser.add_argument("workload", choices=sorted(spec.BY_NAME))
     parser.add_argument("--scale", type=float, default=1.0,
                         help="multiply the workload's pinned size")
-    parser.add_argument("--layers", action="store_true",
-                        help="split the count by source layer")
     args = parser.parse_args(argv[1:])
 
     workload = spec.BY_NAME[args.workload]
@@ -112,10 +110,9 @@ def main(argv):
         sys.settrace(None)
     total = sum(counts.values())
     print(args.workload, total, worker.stats_digest(result))
-    if args.layers:
-        for layer in LAYERS:
-            print("%-12s %d" % (layer, counts[layer]))
-        print("%-12s %d" % ("total", total))
+    for layer in LAYERS:
+        print("%-12s %d" % (layer, counts[layer]))
+    print("%-12s %d" % ("total", total))
 
 
 if __name__ == "__main__":

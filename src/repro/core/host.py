@@ -23,7 +23,7 @@ def makespan(work_items, workers):
     ``workers`` identical workers, each finishing item waking the next."""
     if not work_items:
         return 0.0
-    if workers <= 1:
+    if workers <= 1 or len(work_items) == 1:
         return sum(work_items)
     free = [0.0] * min(workers, len(work_items))
     for item in work_items:
@@ -64,8 +64,7 @@ class HostModel:
         if measured_seconds is not None:
             self.measured_wall += measured_seconds
         times = [t for _cid, t in bound_times]
-        bound = sum(times)
-        self.bound_serial += bound
+        self.bound_serial += sum(times)
         self.weave_serial += weave_seconds
         self.other_serial += other_seconds
         total_events = sum(weave_domain_events)
@@ -75,13 +74,6 @@ class HostModel:
                             if n > 0]
         else:
             domain_times = []
-        if len(times) < 2 and len(domain_times) < 2:
-            # One item's makespan is the item on any worker count.
-            weave = sum(domain_times)
-            for h in self.host_threads:
-                self._bound_parallel[h] += bound
-                self._weave_parallel[h] += weave
-            return
         for h in self.host_threads:
             self._bound_parallel[h] += makespan(times, h)
             self._weave_parallel[h] += makespan(domain_times, h)

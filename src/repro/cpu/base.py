@@ -7,7 +7,7 @@ bound-weave engine:
   cycle passes the interval limit, the stream ends, or a syscall is hit.
 * Memory accesses that escape the private levels are appended to
   ``self.trace`` as ``(issue_cycle, AccessRecord)`` for the weave phase.
-* L1 hits are served inside the core from the memory's :func:`l1_view`;
+* L1 hits are served inside the core by the memory's :func:`l1_probe`;
   everything else goes through ``mem.access``.
 * :meth:`Core.apply_delay` applies the weave phase's contention feedback
   by shifting the core's clocks forward (the delay is always >= 0).
@@ -140,16 +140,19 @@ class Core:
         return self.instrs / cycle if cycle > 0 else 0.0
 
 
-#: One empty set per L1: every probe misses, every access reaches
-#: ``mem.access``.
-_MISS_VIEW = ([{}], [None], 1, [{}], [None], 1, 0, 0)
+def _miss(addr, write=False):
+    return False
 
 
-def l1_view(mem, core_id):
-    """``(l1i line maps, l1i LRU, l1i sets, l1d line maps, l1d LRU, l1d
-    sets, l1d latency, line shift)`` of core ``core_id``.  Looked up on
-    the *type*: a wrapper forwarding ``__getattr__`` must not hand out
-    its inner memory's view, or hits would bypass its ``access``."""
-    view = getattr(type(mem), "l1_view", None)
-    view = view(mem, core_id) if view is not None else None
-    return _MISS_VIEW if view is None else view
+#: Every probe misses, every access reaches ``mem.access``.
+_MISS_PROBE = (_miss, _miss, 0, lambda: None)
+
+
+def l1_probe(mem, core_id):
+    """``(fetch_hit, data_hit, l1d latency, flush)`` of core ``core_id``
+    (``MemoryHierarchy.l1_probe``).  Looked up on the *type*: a wrapper
+    forwarding ``__getattr__`` must not hand out its inner memory's
+    probe, or hits would bypass its ``access``."""
+    probe = getattr(type(mem), "l1_probe", None)
+    probe = probe(mem, core_id) if probe is not None else None
+    return _MISS_PROBE if probe is None else probe

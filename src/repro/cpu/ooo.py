@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.cpu.base import Core, RunOutcome, l1_view
+from repro.cpu.base import Core, RunOutcome, l1_probe
 from repro.cpu.bpred import BranchPredictor
 from repro.isa.registers import NUM_REGS
 from repro.isa.uops import UopType
-from repro.memory.coherence import MESI
 
 # Flat dispatch constants: locals in the inner loop resolve faster than
 # class-attribute lookups per µop.
@@ -99,9 +98,6 @@ class OOOCore(Core):
         self.mispredicts = 0
         self.forwarded_loads = 0
         self.wrong_path_fetches = 0
-        # L1 hits served from the view since run_until began.
-        self._ifetch_hits = 0
-        self._data_hits = 0
         #: When set to a list, every µop appends a
         #: (dispatch, exec, done, retire) tuple — used by pipeline
         #: invariant tests; None (default) costs nothing.
@@ -152,33 +148,31 @@ class OOOCore(Core):
             return RunOutcome.BLOCKED
         stream_next = stream.__next__
         simulate_bbl = self._simulate_bbl
-        view = l1_view(self.mem, self.core_id)
+        probe = l1_probe(self.mem, self.core_id)
+        flush = probe[3]
         try:
             while self._retire_clock < limit_cycle:
                 try:
                     decoded, bbl_exec = stream_next()
                 except StopIteration:
                     return RunOutcome.DONE
-                syscall = simulate_bbl(decoded, bbl_exec, view)
+                syscall = simulate_bbl(decoded, bbl_exec, probe)
                 if syscall is not None:
                     self.pending_syscall = syscall
                     return RunOutcome.SYSCALL
             return RunOutcome.LIMIT
         finally:
-            i_hits, d_hits = self._ifetch_hits, self._data_hits
-            if i_hits or d_hits:
-                self._ifetch_hits = self._data_hits = 0
-                self.mem.count_l1_hits(self.core_id, i_hits, d_hits)
+            flush()
 
     # ------------------------------------------------------------------
 
-    def _simulate_bbl(self, decoded, bbl_exec, view):
+    def _simulate_bbl(self, decoded, bbl_exec, probe):
         # The inner loop consumes the flat schedule-once descriptor
         # (decoded.flat + the static dependency schedule) with every hot
         # name bound to a local.  Stage clocks live in locals and are
         # written back at the end; a fault mid-block is recovered by the
         # supervisor's snapshot restore, never by reusing this core.
-        # L1 hits are probed in ``view`` (see cpu.base.l1_view).
+        # L1 hits are served by ``probe`` (see cpu.base.l1_probe).
         block = decoded.block
         num_uops = decoded.num_uops
         config = self.config
@@ -210,7 +204,7 @@ class OOOCore(Core):
 
         access = self._access
         trace_append = self.trace.append
-        i_lines, i_repl, i_sets, d_lines, d_repl, d_sets, d_lat, shift = view
+        fetch_hit, data_hit, d_lat, _ = probe
 
         # (1) IFetch + BPred: adjust fetchClock.
         fetch = self._fetch_clock
@@ -223,14 +217,7 @@ class OOOCore(Core):
             for line_addr in decoded.fetch_lines:
                 if line_addr != last_line:
                     last_line = line_addr
-                    line = line_addr >> shift
-                    idx = line % i_sets
-                    entry = i_lines[idx].get(line)
-                    if entry is not None:
-                        repl = i_repl[idx]
-                        repl._stamp[entry[0]] = repl._clock
-                        repl._clock += 1
-                        self._ifetch_hits += 1
+                    if fetch_hit(line_addr):
                         continue
                     result = access(line_addr, False, fetch, True)
                     if result.missed_levels:
@@ -383,21 +370,13 @@ class OOOCore(Core):
                     self.forwarded_loads += 1
                     done = (exec_cycle if exec_cycle >= ready
                             else ready) + 1
+                elif data_hit(addr):
+                    done = exec_cycle + d_lat
                 else:
-                    line = addr >> shift
-                    idx = line % d_sets
-                    entry = d_lines[idx].get(line)
-                    if entry is not None:
-                        repl = d_repl[idx]
-                        repl._stamp[entry[0]] = repl._clock
-                        repl._clock += 1
-                        self._data_hits += 1
-                        done = exec_cycle + d_lat
-                    else:
-                        result = access(addr, False, exec_cycle)
-                        if result.steps or result.wbacks:
-                            trace_append((exec_cycle, result))
-                        done = exec_cycle + result.latency
+                    result = access(addr, False, exec_cycle)
+                    if result.steps or result.wbacks:
+                        trace_append((exec_cycle, result))
+                    done = exec_cycle + result.latency
                 releases.append(done)
                 if done > last_mem_done:
                     last_mem_done = done
@@ -431,16 +410,7 @@ class OOOCore(Core):
                     ports_ops = 0
                 last_store = exec_cycle
                 done = exec_cycle + (lat if lat > 1 else 1)
-                line = addr >> shift
-                idx = line % d_sets
-                lines = d_lines[idx]
-                entry = lines.get(line)
-                if entry is not None and entry[1] >= MESI.E:
-                    repl = d_repl[idx]
-                    repl._stamp[entry[0]] = repl._clock
-                    repl._clock += 1
-                    lines[line] = (entry[0], MESI.M)
-                    self._data_hits += 1
+                if data_hit(addr, True):
                     avail = done + d_lat
                 else:
                     result = access(addr, True, exec_cycle)

@@ -9,8 +9,7 @@ count."
 
 from __future__ import annotations
 
-from repro.cpu.base import Core, RunOutcome, l1_view
-from repro.memory.coherence import MESI
+from repro.cpu.base import Core, RunOutcome, l1_probe
 
 
 class SimpleCore(Core):
@@ -28,20 +27,16 @@ class SimpleCore(Core):
     def run_until(self, limit_cycle):
         # Consumes only the flat schedule-once descriptor fields
         # (fetch_lines, mem_ops, has_syscall): no per-µop object walks.
-        # L1 hits are probed in the memory's view, counted in locals and
-        # flushed on every exit; the clock is written back before each
+        # L1 hits are served by the memory's probe, which is flushed on
+        # every exit; the clock is written back before each
         # stream_next(), whose magic-op handlers read it.
         stream = self.stream
         if stream is None:
             return RunOutcome.BLOCKED
         stream_next = stream.__next__
-        mem = self.mem
-        core_id = self.core_id
         access = self._access
         trace_append = self.trace.append
-        i_lines, i_repl, i_sets, d_lines, d_repl, d_sets, _, shift = \
-            l1_view(mem, core_id)
-        i_hits = d_hits = 0
+        fetch_hit, data_hit, _, flush = l1_probe(self.mem, self.core_id)
         cycle = self._cycle
         last_line = self._last_fetch_line
         try:
@@ -61,14 +56,7 @@ class SimpleCore(Core):
                 for line_addr in decoded.fetch_lines:
                     if line_addr != last_line:
                         last_line = line_addr
-                        line = line_addr >> shift
-                        idx = line % i_sets
-                        entry = i_lines[idx].get(line)
-                        if entry is not None:
-                            repl = i_repl[idx]
-                            repl._stamp[entry[0]] = repl._clock
-                            repl._clock += 1
-                            i_hits += 1
+                        if fetch_hit(line_addr):
                             continue
                         result = access(line_addr, False, cycle, True)
                         if result.missed_levels:
@@ -79,18 +67,8 @@ class SimpleCore(Core):
                 addrs = bbl_exec.addrs
                 for mem_slot, write in decoded.mem_ops:
                     addr = addrs[mem_slot]
-                    line = addr >> shift
-                    idx = line % d_sets
-                    lines = d_lines[idx]
-                    entry = lines.get(line)
-                    if entry is not None and (not write or entry[1] >= MESI.E):
+                    if data_hit(addr, write):
                         # A hit costs nothing beyond its instruction.
-                        repl = d_repl[idx]
-                        repl._stamp[entry[0]] = repl._clock
-                        repl._clock += 1
-                        if write:
-                            lines[line] = (entry[0], MESI.M)
-                        d_hits += 1
                         continue
                     result = access(addr, write, cycle)
                     # Data traces are stamped at the issue cycle, before
@@ -109,8 +87,7 @@ class SimpleCore(Core):
         finally:
             self._cycle = cycle
             self._last_fetch_line = last_line
-            if i_hits or d_hits:
-                mem.count_l1_hits(core_id, i_hits, d_hits)
+            flush()
 
     def integrity_items(self):
         yield from super().integrity_items()

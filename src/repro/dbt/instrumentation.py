@@ -80,12 +80,7 @@ class InstrumentedStream:
         return record
 
     def __next__(self):
-        if self._pushback or self._log is not None:
-            bbl_exec = self._next_record()
-        else:
-            # The common case, _next_record inlined: read the source.
-            bbl_exec = next(self._stream)
-            self.pulled += 1
+        bbl_exec = self._next_record()
         block = bbl_exec.block
         decoded = self.tcache.translate(block, self.program_id)
         self.instrs_retired += block.num_instrs

@@ -36,7 +36,47 @@ _MESI_M = MESI.M
 _HASH_MULT = 0x9E3779B1
 
 
-class Cache:
+class _Directory:
+    """The bitmask directory caches and main memory keep over their
+    ``children``: ``_sharers`` maps a line to the bitmask of child ids
+    holding it, ``_owner`` to the child id holding it in E/M."""
+
+    def sharers_of(self, line):
+        """Sharing children of ``line`` as a set of objects (bitmask
+        decoded; introspection only)."""
+        mask = self._sharers.get(line, 0)
+        members = set()
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            members.add(self.children[low.bit_length() - 1])
+        return members
+
+    def _drop_child(self, line, child):
+        """Directory side of ``child`` evicting ``line``."""
+        self.dir_ops += 1
+        mask = self._sharers.get(line)
+        if mask is not None:
+            mask &= ~(1 << child.child_id)
+            if mask:
+                self._sharers[line] = mask
+            else:
+                del self._sharers[line]
+        if self._owner.get(line) == child.child_id:
+            del self._owner[line]
+
+    def _directory_items(self):
+        """The full directory for a deep integrity digest, children
+        named (object reprs would leak host addresses)."""
+        yield tuple(sorted(
+            (line, tuple(sorted(child.name
+                                for child in self.sharers_of(line))))
+            for line in self._sharers))
+        yield tuple(sorted((line, self.children[owner].name)
+                           for line, owner in self._owner.items()))
+
+
+class Cache(_Directory):
     """One coherent cache (a private cache or one bank of a shared one)."""
 
     def __init__(self, name, level, num_sets, ways, latency, repl="lru",
@@ -216,17 +256,7 @@ class Cache:
 
     def child_evicted(self, line, child, dirty, ctx):
         """A child evicted its copy (writeback if dirty)."""
-        self.dir_ops += 1
-        sharers = self._sharers
-        mask = sharers.get(line)
-        if mask is not None:
-            mask &= ~(1 << child.child_id)
-            if mask:
-                sharers[line] = mask
-            else:
-                del sharers[line]
-        if self._owner.get(line) == child.child_id:
-            del self._owner[line]
+        self._drop_child(line, child)
         if dirty:
             # Dirty data lands in this cache; inclusion guarantees the
             # line is resident.
@@ -351,18 +381,6 @@ class Cache:
         state = self.array.lookup(line, touch=False)
         return MESI.I if state is None else state
 
-    def sharers_of(self, line):
-        """Sharing children of ``line`` as a set of cache objects
-        (bitmask decoded; introspection only)."""
-        mask = self._sharers.get(line, 0)
-        children = self.children
-        members = set()
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            members.add(children[low.bit_length() - 1])
-        return members
-
     def integrity_items(self, deep=False):
         """Digest items for the integrity sentinel: name, hot counters,
         directory sizes, and the array summary; ``deep`` adds the full
@@ -375,13 +393,7 @@ class Cache:
         yield (len(self._sharers), len(self._owner))
         yield from self.array.integrity_items(deep=deep)
         if deep:
-            yield tuple(sorted(
-                (line, tuple(sorted(child.name for child in
-                                    self.sharers_of(line))))
-                for line in self._sharers))
-            children = self.children
-            yield tuple(sorted((line, children[owner].name)
-                               for line, owner in self._owner.items()))
+            yield from self._directory_items()
 
     def fill_stats(self, node):
         """Dump counters into a :class:`~repro.stats.StatsNode`."""
@@ -399,7 +411,7 @@ class Cache:
         return "Cache(%s)" % self.name
 
 
-class MainMemory:
+class MainMemory(_Directory):
     """Terminal level: memory controllers with a directory over the top
     cache level.  The directory is only exercised when the top level is
     not a single shared cache (e.g., multiple per-tile L2s and no L3);
@@ -499,32 +511,11 @@ class MainMemory:
         self._owner[line] = rid
 
     def child_evicted(self, line, child, dirty, ctx):
-        self.dir_ops += 1
-        sharers = self._sharers
-        mask = sharers.get(line)
-        if mask is not None:
-            mask &= ~(1 << child.child_id)
-            if mask:
-                sharers[line] = mask
-            else:
-                del sharers[line]
-        if self._owner.get(line) == child.child_id:
-            del self._owner[line]
+        self._drop_child(line, child)
         if dirty:
             self.writebacks += 1
             if ctx is not None:
                 ctx.add_wback(self.ctrl_weaves[line % self.config.controllers])
-
-    def sharers_of(self, line):
-        """Sharing top-level caches of ``line`` (introspection only)."""
-        mask = self._sharers.get(line, 0)
-        children = self.children
-        members = set()
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            members.add(children[low.bit_length() - 1])
-        return members
 
     def integrity_items(self, deep=False):
         """Digest items for the integrity sentinel (same shape as
@@ -533,13 +524,7 @@ class MainMemory:
         yield (self.reads, self.writebacks)
         yield (len(self._sharers), len(self._owner))
         if deep:
-            yield tuple(sorted(
-                (line, tuple(sorted(child.name for child in
-                                    self.sharers_of(line))))
-                for line in self._sharers))
-            children = self.children
-            yield tuple(sorted((line, children[owner].name)
-                               for line, owner in self._owner.items()))
+            yield from self._directory_items()
 
     def fill_stats(self, node):
         node.set("reads", self.reads)

@@ -41,6 +41,45 @@ def hash_line(line):
     return ((line * _HASH_MULT) & 0xFFFFFFFF) >> 8
 
 
+def _hit_probe(l1, shift, histogram):
+    """``(hit, flush)`` for an unhashed LRU L1.  ``hit(addr, write)``
+    serves a hit as :meth:`MemoryHierarchy.access` does (one LRU touch,
+    a write stores M) and returns True; a miss, or a write to an S line,
+    returns False untouched.  ``flush()`` adds the hits served so far to
+    the L1's counters and ``histogram`` (sums, so bulk is exact) and
+    returns their number."""
+    array = l1.array
+    lines, repls, num_sets = array._lines, array._repl, array.num_sets
+    served = 0
+
+    def hit(addr, write=False):
+        nonlocal served
+        line = addr >> shift
+        idx = line % num_sets
+        entry = lines[idx].get(line)
+        if entry is None:
+            return False
+        if write:
+            if entry[1] < _MESI_E:
+                return False
+            lines[idx][line] = (entry[0], _MESI_M)
+        repl = repls[idx]
+        repl._stamp[entry[0]] = repl._clock
+        repl._clock += 1
+        served += 1
+        return True
+
+    def flush():
+        nonlocal served
+        hits, served = served, 0
+        if hits:
+            l1.accesses += hits
+            l1.hits += hits
+            histogram.record(l1.latency, hits)
+        return hits
+    return hit, flush
+
+
 class MemoryHierarchy:
     """The full memory system for one simulated chip."""
 
@@ -277,51 +316,40 @@ class MemoryHierarchy:
     # Access entry points (bound phase)
     # ------------------------------------------------------------------
 
-    def l1_view(self, core_id):
-        """Core ``core_id``'s L1 probe state (see ``cpu.base.l1_view``),
-        or None while an observer must see every access (profiler,
-        metrics histogram) or an L1 is hashed or not LRU."""
-        if self.profiler is not None or self._metrics_latency is not None:
+    def l1_probe(self, core_id):
+        """Core ``core_id``'s ``(fetch_hit, data_hit, l1d latency,
+        flush)`` for one ``run_until`` (see :func:`_hit_probe`), or None
+        while an observer must see every access (profiler, metrics
+        histogram) or an L1 is hashed or not LRU."""
+        l1i, l1d = self.l1i[core_id], self.l1d[core_id]
+        if (self.profiler is not None or self._metrics_latency is not None
+                or l1i.array.hash_sets or l1d.array.hash_sets
+                or l1i.array.repl != "lru" or l1d.array.repl != "lru"):
             return None
-        l1i, l1d = self.l1i[core_id].array, self.l1d[core_id].array
-        if (l1i.hash_sets or l1d.hash_sets or l1i.repl != "lru"
-                or l1d.repl != "lru"):
-            return None
-        return (l1i._lines, l1i._repl, l1i.num_sets, l1d._lines, l1d._repl,
-                l1d.num_sets, self.l1d[core_id].latency, self.line_bits)
+        hist = self.access_latency
+        fetch_hit, fetch_flush = _hit_probe(l1i, self.line_bits, hist)
+        data_hit, data_flush = _hit_probe(l1d, self.line_bits, hist)
 
-    def count_l1_hits(self, core_id, ifetch_hits, data_hits):
-        """Record in bulk the L1 hits a core served from its view: the
-        counters and histogram :meth:`access` bumps per hit are sums, so
-        the order of recording does not matter."""
-        for l1, hits in ((self.l1i[core_id], ifetch_hits),
-                         (self.l1d[core_id], data_hits)):
-            if hits:
-                l1.accesses += hits
-                l1.hits += hits
-                self.access_latency.record(l1.latency, hits)
-        self.fastpath_hits += ifetch_hits + data_hits
+        def flush():
+            self.fastpath_hits += fetch_flush() + data_flush()
+        return fetch_hit, data_hit, l1d.latency, flush
 
     def access(self, core_id, addr, write, cycle=0, ifetch=False):
         """One core access; returns an :class:`AccessRecord` whose latency
         is the zero-load bound and whose steps feed the weave phase.
 
-        Cores probe their L1 through :meth:`l1_view` and call this only
-        on a miss or an upgrade; memories without a live view (wrappers,
-        a profiler, a metrics histogram) bring their hits here.  A hit
-        with no coherence side effects is served inline: it peeks the
-        array, touches the replacement state once (exactly like the
-        walk's single ``lookup``), bumps the same counters, and stores
-        the record's slots directly (empty tuples where the walk would
-        have grown lists).  A write hit needs the line in E or M; a
-        write hit in S requires an upgrade and goes down the coherence
-        walk (:meth:`_walk_access`) like every miss.  Legal because L1s
-        carry no weave component: private levels are bound-phase only."""
+        Cores probe their L1 through :meth:`l1_probe` and call this only
+        on a miss or an upgrade; without a live probe (wrappers, a
+        profiler, a metrics histogram) their hits come here too.  A hit
+        with no coherence side effects (a write needs E or M) is served
+        inline, like the walk's single ``lookup``, with the record's
+        slots stored directly; everything else goes down the coherence
+        walk (:meth:`_walk_access`).  Legal because L1s carry no weave
+        component: private levels are bound-phase only."""
         line = addr >> self.line_bits
         l1 = self.l1i[core_id] if ifetch else self.l1d[core_id]
         array = l1.array
-        # Private L1 arrays are unhashed in every shipped config;
-        # inline that set-index case.
+        # Unhashed L1s (every shipped config) index inline.
         idx = (line % array.num_sets if not array.hash_sets
                else array.set_index(line))
         entry = array._lines[idx].get(line)
@@ -351,29 +379,16 @@ class MemoryHierarchy:
             result.core_id = core_id
             result.invalidations = 0
             result.shared_evictions = ()
-            # Log2Histogram.record, inlined (latency is a
-            # non-negative int, so the guards drop out).
-            hist = self.access_latency
-            b = latency.bit_length()
-            hist._counts[b if b < 64 else 63] += 1
-            hist.count += 1
-            hist.total += latency
-            if hist.min is None or latency < hist.min:
-                hist.min = latency
-            if hist.max is None or latency > hist.max:
-                hist.max = latency
-            if self._metrics_latency is not None:
-                self._metrics_latency.record(latency)
-            if self.profiler is not None:
-                self.profiler.record(result, cycle)
-            return result
-        self.slow_accesses += 1
-        result = AccessRecord(core_id, line, write)
-        self._walk_access(l1, line, write, result, idx, entry)
-        if (self.prefetchers and not ifetch
-                and "l1d" in result.missed_levels):
-            self._prefetch(core_id, line, result)
-        latency = result.latency
+        else:
+            self.slow_accesses += 1
+            result = AccessRecord(core_id, line, write)
+            self._walk_access(l1, line, write, result, idx, entry)
+            if (self.prefetchers and not ifetch
+                    and "l1d" in result.missed_levels):
+                self._prefetch(core_id, line, result)
+            latency = result.latency
+        # Log2Histogram.record, inlined (latency is a non-negative int,
+        # so the guards drop out).
         hist = self.access_latency
         b = latency.bit_length()
         hist._counts[b if b < 64 else 63] += 1
@@ -384,7 +399,7 @@ class MemoryHierarchy:
         if hist.max is None or latency > hist.max:
             hist.max = latency
         if self._metrics_latency is not None:
-            self._metrics_latency.record(result.latency)
+            self._metrics_latency.record(latency)
             if result.missed_levels:
                 self._telem.metrics.inc("mem.misses.%s"
                                         % result.missed_levels[-1])

@@ -7,7 +7,7 @@ Three layers of guarantees:
   legacy per-µop objects and to an independently simulated scoreboard;
 * the shipped access path (L1 hits served in the core, inline L1 hit,
   flattened walk) produces the simulated stats of the recursive
-  reference walk, and memories without a live L1 view still see every
+  reference walk, and memories without a live L1 probe still see every
   access;
 * an access record belongs to whoever holds it (nothing recycles
   records, trace lists or weave events), and the data plane survives
@@ -148,9 +148,9 @@ def _run(config, contention, backend=None, instrs=15_000,
     return sim, _stats_tree(sim.run())
 
 
-def _no_view(hier, core_id):
-    """``MemoryHierarchy.l1_view`` for the reference arm: the cores get
-    the always-miss view, so every access reaches ``access``."""
+def _no_probe(hier, core_id):
+    """``MemoryHierarchy.l1_probe`` for the reference arm: the cores get
+    the always-miss probe, so every access reaches ``access``."""
     return None
 
 
@@ -158,7 +158,7 @@ def _no_view(hier, core_id):
 _REFERENCES = {
     # Every access down the recursive walk: no hit served in the core,
     # no inline L1 hit in access().
-    "access": (("access", reference_access), ("l1_view", _no_view)),
+    "access": (("access", reference_access), ("l1_probe", _no_probe)),
     # The shipped core probe and fast path over the recursive walk:
     # isolates the flattened walk.
     "walk": (("_walk_access", staticmethod(recursive_walk)),),
@@ -237,7 +237,7 @@ class TestFastpathEquivalence:
     @pytest.mark.parametrize("num_cores", (1, 4))
     def test_core_probe_off_is_invisible(self, monkeypatch, num_cores,
                                          core_model, contention):
-        """The L1 hits cores serve from their view, on every contention
+        """The L1 hits cores serve with their probe, on every contention
         model and core count, against every access down the recursive
         walk."""
         _assert_reference_invisible(monkeypatch, "access", num_cores,
@@ -295,8 +295,8 @@ def _l1_picture(hier):
 
 
 class TestCoreProbe:
-    """Cores serve L1 hits from the view a bare hierarchy hands out;
-    every other memory object gets the always-miss view, so wrappers,
+    """Cores serve L1 hits with the probe a bare hierarchy hands out;
+    every other memory object gets the always-miss probe, so wrappers,
     profilers and metrics still see every access."""
 
     @pytest.mark.parametrize("contention, served_in_core",
@@ -327,7 +327,7 @@ class TestCoreProbe:
             return len(wrappers[0].addrs), tree
 
         count, got = run()
-        monkeypatch.setattr(MemoryHierarchy, "l1_view", _no_view)
+        monkeypatch.setattr(MemoryHierarchy, "l1_probe", _no_probe)
         assert run() == (count, got)
 
     def test_reference_simulator_ipc_is_unchanged(self, monkeypatch):
@@ -338,7 +338,7 @@ class TestCoreProbe:
                 cfg, wl.make_threads(target_instrs=20_000)).run().ipc
 
         got = ipc()
-        monkeypatch.setattr(MemoryHierarchy, "l1_view", _no_view)
+        monkeypatch.setattr(MemoryHierarchy, "l1_probe", _no_probe)
         assert got == ipc()
 
     def test_profiler_and_metrics_see_every_access(self, monkeypatch):
@@ -355,7 +355,7 @@ class TestCoreProbe:
             return accesses
 
         accesses = run()
-        monkeypatch.setattr(MemoryHierarchy, "l1_view", _no_view)
+        monkeypatch.setattr(MemoryHierarchy, "l1_probe", _no_probe)
         assert run() == accesses
 
     @pytest.mark.parametrize("core_model", ("simple", "ooo"))
@@ -389,7 +389,7 @@ class TestCoreProbe:
 
         got = run()
         assert got[1] > 0
-        monkeypatch.setattr(MemoryHierarchy, "l1_view", _no_view)
+        monkeypatch.setattr(MemoryHierarchy, "l1_probe", _no_probe)
         assert got == run()
 
 

@@ -21,8 +21,8 @@ SRC = pathlib.Path(repro.__file__).parent
 
 BUDGETS = {
     "memory": 2622,
-    "core": 2011,
-    "cpu": 913,
+    "core": 2003,
+    "cpu": 863,
     "resilience": 1546,
     "obs": 1361,
     "exec": 1719,

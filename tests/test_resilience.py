@@ -360,6 +360,28 @@ class TestWallClockBudget:
 # ---------------------------------------------------------------------
 
 
+_CORE_ATTRS = {"bbls", "config", "core_id", "instrs", "l1d_misses",
+               "l1i_misses", "l2_misses", "l3_misses", "loads", "mem",
+               "pending_syscall", "stores", "stream", "trace", "uops",
+               "_last_fetch_line", "_line_bytes", "_line_mask",
+               "record_all_levels"}
+
+#: Every attribute a format-3 build pickles on a core.  A build may drop
+#: one (a capsule's extra attribute is never read) but must bump
+#: FORMAT_VERSION to add one.
+_FORMAT_3_CORE_ATTRS = {
+    "simple": _CORE_ATTRS | {"_cycle"},
+    "ooo": _CORE_ATTRS | {
+        "_decode_clock", "_fence_cycle", "_fetch_clock", "_issue_clock",
+        "_issue_slots", "_last_mem_done", "_last_store_cycle",
+        "_load_releases", "_lsd_recent", "_mispredict_resume", "_ports",
+        "_retire_clock", "_retire_slots", "_rob", "_scoreboard",
+        "_store_buffer", "_store_order", "_window", "bpred",
+        "cond_branches", "debug_trace", "forwarded_loads", "lsd_streams",
+        "mispredicts", "wrong_path_fetches"},
+}
+
+
 def _small_sim(instrs=8_000, core_model="simple"):
     cfg = small_test_system(num_cores=4, core_model=core_model)
     wl = mt_workload("blackscholes", scale=1 / 64, num_threads=4)
@@ -480,6 +502,30 @@ class TestResume:
         resumed = ZSim.resume(capsule, threads)
         assert_equivalent(_stats_tree(resumed.run()), baseline,
                           context="resume vs uninterrupted")
+
+    @pytest.mark.parametrize("core_model", ("simple", "ooo"))
+    def test_capsule_of_any_format_3_build_resumes(self, tmp_path,
+                                                   core_model):
+        """A mid-run capsule whose cores carry exactly the format-3
+        attribute set (what the earliest v3 build pickled) resumes to the
+        uninterrupted run's stats, and this build's cores pickle nothing
+        outside that set: a core attribute a v3 capsule may lack would
+        pass the version check and then fail on its first read."""
+        baseline_sim, _ = _small_sim(core_model=core_model)
+        baseline = _stats_tree(baseline_sim.run())
+
+        partial, wl = _small_sim(core_model=core_model)
+        partial.checkpointer = Checkpointer(str(tmp_path), every=3)
+        partial.run(max_intervals=3)
+        capsule = read_checkpoint(latest(str(tmp_path)))
+        pinned = _FORMAT_3_CORE_ATTRS[core_model]
+        for core in capsule["sim"].cores:
+            assert set(vars(core)) <= pinned
+            for name in pinned - set(vars(core)):
+                setattr(core, name, None)  # dropped since, never read
+        resumed = ZSim.resume(capsule, wl.make_threads(target_instrs=8_000))
+        assert_equivalent(_stats_tree(resumed.run()), baseline,
+                          context="format-3 capsule vs uninterrupted")
 
     def test_resume_after_fault_recovery_matches(self, tmp_path,
                                                  serial_baseline):
