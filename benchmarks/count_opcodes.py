@@ -3,9 +3,12 @@
     python3 benchmarks/count_opcodes.py <workload> [--scale S]
 
 Runs one of the repo benchmark's pinned workloads
-(``benchmarks/perf/spec.py``; ``seed_offset=4``, ``flight=False``) under
-``sys.settrace`` with per-opcode events and prints the workload, the
-opcodes executed inside ``sim.run()`` and the simulated-stats digest.
+(``benchmarks/perf/spec.py``; ``seed_offset=4``) under ``sys.settrace``
+with per-opcode events and prints the workload, the opcodes executed
+inside ``sim.run()`` and the simulated-stats digest.  A guarded workload
+runs with the guards ``benchmarks/perf/worker.py`` gives it (the default
+flight recorder, audits every 8 intervals, checkpoints every 16 into a
+temporary directory); the others run with ``flight=False``.
 The count repeats to the last digit across fresh processes (the script
 re-executes itself under ``PYTHONHASHSEED=0`` when needed), so a 0.5%
 difference between two versions of the program is resolvable in one run
@@ -22,7 +25,9 @@ the nearest ``repro`` caller on the stack.
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 
 SEED = 4
 
@@ -67,10 +72,18 @@ def main(argv):
     workload = spec.BY_NAME[args.workload]
     config, kernel, threads, asked = spec.build(
         workload, int(workload.instrs * args.scale))
-    sim = ZSim(config, contention_model=workload.contention, flight=False,
+    # flight=None is the simulator's default-on flight recorder.
+    sim = ZSim(config, contention_model=workload.contention,
+               flight=None if workload.guarded else False,
                threads=kernel.make_threads(
                    target_instrs=asked, num_threads=threads,
                    seed_offset=SEED))
+    ckpt_dir = None
+    if workload.guarded:
+        from repro.resilience import Checkpointer, IntegritySentinel
+        ckpt_dir = tempfile.mkdtemp(prefix="count-opcodes-")
+        sim.integrity = IntegritySentinel(audit_every=8)
+        sim.checkpointer = Checkpointer(ckpt_dir, every=16)
     import repro
     package_dir = os.path.dirname(repro.__file__) + os.sep
     counts = dict.fromkeys(LAYERS, 0)
@@ -108,6 +121,8 @@ def main(argv):
         result = sim.run()
     finally:
         sys.settrace(None)
+        if ckpt_dir is not None:
+            shutil.rmtree(ckpt_dir, ignore_errors=True)
     total = sum(counts.values())
     print(args.workload, total, worker.stats_digest(result))
     for layer in LAYERS:

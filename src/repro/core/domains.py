@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 
 from repro.errors import HorizonViolation
+from repro.memory.weave import WeaveComponent
 
 
 def horizon_violation(domain_id, cycle, floor):
@@ -97,17 +98,16 @@ class Domain:
         return "Domain(%d, %d queued)" % (self.domain_id, len(self._queue))
 
 
-class CoreWeave:
+class CoreWeave(WeaveComponent):
     """The weave-phase stand-in for a core: core events have no service
     time and no occupancy; the component exists to give core events a
     domain and to accumulate per-core contention delay."""
 
+    __slots__ = ("core_id",)
+
     def __init__(self, name, core_id, tile=0):
-        self.name = name
+        super().__init__(name, tile)
         self.core_id = core_id
-        self.tile = tile
-        self.domain = 0
-        self.events_executed = 0
 
     def occupy(self, cycle, kind, line=0):
         self.events_executed += 1
@@ -115,12 +115,6 @@ class CoreWeave:
 
     def zero_load_service(self, kind):
         return 0
-
-    def reset(self):
-        self.events_executed = 0
-
-    def __repr__(self):
-        return "CoreWeave(%s)" % self.name
 
 
 def assign_domains(components, num_tiles, num_domains):

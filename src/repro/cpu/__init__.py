@@ -2,7 +2,7 @@
 
 from repro.cpu.base import Core, RunOutcome
 from repro.cpu.bpred import BranchPredictor
-from repro.cpu.ooo import OOOCore, PortWindow
+from repro.cpu.ooo import OOOCore
 from repro.cpu.simple import SimpleCore
 
 
@@ -15,5 +15,5 @@ def make_core(core_id, mem, config):
     raise ValueError("Unknown core model: %r" % (config.model,))
 
 
-__all__ = ["BranchPredictor", "Core", "OOOCore", "PortWindow", "RunOutcome",
-           "SimpleCore", "make_core"]
+__all__ = ["BranchPredictor", "Core", "OOOCore", "RunOutcome", "SimpleCore",
+           "make_core"]

@@ -28,6 +28,10 @@ class RunOutcome:
 class Core:
     """Base class for core timing models."""
 
+    __slots__ = ("core_id", "mem", "config", "stream", "pending_syscall",
+                 "trace", "instrs", "uops", "bbls", "l1i_misses",
+                 "l1d_misses", "l2_misses", "l3_misses", "loads", "stores")
+
     def __init__(self, core_id, mem, config):
         self.core_id = core_id
         self.mem = mem

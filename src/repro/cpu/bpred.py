@@ -14,6 +14,10 @@ from __future__ import annotations
 class BranchPredictor:
     """gshare: global history XOR PC -> 2-bit counter table."""
 
+    __slots__ = ("history_bits", "table_size", "mispredict_penalty", "_mask",
+                 "_history", "_history_mask", "_pht", "predictions",
+                 "mispredictions")
+
     def __init__(self, config):
         self.history_bits = config.history_bits
         self.table_size = config.table_size
@@ -28,14 +32,11 @@ class BranchPredictor:
         self.predictions = 0
         self.mispredictions = 0
 
-    def _index(self, pc):
-        return ((pc >> 2) ^ self._history) & self._mask
-
     def predict_and_update(self, pc, taken):
         """Predict the branch at ``pc``, update state with the actual
         outcome ``taken``, and return True iff the prediction was
         correct."""
-        idx = self._index(pc)
+        idx = ((pc >> 2) ^ self._history) & self._mask
         counter = self._pht[idx]
         prediction = counter >= 2
         correct = prediction == taken

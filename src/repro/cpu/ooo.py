@@ -41,29 +41,18 @@ _FENCE = UopType.FENCE
 _SYSCALL = UopType.SYSCALL
 
 
-class PortWindow:
-    """Tracks execution-port occupancy over future cycles.
-
-    A µop scheduled with mask M lands at the first cycle >= its dispatch
-    cycle that has a free port in M ("schedule in first cycle >
-    dispatchCycle that has a free port compatible with uop ports").
-    """
-
-    def __init__(self):
-        self._used = {}
-        self._ops = 0
-        self._prune_before = 0
-
-    def _prune(self, horizon):
-        self._ops = 0
-        if horizon <= self._prune_before:
-            return
-        self._used = {c: m for c, m in self._used.items() if c >= horizon}
-        self._prune_before = horizon
-
-
 class OOOCore(Core):
     """Westmere-class OOO core with instruction-driven timing."""
+
+    __slots__ = ("bpred", "_fetch_clock", "_decode_clock", "_issue_clock",
+                 "_issue_slots", "_retire_clock", "_retire_slots",
+                 "_scoreboard", "_ports_used", "_ports_ops",
+                 "_ports_pruned", "_rob", "_window", "_store_buffer",
+                 "_store_order", "_load_releases", "_last_store_cycle",
+                 "_last_mem_done", "_fence_cycle", "_line_bytes",
+                 "_last_fetch_line", "_mispredict_resume", "_lsd_recent",
+                 "lsd_streams", "cond_branches", "mispredicts",
+                 "forwarded_loads", "wrong_path_fetches", "debug_trace")
 
     def __init__(self, core_id, mem, config):
         super().__init__(core_id, mem, config)
@@ -75,7 +64,11 @@ class OOOCore(Core):
         self._retire_clock = 0
         self._retire_slots = 0
         self._scoreboard = [0] * NUM_REGS
-        self._ports = PortWindow()
+        # Execution ports: cycle -> used-port mask; a µop lands at the
+        # first cycle >= its dispatch with a free port in its mask.
+        self._ports_used = {}
+        self._ports_ops = 0
+        self._ports_pruned = 0
         # Rings sized by the hardware they model: full <=> len == size,
         # the head is [0], and append() on a full ring evicts it.
         self._rob = deque(maxlen=config.rob_size)   # retire cycles
@@ -139,6 +132,15 @@ class OOOCore(Core):
                len(self._load_releases), self.cond_branches,
                self.mispredicts, self.forwarded_loads,
                self.wrong_path_fetches, self.lsd_streams)
+
+    def _prune_ports(self, horizon):
+        """Forget port occupancy below ``horizon``, in place."""
+        if horizon > self._ports_pruned:
+            used = self._ports_used
+            kept = {c: m for c, m in used.items() if c >= horizon}
+            used.clear()
+            used.update(kept)
+            self._ports_pruned = horizon
 
     # ------------------------------------------------------------------
 
@@ -245,13 +247,11 @@ class OOOCore(Core):
         window_size = config.issue_window_size
         load_queue_size = config.load_queue_size
         store_queue_size = config.store_queue_size
-        # Port window, inlined: the occupancy dict, its getter, and the
-        # prune countdown live in locals shared by every schedule site
-        # below.
-        ports = self._ports
-        ports_used = ports._used
+        # Port occupancy, inlined: the dict, its getter, and the prune
+        # countdown live in locals shared by every schedule site below.
+        ports_used = self._ports_used
         ports_used_get = ports_used.get
-        ports_ops = ports._ops
+        ports_ops = self._ports_ops
         rob = self._rob
         rob_append = rob.append
         window = self._window
@@ -336,9 +336,7 @@ class OOOCore(Core):
                 ports_used[exec_cycle] = occ | (free & -free)
                 ports_ops += 1
                 if ports_ops >= 4096:
-                    ports._prune(exec_min)
-                    ports_used = ports._used
-                    ports_used_get = ports_used.get
+                    self._prune_ports(exec_min)
                     ports_ops = 0
                 done = exec_cycle + lat
             elif utype == _LOAD:
@@ -360,9 +358,7 @@ class OOOCore(Core):
                 ports_used[exec_cycle] = occ | (free & -free)
                 ports_ops += 1
                 if ports_ops >= 4096:
-                    ports._prune(exec_min)
-                    ports_used = ports._used
-                    ports_used_get = ports_used.get
+                    self._prune_ports(exec_min)
                     ports_ops = 0
                 ready = store_buffer.get(addr >> 3)
                 if ready is not None:
@@ -404,9 +400,7 @@ class OOOCore(Core):
                 ports_used[exec_cycle] = occ | (free & -free)
                 ports_ops += 1
                 if ports_ops >= 4096:
-                    ports._prune(exec_min)
-                    ports_used = ports._used
-                    ports_used_get = ports_used.get
+                    self._prune_ports(exec_min)
                     ports_ops = 0
                 last_store = exec_cycle
                 done = exec_cycle + (lat if lat > 1 else 1)
@@ -439,9 +433,7 @@ class OOOCore(Core):
                 ports_used[exec_cycle] = occ | (free & -free)
                 ports_ops += 1
                 if ports_ops >= 4096:
-                    ports._prune(exec_min)
-                    ports_used = ports._used
-                    ports_used_get = ports_used.get
+                    self._prune_ports(exec_min)
                     ports_ops = 0
                 done = exec_cycle + lat
                 if utype == _FENCE:
@@ -484,7 +476,7 @@ class OOOCore(Core):
         for reg, idx in decoded.final_writes:
             sb[reg] = done_cycles[idx]
 
-        ports._ops = ports_ops
+        self._ports_ops = ports_ops
         self._last_store_cycle = last_store
         self._last_mem_done = last_mem_done
         self._fence_cycle = fence_cycle

@@ -15,6 +15,8 @@ from repro.cpu.base import Core, RunOutcome, l1_probe
 class SimpleCore(Core):
     """IPC1 core: one cycle per instruction plus memory latencies."""
 
+    __slots__ = ("_cycle", "_last_fetch_line")
+
     def __init__(self, core_id, mem, config):
         super().__init__(core_id, mem, config)
         self._cycle = 0

@@ -14,7 +14,9 @@ functional source is usually a generator and cannot be pickled, but it
 from it — fully describes it.  Three mechanisms build on that:
 
 * ``__getstate__`` drops the source; a pickled stream round-trips with
-  its position, counters, and any pushed-back records intact.
+  its position, counters, and any pushed-back records intact.  The
+  class is slotted: pickling reads no ``__dict__``, which on CPython
+  3.11 would leave every later ``__next__`` on the slower dict path.
 * ``resume_source()`` installs a fresh source (a re-created generator)
   and fast-forwards it ``pulled`` records to the saved position.
 * ``begin_log()`` / ``rollback_log()`` bracket a speculative span (one
@@ -46,6 +48,10 @@ class InstrumentedStream:
     registered handlers inline, mirroring how zsim recognizes magic NOP
     sequences at instrumentation time.
     """
+
+    __slots__ = ("_stream", "tcache", "program_id", "magic_handler",
+                 "instrs_retired", "bbls_executed", "pulled", "_pushback",
+                 "_log", "_log_mark")
 
     def __init__(self, stream, translation_cache=None, program_id=0,
                  magic_handler=None):
@@ -135,13 +141,13 @@ class InstrumentedStream:
     # ------------------------------------------------------------------
 
     def __getstate__(self):
-        state = self.__dict__.copy()
+        state = {name: getattr(self, name) for name in self.__slots__}
         # The functional source is a generator (unpicklable); its
         # position is fully captured by ``pulled``.  An open log is a
         # supervisor-private rollback buffer, never checkpoint state.
         state["_stream"] = None
         state["_log"] = None
-        return state
+        return None, state
 
     def resume_source(self, source):
         """Install a freshly re-created functional source and advance it

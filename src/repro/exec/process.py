@@ -112,7 +112,17 @@ def _fingerprint(result):
     ))
 
 
-class _RecordingMem:
+class _ForwardingMem:
+    """Forwards every attribute but ``access`` to the wrapped ``_mem``."""
+
+    def __getattr__(self, name):
+        if name.startswith("__") or "_mem" not in self.__dict__:
+            raise AttributeError(
+                "%s has no attribute %r" % (type(self).__name__, name))
+        return getattr(self._mem, name)
+
+
+class _RecordingMem(_ForwardingMem):
     """Worker-side wrapper over the (forked) memory system: passes every
     access through and records (args, result, fingerprint)."""
 
@@ -135,14 +145,8 @@ class _RecordingMem:
         self.results.append(result)
         return result
 
-    def __getattr__(self, name):
-        if name.startswith("__") or "_mem" not in self.__dict__:
-            raise AttributeError(
-                "%s has no attribute %r" % (type(self).__name__, name))
-        return getattr(self._mem, name)
 
-
-class _PrefixReplayMem:
+class _PrefixReplayMem(_ForwardingMem):
     """Driver-side wrapper serving the validated replay prefix to an
     inline re-run after a speculation mismatch.  The first ``len(results)``
     accesses were already applied to the authoritative hierarchy during
@@ -171,12 +175,6 @@ class _PrefixReplayMem:
             self._next = i + 1
             return self._results[i]
         return self._mem.access(core_id, addr, write, cycle, ifetch)
-
-    def __getattr__(self, name):
-        if name.startswith("__") or "_mem" not in self.__dict__:
-            raise AttributeError(
-                "%s has no attribute %r" % (type(self).__name__, name))
-        return getattr(self._mem, name)
 
 
 #: Core attributes that stay the driver's own on commit: the memory
@@ -612,8 +610,9 @@ class ProcessBackend(ExecutionBackend):
             core.mem = recorder._mem
         if outcome != RunOutcome.LIMIT:
             return None
-        state = {key: value for key, value in core.__dict__.items()
-                 if key not in _CORE_DETACHED}
+        state = {name: getattr(core, name) for cls in type(core).__mro__
+                 for name in vars(cls).get("__slots__", ())
+                 if name not in _CORE_DETACHED}
         try:
             state = pickle.loads(pickle.dumps(
                 state, protocol=pickle.HIGHEST_PROTOCOL))
@@ -704,7 +703,8 @@ class ProcessBackend(ExecutionBackend):
                         "stream of core %d ended during commit replay "
                         "(speculated %d blocks)" % (core_id, n_bbls),
                         phase="bound", core=core_id) from None
-            core.__dict__.update(state)
+            for name, value in state.items():
+                setattr(core, name, value)
             core.trace = [(trace_cycles[j], replayed[trace_idx[j]])
                           for j in range(len(trace_idx))]
             self.counters["spec_commits"] += 1

@@ -1,12 +1,12 @@
 """Memory-system substrate: caches, coherence, NoC, DRAM, contention."""
 
 from repro.memory.access import AccessRecord, StepKind
-from repro.memory.cache import Cache, MainMemory
+from repro.memory.cache import Cache, MainMemory, hash_line
 from repro.memory.cache_array import CacheArray
-from repro.memory.coherence import MESI, check_single_writer
+from repro.memory.coherence import MESI
 from repro.memory.contention import MD1Model
 from repro.memory.dramsim import CycleDrivenDRAM, DRAMSimWeave
-from repro.memory.hierarchy import MemoryHierarchy, hash_line
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.network import Network
 from repro.memory.noc_weave import NocFabric, NocRouteWeave
 from repro.memory.prefetcher import StridePrefetcher
@@ -37,7 +37,6 @@ __all__ = [
     "StepKind",
     "TreePLRU",
     "WeaveComponent",
-    "check_single_writer",
     "hash_line",
     "make_policy",
 ]

@@ -36,21 +36,18 @@ _MESI_M = MESI.M
 _HASH_MULT = 0x9E3779B1
 
 
+def hash_line(line):
+    """Cheap address hash used to spread lines across banks (Table 2's
+    "hashed" shared L3)."""
+    return ((line * _HASH_MULT) & 0xFFFFFFFF) >> 8
+
+
 class _Directory:
     """The bitmask directory caches and main memory keep over their
     ``children``: ``_sharers`` maps a line to the bitmask of child ids
     holding it, ``_owner`` to the child id holding it in E/M."""
 
-    def sharers_of(self, line):
-        """Sharing children of ``line`` as a set of objects (bitmask
-        decoded; introspection only)."""
-        mask = self._sharers.get(line, 0)
-        members = set()
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            members.add(self.children[low.bit_length() - 1])
-        return members
+    __slots__ = ()
 
     def _drop_child(self, line, child):
         """Directory side of ``child`` evicting ``line``."""
@@ -65,19 +62,21 @@ class _Directory:
         if self._owner.get(line) == child.child_id:
             del self._owner[line]
 
-    def _directory_items(self):
-        """The full directory for a deep integrity digest, children
-        named (object reprs would leak host addresses)."""
-        yield tuple(sorted(
-            (line, tuple(sorted(child.name
-                                for child in self.sharers_of(line))))
-            for line in self._sharers))
-        yield tuple(sorted((line, self.children[owner].name)
-                           for line, owner in self._owner.items()))
+    def deep_items(self):
+        """The full directory by value for a deep integrity digest,
+        keyed by child id (ids are stamped by the builder and pickled)."""
+        return [sorted(self._sharers.items()), sorted(self._owner.items())]
 
 
 class Cache(_Directory):
     """One coherent cache (a private cache or one bank of a shared one)."""
+
+    __slots__ = ("name", "level", "latency", "tile", "array", "children",
+                 "child_id", "down_latency", "weave", "noc_routes",
+                 "_parent_banks", "_parent_net", "_parent_hashed",
+                 "_sharers", "_owner", "accesses", "hits", "misses",
+                 "evictions", "writebacks", "invalidations", "downgrades",
+                 "upgrades", "prefetch_fills", "dir_ops")
 
     def __init__(self, name, level, num_sets, ways, latency, repl="lru",
                  tile=0, seed=0, hash_sets=False):
@@ -124,10 +123,9 @@ class Cache(_Directory):
         would put reference cycles in every capsule.  It is dropped
         here and re-created by ``MemoryHierarchy.__setstate__``
         (checkpoint support)."""
-        state = self.__dict__.copy()
-        state["_parent_banks"] = None
-        state["_parent_net"] = None
-        return state
+        state = {name: getattr(self, name) for name in Cache.__slots__}
+        state["_parent_banks"] = state["_parent_net"] = None
+        return None, state
 
     # ------------------------------------------------------------------
     # Requests from below (the "up" path)
@@ -143,8 +141,7 @@ class Cache(_Directory):
             return None, 0
         if len(banks) == 1:
             return banks[0], self._parent_net[0]
-        key = ((line * _HASH_MULT) & 0xFFFFFFFF) >> 8 \
-            if self._parent_hashed else line
+        key = hash_line(line) if self._parent_hashed else line
         idx = key % len(banks)
         return banks[idx], self._parent_net[idx]
 
@@ -196,8 +193,7 @@ class Cache(_Directory):
             parent = banks[0]
             net = self._parent_net[0]
         else:
-            key = ((line * _HASH_MULT) & 0xFFFFFFFF) >> 8 \
-                if self._parent_hashed else line
+            key = hash_line(line) if self._parent_hashed else line
             bank = key % len(banks)
             parent = banks[bank]
             net = self._parent_net[bank]
@@ -373,27 +369,22 @@ class Cache(_Directory):
         return self._sharers.pop(line, 0)
 
     # ------------------------------------------------------------------
-    # Introspection (tests, stats)
+    # Introspection (stats, integrity digests)
     # ------------------------------------------------------------------
 
-    def line_state(self, line):
-        """MESI state of ``line`` here (MESI.I if absent); no LRU touch."""
-        state = self.array.lookup(line, touch=False)
-        return MESI.I if state is None else state
-
-    def integrity_items(self, deep=False):
-        """Digest items for the integrity sentinel: name, hot counters,
-        directory sizes, and the array summary; ``deep`` adds the full
-        directory contents (children named, never repr'd — object reprs
-        would leak host addresses into the digest)."""
+    def integrity_items(self):
+        """Cheap digest items for the integrity sentinel: name, hot
+        counters, directory sizes, and the array summary."""
         yield self.name
         yield (self.accesses, self.hits, self.misses, self.evictions,
                self.writebacks, self.invalidations, self.downgrades,
                self.upgrades, self.prefetch_fills)
         yield (len(self._sharers), len(self._owner))
-        yield from self.array.integrity_items(deep=deep)
-        if deep:
-            yield from self._directory_items()
+        yield from self.array.integrity_items()
+
+    def deep_items(self):
+        """The array and the directory by value (deep digests)."""
+        return self.array.deep_items() + super().deep_items()
 
     def fill_stats(self, node):
         """Dump counters into a :class:`~repro.stats.StatsNode`."""
@@ -419,6 +410,11 @@ class MainMemory(_Directory):
     every potential requester — the L3 banks, or the top private level
     when there is no L3)."""
 
+    __slots__ = ("config", "network", "num_tiles", "level", "name",
+                 "children", "down_latency", "ctrl_weaves", "noc_routes",
+                 "_num_ctrls", "_zero_load", "_ctrl_tiles", "_net_to_ctrl",
+                 "_sharers", "_owner", "reads", "writebacks", "dir_ops")
+
     def __init__(self, config, network, num_tiles):
         self.config = config
         self.network = network
@@ -430,15 +426,10 @@ class MainMemory(_Directory):
         #: One weave component per controller, set by the hierarchy.
         self.ctrl_weaves = [None] * config.controllers
         self.noc_routes = None
-        # Flat-walk routing tables; MemoryHierarchy._rewire_parents
-        # refreshes them (also after unpickle) before any walk runs.
-        self._num_ctrls = config.controllers
-        self._zero_load = config.zero_load_latency
-        self._ctrl_tiles = tuple(self.controller_tile(ctrl)
-                                 for ctrl in range(config.controllers))
-        self._net_to_ctrl = tuple(
-            tuple(network.latency(src, tile) for tile in self._ctrl_tiles)
-            for src in range(num_tiles))
+        # Flat-walk routing tables, installed by
+        # MemoryHierarchy._rewire_parents (also after unpickle).
+        self._num_ctrls = self._zero_load = None
+        self._ctrl_tiles = self._net_to_ctrl = None
         self._sharers = {}            # line -> int bitmask of child ids
         self._owner = {}              # line -> child id
         self.reads = 0
@@ -517,14 +508,12 @@ class MainMemory(_Directory):
             if ctx is not None:
                 ctx.add_wback(self.ctrl_weaves[line % self.config.controllers])
 
-    def integrity_items(self, deep=False):
-        """Digest items for the integrity sentinel (same shape as
+    def integrity_items(self):
+        """Cheap digest items for the integrity sentinel (same shape as
         :meth:`Cache.integrity_items`, minus the array)."""
         yield self.name
         yield (self.reads, self.writebacks)
         yield (len(self._sharers), len(self._owner))
-        if deep:
-            yield from self._directory_items()
 
     def fill_stats(self, node):
         node.set("reads", self.reads)

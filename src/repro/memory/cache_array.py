@@ -29,6 +29,9 @@ class CacheArray:
     the cheap integrity digest over it) deliberately stays dense.
     """
 
+    __slots__ = ("num_sets", "hash_sets", "ways", "repl", "seed", "_free",
+                 "_lines", "_ways", "_repl")
+
     def __init__(self, num_sets, ways, repl="lru", seed=0,
                  hash_sets=False):
         if num_sets < 1 or ways < 1:
@@ -78,16 +81,15 @@ class CacheArray:
         # with the array, and the placeholders are rebuilt on load
         # rather than pickled (an unpickled copy of the shared map would
         # no longer be the object the rest of the module knows).
-        state = dict(self.__dict__)
-        lines, ways, repl = (state.pop("_lines"), state.pop("_ways"),
-                             state.pop("_repl"))
-        state["_sets"] = {idx: (lines[idx], ways[idx], repl[idx])
-                          for idx in self.materialised_sets()}
-        return state
+        lines, ways, repl = self._lines, self._ways, self._repl
+        return (self.num_sets, self.hash_sets, self.ways, self.repl,
+                self.seed, self._free,
+                {idx: (lines[idx], ways[idx], repl[idx])
+                 for idx in self.materialised_sets()})
 
     def __setstate__(self, state):
-        sets = state.pop("_sets")
-        self.__dict__.update(state)
+        (self.num_sets, self.hash_sets, self.ways, self.repl, self.seed,
+         self._free, sets) = state
         self._blank_sets()
         for idx, (lines, ways, repl) in sets.items():
             self._lines[idx] = lines
@@ -158,21 +160,15 @@ class CacheArray:
         self._free[idx] += 1
         return state
 
-    def occupancy(self):
-        """Total resident lines (for tests and stats)."""
-        return sum(len(s) for s in self._lines)
-
     def resident_lines(self):
         """All resident (line, state) pairs (test/debug helper)."""
         for lines in self._lines:
             for line, (_, state) in lines.items():
                 yield line, state
 
-    def integrity_items(self, deep=False):
+    def integrity_items(self):
         """Digest items for the integrity sentinel: geometry, occupancy
-        and the free-way vector (cheap, O(sets)); ``deep`` adds the
-        full tag+MESI contents, sorted per set so the digest is stable
-        across pickle round-trips (see repro.resilience.integrity)."""
+        and the free-way vector (cheap, O(sets))."""
         # Occupancy is deliberately NOT summed here: the free-way
         # vector digest below already encodes per-set occupancy
         # exactly, and an O(sets) len() walk at every barrier blows
@@ -181,12 +177,13 @@ class CacheArray:
         yield (self.num_sets, self.ways,
                zlib.crc32(bytes(free)) & 0xFFFFFFFF
                if self.ways < 256 else tuple(free))
-        if deep:
-            for idx, lines in enumerate(self._lines):
-                if lines:
-                    yield (idx, tuple(sorted(
-                        (line, way, int(state))
-                        for line, (way, state) in lines.items())))
+
+    def deep_items(self):
+        """The full tag+MESI contents by value for a deep digest: one
+        ``(idx, sorted line map)`` per non-empty set, ascending (see
+        repro.resilience.integrity)."""
+        return [(idx, sorted(lines.items()))
+                for idx, lines in enumerate(self._lines) if lines]
 
     def audit_invariants(self, component):
         """Bookkeeping invariants the sentinel's auditor checks: the

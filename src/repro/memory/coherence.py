@@ -1,4 +1,4 @@
-"""MESI coherence state definitions and invariant helpers."""
+"""MESI coherence state definitions."""
 
 from __future__ import annotations
 
@@ -14,20 +14,3 @@ class MESI:
 
     NAMES = {0: "I", 1: "S", 2: "E", 3: "M"}
 
-
-def is_exclusive(state):
-    """True if the state grants write permission without upgrade."""
-    return state in (MESI.E, MESI.M)
-
-
-def check_single_writer(states):
-    """Invariant check: at most one copy in M/E, and if one exists there
-    are no S copies.  ``states`` is an iterable of MESI states of all the
-    copies of one line at one level.  Returns True when legal."""
-    states = [s for s in states if s != MESI.I]
-    exclusive = sum(1 for s in states if is_exclusive(s))
-    if exclusive > 1:
-        return False
-    if exclusive == 1 and len(states) > 1:
-        return False
-    return True

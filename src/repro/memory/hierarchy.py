@@ -35,12 +35,6 @@ _SK_WBACK = StepKind.WBACK
 _WALK_DEPTH = 8
 
 
-def hash_line(line):
-    """Cheap address hash used to spread lines across banks (Table 2's
-    "hashed" shared L3)."""
-    return ((line * _HASH_MULT) & 0xFFFFFFFF) >> 8
-
-
 def _hit_probe(l1, shift, histogram):
     """``(hit, flush)`` for an unhashed LRU L1.  ``hit(addr, write)``
     serves a hit as :meth:`MemoryHierarchy.access` does (one LRU touch,
@@ -770,37 +764,47 @@ class MemoryHierarchy:
         node.histogram("access_latency").merge(self.access_latency)
 
     def check_inclusion(self):
-        """Invariant: every line in a child is present in its parent.
-        Returns a list of violations (empty when the invariant holds)."""
+        """Invariant: every line in a child is present in the parent bank
+        the walk routes it to.  Returns ``(child, parent, line)``
+        violations, each child's in ascending line order: per parent its
+        children's lines minus its own (set algebra, holding only the
+        children's lines), line by line only below a multi-bank level."""
         violations = []
-        for cache in self.all_caches():
-            if cache._parent_banks is None:
-                continue
-            for line, _state in cache.array.resident_lines():
-                parent, _ = cache.parent_select(line)
-                if isinstance(parent, MainMemory):
-                    continue
-                if parent.line_state(line) == 0:  # MESI.I
-                    violations.append((cache.name, parent.name, line))
+        for parent in self.l2s + self.l3_banks:
+            children = [child for child in parent.children
+                        if len(child._parent_banks) == 1]
+            missing = set().union(*[lines for child in children
+                                    for lines in child.array._lines])
+            if missing:
+                missing.difference_update(*parent.array._lines)
+            for child in children if missing else ():
+                violations += [(child.name, parent.name, line)
+                               for line in sorted(missing)
+                               if child.array.lookup(line, touch=False)
+                               is not None]
+        for child in self.all_caches():
+            if len(child._parent_banks) > 1:
+                for line in sorted(set().union(*child.array._lines)):
+                    parent, _net = child.parent_select(line)
+                    if parent.array.lookup(line, touch=False) is None:
+                        violations.append((child.name, parent.name, line))
         return violations
 
     def check_coherence(self):
-        """Invariant: single-writer — for every line present anywhere in
-        the L1s, at most one L1 holds it in M/E, and if one does, no other
-        L1 holds it at all.  Returns violations."""
-        from repro.memory.coherence import check_single_writer
-        lines = {}
-        for cache in list(self.l1i) + list(self.l1d):
-            for line, state in cache.array.resident_lines():
-                lines.setdefault(line, []).append((cache.name, state))
-        violations = []
-        for line, copies in lines.items():
-            # Copies in the same core's L1I/L1D are fine; group by core.
-            by_core = {}
-            for name, state in copies:
-                core = name.split("-")[1]
-                by_core.setdefault(core, []).append(state)
-            states = [max(v) for v in by_core.values()]
-            if not check_single_writer(states):
-                violations.append((line, copies))
-        return violations
+        """Invariant: single-writer — a line held by two or more cores'
+        L1s is held by none of them in M/E.  Returns ``(line, copies)``
+        violations in ascending line order, ``copies`` the L1s' ``(name,
+        state)`` pairs; records are built only for failing lines."""
+        seen, shared, bad = set(), set(), set()
+        for l1i, l1d in zip(self.l1i, self.l1d):
+            held = set().union(*l1i.array._lines, *l1d.array._lines)
+            shared |= held & seen
+            seen |= held
+        for cache in self.l1i + self.l1d:
+            held = shared.intersection(set().union(*cache.array._lines))
+            bad.update(line for line in held
+                       if cache.array.lookup(line, touch=False) >= _MESI_E)
+        return [(line, [(cache.name, state) for cache in self.l1i + self.l1d
+                        if (state := cache.array.lookup(line, touch=False))
+                        is not None])
+                for line in sorted(bad)]

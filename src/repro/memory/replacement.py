@@ -14,6 +14,8 @@ import random
 class ReplacementPolicy:
     """Interface: per-set policy over ``ways`` ways."""
 
+    __slots__ = ("ways",)
+
     def __init__(self, ways):
         self.ways = ways
 
@@ -38,10 +40,19 @@ class LRU(ReplacementPolicy):
     end of the order.
     """
 
+    __slots__ = ("_stamp", "_clock")
+
     def __init__(self, ways):
         super().__init__(ways)
         self._stamp = list(range(ways))
         self._clock = ways
+
+    def __getstate__(self):
+        # The most numerous object in a capsule: tuples pickle fastest.
+        return self.ways, self._stamp, self._clock
+
+    def __setstate__(self, state):
+        self.ways, self._stamp, self._clock = state
 
     def touch(self, way):
         self._stamp[way] = self._clock
@@ -58,6 +69,8 @@ class TreePLRU(ReplacementPolicy):
     Ways must be a power of two; the policy keeps a binary tree of
     direction bits.
     """
+
+    __slots__ = ("_bits",)
 
     def __init__(self, ways):
         if ways & (ways - 1):
@@ -97,6 +110,8 @@ class TreePLRU(ReplacementPolicy):
 
 class RandomRepl(ReplacementPolicy):
     """Random replacement with a deterministic per-set RNG."""
+
+    __slots__ = ("_rng",)
 
     def __init__(self, ways, seed=0):
         super().__init__(ways)

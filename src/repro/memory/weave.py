@@ -37,6 +37,8 @@ _WBACK = StepKind.WBACK
 class WeaveComponent:
     """Base class: a component that retimes weave events."""
 
+    __slots__ = ("name", "tile", "domain", "events_executed")
+
     def __init__(self, name, tile=0):
         self.name = name
         self.tile = tile
@@ -62,6 +64,10 @@ class WeaveComponent:
 
 class CacheBankWeave(WeaveComponent):
     """Pipelined cache bank: port occupancy plus limited MSHRs."""
+
+    __slots__ = ("latency", "ports", "mshrs", "miss_hold_cycles",
+                 "_port_timeline", "_mshr_release", "port_stall_cycles",
+                 "mshr_stall_cycles")
 
     #: Cycles an access occupies a bank port (address + data slots).
     PORT_OCCUPANCY = 2
@@ -119,6 +125,12 @@ class MemCtrlWeave(WeaveComponent):
     All bookkeeping is done in core cycles; DDR parameters (given in
     memory-bus cycles) are scaled by ``ratio`` = core MHz / bus MHz.
     """
+
+    __slots__ = ("cfg", "ratio", "num_banks", "channels", "access_cycles",
+                 "bank_busy_cycles", "burst_core_cycles", "overhead",
+                 "_pd_threshold", "_pd_exit", "_banks", "_data_bus",
+                 "_last_activity", "bank_conflict_cycles",
+                 "bus_conflict_cycles", "powerdown_exits")
 
     #: Data burst length (BL8 over a DDR bus), bus cycles.
     BURST_CYCLES = 4

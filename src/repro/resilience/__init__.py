@@ -12,7 +12,7 @@ a killed run resumes to an identical stats tree.
 
 from repro.resilience.backoff import DEFAULT_CAP, DecorrelatedJitter
 from repro.resilience.checkpoint import (Checkpointer, capture_state,
-                                         checkpoints, discard, latest,
+                                         checkpoints, discard,
                                          read_checkpoint,
                                          read_latest_checkpoint, restore,
                                          snapshot, write_checkpoint,
@@ -34,7 +34,7 @@ __all__ = [
     "IntegritySentinel", "KillWorker", "ProcessSignalFault",
     "RaiseInJob", "SigKillWorker", "SigStopWorker", "StallWorker",
     "Supervisor", "audit_invariants", "capture_state", "checkpoints",
-    "discard", "fingerprint_components", "latest", "read_checkpoint",
+    "discard", "fingerprint_components", "read_checkpoint",
     "read_latest_checkpoint", "restore", "snapshot", "verify_state",
     "write_checkpoint",
 ]

@@ -37,10 +37,10 @@ from repro.errors import CheckpointError, CheckpointVersionError
 from repro.obs.log import get_logger
 
 #: On-disk format version; bump on any incompatible capsule change.
-#: v2: OOO core rings are bounded deques (no head indices) and weave
-#: events keep their first edge inline.  v3: no recycling pools — the
-#: weave engine and the hierarchy pickle without them.
-FORMAT_VERSION = 3
+#: v2: bounded-deque OOO rings, inline first weave edges.  v3: no
+#: recycling pools.  v4: model objects pickle their ``__slots__`` and
+#: deep digests are by value.
+FORMAT_VERSION = 4
 MAGIC = b"repro-ckpt"
 
 _log = get_logger("resilience.checkpoint")
@@ -228,13 +228,6 @@ def checkpoints(directory):
     return found
 
 
-def latest(directory):
-    """Path of the highest-interval checkpoint in ``directory``, or
-    None when there is none."""
-    found = checkpoints(directory)
-    return found[0][1] if found else None
-
-
 def read_latest_checkpoint(directory, flight=None):
     """Read the newest *valid* checkpoint in ``directory``.
 
@@ -281,8 +274,8 @@ class Checkpointer:
     (``ckpt-<runid>-<interval>.pkl``) and prunes **only its own**
     files: two runs sharing ``--checkpoint-dir`` can no longer delete
     each other's newest checkpoints out from under a resume.
-    ``latest()`` still reads both runs' files (and legacy unqualified
-    names), picking the highest interval."""
+    ``checkpoints()`` still lists both runs' files (and legacy
+    unqualified names), highest interval first."""
 
     def __init__(self, directory, every=1, keep=2, meta=None,
                  run_id=None):

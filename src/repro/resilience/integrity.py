@@ -40,26 +40,25 @@ three pieces (ISSUE 9):
 Digest depth: the per-barrier chain uses *cheap* digests (counters,
 occupancy, free-way CRCs — O(sets), not O(lines)) so the default-stride
 overhead stays under the hotpath budget; checkpoint capsules and
-``repro verify`` use *deep* digests that walk the full tag+MESI arrays
-and directories, where the cost is per-checkpoint rather than
-per-interval.
+``repro verify`` use *deep* digests that also cover the full tag+MESI
+arrays and directories by value, where the cost is per-checkpoint
+rather than per-interval.
 """
 
 from __future__ import annotations
 
+import io
+import pickle
 import zlib
 
 from repro.errors import IntegrityError
 
 
-def _crc(items, crc=0):
-    """Fold an iterable of picklable-repr items into a crc32 digest.
-    ``repr`` is stable for ints, strings, tuples, and enums — the only
-    things walkers may yield."""
-    for item in items:
-        crc = zlib.crc32(repr(item).encode("ascii", "backslashreplace"),
-                         crc)
-    return crc & 0xFFFFFFFF
+def _crc(items):
+    """crc32 of the joined ``repr`` of ``items``: ints, strings, tuples
+    and enums only, whose ``repr`` is stable."""
+    text = "".join([repr(item) for item in items])
+    return zlib.crc32(text.encode("ascii", "backslashreplace")) & 0xFFFFFFFF
 
 
 def fingerprint_components(sim, deep=False):
@@ -75,10 +74,17 @@ def fingerprint_components(sim, deep=False):
     for core in sim.cores:
         digests["core%d" % core.core_id] = _crc(core.integrity_items())
     hierarchy = sim.hierarchy
-    for cache in hierarchy.all_caches():
-        digests["mem.%s" % cache.name] = _crc(
-            cache.integrity_items(deep=deep))
-    digests["mem.mem"] = _crc(hierarchy.mainmem.integrity_items(deep=deep))
+    for cache in hierarchy.all_caches() + [hierarchy.mainmem]:
+        crc = _crc(cache.integrity_items())
+        if deep:
+            # The by-value state, pickled at C speed with the memo off:
+            # equal values give equal bytes, across round trips too.
+            buf = io.BytesIO()
+            pickler = pickle.Pickler(buf, pickle.HIGHEST_PROTOCOL)
+            pickler.fast = True
+            pickler.dump(cache.deep_items())
+            crc = zlib.crc32(buf.getbuffer(), crc) & 0xFFFFFFFF
+        digests["mem.%s" % cache.name] = crc
     digests["sched"] = _crc(sim.scheduler.integrity_items())
     if sim.weave is not None:
         for domain in sim.weave.domains:

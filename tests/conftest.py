@@ -11,6 +11,8 @@ from repro.isa.opcodes import Opcode
 from repro.isa.program import BBLExec, Instruction, Program
 from repro.isa.registers import gp
 from repro.memory.access import AccessRecord
+from repro.memory.coherence import MESI
+from repro.resilience.checkpoint import checkpoints
 
 
 def build_program(num_blocks=1, body=None):
@@ -96,6 +98,78 @@ def recursive_walk(l1, line, write, ctx, l1_idx, l1_entry):
     ``staticmethod``): the shipped fast path stays live and only the
     walk beneath it is the recursive reference."""
     return l1.handle_access(line, write, None, ctx)
+
+
+def latest(directory):
+    """Path of the highest-interval checkpoint in ``directory``, or
+    None when there is none."""
+    found = checkpoints(directory)
+    return found[0][1] if found else None
+
+
+def occupancy(array):
+    """Total resident lines of a ``CacheArray``."""
+    return sum(len(lines) for lines in array._lines)
+
+
+def line_state(cache, line):
+    """MESI state of ``line`` in ``cache`` (MESI.I if absent); no LRU
+    touch."""
+    state = cache.array.lookup(line, touch=False)
+    return MESI.I if state is None else state
+
+
+def sharers_of(cache, line):
+    """Children of ``cache`` (or main memory) sharing ``line``, as a set
+    of objects: the bitmask directory decoded."""
+    mask = cache._sharers.get(line, 0)
+    return {child for idx, child in enumerate(cache.children)
+            if mask >> idx & 1}
+
+
+def is_exclusive(state):
+    """True if the state grants write permission without upgrade."""
+    return state in (MESI.E, MESI.M)
+
+
+def check_single_writer(states):
+    """At most one copy in M/E, and if one exists no other copy:
+    ``states`` are the MESI states of one line's copies at one level.
+    Returns True when legal."""
+    states = [s for s in states if s != MESI.I]
+    exclusive = sum(1 for s in states if is_exclusive(s))
+    return exclusive == 0 or (exclusive == 1 and len(states) == 1)
+
+
+def reference_check_coherence(hier):
+    """``MemoryHierarchy.check_coherence`` line by line: every L1 copy
+    grouped by line, then by core, judged by :func:`check_single_writer`
+    on each core's strongest state."""
+    lines = {}
+    for cache in list(hier.l1i) + list(hier.l1d):
+        for line, state in cache.array.resident_lines():
+            lines.setdefault(line, []).append((cache.name, state))
+    violations = []
+    for line, copies in lines.items():
+        by_core = {}
+        for name, state in copies:
+            by_core.setdefault(name.split("-")[1], []).append(state)
+        if not check_single_writer([max(v) for v in by_core.values()]):
+            violations.append((line, copies))
+    return violations
+
+
+def reference_check_inclusion(hier):
+    """``MemoryHierarchy.check_inclusion`` line by line: every resident
+    line routed to its parent as the walk does and looked up there."""
+    violations = []
+    for cache in hier.all_caches():
+        for line, _state in cache.array.resident_lines():
+            parent, _ = cache.parent_select(line)
+            if parent is not hier.mainmem \
+                    and line_state(parent, line) == MESI.I:
+                violations.append((cache.name, parent.name, line))
+    return violations
 
 
 @pytest.fixture

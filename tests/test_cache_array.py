@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.memory.cache_array import CacheArray
 from repro.memory.coherence import MESI
 
-from conftest import would_evict
+from conftest import occupancy, would_evict
 
 
 class TestBasics:
@@ -106,7 +106,7 @@ def test_array_invariants(ops):
         if victim is not None:
             assert resident.pop(victim) == vstate
         resident[line] = state
-        assert array.occupancy() <= 4 * 2
+        assert occupancy(array) <= 4 * 2
     assert dict(array.resident_lines()) == resident
     for line, state in resident.items():
         assert array.lookup(line, touch=False) == state
@@ -116,7 +116,7 @@ def test_occupancy_counts():
     array = CacheArray(2, 2)
     for line in range(4):
         array.fill(line, MESI.E)
-    assert array.occupancy() == 4
+    assert occupancy(array) == 4
 
 
 # ---------------------------------------------------------------------
@@ -136,12 +136,12 @@ def eager(*args, **kwargs):
 def picture(array):
     """Everything observable about an array without touching it."""
     return {
-        "occupancy": array.occupancy(),
+        "occupancy": occupancy(array),
         "resident": sorted(array.resident_lines()),
         "free": list(array._free),
         "audit": array.audit_invariants("a"),
         "cheap": list(array.integrity_items()),
-        "deep": list(array.integrity_items(deep=True)),
+        "deep": array.deep_items(),
     }
 
 

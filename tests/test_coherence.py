@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import small_test_system
-from repro.memory.coherence import MESI, check_single_writer, is_exclusive
+from repro.memory.coherence import MESI
 from repro.memory.hierarchy import MemoryHierarchy
+
+from conftest import check_single_writer, is_exclusive, line_state, sharers_of
 
 LINE = 64
 
@@ -41,20 +43,20 @@ class TestProtocol:
     def test_first_read_gets_exclusive(self):
         h = hierarchy()
         h.access(0, 0x1000, write=False)
-        assert h.l1d[0].line_state(0x1000 >> 6) == MESI.E
+        assert line_state(h.l1d[0], 0x1000 >> 6) == MESI.E
 
     def test_write_makes_modified(self):
         h = hierarchy()
         h.access(0, 0x1000, write=True)
-        assert h.l1d[0].line_state(0x1000 >> 6) == MESI.M
+        assert line_state(h.l1d[0], 0x1000 >> 6) == MESI.M
 
     def test_second_reader_downgrades_to_shared(self):
         h = hierarchy()
         h.access(0, 0x1000, write=False)
         h.access(1, 0x1000, write=False)
         line = 0x1000 >> 6
-        assert h.l1d[0].line_state(line) == MESI.S
-        assert h.l1d[1].line_state(line) == MESI.S
+        assert line_state(h.l1d[0], line) == MESI.S
+        assert line_state(h.l1d[1], line) == MESI.S
 
     def test_write_invalidates_other_copies(self):
         h = hierarchy()
@@ -62,22 +64,22 @@ class TestProtocol:
         h.access(1, 0x1000, write=False)
         h.access(2, 0x1000, write=True)
         line = 0x1000 >> 6
-        assert h.l1d[0].line_state(line) == MESI.I
-        assert h.l1d[1].line_state(line) == MESI.I
-        assert h.l1d[2].line_state(line) == MESI.M
+        assert line_state(h.l1d[0], line) == MESI.I
+        assert line_state(h.l1d[1], line) == MESI.I
+        assert line_state(h.l1d[2], line) == MESI.M
 
     def test_read_after_write_flushes_dirty(self):
         h = hierarchy()
         h.access(0, 0x1000, write=True)
         h.access(1, 0x1000, write=False)
         line = 0x1000 >> 6
-        assert h.l1d[0].line_state(line) == MESI.S
-        assert h.l1d[1].line_state(line) == MESI.S
+        assert line_state(h.l1d[0], line) == MESI.S
+        assert line_state(h.l1d[1], line) == MESI.S
         # The dirty data was flushed to the common parent (an L3 bank);
         # the private L2s are downgraded to S.
-        assert h.l2s[0].line_state(line) == MESI.S
+        assert line_state(h.l2s[0], line) == MESI.S
         bank, _net = h.l2s[0].parent_select(line)
-        assert bank.line_state(line) == MESI.M
+        assert line_state(bank, line) == MESI.M
 
     def test_silent_e_to_m_upgrade(self):
         """A write hit on an E line upgrades silently (no traffic)."""
@@ -85,7 +87,7 @@ class TestProtocol:
         h.access(0, 0x1000, write=False)
         invs_before = h.l1d[0].upgrades
         result = h.access(0, 0x1000, write=True)
-        assert h.l1d[0].line_state(0x1000 >> 6) == MESI.M
+        assert line_state(h.l1d[0], 0x1000 >> 6) == MESI.M
         assert h.l1d[0].upgrades == invs_before  # no upgrade request
         assert result.hit_level == "l1d"
 
@@ -95,7 +97,7 @@ class TestProtocol:
         h.access(1, 0x1000, write=False)  # both now S
         h.access(0, 0x1000, write=True)   # S -> M needs an upgrade
         assert h.l1d[0].upgrades == 1
-        assert h.l1d[1].line_state(0x1000 >> 6) == MESI.I
+        assert line_state(h.l1d[1], 0x1000 >> 6) == MESI.I
 
     def test_write_latency_includes_invalidation(self):
         h = hierarchy()
@@ -108,8 +110,8 @@ class TestProtocol:
     def test_ifetch_uses_l1i(self):
         h = hierarchy()
         h.access(0, 0x400000, write=False, ifetch=True)
-        assert h.l1i[0].line_state(0x400000 >> 6) != MESI.I
-        assert h.l1d[0].line_state(0x400000 >> 6) == MESI.I
+        assert line_state(h.l1i[0], 0x400000 >> 6) != MESI.I
+        assert line_state(h.l1d[0], 0x400000 >> 6) == MESI.I
 
 
 class TestWritebacks:
@@ -127,7 +129,7 @@ class TestWritebacks:
         assert l1d.writebacks >= 1
         # The victim's dirty data landed in the L2.
         victim_line = base >> 6
-        assert h.l2s[0].line_state(victim_line) == MESI.M
+        assert line_state(h.l2s[0], victim_line) == MESI.M
 
     def test_clean_eviction_no_writeback(self):
         h = hierarchy(num_cores=1)
@@ -150,7 +152,7 @@ class TestInclusion:
         l3, _net = select(target_line)
         h.access(0, target, write=False)
         bank_sets = l3.array.num_sets
-        assert l3.line_state(target_line) != MESI.I
+        assert line_state(l3, target_line) != MESI.I
         # Force evictions in the L3 set holding target_line by touching
         # conflicting lines (same set index, same bank).
         candidates = []
@@ -162,9 +164,9 @@ class TestInclusion:
             probe += bank_sets
         for cand in candidates:
             h.access(0, cand << 6, write=False)
-        assert l3.line_state(target_line) == MESI.I
-        assert h.l1d[0].line_state(target_line) == MESI.I
-        assert h.l2s[0].line_state(target_line) == MESI.I
+        assert line_state(l3, target_line) == MESI.I
+        assert line_state(h.l1d[0], target_line) == MESI.I
+        assert line_state(h.l2s[0], target_line) == MESI.I
 
     def test_inclusion_invariant_random(self):
         h = hierarchy()
@@ -191,4 +193,4 @@ def test_coherence_invariants_random(ops):
     # Directory consistency: every L1D-resident line is tracked by its L2.
     for core, l1d in enumerate(h.l1d):
         for line, _state in l1d.array.resident_lines():
-            assert l1d in h.l2s[core].sharers_of(line)
+            assert l1d in sharers_of(h.l2s[core], line)

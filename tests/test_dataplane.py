@@ -28,11 +28,11 @@ from repro.isa.decoder import FETCH_LINE_BYTES, decode_bbl
 from repro.isa.uops import UopType
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import Telemetry
-from repro.resilience import Checkpointer, latest, read_checkpoint
+from repro.resilience import Checkpointer, read_checkpoint
 from repro.stats import assert_equivalent
 from repro.workloads import mt_workload, spec_workload
 
-from conftest import (alu_block, build_program, mem_block,
+from conftest import (alu_block, build_program, latest, mem_block,
                       recursive_walk, reference_access)
 
 

@@ -19,7 +19,7 @@ from repro.config import small_test_system
 from repro.memory.cache import Cache, MainMemory
 from repro.memory.coherence import MESI
 
-from conftest import reference_access
+from conftest import reference_access, sharers_of
 
 
 # ---------------------------------------------------------------------
@@ -231,8 +231,9 @@ def _directory_picture(h):
     and set-of-objects representations."""
     picture = {}
     for cache in h.all_caches() + [h.mainmem]:
-        sharers = {line: tuple(sorted(c.name for c in
-                               cache.sharers_of(line)))
+        decode = getattr(cache, "sharers_of", None) or functools.partial(
+            sharers_of, cache)
+        sharers = {line: tuple(sorted(c.name for c in decode(line)))
                    for line in cache._sharers}
         owners = {}
         for line in list(cache._owner):

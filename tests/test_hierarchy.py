@@ -4,7 +4,8 @@ import pytest
 
 from repro.config import small_test_system, tiled_chip, westmere
 from repro.memory.access import StepKind
-from repro.memory.hierarchy import MemoryHierarchy, hash_line
+from repro.memory.cache import hash_line
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats.counters import StatsNode
 
 

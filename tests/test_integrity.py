@@ -13,7 +13,6 @@ Headline properties:
   tampered capsule, and ``--resume`` refuses one outright.
 """
 
-import json
 import pickle
 import zlib
 
@@ -25,23 +24,32 @@ from repro.config import (
     CacheConfig,
     CoreConfig,
     SystemConfig,
+    tiled_chip,
+    westmere,
 )
 from repro.config.loader import config_from_dict
 from repro.core import ZSim
 from repro.errors import ConfigError, ExecutionFault, IntegrityError
+from repro.memory.coherence import MESI
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.resilience import (
     FORMAT_VERSION,
     Checkpointer,
     FaultPlan,
     IntegritySentinel,
     Supervisor,
+    audit_invariants,
+    capture_state,
     fingerprint_components,
     read_checkpoint,
     verify_state,
     write_checkpoint,
 )
+from repro.resilience.integrity import _crc
 from repro.stats import assert_equivalent
 from repro.workloads import mt_workload
+
+from conftest import reference_check_coherence, reference_check_inclusion
 
 WATCHDOG_S = 0.25
 
@@ -192,6 +200,143 @@ class TestAuditor:
         assert isinstance(err, ExecutionFault)
         assert err.component == "core0"
         assert err.interval == 3
+
+
+# ---------------------------------------------------------------------
+# Set-algebra audits and by-value digests against per-line references
+# ---------------------------------------------------------------------
+
+
+def _finished(config, instrs_per_thread):
+    """End state of a blackscholes run filling every core of ``config``."""
+    cores = config.num_cores
+    wl = mt_workload("blackscholes", scale=1 / 64, num_threads=cores)
+    sim = ZSim(config, threads=wl.make_threads(
+        target_instrs=instrs_per_thread * cores))
+    sim.run()
+    return sim
+
+
+@pytest.fixture(scope="module")
+def westmere_end():
+    """Private L2s under a six-bank hashed L3."""
+    return _finished(westmere(4, "simple"), 5_000)
+
+
+@pytest.fixture(scope="module")
+def tiled_end():
+    """Per-tile shared L2s under a four-bank hashed L3."""
+    return _finished(tiled_chip(4, "simple", cores_per_tile=16), 1_000)
+
+
+def _clone(sim):
+    return pickle.loads(capture_state(sim))
+
+
+def _audits(sim, monkeypatch):
+    """The shipped checks and the per-line references on one state:
+    ``(coherence, inclusion, audit)`` for each."""
+    hier = sim.hierarchy
+    shipped = (hier.check_coherence(), hier.check_inclusion(),
+               set(audit_invariants(sim)))
+    with monkeypatch.context() as patch:
+        patch.setattr(MemoryHierarchy, "check_coherence",
+                      reference_check_coherence)
+        patch.setattr(MemoryHierarchy, "check_inclusion",
+                      reference_check_inclusion)
+        reference = (reference_check_coherence(hier),
+                     reference_check_inclusion(hier),
+                     set(audit_invariants(sim)))
+    return shipped, reference
+
+
+def _assert_same_verdicts(sim, monkeypatch):
+    """Same violations as the references: coherence records equal in
+    ascending line order, inclusion records (ascending per child) and
+    audit pairs as sets.  Returns the audit's violation pairs."""
+    (coherence, inclusion, audit), (ref_coh, ref_inc, ref_audit) = \
+        _audits(sim, monkeypatch)
+    assert coherence == sorted(ref_coh)
+    assert sorted(inclusion) == sorted(ref_inc)
+    for child in {child for child, _, _ in inclusion}:
+        lines = [line for name, _, line in inclusion if name == child]
+        assert lines == sorted(lines)
+    assert audit == ref_audit
+    return audit
+
+
+class TestAuditEquivalence:
+    def test_clean_states_pass_both(self, westmere_end, tiled_end,
+                                    monkeypatch):
+        for sim in (westmere_end, tiled_end, _sim("serial")):
+            shipped, reference = _audits(sim, monkeypatch)
+            assert shipped == reference == ([], [], set())
+
+    def test_second_exclusive_copy(self, westmere_end, monkeypatch):
+        sim = _clone(westmere_end)
+        l1d = sim.hierarchy.l1d
+        line = next(line for line, _ in l1d[0].array.resident_lines()
+                    if l1d[1].array.lookup(line, touch=False) is None)
+        # Core 0 shares it; only the copy planted in core 1 is E.
+        l1d[0].array.update_state(line, MESI.S)
+        l1d[1].array.fill(line, MESI.E)
+        audit = _assert_same_verdicts(sim, monkeypatch)
+        assert sim.hierarchy.check_coherence()[0][0] == line
+        assert any("single-writer" in text for _, text in audit)
+
+    def test_child_line_missing_from_parent(self, westmere_end,
+                                            monkeypatch):
+        sim = _clone(westmere_end)
+        hier = sim.hierarchy
+        line = next(iter(hier.l1d[2].array.resident_lines()))[0]
+        hier.l2s[2].array.invalidate(line)
+        _assert_same_verdicts(sim, monkeypatch)
+        assert hier.check_inclusion() == [("l1d-2", "l2-2", line)]
+
+    def test_line_in_the_wrong_l3_bank(self, tiled_end, monkeypatch):
+        sim = _clone(tiled_end)
+        hier = sim.hierarchy
+        l2 = hier.l2s[1]
+        line, state = next(iter(l2.array.resident_lines()))
+        bank, _net = l2.parent_select(line)
+        other = hier.l3_banks[(hier.l3_banks.index(bank) + 1)
+                              % len(hier.l3_banks)]
+        bank.array.invalidate(line)
+        other.array.fill(line, state)
+        _assert_same_verdicts(sim, monkeypatch)
+        assert (l2.name, bank.name, line) in hier.check_inclusion()
+
+    def test_free_way_count_off_by_one(self, westmere_end, monkeypatch):
+        sim = _clone(westmere_end)
+        array = sim.hierarchy.l2s[0].array
+        array._free[array.materialised_sets()[0]] += 1
+        audit = _assert_same_verdicts(sim, monkeypatch)
+        assert [comp for comp, _ in audit] == ["mem.l2-0"]
+
+
+class TestDigestEncoding:
+    def test_crc_equals_the_per_item_fold(self):
+        sim = _sim("serial")
+        sim.run(max_intervals=3)
+        walkers = [core.integrity_items for core in sim.cores]
+        walkers += [cache.integrity_items
+                    for cache in sim.hierarchy.all_caches()]
+        walkers += [sim.hierarchy.mainmem.integrity_items,
+                    sim.scheduler.integrity_items]
+        walkers += [domain.integrity_items for domain in sim.weave.domains]
+        for walker in walkers:
+            fold = 0
+            for item in walker():
+                fold = zlib.crc32(
+                    repr(item).encode("ascii", "backslashreplace"), fold)
+            assert _crc(walker()) == fold & 0xFFFFFFFF
+
+    def test_deep_digest_survives_a_pickle_round_trip(self):
+        sim = _sim("serial")
+        sim.run(max_intervals=3)
+        deep = fingerprint_components(sim, deep=True)
+        assert fingerprint_components(_clone(sim), deep=True) == deep
+        assert deep != fingerprint_components(sim)
 
 
 # ---------------------------------------------------------------------

@@ -20,10 +20,10 @@ import repro
 SRC = pathlib.Path(repro.__file__).parent
 
 BUDGETS = {
-    "memory": 2622,
-    "core": 2003,
-    "cpu": 863,
-    "resilience": 1546,
+    "memory": 2621,
+    "core": 1997,
+    "cpu": 862,
+    "resilience": 1545,
     "obs": 1361,
     "exec": 1719,
     "fleet": 1197,

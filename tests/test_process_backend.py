@@ -29,11 +29,12 @@ from repro.resilience import (
     SigKillWorker,
     SigStopWorker,
     Supervisor,
-    latest,
     read_checkpoint,
 )
 from repro.stats import assert_equivalent
 from repro.workloads import mt_workload
+
+from conftest import latest
 
 INSTRS = 20_000
 

@@ -22,6 +22,9 @@ from repro.config import (
     small_test_system,
 )
 from repro.core import ZSim
+from repro.core.domains import CoreWeave
+from repro.cpu import BranchPredictor, OOOCore, SimpleCore
+from repro.dbt.instrumentation import InstrumentedStream
 from repro.errors import (
     CheckpointError,
     CheckpointVersionError,
@@ -34,18 +37,22 @@ from repro.errors import (
 )
 from repro.exec import make_backend
 from repro.exec.serial import SerialBackend
+from repro.memory import (LRU, Cache, CacheArray, CacheBankWeave, MainMemory,
+                          MemCtrlWeave, RandomRepl, TreePLRU)
 from repro.resilience import (
     FORMAT_VERSION,
     Checkpointer,
     FaultPlan,
     Supervisor,
-    latest,
+    capture_state,
     read_checkpoint,
     read_latest_checkpoint,
     write_checkpoint,
 )
 from repro.stats import assert_equivalent
 from repro.workloads import mt_workload
+
+from conftest import latest
 
 WATCHDOG_S = 0.25
 
@@ -360,26 +367,76 @@ class TestWallClockBudget:
 # ---------------------------------------------------------------------
 
 
-_CORE_ATTRS = {"bbls", "config", "core_id", "instrs", "l1d_misses",
+_CORE_SLOTS = {"bbls", "config", "core_id", "instrs", "l1d_misses",
                "l1i_misses", "l2_misses", "l3_misses", "loads", "mem",
-               "pending_syscall", "stores", "stream", "trace", "uops",
-               "_last_fetch_line", "_line_bytes", "_line_mask",
-               "record_all_levels"}
+               "pending_syscall", "stores", "stream", "trace", "uops"}
+_WEAVE_SLOTS = {"name", "tile", "domain", "events_executed"}
 
-#: Every attribute a format-3 build pickles on a core.  A build may drop
-#: one (a capsule's extra attribute is never read) but must bump
-#: FORMAT_VERSION to add one.
-_FORMAT_3_CORE_ATTRS = {
-    "simple": _CORE_ATTRS | {"_cycle"},
-    "ooo": _CORE_ATTRS | {
-        "_decode_clock", "_fence_cycle", "_fetch_clock", "_issue_clock",
-        "_issue_slots", "_last_mem_done", "_last_store_cycle",
-        "_load_releases", "_lsd_recent", "_mispredict_resume", "_ports",
-        "_retire_clock", "_retire_slots", "_rob", "_scoreboard",
-        "_store_buffer", "_store_order", "_window", "bpred",
-        "cond_branches", "debug_trace", "forwarded_loads", "lsd_streams",
-        "mispredicts", "wrong_path_fetches"},
+#: The slot names each model class pickles in a format-4 capsule (the
+#: union over its MRO).  A capsule restores slots by name, so changing
+#: one of these sets changes the capsule format: bump FORMAT_VERSION
+#: together with this table.
+_FORMAT_4_SLOTS = {
+    LRU: {"ways", "_stamp", "_clock"},
+    TreePLRU: {"ways", "_bits"},
+    RandomRepl: {"ways", "_rng"},
+    CacheArray: {"num_sets", "hash_sets", "ways", "repl", "seed", "_free",
+                 "_lines", "_ways", "_repl"},
+    Cache: {"name", "level", "latency", "tile", "array", "children",
+            "child_id", "down_latency", "weave", "noc_routes",
+            "_parent_banks", "_parent_net", "_parent_hashed", "_sharers",
+            "_owner", "accesses", "hits", "misses", "evictions",
+            "writebacks", "invalidations", "downgrades", "upgrades",
+            "prefetch_fills", "dir_ops"},
+    MainMemory: {"config", "network", "num_tiles", "level", "name",
+                 "children", "down_latency", "ctrl_weaves", "noc_routes",
+                 "_num_ctrls", "_zero_load", "_ctrl_tiles", "_net_to_ctrl",
+                 "_sharers", "_owner", "reads", "writebacks", "dir_ops"},
+    SimpleCore: _CORE_SLOTS | {"_cycle", "_last_fetch_line"},
+    OOOCore: _CORE_SLOTS | {
+        "bpred", "_fetch_clock", "_decode_clock", "_issue_clock",
+        "_issue_slots", "_retire_clock", "_retire_slots", "_scoreboard",
+        "_ports_used", "_ports_ops", "_ports_pruned", "_rob", "_window",
+        "_store_buffer", "_store_order", "_load_releases",
+        "_last_store_cycle", "_last_mem_done", "_fence_cycle",
+        "_line_bytes", "_last_fetch_line", "_mispredict_resume",
+        "_lsd_recent", "lsd_streams", "cond_branches", "mispredicts",
+        "forwarded_loads", "wrong_path_fetches", "debug_trace"},
+    BranchPredictor: {"history_bits", "table_size", "mispredict_penalty",
+                      "_mask", "_history", "_history_mask", "_pht",
+                      "predictions", "mispredictions"},
+    CacheBankWeave: _WEAVE_SLOTS | {
+        "latency", "ports", "mshrs", "miss_hold_cycles", "_port_timeline",
+        "_mshr_release", "port_stall_cycles", "mshr_stall_cycles"},
+    MemCtrlWeave: _WEAVE_SLOTS | {
+        "cfg", "ratio", "num_banks", "channels", "access_cycles",
+        "bank_busy_cycles", "burst_core_cycles", "overhead",
+        "_pd_threshold", "_pd_exit", "_banks", "_data_bus",
+        "_last_activity", "bank_conflict_cycles", "bus_conflict_cycles",
+        "powerdown_exits"},
+    CoreWeave: {"name", "core_id", "tile", "domain", "events_executed"},
+    InstrumentedStream: {"_stream", "tcache", "program_id", "magic_handler",
+                         "instrs_retired", "bbls_executed", "pulled",
+                         "_pushback", "_log", "_log_mark"},
 }
+
+
+def _slot_names(cls):
+    return {name for klass in cls.__mro__
+            for name in vars(klass).get("__slots__", ())}
+
+
+def _model_objects(sim):
+    """Every instance of a slotted model class a simulator holds."""
+    hierarchy = sim.hierarchy
+    objects = list(sim.cores) + [hierarchy.mainmem]
+    objects += [core.bpred for core in sim.cores if hasattr(core, "bpred")]
+    for cache in hierarchy.all_caches():
+        objects += [cache, cache.array]
+        objects += [repl for repl in cache.array._repl if repl is not None]
+    objects += hierarchy.weave_components + list(sim.weave.core_weaves)
+    objects += [thread.stream for thread in sim.scheduler.threads]
+    return objects
 
 
 def _small_sim(instrs=8_000, core_model="simple"):
@@ -419,14 +476,15 @@ class TestCheckpointFormat:
         assert excinfo.value.found == FORMAT_VERSION + 1
         assert excinfo.value.expected == FORMAT_VERSION
 
-    @pytest.mark.parametrize("found", (1, 2))
+    @pytest.mark.parametrize("found", (1, 2, 3))
     def test_old_capsule_is_refused_not_migrated(self, tmp_path, found):
         """A v1 capsule holds list rings with head indices and
         list-of-edge events, a v2 capsule a pickled event pool this
-        build has no class for; neither is migrated, both are refused
-        typed — with a valid checksum, by file and through the directory
-        fallback."""
-        assert FORMAT_VERSION == 3
+        build has no class for, a v3 capsule model objects as
+        ``__dict__`` state and repr-based deep digests; none is
+        migrated, all are refused typed — with a valid checksum, by file
+        and through the directory fallback."""
+        assert FORMAT_VERSION == 4
         sim, _ = _small_sim()
         path = str(tmp_path / "ckpt-00000001.pkl")
         write_checkpoint(path, sim, interval=1, limit=1000)
@@ -435,7 +493,7 @@ class TestCheckpointFormat:
             b"repro-ckpt %d %08x\n" % (found, zlib.crc32(body)) + body)
         with pytest.raises(CheckpointVersionError) as excinfo:
             read_checkpoint(path)
-        assert (excinfo.value.found, excinfo.value.expected) == (found, 3)
+        assert (excinfo.value.found, excinfo.value.expected) == (found, 4)
         with pytest.raises(CheckpointError, match="format v%d" % found):
             read_latest_checkpoint(str(tmp_path))
 
@@ -503,29 +561,34 @@ class TestResume:
         assert_equivalent(_stats_tree(resumed.run()), baseline,
                           context="resume vs uninterrupted")
 
-    @pytest.mark.parametrize("core_model", ("simple", "ooo"))
-    def test_capsule_of_any_format_3_build_resumes(self, tmp_path,
-                                                   core_model):
-        """A mid-run capsule whose cores carry exactly the format-3
-        attribute set (what the earliest v3 build pickled) resumes to the
-        uninterrupted run's stats, and this build's cores pickle nothing
-        outside that set: a core attribute a v3 capsule may lack would
-        pass the version check and then fail on its first read."""
-        baseline_sim, _ = _small_sim(core_model=core_model)
-        baseline = _stats_tree(baseline_sim.run())
+    @pytest.mark.parametrize("cls", list(_FORMAT_4_SLOTS),
+                             ids=lambda cls: cls.__name__)
+    def test_format_4_pins_the_slots_of_every_pickled_class(self, cls):
+        assert FORMAT_VERSION == 4
+        assert _slot_names(cls) == _FORMAT_4_SLOTS[cls]
 
-        partial, wl = _small_sim(core_model=core_model)
-        partial.checkpointer = Checkpointer(str(tmp_path), every=3)
-        partial.run(max_intervals=3)
-        capsule = read_checkpoint(latest(str(tmp_path)))
-        pinned = _FORMAT_3_CORE_ATTRS[core_model]
-        for core in capsule["sim"].cores:
-            assert set(vars(core)) <= pinned
-            for name in pinned - set(vars(core)):
-                setattr(core, name, None)  # dropped since, never read
-        resumed = ZSim.resume(capsule, wl.make_threads(target_instrs=8_000))
-        assert_equivalent(_stats_tree(resumed.run()), baseline,
-                          context="format-3 capsule vs uninterrupted")
+    @pytest.mark.parametrize("core_model", ("simple", "ooo"))
+    def test_model_objects_never_carry_a_dict(self, tmp_path, core_model):
+        """Reading an instance's ``__dict__`` (pickle does) makes CPython
+        3.11 drop its inline attribute storage for good, slowing every
+        later access: no model object may have one — fresh, after a
+        capture, or rebuilt from a capsule."""
+        for cls in _FORMAT_4_SLOTS:
+            assert all("__slots__" in vars(klass)
+                       for klass in cls.__mro__[:-1]), cls
+
+        def assert_no_dicts(state):
+            objects = _model_objects(state)
+            assert {type(obj) for obj in objects} <= set(_FORMAT_4_SLOTS)
+            assert not [obj for obj in objects if hasattr(obj, "__dict__")]
+
+        sim, _ = _small_sim(core_model=core_model)
+        assert_no_dicts(sim)
+        sim.checkpointer = Checkpointer(str(tmp_path), every=2)
+        sim.run(max_intervals=2)
+        capture_state(sim)
+        assert_no_dicts(sim)
+        assert_no_dicts(read_checkpoint(latest(str(tmp_path)))["sim"])
 
     def test_resume_after_fault_recovery_matches(self, tmp_path,
                                                  serial_baseline):
