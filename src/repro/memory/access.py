@@ -53,10 +53,6 @@ class AccessRecord:
         #: Off-critical-path writebacks: (weave_component, offset, kind).
         self.wbacks = []
 
-    def add_wback(self, weave_component, kind=StepKind.WBACK):
-        if weave_component is not None:
-            self.wbacks.append((weave_component, self.latency, kind))
-
     def __repr__(self):
         return ("AccessRecord(lat=%d, hit=%s, missed=%s)"
                 % (self.latency, self.hit_level, list(self.missed_levels)))

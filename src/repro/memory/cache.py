@@ -2,11 +2,14 @@
 
 Mirrors zsim's cache design (Section 3.2.1): each cache composes a fully
 decoupled associative array, replacement policy, and coherence controller,
-plus an optional weave timing model.  Accesses travel *up* the hierarchy
-(fetches, writebacks) and *down* (invalidations, downgrades); coherence is
-maintained in the order accesses are simulated in the bound phase, which
-is inaccurate only for same-line races — exactly the rare path-altering
-interference the bound-weave algorithm tolerates.
+plus an optional weave timing model.  Demand accesses and prefetch fills
+travel the hierarchy (fetches, grants, fills, writebacks) in one
+iterative walk, ``MemoryHierarchy._walk_access``; this module holds the
+coherence actions that walk dispatches into — upgrade acquires and the
+subtree invalidation/downgrade fan-out.  Coherence is maintained in the
+order accesses are simulated in the bound phase, which is inaccurate only
+for same-line races — exactly the rare path-altering interference the
+bound-weave algorithm tolerates.
 
 Shared caches are banked: each bank is its own :class:`Cache` instance;
 all banks of a level share one children list so child identities are
@@ -25,7 +28,6 @@ call sites (:meth:`Cache.parent_select` wraps it for introspection).
 
 from __future__ import annotations
 
-from repro.memory.access import StepKind
 from repro.memory.cache_array import CacheArray
 from repro.memory.coherence import MESI
 
@@ -48,19 +50,6 @@ class _Directory:
     holding it, ``_owner`` to the child id holding it in E/M."""
 
     __slots__ = ()
-
-    def _drop_child(self, line, child):
-        """Directory side of ``child`` evicting ``line``."""
-        self.dir_ops += 1
-        mask = self._sharers.get(line)
-        if mask is not None:
-            mask &= ~(1 << child.child_id)
-            if mask:
-                self._sharers[line] = mask
-            else:
-                del self._sharers[line]
-        if self._owner.get(line) == child.child_id:
-            del self._owner[line]
 
     def deep_items(self):
         """The full directory by value for a deep integrity digest,
@@ -134,8 +123,8 @@ class Cache(_Directory):
     def parent_select(self, line):
         """Route ``line`` to its parent: returns ``(parent, net_latency)``.
 
-        Introspection-friendly wrapper over the routing table; the hot
-        walk inlines the same arithmetic (see ``_fetch_and_fill``)."""
+        Introspection-friendly wrapper over the routing table; the walk
+        inlines the same arithmetic (``MemoryHierarchy._walk_access``)."""
         banks = self._parent_banks
         if banks is None:
             return None, 0
@@ -144,81 +133,6 @@ class Cache(_Directory):
         key = hash_line(line) if self._parent_hashed else line
         idx = key % len(banks)
         return banks[idx], self._parent_net[idx]
-
-    def handle_access(self, line, write, requester, ctx):
-        """Serve a GETS/GETX from ``requester`` (a child cache, or None
-        when this is an L1 being accessed by a core).  Returns the MESI
-        state granted to the requester."""
-        self.accesses += 1
-        arrival = ctx.latency
-        ctx.latency = arrival + self.latency
-        array = self.array
-        idx = (line % array.num_sets if not array.hash_sets
-               else array.set_index(line))
-        entry = array._lines[idx].get(line)
-        if entry is None:
-            self.misses += 1
-            ctx.missed_levels.append(self.level)
-            if self.weave is not None:
-                ctx.steps.append((self.weave, arrival, StepKind.MISS))
-            state = self._fetch_and_fill(line, write, ctx)
-        else:
-            array._repl[idx].touch(entry[0])
-            state = entry[1]
-            self.hits += 1
-            if ctx.hit_level is None:
-                ctx.hit_level = self.level
-            if self.weave is not None:
-                ctx.steps.append((self.weave, arrival, StepKind.HIT))
-            if write and state == _MESI_S:
-                # Upgrade: gain exclusivity from the parent level.
-                self.upgrades += 1
-                parent, net = self.parent_select(line)
-                ctx.latency += net
-                parent.acquire_exclusive(line, self, ctx)
-                state = _MESI_E
-                array._lines[idx][line] = (entry[0], state)
-        if self.children:
-            return self._grant_to_child(line, write, requester, state, ctx)
-        # Leaf (L1): apply the access to our own copy.
-        if write:
-            state = _MESI_M
-            array._lines[idx][line] = (array._lines[idx][line][0], state)
-        return state
-
-    def _fetch_and_fill(self, line, write, ctx):
-        """Miss path: fetch from parent, fill, handle the victim."""
-        banks = self._parent_banks
-        if len(banks) == 1:
-            parent = banks[0]
-            net = self._parent_net[0]
-        else:
-            key = hash_line(line) if self._parent_hashed else line
-            bank = key % len(banks)
-            parent = banks[bank]
-            net = self._parent_net[bank]
-        if self.noc_routes is not None:
-            route = self.noc_routes.get(
-                (self.tile, getattr(parent, "tile", self.tile)))
-            if route is not None:
-                ctx.steps.append((route, ctx.latency, StepKind.NOC))
-        ctx.latency += net
-        granted = parent.handle_access(line, write, self, ctx)
-        victim, vstate = self.array.fill(line, granted)
-        if victim is not None:
-            self._evict(victim, vstate, ctx)
-        return granted
-
-    def prefetch_fill(self, line, ctx):
-        """Bring ``line`` into this cache without a requesting child
-        (hardware prefetch).  No directory entry is created — the first
-        demand access installs sharers as usual.  Returns True if a fill
-        happened (False on a prefetch hit)."""
-        if self.array.lookup(line, touch=False) is not None:
-            return False
-        self.prefetch_fills += 1
-        self._fetch_and_fill(line, False, ctx)
-        return True
 
     def acquire_exclusive(self, line, requester, ctx):
         """Upgrade request from ``requester``: invalidate every other copy
@@ -234,7 +148,7 @@ class Cache(_Directory):
                 low = others & -others
                 others ^= low
                 dirty |= children[low.bit_length() - 1] \
-                    .invalidate_subtree(line, ctx)
+                    .invalidate_subtree(line)
                 ctx.latency += down
                 ctx.invalidations += 1
         state = self.array.lookup(line, touch=False)
@@ -250,123 +164,42 @@ class Cache(_Directory):
         self._sharers[line] = 1 << rid
         self._owner[line] = rid
 
-    def child_evicted(self, line, child, dirty, ctx):
-        """A child evicted its copy (writeback if dirty)."""
-        self._drop_child(line, child)
-        if dirty:
-            # Dirty data lands in this cache; inclusion guarantees the
-            # line is resident.
-            state = self.array.lookup(line, touch=False)
-            if state is not None:
-                self.array.update_state(line, _MESI_M)
-
     # ------------------------------------------------------------------
     # Coherence actions from above (the "down" path)
     # ------------------------------------------------------------------
 
-    def invalidate_subtree(self, line, ctx=None):
+    def invalidate_subtree(self, line):
         """Invalidate this cache's copy and every copy below.  Returns
         True if any invalidated copy was dirty."""
         dirty = False
-        mask = self._clear_directory(line)
+        self._owner.pop(line, None)
+        mask = self._sharers.pop(line, 0)
         if mask:
             children = self.children
             while mask:
                 low = mask & -mask
                 mask ^= low
                 dirty |= children[low.bit_length() - 1] \
-                    .invalidate_subtree(line, ctx)
+                    .invalidate_subtree(line)
         state = self.array.invalidate(line)
         if state is not None:
             self.invalidations += 1
             dirty |= state == _MESI_M
         return dirty
 
-    def downgrade_subtree(self, line, ctx=None):
+    def downgrade_subtree(self, line):
         """Downgrade this cache's copy (and the owning subtree) to S.
         Returns True if dirty data was flushed."""
         dirty = False
         owner = self._owner.pop(line, None)
         if owner is not None:
-            dirty |= self.children[owner].downgrade_subtree(line, ctx)
+            dirty |= self.children[owner].downgrade_subtree(line)
         state = self.array.lookup(line, touch=False)
         if state is not None and state != _MESI_S:
             self.downgrades += 1
             dirty |= state == _MESI_M
             self.array.update_state(line, _MESI_S)
         return dirty
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _grant_to_child(self, line, write, requester, own_state, ctx):
-        """Directory bookkeeping: decide the child's granted state and
-        invalidate/downgrade other children as needed."""
-        rid = requester.child_id
-        rbit = 1 << rid
-        sharers = self._sharers
-        mask = sharers.get(line, 0)
-        self.dir_ops += 1
-        if write:
-            dirty = False
-            others = mask & ~rbit
-            if others:
-                children = self.children
-                down = self.down_latency
-                while others:
-                    low = others & -others
-                    others ^= low
-                    dirty |= children[low.bit_length() - 1] \
-                        .invalidate_subtree(line, ctx)
-                    ctx.latency += down
-                    ctx.invalidations += 1
-            sharers[line] = rbit
-            self._owner[line] = rid
-            if dirty:
-                self.array.update_state(line, _MESI_M)
-            return _MESI_E
-        owner = self._owner.get(line)
-        if owner is not None and owner != rid:
-            dirty = self.children[owner].downgrade_subtree(line, ctx)
-            ctx.latency += self.down_latency
-            del self._owner[line]
-            if dirty:
-                self.array.update_state(line, _MESI_M)
-                own_state = _MESI_M
-        mask |= rbit
-        sharers[line] = mask
-        if mask == rbit and own_state >= _MESI_E:
-            self._owner[line] = rid
-            return _MESI_E
-        return _MESI_S
-
-    def _evict(self, line, state, ctx):
-        """Evict ``line`` (inclusive: purge the subtree below first)."""
-        self.evictions += 1
-        if ctx is not None and self.children:
-            # Shared-cache victims feed the interference profiler's
-            # eviction-driven path-altering class (Figure 2).
-            ctx.shared_evictions += (line,)
-        dirty = state == _MESI_M
-        mask = self._clear_directory(line)
-        if mask:
-            children = self.children
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                dirty |= children[low.bit_length() - 1] \
-                    .invalidate_subtree(line, ctx)
-        parent, _net = self.parent_select(line)
-        parent.child_evicted(line, self, dirty, ctx)
-        if dirty:
-            self.writebacks += 1
-
-    def _clear_directory(self, line):
-        """Drop all directory state for ``line``; returns the prior
-        sharer bitmask."""
-        self._owner.pop(line, None)
-        return self._sharers.pop(line, 0)
 
     # ------------------------------------------------------------------
     # Introspection (stats, integrity digests)
@@ -442,51 +275,6 @@ class MainMemory(_Directory):
         stride = self.num_tiles // self.config.controllers
         return (ctrl * stride) % self.num_tiles
 
-    def handle_access(self, line, write, requester, ctx):
-        self.reads += 1
-        ctrl = line % self.config.controllers
-        src_tile = getattr(requester, "tile", 0)
-        ctrl_tile = self.controller_tile(ctrl)
-        if self.noc_routes is not None and src_tile != ctrl_tile:
-            route = self.noc_routes.get((src_tile, ctrl_tile))
-            if route is not None:
-                ctx.steps.append((route, ctx.latency, StepKind.NOC))
-        ctx.latency += self.network.latency(src_tile, ctrl_tile)
-        arrival = ctx.latency
-        ctx.latency += self.config.zero_load_latency
-        weave = self.ctrl_weaves[ctrl]
-        if weave is not None:
-            ctx.steps.append((weave, arrival, StepKind.READ))
-        # Directory over top-level caches (same policy as Cache).
-        rid = requester.child_id
-        rbit = 1 << rid
-        sharers = self._sharers
-        mask = sharers.get(line, 0)
-        self.dir_ops += 1
-        if write:
-            others = mask & ~rbit
-            if others:
-                children = self.children
-                while others:
-                    low = others & -others
-                    others ^= low
-                    children[low.bit_length() - 1] \
-                        .invalidate_subtree(line, ctx)
-                    ctx.invalidations += 1
-            sharers[line] = rbit
-            self._owner[line] = rid
-            return _MESI_E
-        owner = self._owner.get(line)
-        if owner is not None and owner != rid:
-            self.children[owner].downgrade_subtree(line, ctx)
-            del self._owner[line]
-        mask |= rbit
-        sharers[line] = mask
-        if mask == rbit:
-            self._owner[line] = rid
-            return _MESI_E
-        return _MESI_S
-
     def acquire_exclusive(self, line, requester, ctx):
         rid = requester.child_id
         self.dir_ops += 1
@@ -496,17 +284,10 @@ class MainMemory(_Directory):
             while others:
                 low = others & -others
                 others ^= low
-                children[low.bit_length() - 1].invalidate_subtree(line, ctx)
+                children[low.bit_length() - 1].invalidate_subtree(line)
                 ctx.invalidations += 1
         self._sharers[line] = 1 << rid
         self._owner[line] = rid
-
-    def child_evicted(self, line, child, dirty, ctx):
-        self._drop_child(line, child)
-        if dirty:
-            self.writebacks += 1
-            if ctx is not None:
-                ctx.add_wback(self.ctrl_weaves[line % self.config.controllers])
 
     def integrity_items(self):
         """Cheap digest items for the integrity sentinel (same shape as

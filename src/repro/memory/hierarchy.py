@@ -347,6 +347,7 @@ class MemoryHierarchy:
         idx = (line % array.num_sets if not array.hash_sets
                else array.set_index(line))
         entry = array._lines[idx].get(line)
+        l1.accesses += 1
         if entry is not None and (not write or entry[1] >= _MESI_E):
             way = entry[0]
             repl = array._repl[idx]
@@ -356,7 +357,6 @@ class MemoryHierarchy:
                 repl._clock += 1
             else:
                 repl.touch(way)
-            l1.accesses += 1
             l1.hits += 1
             if write:
                 array._lines[idx][line] = (way, _MESI_M)
@@ -376,6 +376,10 @@ class MemoryHierarchy:
         else:
             self.slow_accesses += 1
             result = AccessRecord(core_id, line, write)
+            result.latency = l1.latency
+            if entry is None:
+                l1.misses += 1
+                result.missed_levels.append(l1.level)
             self._walk_access(l1, line, write, result, idx, entry)
             if (self.prefetchers and not ifetch
                     and "l1d" in result.missed_levels):
@@ -401,57 +405,37 @@ class MemoryHierarchy:
             self.profiler.record(result, cycle)
         return result
 
-    def _walk_access(self, l1, line, write, ctx, l1_idx, l1_entry):
-        """The demand coherence walk, flattened into one iterative frame
-        (ISSUE 10); ``l1_idx`` / ``l1_entry`` are what :meth:`access`
-        already peeked in the L1.
+    def _walk_access(self, c, line, write, ctx, idx, entry):
+        """The coherence walk, as one iterative frame.  It starts at
+        cache ``c``, which its caller has already looked up (``idx`` /
+        ``entry`` are the set and the entry it peeked) and charged:
+        :meth:`access` counts the L1 access, its latency and a miss;
+        :meth:`_prefetch` enters at the L2 on a miss and counts only a
+        prefetch fill.  A hit at ``c`` is always an L1 (an upgrade), so
+        it records no weave step: private levels have no weave
+        component.
 
-        Byte-identical in effects *and effect order* to the recursive
-        walk (``Cache.handle_access`` -> ``_fetch_and_fill`` ->
-        ``_grant_to_child`` -> ``_evict``), which remains in place for
-        prefetch fills and subtree coherence, and as the reference the
-        tests run this walk against.  The recursion is replaced by two
-        loops over a preallocated path scratch — descend recording
-        misses until a hit or main memory, then unwind granting and
-        filling — with the latency accumulator, step list, and routing
-        tables bound to locals.  Rare coherence fan-out
-        (subtree invalidation/downgrade, upgrade acquires) still
-        dispatches into the recursive helpers; of those only
-        ``acquire_exclusive`` and main memory's ``child_evicted`` read
-        or write ``ctx.latency``, so the local accumulator is synced
-        around exactly those calls."""
+        Two loops over a preallocated path scratch — descend routing each
+        miss to its parent and counting the next level, until a hit or
+        main memory, then unwind granting, filling and evicting — with
+        the latency accumulator, step list, and routing tables bound to
+        locals.  Coherence fan-out (subtree invalidation/downgrade,
+        upgrade acquires) dispatches into the cache helpers; of those
+        only ``acquire_exclusive`` reads or writes ``ctx.latency``, so
+        the local accumulator is synced around exactly that call.  The
+        tests replay it against a recursive reference walk
+        (``tests/reference_walk.py``)."""
         latency = ctx.latency
         steps = ctx.steps
         missed = ctx.missed_levels
         caches = self._walk_caches
         idxs = self._walk_idx
         depth = 0
-        c = l1
+        array = c.array
+        lines = array._lines
         state = _MESI_S
-        # -- Descend: record misses until a hit or main memory ---------
-        while True:
-            c.accesses += 1
-            arrival = latency
-            latency = arrival + c.latency
-            array = c.array
-            lines = array._lines
-            if depth:
-                ns = array.num_sets
-                if array.hash_sets:
-                    idx = (line ^ line // ns ^ line // (ns * ns)) % ns
-                else:
-                    idx = line % ns
-                entry = lines[idx].get(line)
-            else:
-                # access() already peeked L1.
-                idx = l1_idx
-                entry = l1_entry
-            if entry is not None:
-                break
-            c.misses += 1
-            missed.append(c.level)
-            if c.weave is not None:
-                steps.append((c.weave, arrival, _SK_MISS))
+        # -- Descend: route misses up until a hit or main memory -------
+        while entry is None:
             banks = c._parent_banks
             if len(banks) == 1:
                 parent = banks[0]
@@ -471,58 +455,72 @@ class MemoryHierarchy:
             caches[depth] = c
             idxs[depth] = idx
             depth += 1
-            if parent.level != "mem":
-                c = parent
-                continue
-            # -- Terminal level: MainMemory.handle_access, inlined -----
-            m = parent
-            m.reads += 1
-            ctrl = line % m._num_ctrls
-            src_tile = c.tile
-            ctrl_tile = m._ctrl_tiles[ctrl]
-            if m.noc_routes is not None and src_tile != ctrl_tile:
-                route = m.noc_routes.get((src_tile, ctrl_tile))
-                if route is not None:
-                    steps.append((route, latency, _SK_NOC))
-            latency += m._net_to_ctrl[src_tile][ctrl]
-            arrival = latency
-            latency += m._zero_load
-            weave = m.ctrl_weaves[ctrl]
-            if weave is not None:
-                steps.append((weave, arrival, _SK_READ))
-            rid = c.child_id
-            rbit = 1 << rid
-            sharers = m._sharers
-            mask = sharers.get(line, 0)
-            m.dir_ops += 1
-            if write:
-                others = mask & ~rbit
-                if others:
-                    children = m.children
-                    while others:
-                        low = others & -others
-                        others ^= low
-                        children[low.bit_length() - 1] \
-                            .invalidate_subtree(line, ctx)
-                        ctx.invalidations += 1
-                sharers[line] = rbit
-                m._owner[line] = rid
-                state = _MESI_E
-            else:
-                owner = m._owner.get(line)
-                if owner is not None and owner != rid:
-                    m.children[owner].downgrade_subtree(line, ctx)
-                    del m._owner[line]
-                mask |= rbit
-                sharers[line] = mask
-                if mask == rbit:
+            if parent.level == "mem":
+                # -- Terminal level: main memory, inlined --------------
+                m = parent
+                m.reads += 1
+                ctrl = line % m._num_ctrls
+                src_tile = c.tile
+                ctrl_tile = m._ctrl_tiles[ctrl]
+                if m.noc_routes is not None and src_tile != ctrl_tile:
+                    route = m.noc_routes.get((src_tile, ctrl_tile))
+                    if route is not None:
+                        steps.append((route, latency, _SK_NOC))
+                latency += m._net_to_ctrl[src_tile][ctrl]
+                arrival = latency
+                latency += m._zero_load
+                weave = m.ctrl_weaves[ctrl]
+                if weave is not None:
+                    steps.append((weave, arrival, _SK_READ))
+                rid = c.child_id
+                rbit = 1 << rid
+                sharers = m._sharers
+                mask = sharers.get(line, 0)
+                m.dir_ops += 1
+                if write:
+                    others = mask & ~rbit
+                    if others:
+                        children = m.children
+                        while others:
+                            low = others & -others
+                            others ^= low
+                            children[low.bit_length() - 1] \
+                                .invalidate_subtree(line)
+                            ctx.invalidations += 1
+                    sharers[line] = rbit
                     m._owner[line] = rid
                     state = _MESI_E
                 else:
-                    state = _MESI_S
-            entry = None
-            grantor = None
-            break
+                    owner = m._owner.get(line)
+                    if owner is not None and owner != rid:
+                        m.children[owner].downgrade_subtree(line)
+                        del m._owner[line]
+                    mask |= rbit
+                    sharers[line] = mask
+                    if mask == rbit:
+                        m._owner[line] = rid
+                        state = _MESI_E
+                    else:
+                        state = _MESI_S
+                grantor = None
+                break
+            c = parent
+            c.accesses += 1
+            arrival = latency
+            latency = arrival + c.latency
+            array = c.array
+            lines = array._lines
+            ns = array.num_sets
+            if array.hash_sets:
+                idx = (line ^ line // ns ^ line // (ns * ns)) % ns
+            else:
+                idx = line % ns
+            entry = lines[idx].get(line)
+            if entry is None:
+                c.misses += 1
+                missed.append(c.level)
+                if c.weave is not None:
+                    steps.append((c.weave, arrival, _SK_MISS))
         # -- Hit bookkeeping (cache ``c``; main memory handled above) --
         if entry is not None:
             repl = array._repl[idx]
@@ -569,7 +567,7 @@ class MemoryHierarchy:
         while i >= 0:
             cc = caches[i]
             if grantor is not None:
-                # Cache._grant_to_child, inlined.
+                # The grantor's directory grant to ``cc``.
                 rid = cc.child_id
                 rbit = 1 << rid
                 sharers = grantor._sharers
@@ -585,7 +583,7 @@ class MemoryHierarchy:
                             low = others & -others
                             others ^= low
                             dirty |= children[low.bit_length() - 1] \
-                                .invalidate_subtree(line, ctx)
+                                .invalidate_subtree(line)
                             latency += down
                             ctx.invalidations += 1
                     sharers[line] = rbit
@@ -597,7 +595,7 @@ class MemoryHierarchy:
                     owner = grantor._owner.get(line)
                     if owner is not None and owner != rid:
                         dirty = grantor.children[owner] \
-                            .downgrade_subtree(line, ctx)
+                            .downgrade_subtree(line)
                         latency += grantor.down_latency
                         del grantor._owner[line]
                         if dirty:
@@ -646,7 +644,7 @@ class MemoryHierarchy:
             else:
                 crepl.touch(way)
             if victim is not None:
-                # Cache._evict, inlined (inclusive: purge below first).
+                # Evict the victim (inclusive: purge below first).
                 cc.evictions += 1
                 if cc.children:
                     ctx.shared_evictions += (victim,)
@@ -659,7 +657,7 @@ class MemoryHierarchy:
                         low = vmask & -vmask
                         vmask ^= low
                         dirty |= children[low.bit_length() - 1] \
-                            .invalidate_subtree(victim, ctx)
+                            .invalidate_subtree(victim)
                 vbanks = cc._parent_banks
                 if len(vbanks) == 1:
                     vparent = vbanks[0]
@@ -667,20 +665,33 @@ class MemoryHierarchy:
                     key = ((victim * _HASH_MULT) & 0xFFFFFFFF) >> 8 \
                         if cc._parent_hashed else victim
                     vparent = vbanks[key % len(vbanks)]
-                if type(vparent) is Cache:
-                    # Cache.child_evicted, inlined (never reads ctx).
-                    vparent.dir_ops += 1
-                    psharers = vparent._sharers
-                    pmask = psharers.get(victim)
-                    if pmask is not None:
-                        pmask &= ~(1 << cc.child_id)
-                        if pmask:
-                            psharers[victim] = pmask
-                        else:
-                            del psharers[victim]
-                    if vparent._owner.get(victim) == cc.child_id:
-                        del vparent._owner[victim]
-                    if dirty:
+                # The parent's directory drops ``cc`` (a cache or main
+                # memory: both keep the same bitmask directory).
+                vparent.dir_ops += 1
+                psharers = vparent._sharers
+                pmask = psharers.get(victim)
+                if pmask is not None:
+                    pmask &= ~(1 << cc.child_id)
+                    if pmask:
+                        psharers[victim] = pmask
+                    else:
+                        del psharers[victim]
+                if vparent._owner.get(victim) == cc.child_id:
+                    del vparent._owner[victim]
+                if dirty:
+                    cc.writebacks += 1
+                    if vparent.level == "mem":
+                        # Memory writeback, timestamped from the local
+                        # accumulator.
+                        vparent.writebacks += 1
+                        wb_weave = vparent.ctrl_weaves[
+                            victim % vparent._num_ctrls]
+                        if wb_weave is not None:
+                            ctx.wbacks.append(
+                                (wb_weave, latency, _SK_WBACK))
+                    else:
+                        # Dirty data lands in the parent; inclusion
+                        # guarantees the line is resident.
                         parray = vparent.array
                         plines = parray._lines[
                             victim % parray.num_sets
@@ -689,32 +700,6 @@ class MemoryHierarchy:
                         pentry = plines.get(victim)
                         if pentry is not None:
                             plines[victim] = (pentry[0], _MESI_M)
-                elif type(vparent) is MainMemory:
-                    # MainMemory.child_evicted, inlined; the writeback
-                    # step is timestamped from the local accumulator.
-                    vparent.dir_ops += 1
-                    psharers = vparent._sharers
-                    pmask = psharers.get(victim)
-                    if pmask is not None:
-                        pmask &= ~(1 << cc.child_id)
-                        if pmask:
-                            psharers[victim] = pmask
-                        else:
-                            del psharers[victim]
-                    if vparent._owner.get(victim) == cc.child_id:
-                        del vparent._owner[victim]
-                    if dirty:
-                        vparent.writebacks += 1
-                        wb_weave = vparent.ctrl_weaves[
-                            victim % vparent._num_ctrls]
-                        if wb_weave is not None:
-                            ctx.wbacks.append(
-                                (wb_weave, latency, _SK_WBACK))
-                else:
-                    ctx.latency = latency
-                    vparent.child_evicted(victim, cc, dirty, ctx)
-                if dirty:
-                    cc.writebacks += 1
             grantor = cc
             i -= 1
         if write:
@@ -736,18 +721,27 @@ class MemoryHierarchy:
 
     def _prefetch(self, core_id, line, ctx):
         """Train the core's stride prefetcher on the L2 access stream
-        and issue fills.  Prefetch traffic is off the demand access's
+        and issue fills.  Each prefetched line is peeked in the L2
+        without a touch; a miss counts one ``prefetch_fills`` and
+        enters the walk at the L2 — no L2 access, miss, latency or step
+        — and no directory entry is made there: the first demand access
+        installs sharers.  Prefetch traffic is off the demand access's
         critical path; its weave events ride along as side events."""
         if self.config.l2_shared_per_tile:
             l2 = self.l2s[self.config.core_tile(core_id)]
         else:
             l2 = self.l2s[core_id]
+        array = l2.array
         wbacks = ctx.wbacks
         for pf_line in self.prefetchers[core_id].observe(line):
+            idx = array.set_index(pf_line)
+            if pf_line in array._lines[idx]:
+                continue
+            l2.prefetch_fills += 1
             pf_ctx = AccessRecord(core_id, pf_line, False)
-            if l2.prefetch_fill(pf_line, pf_ctx):
-                wbacks.extend(pf_ctx.steps)
-                wbacks.extend(pf_ctx.wbacks)
+            self._walk_access(l2, pf_line, False, pf_ctx, idx, None)
+            wbacks.extend(pf_ctx.steps)
+            wbacks.extend(pf_ctx.wbacks)
 
     # ------------------------------------------------------------------
     # Stats and invariants

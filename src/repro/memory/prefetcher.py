@@ -36,8 +36,6 @@ class StridePrefetcher:
     def __init__(self, degree=2):
         self.degree = max(1, degree)
         self._pages = {}
-        self.trained = 0
-        self.issued = 0
 
     def observe(self, line):
         """Record a demand access; returns the lines to prefetch."""
@@ -54,21 +52,12 @@ class StridePrefetcher:
         if stride == 0:
             return ()
         if stride == entry.stride:
-            if not entry.confident:
-                entry.confident = True
-                self.trained += 1
+            entry.confident = True
         else:
             entry.stride = stride
             entry.confident = False
         entry.last_line = line
         if not entry.confident:
             return ()
-        prefetches = tuple(line + entry.stride * (i + 1)
-                           for i in range(self.degree))
-        self.issued += len(prefetches)
-        return prefetches
-
-    def reset(self):
-        self._pages.clear()
-        self.trained = 0
-        self.issued = 0
+        return tuple(line + entry.stride * (i + 1)
+                     for i in range(self.degree))

@@ -14,6 +14,8 @@ from repro.memory.access import AccessRecord
 from repro.memory.coherence import MESI
 from repro.resilience.checkpoint import checkpoints
 
+from reference_walk import prefetch as reference_prefetch
+
 
 def build_program(num_blocks=1, body=None):
     """A tiny program of ``num_blocks`` identical ALU blocks."""
@@ -62,16 +64,16 @@ def stream_of(block, addr_lists=None, count=None, taken=True):
 
 def reference_access(hier, core_id, addr, write, cycle=0, ifetch=False):
     """``MemoryHierarchy.access`` as the reference model: no inline L1
-    hit, every access down the recursive walk
-    (``Cache.handle_access``).  Tests install it in place of the
-    shipped ``access`` to prove the fast path and the flat walk
-    invisible in simulated results."""
+    hit, every access and prefetch fill down the recursive walk of
+    ``reference_walk`` (build ``hier`` from its classes).  Tests install
+    it in place of the shipped ``access`` to prove the fast path and
+    the flat walk invisible in simulated results."""
     line = addr >> hier.line_bits
     l1 = hier.l1i[core_id] if ifetch else hier.l1d[core_id]
     result = AccessRecord(core_id, line, write)
     l1.handle_access(line, write, None, result)
     if hier.prefetchers and not ifetch and "l1d" in result.missed_levels:
-        hier._prefetch(core_id, line, result)
+        reference_prefetch(hier, core_id, line, result)
     hier.access_latency.record(result.latency)
     if hier.profiler is not None:
         hier.profiler.record(result, cycle)
@@ -93,11 +95,14 @@ def busy_at(timeline, cycle):
     return idx > 0 and timeline._ends[idx - 1] > cycle
 
 
-def recursive_walk(l1, line, write, ctx, l1_idx, l1_entry):
+def recursive_walk(cache, line, write, ctx, idx, entry):
     """Stand-in for ``MemoryHierarchy._walk_access`` (install with
-    ``staticmethod``): the shipped fast path stays live and only the
-    walk beneath it is the recursive reference."""
-    return l1.handle_access(line, write, None, ctx)
+    ``staticmethod`` on a hierarchy of ``reference_walk`` classes): the
+    shipped fast path and prefetch entry stay live and only the walk
+    beneath them is the recursive reference.  Like the shipped walk it
+    starts at ``cache`` with that level's access already charged."""
+    return cache.serve(line, write, None, ctx, entry is not None,
+                       ctx.latency - cache.latency)
 
 
 def latest(directory):

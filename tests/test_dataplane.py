@@ -34,6 +34,7 @@ from repro.workloads import mt_workload, spec_workload
 
 from conftest import (alu_block, build_program, latest, mem_block,
                       recursive_walk, reference_access)
+from reference_walk import reference_classes
 
 
 # ---------------------------------------------------------------------
@@ -194,7 +195,8 @@ def _assert_reference_invisible(monkeypatch, reference, num_cores,
     for name, value in _REFERENCES[reference]:
         monkeypatch.setattr(MemoryHierarchy, name, value)
     cfg = small_test_system(num_cores=num_cores, core_model=core_model)
-    ref_sim, want = _run(cfg, contention)
+    with reference_classes():
+        ref_sim, want = _run(cfg, contention)
     if reference == "access":
         assert ref_sim.hierarchy.fastpath_hits == 0
     assert_equivalent(got, want, ignore=("host",),

@@ -3,13 +3,15 @@
 A lockstep property test pins the ISSUE 10 coherence-walk refactor: a
 reference hierarchy whose directories are the pre-refactor line ->
 set-of-child-Cache / line -> Cache form (the seed implementation,
-inlined below verbatim), accessed through the recursive reference walk,
-is driven through the same randomized MESI traffic as the shipped
-hierarchy (bitmask directories, inline L1 hit, flattened walk).  Every
-access must return the same latency/miss/invalidation record, and the
-final arrays, counters, and (decoded) directories must match.
+inlined below), accessed through the recursive reference walk of
+``reference_walk``, is driven through the same randomized MESI traffic
+as the shipped hierarchy (bitmask directories, inline L1 hit, flattened
+walk, prefetch fills entering that walk at the L2).  Every access must
+return the same latency/miss/invalidation record and weave steps, and
+the final arrays, counters, and (decoded) directories must match.
 """
 
+import dataclasses
 import functools
 import random
 
@@ -18,8 +20,11 @@ import pytest
 from repro.config import small_test_system
 from repro.memory.cache import Cache, MainMemory
 from repro.memory.coherence import MESI
+from repro.memory.hierarchy import MemoryHierarchy
 
 from conftest import reference_access, sharers_of
+from reference_walk import (ReferenceCache, ReferenceMainMemory,
+                            reference_classes)
 
 
 # ---------------------------------------------------------------------
@@ -27,8 +32,9 @@ from conftest import reference_access, sharers_of
 # ---------------------------------------------------------------------
 
 
-class SetDirectoryCache(Cache):
-    """The seed's set-of-objects directory, grafted onto today's Cache.
+class SetDirectoryCache(ReferenceCache):
+    """The seed's set-of-objects directory, grafted onto the reference
+    walk.
 
     Every method that reads or writes ``_sharers``/``_owner`` is
     overridden with the pre-refactor body; the array, routing, and
@@ -39,7 +45,7 @@ class SetDirectoryCache(Cache):
         dirty = False
         for child in list(self._sharers.get(line, ())):
             if child is not requester:
-                dirty |= child.invalidate_subtree(line, ctx)
+                dirty |= child.invalidate_subtree(line)
                 ctx.latency += self.down_latency
                 ctx.invalidations += 1
         state = self.array.lookup(line, touch=False)
@@ -68,21 +74,21 @@ class SetDirectoryCache(Cache):
             if state is not None:
                 self.array.update_state(line, MESI.M)
 
-    def invalidate_subtree(self, line, ctx=None):
+    def invalidate_subtree(self, line):
         dirty = False
         for child in self._clear_directory(line):
-            dirty |= child.invalidate_subtree(line, ctx)
+            dirty |= child.invalidate_subtree(line)
         state = self.array.invalidate(line)
         if state is not None:
             self.invalidations += 1
             dirty |= state == MESI.M
         return dirty
 
-    def downgrade_subtree(self, line, ctx=None):
+    def downgrade_subtree(self, line):
         dirty = False
         owner = self._owner.pop(line, None)
         if owner is not None:
-            dirty |= owner.downgrade_subtree(line, ctx)
+            dirty |= owner.downgrade_subtree(line)
         state = self.array.lookup(line, touch=False)
         if state is not None and state != MESI.S:
             self.downgrades += 1
@@ -96,7 +102,7 @@ class SetDirectoryCache(Cache):
             dirty = False
             for child in list(sharers):
                 if child is not requester:
-                    dirty |= child.invalidate_subtree(line, ctx)
+                    dirty |= child.invalidate_subtree(line)
                     ctx.latency += self.down_latency
                     ctx.invalidations += 1
             sharers.clear()
@@ -107,7 +113,7 @@ class SetDirectoryCache(Cache):
             return MESI.E
         owner = self._owner.get(line)
         if owner is not None and owner is not requester:
-            dirty = owner.downgrade_subtree(line, ctx)
+            dirty = owner.downgrade_subtree(line)
             ctx.latency += self.down_latency
             del self._owner[line]
             if dirty:
@@ -125,7 +131,7 @@ class SetDirectoryCache(Cache):
             ctx.shared_evictions += (line,)
         dirty = state == MESI.M
         for child in self._clear_directory(line):
-            dirty |= child.invalidate_subtree(line, ctx)
+            dirty |= child.invalidate_subtree(line)
         parent, _net = self.parent_select(line)
         parent.child_evicted(line, self, dirty, ctx)
         if dirty:
@@ -140,7 +146,7 @@ class SetDirectoryCache(Cache):
         return set(self._sharers.get(line, ()))
 
 
-class SetDirectoryMainMemory(MainMemory):
+class SetDirectoryMainMemory(ReferenceMainMemory):
     """Pre-refactor MainMemory directory (sets of top-level caches)."""
 
     def handle_access(self, line, write, requester, ctx):
@@ -161,7 +167,7 @@ class SetDirectoryMainMemory(MainMemory):
         if write:
             for child in list(sharers):
                 if child is not requester:
-                    child.invalidate_subtree(line, ctx)
+                    child.invalidate_subtree(line)
                     ctx.invalidations += 1
             sharers.clear()
             sharers.add(requester)
@@ -169,7 +175,7 @@ class SetDirectoryMainMemory(MainMemory):
             return MESI.E
         owner = self._owner.get(line)
         if owner is not None and owner is not requester:
-            owner.downgrade_subtree(line, ctx)
+            owner.downgrade_subtree(line)
             del self._owner[line]
         sharers.add(requester)
         if len(sharers) == 1:
@@ -180,7 +186,7 @@ class SetDirectoryMainMemory(MainMemory):
     def acquire_exclusive(self, line, requester, ctx):
         for child in list(self._sharers.get(line, ())):
             if child is not requester:
-                child.invalidate_subtree(line, ctx)
+                child.invalidate_subtree(line)
                 ctx.invalidations += 1
         self._sharers[line] = {requester}
         self._owner[line] = requester
@@ -195,9 +201,9 @@ class SetDirectoryMainMemory(MainMemory):
             del self._owner[line]
         if dirty:
             self.writebacks += 1
-            ctrl = line % self.config.controllers
-            if ctx is not None:
-                ctx.add_wback(self.ctrl_weaves[ctrl])
+            weave = self.ctrl_weaves[line % self.config.controllers]
+            if weave is not None:
+                ctx.wbacks.append((weave, ctx.latency, "WBACK"))
 
     def sharers_of(self, line):
         return set(self._sharers.get(line, ()))
@@ -208,21 +214,18 @@ class SetDirectoryMainMemory(MainMemory):
 # ---------------------------------------------------------------------
 
 
-def _build_hierarchy(monkeypatch, reference):
-    from repro.memory import hierarchy as hmod
+def _build_hierarchy(reference, prefetch_degree=0):
     cfg = small_test_system(num_cores=4, core_model="ooo")
-    if reference:
-        monkeypatch.setattr(hmod, "Cache", SetDirectoryCache)
-        monkeypatch.setattr(hmod, "MainMemory", SetDirectoryMainMemory)
-    else:
-        monkeypatch.setattr(hmod, "Cache", Cache)
-        monkeypatch.setattr(hmod, "MainMemory", MainMemory)
-    h = hmod.MemoryHierarchy(cfg, build_weave=False)
-    if reference:
-        # The flat walk inlines bitmask directory ops; the reference
-        # hierarchy takes the recursive (set-of-objects) walk.  The
-        # bitmask side runs the shipped access(), fast path live.
-        h.access = functools.partial(reference_access, h)
+    cfg = dataclasses.replace(cfg, l2=dataclasses.replace(
+        cfg.l2, prefetch_degree=prefetch_degree))
+    if not reference:
+        return MemoryHierarchy(cfg)
+    # The flat walk inlines bitmask directory ops; the reference
+    # hierarchy takes the recursive (set-of-objects) walk.  The bitmask
+    # side runs the shipped access(), fast path live.
+    with reference_classes(SetDirectoryCache, SetDirectoryMainMemory):
+        h = MemoryHierarchy(cfg)
+    h.access = functools.partial(reference_access, h)
     return h
 
 
@@ -252,22 +255,37 @@ def _state_picture(h):
         counters[cache.name] = (cache.accesses, cache.hits, cache.misses,
                                 cache.evictions, cache.writebacks,
                                 cache.invalidations, cache.downgrades,
-                                cache.upgrades)
+                                cache.upgrades, cache.prefetch_fills)
         arrays[cache.name] = sorted(cache.array.resident_lines())
     counters["mem"] = (h.mainmem.reads, h.mainmem.writebacks)
     return counters, arrays
 
 
-def _traffic(seed, count, num_cores, line_bits):
+def _named(steps):
+    """Weave steps with components by name (each hierarchy has its
+    own)."""
+    return tuple((comp.name, offset, kind) for comp, offset, kind in steps)
+
+
+def _traffic(seed, count, num_cores, line_bits, strided=False):
     """Randomized MESI traffic: a small hot pool of heavily shared
     lines (upgrades, downgrades, invalidations, ping-pong) plus a
-    wider cold spread (fills and evictions across all three levels)."""
+    wider cold spread (fills and evictions across all three levels).
+    ``strided`` adds per-core streams (strides 1 and 2) over one shared
+    region, which train the L2 prefetchers and race their fills against
+    the other cores' demand accesses."""
     rng = random.Random(seed)
     hot = [rng.randrange(0, 1 << 14) for _ in range(24)]
+    if strided:
+        base = rng.randrange(0, 1 << 14)
+        streams = [base + 8 * core for core in range(num_cores)]
     accesses = []
     for _ in range(count):
         core = rng.randrange(num_cores)
-        if rng.random() < 0.7:
+        if strided and rng.random() < 0.4:
+            streams[core] += 1 + core % 2
+            line = streams[core]
+        elif rng.random() < 0.7:
             line = rng.choice(hot)
         else:
             line = rng.randrange(0, 1 << 16)
@@ -277,37 +295,40 @@ def _traffic(seed, count, num_cores, line_bits):
 
 
 class TestBitmaskDirectoryLockstep:
-    @pytest.mark.parametrize("seed", (1, 7, 2026))
-    def test_lockstep_with_reference_directory(self, monkeypatch, seed):
-        # Reference first: the module-level class patch must point back
-        # at the real classes when bit.check_inclusion() isinstance-
-        # checks parents at the end.
-        ref = _build_hierarchy(monkeypatch, reference=True)
-        bit = _build_hierarchy(monkeypatch, reference=False)
+    @pytest.mark.parametrize("seed, prefetch_degree", [
+        *(pytest.param(seed, 0, id=str(seed)) for seed in (1, 7, 2026)),
+        pytest.param(11, 2, id="prefetch")])
+    def test_lockstep_with_reference_directory(self, seed, prefetch_degree):
+        ref = _build_hierarchy(True, prefetch_degree)
+        bit = _build_hierarchy(False, prefetch_degree)
         assert type(ref.l1d[0]) is SetDirectoryCache
         assert type(ref.mainmem) is SetDirectoryMainMemory
         for i, (core, addr, write) in enumerate(
-                _traffic(seed, 4000, 4, bit.line_bits)):
+                _traffic(seed, 4000, 4, bit.line_bits,
+                         strided=prefetch_degree > 0)):
             got = bit.access(core, addr, write)
             want = ref.access(core, addr, write)
             record = (got.latency, tuple(got.missed_levels),
                       got.hit_level, got.invalidations,
-                      got.shared_evictions)
+                      got.shared_evictions, _named(got.steps),
+                      _named(got.wbacks))
             expect = (want.latency, tuple(want.missed_levels),
                       want.hit_level, want.invalidations,
-                      want.shared_evictions)
+                      want.shared_evictions, _named(want.steps),
+                      _named(want.wbacks))
             assert record == expect, \
                 "access %d diverged: %r vs %r" % (i, record, expect)
         assert bit.fastpath_hits > 0 and bit.slow_accesses > 0
+        fills = sum(l2.prefetch_fills for l2 in bit.l2s)
+        assert (fills > 0) == (prefetch_degree > 0)
         assert _state_picture(bit) == _state_picture(ref)
         assert _directory_picture(bit) == _directory_picture(ref)
         assert bit.check_inclusion() == [] and bit.check_coherence() == []
 
-    def test_directory_decodes_to_reference_after_upgrade_storm(
-            self, monkeypatch):
+    def test_directory_decodes_to_reference_after_upgrade_storm(self):
         """Write-heavy traffic on one line: the pure ping-pong case."""
-        ref = _build_hierarchy(monkeypatch, reference=True)
-        bit = _build_hierarchy(monkeypatch, reference=False)
+        ref = _build_hierarchy(reference=True)
+        bit = _build_hierarchy(reference=False)
         addr = 0x40 << bit.line_bits
         for i in range(200):
             core = i % 4

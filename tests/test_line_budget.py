@@ -20,7 +20,7 @@ import repro
 SRC = pathlib.Path(repro.__file__).parent
 
 BUDGETS = {
-    "memory": 2621,
+    "memory": 2381,
     "core": 1997,
     "cpu": 862,
     "resilience": 1545,

@@ -111,7 +111,7 @@ class TestRetiming:
         res = AccessRecord(0, 7, write=True)
         res.latency = 30
         res.steps.append((bank, 10, StepKind.MISS))
-        res.add_wback(bank)
+        res.wbacks.append((bank, res.latency, StepKind.WBACK))
         engine.run_interval({0: [(50, res)]})
         assert bank.events_executed == 2  # miss + writeback
 
