@@ -9,119 +9,51 @@ advances much more slowly than real time".  Because timeouts here are
 evaluated against the *simulated* clock, no request times out even
 though the run takes far longer in host time than the timeout allows.
 
+The workload comes from :func:`repro.workloads.server.client_server_threads`;
+its :class:`~repro.workloads.server.RequestLog` stamps each request's
+issue and reply cycles through the virtualized syscall interface (the
+functional stream, like a real binary, cannot see simulated time).
+
 Run:  python examples/client_server.py
 """
 
 from repro import ZSim, westmere
-from repro.dbt.instrumentation import InstrumentedStream
-from repro.dbt.translation_cache import TranslationCache
-from repro.isa.opcodes import Opcode
-from repro.isa.program import BBLExec, Instruction, Program
-from repro.isa.registers import gp
-from repro.virt.process import SimProcess, SimThread
-from repro.virt.syscalls import FutexWait, FutexWake, GetTime
 from repro.virt.timing import VirtualClock
+from repro.workloads.server import RequestLog, client_server_threads
 
 NUM_CLIENTS = 2
 REQUESTS_PER_CLIENT = 8
 TIMEOUT_US = 500.0
 
 
-def build_blocks():
-    program = Program("server")
-    work = program.add_block(
-        [Instruction(Opcode.LOAD, gp(14), dst1=gp(2)),
-         Instruction(Opcode.ALU, gp(2), gp(3), gp(2)),
-         Instruction(Opcode.STORE, gp(14), gp(2))]
-        + [Instruction(Opcode.ALU, gp(4), gp(5), gp(4))] * 5)
-    syscall = program.add_block([Instruction(Opcode.SYSCALL)])
-    return work, syscall
-
-
 def main():
     config = westmere(num_cores=4, core_model="simple")
     clock = VirtualClock(config.core.freq_mhz)
-    work, sys_block = build_blocks()
-    tcache = TranslationCache()
-    server_proc = SimProcess("h-store-site")
-    timings = []  # (client, request, issue_cycle, reply_cycle)
-
-    def server_stream():
-        total = NUM_CLIENTS * REQUESTS_PER_CLIENT
-        for _ in range(total):
-            yield BBLExec(sys_block, (), syscall=FutexWait("requests"))
-            # Handle the request: touch the shared table.
-            for i in range(20):
-                addr = 0x8000_0000 + (i * 64) % 8192
-                yield BBLExec(work, (addr, addr))
-            yield BBLExec(sys_block, (), syscall=FutexWake("replies"))
-
-    class RequestTimer:
-        """Records issue/reply cycles via the GetTime virtualization."""
-
-        def __init__(self, client_id):
-            self.client_id = client_id
-            self.issue = None
-
-    def client_stream(client_id, thread_ref):
-        base = 0x1000_0000 + client_id * 0x100_0000
-        for req in range(REQUESTS_PER_CLIENT):
-            # Build the request (private work), note the issue time.
-            for i in range(10):
-                yield BBLExec(work, (base + i * 64, base + i * 64))
-            yield BBLExec(sys_block, (), syscall=GetTime())
-            issue = thread_ref[0]
-            yield BBLExec(sys_block, (), syscall=FutexWake("requests"))
-            yield BBLExec(sys_block, (), syscall=FutexWait("replies"))
-            yield BBLExec(sys_block, (), syscall=GetTime())
-            reply = thread_ref[0]
-            timings.append((client_id, req, issue, reply))
-
     sim = ZSim(config)
-    server = SimThread(InstrumentedStream(server_stream(), tcache),
-                       name="server", process=server_proc)
-    sim.add_thread(server)
-
-    client_threads = []
-    for cid in range(NUM_CLIENTS):
-        ref = [0]
-        thread = SimThread(InstrumentedStream(client_stream(cid, ref),
-                                              tcache),
-                           name="client-%d" % cid)
-        client_threads.append((thread, ref))
+    log = RequestLog()
+    for thread in client_server_threads(
+            num_clients=NUM_CLIENTS, requests_per_client=REQUESTS_PER_CLIENT,
+            request_log=log, sim=sim):
         sim.add_thread(thread)
-
-    # GetTime is non-blocking; capture the issue/reply timestamps the
-    # syscalls observe by wrapping the scheduler's handler (the stream
-    # generator itself cannot see simulated time — like a real binary,
-    # it learns the time only through the virtualized interface).
-    orig_handle = sim.scheduler.handle_syscall
-
-    def handle(thread, syscall, cycle):
-        for t, ref in client_threads:
-            if t is thread:
-                ref[0] = cycle
-        return orig_handle(thread, syscall, cycle)
-    sim.scheduler.handle_syscall = handle
-
     result = sim.run()
 
     print("simulated %d requests over %d cycles (%.1f us simulated, "
           "host wall time %.2f s)"
-          % (len(timings), result.cycles,
+          % (len(log.requests), result.cycles,
              clock.cycles_to_us(result.cycles), result.wall_seconds))
     print()
-    timeouts = 0
-    for client_id, req, issue, reply in sorted(timings):
-        latency_us = clock.cycles_to_us(reply - issue)
+    for client_id, req, issue, reply in sorted(log.requests):
         expired = clock.timeout_expired(issue, reply, TIMEOUT_US * 1000)
-        timeouts += expired
-        flag = "TIMEOUT" if expired else "ok"
         print("client %d request %d: %8.2f us  %s"
-              % (client_id, req, latency_us, flag))
+              % (client_id, req, clock.cycles_to_us(reply - issue),
+                 "TIMEOUT" if expired else "ok"))
+    latencies = log.latencies()
     print()
+    print("mean latency %.2f us, max %.2f us"
+          % (clock.cycles_to_us(sum(latencies) / len(latencies)),
+             clock.cycles_to_us(max(latencies))))
     print("timeouts against the %.0f us simulated-time budget: %d"
-          % (TIMEOUT_US, timeouts))
+          % (TIMEOUT_US, log.timeouts(clock, TIMEOUT_US * 1000)))
     print("(host wall time per request vastly exceeds the timeout — "
           "without timing virtualization every request would expire)")
 

@@ -2,11 +2,7 @@
 
 from repro.baselines.graphite import DEFAULT_SLACK, graphite_simulator
 from repro.baselines.pdes import PDESSimulator
-from repro.baselines.reference import (
-    REFERENCE_INTERVAL,
-    reference_simulator,
-    run_reference,
-)
+from repro.baselines.reference import REFERENCE_INTERVAL, reference_simulator
 from repro.baselines.tlb import TLB, TLBMemory
 
 __all__ = [
@@ -17,5 +13,4 @@ __all__ = [
     "TLBMemory",
     "graphite_simulator",
     "reference_simulator",
-    "run_reference",
 ]

@@ -64,10 +64,3 @@ def reference_simulator(config, threads, contention_model="weave",
                 history_bits=15, table_size=16384,
                 mispredict_penalty=config.core.bpred.mispredict_penalty))
     return sim
-
-
-def run_reference(config, threads, **run_kwargs):
-    """Run the reference machine; returns (result, tlb_memory)."""
-    sim = reference_simulator(config, threads)
-    result = sim.run(**run_kwargs)
-    return result, sim.tlb_memory

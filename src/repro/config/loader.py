@@ -59,7 +59,7 @@ def config_to_dict(config):
 # (system.py uses ``from __future__ import annotations``), so the map is
 # keyed by annotation text.  int is acceptable where float is declared
 # (JSON has one number type); bool is NOT acceptable as int/float even
-# though it subclasses int — ``"inclusive": 1`` and ``"ways": true`` are
+# though it subclasses int — ``"hash_sets": 1`` and ``"ways": true`` are
 # both config bugs.
 _SCALARS = {
     "int": (int,),

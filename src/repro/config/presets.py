@@ -31,7 +31,7 @@ def westmere(num_cores=6, core_model="ooo"):
         l2=CacheConfig(name="l2", size_kb=256, ways=8, latency=7),
         l2_shared_per_tile=False,
         l3=CacheConfig(name="l3", size_kb=12 * 1024, ways=16, latency=14,
-                       banks=6, mshrs=16, shared_by=num_cores),
+                       banks=6, mshrs=16),
         network=NetworkConfig(topology="ring", hop_latency=1,
                               injection_latency=5),
         memory=MemoryConfig(controllers=1, channels_per_controller=3),
@@ -56,12 +56,10 @@ def tiled_chip(num_tiles=4, core_model="ooo", cores_per_tile=16):
         core=CoreConfig(model=core_model, freq_mhz=2000),
         l1i=CacheConfig(name="l1i", size_kb=32, ways=4, latency=3),
         l1d=CacheConfig(name="l1d", size_kb=32, ways=8, latency=4),
-        l2=CacheConfig(name="l2", size_kb=4 * 1024, ways=8, latency=8,
-                       shared_by=cores_per_tile),
+        l2=CacheConfig(name="l2", size_kb=4 * 1024, ways=8, latency=8),
         l2_shared_per_tile=True,
         l3=CacheConfig(name="l3", size_kb=8 * 1024 * num_tiles, ways=16,
-                       latency=12, banks=num_tiles, mshrs=16,
-                       shared_by=num_cores),
+                       latency=12, banks=num_tiles, mshrs=16),
         network=NetworkConfig(topology="mesh", hop_latency=1,
                               injection_latency=5, router_stages=2),
         memory=MemoryConfig(controllers=num_tiles,
@@ -83,8 +81,7 @@ def small_test_system(num_cores=4, core_model="simple",
         l1i=CacheConfig(name="l1i", size_kb=4, ways=2, latency=3),
         l1d=CacheConfig(name="l1d", size_kb=4, ways=4, latency=4),
         l2=CacheConfig(name="l2", size_kb=16, ways=4, latency=7),
-        l3=CacheConfig(name="l3", size_kb=64, ways=8, latency=14, banks=2,
-                       shared_by=num_cores),
+        l3=CacheConfig(name="l3", size_kb=64, ways=8, latency=14, banks=2),
         boundweave=BoundWeaveConfig(interval_cycles=interval_cycles,
                                     host_threads=4),
     )

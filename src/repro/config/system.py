@@ -31,8 +31,6 @@ class CoreConfig:
 
     model: str = "ooo"            # "simple" (IPC=1) or "ooo"
     freq_mhz: int = 2270
-    fetch_bytes_per_cycle: int = 16
-    decode_width: int = 4
     issue_width: int = 4
     retire_width: int = 4
     rob_size: int = 128
@@ -68,8 +66,6 @@ class CacheConfig:
     banks: int = 1                # >1 only meaningful for shared caches
     mshrs: int = 16
     repl: str = "lru"             # "lru" | "tree" | "random"
-    inclusive: bool = True
-    shared_by: int = 1            # number of cores sharing this cache
     hash_banks: bool = True       # hash line addresses across banks
     hash_sets: bool = False       # XOR-fold set index (zsim's "hashed")
     ports: int = 1                # weave model: accesses per cycle per bank
@@ -97,8 +93,6 @@ class DDR3Timing:
     tRP: int = 9      # row precharge
     tRAS: int = 24    # row active time
     tCCD: int = 4     # column-to-column (burst gap)
-    tWR: int = 10     # write recovery
-    tRRD: int = 4     # row-to-row activate (different banks)
     banks_per_rank: int = 8
     ranks_per_channel: int = 2
 
@@ -111,8 +105,6 @@ class MemoryConfig:
     channels_per_controller: int = 3
     zero_load_latency: int = 100      # core cycles, controller+DRAM, no load
     bus_mhz: int = 667                # DDR3-1333 bus clock
-    scheduling: str = "fcfs"          # "fcfs" only (paper's model)
-    page_policy: str = "closed"
     timing: DDR3Timing = field(default_factory=DDR3Timing)
     # Fast powerdown with threshold timer = 15 mem cycles (Table 2).
     powerdown_threshold: int = 15
@@ -141,7 +133,6 @@ class BoundWeaveConfig:
     num_domains: int = 0          # 0 = one domain per tile (auto)
     host_threads: int = 16
     shuffle_wake_order: bool = True
-    record_private_levels: bool = False  # ablation: trace private hits too
     crossing_dependencies: bool = True   # ablation: crossing optimizations
     ooo_mlp_window: int = 8    # weave: overlapping misses per OOO core
     seed: int = 0xDA7A

@@ -81,11 +81,6 @@ class Domain:
             yield tuple(sorted((cycle, seq)
                                for cycle, seq, _item in self._queue))
 
-    def reset(self):
-        """Back to the freshly built state: empty queue, push sequence
-        and clock at zero, no floor, no counts."""
-        self.__init__(self.domain_id)
-
     def reset_interval_stats(self):
         self.events_executed = 0
         self.crossings = 0

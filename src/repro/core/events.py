@@ -27,7 +27,7 @@ class WeaveEvent:
 
     __slots__ = ("component", "kind", "line", "min_cycle", "service",
                  "parents_left", "ready", "done", "child", "gap",
-                 "overflow", "core_id", "is_response")
+                 "overflow", "core_id")
 
     def __init__(self, component, kind, line, min_cycle, service, core_id):
         self.component = component
@@ -39,7 +39,6 @@ class WeaveEvent:
         self.parents_left = 0
         self.ready = min_cycle
         self.done = None
-        self.is_response = False
         self.child = None
         self.gap = 0
         self.overflow = None

@@ -116,11 +116,3 @@ class InterferenceProfiler:
             return 0.0
         return (self.eviction_interfering[interval_length]
                 / self.total_accesses)
-
-    def reset(self):
-        self.total_accesses = 0
-        self.interfering = {n: 0 for n in self.interval_lengths}
-        self.reordered = {n: 0 for n in self.interval_lengths}
-        self.eviction_interfering = {n: 0
-                                     for n in self.interval_lengths}
-        self._state = {n: ({}, -1) for n in self.interval_lengths}

@@ -288,7 +288,7 @@ class ZSim:
         # the host (serial reference, worker pool, or two-stage
         # pipeline).  None defers to config.boundweave.backend.
         if backend is None:
-            backend = getattr(bw, "backend", "serial") or "serial"
+            backend = bw.backend or "serial"
         if isinstance(backend, str):
             backend = make_backend(backend)
         elif not isinstance(backend, ExecutionBackend):
@@ -297,7 +297,7 @@ class ZSim:
         self.backend = backend
         self.backend.start(self)
         self.host_model.backend_name = self.backend.name
-        if getattr(bw, "watchdog_budget_s", 0.0):
+        if bw.watchdog_budget_s:
             self.backend.watchdog_budget = bw.watchdog_budget_s
         #: Flight recorder (see repro.obs.flight): an always-on bounded
         #: ring of run events, frozen into a post-mortem capsule on any
@@ -320,7 +320,7 @@ class ZSim:
         #: chain with the state it fingerprints.  None when
         #: boundweave.audit_every is 0 (CLI: --audit-every).
         self.integrity = None
-        if getattr(bw, "audit_every", 0):
+        if bw.audit_every:
             from repro.resilience.integrity import IntegritySentinel
             self.integrity = IntegritySentinel(audit_every=bw.audit_every)
         #: Resilience layer hooks (see repro.resilience): a Supervisor

@@ -207,7 +207,6 @@ class WeaveEngine:
                 req.parents_left = 0
                 req.ready = issue_cycle
                 req.done = None
-                req.is_response = False
                 req.overflow = None
                 events_append(req)
                 if len(resp_history) >= mlp:
@@ -234,7 +233,6 @@ class WeaveEngine:
                     ev.core_id = core_id
                     ev.ready = min_cycle
                     ev.done = None
-                    ev.is_response = False
                     ev.overflow = None
                     events_append(ev)
                     gap = min_cycle - prev_base
@@ -253,7 +251,6 @@ class WeaveEngine:
                 resp.core_id = core_id
                 resp.ready = resp_cycle
                 resp.done = None
-                resp.is_response = True
                 resp.child = None
                 resp.gap = 0
                 resp.overflow = None
@@ -281,7 +278,6 @@ class WeaveEngine:
                         wb.core_id = core_id
                         wb.ready = min_cycle
                         wb.done = None
-                        wb.is_response = False
                         wb.child = None
                         wb.gap = 0
                         wb.overflow = None
@@ -566,18 +562,3 @@ class WeaveEngine:
                       parent_domain.current_cycle + max(1, crossing.gap))
         domain.crossing_requeues += 1
         domain.push(requeue, crossing)
-
-    # ------------------------------------------------------------------
-
-    def reset(self):
-        for comp in self.components:
-            comp.reset()
-        for fabric in {getattr(c, "fabric", None) for c in self.components}:
-            if fabric is not None:
-                fabric.reset()
-        for core_weave in self.core_weaves:
-            core_weave.reset()
-        for domain in self.domains:
-            domain.reset()
-        self.last_interval_domain_events = [0] * len(self.domains)
-        self.stats = WeaveStats()

@@ -51,9 +51,3 @@ class BranchPredictor:
         self._history = ((self._history << 1) | (1 if taken else 0)) \
             & self._history_mask
         return correct
-
-    def reset(self):
-        self._history = 0
-        self._pht = bytearray([2]) * self.table_size
-        self.predictions = 0
-        self.mispredictions = 0

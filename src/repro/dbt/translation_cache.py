@@ -62,13 +62,6 @@ class TranslationCache:
         if self._cache.pop((program_id, block.bbl_id), None) is not None:
             self.invalidations += 1
 
-    def invalidate_program(self, program_id):
-        """Drop every translation of one program (e.g., on exec())."""
-        stale = [key for key in self._cache if key[0] == program_id]
-        for key in stale:
-            del self._cache[key]
-        self.invalidations += len(stale)
-
     def __len__(self):
         return len(self._cache)
 

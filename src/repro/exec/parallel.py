@@ -105,7 +105,6 @@ class _Worker(threading.Thread):
         #: Microseconds spent waiting for work (and, for bound items,
         #: waiting for the turnstile) since the last ``take_idle_us``.
         self.idle_us = 0.0
-        self.jobs_run = 0
 
     def run(self):
         while True:
@@ -126,7 +125,6 @@ class _Worker(threading.Thread):
                 killed = True
             except BaseException as exc:  # propagate to the coordinator
                 errors.append((exc, ctx))
-            self.jobs_run += 1
             if killed:
                 return  # simulated crash: exit without signaling done
             done.release()

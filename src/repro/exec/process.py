@@ -226,10 +226,9 @@ class ProcessBackend(ExecutionBackend):
         self._sim = sim
         bw = sim.config.boundweave
         if self.pool_size is None:
-            self.pool_size = getattr(bw, "process_workers", 0) or 0
+            self.pool_size = bw.process_workers or 0
         if self.heartbeat_budget_s is None:
-            self.heartbeat_budget_s = getattr(bw, "heartbeat_budget_s",
-                                              10.0)
+            self.heartbeat_budget_s = bw.heartbeat_budget_s
 
     def shutdown(self):
         """Bounded-grace shutdown of any live workers.  Workers are

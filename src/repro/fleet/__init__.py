@@ -21,7 +21,7 @@ from repro.fleet.journal import (DEFAULT_ROTATE_BYTES, Journal,
 from repro.fleet.monitor import FleetMonitor
 from repro.fleet.orchestrator import (EXIT_DRAINED, FleetOrchestrator,
                                       JobState)
-from repro.fleet.spec import JobSpec, SweepSpec, load_spec
+from repro.fleet.spec import JobSpec, SweepSpec
 
 __all__ = [
     "DEFAULT_ROTATE_BYTES",
@@ -32,6 +32,5 @@ __all__ = [
     "JobState",
     "Journal",
     "SweepSpec",
-    "load_spec",
     "read_journal",
 ]

@@ -68,7 +68,6 @@ class Journal:
         self.path = path
         self.rotate_bytes = max(4096, int(rotate_bytes))
         self.rotations = 0
-        self.appended = 0
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         # A SIGKILL mid-rotation leaves a complete-or-partial temp next
         # to the journal; the journal itself is still the truth.
@@ -86,7 +85,6 @@ class Journal:
         self._fh.write(line + "\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        self.appended += 1
         return record
 
     def size(self):

@@ -169,8 +169,3 @@ class SweepSpec:
             raise FleetError("sweep spec %s is not valid JSON: %s"
                              % (path, exc)) from exc
         return cls.from_dict(data)
-
-
-def load_spec(path):
-    """Read and expand a sweep spec JSON file."""
-    return SweepSpec.load(path)

@@ -34,10 +34,8 @@ def select_interval(config, make_threads, candidates=DEFAULT_CANDIDATES,
     """
     candidates = tuple(sorted(candidates))
     profiler = InterferenceProfiler(candidates)
-    probe_config = dataclasses.replace(
-        config, boundweave=dataclasses.replace(
-            config.boundweave, interval_cycles=candidates[-1]))
-    sim = ZSim(probe_config, threads=make_threads(),
+    sim = ZSim(configured_with_interval(config, candidates[-1]),
+               threads=make_threads(),
                contention_model="none", profiler=profiler)
     sim.run(max_instrs=probe_instrs)
     fractions = {n: profiler.reordered_fraction(n) for n in candidates}

@@ -27,16 +27,6 @@ class Instruction:
         self.dst1 = dst1
         self.length = INSTR_LENGTH[opcode]
 
-    @property
-    def is_mem(self):
-        return self.opcode in (Opcode.LOAD, Opcode.STORE, Opcode.LOAD_ALU,
-                               Opcode.ALU_STORE, Opcode.CALL, Opcode.RET)
-
-    @property
-    def is_branch(self):
-        return self.opcode in (Opcode.COND_BRANCH, Opcode.JMP, Opcode.CALL,
-                               Opcode.RET)
-
     def __repr__(self):
         return "Instruction(%s)" % Opcode.NAMES[self.opcode]
 

@@ -101,14 +101,6 @@ class Uop:
     def is_mem(self):
         return self.mem_slot >= 0
 
-    @property
-    def is_load(self):
-        return self.type == UopType.LOAD
-
-    @property
-    def is_store(self):
-        return self.type in (UopType.STORE_ADDR, UopType.STORE_DATA)
-
     def __repr__(self):
         fields = [UopType.NAMES[self.type],
                   "src=%s,%s" % (reg_name(self.src1), reg_name(self.src2)),

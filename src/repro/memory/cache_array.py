@@ -1,7 +1,8 @@
 """Set-associative cache array, fully decoupled from coherence logic.
 
-The array stores MESI states for lines and answers lookup / fill /
-invalidate, delegating victim choice to a replacement policy.  Shared
+The array stores MESI states for lines and answers lookup /
+invalidate; the coherence walk fills it in place (``_materialise``,
+``_free``), delegating victim choice to a replacement policy.  Shared
 caches are banked at a level above this (one array per bank).
 """
 
@@ -48,7 +49,7 @@ class CacheArray:
         self.seed = seed
         make_policy(repl, ways, seed)  # reject a bad name or geometry now
         self._blank_sets()
-        #: Free ways per set: lets a steady-state fill() (full set) skip
+        #: Free ways per set: lets a steady-state fill (full set) skip
         #: the way scan and go straight to the replacement policy.
         self._free = [ways] * num_sets
 
@@ -118,36 +119,6 @@ class CacheArray:
         idx = self.set_index(line)
         way, _ = self._lines[idx][line]
         self._lines[idx][line] = (way, state)
-
-    def fill(self, line, state):
-        """Insert ``line``; returns (victim_line, victim_state) if an
-        eviction was needed, else (None, None).  The caller must handle
-        the victim (writeback + inclusive invalidations) before relying on
-        the fill."""
-        idx = self.set_index(line)
-        repl = self._repl[idx]
-        if repl is None:
-            lines, ways, repl = self._materialise(idx)
-        else:
-            lines = self._lines[idx]
-            if line in lines:
-                raise ValueError("fill() of already-present line 0x%x"
-                                 % line)
-            ways = self._ways[idx]
-        victim_line = victim_state = None
-        if self._free[idx]:
-            # Lowest free way, matching the historical scan order.
-            way = ways.index(None)
-            self._free[idx] -= 1
-        else:
-            way = repl.victim()
-            victim_line = ways[way]
-            victim_state = lines[victim_line][1]
-            del lines[victim_line]
-        ways[way] = line
-        lines[line] = (way, state)
-        repl.touch(way)
-        return victim_line, victim_state
 
     def invalidate(self, line):
         """Remove ``line``; returns its state, or None if absent."""

@@ -30,8 +30,6 @@ class MD1Model:
         self.service = service_cycles
         self.window = window
         self._arrivals = deque()
-        self.requests = 0
-        self.total_wait = 0.0
 
     def latency(self, cycle):
         """Register an arrival at ``cycle`` and return the modeled total
@@ -44,11 +42,4 @@ class MD1Model:
         rho = min(self.MAX_RHO,
                   len(arrivals) * self.service / float(self.window))
         wait = self.service * rho / (2.0 * (1.0 - rho))
-        self.requests += 1
-        self.total_wait += wait
         return int(round(self.service + wait))
-
-    def reset(self):
-        self._arrivals.clear()
-        self.requests = 0
-        self.total_wait = 0.0

@@ -102,9 +102,6 @@ class CycleDrivenDRAM:
             self.tick()
         raise RuntimeError("DRAM request never completed")
 
-    def reset(self):
-        self.__init__(self.t)
-
 
 class DRAMSimWeave(WeaveComponent):
     """Weave-phase glue around :class:`CycleDrivenDRAM`.
@@ -151,8 +148,3 @@ class DRAMSimWeave(WeaveComponent):
         if kind == StepKind.WBACK:
             return int(round(CycleDrivenDRAM.BURST_CYCLES * self.ratio))
         return self.cfg.zero_load_latency
-
-    def reset(self):
-        super().reset()
-        for dram in self.drams:
-            dram.reset()

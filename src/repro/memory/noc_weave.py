@@ -98,10 +98,6 @@ class NocFabric:
             now = granted + per_hop
         return now
 
-    def reset(self):
-        self._links.clear()
-        self.link_stall_cycles = 0
-
 
 class NocRouteWeave(WeaveComponent):
     """Weave component for one (src, dst) tile route."""
@@ -119,11 +115,6 @@ class NocRouteWeave(WeaveComponent):
 
     def zero_load_service(self, kind):
         return self.fabric.network.latency(self.src_tile, self.dst_tile)
-
-    def reset(self):
-        super().reset()
-        # Route components clear only their own counters: the shared
-        # fabric is reset once, by WeaveEngine.reset.
 
 
 NOC_STEP = StepKind.NOC

@@ -54,10 +54,6 @@ class WeaveComponent:
         """Service time assumed by the bound phase for this component."""
         raise NotImplementedError
 
-    def reset(self):
-        """Clear all occupancy state (between independent simulations)."""
-        self.events_executed = 0
-
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self.name)
 
@@ -110,13 +106,6 @@ class CacheBankWeave(WeaveComponent):
 
     def zero_load_service(self, kind):
         return self.latency
-
-    def reset(self):
-        super().reset()
-        self._port_timeline = MultiTimeline(self.ports)
-        self._mshr_release = []
-        self.port_stall_cycles = 0
-        self.mshr_stall_cycles = 0
 
 
 class MemCtrlWeave(WeaveComponent):
@@ -202,13 +191,3 @@ class MemCtrlWeave(WeaveComponent):
         if kind == StepKind.WBACK:
             return self.burst_core_cycles
         return self.cfg.zero_load_latency
-
-    def reset(self):
-        super().reset()
-        self._banks = [[Timeline() for _ in range(self.num_banks)]
-                       for _ in range(self.channels)]
-        self._data_bus = [Timeline() for _ in range(self.channels)]
-        self._last_activity = [0] * self.channels
-        self.bank_conflict_cycles = 0
-        self.bus_conflict_cycles = 0
-        self.powerdown_exits = 0

@@ -28,10 +28,6 @@ class Telemetry:
         self.tracer = Tracer(max_events=max_trace_events) if trace else None
         self.metrics = MetricsRegistry() if metrics else None
 
-    @property
-    def enabled(self):
-        return self.tracer is not None or self.metrics is not None
-
     def disable(self):
         """Turn this context into a no-op (keeps collected data)."""
         self.tracer = None

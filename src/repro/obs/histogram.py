@@ -63,21 +63,6 @@ class Log2Histogram:
     def mean(self):
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, p):
-        """Upper bound of the bucket containing the ``p``-th percentile
-        (``0 < p <= 100``); None on an empty histogram."""
-        if not self.count:
-            return None
-        if not 0 < p <= 100:
-            raise ValueError("percentile must be in (0, 100], got %r" % p)
-        threshold = self.count * p / 100.0
-        seen = 0
-        for index, n in enumerate(self._counts):
-            seen += n
-            if seen >= threshold:
-                return bucket_bounds(index)[1]
-        return bucket_bounds(_MAX_BUCKET)[1]
-
     def buckets(self):
         """Yield ``(lo, hi, count)`` for every non-empty bucket."""
         for index, n in enumerate(self._counts):

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, log-2 histograms, interval samples.
+"""Metrics registry: counters, log-2 histograms, interval samples.
 
 A flat namespace of dotted metric names (``sched.context_switches``,
 ``mem.access_latency``).  The registry also collects *per-interval
@@ -15,11 +15,10 @@ from repro.obs.histogram import Log2Histogram
 
 
 class MetricsRegistry:
-    """Named counters, gauges, and histograms plus an interval table."""
+    """Named counters and histograms plus an interval table."""
 
     def __init__(self):
         self._counters = {}
-        self._gauges = {}
         self._histograms = {}
         #: Per-interval sample rows (dicts with an ``interval`` key).
         self.samples = []
@@ -30,12 +29,6 @@ class MetricsRegistry:
 
     def inc(self, name, amount=1):
         self._counters[name] = self._counters.get(name, 0) + amount
-
-    def counter(self, name):
-        return self._counters.get(name, 0)
-
-    def gauge(self, name, value):
-        self._gauges[name] = value
 
     def histogram(self, name):
         """Get-or-create the named :class:`Log2Histogram`."""
@@ -62,7 +55,6 @@ class MetricsRegistry:
     def to_dict(self):
         return {
             "counters": dict(self._counters),
-            "gauges": dict(self._gauges),
             "histograms": {name: hist.to_dict()
                            for name, hist in self._histograms.items()},
             "samples": list(self.samples),
@@ -91,10 +83,9 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
-        return ("MetricsRegistry(%d counters, %d gauges, %d histograms, "
-                "%d samples)" % (len(self._counters), len(self._gauges),
-                                 len(self._histograms),
-                                 len(self.samples)))
+        return ("MetricsRegistry(%d counters, %d histograms, %d samples)"
+                % (len(self._counters), len(self._histograms),
+                   len(self.samples)))
 
 
 def _csv_cell(value):

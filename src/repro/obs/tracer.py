@@ -108,9 +108,6 @@ class Tracer:
                 "displayTimeUnit": "ms",
                 "otherData": {"dropped_events": self.dropped}}
 
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_chrome(), **kwargs)
-
     def write(self, path, indent=None):
         with open(path, "w") as handle:
             json.dump(self.to_chrome(), handle, indent=indent)

@@ -38,9 +38,6 @@ class DecorrelatedJitter:
         self.cap = max(1, int(cap))
         self._rng = random.Random(seed)
         self._prev = 0
-        #: Totals for observability (stats trees, fleet status files).
-        self.draws = 0
-        self.total = 0
 
     def next(self):
         """Draw the next backoff; grows the window off the previous
@@ -55,8 +52,6 @@ class DecorrelatedJitter:
         else:
             draw = self._rng.uniform(base, hi)
         self._prev = draw
-        self.draws += 1
-        self.total += draw
         return draw
 
     def reset(self):

@@ -282,7 +282,6 @@ class FaultPlan:
 
     def __init__(self, faults=(), seed=0):
         self.faults = list(faults)
-        self.seed = seed
         self._rng = random.Random(seed)
 
     # -- construction --------------------------------------------------
@@ -397,11 +396,6 @@ class FaultPlan:
         """Faults that have not fired (a test asserting full coverage
         of its matrix checks this is empty)."""
         return [f for f in self.faults if not f.fired]
-
-    def reset(self):
-        for fault in self.faults:
-            fault.fired = False
-        self._rng = random.Random(self.seed)
 
     def __repr__(self):
         return "FaultPlan(%s)" % "; ".join(f.describe()

@@ -82,7 +82,7 @@ class Supervisor:
         #: stretch is jittered (see ``_next_backoff``).  0 disables.
         self.backoff_intervals = max(0, int(backoff_intervals))
         if seed is None:
-            seed = getattr(sim.config.boundweave, "seed", 0)
+            seed = sim.config.boundweave.seed
         self._jitter = DecorrelatedJitter(self.backoff_intervals,
                                           seed=seed)
         self._serial = SerialBackend()

@@ -8,12 +8,11 @@ from repro.stats.aggregate import (
     mean,
     mean_abs,
     mpki,
-    mpki_error,
     perf_error,
     run_until_tight,
     stdev,
 )
-from repro.stats.ascii_plot import line_plot, scatter_plot
+from repro.stats.ascii_plot import line_plot
 from repro.stats.counters import StatsNode
 from repro.stats.diff import (
     DiffResult,
@@ -22,7 +21,7 @@ from repro.stats.diff import (
     diff_trees,
     load_tree,
 )
-from repro.stats.reporting import format_series, format_table
+from repro.stats.reporting import format_table
 
 __all__ = [
     "DiffResult",
@@ -33,7 +32,6 @@ __all__ = [
     "confidence_interval_95",
     "diff_trees",
     "load_tree",
-    "format_series",
     "format_table",
     "hmean",
     "line_plot",
@@ -41,9 +39,7 @@ __all__ = [
     "mean",
     "mean_abs",
     "mpki",
-    "mpki_error",
     "perf_error",
-    "scatter_plot",
     "run_until_tight",
     "stdev",
 ]

@@ -35,11 +35,6 @@ def perf_error(simulated, real):
     return (simulated - real) / real
 
 
-def mpki_error(simulated_mpki, real_mpki):
-    """Absolute MPKI error (simulated - real), as in Figure 5."""
-    return simulated_mpki - real_mpki
-
-
 def hmean(values):
     """Harmonic mean, the paper's aggregate for MIPS figures."""
     values = list(values)

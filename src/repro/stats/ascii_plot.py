@@ -1,4 +1,4 @@
-"""Plain-text figure rendering: line/scatter plots for the benches.
+"""Plain-text figure rendering: line plots for the benches.
 
 The paper's figures are plots; benchmarks regenerate them as text so
 results diff cleanly with no plotting stack.  These renderers draw
@@ -73,10 +73,3 @@ def line_plot(series, width=64, height=16, x_label="x", y_label="y",
                        for i, name in enumerate(series))
     lines.append(" " * (label_width + 2) + legend)
     return "\n".join(lines)
-
-
-def scatter_plot(points, width=64, height=16, x_label="x", y_label="y",
-                 title=None):
-    """Render a single point cloud (e.g., MPKI-error scatters)."""
-    return line_plot({"": points}, width, height, x_label, y_label,
-                     title)

@@ -6,8 +6,7 @@ counters and log-2 bucketed histograms (see
 :class:`repro.obs.histogram.Log2Histogram`), collected into one tree —
 but serialize to plain dicts/JSON, which is sufficient for a pure-Python
 reproduction.  Histograms appear in ``to_dict``/``to_json`` as nested
-objects with a ``buckets`` map, and in ``flatten`` as their summary
-scalars (``count``/``total``/``mean``).
+objects with a ``buckets`` map.
 """
 
 from __future__ import annotations
@@ -78,19 +77,6 @@ class StatsNode:
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
-
-    def flatten(self, prefix=""):
-        """Yield (dotted_path, value) for every counter in the subtree;
-        histograms contribute their count/total/mean scalars."""
-        base = prefix + self.name
-        for key, value in self._counters.items():
-            yield "%s.%s" % (base, key), value
-        for key, hist in self._histograms.items():
-            yield "%s.%s.count" % (base, key), hist.count
-            yield "%s.%s.total" % (base, key), hist.total
-            yield "%s.%s.mean" % (base, key), hist.mean
-        for node in self._children.values():
-            yield from node.flatten(base + ".")
 
     def __repr__(self):
         return ("StatsNode(%r, %d counters, %d histograms, %d children)"

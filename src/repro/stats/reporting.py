@@ -1,8 +1,7 @@
-"""Plain-text table and series renderers for the benchmark harness.
+"""Plain-text table renderer for the benchmark harness.
 
-The benchmark scripts regenerate every table and figure of the paper as
-text: tables render as aligned ASCII, figures render as labelled series
-(one row per point), so results diff cleanly and need no plotting stack.
+The benchmark scripts regenerate every table of the paper as aligned
+ASCII text, so results diff cleanly and need no plotting stack.
 """
 
 from __future__ import annotations
@@ -23,14 +22,6 @@ def format_table(headers, rows, title=None):
     lines.append("  ".join("-" * w for w in widths))
     for row in str_rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_series(name, points, x_label="x", y_label="y"):
-    """Render a figure series as labelled (x, y) rows."""
-    lines = ["series: %s  (%s -> %s)" % (name, x_label, y_label)]
-    for x, y in points:
-        lines.append("  %-16s %s" % (_fmt(x), _fmt(y)))
     return "\n".join(lines)
 
 

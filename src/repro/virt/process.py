@@ -69,10 +69,6 @@ class SimProcess:
             out.extend(child.tree())
         return out
 
-    @property
-    def alive(self):
-        return any(t.state != ThreadState.DONE for t in self.threads)
-
     def __repr__(self):
         return "SimProcess(pid=%d, %r, %d threads)" % (
             self.pid, self.name, len(self.threads))

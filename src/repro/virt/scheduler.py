@@ -250,9 +250,6 @@ class Scheduler:
         thread.core = core_id
         self._running[core_id] = thread
 
-    def running_thread(self, core_id):
-        return self._running[core_id]
-
     @_locked
     def deschedule(self, core_id, cycle=None):
         """Remove the running thread from a core (it keeps its state);

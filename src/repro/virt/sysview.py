@@ -20,12 +20,6 @@ class SystemView:
         """sysconf(_SC_NPROCESSORS_ONLN) for the simulated chip."""
         return self.config.num_cores
 
-    def getcpu(self, thread):
-        """The virtualized getcpu() syscall: the simulated core a thread
-        runs on (or -1 if descheduled)."""
-        core = getattr(thread, "core", None)
-        return -1 if core is None else core
-
     def cpuid(self):
         """A CPUID-like capability dictionary for the simulated chip."""
         cfg = self.config

@@ -32,10 +32,6 @@ class VirtualClock:
     def cycles_to_us(self, cycles):
         return self.cycles_to_ns(cycles) / 1000.0
 
-    def gettime_ns(self, cycle):
-        """clock_gettime(CLOCK_MONOTONIC) against simulated time."""
-        return int(self.cycles_to_ns(cycle))
-
     def timeout_expired(self, start_cycle, now_cycle, timeout_ns):
         """Evaluate a guest timeout purely in simulated time."""
         return self.cycles_to_ns(now_cycle - start_cycle) >= timeout_ns

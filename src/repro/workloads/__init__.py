@@ -14,7 +14,6 @@ from repro.workloads.multithreaded import (
     SPLASH2,
     TABLE4_WORKLOADS,
     default_threads,
-    mt_suite,
     mt_workload,
 )
 from repro.workloads.multiprogrammed import (
@@ -22,7 +21,7 @@ from repro.workloads.multiprogrammed import (
     interference_study,
 )
 from repro.workloads.patterns import make_pattern
-from repro.workloads.spec_cpu import SPEC_CPU2006, spec_suite, spec_workload
+from repro.workloads.spec_cpu import SPEC_CPU2006, spec_workload
 
 __all__ = [
     "FIGURE2_WORKLOADS",
@@ -40,8 +39,6 @@ __all__ = [
     "interference_study",
     "kernel_stream",
     "make_pattern",
-    "mt_suite",
     "mt_workload",
-    "spec_suite",
     "spec_workload",
 ]

@@ -105,9 +105,8 @@ class KernelProgram:
             Instruction(Opcode.LOAD_ALU, gp(13), gp(6), gp(7)),
             Instruction(Opcode.STORE, gp(13), gp(7)),
         ])
-        self.magic_block = self.program.add_block([
-            Instruction(Opcode.MAGIC),
-        ])
+        # Unused, but it takes a block id: later blocks keep their ids.
+        self.program.add_block([Instruction(Opcode.MAGIC)])
 
     def _build_body(self, index):
         """One loop-body basic block honoring the spec's instruction

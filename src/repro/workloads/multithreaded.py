@@ -124,10 +124,6 @@ def mt_workload(name, scale=1.0, num_threads=None, seed=None):
     return Workload(spec, num_threads=num_threads or threads)
 
 
-def mt_suite(scale=1.0, names=MULTITHREADED):
-    return [mt_workload(name, scale) for name in names]
-
-
 def default_threads(name):
     """The paper's thread count for a workload (Figure 6)."""
     return _MT_TABLE[name][0]

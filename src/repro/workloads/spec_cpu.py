@@ -82,8 +82,3 @@ def spec_workload(name, scale=1.0, seed=None):
         else (zlib.crc32(name.encode()) % 10_000) + 17,
     ).scaled(scale)
     return Workload(spec, num_threads=1)
-
-
-def spec_suite(scale=1.0):
-    """All 29 workloads, in suite order."""
-    return [spec_workload(name, scale) for name in SPEC_CPU2006]

@@ -80,6 +80,36 @@ def reference_access(hier, core_id, addr, write, cycle=0, ifetch=False):
     return result
 
 
+def fill(array, line, state):
+    """Insert ``line`` into ``array`` (a ``CacheArray``); returns
+    (victim_line, victim_state) if an eviction was needed, else
+    (None, None).  The shipped walk inlines this; tests and the
+    recursive reference walk fill through it."""
+    idx = array.set_index(line)
+    repl = array._repl[idx]
+    if repl is None:
+        lines, ways, repl = array._materialise(idx)
+    else:
+        lines = array._lines[idx]
+        if line in lines:
+            raise ValueError("fill() of already-present line 0x%x" % line)
+        ways = array._ways[idx]
+    victim_line = victim_state = None
+    if array._free[idx]:
+        # Lowest free way, matching the historical scan order.
+        way = ways.index(None)
+        array._free[idx] -= 1
+    else:
+        way = repl.victim()
+        victim_line = ways[way]
+        victim_state = lines[victim_line][1]
+        del lines[victim_line]
+    ways[way] = line
+    lines[line] = (way, state)
+    repl.touch(way)
+    return victim_line, victim_state
+
+
 def would_evict(array, line):
     """Line that filling ``line`` into ``array`` (a ``CacheArray``)
     would evict right now, or None; mutates nothing."""

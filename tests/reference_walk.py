@@ -21,6 +21,8 @@ from repro.memory.access import AccessRecord, StepKind
 from repro.memory.cache import Cache, MainMemory
 from repro.memory.coherence import MESI
 
+import conftest
+
 
 def _drop_child(directory, line, child):
     """Directory side of ``child`` evicting ``line``."""
@@ -94,7 +96,7 @@ class ReferenceCache(Cache):
                 ctx.steps.append((route, ctx.latency, StepKind.NOC))
         ctx.latency += net
         granted = parent.handle_access(line, write, self, ctx)
-        victim, vstate = self.array.fill(line, granted)
+        victim, vstate = conftest.fill(self.array, line, granted)
         if victim is not None:
             self._evict(victim, vstate, ctx)
         return granted

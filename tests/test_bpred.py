@@ -66,14 +66,6 @@ class TestMechanics:
         bp.predict_and_update(0x10, True)
         assert bp.predictions == 1
 
-    def test_reset(self):
-        bp = predictor()
-        for _ in range(10):
-            bp.predict_and_update(0x10, True)
-        bp.reset()
-        assert bp.predictions == 0
-        assert bp.mispredictions == 0
-
     def test_table_size_must_be_power_of_two(self):
         import pytest
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.memory.cache_array import CacheArray
 from repro.memory.coherence import MESI
 
-from conftest import occupancy, would_evict
+from conftest import fill, occupancy, would_evict
 
 
 class TestBasics:
@@ -20,24 +20,24 @@ class TestBasics:
 
     def test_fill_then_hit(self):
         array = CacheArray(4, 2)
-        array.fill(0x10, MESI.E)
+        fill(array, 0x10, MESI.E)
         assert array.lookup(0x10) == MESI.E
 
     def test_update_state(self):
         array = CacheArray(4, 2)
-        array.fill(0x10, MESI.S)
+        fill(array, 0x10, MESI.S)
         array.update_state(0x10, MESI.M)
         assert array.lookup(0x10) == MESI.M
 
     def test_double_fill_raises(self):
         array = CacheArray(4, 2)
-        array.fill(0x10, MESI.E)
+        fill(array, 0x10, MESI.E)
         with pytest.raises(ValueError):
-            array.fill(0x10, MESI.E)
+            fill(array, 0x10, MESI.E)
 
     def test_invalidate(self):
         array = CacheArray(4, 2)
-        array.fill(0x10, MESI.M)
+        fill(array, 0x10, MESI.M)
         assert array.invalidate(0x10) == MESI.M
         assert array.lookup(0x10) is None
         assert array.invalidate(0x10) is None
@@ -51,36 +51,36 @@ class TestEviction:
     def test_no_eviction_until_full(self):
         array = CacheArray(1, 4)
         for i in range(4):
-            victim, _ = array.fill(i, MESI.E)
+            victim, _ = fill(array, i, MESI.E)
             assert victim is None
 
     def test_eviction_when_set_full(self):
         array = CacheArray(1, 2)
-        array.fill(0, MESI.E)
-        array.fill(1, MESI.M)
-        victim, state = array.fill(2, MESI.E)
+        fill(array, 0, MESI.E)
+        fill(array, 1, MESI.M)
+        victim, state = fill(array, 2, MESI.E)
         assert victim == 0  # LRU
         assert state == MESI.E
 
     def test_eviction_respects_lru_touch(self):
         array = CacheArray(1, 2)
-        array.fill(0, MESI.E)
-        array.fill(1, MESI.E)
+        fill(array, 0, MESI.E)
+        fill(array, 1, MESI.E)
         array.lookup(0)  # touch 0; 1 becomes LRU
-        victim, _ = array.fill(2, MESI.E)
+        victim, _ = fill(array, 2, MESI.E)
         assert victim == 1
 
     def test_sets_are_independent(self):
         array = CacheArray(2, 1)
-        array.fill(0, MESI.E)  # set 0
-        victim, _ = array.fill(1, MESI.E)  # set 1
+        fill(array, 0, MESI.E)  # set 0
+        victim, _ = fill(array, 1, MESI.E)  # set 1
         assert victim is None
 
     def test_would_evict_is_pure(self):
         array = CacheArray(1, 2)
-        array.fill(0, MESI.E)
+        fill(array, 0, MESI.E)
         assert would_evict(array, 5) is None  # free way remains
-        array.fill(1, MESI.E)
+        fill(array, 1, MESI.E)
         candidate = would_evict(array, 5)
         assert candidate == 0
         # No mutation happened.
@@ -102,7 +102,7 @@ def test_array_invariants(ops):
             array.update_state(line, state)
             resident[line] = state
             continue
-        victim, vstate = array.fill(line, state)
+        victim, vstate = fill(array, line, state)
         if victim is not None:
             assert resident.pop(victim) == vstate
         resident[line] = state
@@ -115,7 +115,7 @@ def test_array_invariants(ops):
 def test_occupancy_counts():
     array = CacheArray(2, 2)
     for line in range(4):
-        array.fill(line, MESI.E)
+        fill(array, line, MESI.E)
     assert occupancy(array) == 4
 
 
@@ -154,9 +154,9 @@ class TestSparseSets:
         assert array.invalidate(5) is None
         assert would_evict(array, 5) is None
         assert array.num_materialised() == 0
-        array.fill(5, MESI.E)
-        array.fill(5 + 64, MESI.S)
-        array.fill(9, MESI.M)
+        fill(array, 5, MESI.E)
+        fill(array, 5 + 64, MESI.S)
+        fill(array, 9, MESI.M)
         assert array.materialised_sets() == [5, 9]
         # An emptied set stays materialised (its policy has history).
         array.invalidate(9)
@@ -179,14 +179,14 @@ class TestSparseSets:
         """The untouched-set placeholder must not come back from a copy
         as one ordinary dict aliased by every untouched set."""
         array = CacheArray(16, 2)
-        array.fill(3, MESI.E)
-        array.fill(3 + 16, MESI.M)
+        fill(array, 3, MESI.E)
+        fill(array, 3 + 16, MESI.M)
         twin = clone(array)
         before = picture(array)
         assert picture(twin) == before
         assert twin.materialised_sets() == [3]
         # A fill into an untouched set of the copy changes that set only.
-        assert twin.fill(7, MESI.S) == (None, None)
+        assert fill(twin, 7, MESI.S) == (None, None)
         assert sorted(twin.resident_lines()) == sorted(
             before["resident"] + [(7, MESI.S)])
         assert twin.materialised_sets() == [3, 7]
@@ -197,11 +197,11 @@ class TestSparseSets:
         assert twin.audit_invariants("twin") == []
         # ... and nothing in the original, nor the other way round.
         assert picture(array) == before
-        array.fill(8, MESI.E)
+        fill(array, 8, MESI.E)
         assert twin.lookup(8, touch=False) is None
         # The copy keeps working like any array: evictions included.
-        twin.fill(7 + 16, MESI.E)
-        assert twin.fill(7 + 32, MESI.E) == (7, MESI.S)
+        fill(twin, 7 + 16, MESI.E)
+        assert fill(twin, 7 + 32, MESI.E) == (7, MESI.S)
 
     def test_lazy_random_set_draws_the_eager_victims(self):
         """Set ``idx`` is seeded ``seed + idx`` whenever it is built."""
@@ -212,7 +212,7 @@ class TestSparseSets:
             seen = []
             for line in range(8 * 40):
                 # Visit the sets in a scattered order.
-                seen.append(array.fill((line * 7) % (8 * 40), MESI.E))
+                seen.append(fill(array, (line * 7) % (8 * 40), MESI.E))
             victims.append(seen)
         assert victims[0] == victims[1]
         assert any(victim is not None for victim, _ in victims[0])
@@ -242,7 +242,7 @@ def test_sparse_array_matches_eager_array(repl, hash_sets, ops):
             got = sparse.lookup(line)
             assert got == dense.lookup(line)
             if got is None:
-                assert sparse.fill(line, state) == dense.fill(line, state)
+                assert fill(sparse, line, state) == fill(dense, line, state)
             else:
                 sparse.update_state(line, state)
                 dense.update_state(line, state)

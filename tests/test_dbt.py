@@ -46,15 +46,6 @@ class TestTranslationCache:
         cache.invalidate(program.block(0))
         assert cache.invalidations == 0
 
-    def test_invalidate_program(self):
-        program = build_program(num_blocks=3)
-        cache = TranslationCache()
-        for block in program.blocks:
-            cache.translate(block, program_id=9)
-        cache.translate(program.block(0), program_id=10)
-        cache.invalidate_program(9)
-        assert len(cache) == 1
-
     def test_capacity_eviction(self):
         program = build_program(num_blocks=5)
         cache = TranslationCache(capacity=3)

@@ -33,11 +33,9 @@ def _multi_tile_config():
         core=CoreConfig(model="simple"),
         l1i=CacheConfig(name="l1i", size_kb=4, ways=2, latency=3),
         l1d=CacheConfig(name="l1d", size_kb=4, ways=4, latency=4),
-        l2=CacheConfig(name="l2", size_kb=16, ways=4, latency=7,
-                       shared_by=4),
+        l2=CacheConfig(name="l2", size_kb=16, ways=4, latency=7),
         l2_shared_per_tile=True,
-        l3=CacheConfig(name="l3", size_kb=64, ways=8, latency=14, banks=4,
-                       shared_by=16),
+        l3=CacheConfig(name="l3", size_kb=64, ways=8, latency=14, banks=4),
         boundweave=BoundWeaveConfig(host_threads=4),
     )
     return cfg.validate()

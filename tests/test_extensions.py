@@ -20,7 +20,7 @@ from repro.harness.autointerval import (
 )
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.prefetcher import StridePrefetcher
-from repro.stats.ascii_plot import line_plot, scatter_plot
+from repro.stats.ascii_plot import line_plot
 from repro.workloads import spec_workload
 from repro.workloads.base import KernelSpec, Workload
 
@@ -137,6 +137,23 @@ class TestConfigLoader:
     def test_nested_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="l1d"):
             config_from_dict({"l1d": {"sizekb": 32}})
+        # Knobs the model never honoured are rejected by name, not
+        # accepted and ignored.
+        for section, key in [("core", "fetch_bytes_per_cycle"),
+                             ("core", "decode_width"),
+                             ("l3", "inclusive"), ("l3", "shared_by"),
+                             ("memory", "scheduling"),
+                             ("memory", "page_policy"),
+                             ("boundweave", "record_private_levels")]:
+            with pytest.raises(ValueError, match="Unknown config key "
+                               "'%s' in section 'system.%s'"
+                               % (key, section)):
+                config_from_dict({section: {key: 1}})
+        for key in ("tWR", "tRRD"):
+            with pytest.raises(ValueError, match="Unknown config key "
+                               "'%s' in section 'system.memory.timing'"
+                               % key):
+                config_from_dict({"memory": {"timing": {key: 1}}})
 
     def test_base_overlay(self):
         base = westmere(num_cores=6)
@@ -186,12 +203,6 @@ class TestAsciiPlot:
 
     def test_empty(self):
         assert "empty" in line_plot({})
-
-    def test_scatter(self):
-        text = scatter_plot([(0, 1), (5, 3)], width=10, height=4)
-        grid = "\n".join(line for line in text.splitlines()
-                         if "|" in line)
-        assert grid.count("o") == 2
 
     def test_constant_series_no_crash(self):
         text = line_plot({"c": [(0, 2.0), (1, 2.0)]}, width=10, height=4)

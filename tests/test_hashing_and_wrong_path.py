@@ -11,6 +11,8 @@ from repro.memory.cache_array import CacheArray
 from repro.memory.coherence import MESI
 from repro.workloads.base import KernelSpec, Workload
 
+from conftest import fill
+
 
 class TestSetHashing:
     def test_hashed_index_in_range(self):
@@ -31,7 +33,7 @@ class TestSetHashing:
 
     def test_lookup_consistent_with_hashing(self):
         array = CacheArray(16, 2, hash_sets=True)
-        array.fill(12345, MESI.E)
+        fill(array, 12345, MESI.E)
         assert array.lookup(12345) == MESI.E
         assert array.invalidate(12345) == MESI.E
 

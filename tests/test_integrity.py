@@ -49,7 +49,8 @@ from repro.resilience.integrity import _crc
 from repro.stats import assert_equivalent
 from repro.workloads import mt_workload
 
-from conftest import reference_check_coherence, reference_check_inclusion
+from conftest import (fill, reference_check_coherence,
+                      reference_check_inclusion)
 
 WATCHDOG_S = 0.25
 
@@ -64,11 +65,10 @@ def _config(backend, audit_every=1):
         core=CoreConfig(model="simple"),
         l1i=CacheConfig(name="l1i", size_kb=4, ways=2, latency=3),
         l1d=CacheConfig(name="l1d", size_kb=4, ways=4, latency=4),
-        l2=CacheConfig(name="l2", size_kb=16, ways=4, latency=7,
-                       shared_by=4),
+        l2=CacheConfig(name="l2", size_kb=16, ways=4, latency=7),
         l2_shared_per_tile=True,
         l3=CacheConfig(name="l3", size_kb=64, ways=8, latency=14,
-                       banks=4, shared_by=16),
+                       banks=4),
         boundweave=BoundWeaveConfig(host_threads=4, backend=backend,
                                     watchdog_budget_s=WATCHDOG_S,
                                     audit_every=audit_every),
@@ -279,7 +279,7 @@ class TestAuditEquivalence:
                     if l1d[1].array.lookup(line, touch=False) is None)
         # Core 0 shares it; only the copy planted in core 1 is E.
         l1d[0].array.update_state(line, MESI.S)
-        l1d[1].array.fill(line, MESI.E)
+        fill(l1d[1].array, line, MESI.E)
         audit = _assert_same_verdicts(sim, monkeypatch)
         assert sim.hierarchy.check_coherence()[0][0] == line
         assert any("single-writer" in text for _, text in audit)
@@ -302,7 +302,7 @@ class TestAuditEquivalence:
         other = hier.l3_banks[(hier.l3_banks.index(bank) + 1)
                               % len(hier.l3_banks)]
         bank.array.invalidate(line)
-        other.array.fill(line, state)
+        fill(other.array, line, state)
         _assert_same_verdicts(sim, monkeypatch)
         assert (l2.name, bank.name, line) in hier.check_inclusion()
 

@@ -104,11 +104,3 @@ class TestReorderedCount:
                                 hit=rng.random() < 0.7))
         for length in (1000, 10_000):
             assert prof.reordered[length] <= prof.interfering[length]
-
-
-def test_reset():
-    prof = InterferenceProfiler((1000,))
-    prof.record(*access(0, 5, 100, write=True))
-    prof.reset()
-    assert prof.total_accesses == 0
-    assert prof.fraction(1000) == 0.0

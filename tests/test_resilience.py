@@ -73,11 +73,10 @@ def _matrix_config(backend):
         core=CoreConfig(model="simple"),
         l1i=CacheConfig(name="l1i", size_kb=4, ways=2, latency=3),
         l1d=CacheConfig(name="l1d", size_kb=4, ways=4, latency=4),
-        l2=CacheConfig(name="l2", size_kb=16, ways=4, latency=7,
-                       shared_by=4),
+        l2=CacheConfig(name="l2", size_kb=16, ways=4, latency=7),
         l2_shared_per_tile=True,
         l3=CacheConfig(name="l3", size_kb=64, ways=8, latency=14,
-                       banks=4, shared_by=16),
+                       banks=4),
         boundweave=BoundWeaveConfig(host_threads=4, backend=backend,
                                     watchdog_budget_s=WATCHDOG_S),
     )
@@ -150,12 +149,6 @@ class TestFaultPlanGrammar:
         # Second dispatch with the same context: already consumed.
         sentinel = object()
         assert plan.wrap(sentinel, ctx, backend=None, epoch=0) is sentinel
-
-    def test_reset_rearms(self):
-        plan = FaultPlan.parse("raise@2")
-        plan.faults[0].fired = True
-        plan.reset()
-        assert plan.remaining() == plan.faults
 
 
 # ---------------------------------------------------------------------

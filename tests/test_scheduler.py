@@ -41,7 +41,6 @@ class TestPicking:
         sched.pick_thread(0, 5)
         assert t.state == ThreadState.RUNNING
         assert t.core == 0
-        assert sched.running_thread(0) is t
 
     def test_add_requires_simthread(self):
         with pytest.raises(TypeError):
@@ -259,10 +258,3 @@ class TestProcessTree:
         SimProcess("child-cmd", parent=java)
         names = [p.name for p in root.tree()]
         assert names == ["bash", "java", "child-cmd"]
-
-    def test_process_alive(self):
-        proc = SimProcess("p")
-        t = thread("t", process=proc)
-        assert proc.alive
-        t.state = ThreadState.DONE
-        assert not proc.alive

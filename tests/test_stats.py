@@ -10,7 +10,6 @@ from repro.stats.aggregate import (
     confidence_interval_95,
     hmean,
     ipc,
-    mean,
     mean_abs,
     mpki,
     perf_error,
@@ -18,7 +17,7 @@ from repro.stats.aggregate import (
     stdev,
 )
 from repro.stats.counters import StatsNode
-from repro.stats.reporting import format_series, format_table
+from repro.stats.reporting import format_table
 
 
 class TestStatsNode:
@@ -43,13 +42,6 @@ class TestStatsNode:
         root = StatsNode("root")
         root.set("a", 10)
         assert json.loads(root.to_json()) == {"a": 10}
-
-    def test_flatten_paths(self):
-        root = StatsNode("sim")
-        root.set("cycles", 7)
-        root.child("core0").set("instrs", 3)
-        flat = dict(root.flatten())
-        assert flat == {"sim.cycles": 7, "sim.core0.instrs": 3}
 
     def test_histogram_get_or_create(self):
         node = StatsNode("n")
@@ -77,14 +69,6 @@ class TestStatsNode:
         assert doc["min"] == 0 and doc["max"] == 1 << 100
         assert doc["buckets"]["0"] == 1
         assert doc["buckets"]["1"] == 1
-
-    def test_histogram_flatten_scalars(self):
-        node = StatsNode("sim")
-        node.histogram("lat").record(8, n=2)
-        flat = dict(node.flatten())
-        assert flat["sim.lat.count"] == 2
-        assert flat["sim.lat.total"] == 16
-        assert flat["sim.lat.mean"] == 8.0
 
 
 class TestMetrics:
@@ -167,9 +151,3 @@ class TestReporting:
     def test_table_title(self):
         text = format_table(["x"], [[1]], title="My Table")
         assert text.startswith("My Table")
-
-    def test_series(self):
-        text = format_series("speedup", [(1, 1.0), (2, 1.9)],
-                             x_label="threads", y_label="x")
-        assert "speedup" in text
-        assert "1.90" in text

@@ -1,17 +1,13 @@
 """Tests for the weave engine: event graphs, domains, delays, crossings."""
 
-import dataclasses
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import tiled_chip
 from repro.core.domains import CoreWeave
 from repro.core.events import WeaveEvent
 from repro.core.weave import WeaveEngine
 from repro.errors import HorizonViolation
 from repro.memory.access import AccessRecord, StepKind
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.weave import CacheBankWeave
 
 
@@ -30,21 +26,6 @@ def set_gap(event, index, gap):
         event.gap = gap
     else:
         event.overflow[index - 1] = (event.overflow[index - 1][0], gap)
-
-
-def noc_engine():
-    """A weave engine over a 4-tile chip's components with the NoC
-    weave model on: every route shares one link fabric."""
-    cfg = tiled_chip(num_tiles=4, core_model="simple", cores_per_tile=1)
-    cfg = dataclasses.replace(cfg, network=dataclasses.replace(
-        cfg.network, weave_model=True))
-    hier = MemoryHierarchy(cfg)
-    cores = [CoreWeave("core%d" % i, i, tile=cfg.core_tile(i))
-             for i in range(cfg.num_cores)]
-    engine = WeaveEngine(cores, hier.weave_components, num_tiles=4,
-                         num_domains=0,
-                         mlp_window={i: 1 for i in range(cfg.num_cores)})
-    return engine, hier
 
 
 def engine_with_bank(num_cores=2, bank_tile=0, tiles=1, ports=1,
@@ -169,61 +150,6 @@ class TestDeterminismAndReuse:
             return engine.run_interval(traces)
         assert run() == run()
 
-    def test_reset_clears_components(self):
-        """A reset engine is a fresh engine: components, stats *and*
-        domains (queue, push sequence, clock, floor) start over, so the
-        next interval runs and fingerprints exactly as on a new one."""
-        def traces(bank, base):
-            return {core: [(base + i * 7,
-                            make_result(core, i, 30,
-                                        [(bank, 10, StepKind.HIT)]))
-                           for i in range(6)]
-                    for core in range(2)}
-
-        for crossing_deps in (True, False):
-            def build():
-                return engine_with_bank(num_cores=2, bank_tile=1, tiles=2,
-                                        crossing_deps=crossing_deps)
-
-            engine, bank = build()
-            engine.run_interval(traces(bank, 5000))
-            engine.reset()
-            assert bank.events_executed == 0
-            assert engine.stats.intervals == 0
-            assert engine.last_interval_domain_events == [0, 0]
-            fresh, fresh_bank = build()
-            assert domain_picture(engine) == domain_picture(fresh)
-            # The old clock (>= 5000) must not leak into an earlier
-            # interval: with the optimization ablated, probes requeue
-            # off it.
-            assert engine.run_interval(traces(bank, 100)) \
-                == fresh.run_interval(traces(fresh_bank, 100))
-            assert domain_picture(engine) == domain_picture(fresh)
-            assert repr(engine.stats) == repr(fresh.stats)
-            assert bank.events_executed == fresh_bank.events_executed
-
-        # A NoC-weave chip: the routes leave their shared link fabric to
-        # its owner, so the engine must clear it, or the next interval
-        # queues behind the old link reservations.
-        def noc_traces(hier):
-            route = hier.noc_routes[(0, 3)]
-            return {core: [(100 + i,
-                            make_result(core, i, 30,
-                                        [(route, 10, StepKind.NOC)]))
-                           for i in range(8)]
-                    for core in range(4)}
-
-        engine, hier = noc_engine()
-        engine.run_interval(noc_traces(hier))
-        assert hier.noc_fabric.link_stall_cycles > 0
-        engine.reset()
-        assert hier.noc_fabric.link_stall_cycles == 0
-        fresh, fresh_hier = noc_engine()
-        assert engine.run_interval(noc_traces(hier)) \
-            == fresh.run_interval(noc_traces(fresh_hier))
-        assert hier.noc_fabric.link_stall_cycles \
-            == fresh_hier.noc_fabric.link_stall_cycles
-        assert domain_picture(engine) == domain_picture(fresh)
 
 class TestConservatism:
     def test_response_never_before_lower_bound(self):

@@ -54,13 +54,6 @@ class TestCacheBankWeave:
         assert hit == 20
         assert bank.mshr_stall_cycles == 0
 
-    def test_reset_clears_state(self):
-        bank = CacheBankWeave("b", latency=10, ports=1)
-        bank.occupy(0, StepKind.HIT)
-        bank.reset()
-        assert bank.occupy(0, StepKind.HIT) == 10
-        assert bank.port_stall_cycles == 0
-
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10_000),
                               st.sampled_from([StepKind.HIT,
@@ -109,7 +102,7 @@ class TestMemCtrlWeave:
         mc = self.make()
         mc.occupy(1000, StepKind.READ, 0)
         read = mc.occupy(5000, StepKind.READ, 0x100)
-        mc.reset()
+        mc = self.make()
         mc.occupy(1000, StepKind.READ, 0)
         wback = mc.occupy(5000, StepKind.WBACK, 0x100)
         assert wback < read
@@ -184,9 +177,3 @@ class TestDRAMSimGlue:
         burst = [weave.occupy(100, StepKind.READ, line=i * 2)
                  for i in range(30)]
         assert burst[-1] > burst[0]
-
-    def test_reset(self):
-        weave = DRAMSimWeave("ds", MemoryConfig(), core_mhz=2000)
-        weave.occupy(0, StepKind.READ, 0)
-        weave.reset()
-        assert all(d.now == 0 for d in weave.drams)
