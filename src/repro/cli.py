@@ -7,8 +7,6 @@ Subcommands:
 * ``validate`` — compare zsim vs the reference machine on a workload.
 * ``list-workloads`` — enumerate the synthetic suites.
 * ``table1`` — print the simulator comparison matrix.
-* ``experiment`` — run one of the paper's experiments at a chosen scale
-  (the benchmarks drive the same harness under pytest).
 * ``diff`` — structurally compare two stats-JSON trees (the
   equivalence oracle; exit 0 identical/within tolerance, 1 divergent).
 * ``verify`` — certify a checkpoint directory's integrity fingerprint
@@ -22,8 +20,8 @@ Subcommands:
   status file.
 * ``fleet`` — crash-tolerant experiment campaigns: ``fleet run`` a
   sweep spec under the durable journal, ``fleet resume`` a killed
-  campaign, ``fleet status`` its aggregated snapshot, ``fleet spec``
-  a canned paper-figure sweep (see docs/resilience.md).
+  campaign, ``fleet status`` its aggregated snapshot (see
+  docs/resilience.md).
 
 ``run`` carries the resilience layer's flags (see docs/resilience.md):
 ``--supervise``, ``--watchdog-budget``, ``--checkpoint-dir`` /
@@ -399,53 +397,6 @@ def cmd_table1(_args):
     return 0
 
 
-def cmd_experiment(args):
-    from repro.config import westmere
-    from repro.stats import format_table
-
-    if args.name == "fig5":
-        from repro.harness.validation import spec_validation
-        from repro.workloads import SPEC_CPU2006
-        names = SPEC_CPU2006[:args.limit] if args.limit else SPEC_CPU2006
-        rows = spec_validation(westmere(num_cores=1), names=names,
-                               scale=args.scale,
-                               target_instrs=args.instrs)
-        print(format_table(
-            ["app", "IPC real", "IPC zsim", "perf err"],
-            [[r["name"], "%.3f" % r["ipc_real"],
-              "%.3f" % r["ipc_zsim"],
-              "%+.1f%%" % (100 * r["perf_error"])] for r in rows],
-            title="Figure 5 (scale %.3g)" % args.scale))
-        return 0
-    if args.name == "fig6-stream":
-        from repro.harness.validation import stream_scalability
-        curves = stream_scalability(
-            lambda n: westmere(num_cores=max(n, 1), core_model="ooo"),
-            (1, 2, 4, 6), scale=args.scale, target_instrs=args.instrs)
-        order = ["none", "md1", "weave", "dramsim", "real"]
-        rows = [[n] + ["%.2f" % curves[m][i][1] for m in order]
-                for i, n in enumerate((1, 2, 4, 6))]
-        print(format_table(["threads"] + order, rows,
-                           title="Figure 6 (right)"))
-        return 0
-    if args.name == "mt-validation":
-        from repro.harness.validation import mt_validation
-        from repro.workloads import MULTITHREADED
-        names = [n for n in MULTITHREADED if n != "stream"]
-        if args.limit:
-            names = names[:args.limit]
-        rows = mt_validation(westmere(num_cores=6), names,
-                             scale=args.scale,
-                             target_instrs=args.instrs)
-        print(format_table(
-            ["workload", "perf err"],
-            [[r["name"], "%+.1f%%" % (100 * r["perf_error"])]
-             for r in rows], title="Figure 6 (left)"))
-        return 0
-    raise SystemExit("Unknown experiment %r (have: fig5, fig6-stream, "
-                     "mt-validation)" % args.name)
-
-
 def cmd_diff(args):
     from repro.stats import diff_trees, load_tree
     try:
@@ -705,23 +656,6 @@ def cmd_fleet_status(args):
     return 0 if status.get("state") in ("running", "done") else 1
 
 
-def cmd_fleet_spec(args):
-    import json
-
-    from repro.harness.sweeps import build_sweep
-    data = build_sweep(args.name, scale=args.scale, instrs=args.instrs,
-                       limit=args.limit, seeds=args.seeds)
-    text = json.dumps(data, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print("sweep spec written to %s (run with: repro fleet run %s "
-              "--dir <campaign-dir>)" % (args.out, args.out))
-    else:
-        print(text)
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -854,16 +788,6 @@ def build_parser():
     t1 = sub.add_parser("table1", help="print the simulator matrix")
     t1.set_defaults(func=cmd_table1)
 
-    exp = sub.add_parser("experiment",
-                         help="run one of the paper's experiments")
-    exp.add_argument("name",
-                     choices=("fig5", "fig6-stream", "mt-validation"))
-    exp.add_argument("--scale", type=float, default=1 / 32)
-    exp.add_argument("--instrs", type=int, default=25_000)
-    exp.add_argument("--limit", type=int, default=0,
-                     help="restrict to the first N workloads")
-    exp.set_defaults(func=cmd_experiment)
-
     diff = sub.add_parser(
         "diff", help="structurally compare two stats-JSON trees "
                      "(exit 0: equivalent, 1: divergent)")
@@ -965,8 +889,7 @@ def build_parser():
 
     frun = fsub.add_parser(
         "run", help="execute a sweep spec JSON as a fresh campaign")
-    frun.add_argument("spec", help="sweep spec JSON (see `repro fleet "
-                                   "spec` for canned ones)")
+    frun.add_argument("spec", help="sweep spec JSON")
     frun.add_argument("--dir", required=True, metavar="DIR",
                       help="campaign directory (journal, status, "
                            "per-job checkpoints and stats)")
@@ -987,19 +910,6 @@ def build_parser():
     fstat.add_argument("dir", help="campaign directory")
     fstat.set_defaults(func=cmd_fleet_status)
 
-    fspec = fsub.add_parser(
-        "spec", help="emit a canned paper-figure sweep spec")
-    fspec.add_argument("name",
-                       choices=("fig5", "fig6-stream", "mt-validation"))
-    fspec.add_argument("--out", default=None, metavar="PATH",
-                       help="write the spec JSON here (default: stdout)")
-    fspec.add_argument("--scale", type=float, default=1 / 32)
-    fspec.add_argument("--instrs", type=int, default=25_000)
-    fspec.add_argument("--limit", type=int, default=0,
-                       help="restrict to the first N workloads")
-    fspec.add_argument("--seeds", type=int, default=1, metavar="N",
-                       help="seed-offset axis size (default 1)")
-    fspec.set_defaults(func=cmd_fleet_spec)
     return parser
 
 

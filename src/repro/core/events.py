@@ -43,21 +43,6 @@ class WeaveEvent:
         self.gap = 0
         self.overflow = None
 
-    def link(self, child):
-        """Add a dependency edge to ``child`` with the zero-load gap
-        implied by the two events' lower bounds."""
-        gap = child.min_cycle - self.min_cycle - self.service
-        if gap < 0:
-            gap = 0
-        if self.child is None:
-            self.child = child
-            self.gap = gap
-        elif self.overflow is None:
-            self.overflow = [(child, gap)]
-        else:
-            self.overflow.append((child, gap))
-        child.parents_left += 1
-
     def edges(self):
         """Yield this event's ``(child, gap)`` edges in delivery order."""
         if self.child is not None:

@@ -168,7 +168,7 @@ class WeaveEngine:
 
     def _build_events(self, traces):
         # Construction and linking are inlined (WeaveEvent.__init__'s
-        # field stores and the gap arithmetic of WeaveEvent.link) — this
+        # field stores and the clamped edge-gap arithmetic) — this
         # runs once per traced access per interval and the call overhead
         # dominates the work.  A REQ or chain event's inline edge is
         # always written by its successor, so only its ``overflow`` is

@@ -6,10 +6,6 @@ substrate reproduces the same amortization: the first execution of a basic
 block decodes it (µop fission, fusion, port/latency assignment, frontend
 accounting) and caches the :class:`~repro.isa.decoder.DecodedBBL`; every
 later execution reuses the descriptor.
-
-Like zsim, we also support invalidation: when the "code cache" drops a
-trace (e.g., self-modifying code or cache pressure in Pin), the translated
-block must be freed and re-decoded on next use.
 """
 
 from __future__ import annotations
@@ -31,11 +27,8 @@ class TranslationCache:
         self._capacity = capacity
         self.translations = 0
         self.hits = 0
-        #: Blocks dropped by capacity pressure; distinct from
-        #: ``invalidations`` (explicit drops: self-modifying code,
-        #: program teardown), which capacity evictions used to pollute.
+        #: Blocks dropped by capacity pressure.
         self.evictions = 0
-        self.invalidations = 0
 
     def translate(self, block, program_id=0):
         """Return the decoded descriptor for ``block``, decoding on miss."""
@@ -56,11 +49,6 @@ class TranslationCache:
         self._cache[key] = decoded
         self.translations += 1
         return decoded
-
-    def invalidate(self, block, program_id=0):
-        """Drop one translated block (Pin trace invalidation)."""
-        if self._cache.pop((program_id, block.bbl_id), None) is not None:
-            self.invalidations += 1
 
     def __len__(self):
         return len(self._cache)

@@ -7,13 +7,6 @@ from repro.harness.autointerval import (
 )
 from repro.harness.roi import RoiTracker, roi_stream
 from repro.harness.sampling import sampled_ipc
-from repro.harness.sweeps import (
-    SWEEP_NAMES,
-    build_sweep,
-    fig5_sweep,
-    fig6_stream_sweep,
-    mt_validation_sweep,
-)
 from repro.harness.performance import (
     MODEL_SETS,
     host_scalability,
@@ -38,11 +31,6 @@ from repro.harness.validation import (
 __all__ = [
     "MODEL_SETS",
     "RoiTracker",
-    "SWEEP_NAMES",
-    "build_sweep",
-    "fig5_sweep",
-    "fig6_stream_sweep",
-    "mt_validation_sweep",
     "configured_with_interval",
     "roi_stream",
     "sampled_ipc",

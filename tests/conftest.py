@@ -119,6 +119,23 @@ def would_evict(array, line):
     return array._ways[idx][array._repl[idx].victim()]
 
 
+def link(parent, child):
+    """Add a dependency edge from weave event ``parent`` to ``child``
+    with the zero-load gap implied by the two events' lower bounds.
+    ``WeaveEngine._build_events`` inlines this; tests link through it."""
+    gap = child.min_cycle - parent.min_cycle - parent.service
+    if gap < 0:
+        gap = 0
+    if parent.child is None:
+        parent.child = child
+        parent.gap = gap
+    elif parent.overflow is None:
+        parent.overflow = [(child, gap)]
+    else:
+        parent.overflow.append((child, gap))
+    child.parents_left += 1
+
+
 def busy_at(timeline, cycle):
     """Whether ``timeline`` is busy at ``cycle`` (end-exclusive)."""
     idx = bisect_right(timeline._starts, cycle)

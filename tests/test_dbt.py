@@ -30,31 +30,13 @@ class TestTranslationCache:
         assert a is not b
         assert cache.translations == 2
 
-    def test_invalidate_forces_retranslation(self):
-        program = build_program()
-        cache = TranslationCache()
-        block = program.block(0)
-        first = cache.translate(block)
-        cache.invalidate(block)
-        assert cache.invalidations == 1
-        second = cache.translate(block)
-        assert first is not second
-
-    def test_invalidate_absent_is_noop(self):
-        program = build_program()
-        cache = TranslationCache()
-        cache.invalidate(program.block(0))
-        assert cache.invalidations == 0
-
     def test_capacity_eviction(self):
         program = build_program(num_blocks=5)
         cache = TranslationCache(capacity=3)
         for block in program.blocks:
             cache.translate(block)
         assert len(cache) == 3
-        # Capacity pressure counts as eviction, not invalidation.
         assert cache.evictions == 2
-        assert cache.invalidations == 0
         # The oldest translations were evicted.
         assert (0, 0) not in cache and (0, 4) in cache
 

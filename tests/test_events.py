@@ -9,6 +9,8 @@ from repro.core.events import WeaveEvent
 from repro.core.weave import WeaveEngine
 from repro.memory.weave import CacheBankWeave
 
+from conftest import link
+
 
 class TestWeaveEvent:
     def test_link_gap_from_lower_bounds(self):
@@ -16,7 +18,7 @@ class TestWeaveEvent:
                             core_id=0)
         child = WeaveEvent(None, "RESP", 0, min_cycle=130, service=0,
                            core_id=0)
-        parent.link(child)
+        link(parent, child)
         (linked, gap), = parent.edges()
         assert linked is child
         assert gap == 20  # 130 - 100 - 10
@@ -25,13 +27,13 @@ class TestWeaveEvent:
     def test_negative_gap_clamped(self):
         parent = WeaveEvent(None, "REQ", 0, 100, 50, 0)
         child = WeaveEvent(None, "X", 0, 120, 0, 0)  # 120 < 100+50
-        parent.link(child)
+        link(parent, child)
         assert [gap for _child, gap in parent.edges()] == [0]
 
     def test_multiple_parents_counted(self):
         child = WeaveEvent(None, "X", 0, 10, 0, 0)
         for _ in range(3):
-            WeaveEvent(None, "P", 0, 0, 0, 0).link(child)
+            link(WeaveEvent(None, "P", 0, 0, 0, 0), child)
         assert child.parents_left == 3
 
 
@@ -89,7 +91,7 @@ class TestEdgeDeliveryOrder:
         children = [WeaveEvent(child_bank, "HIT", i, child_min, 0, 0)
                     for i, child_min in enumerate(child_mins)]
         for child in children:
-            parent.link(child)
+            link(parent, child)
         want_edges, want_log = _list_of_edges_reference(
             100, service, child_mins)
         assert [(child.line, gap) for child, gap in parent.edges()] \

@@ -26,7 +26,6 @@ from repro.fleet import (
     SweepSpec,
     read_journal,
 )
-from repro.harness.sweeps import SWEEP_NAMES, build_sweep
 from repro.obs import FlightRecorder
 from repro.resilience import (
     Checkpointer,
@@ -114,14 +113,6 @@ class TestSweepSpec:
                                           {"workload": "mcf"}]})
         with pytest.raises(FleetError, match="zero jobs"):
             SweepSpec.from_dict({"name": "empty"})
-
-    def test_canned_sweeps_expand(self):
-        for name in SWEEP_NAMES:
-            data = build_sweep(name, limit=2, seeds=2)
-            spec = SweepSpec.from_dict(data)
-            assert len(spec) >= 2
-            for job in spec.jobs:
-                assert job.params["seed"] in (0, 1)
 
 
 class TestJournal:

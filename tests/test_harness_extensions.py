@@ -306,16 +306,3 @@ class TestCli:
                          "namd", "--instrs", "5000",
                          "--core-model", "ooo"]) == 0
         assert "perf_error" in capsys.readouterr().out
-
-
-class TestCliExperiment:
-    def test_fig5_limited(self, capsys):
-        assert cli_main(["experiment", "fig5", "--limit", "2",
-                         "--instrs", "6000"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 5" in out and "perf err" in out
-
-    def test_mt_validation_limited(self, capsys):
-        assert cli_main(["experiment", "mt-validation", "--limit", "1",
-                         "--instrs", "8000", "--scale", "0.02"]) == 0
-        assert "Figure 6 (left)" in capsys.readouterr().out

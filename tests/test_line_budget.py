@@ -21,17 +21,17 @@ SRC = pathlib.Path(repro.__file__).parent
 
 BUDGETS = {
     "memory": 2305,
-    "core": 1964,
+    "core": 1947,
     "cpu": 856,
     "resilience": 1534,
     "obs": 1330,
     "exec": 1716,
     "fleet": 1189,
-    "cli.py": 1022,
+    "cli.py": 932,
     "baselines": 256,
     "config": 513,
-    "dbt": 373,
-    "harness": 758,
+    "dbt": 361,
+    "harness": 660,
     "isa": 722,
     "stats": 520,
     "virt": 741,

@@ -10,6 +10,8 @@ from repro.errors import HorizonViolation
 from repro.memory.access import AccessRecord, StepKind
 from repro.memory.weave import CacheBankWeave
 
+from conftest import link
+
 
 def make_result(core_id, line, latency, steps):
     """Fabricate an AccessRecord with an explicit weave chain."""
@@ -261,7 +263,7 @@ class _Lockstep:
             event = WeaveEvent(comp, "HIT", i, base + cycle,
                                comp.zero_load_service("HIT"), core_id=0)
             for parent in {p % i for p in parents} if i else ():
-                events[parent].link(event)
+                link(events[parent], event)
             events.append(event)
 
     def corrupt(self, victim):
