@@ -14,7 +14,7 @@ from conftest import emit, instrs, once, tiles
 
 from repro.config import tiled_chip
 from repro.core import ZSim
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 from repro.workloads import mt_workload
 
 

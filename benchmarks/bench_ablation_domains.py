@@ -12,7 +12,7 @@ from conftest import emit, instrs, once
 
 from repro.config import tiled_chip
 from repro.core import ZSim
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 from repro.workloads import mt_workload
 
 DOMAIN_COUNTS = (1, 2, 4, 8)

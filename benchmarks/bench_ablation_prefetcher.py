@@ -13,7 +13,7 @@ from conftest import emit, instrs, once
 
 from repro.config import westmere
 from repro.core import ZSim
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 from repro.workloads import spec_workload
 
 STREAMING = ("libquantum", "lbm", "leslie3d")

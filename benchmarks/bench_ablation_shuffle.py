@@ -15,7 +15,8 @@ from conftest import emit, instrs, once
 
 from repro.config import small_test_system
 from repro.core import ZSim
-from repro.stats import format_table, mean, stdev
+from repro.stats.aggregate import mean, stdev
+from repro.stats.reporting import format_table
 from repro.workloads import mt_workload
 
 SEEDS = (1, 2, 3, 4, 5)

@@ -20,7 +20,8 @@ from conftest import emit, instrs, once, tiles
 from repro.config import tiled_chip
 from repro.core import ZSim
 from repro.exec import BACKEND_NAMES
-from repro.stats import assert_equivalent, format_table
+from repro.stats.diff import assert_equivalent
+from repro.stats.reporting import format_table
 from repro.workloads import mt_workload
 
 

@@ -16,7 +16,7 @@ from conftest import emit, instrs, once
 from repro.baselines import PDESSimulator, graphite_simulator
 from repro.config import small_test_system
 from repro.core import ZSim
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 from repro.workloads import mt_workload
 
 

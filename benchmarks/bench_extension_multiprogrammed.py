@@ -12,7 +12,7 @@ import dataclasses
 from conftest import emit, instrs, once
 
 from repro.config import westmere
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 from repro.workloads import spec_workload
 from repro.workloads.multiprogrammed import interference_study
 

@@ -13,7 +13,7 @@ from conftest import emit, instrs, once, tiles
 
 from repro.config import tiled_chip
 from repro.core import InterferenceProfiler, ZSim
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 from repro.workloads import FIGURE2_WORKLOADS, mt_workload
 
 INTERVALS = (1_000, 10_000, 100_000)
@@ -48,7 +48,7 @@ def test_fig2_path_altering_interference(benchmark):
         return rows
 
     rows = once(benchmark, run)
-    from repro.stats import line_plot
+    from repro.stats.ascii_plot import line_plot
     series = {row[0]: [(i + 1, float(row[i + 1])) for i in range(3)]
               for row in rows}
     plot = line_plot(series, width=48, height=12,

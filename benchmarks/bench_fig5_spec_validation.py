@@ -10,7 +10,8 @@ from conftest import emit, instrs, once
 
 from repro.config import westmere
 from repro.harness.validation import spec_validation
-from repro.stats import format_table, mean_abs
+from repro.stats.aggregate import mean_abs
+from repro.stats.reporting import format_table
 from repro.workloads.spec_cpu import SPEC_CPU2006
 
 

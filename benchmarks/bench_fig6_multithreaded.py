@@ -9,7 +9,8 @@ from conftest import emit, instrs, once
 
 from repro.config import westmere
 from repro.harness.validation import mt_validation, speedup_curve
-from repro.stats import format_table, mean_abs
+from repro.stats.aggregate import mean_abs
+from repro.stats.reporting import format_table
 from repro.workloads.multithreaded import MULTITHREADED
 
 SPEEDUP_WORKLOADS = ("blackscholes", "swaptions", "freqmine")

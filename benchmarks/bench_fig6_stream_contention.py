@@ -10,7 +10,7 @@ from conftest import emit, instrs, once
 
 from repro.config import westmere
 from repro.harness.validation import stream_scalability
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 
 THREADS = (1, 2, 4, 6)
 
@@ -28,7 +28,7 @@ def test_fig6_stream_contention_models(benchmark):
     order = ["none", "md1", "weave", "dramsim", "real"]
     rows = [[n] + ["%.2f" % curves[m][i][1] for m in order]
             for i, n in enumerate(THREADS)]
-    from repro.stats import line_plot
+    from repro.stats.ascii_plot import line_plot
     plot = line_plot({m: curves[m] for m in order}, width=48, height=14,
                      x_label="threads", y_label="speedup",
                      title="Figure 6 (right)")

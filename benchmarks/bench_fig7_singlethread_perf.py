@@ -10,7 +10,8 @@ from conftest import emit, instrs, once
 
 from repro.config import westmere
 from repro.harness.performance import MODEL_SETS, simulate_mips
-from repro.stats import format_table, hmean
+from repro.stats.aggregate import hmean
+from repro.stats.reporting import format_table
 from repro.workloads.spec_cpu import SPEC_CPU2006, spec_workload
 
 

@@ -13,7 +13,7 @@ from conftest import emit, instrs, once, tiles
 
 from repro.config import tiled_chip
 from repro.harness.performance import host_scalability
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 from repro.workloads import mt_workload
 
 HOST_THREADS = (1, 2, 4, 8, 16, 32)
@@ -54,7 +54,7 @@ def test_fig8_host_thread_scalability(benchmark):
     labels = [label for label, _c, _m in MODELS] + ["IPC1-C pipelined"]
     rows = [[h] + ["%.1fx" % dict(curves[label])[h] for label in labels]
             for h in HOST_THREADS]
-    from repro.stats import line_plot
+    from repro.stats.ascii_plot import line_plot
     plot = line_plot({label: curves[label] for label, _c, _m in MODELS},
                      width=48, height=14, x_label="host threads",
                      y_label="speedup", title="Figure 8")

@@ -11,7 +11,7 @@ from conftest import emit, instrs, once, tiles
 
 from repro.config import tiled_chip
 from repro.harness.performance import MODEL_SETS, target_scalability
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 from repro.workloads import mt_workload
 
 SIZES = (2, 4, 8)  # tiles; x4 cores each

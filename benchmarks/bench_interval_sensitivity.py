@@ -10,7 +10,7 @@ from conftest import emit, instrs, once, tiles
 
 from repro.config import tiled_chip
 from repro.harness.performance import interval_sensitivity
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 from repro.workloads import mt_workload
 
 INTERVALS = (1_000, 10_000, 100_000)

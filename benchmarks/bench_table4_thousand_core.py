@@ -11,7 +11,7 @@ from conftest import emit, instrs, once, tiles
 
 from repro.config import tiled_chip
 from repro.harness.performance import MODEL_SETS, table4
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 from repro.workloads import TABLE4_WORKLOADS, mt_workload
 
 

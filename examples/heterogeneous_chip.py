@@ -17,7 +17,7 @@ import dataclasses
 
 from repro import ZSim, mt_workload, westmere
 from repro.config import CoreConfig
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 
 NUM_BIG = 2
 NUM_LITTLE = 6

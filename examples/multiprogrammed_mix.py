@@ -11,7 +11,7 @@ Run:  python examples/multiprogrammed_mix.py
 """
 
 from repro.config import westmere
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 from repro.workloads import spec_workload
 from repro.workloads.multiprogrammed import (
     MultiprogrammedMix,

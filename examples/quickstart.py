@@ -6,7 +6,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import ZSim, mt_workload, westmere
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 
 
 def main():

@@ -18,7 +18,7 @@ Run:  python examples/stream_contention.py
 
 from repro.config import westmere
 from repro.harness.validation import stream_scalability
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 
 THREADS = (1, 2, 4, 6)
 

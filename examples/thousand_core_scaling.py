@@ -16,7 +16,7 @@ Run:  python examples/thousand_core_scaling.py [tiles ...]
 import sys
 
 from repro import ZSim, tiled_chip, mt_workload
-from repro.stats import format_table
+from repro.stats.reporting import format_table
 
 
 def run_size(num_tiles, cores_per_tile=8, target_instrs=60_000):

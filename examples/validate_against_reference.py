@@ -11,7 +11,8 @@ Run:  python examples/validate_against_reference.py
 
 from repro.config import westmere
 from repro.harness.validation import validate_workload
-from repro.stats import format_table, mean_abs
+from repro.stats.aggregate import mean_abs
+from repro.stats.reporting import format_table
 from repro.workloads import spec_workload
 
 WORKLOADS = ("namd", "povray", "libquantum", "mcf", "omnetpp", "hmmer")

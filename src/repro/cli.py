@@ -40,7 +40,7 @@ import sys
 from repro.config import small_test_system, tiled_chip, westmere
 from repro.config.loader import load_config
 from repro.core.simulator import CONTENTION_MODELS, ZSim
-from repro.errors import WallClockExceeded
+from repro.errors import ConfigError, WallClockExceeded
 from repro.exec import BACKEND_NAMES
 
 #: Exit status for a run that stopped on ``--max-wall-seconds`` (the
@@ -56,25 +56,26 @@ PRESETS = {
 
 
 def _resolve_config(args):
-    if args.config in PRESETS:
-        config = PRESETS[args.config](args.cores)
-    else:
-        config = load_config(args.config)
-    if args.core_model:
-        import dataclasses
-        config = dataclasses.replace(
-            config, core=dataclasses.replace(config.core,
-                                             model=args.core_model))
-    return config.validate()
+    """The run's config; a rejected one exits 2 with a one-line error."""
+    try:
+        if args.config in PRESETS:
+            config = PRESETS[args.config](args.cores)
+        else:
+            config = load_config(args.config)
+        if args.core_model:
+            import dataclasses
+            config = dataclasses.replace(
+                config, core=dataclasses.replace(config.core,
+                                                 model=args.core_model))
+        return config.validate()
+    except ConfigError as exc:
+        print("repro: error: %s" % exc, file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _resolve_workload(name, scale, num_threads):
-    from repro.workloads import (
-        MULTITHREADED,
-        SPEC_CPU2006,
-        mt_workload,
-        spec_workload,
-    )
+    from repro.workloads import (MULTITHREADED, SPEC_CPU2006, mt_workload,
+                                 spec_workload)
     if name in SPEC_CPU2006:
         return spec_workload(name, scale=scale)
     if name in MULTITHREADED:
@@ -160,7 +161,9 @@ def _resume_sim(args, meta, threads, telemetry, flight=None):
 def _setup_resilience(args, sim, meta):
     """Wire the resilience layer onto a built simulator from run
     flags."""
-    from repro.resilience import Checkpointer, FaultPlan, Supervisor
+    from repro.resilience import Checkpointer
+    from repro.resilience.faults import FaultPlan
+    from repro.resilience.supervisor import Supervisor
     if args.watchdog_budget:
         sim.backend.watchdog_budget = args.watchdog_budget
     if getattr(args, "pool_size", None):
@@ -235,7 +238,7 @@ def _make_flight(args):
     in --flight-dir, else next to the checkpoints, else the cwd."""
     if args.no_flight:
         return False
-    from repro.obs import FlightRecorder
+    from repro.obs.flight import FlightRecorder
     capsule_dir = args.flight_dir or args.checkpoint_dir or "."
     return FlightRecorder(capsule_dir=capsule_dir)
 
@@ -245,7 +248,7 @@ def _setup_monitor(args, sim):
     for one."""
     if not args.status_file and args.status_port is None:
         return
-    from repro.obs import RunMonitor
+    from repro.obs.monitor import RunMonitor
     run_id = sim.flight.run_id if sim.flight is not None else None
     sim.monitor = RunMonitor(path=args.status_file,
                              port=args.status_port,
@@ -373,12 +376,7 @@ def cmd_validate(args):
 
 
 def cmd_list_workloads(_args):
-    from repro.workloads import (
-        PARSEC,
-        SPEC_CPU2006,
-        SPEC_OMP,
-        SPLASH2,
-    )
+    from repro.workloads import PARSEC, SPEC_CPU2006, SPEC_OMP, SPLASH2
     print("SPEC CPU2006-like (single-threaded):")
     print("  " + " ".join(SPEC_CPU2006))
     print("PARSEC-like:")
@@ -398,7 +396,7 @@ def cmd_table1(_args):
 
 
 def cmd_diff(args):
-    from repro.stats import diff_trees, load_tree
+    from repro.stats.diff import diff_trees, load_tree
     try:
         tree_a = load_tree(args.a)
         tree_b = load_tree(args.b)
@@ -515,7 +513,7 @@ def _expand_capsule_paths(paths):
 
 
 def cmd_report(args):
-    from repro.obs import load_capsule, render_report
+    from repro.obs.flight import load_capsule, render_report
     paths = _expand_capsule_paths(args.capsule)
     if not paths:
         raise SystemExit("no post-mortem capsules found under: %s"
@@ -548,7 +546,7 @@ def cmd_top(args):
     import json
     import time as _time
 
-    from repro.obs import render_top
+    from repro.obs.monitor import render_top
     period = max(0.1, args.interval)
     while True:
         try:
@@ -644,7 +642,7 @@ def cmd_fleet_resume(args):
 def cmd_fleet_status(args):
     import json
 
-    from repro.obs import render_top
+    from repro.obs.monitor import render_top
     path = os.path.join(args.dir, "status.json")
     try:
         with open(path) as fh:

@@ -118,6 +118,9 @@ def config_from_dict(data, base=None):
     merge shallowly: giving ``{"l3": {...}}`` replaces the whole L3
     section).
     """
+    if not isinstance(data, dict):
+        raise ConfigError("Config must be a JSON object, got %s"
+                          % type(data).__name__)
     if base is not None:
         merged = config_to_dict(base)
         for key, value in data.items():
@@ -133,6 +136,9 @@ def config_from_dict(data, base=None):
     hetero = data.pop("hetero_cores", None)
     config = _build(SystemConfig, data, "system")
     if hetero:
+        if not all(str(k).lstrip("-").isdecimal() for k in hetero):
+            raise ConfigError("hetero_cores keys must be core ids, got %r"
+                              % sorted(map(str, hetero)))
         config.hetero_cores = {
             int(core_id): (_build(CoreConfig, core_cfg,
                                   "hetero_cores[%s]" % core_id)
@@ -149,6 +155,11 @@ def save_config(config, path):
 
 
 def load_config(path, base=None):
-    """Load a :class:`SystemConfig` from a JSON file."""
-    with open(path) as handle:
-        return config_from_dict(json.load(handle), base=base)
+    """Load a :class:`SystemConfig` from a JSON file.  Any rejection,
+    including an unreadable file or malformed JSON, is a ConfigError
+    naming the file."""
+    try:
+        with open(path) as handle:
+            return config_from_dict(json.load(handle), base=base)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("%s: %s" % (path, exc)) from exc

@@ -62,7 +62,7 @@ class BoundPhase:
 
         This method decides *what* to run — the shuffled wake order and
         the second-chance passes — while ``backend`` (an
-        :class:`repro.exec.ExecutionBackend`) decides *how* each pass
+        :class:`repro.exec.backend.ExecutionBackend`) decides *how* each pass
         executes; ``None`` uses the inline reference pass.
 
         Cores whose thread blocks (or that start idle) are revisited

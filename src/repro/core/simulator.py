@@ -24,9 +24,7 @@ from repro.cpu import make_core
 from repro.exec import make_backend
 from repro.exec.backend import ExecutionBackend
 from repro.memory.contention import MD1Model
-from repro.memory.dramsim import DRAMSimWeave
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.obs.flight import FlightRecorder
 from repro.obs.log import get_logger
 from repro.obs.tracer import TID_MAIN
 from repro.stats.counters import StatsNode
@@ -37,6 +35,15 @@ from repro.virt.sysview import SystemView
 CONTENTION_MODELS = ("none", "md1", "weave", "dramsim")
 
 _log = get_logger("core.simulator")
+
+
+def _flight_recorder(flight):
+    """The ``flight`` argument of ZSim and ZSim.resume: None builds the
+    default recorder, False turns it off, a recorder is used as given."""
+    if flight is None:
+        from repro.obs.flight import FlightRecorder
+        return FlightRecorder()
+    return None if flight is False else flight
 
 
 class _MD1Memory:
@@ -303,11 +310,7 @@ class ZSim:
         #: append; pass ``flight=False`` to disable (call sites guard on
         #: ``flight is not None``), or a configured FlightRecorder to
         #: set capacity/capsule_dir.
-        if flight is None:
-            flight = FlightRecorder()
-        elif flight is False:
-            flight = None
-        self.flight = flight
+        self.flight = _flight_recorder(flight)
         #: Optional live run monitor (repro.obs.monitor.RunMonitor),
         #: installed by the CLI's --status-file/--status-port flags.
         self.monitor = None
@@ -351,6 +354,7 @@ class ZSim:
     def _swap_in_dramsim(self):
         """Replace the native memory-controller weave models with the
         cycle-driven DRAMSim-style model (the 'glue code' experiment)."""
+        from repro.memory.dramsim import DRAMSimWeave
         mainmem = self.hierarchy.mainmem
         components = self.hierarchy.weave_components
         for idx, weave in enumerate(mainmem.ctrl_weaves):
@@ -704,13 +708,8 @@ class ZSim:
         if telemetry is not None:
             sim.attach_telemetry(telemetry)
         # Checkpoints detach the host-side observers (see
-        # resilience.checkpoint._detached); the resumed run gets fresh
-        # ones — same semantics as ZSim.__init__'s flight parameter.
-        if flight is None:
-            flight = FlightRecorder()
-        elif flight is False:
-            flight = None
-        sim.flight = flight
+        # resilience.checkpoint._detached); the resumed run gets fresh ones.
+        sim.flight = _flight_recorder(flight)
         sim.monitor = None
         # With a sentinel aboard, prove the capsule restored exactly
         # what was saved before running a single interval on top of it.

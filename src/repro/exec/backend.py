@@ -54,7 +54,7 @@ class ExecutionBackend:
     #: :class:`~repro.errors.WatchdogTimeout`; None waits forever.
     watchdog_budget = None
 
-    #: Optional :class:`repro.resilience.FaultPlan` consulted at job
+    #: Optional :class:`repro.resilience.faults.FaultPlan` consulted at job
     #: dispatch (test/CI harness only; None in production runs).
     fault_plan = None
 

@@ -1,15 +1,17 @@
-"""Memory-system substrate: caches, coherence, NoC, DRAM, contention."""
+"""Memory-system substrate: caches, coherence, NoC, DRAM, contention.
+
+The optional models live in their own modules and load only when a
+config or contention model uses them: :mod:`repro.memory.prefetcher`,
+:mod:`repro.memory.noc_weave` and :mod:`repro.memory.dramsim`.
+"""
 
 from repro.memory.access import AccessRecord, StepKind
 from repro.memory.cache import Cache, MainMemory, hash_line
 from repro.memory.cache_array import CacheArray
 from repro.memory.coherence import MESI
 from repro.memory.contention import MD1Model
-from repro.memory.dramsim import CycleDrivenDRAM, DRAMSimWeave
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.network import Network
-from repro.memory.noc_weave import NocFabric, NocRouteWeave
-from repro.memory.prefetcher import StridePrefetcher
 from repro.memory.timeline import MultiTimeline, Timeline
 from repro.memory.replacement import LRU, RandomRepl, TreePLRU, make_policy
 from repro.memory.weave import CacheBankWeave, MemCtrlWeave, WeaveComponent
@@ -19,8 +21,6 @@ __all__ = [
     "Cache",
     "CacheArray",
     "CacheBankWeave",
-    "CycleDrivenDRAM",
-    "DRAMSimWeave",
     "LRU",
     "MD1Model",
     "MESI",
@@ -29,9 +29,6 @@ __all__ = [
     "MemoryHierarchy",
     "MultiTimeline",
     "Network",
-    "NocFabric",
-    "NocRouteWeave",
-    "StridePrefetcher",
     "Timeline",
     "RandomRepl",
     "StepKind",

@@ -16,33 +16,26 @@ stats dumps, and event/crossing accounting.  Three pillars:
 
 :mod:`repro.obs.log` configures structured per-subsystem loggers.
 
-The run-introspection layer rides alongside:
+The run-introspection layer rides alongside; import its names from
+their modules, which a run loads only when it turns them on:
 
-* :mod:`repro.obs.flight` — the always-on :class:`FlightRecorder` ring
+* :mod:`repro.obs.flight` — the always-on ``FlightRecorder`` ring
   buffer and its post-mortem capsules (``repro report``).
-* :mod:`repro.obs.monitor` — the :class:`RunMonitor` live status file
-  and Prometheus-style exposition (``repro top``).
+* :mod:`repro.obs.monitor` — the ``RunMonitor`` live status file and
+  Prometheus-style exposition (``repro top``).
 """
 
 from repro.obs.context import Telemetry
-from repro.obs.flight import FlightRecorder, load_capsule, render_report
 from repro.obs.histogram import Log2Histogram
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.monitor import RunMonitor, prometheus_text, render_top
 from repro.obs.tracer import Tracer
 
 __all__ = [
-    "FlightRecorder",
     "Log2Histogram",
     "MetricsRegistry",
-    "RunMonitor",
     "Telemetry",
     "Tracer",
     "configure_logging",
     "get_logger",
-    "load_capsule",
-    "prometheus_text",
-    "render_report",
-    "render_top",
 ]

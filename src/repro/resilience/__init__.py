@@ -8,33 +8,27 @@ workers, corrupted event queues, killed processes) into recoverable
 events: the supervisor replays the faulted interval serially from an
 in-memory snapshot, and the checkpointer persists barrier snapshots so
 a killed run resumes to an identical stats tree.
+
+The root re-exports what a guarded run executes: checkpoints and the
+integrity sentinel.  The supervisor (:mod:`repro.resilience.supervisor`),
+its backoff (:mod:`repro.resilience.backoff`) and fault injection
+(:mod:`repro.resilience.faults`) are imported from their modules.
 """
 
-from repro.resilience.backoff import DEFAULT_CAP, DecorrelatedJitter
 from repro.resilience.checkpoint import (Checkpointer, capture_state,
                                          checkpoints, discard,
                                          read_checkpoint,
                                          read_latest_checkpoint, restore,
                                          snapshot, write_checkpoint,
                                          FORMAT_VERSION)
-from repro.resilience.faults import (CorruptEvent, DelayJob, Fault,
-                                     FaultPlan, KillWorker,
-                                     ProcessSignalFault, RaiseInJob,
-                                     SigKillWorker, SigStopWorker,
-                                     StallWorker)
 from repro.resilience.integrity import (IntegritySentinel,
                                         audit_invariants,
                                         fingerprint_components,
                                         verify_state)
-from repro.resilience.supervisor import Supervisor
 
 __all__ = [
-    "Checkpointer", "CorruptEvent", "DEFAULT_CAP", "DecorrelatedJitter",
-    "DelayJob", "Fault", "FaultPlan", "FORMAT_VERSION",
-    "IntegritySentinel", "KillWorker", "ProcessSignalFault",
-    "RaiseInJob", "SigKillWorker", "SigStopWorker", "StallWorker",
-    "Supervisor", "audit_invariants", "capture_state", "checkpoints",
-    "discard", "fingerprint_components", "read_checkpoint",
-    "read_latest_checkpoint", "restore", "snapshot", "verify_state",
-    "write_checkpoint",
+    "Checkpointer", "FORMAT_VERSION", "IntegritySentinel",
+    "audit_invariants", "capture_state", "checkpoints", "discard",
+    "fingerprint_components", "read_checkpoint", "read_latest_checkpoint",
+    "restore", "snapshot", "verify_state", "write_checkpoint",
 ]

@@ -3,7 +3,6 @@
 from repro.virt.process import SimProcess, SimThread, ThreadState
 from repro.virt.scheduler import Scheduler, SyscallResult
 from repro.virt.sysview import SystemView
-from repro.virt.timing import VirtualClock
 
 __all__ = [
     "Scheduler",
@@ -12,5 +11,4 @@ __all__ = [
     "SyscallResult",
     "SystemView",
     "ThreadState",
-    "VirtualClock",
 ]

@@ -183,8 +183,9 @@ class Scheduler:
         # Threads stay on their home unless it keeps them waiting (see
         # pick_thread), which spreads threads across cores and keeps
         # placement sticky, like a real affinity-aware round-robin.
-        candidates = [c for c in range(self.num_cores)
-                      if thread.can_run_on(c)]
+        candidates = (range(self.num_cores) if thread.affinity is None
+                      else sorted(c for c in thread.affinity
+                                  if 0 <= c < self.num_cores))
         if not candidates:
             raise ValueError("Thread %s has an empty affinity set"
                              % thread.name)

@@ -1,4 +1,8 @@
-"""Synthetic workloads standing in for the paper's benchmark suites."""
+"""Synthetic workloads standing in for the paper's benchmark suites.
+
+Process mixes are in :mod:`repro.workloads.multiprogrammed` and the
+Section 3.3 classes in :mod:`repro.workloads.server`.
+"""
 
 from repro.workloads.base import (
     KernelProgram,
@@ -16,10 +20,6 @@ from repro.workloads.multithreaded import (
     default_threads,
     mt_workload,
 )
-from repro.workloads.multiprogrammed import (
-    MultiprogrammedMix,
-    interference_study,
-)
 from repro.workloads.patterns import make_pattern
 from repro.workloads.spec_cpu import SPEC_CPU2006, spec_workload
 
@@ -28,7 +28,6 @@ __all__ = [
     "KernelProgram",
     "KernelSpec",
     "MULTITHREADED",
-    "MultiprogrammedMix",
     "PARSEC",
     "SPEC_CPU2006",
     "SPEC_OMP",
@@ -36,7 +35,6 @@ __all__ = [
     "TABLE4_WORKLOADS",
     "Workload",
     "default_threads",
-    "interference_study",
     "kernel_stream",
     "make_pattern",
     "mt_workload",

@@ -29,7 +29,7 @@ from repro.isa.uops import UopType
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import Telemetry
 from repro.resilience import Checkpointer, read_checkpoint
-from repro.stats import assert_equivalent
+from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload, spec_workload
 
 from conftest import (alu_block, build_program, latest, mem_block,

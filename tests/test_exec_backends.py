@@ -19,7 +19,7 @@ from repro.exec import BACKEND_NAMES, make_backend
 from repro.exec.parallel import ParallelBackend
 from repro.exec.pipelined import PipelinedBackend
 from repro.exec.serial import SerialBackend
-from repro.stats import assert_equivalent
+from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload
 
 

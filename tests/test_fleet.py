@@ -26,14 +26,11 @@ from repro.fleet import (
     SweepSpec,
     read_journal,
 )
-from repro.obs import FlightRecorder
-from repro.resilience import (
-    Checkpointer,
-    DecorrelatedJitter,
-    read_latest_checkpoint,
-)
+from repro.obs.flight import FlightRecorder
+from repro.resilience import Checkpointer, read_latest_checkpoint
+from repro.resilience.backoff import DecorrelatedJitter
 from repro.resilience.checkpoint import FORMAT_VERSION, MAGIC
-from repro.stats import diff_trees, load_tree
+from repro.stats.diff import diff_trees, load_tree
 
 #: A tiny but real sweep: two seeds of the same workload on the test
 #: system.  Small enough for CI, large enough to exercise concurrency.

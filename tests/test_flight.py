@@ -17,9 +17,10 @@ import repro
 from repro.core import ZSim
 from repro.config import small_test_system
 from repro.errors import DeadlockError, RunInterrupted
-from repro.obs import FlightRecorder, load_capsule, render_report
-from repro.obs.flight import CAPSULE_VERSION
-from repro.resilience import FaultPlan, Supervisor
+from repro.obs.flight import (CAPSULE_VERSION, FlightRecorder, load_capsule,
+                              render_report)
+from repro.resilience.faults import FaultPlan
+from repro.resilience.supervisor import Supervisor
 from repro.workloads import mt_workload
 
 INSTRS = 20_000

@@ -27,7 +27,7 @@ from repro.config import (
     tiled_chip,
     westmere,
 )
-from repro.config.loader import config_from_dict
+from repro.config.loader import config_from_dict, load_config
 from repro.core import ZSim
 from repro.errors import ConfigError, ExecutionFault, IntegrityError
 from repro.memory.coherence import MESI
@@ -35,9 +35,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.resilience import (
     FORMAT_VERSION,
     Checkpointer,
-    FaultPlan,
     IntegritySentinel,
-    Supervisor,
     audit_invariants,
     capture_state,
     fingerprint_components,
@@ -45,8 +43,10 @@ from repro.resilience import (
     verify_state,
     write_checkpoint,
 )
+from repro.resilience.faults import FaultPlan
+from repro.resilience.supervisor import Supervisor
 from repro.resilience.integrity import _crc
-from repro.stats import assert_equivalent
+from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload
 
 from conftest import (fill, reference_check_coherence,
@@ -583,3 +583,30 @@ class TestConfigTyping:
     def test_audit_every_validated(self):
         with pytest.raises(ConfigError, match="audit_every"):
             config_from_dict({"boundweave": {"audit_every": -1}})
+
+    @pytest.mark.parametrize("text,match", [
+        (None, "No such file"),
+        ('{"l2": ', "Expecting"),
+        ('[["name", "x"]]', "must be a JSON object, got list"),
+        ('{"hetero_cores": {"x": {}}}', "hetero_cores keys must be core"),
+    ], ids=["missing", "malformed", "array", "hetero_key"])
+    def test_bad_file_is_config_error_naming_it(self, tmp_path, text,
+                                                match):
+        path = tmp_path / "chip.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=match) as info:
+            load_config(str(path))
+        assert str(path) in str(info.value)
+
+    def test_cli_rejects_bad_config_file_in_one_line(self, tmp_path,
+                                                     capsys):
+        path = tmp_path / "chip.json"
+        path.write_text('{"l2": {"ways": "8"}}')
+        with pytest.raises(SystemExit) as info:
+            cli_main(["run", "--config", str(path), "--instrs", "1000"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: %s: " % path)
+        assert "system.l2.ways: expected int" in err
+        assert "Traceback" not in err

@@ -20,22 +20,22 @@ import repro
 SRC = pathlib.Path(repro.__file__).parent
 
 BUDGETS = {
-    "memory": 2305,
-    "core": 1947,
+    "memory": 2302,
+    "core": 1946,
     "cpu": 856,
-    "resilience": 1534,
-    "obs": 1330,
-    "exec": 1716,
+    "resilience": 1528,
+    "obs": 1323,
+    "exec": 1712,
     "fleet": 1189,
-    "cli.py": 932,
+    "cli.py": 930,
     "baselines": 256,
-    "config": 513,
-    "dbt": 361,
+    "config": 502,
+    "dbt": 360,
     "harness": 660,
     "isa": 722,
-    "stats": 520,
-    "virt": 741,
-    "workloads": 949,
+    "stats": 487,
+    "virt": 740,
+    "workloads": 947,
 }
 
 

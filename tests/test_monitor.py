@@ -9,7 +9,7 @@ import urllib.request
 
 from repro.core import ZSim
 from repro.config import small_test_system
-from repro.obs import RunMonitor, prometheus_text, render_top
+from repro.obs.monitor import RunMonitor, prometheus_text, render_top
 from repro.obs.monitor import STATUS_VERSION
 from repro.workloads import mt_workload
 

@@ -23,15 +23,10 @@ from repro.errors import ProcessPoolError, RunInterrupted, WallClockExceeded
 from repro.exec import make_backend
 from repro.exec.process import ProcessBackend
 from repro.exec.serial import SerialBackend
-from repro.resilience import (
-    Checkpointer,
-    FaultPlan,
-    SigKillWorker,
-    SigStopWorker,
-    Supervisor,
-    read_checkpoint,
-)
-from repro.stats import assert_equivalent
+from repro.resilience import Checkpointer, read_checkpoint
+from repro.resilience.faults import FaultPlan, SigKillWorker, SigStopWorker
+from repro.resilience.supervisor import Supervisor
+from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload
 
 from conftest import latest

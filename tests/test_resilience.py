@@ -42,14 +42,14 @@ from repro.memory import (LRU, Cache, CacheArray, CacheBankWeave, MainMemory,
 from repro.resilience import (
     FORMAT_VERSION,
     Checkpointer,
-    FaultPlan,
-    Supervisor,
     capture_state,
     read_checkpoint,
     read_latest_checkpoint,
     write_checkpoint,
 )
-from repro.stats import assert_equivalent
+from repro.resilience.faults import FaultPlan
+from repro.resilience.supervisor import Supervisor
+from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload
 
 from conftest import latest

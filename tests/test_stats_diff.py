@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.stats import (
+from repro.stats.diff import (
     DiffResult,
     assert_equivalent,
     diff_trees,
