@@ -1,6 +1,7 @@
 """The deterministic cost meter: interpreter opcodes inside ``sim.run()``.
 
     python3 benchmarks/count_opcodes.py <workload> [--scale S]
+    python3 benchmarks/count_opcodes.py --check
 
 Runs one of the repo benchmark's pinned workloads
 (``benchmarks/perf/spec.py``; ``seed_offset=4``) under ``sys.settrace``
@@ -21,15 +22,28 @@ The lines after the first split the count by the source file of the
 code that executed it, one line per layer and then the total.  Library
 code (the standard library's ``random``, ``heapq`` ...) counts toward
 the nearest ``repro`` caller on the stack.
+
+``--check`` is the opcode ratchet.  It counts every row that
+``opcode_pins.json`` pins for the running interpreter (``"3.11"``), each
+in a fresh process, and fails when a count rises above its pin or a
+digest differs from its pin.  A count that falls 0.5% or more below its
+pin passes with a request to lower the pin, so a saving, once pinned,
+cannot be given back.
 """
 
 import argparse
+import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 
 SEED = 4
+PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                    "opcode_pins.json")
+#: How far below its pin a count must fall to ask for a lower pin.
+LOWER_PIN_AT = 0.005
 
 #: Layer of each ``repro`` subpackage (or ``core`` module); anything not
 #: listed here is the driver.
@@ -52,6 +66,42 @@ def layer_of(filename, package_dir):
                                           "core.driver"))
 
 
+def check():
+    """Count each pinned row of this interpreter; returns the exit
+    status (1 when a count is above its pin or a digest differs)."""
+    version = "%d.%d" % sys.version_info[:2]
+    with open(PINS) as f:
+        rows = json.load(f).get(version)
+    if not rows:
+        print("no opcode pins for Python %s in %s" % (version, PINS))
+        return 2
+    status = 0
+    for row in rows:
+        out = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), row["workload"],
+             "--scale", str(row["scale"])],
+            check=True, capture_output=True, text=True).stdout
+        _name, count, digest = out.split("\n", 1)[0].split()
+        count = int(count)
+        pin = row["opcodes"]
+        label = "%s --scale %s" % (row["workload"], row["scale"])
+        change = (count - pin) / pin
+        if digest != row["digest"]:
+            verdict = "FAIL: digest %s, pinned %s" % (digest[:12],
+                                                      row["digest"][:12])
+            status = 1
+        elif count > pin:
+            verdict = "FAIL: above its pin"
+            status = 1
+        elif -change >= LOWER_PIN_AT:
+            verdict = "ok: lower the pin to %d" % count
+        else:
+            verdict = "ok"
+        print("%-38s %12d  pin %12d  %+6.2f%%  %s"
+              % (label, count, pin, 100 * change, verdict))
+    return status
+
+
 def main(argv):
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable] + argv,
@@ -61,13 +111,20 @@ def main(argv):
     sys.path.insert(0, os.path.join(here, "perf"))
     import spec
     import worker
-    from repro.core.simulator import ZSim
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("workload", choices=sorted(spec.BY_NAME))
+    parser.add_argument("workload", nargs="?", choices=sorted(spec.BY_NAME))
     parser.add_argument("--scale", type=float, default=1.0,
                         help="multiply the workload's pinned size")
+    parser.add_argument("--check", action="store_true",
+                        help="count the rows of opcode_pins.json and "
+                        "fail on one above its pin or off its digest")
     args = parser.parse_args(argv[1:])
+    if args.check:
+        sys.exit(check())
+    if args.workload is None:
+        parser.error("name a workload, or pass --check")
+    from repro.core.simulator import ZSim
 
     workload = spec.BY_NAME[args.workload]
     config, kernel, threads, asked = spec.build(

@@ -1,12 +1,12 @@
 """Weave-phase events: pre-specified dependencies with lower bounds.
 
-Unlike conventional PDES, every weave event is created *before* the weave
-phase runs, with (a) a lower bound on its execution cycle (its bound-phase
-zero-load cycle) and (b) fully specified parent/child dependencies.  That
-prior knowledge is what lets domains synchronize only when an actual
-dependency crosses them (Section 3.2.2, Figure 4).
-
-An interval's events are plain objects that die with the interval.
+Unlike conventional PDES, every weave event is known *before* the weave
+phase runs: the bound-phase trace fixes (a) a lower bound on its
+execution cycle (its zero-load cycle) and (b) its parent/child
+dependencies.  That prior knowledge is what lets domains synchronize
+only when an actual dependency crosses them (Section 3.2.2, Figure 4).
+:class:`WeaveEvent` is the reference executor's whole-graph form; the
+serial drains make each event only when its parent delivers to it.
 """
 
 from __future__ import annotations
@@ -42,6 +42,20 @@ class WeaveEvent:
         self.child = None
         self.gap = 0
         self.overflow = None
+
+    def link(self, child):
+        """Add an edge to ``child``, its gap the zero-load one (>= 0)."""
+        gap = child.min_cycle - self.min_cycle - self.service
+        if gap < 0:
+            gap = 0
+        if self.child is None:
+            self.child = child
+            self.gap = gap
+        elif self.overflow is None:
+            self.overflow = [(child, gap)]
+        else:
+            self.overflow.append((child, gap))
+        child.parents_left += 1
 
     def edges(self):
         """Yield this event's ``(child, gap)`` edges in delivery order."""

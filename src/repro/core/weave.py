@@ -5,12 +5,15 @@ escaped the private cache levels, each with its chain of component visits
 at zero-load offsets) and replays them through the weave timing models in
 full order, computing the contention delays the bound phase ignored.
 
-Event-graph construction follows Figure 4: per access, a core request
-event, one event per component visited, and a core response event, all
-serially linked.  Consecutive accesses of one core are chained through an
-MLP window: access *i* cannot issue before the response of access
+The event graph follows Figure 4: per access, a core request event, one
+event per component visited, and a core response event, all serially
+linked.  Consecutive accesses of one core are chained through an MLP
+window: access *i* cannot issue before the response of access
 *i - mlp*, which serializes blocking (IPC1) cores and preserves overlap
-for OOO cores.  Writebacks hang off the chain as side events.
+for OOO cores.  Writebacks hang off the chain as side events.  Every
+event has at most one parent, so an interval drains straight from the
+traces, making each event when its parent delivers to it; the graph is
+only ever built whole by the reference executor.
 
 Domains execute cooperatively: the engine always advances the domain with
 the earliest pending event — a deterministic, conservative emulation of
@@ -23,10 +26,10 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import deque
 
 from repro.core.events import WeaveEvent
-from repro.core.domains import (CoreWeave, assign_domains,
-                                horizon_violation)
+from repro.core.domains import assign_domains, horizon_violation
 from repro.obs.tracer import TID_DOMAIN
 
 
@@ -59,11 +62,10 @@ class WeaveStats:
 
 
 class WeaveEngine:
-    """Builds and executes the weave-phase event graph per interval."""
+    """Executes the weave phase of each interval."""
 
     def __init__(self, core_weaves, components, num_tiles, num_domains=0,
-                 crossing_deps=True, mlp_window=None, journal=None,
-                 telemetry=None):
+                 crossing_deps=True, mlp_window=None, telemetry=None):
         self.core_weaves = core_weaves
         self.components = list(components)
         self.crossing_deps = crossing_deps
@@ -72,14 +74,10 @@ class WeaveEngine:
         self.domains = assign_domains(
             list(core_weaves) + self.components, num_tiles, num_domains)
         self.stats = WeaveStats()
-        #: (component, kind) -> zero-load service cycles.  Service times
-        #: are pure per key, so one call each is enough for the run.
+        #: (component, kind) -> zero-load service cycles, for the drains.
+        #: Service times are pure per key: one call each serves the run.
         self._svc_cache = {}
         self._telem = telemetry
-        #: Optional list collecting (component, kind, min_cycle, start,
-        #: done, core_id) per executed event — the Figure 4 trace, for
-        #: debugging and structural tests.
-        self.journal = journal
         #: Per-domain executed-event counts of the last interval, for the
         #: host-parallelism model.
         self.last_interval_domain_events = [0] * len(self.domains)
@@ -92,43 +90,43 @@ class WeaveEngine:
 
         ``executor`` — a callable taking the built event list — replaces
         *how* the event graph executes (an execution backend's parallel
-        drain); ``None`` uses the engine's earliest-first reference
-        executor.  Any executor must produce the same per-component
-        ``occupy`` order as the reference, which is the order simulated
+        drain).  ``None`` drains straight from the traces, except under
+        the crossing-probe ablation on several domains, which needs the
+        reference executor's queues.  Any executor must produce the
+        reference's per-component ``occupy`` order, the order simulated
         timing depends on."""
         self.stats.intervals += 1
         telem = self._telem
         start = time.perf_counter() if telem is not None else 0.0
-        for domain in self.domains:
+        domains = self.domains
+        for domain in domains:
             domain.reset_interval_stats()
-        events, last_resp = self._build_events(traces)
-        if events:
-            if executor is None:
-                self._execute(events)
-            else:
-                executor(events)
-        delays = {}
-        for core_id, resp in last_resp.items():
-            delay = (resp.done or resp.min_cycle) - resp.min_cycle
-            delays[core_id] = max(0, delay)
-            self.stats.total_delay += delays[core_id]
+        if executor is None and len(domains) == 1:
+            delays = self._drain_single(traces)
+        elif executor is None and self.crossing_deps:
+            delays = self._drain(traces)
+        else:
+            events, last_resp = self._build_events(traces)
+            if events:
+                (executor or self._scan)(events)
+            delays = self._delays(traces, {core_id: resp.done for core_id,
+                                           resp in last_resp.items()})
+        self.stats.total_delay += sum(delays.values())
         self.last_interval_domain_events = [
-            d.events_executed for d in self.domains]
-        for domain in self.domains:
+            d.events_executed for d in domains]
+        for domain in domains:
             self.stats.events += domain.events_executed
             self.stats.crossings += domain.crossings
             self.stats.crossing_requeues += domain.crossing_requeues
         if telem is not None:
             self._record_interval_telemetry(telem, start,
-                                            time.perf_counter(),
-                                            len(events))
+                                            time.perf_counter())
         return delays
 
     def attach_telemetry(self, telemetry):
         self._telem = telemetry
 
-    def _record_interval_telemetry(self, telem, start_s, end_s,
-                                   num_events):
+    def _record_interval_telemetry(self, telem, start_s, end_s):
         """Per-domain spans and queue/crossing histograms for one
         interval.  Domains execute cooperatively (interleaved on one host
         thread), so each domain's span is the interval's weave wall time
@@ -154,181 +152,324 @@ class WeaveEngine:
                      "requeues": domain.crossing_requeues})
                 cursor_us += share_us
         if metrics is not None:
-            metrics.histogram("weave.events_per_interval").record(
-                num_events)
+            metrics.histogram("weave.events_per_interval").record(total)
             for domain in self.domains:
                 metrics.histogram("weave.domain_queue_events").record(
                     domain.events_executed)
                 metrics.histogram("weave.domain_crossings").record(
                     domain.crossings)
             metrics.inc("weave.intervals")
-            metrics.inc("weave.events", num_events)
+            metrics.inc("weave.events", total)
 
     # ------------------------------------------------------------------
 
-    def _build_events(self, traces):
-        # Construction and linking are inlined (WeaveEvent.__init__'s
-        # field stores and the clamped edge-gap arithmetic) — this
-        # runs once per traced access per interval and the call overhead
-        # dominates the work.  A REQ or chain event's inline edge is
-        # always written by its successor, so only its ``overflow`` is
-        # initialised here; RESP and write-back events get all three edge
-        # slots.  Chain/resp/wback events always have exactly one parent,
-        # so their parents_left is assigned, not incremented; only REQ
-        # events can pick up a second (MLP-window) edge.  Edges go
-        # straight into the inline slot wherever the parent provably has
-        # none yet (a fresh chain event; a RESP, which is the MLP parent
-        # of exactly one later REQ); only write-backs, which hang off an
-        # anchor that already feeds its chain, allocate an overflow list.
-        new_event = WeaveEvent.__new__
+    def _drain(self, traces):
+        """Run one interval straight from the traces, in the reference's
+        total order ``(cycle, domain, per-domain push seq)``: earliest
+        event first, lowest domain on a cycle tie, push order within a
+        domain.  Every event of the reference graph has at most one
+        parent (a chain hop, a RESP or a write-back exactly one, a REQ
+        its MLP-window RESP or none), so making each event when its
+        parent delivers to it pushes the same keys in the same order as
+        building the graph whole and seeding its roots — and only the
+        events in flight exist.  Returns {core_id: delay}.
+
+        A heap entry is ``(cycle, domain, seq, pos, issue, record,
+        index, core)``: access ``index`` of a :meth:`_roots` core, issued
+        at ``issue``, at chain position ``pos`` — 0 its REQ, ``1..n`` its
+        steps, -1 its RESP, ``-2 - j`` its write-back ``j``.  An event
+        starts at its key, ``max(ready, min_cycle)``.  Every domain's
+        push seq, floor (and its violation), clock, executed events (its
+        pushes less what is still queued) and crossings stay
+        bit-identical to the reference, are written back on every exit,
+        and an aborted drain spills what it had not run (:meth:`_spill`)."""
+        domains = self.domains
+        heappop = heapq.heappop
+        heappush = heapq.heappush
         svc_cache = self._svc_cache
         svc_get = svc_cache.get
-        events = []
-        events_append = events.append
-        last_resp = {}
-        mlp_get = self.mlp_window.get
-        core_weaves = self.core_weaves
-        for core_id, trace in traces.items():
-            if not trace:
-                continue
-            core_weave = core_weaves[core_id]
-            mlp = mlp_get(core_id, 1)
-            resp_history = []
-            resp_append = resp_history.append
-            for issue_cycle, result in trace:
-                line = result.line
-                req = new_event(WeaveEvent)
-                req.component = core_weave
-                req.kind = "REQ"
-                req.line = line
-                req.min_cycle = issue_cycle
-                req.service = 0
-                req.core_id = core_id
-                req.parents_left = 0
-                req.ready = issue_cycle
-                req.done = None
-                req.overflow = None
-                events_append(req)
-                if len(resp_history) >= mlp:
-                    parent = resp_history[-mlp]
-                    gap = issue_cycle - parent.min_cycle - parent.service
-                    parent.child = req
-                    parent.gap = gap if gap > 0 else 0
-                    req.parents_left += 1
-                prev = req
-                prev_base = issue_cycle    # prev.min_cycle + prev.service
-                steps = result.steps
-                for comp, offset, kind in steps:
-                    min_cycle = issue_cycle + offset
+        seqs = [domain._seq for domain in domains]
+        floors = [domain._pop_floor for domain in domains]
+        crossings = [0] * len(domains)
+        last_done = {}
+        heap = []
+        for core in self._roots(traces):
+            did = core[0].domain
+            trace = core[1]
+            for index in range(min(core[2], len(trace))):
+                issue, record = trace[index]
+                seq = seqs[did] = seqs[did] + 1
+                heap.append((issue, did, seq, 0, issue, record, index,
+                             core))
+        # Keys are unique, so the pop order does not depend on how the
+        # heap was built.
+        heapq.heapify(heap)
+        pending = [0] * len(domains)
+        try:
+            while heap:
+                (cycle, did, _s, pos, issue, record, index,
+                 core) = heappop(heap)
+                floor = floors[did]
+                if floor is not None and cycle < floor:
+                    raise horizon_violation(did, cycle, floor)
+                floors[did] = cycle
+                if pos > 0:
+                    steps = record.steps
+                    comp, offset, kind = steps[pos - 1]
+                    done = comp.occupy(cycle, kind, record.line)
                     service = svc_get((comp, kind))
                     if service is None:
                         service = svc_cache[(comp, kind)] = \
                             comp.zero_load_service(kind)
-                    ev = new_event(WeaveEvent)
-                    ev.component = comp
-                    ev.kind = kind
-                    ev.line = line
-                    ev.min_cycle = min_cycle
-                    ev.service = service
-                    ev.core_id = core_id
-                    ev.ready = min_cycle
-                    ev.done = None
-                    ev.overflow = None
-                    events_append(ev)
-                    gap = min_cycle - prev_base
-                    prev.child = ev
-                    prev.gap = gap if gap > 0 else 0
-                    ev.parents_left = 1
-                    prev = ev
-                    prev_base = min_cycle + service
-                resp_cycle = issue_cycle + result.latency
-                resp = new_event(WeaveEvent)
-                resp.component = core_weave
-                resp.kind = "RESP"
-                resp.line = line
-                resp.min_cycle = resp_cycle
-                resp.service = 0
-                resp.core_id = core_id
-                resp.ready = resp_cycle
-                resp.done = None
-                resp.child = None
-                resp.gap = 0
-                resp.overflow = None
-                events_append(resp)
-                gap = resp_cycle - prev_base
-                prev.child = resp
-                prev.gap = gap if gap > 0 else 0
-                resp.parents_left = 1
-                if result.wbacks:
-                    anchor = events[-len(steps) - 1] if steps else req
-                    anchor_base = anchor.min_cycle + anchor.service
-                    wb_edges = anchor.overflow = []
-                    for comp, offset, kind in result.wbacks:
-                        min_cycle = issue_cycle + offset
-                        wb = new_event(WeaveEvent)
-                        service = svc_get((comp, kind))
-                        if service is None:
-                            service = svc_cache[(comp, kind)] = \
-                                comp.zero_load_service(kind)
-                        wb.component = comp
-                        wb.kind = kind
-                        wb.line = line
-                        wb.min_cycle = min_cycle
-                        wb.service = service
-                        wb.core_id = core_id
-                        wb.ready = min_cycle
-                        wb.done = None
-                        wb.child = None
-                        wb.gap = 0
-                        wb.overflow = None
-                        events_append(wb)
-                        gap = min_cycle - anchor_base
-                        wb_edges.append((wb, gap if gap > 0 else 0))
-                        wb.parents_left = 1
-                resp_append(resp)
-                if len(resp_history) > mlp + 64:
-                    del resp_history[:32]
-            last_resp[core_id] = resp
-        return events, last_resp
-
-    # ------------------------------------------------------------------
-
-    def _execute(self, events):
-        """Seed and drain one interval's event graph in the total order
-        ``(cycle, domain, per-domain push seq)``: the earliest pending
-        event runs next, the lowest domain wins a cycle tie, and push
-        order breaks ties within a domain.
-
-        Ordinary runs never build per-domain queues.  One domain drains
-        a plain ``(cycle, seq)`` heap (:meth:`_drain_single`, seeded
-        inline here with the entries :meth:`Domain.push` would build);
-        several domains share one merged heap (:meth:`_drain_merged`),
-        so an event costs the same however many domains the chip has.
-        :meth:`seed_queues` + :meth:`_drain_earliest_first` realise the
-        same order by scanning real per-domain queues; they remain for
-        the users that need those queues — the journal, the
-        crossing-probe ablation, fault injection between seeding and
-        draining, the parallel backend's batches — and as the reference
-        the merged heap is tested against."""
-        domains = self.domains
-        if self.journal is None:
-            if len(domains) == 1:
-                domain = domains[0]
-                queue = domain._queue
-                seq = domain._seq
-                heappush = heapq.heappush
-                for event in events:
-                    if event.parents_left == 0:
-                        seq += 1
-                        heappush(queue, (event.min_cycle, seq, event))
+                    base = issue + offset + service
+                elif pos == 0:
+                    # CoreWeave.occupy, inlined: REQ/RESP events (about
+                    # half of all events) have no occupancy state.
+                    core[0].events_executed += 1
+                    done = cycle
+                    steps = record.steps
+                    base = issue
+                elif pos == -1:
+                    core[0].events_executed += 1
+                    # The RESP's one child is the REQ ``mlp`` accesses
+                    # later, in the core's own domain.  The RESP ran at
+                    # or after its lower bound, so no clamp is needed.
+                    trace = core[1]
+                    index += core[2]
+                    resp_min = issue + record.latency
+                    if index < len(trace):
+                        issue, record = trace[index]
+                        gap = issue - resp_min
+                        seq = seqs[did] = seqs[did] + 1
+                        heappush(heap, (cycle + gap if gap > 0 else cycle,
+                                        did, seq, 0, issue, record, index,
+                                        core))
+                    elif index == len(trace) + core[2] - 1:
+                        last_done[core[3]] = cycle
+                    continue
+                else:
+                    comp, _offset, kind = record.wbacks[-2 - pos]
+                    comp.occupy(cycle, kind, record.line)
+                    continue
+                # Deliver to the next event of the chain, then to the
+                # write-backs anchored here (on the first step, or on
+                # the REQ of a chain without steps).
+                if pos < len(steps):
+                    comp, offset, kind = steps[pos]
+                    child_min = issue + offset
+                    target = comp.domain
+                    child_pos = pos + 1
+                else:
+                    child_min = issue + record.latency
+                    target = core[0].domain
+                    child_pos = -1
+                gap = child_min - base
+                ready = done + gap if gap > 0 else done
+                if target != did:
+                    crossings[target] += 1
+                seq = seqs[target] = seqs[target] + 1
+                heappush(heap, (ready if ready > child_min else child_min,
+                                target, seq, child_pos, issue, record,
+                                index, core))
+                if pos < 2 and record.wbacks and (pos or not steps):
+                    for j, (comp, offset, kind) in enumerate(record.wbacks):
+                        child_min = issue + offset
+                        gap = child_min - base
+                        ready = done + gap if gap > 0 else done
+                        target = comp.domain
+                        if target != did:
+                            crossings[target] += 1
+                        seq = seqs[target] = seqs[target] + 1
+                        heappush(heap, (ready if ready > child_min
+                                        else child_min, target, seq,
+                                        -2 - j, issue, record, index,
+                                        core))
+        except BaseException:
+            pending[did] = 1  # popped when the drain broke off: not run
+            raise
+        finally:
+            for entry in heap:
+                pending[entry[1]] += 1
+            for domain, seq, floor, crossed, left in zip(
+                    domains, seqs, floors, crossings, pending):
+                domain.events_executed += seq - domain._seq - left
                 domain._seq = seq
-                self._drain_single(domain)
-                return
-            if self.crossing_deps:
-                self._drain_merged(events)
-                return
+                domain._pop_floor = floor
+                domain.crossings += crossed
+                if floor is not None and floor > domain.current_cycle:
+                    domain.current_cycle = floor
+            self._spill(heap)
+        return self._delays(traces, last_done)
+
+    def _drain_single(self, traces):
+        """:meth:`_drain` on one domain (nothing crosses): seq and floor
+        in locals, no domain in the key.  Fork ledger row: it pays."""
+        domain = self.domains[0]
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        svc_cache = self._svc_cache
+        svc_get = svc_cache.get
+        seq = domain._seq
+        floor = domain._pop_floor
+        last_done = {}
+        heap = []
+        for core in self._roots(traces):
+            trace = core[1]
+            for index in range(min(core[2], len(trace))):
+                issue, record = trace[index]
+                seq += 1
+                heap.append((issue, seq, 0, issue, record, index, core))
+        heapq.heapify(heap)
+        in_hand = 0
+        try:
+            while heap:
+                cycle, _s, pos, issue, record, index, core = heappop(heap)
+                if floor is not None and cycle < floor:
+                    raise horizon_violation(0, cycle, floor)
+                floor = cycle
+                if pos > 0:
+                    steps = record.steps
+                    comp, offset, kind = steps[pos - 1]
+                    done = comp.occupy(cycle, kind, record.line)
+                    service = svc_get((comp, kind))
+                    if service is None:
+                        service = svc_cache[(comp, kind)] = \
+                            comp.zero_load_service(kind)
+                    base = issue + offset + service
+                elif pos == 0:
+                    core[0].events_executed += 1
+                    done = cycle
+                    steps = record.steps
+                    base = issue
+                elif pos == -1:
+                    core[0].events_executed += 1
+                    trace = core[1]
+                    index += core[2]
+                    resp_min = issue + record.latency
+                    if index < len(trace):
+                        issue, record = trace[index]
+                        gap = issue - resp_min
+                        seq += 1
+                        heappush(heap, (cycle + gap if gap > 0 else cycle,
+                                        seq, 0, issue, record, index,
+                                        core))
+                    elif index == len(trace) + core[2] - 1:
+                        last_done[core[3]] = cycle
+                    continue
+                else:
+                    comp, _offset, kind = record.wbacks[-2 - pos]
+                    comp.occupy(cycle, kind, record.line)
+                    continue
+                if pos < len(steps):
+                    child_min = issue + steps[pos][1]
+                    child_pos = pos + 1
+                else:
+                    child_min = issue + record.latency
+                    child_pos = -1
+                gap = child_min - base
+                ready = done + gap if gap > 0 else done
+                seq += 1
+                heappush(heap, (ready if ready > child_min else child_min,
+                                seq, child_pos, issue, record, index,
+                                core))
+                if pos < 2 and record.wbacks and (pos or not steps):
+                    for j, (comp, offset, kind) in enumerate(record.wbacks):
+                        child_min = issue + offset
+                        gap = child_min - base
+                        ready = done + gap if gap > 0 else done
+                        seq += 1
+                        heappush(heap, (ready if ready > child_min
+                                        else child_min, seq, -2 - j,
+                                        issue, record, index, core))
+        except BaseException:
+            in_hand = 1
+            raise
+        finally:
+            domain.events_executed += seq - domain._seq - len(heap) - in_hand
+            domain._seq = seq
+            domain._pop_floor = floor
+            if floor is not None and floor > domain.current_cycle:
+                domain.current_cycle = floor
+            self._spill((entry[0], 0) + entry[1:] for entry in heap)
+        return self._delays(traces, last_done)
+
+    def _roots(self, traces):
+        """``(core_weave, trace, mlp, core_id)`` per core with a trace,
+        in trace order; its first ``mlp`` REQs are roots."""
+        mlp_get = self.mlp_window.get
+        return [(self.core_weaves[core_id], trace, mlp_get(core_id, 1),
+                 core_id)
+                for core_id, trace in traces.items() if trace]
+
+    @staticmethod
+    def _delays(traces, last_done):
+        """Each core's delay: its last RESP's ``last_done`` cycle past
+        that RESP's lower bound."""
+        delays = {}
+        for core_id, trace in traces.items():
+            if trace:
+                issue, record = trace[-1]
+                resp_min = issue + record.latency
+                delay = (last_done[core_id] or resp_min) - resp_min
+                delays[core_id] = delay if delay > 0 else 0
+        return delays
+
+    def _spill(self, entries):
+        """Queue the heap entries an aborted drain had not run into their
+        domains as :class:`WeaveEvent` leaves (the reference would also
+        have linked their children) under the same ``(cycle, seq)``."""
+        for cycle, did, seq, pos, issue, record, _index, core in entries:
+            if pos > 0:
+                comp, offset, kind = record.steps[pos - 1]
+            elif pos < -1:
+                comp, offset, kind = record.wbacks[-2 - pos]
+            else:
+                comp, offset, kind = ((core[0], 0, "REQ") if pos == 0 else
+                                      (core[0], record.latency, "RESP"))
+            event = WeaveEvent(comp, kind, record.line, issue + offset,
+                               comp.zero_load_service(kind), core[3])
+            event.ready = cycle
+            heapq.heappush(self.domains[did]._queue, (cycle, seq, event))
+
+    # -- the reference executor ----------------------------------------
+
+    def _scan(self, events):
         self.seed_queues(events)
         self._drain_earliest_first()
+
+    def _build_events(self, traces):
+        """The interval's whole event graph: its events in build order
+        (per access: REQ, steps, RESP, write-backs) and each core's last
+        RESP.  The drains never build it; the ``executor`` seam and the
+        crossing-probe ablation run on it, and tests check the drains
+        against it."""
+        events = []
+        last_resp = {}
+        for core, trace, mlp, core_id in self._roots(traces):
+            window = deque(maxlen=mlp)
+            for issue, record in trace:
+                line = record.line
+                chain = [WeaveEvent(core, "REQ", line, issue, 0, core_id)]
+                if len(window) == mlp:
+                    window[0].link(chain[0])
+                for comp, offset, kind in record.steps:
+                    chain.append(WeaveEvent(comp, kind, line, issue + offset,
+                                            comp.zero_load_service(kind),
+                                            core_id))
+                chain.append(WeaveEvent(core, "RESP", line,
+                                        issue + record.latency, 0, core_id))
+                for parent, child in zip(chain, chain[1:]):
+                    parent.link(child)
+                events += chain
+                anchor = chain[1] if record.steps else chain[0]
+                for comp, offset, kind in record.wbacks:
+                    wback = WeaveEvent(comp, kind, line, issue + offset,
+                                       comp.zero_load_service(kind), core_id)
+                    anchor.link(wback)
+                    events.append(wback)
+                window.append(chain[-1])
+            last_resp[core_id] = chain[-1]
+        return events, last_resp
 
     def seed_queues(self, events):
         """Enqueue root events (no pending parents) into their domains.
@@ -353,16 +494,9 @@ class WeaveEngine:
         """Always advance the domain with the earliest pending event —
         a deterministic, conservative emulation of zsim's
         thread-per-domain execution (see module docs).  The scan costs
-        O(domains) per event; :meth:`_drain_merged` is the same order
-        at O(log events)."""
+        O(domains) per event; :meth:`_drain` is the same order at
+        O(log events in flight)."""
         domains = self.domains
-        if len(domains) == 1 and self.journal is None:
-            # With one domain there is nothing to arbitrate between and
-            # no edge can cross domains (so no crossings and, even with
-            # the optimization ablated, no probes): the generic scan
-            # collapses to a plain heap drain.
-            self._drain_single(domains[0])
-            return
         while True:
             best = None
             best_cycle = None
@@ -380,164 +514,10 @@ class WeaveEngine:
             else:
                 self._run_event(best, cycle, item)
 
-    def _drain_single(self, domain):
-        """Inlined drain for the single-domain case: identical pop order
-        ((cycle, seq) heap discipline), identical per-component ``occupy``
-        order, and the same horizon-floor invariant as
-        :meth:`Domain.pop` + :meth:`_run_event`, with the queue and
-        bookkeeping held in locals.  Domain counters are written back on
-        every exit so an aborted interval still reports honestly."""
-        queue = domain._queue
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        floor = domain._pop_floor
-        seq = domain._seq
-        executed = 0
-        try:
-            while queue:
-                cycle, _s, event = heappop(queue)
-                if floor is not None and cycle < floor:
-                    raise horizon_violation(domain.domain_id, cycle, floor)
-                floor = cycle
-                start = event.ready
-                if cycle > start:
-                    start = cycle
-                comp = event.component
-                if type(comp) is CoreWeave:
-                    # CoreWeave.occupy, inlined: REQ/RESP events (about
-                    # half of all events) have no occupancy state.
-                    comp.events_executed += 1
-                    done = start
-                else:
-                    done = comp.occupy(start, event.kind, event.line)
-                event.done = done
-                executed += 1
-                child = event.child
-                if child is None:
-                    continue
-                # Deliver the inline edge, then any overflow edges, in
-                # link order.
-                gap = event.gap
-                overflow = event.overflow
-                index = 0
-                while True:
-                    left = child.parents_left - 1
-                    child.parents_left = left
-                    candidate = done + gap
-                    if candidate > child.ready:
-                        child.ready = candidate
-                    if left == 0:
-                        ready = child.ready
-                        min_cycle = child.min_cycle
-                        seq += 1
-                        heappush(queue,
-                                 (ready if ready > min_cycle
-                                  else min_cycle, seq, child))
-                    if overflow is None or index == len(overflow):
-                        break
-                    child, gap = overflow[index]
-                    index += 1
-        finally:
-            domain._pop_floor = floor
-            domain._seq = seq
-            domain.events_executed += executed
-            if floor is not None and floor > domain.current_cycle:
-                domain.current_cycle = floor
-
-    def _drain_merged(self, events):
-        """Seed and drain several domains through one heap keyed
-        ``(cycle, domain, seq)`` — exactly the pop order of
-        :meth:`seed_queues` + :meth:`_drain_earliest_first` (earliest
-        head, lowest domain on ties, push order within a domain) without
-        re-scanning every domain per event.  Everything a domain
-        accounts stays per domain and bit-identical to the scan: push
-        sequence numbers, the horizon floor and its violation, the
-        clock, executed events and crossings (they feed the fingerprint
-        chain and the host model).  Counters are written back on every
-        exit, and an aborted drain spills what it had not run into the
-        domains' own queues, where the scan would have left it."""
-        domains = self.domains
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        seqs = [domain._seq for domain in domains]
-        floors = [domain._pop_floor for domain in domains]
-        executed = [0] * len(domains)
-        crossings = [0] * len(domains)
-        heap = []
-        for event in events:
-            if event.parents_left == 0:
-                did = event.component.domain
-                seq = seqs[did] = seqs[did] + 1
-                heap.append((event.min_cycle, did, seq, event))
-        # Keys are unique, so the pop order does not depend on how the
-        # heap was built.
-        heapq.heapify(heap)
-        try:
-            while heap:
-                cycle, did, _s, event = heappop(heap)
-                floor = floors[did]
-                if floor is not None and cycle < floor:
-                    raise horizon_violation(did, cycle, floor)
-                floors[did] = cycle
-                start = event.ready
-                if cycle > start:
-                    start = cycle
-                comp = event.component
-                if type(comp) is CoreWeave:
-                    # CoreWeave.occupy, inlined (see _drain_single).
-                    comp.events_executed += 1
-                    done = start
-                else:
-                    done = comp.occupy(start, event.kind, event.line)
-                event.done = done
-                executed[did] += 1
-                child = event.child
-                if child is None:
-                    continue
-                # Inline edge first, then overflow (see _drain_single).
-                gap = event.gap
-                overflow = event.overflow
-                index = 0
-                while True:
-                    left = child.parents_left - 1
-                    child.parents_left = left
-                    candidate = done + gap
-                    if candidate > child.ready:
-                        child.ready = candidate
-                    if left == 0:
-                        ready = child.ready
-                        min_cycle = child.min_cycle
-                        target = child.component.domain
-                        if target != did:
-                            crossings[target] += 1
-                        seq = seqs[target] = seqs[target] + 1
-                        heappush(heap,
-                                 (ready if ready > min_cycle
-                                  else min_cycle, target, seq, child))
-                    if overflow is None or index == len(overflow):
-                        break
-                    child, gap = overflow[index]
-                    index += 1
-        finally:
-            for domain, seq, floor, ran, crossed in zip(
-                    domains, seqs, floors, executed, crossings):
-                domain._seq = seq
-                domain._pop_floor = floor
-                domain.events_executed += ran
-                domain.crossings += crossed
-                if floor is not None and floor > domain.current_cycle:
-                    domain.current_cycle = floor
-            for cycle, did, seq, event in heap:
-                heappush(domains[did]._queue, (cycle, seq, event))
-
     def _run_event(self, domain, cycle, event):
         start = cycle if cycle >= event.ready else event.ready
         event.done = event.component.occupy(start, event.kind, event.line)
         domain.events_executed += 1
-        if self.journal is not None:
-            self.journal.append((event.component.name, event.kind,
-                                 event.min_cycle, start, event.done,
-                                 event.core_id))
         for child, gap in event.edges():
             child.parents_left -= 1
             candidate = event.done + gap

@@ -369,6 +369,12 @@ class ParallelBackend(ExecutionBackend):
     # -- weave phase ---------------------------------------------------
 
     def run_weave(self, weave, traces):
+        # Crossing probes (the ablation) read other domains' clocks, and
+        # one domain has nothing to overlap: both run the engine's own
+        # drain, unless the fault plan needs the queues it corrupts.
+        if self.fault_plan is None and (not weave.crossing_deps
+                                        or len(weave.domains) <= 1):
+            return weave.run_interval(traces)
         return weave.run_interval(
             traces, executor=lambda events: self._execute_weave(weave,
                                                                 events))
@@ -377,19 +383,12 @@ class ParallelBackend(ExecutionBackend):
         domains = weave.domains
         plan = self.fault_plan
         interval = weave.stats.intervals
-        # The journal needs the global execution order, and crossing
-        # probes (the ablation) read other domains' clocks: both force
-        # the reference executor.  One domain has nothing to overlap.
-        if (weave.journal is not None or not weave.crossing_deps
-                or len(domains) <= 1):
-            weave.seed_queues(events)
-            if plan is not None:
-                plan.corrupt(weave, interval)
-            weave._drain_earliest_first()
-            return
         weave.seed_queues(events)
         if plan is not None:
             plan.corrupt(weave, interval)
+        if not weave.crossing_deps or len(domains) <= 1:
+            weave._drain_earliest_first()
+            return
         workers = self._ensure_pool(len(domains))
         num_workers = len(workers)
         telem = weave._telem

@@ -7,6 +7,7 @@ from bisect import bisect_right
 import pytest
 
 from repro.config import small_test_system
+from repro.core.weave import WeaveEngine
 from repro.isa.opcodes import Opcode
 from repro.isa.program import BBLExec, Instruction, Program
 from repro.isa.registers import gp
@@ -119,21 +120,21 @@ def would_evict(array, line):
     return array._ways[idx][array._repl[idx].victim()]
 
 
-def link(parent, child):
-    """Add a dependency edge from weave event ``parent`` to ``child``
-    with the zero-load gap implied by the two events' lower bounds.
-    ``WeaveEngine._build_events`` inlines this; tests link through it."""
-    gap = child.min_cycle - parent.min_cycle - parent.service
-    if gap < 0:
-        gap = 0
-    if parent.child is None:
-        parent.child = child
-        parent.gap = gap
-    elif parent.overflow is None:
-        parent.overflow = [(child, gap)]
-    else:
-        parent.overflow.append((child, gap))
-    child.parents_left += 1
+class JournalWeaveEngine(WeaveEngine):
+    """A weave engine whose reference executor records ``(component,
+    kind, min_cycle, start, done, core_id)`` per executed event — the
+    Figure 4 trace.  Only the reference runs events one at a time, so
+    run intervals through ``executor=engine._scan``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.journal = []
+
+    def _run_event(self, domain, cycle, event):
+        super()._run_event(domain, cycle, event)
+        self.journal.append((event.component.name, event.kind,
+                             event.min_cycle, max(cycle, event.ready),
+                             event.done, event.core_id))
 
 
 def busy_at(timeline, cycle):

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from repro.core.domains import CoreWeave, Domain, assign_domains
 from repro.core.events import WeaveEvent
 from repro.core.weave import WeaveEngine
+from repro.memory.access import AccessRecord
 from repro.memory.weave import CacheBankWeave
-
-from conftest import link
 
 
 class TestWeaveEvent:
@@ -18,7 +17,7 @@ class TestWeaveEvent:
                             core_id=0)
         child = WeaveEvent(None, "RESP", 0, min_cycle=130, service=0,
                            core_id=0)
-        link(parent, child)
+        parent.link(child)
         (linked, gap), = parent.edges()
         assert linked is child
         assert gap == 20  # 130 - 100 - 10
@@ -27,13 +26,13 @@ class TestWeaveEvent:
     def test_negative_gap_clamped(self):
         parent = WeaveEvent(None, "REQ", 0, 100, 50, 0)
         child = WeaveEvent(None, "X", 0, 120, 0, 0)  # 120 < 100+50
-        link(parent, child)
+        parent.link(child)
         assert [gap for _child, gap in parent.edges()] == [0]
 
     def test_multiple_parents_counted(self):
         child = WeaveEvent(None, "X", 0, 10, 0, 0)
         for _ in range(3):
-            link(WeaveEvent(None, "P", 0, 0, 0, 0), child)
+            WeaveEvent(None, "P", 0, 0, 0, 0).link(child)
         assert child.parents_left == 3
 
 
@@ -48,7 +47,7 @@ class _LoggedServer:
         self.log = log
 
     def occupy(self, cycle, kind, line=0):
-        self.log.append((cycle, line))
+        self.log.append((cycle, kind))
         return cycle + self.service
 
     def zero_load_service(self, kind):
@@ -76,9 +75,13 @@ class TestEdgeDeliveryOrder:
     @example([3, 3], 2)
     def test_inline_and_overflow_edges_deliver_in_link_order(
             self, drain, child_offsets, service):
-        """0 / 1 / 2 / n linked children (the inline slot, then the
-        overflow list) reach every drain first linked, first delivered,
-        with the gaps a plain list of edges would carry."""
+        """0 / 1 / 2 / n children reach every drain first linked, first
+        delivered, with the gaps a plain list of edges would carry.
+        ``scan``: a hand-linked graph (the inline slot, then the overflow
+        list) through the reference executor.  ``single`` / ``merged``:
+        the drain from traces, on one and two domains, with the children
+        as write-backs anchored on an access's one step (its inline edge
+        feeds the RESP)."""
         log = []
         tiles = 1 if drain == "single" else 2
         parent_bank = _LoggedServer("parent", 0, service, [])
@@ -87,25 +90,29 @@ class TestEdgeDeliveryOrder:
                              [parent_bank, child_bank], num_tiles=tiles)
         assert len(engine.domains) == tiles
         child_mins = [100 + offset for offset in child_offsets]
-        parent = WeaveEvent(parent_bank, "HIT", 99, 100, service, 0)
-        children = [WeaveEvent(child_bank, "HIT", i, child_min, 0, 0)
-                    for i, child_min in enumerate(child_mins)]
-        for child in children:
-            link(parent, child)
         want_edges, want_log = _list_of_edges_reference(
             100, service, child_mins)
-        assert [(child.line, gap) for child, gap in parent.edges()] \
-            == want_edges
-        assert (parent.overflow is None) == (len(children) < 2)
-        events = [parent] + children
         if drain == "scan":
-            engine.seed_queues(events)
+            parent = WeaveEvent(parent_bank, "HIT", 99, 100, service, 0)
+            children = [WeaveEvent(child_bank, i, i, child_min, 0, 0)
+                        for i, child_min in enumerate(child_mins)]
+            for child in children:
+                parent.link(child)
+            assert [(child.line, gap) for child, gap in parent.edges()] \
+                == want_edges
+            assert (parent.overflow is None) == (len(children) < 2)
+            engine.seed_queues([parent] + children)
             engine._drain_earliest_first()
         else:
-            engine._execute(events)
+            record = AccessRecord(0, 99, write=True)
+            record.latency = service
+            record.steps.append((parent_bank, 0, "HIT"))
+            record.wbacks.extend((child_bank, offset, i)
+                                 for i, offset in enumerate(child_offsets))
+            engine.run_interval({0: [(100, record)]})
         assert log == want_log
         assert engine.domains[-1].crossings == \
-            (len(children) if tiles == 2 else 0)
+            (len(child_mins) if tiles == 2 else 0)
 
 
 class TestDomain:

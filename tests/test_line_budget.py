@@ -21,11 +21,11 @@ SRC = pathlib.Path(repro.__file__).parent
 
 BUDGETS = {
     "memory": 2302,
-    "core": 1946,
+    "core": 1940,
     "cpu": 856,
     "resilience": 1528,
     "obs": 1323,
-    "exec": 1712,
+    "exec": 1711,
     "fleet": 1189,
     "cli.py": 930,
     "baselines": 256,

@@ -1,16 +1,18 @@
 """Tests for the weave engine: event graphs, domains, delays, crossings."""
 
+import tracemalloc
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.domains import CoreWeave
-from repro.core.events import WeaveEvent
 from repro.core.weave import WeaveEngine
 from repro.errors import HorizonViolation
 from repro.memory.access import AccessRecord, StepKind
 from repro.memory.weave import CacheBankWeave
 
-from conftest import link
+from conftest import JournalWeaveEngine
 
 
 def make_result(core_id, line, latency, steps):
@@ -19,15 +21,6 @@ def make_result(core_id, line, latency, steps):
     record.latency = latency
     record.steps.extend(steps)
     return record
-
-
-def set_gap(event, index, gap):
-    """Rewrite the gap of ``event``'s ``index``-th edge (delivery
-    order)."""
-    if index == 0:
-        event.gap = gap
-    else:
-        event.overflow[index - 1] = (event.overflow[index - 1][0], gap)
 
 
 def engine_with_bank(num_cores=2, bank_tile=0, tiles=1, ports=1,
@@ -170,20 +163,20 @@ class TestConservatism:
 
 class TestJournal:
     def test_journal_records_figure4_chains(self):
-        """With a journal attached, every executed event is recorded and
-        per-access chains show the Figure 4 structure: REQ -> component
-        events -> RESP, in nondecreasing time, each started at or after
-        its lower bound."""
+        """Through the reference executor, every executed event is
+        journaled and per-access chains show the Figure 4 structure:
+        REQ -> component events -> RESP, in nondecreasing time, each
+        started at or after its lower bound."""
         cores = [CoreWeave("core0", 0)]
         bank = CacheBankWeave("l3b0", latency=14, ports=1)
-        journal = []
-        engine = WeaveEngine(cores, [bank], num_tiles=1,
-                             mlp_window={0: 1}, journal=journal)
+        engine = JournalWeaveEngine(cores, [bank], num_tiles=1,
+                                    mlp_window={0: 1})
         trace = {0: [
             (100, make_result(0, 1, 30, [(bank, 10, StepKind.HIT)])),
             (200, make_result(0, 2, 30, [(bank, 10, StepKind.MISS)])),
         ]}
-        engine.run_interval(trace)
+        engine.run_interval(trace, executor=engine._scan)
+        journal = engine.journal
         assert len(journal) == 6  # (REQ, bank, RESP) x 2
         kinds = [entry[1] for entry in journal]
         assert kinds.count("REQ") == 2
@@ -198,107 +191,123 @@ class TestJournal:
 
 
 # ---------------------------------------------------------------------
-# The merged heap against the per-domain-queue reference
+# The drain from traces against the reference graph and domain scan
 # ---------------------------------------------------------------------
 
 
 class _LoggedBank:
     """Single-port server that records every ``occupy`` call in one log
     shared by all banks of an engine: the log is the global order in
-    which timing state was touched."""
+    which timing state was touched.  A ``past`` bank reports every
+    service done ``past`` cycles before it started — a corrupt
+    timestamp the horizon floor has to catch."""
 
-    def __init__(self, name, tile, occupancy, log):
+    def __init__(self, name, tile, occupancy, log, past=0):
         self.name = name
         self.tile = tile
         self.domain = 0
         self.occupancy = occupancy
         self.busy_until = None
         self.log = log
+        self.past = past
 
     def occupy(self, cycle, kind, line=0):
         start = cycle if self.busy_until is None \
             else max(cycle, self.busy_until)
         self.busy_until = start + self.occupancy
-        self.log.append((self.name, cycle, kind, line))
-        return start + self.occupancy
+        done = start - self.past if self.past else start + self.occupancy
+        self.log.append((self.name, kind, line, cycle, done))
+        return done
 
     def zero_load_service(self, kind):
         return self.occupancy
 
-    def reset(self):
-        self.busy_until = None
 
+#: One access: (issue delta, chain steps as (bank pick, offset delta),
+#: write-backs as (bank pick, offset), latency slack after the last
+#: step).  Small deltas make cycle ties the rule.
+_accesses = st.lists(
+    st.tuples(st.integers(0, 3),
+              st.lists(st.tuples(st.integers(0, 63), st.integers(0, 4)),
+                       max_size=4),
+              st.one_of(st.just([]),
+                        st.lists(st.tuples(st.integers(0, 63),
+                                           st.integers(0, 8)),
+                                 min_size=1, max_size=2)),
+              st.integers(0, 6)),
+    max_size=8)
 
-#: One event: (component pick, min_cycle — a tiny range so that cycle
-#: ties are the rule —, parent picks among the earlier events).
-_event_descs = st.lists(
-    st.tuples(st.integers(0, 63), st.integers(0, 6),
-              st.lists(st.integers(0, 10_000), max_size=2)),
-    min_size=1, max_size=60)
+#: Per core: its MLP window and its accesses.
+_cores = st.lists(st.tuples(st.integers(1, 4), _accesses),
+                  min_size=1, max_size=12)
 
-_DELTA = 1 << 40
+_PAST = 1 << 20
 
 
 class _Lockstep:
-    """One engine plus the hand-built event graph of a description."""
+    """One engine over ``num_tiles`` tiles (one core per entry of
+    ``cores``, dealt round-robin; one logged bank per tile) and the
+    traces of a description."""
 
-    def __init__(self, num_domains):
+    def __init__(self, num_tiles, cores, past_tile=None):
         self.log = []
-        cores = [CoreWeave("core%d" % d, d, tile=d)
-                 for d in range(num_domains)]
-        banks = [_LoggedBank("bank%d" % d, d, 1 + d % 3, self.log)
-                 for d in range(num_domains)]
-        self.engine = WeaveEngine(cores, banks, num_tiles=num_domains)
-        assert len(self.engine.domains) == num_domains
+        weaves = [CoreWeave("core%d" % c, c, tile=c % num_tiles)
+                  for c in range(len(cores))]
+        self.banks = [_LoggedBank("bank%d" % t, t, 1 + t % 3, self.log,
+                                  _PAST if t == past_tile else 0)
+                      for t in range(num_tiles)]
+        self.engine = WeaveEngine(
+            weaves, self.banks, num_tiles=num_tiles,
+            mlp_window={c: mlp for c, (mlp, _) in enumerate(cores)})
+        assert len(self.engine.domains) == num_tiles
+        self.weaves = weaves
         self.cores = cores
-        self.comps = cores + banks
-        self.events = []
 
-    def build(self, descs, base):
-        for domain in self.engine.domains:
-            domain.reset_interval_stats()
-        events = self.events = []
-        for i, (pick, cycle, parents) in enumerate(descs):
-            comp = self.comps[pick % len(self.comps)]
-            event = WeaveEvent(comp, "HIT", i, base + cycle,
-                               comp.zero_load_service("HIT"), core_id=0)
-            for parent in {p % i for p in parents} if i else ():
-                link(events[parent], event)
-            events.append(event)
+    def traces(self, base):
+        banks = self.banks
+        traces = {}
+        for core_id, (_mlp, accesses) in enumerate(self.cores):
+            trace = traces[core_id] = []
+            issue = base
+            for i, (delta, steps, wbacks, slack) in enumerate(accesses):
+                issue += delta
+                record = AccessRecord(core_id, 1000 * core_id + i,
+                                      write=bool(wbacks))
+                offset = 0
+                for pick, step in steps:
+                    offset += step
+                    kind = StepKind.MISS if step % 2 else StepKind.HIT
+                    record.steps.append(
+                        (banks[pick % len(banks)], offset, kind))
+                record.latency = offset + slack
+                for pick, wb_offset in wbacks:
+                    record.wbacks.append((banks[pick % len(banks)],
+                                          wb_offset, StepKind.WBACK))
+                trace.append((issue, record))
+        return traces
 
-    def corrupt(self, victim):
-        """Throw one event's timestamp far into the past: its lower
-        bound, the ready time seeded from it, and the edge gaps derived
-        from it (unclamped, as a corrupt timestamp would leave them)."""
-        child = self.events[victim % len(self.events)]
-        child.min_cycle = child.ready = -_DELTA
-        for event in self.events:
-            for index, (c, _gap) in enumerate(list(event.edges())):
-                if c is child:
-                    set_gap(event, index, -2 * _DELTA)
-
-    def run(self, merged):
-        """Execute the built graph; returns what the run did."""
+    def run(self, base, reference):
+        """Run one interval; returns what the run did."""
         engine = self.engine
-        error = None
+        del self.log[:]
+        error = delays = None
         try:
-            if merged:
-                engine._execute(self.events)
-            else:
-                engine.seed_queues(self.events)
-                engine._drain_earliest_first()
+            delays = engine.run_interval(
+                self.traces(base),
+                executor=engine._scan if reference else None)
         except HorizonViolation as exc:
             error = (exc.domain, exc.cycle, exc.floor, str(exc))
-        leftovers = [sorted((cycle, seq, event.line)
+        leftovers = [sorted((cycle, seq, event.component.name, event.kind,
+                             event.line, event.min_cycle, event.ready)
                             for cycle, seq, event in domain._queue)
                      for domain in engine.domains]
         for domain in engine.domains:
             del domain._queue[:]
         return {
             "error": error,
+            "delays": delays,
             "occupy": list(self.log),
-            "done": [event.done for event in self.events],
-            "cores": [core.events_executed for core in self.cores],
+            "cores": [core.events_executed for core in self.weaves],
             "domains": domain_picture(engine),
             "leftovers": leftovers,
         }
@@ -306,52 +315,110 @@ class _Lockstep:
 
 class TestMergedHeapLockstep:
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(2, 16), _event_descs, st.integers(0, 12))
-    def test_same_total_order_as_the_domain_scan(self, num_domains,
-                                                 descs, second_base):
-        """Random DAGs over 2-16 domains, dense in cycle ties and
-        cross-domain edges, two intervals back to back (the second may
-        start below the first's clock): the merged heap and the
-        per-domain scan touch the components in the same order with the
-        same cycles and leave identical domain bookkeeping."""
-        merged, scan = _Lockstep(num_domains), _Lockstep(num_domains)
-        assert merged.engine.crossing_deps and merged.engine.journal is None
+    @given(st.integers(1, 16), _cores, st.integers(0, 12))
+    def test_same_total_order_as_the_domain_scan(self, num_tiles, cores,
+                                                 second_base):
+        """Random traces over 1-16 tiles — MLP windows of 1-4, chains of
+        0-4 steps across domains, write-backs on some accesses — two
+        intervals back to back (the second may start below the first's
+        clock): the drain from traces and the reference (whole graph,
+        seeded roots, per-domain scan) touch the components in the same
+        order with the same cycles, leave identical domain bookkeeping
+        and return the same delays."""
+        lazy, scan = _Lockstep(num_tiles, cores), _Lockstep(num_tiles, cores)
         for base in (20, second_base):
-            merged.build(descs, base)
-            scan.build(descs, base)
-            got, want = merged.run(merged=True), scan.run(merged=False)
+            got, want = lazy.run(base, False), scan.run(base, True)
             assert got == want
             assert got["error"] is None and not any(got["leftovers"])
-            assert all(done is not None for done in got["done"])
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(2, 16), _event_descs, st.integers(0, 10_000))
+    @given(st.integers(1, 16), _cores, st.integers(0, 15))
     def test_corrupt_timestamp_raises_the_same_violation(
-            self, num_domains, descs, victim):
-        """A timestamp thrown far into the past trips the per-domain
-        horizon floor at the same pop on both paths — same domain,
-        cycle, floor and message — or on neither (a domain with no pop
-        yet has no floor); the aborted drains leave the same counters
-        and the same events queued in the same domains."""
-        merged, scan = _Lockstep(num_domains), _Lockstep(num_domains)
-        for lock in (merged, scan):
-            lock.build(descs, 20)
-            lock.corrupt(victim)
-        assert merged.run(merged=True) == scan.run(merged=False)
+            self, num_tiles, cores, past_tile):
+        """A bank that reports its services done in the past may push an
+        event below its domain's horizon floor: both paths trip the
+        floor at the same pop — same domain, cycle, floor and message —
+        or neither does, and the aborted drains leave the same counters
+        and the same ``(cycle, seq)`` keys queued in the same
+        domains."""
+        past_tile %= num_tiles
+        lazy = _Lockstep(num_tiles, cores, past_tile)
+        scan = _Lockstep(num_tiles, cores, past_tile)
+        assert lazy.run(20, False) == scan.run(20, True)
 
-    def test_corrupt_timestamp_is_caught(self):
-        """Directed case: domain 1 has already popped at cycle 20 when
-        the corrupted child of a domain-0 event lands in it."""
-        descs = [(1, 0, []),        # core1 (domain 1), root
-                 (0, 5, []),        # core0 (domain 0), root
-                 (3, 6, [1])]       # bank1 (domain 1), child of event 1
+    @pytest.mark.parametrize("tiles, error, leftovers", [
+        (2, (1, 61, 130), [[], [(300, 2, "core1", "REQ", 1001, 300, 300)]]),
+        (1, (0, 61, 250), [[(300, 3, "core1", "REQ", 1001, 300, 300)]]),
+    ])
+    def test_corrupt_timestamp_is_caught(self, tiles, error, leftovers):
+        """Directed case: core 0's second access waits for its first
+        (MLP window 1) until cycle 250, runs its step on the past bank
+        in domain 0, and delivers to a step at cycle 61 — below the
+        floor of core 1's domain, which has popped core 1's RESP at
+        cycle 130 (two domains), or below the one domain's own floor at
+        250.  Core 1's second access (MLP window 2) is still queued at
+        cycle 300."""
+        cores = [(1, [(50, [(0, 0)], [], 200),     # RESP at 250
+                      (10, [(0, 0), (1, 1)], [], 5)]),
+                 (2, [(100, [(1, 10)], [], 20),    # RESP at 130
+                      (200, [], [], 0)])]
         outcomes = []
-        for is_merged in (True, False):
-            lock = _Lockstep(2)
-            lock.build(descs, 20)
-            lock.corrupt(2)
-            outcomes.append(lock.run(merged=is_merged))
+        for reference in (False, True):
+            lock = _Lockstep(tiles, cores, past_tile=0)
+            outcomes.append(lock.run(0, reference))
         assert outcomes[0] == outcomes[1]
         domain, cycle, floor, message = outcomes[0]["error"]
-        assert (domain, cycle, floor) == (1, -_DELTA, 20)
-        assert "domain 1 popped an event at cycle" in message
+        assert (domain, cycle, floor) == error
+        assert "domain %d popped an event at cycle" % domain in message
+        assert outcomes[0]["leftovers"] == leftovers
+
+
+class TestFootprint:
+    @staticmethod
+    def cold_interval():
+        """64 cores on 4 tiles, 100 three-step accesses each (private
+        L2 bank of the core's tile, an L3 bank and a memory bank picked
+        by line), one-port banks, MLP window 4."""
+        tiles = 4
+        cores = [CoreWeave("core%d" % c, c, tile=c % tiles)
+                 for c in range(64)]
+        l2 = [CacheBankWeave("l2b%d" % t, 10, tile=t) for t in range(tiles)]
+        l3 = [CacheBankWeave("l3b%d" % t, 20, tile=t) for t in range(tiles)]
+        mem = [CacheBankWeave("mem%d" % t, 100, tile=t)
+               for t in range(tiles)]
+        engine = WeaveEngine(cores, l2 + l3 + mem, num_tiles=tiles,
+                             mlp_window={c: 4 for c in range(64)})
+        traces = {}
+        for core in cores:
+            c = core.core_id
+            trace = traces[c] = []
+            for i in range(100):
+                line = 64 * i + c
+                trace.append((10 * i + c % 7, make_result(
+                    c, line, 140, [(l2[c % tiles], 4, StepKind.MISS),
+                                   (l3[line % tiles], 16, StepKind.MISS),
+                                   (mem[line // 7 % tiles], 40,
+                                    StepKind.READ)])))
+        return engine, traces
+
+    def test_drain_holds_only_the_events_in_flight(self):
+        """A cold interval's weave peaks at a small fraction of what its
+        whole event graph would take: events are made when their parent
+        delivers to them and die when they run."""
+        engine, traces = self.cold_interval()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            graph = engine._build_events(traces)
+            graph_bytes = tracemalloc.get_traced_memory()[0] - before
+            del graph
+            engine, traces = self.cold_interval()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            delays = engine.run_interval(traces)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert engine.stats.events == 64 * 100 * 5
+        assert max(delays.values()) > 0
+        assert peak < graph_bytes / 4, (peak, graph_bytes)
