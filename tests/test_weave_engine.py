@@ -2,7 +2,6 @@
 
 import tracemalloc
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -346,31 +345,44 @@ class TestMergedHeapLockstep:
         scan = _Lockstep(num_tiles, cores, past_tile)
         assert lazy.run(20, False) == scan.run(20, True)
 
-    @pytest.mark.parametrize("tiles, error, leftovers", [
-        (2, (1, 61, 130), [[], [(300, 2, "core1", "REQ", 1001, 300, 300)]]),
-        (1, (0, 61, 250), [[(300, 3, "core1", "REQ", 1001, 300, 300)]]),
-    ])
-    def test_corrupt_timestamp_is_caught(self, tiles, error, leftovers):
-        """Directed case: core 0's second access waits for its first
-        (MLP window 1) until cycle 250, runs its step on the past bank
-        in domain 0, and delivers to a step at cycle 61 — below the
-        floor of core 1's domain, which has popped core 1's RESP at
-        cycle 130 (two domains), or below the one domain's own floor at
-        250.  Core 1's second access (MLP window 2) is still queued at
-        cycle 300."""
-        cores = [(1, [(50, [(0, 0)], [], 200),     # RESP at 250
-                      (10, [(0, 0), (1, 1)], [], 5)]),
-                 (2, [(100, [(1, 10)], [], 20),    # RESP at 130
-                      (200, [], [], 0)])]
+    #: Core 0's second access waits for its first (MLP window 1) until
+    #: cycle 250, runs its step on the past bank in domain 0, and
+    #: delivers to a step at cycle 61.  Core 1's second access (MLP
+    #: window 2) is still queued at cycle 300 when the floor trips.
+    _CORRUPT_CORES = [(1, [(50, [(0, 0)], [], 200),     # RESP at 250
+                           (10, [(0, 0), (1, 1)], [], 5)]),
+                      (2, [(100, [(1, 10)], [], 20),    # RESP at 130
+                           (200, [], [], 0)])]
+
+    def caught(self, tiles):
+        """Run the directed case on both paths; they must agree."""
         outcomes = []
         for reference in (False, True):
-            lock = _Lockstep(tiles, cores, past_tile=0)
+            lock = _Lockstep(tiles, self._CORRUPT_CORES, past_tile=0)
             outcomes.append(lock.run(0, reference))
         assert outcomes[0] == outcomes[1]
-        domain, cycle, floor, message = outcomes[0]["error"]
-        assert (domain, cycle, floor) == error
-        assert "domain %d popped an event at cycle" % domain in message
-        assert outcomes[0]["leftovers"] == leftovers
+        return outcomes[0]
+
+    def test_corrupt_timestamp_is_caught(self):
+        """Directed case, two domains: the step at cycle 61 lands below
+        the floor of core 1's domain, which has popped core 1's RESP at
+        cycle 130."""
+        outcome = self.caught(2)
+        domain, cycle, floor, message = outcome["error"]
+        assert (domain, cycle, floor) == (1, 61, 130)
+        assert "domain 1 popped an event at cycle" in message
+        assert outcome["leftovers"] == [
+            [], [(300, 2, "core1", "REQ", 1001, 300, 300)]]
+
+    def test_corrupt_timestamp_is_caught_in_one_domain(self):
+        """Directed case, one domain: the step at cycle 61 lands below
+        the domain's own floor at 250."""
+        outcome = self.caught(1)
+        domain, cycle, floor, message = outcome["error"]
+        assert (domain, cycle, floor) == (0, 61, 250)
+        assert "domain 0 popped an event at cycle" in message
+        assert outcome["leftovers"] == [
+            [(300, 3, "core1", "REQ", 1001, 300, 300)]]
 
 
 class TestFootprint:
