@@ -25,8 +25,9 @@ the nearest ``repro`` caller on the stack.
 
 ``--check`` is the opcode ratchet.  It counts every row that
 ``opcode_pins.json`` pins for the running interpreter (``"3.11"``), each
-in a fresh process, and fails when a count rises above its pin or a
-digest differs from its pin.  A count that falls 0.5% or more below its
+in a fresh process, prints each count beside its pin with the count's
+per-layer split on the line below, and fails when a count rises above
+its pin or a digest differs from its pin.  A count that falls 0.5% or more below its
 pin passes with a request to lower the pin, so a saving, once pinned,
 cannot be given back.
 """
@@ -81,7 +82,8 @@ def check():
             [sys.executable, os.path.abspath(__file__), row["workload"],
              "--scale", str(row["scale"])],
             check=True, capture_output=True, text=True).stdout
-        _name, count, digest = out.split("\n", 1)[0].split()
+        first, *layers = out.splitlines()
+        _name, count, digest = first.split()
         count = int(count)
         pin = row["opcodes"]
         label = "%s --scale %s" % (row["workload"], row["scale"])
@@ -99,7 +101,20 @@ def check():
             verdict = "ok"
         print("%-38s %12d  pin %12d  %+6.2f%%  %s"
               % (label, count, pin, 100 * change, verdict))
+        print(split_line(layers, count))
     return status
+
+
+def split_line(layers, total):
+    """One indented line of a count's per-layer split: each layer that
+    ran, with its share of ``total`` (the layer lines of a count, the
+    total line last)."""
+    parts = []
+    for line in layers[:-1]:
+        layer, count = line.split()
+        if int(count):
+            parts.append("%s %.1f%%" % (layer, 100 * int(count) / total))
+    return "    " + "  ".join(parts)
 
 
 def main(argv):

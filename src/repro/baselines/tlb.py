@@ -78,6 +78,24 @@ class TLBMemory:
         result.latency += walk_latency
         return result
 
+    def l1_probe(self, core_id):
+        """The hierarchy's probe behind this core's TLBs.  A hit needs
+        its page in the TLB, checked untouched, and an L1 hit; only then
+        is the TLB looked up, as ``access`` would.  A refusal leaves
+        both for ``access``."""
+        probe = self.hierarchy.l1_probe(core_id)
+        if probe is None:
+            return None
+
+        def translated(hit, tlb):
+            def translated_hit(addr, write=False):
+                page = addr >> PAGE_BITS
+                return page in tlb._map and hit(addr, write) \
+                    and tlb.lookup(page)
+            return translated_hit
+        return (translated(probe[0], self.itlbs[core_id]),
+                translated(probe[1], self.dtlbs[core_id])) + probe[2:]
+
     def tlb_mpki(self, core_id, instrs, data_only=True):
         tlb = self.dtlbs[core_id]
         misses = tlb.misses

@@ -70,6 +70,10 @@ class _MD1Memory:
             result.latency += int(wait)
         return result
 
+    def l1_probe(self, core_id):
+        # An L1 hit never reaches memory, so it never queues.
+        return self.hierarchy.l1_probe(core_id)
+
     @staticmethod
     def _reaches_memory(result):
         levels = result.missed_levels

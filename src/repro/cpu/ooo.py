@@ -450,7 +450,7 @@ class OOOCore(Core):
                             exec_cycle + self.bpred.mispredict_penalty)
                         if config.wrong_path_fetch:
                             self._fetch_wrong_path(block, bbl_exec,
-                                                   exec_cycle)
+                                                   exec_cycle, fetch_hit)
 
             # (2.6) Completion cycle, read back by in-block dependents.
             done_append(done)
@@ -486,11 +486,11 @@ class OOOCore(Core):
         self._retire_slots = retire_slots
         return syscall
 
-    def _fetch_wrong_path(self, block, bbl_exec, branch_cycle):
+    def _fetch_wrong_path(self, block, bbl_exec, branch_cycle, fetch_hit):
         """A misprediction fetched down the wrong path until the branch
         resolved: touch the first line of the *not-followed* target,
         polluting the I-cache (wrong-path instructions never execute,
-        matching the paper)."""
+        matching the paper).  An L1I hit is served by ``fetch_hit``."""
         # The path actually followed is bbl_exec.next_address; the wrong
         # path is the other side of the branch.
         if bbl_exec.taken:
@@ -499,6 +499,8 @@ class OOOCore(Core):
             wrong = bbl_exec.next_address + block.num_bytes
         line_addr = wrong & ~(self._line_bytes - 1)
         self.wrong_path_fetches += 1
+        if fetch_hit(line_addr):
+            return
         result = self.mem.access(self.core_id, line_addr, False,
                                  branch_cycle, ifetch=True)
         # Wrong-path fetch latency is hidden by the recovery penalty;

@@ -35,13 +35,14 @@ _SK_WBACK = StepKind.WBACK
 _WALK_DEPTH = 8
 
 
-def _hit_probe(l1, shift, histogram):
-    """``(hit, flush)`` for an unhashed LRU L1.  ``hit(addr, write)``
-    serves a hit as :meth:`MemoryHierarchy.access` does (one LRU touch,
-    a write stores M) and returns True; a miss, or a write to an S line,
-    returns False untouched.  ``flush()`` adds the hits served so far to
-    the L1's counters and ``histogram`` (sums, so bulk is exact) and
-    returns their number."""
+def _hit_probe(l1, shift, histogram, metrics):
+    """``(hit, flush)`` for an unhashed LRU L1: the only code outside
+    the coherence walk that serves an L1 hit.  ``hit(addr, write)``
+    serves a hit as the walk does (one LRU touch, a write stores M) and
+    returns True; a miss, or a write to an S line, returns False
+    untouched.  ``flush()`` adds the hits served so far to the L1's
+    counters, ``histogram`` and ``metrics`` (unless None; sums, so bulk
+    is exact) and returns their number."""
     array = l1.array
     lines, repls, num_sets = array._lines, array._repl, array.num_sets
     served = 0
@@ -70,6 +71,8 @@ def _hit_probe(l1, shift, histogram):
             l1.accesses += hits
             l1.hits += hits
             histogram.record(l1.latency, hits)
+            if metrics is not None:
+                metrics.record(l1.latency, hits)
         return hits
     return hit, flush
 
@@ -313,16 +316,16 @@ class MemoryHierarchy:
     def l1_probe(self, core_id):
         """Core ``core_id``'s ``(fetch_hit, data_hit, l1d latency,
         flush)`` for one ``run_until`` (see :func:`_hit_probe`), or None
-        while an observer must see every access (profiler, metrics
-        histogram) or an L1 is hashed or not LRU."""
+        while the interference profiler must see every access with its
+        cycle, or an L1 is hashed or not LRU."""
         l1i, l1d = self.l1i[core_id], self.l1d[core_id]
-        if (self.profiler is not None or self._metrics_latency is not None
+        if (self.profiler is not None
                 or l1i.array.hash_sets or l1d.array.hash_sets
                 or l1i.array.repl != "lru" or l1d.array.repl != "lru"):
             return None
-        hist = self.access_latency
-        fetch_hit, fetch_flush = _hit_probe(l1i, self.line_bits, hist)
-        data_hit, data_flush = _hit_probe(l1d, self.line_bits, hist)
+        args = self.line_bits, self.access_latency, self._metrics_latency
+        fetch_hit, fetch_flush = _hit_probe(l1i, *args)
+        data_hit, data_flush = _hit_probe(l1d, *args)
 
         def flush():
             self.fastpath_hits += fetch_flush() + data_flush()
@@ -332,14 +335,10 @@ class MemoryHierarchy:
         """One core access; returns an :class:`AccessRecord` whose latency
         is the zero-load bound and whose steps feed the weave phase.
 
-        Cores probe their L1 through :meth:`l1_probe` and call this only
-        on a miss or an upgrade; without a live probe (wrappers, a
-        profiler, a metrics histogram) their hits come here too.  A hit
-        with no coherence side effects (a write needs E or M) is served
-        inline, like the walk's single ``lookup``, with the record's
-        slots stored directly; everything else goes down the coherence
-        walk (:meth:`_walk_access`).  Legal because L1s carry no weave
-        component: private levels are bound-phase only."""
+        Cores serve L1 hits through :meth:`l1_probe` and call this on a
+        miss or an upgrade.  Every call takes the coherence walk
+        (:meth:`_walk_access`), which serves the hits of a memory with
+        no live probe too: exact, only slower."""
         line = addr >> self.line_bits
         l1 = self.l1i[core_id] if ifetch else self.l1d[core_id]
         array = l1.array
@@ -348,43 +347,17 @@ class MemoryHierarchy:
                else array.set_index(line))
         entry = array._lines[idx].get(line)
         l1.accesses += 1
-        if entry is not None and (not write or entry[1] >= _MESI_E):
-            way = entry[0]
-            repl = array._repl[idx]
-            if type(repl) is _LRU:
-                # LRU.touch, inlined (one stamp store).
-                repl._stamp[way] = repl._clock
-                repl._clock += 1
-            else:
-                repl.touch(way)
-            l1.hits += 1
-            if write:
-                array._lines[idx][line] = (way, _MESI_M)
-            self.fastpath_hits += 1
-            result = AccessRecord.__new__(AccessRecord)
-            latency = l1.latency
-            result.latency = latency
-            result.missed_levels = ()
-            result.hit_level = l1.level
-            result.steps = ()
-            result.wbacks = ()
-            result.line = line
-            result.write = write
-            result.core_id = core_id
-            result.invalidations = 0
-            result.shared_evictions = ()
-        else:
-            self.slow_accesses += 1
-            result = AccessRecord(core_id, line, write)
-            result.latency = l1.latency
-            if entry is None:
-                l1.misses += 1
-                result.missed_levels.append(l1.level)
-            self._walk_access(l1, line, write, result, idx, entry)
-            if (self.prefetchers and not ifetch
-                    and "l1d" in result.missed_levels):
-                self._prefetch(core_id, line, result)
-            latency = result.latency
+        self.slow_accesses += 1
+        result = AccessRecord(core_id, line, write)
+        result.latency = l1.latency
+        if entry is None:
+            l1.misses += 1
+            result.missed_levels.append(l1.level)
+        self._walk_access(l1, line, write, result, idx, entry)
+        if (self.prefetchers and not ifetch
+                and "l1d" in result.missed_levels):
+            self._prefetch(core_id, line, result)
+        latency = result.latency
         # Log2Histogram.record, inlined (latency is a non-negative int,
         # so the guards drop out).
         hist = self.access_latency
@@ -411,9 +384,9 @@ class MemoryHierarchy:
         ``entry`` are the set and the entry it peeked) and charged:
         :meth:`access` counts the L1 access, its latency and a miss;
         :meth:`_prefetch` enters at the L2 on a miss and counts only a
-        prefetch fill.  A hit at ``c`` is always an L1 (an upgrade), so
-        it records no weave step: private levels have no weave
-        component.
+        prefetch fill.  A hit at ``c`` is always an L1 (a hit or an
+        upgrade), so it records no weave step: private levels have no
+        weave component.
 
         Two loops over a preallocated path scratch — descend routing each
         miss to its parent and counting the next level, until a hit or

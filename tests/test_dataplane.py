@@ -5,16 +5,17 @@ Three layers of guarantees:
 * the schedule-once ``DecodedBBL`` tables (``flat``, ``mem_ops``,
   ``fetch_lines``, ``final_writes``) are field-for-field faithful to the
   legacy per-µop objects and to an independently simulated scoreboard;
-* the shipped access path (L1 hits served in the core, inline L1 hit,
-  flattened walk) produces the simulated stats of the recursive
-  reference walk, and memories without a live L1 probe still see every
-  access;
+* the shipped access path (L1 hits served in the core, every other
+  access down the flattened walk) produces the simulated stats of the
+  recursive reference walk, every run that can take the core probe
+  gets a live one, and memories without one still see every access;
 * an access record belongs to whoever holds it (nothing recycles
   records, trace lists or weave events), and the data plane survives
   the full matrix — backends, kill faults, checkpoint/resume —
   byte-identically.
 """
 
+import dataclasses
 import types
 
 import pytest
@@ -27,6 +28,7 @@ from repro.exec.process import _RecordingMem
 from repro.exec.serial import SerialBackend
 from repro.isa.decoder import FETCH_LINE_BYTES, decode_bbl
 from repro.isa.uops import UopType
+from repro.memory.coherence import MESI
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import Telemetry
 from repro.resilience import Checkpointer, read_checkpoint
@@ -158,11 +160,10 @@ def _no_probe(hier, core_id):
 
 #: What a test installs on MemoryHierarchy to get the reference model.
 _REFERENCES = {
-    # Every access down the recursive walk: no hit served in the core,
-    # no inline L1 hit in access().
+    # Every access down the recursive walk: no hit served in the core.
     "access": (("access", reference_access), ("l1_probe", _no_probe)),
-    # The shipped core probe and fast path over the recursive walk:
-    # isolates the flattened walk.
+    # The shipped core probe over the recursive walk: isolates the
+    # flattened walk.
     "walk": (("_walk_access", staticmethod(recursive_walk)),),
 }
 
@@ -206,16 +207,9 @@ def _assert_reference_invisible(monkeypatch, reference, num_cores,
 
 
 class TestFastpathEquivalence:
-    """Production vs reference.  The inline L1 hit and the flattened
-    walk are host-side shortcuts with no switch in ``src/``; each test
+    """Production vs reference.  The core probe and the flattened walk
+    are host-side shortcuts with no switch in ``src/``; each test
     installs the recursive reference in their place."""
-
-    @pytest.mark.parametrize("contention", ("none", "md1", "weave"))
-    @pytest.mark.parametrize("core_model", ("simple", "ooo"))
-    def test_fastpath_off_is_invisible(self, monkeypatch, core_model,
-                                       contention):
-        _assert_reference_invisible(monkeypatch, "access", 2, core_model,
-                                    contention)
 
     @pytest.mark.parametrize("contention", ("none", "weave"))
     def test_both_fastpaths_off_is_invisible(self, monkeypatch,
@@ -230,14 +224,14 @@ class TestFastpathEquivalence:
     def test_flat_walk_off_is_invisible(self, monkeypatch, core_model,
                                         contention):
         """The flattened coherence walk (ISSUE 10) against the recursive
-        one, the inline L1 hit live on both sides."""
+        one, the core probe live on both sides."""
         _assert_reference_invisible(monkeypatch, "walk", 4, core_model,
                                     contention)
 
     @pytest.mark.parametrize("contention",
                              ("none", "md1", "weave", "dramsim"))
     @pytest.mark.parametrize("core_model", ("simple", "ooo"))
-    @pytest.mark.parametrize("num_cores", (1, 4))
+    @pytest.mark.parametrize("num_cores", (1, 2, 4))
     def test_core_probe_off_is_invisible(self, monkeypatch, num_cores,
                                          core_model, contention):
         """The L1 hits cores serve with their probe, on every contention
@@ -277,13 +271,17 @@ class _Boom(Exception):
 
 
 def _count_access_calls(monkeypatch):
-    """Count every ``MemoryHierarchy.access`` call from here on."""
+    """Count every ``MemoryHierarchy.access`` call from here on.  Each
+    entry says whether the call was an L1 miss or an upgrade (a write
+    to an S line), read from the L1 before the call."""
     calls = []
     real = MemoryHierarchy.access
 
-    def access(self, *args, **kwargs):
-        calls.append(1)
-        return real(self, *args, **kwargs)
+    def access(self, core_id, addr, write, cycle=0, ifetch=False):
+        l1 = self.l1i[core_id] if ifetch else self.l1d[core_id]
+        state = l1.array.lookup(addr >> self.line_bits, touch=False)
+        calls.append(state is None or write and state == MESI.S)
+        return real(self, core_id, addr, write, cycle, ifetch)
 
     monkeypatch.setattr(MemoryHierarchy, "access", access)
     return calls
@@ -293,17 +291,19 @@ def _l1_picture(hier):
     """Everything an L1 hit updates outside the arrays."""
     hist = hier.access_latency
     return ([(c.accesses, c.hits, c.misses) for c in hier.l1i + hier.l1d],
-            hier.fastpath_hits, hier.slow_accesses, hist.count, hist.total,
-            hist.min, hist.max, list(hist._counts))
+            hier.fastpath_hits + hier.slow_accesses, hist.count,
+            hist.total, hist.min, hist.max, list(hist._counts))
 
 
 class TestCoreProbe:
-    """Cores serve L1 hits with the probe a bare hierarchy hands out;
-    every other memory object gets the always-miss probe, so wrappers,
-    profilers and metrics still see every access."""
+    """Cores serve L1 hits with the probe a hierarchy hands out, also
+    through the M/D/1 and TLB wrappers and into the metrics histogram;
+    every other memory object, and a profiled run, gets the always-miss
+    probe, so recording wrappers and the profiler still see every
+    access."""
 
     @pytest.mark.parametrize("contention, served_in_core",
-                             (("none", True), ("md1", False)))
+                             (("none", True), ("md1", True)))
     def test_only_a_bare_hierarchy_hands_out_a_live_view(
             self, monkeypatch, contention, served_in_core):
         calls = _count_access_calls(monkeypatch)
@@ -388,12 +388,93 @@ class TestCoreProbe:
             with pytest.raises(_Boom):
                 sim.run()
             assert 0 < sim.cores[0].instrs < 30_000
-            return _l1_picture(hier)
+            return _l1_picture(hier), hier.fastpath_hits
 
-        got = run()
-        assert got[1] > 0
+        got, served = run()
+        assert served > 0
         monkeypatch.setattr(MemoryHierarchy, "l1_probe", _no_probe)
-        assert got == run()
+        assert got == run()[0]
+
+    def test_a_bare_hierarchy_sees_only_misses_and_upgrades(
+            self, monkeypatch):
+        """Every hit, wrong-path fetches included, is served by the
+        probe: ``access`` gets L1 misses and upgrades only."""
+        calls = _count_access_calls(monkeypatch)
+        cfg = small_test_system(num_cores=2, core_model="ooo")
+        wl = spec_workload("libquantum", scale=1 / 64)
+        sim = ZSim(cfg, threads=wl.make_threads(target_instrs=30_000,
+                                                num_threads=2),
+                   contention_model="weave", flight=False)
+        sim.run()
+        assert sum(core.wrong_path_fetches for core in sim.cores) > 0
+        assert len(calls) == sim.hierarchy.slow_accesses > 0
+        assert all(calls)
+
+    @pytest.mark.parametrize("arm", ("md1", "metered", "reference"))
+    def test_runs_given_a_probe_match_the_no_probe_run(self, monkeypatch,
+                                                       arm):
+        """M/D/1, metered and reference-machine runs serve their hits
+        in the core; with every hit sent to ``access`` instead, the
+        stats, the metrics latency histogram (L1I and L1D hits differ
+        in latency) and the TLB counters are the same."""
+        def run():
+            cfg = small_test_system(num_cores=2, core_model="ooo")
+            assert cfg.l1i.latency != cfg.l1d.latency
+            wl = mt_workload("blackscholes", scale=1 / 64, num_threads=2)
+            threads = wl.make_threads(target_instrs=15_000)
+            telemetry = Telemetry(trace=False, metrics=True)
+            if arm == "reference":
+                sim = reference_simulator(cfg, threads)
+            elif arm == "md1":
+                sim = ZSim(cfg, threads=threads, contention_model="md1",
+                           flight=False)
+            else:
+                sim = ZSim(cfg, threads=threads, telemetry=telemetry,
+                           flight=False)
+            tree = sim.run().stats().to_dict()
+            tree.pop("host")
+            hist = telemetry.metrics.histogram("mem.access_latency")
+            facts = [tree, list(hist._counts), hist.count, hist.total,
+                     hist.min, hist.max]
+            if arm == "metered":
+                assert hist.count > 0
+            if arm == "reference":
+                tlb = sim.tlb_memory
+                facts += [[(t.hits, t.misses)
+                           for t in tlb.itlbs + tlb.dtlbs], tlb.walks]
+                assert tlb.walks > 0
+            return sim.hierarchy.fastpath_hits, facts
+
+        served, got = run()
+        assert served > 0
+        monkeypatch.setattr(MemoryHierarchy, "l1_probe", _no_probe)
+        served, want = run()
+        assert served == 0
+        assert got == want
+
+    @pytest.mark.parametrize("l1", ("hashed", "tree"))
+    def test_an_l1_without_a_probe_is_served_by_the_walk(self, monkeypatch,
+                                                         l1):
+        """A hashed or tree-PLRU L1 gets no probe, so the walk serves
+        its hits; the stats still match every access down the
+        recursive reference walk."""
+        def run():
+            cfg = small_test_system(num_cores=2, core_model="ooo")
+            change = {"hash_sets": True} if l1 == "hashed" \
+                else {"repl": "tree"}
+            cfg = dataclasses.replace(
+                cfg, l1d=dataclasses.replace(cfg.l1d, **change))
+            return _run(cfg, "weave")
+
+        sim, got = run()
+        assert sim.hierarchy.fastpath_hits == 0 \
+            < sim.hierarchy.slow_accesses
+        for name, value in _REFERENCES["access"]:
+            monkeypatch.setattr(MemoryHierarchy, name, value)
+        with reference_classes():
+            _, want = run()
+        assert_equivalent(got, want, ignore=("host",),
+                          context="walk vs reference, %s L1" % l1)
 
 
 # ---------------------------------------------------------------------

@@ -5,10 +5,11 @@ reference hierarchy whose directories are the pre-refactor line ->
 set-of-child-Cache / line -> Cache form (the seed implementation,
 inlined below), accessed through the recursive reference walk of
 ``reference_walk``, is driven through the same randomized MESI traffic
-as the shipped hierarchy (bitmask directories, inline L1 hit, flattened
-walk, prefetch fills entering that walk at the L2).  Every access must
-return the same latency/miss/invalidation record and weave steps, and
-the final arrays, counters, and (decoded) directories must match.
+as the shipped hierarchy (bitmask directories, L1 hits served by the
+core probe, flattened walk, prefetch fills entering that walk at the
+L2).  Every access must return the same latency/miss/invalidation
+record and weave steps, and the final arrays, counters, and (decoded)
+directories must match.
 """
 
 import dataclasses
@@ -222,7 +223,7 @@ def _build_hierarchy(reference, prefetch_degree=0):
         return MemoryHierarchy(cfg)
     # The flat walk inlines bitmask directory ops; the reference
     # hierarchy takes the recursive (set-of-objects) walk.  The bitmask
-    # side runs the shipped access(), fast path live.
+    # side runs the shipped probe and access().
     with reference_classes(SetDirectoryCache, SetDirectoryMainMemory):
         h = MemoryHierarchy(cfg)
     h.access = functools.partial(reference_access, h)
@@ -303,21 +304,29 @@ class TestBitmaskDirectoryLockstep:
         bit = _build_hierarchy(False, prefetch_degree)
         assert type(ref.l1d[0]) is SetDirectoryCache
         assert type(ref.mainmem) is SetDirectoryMainMemory
+        # Each access is offered to the L1 probe first, as a core does.
+        probes = [bit.l1_probe(core) for core in range(4)]
         for i, (core, addr, write) in enumerate(
                 _traffic(seed, 4000, 4, bit.line_bits,
                          strided=prefetch_degree > 0)):
-            got = bit.access(core, addr, write)
+            _fetch_hit, data_hit, latency, _flush = probes[core]
             want = ref.access(core, addr, write)
-            record = (got.latency, tuple(got.missed_levels),
-                      got.hit_level, got.invalidations,
-                      got.shared_evictions, _named(got.steps),
-                      _named(got.wbacks))
+            if data_hit(addr, write):
+                record = (latency, (), "l1d", 0, (), (), ())
+            else:
+                got = bit.access(core, addr, write)
+                record = (got.latency, tuple(got.missed_levels),
+                          got.hit_level, got.invalidations,
+                          got.shared_evictions, _named(got.steps),
+                          _named(got.wbacks))
             expect = (want.latency, tuple(want.missed_levels),
                       want.hit_level, want.invalidations,
                       want.shared_evictions, _named(want.steps),
                       _named(want.wbacks))
             assert record == expect, \
                 "access %d diverged: %r vs %r" % (i, record, expect)
+        for probe in probes:
+            probe[3]()
         assert bit.fastpath_hits > 0 and bit.slow_accesses > 0
         fills = sum(l2.prefetch_fills for l2 in bit.l2s)
         assert (fills > 0) == (prefetch_degree > 0)

@@ -102,7 +102,7 @@ class TestTraceRecording:
         h = MemoryHierarchy(tiny_config)
         h.access(0, 0x1000, write=False)
         result = h.access(0, 0x1000, write=False)
-        assert result.steps == ()
+        assert result.hit_level == "l1d"
         assert not result.steps
 
     def test_memory_miss_records_chain(self, tiny_config):
