@@ -74,11 +74,11 @@ class _MD1Memory:
         # An L1 hit never reaches memory, so it never queues.
         return self.hierarchy.l1_probe(core_id)
 
-    @staticmethod
-    def _reaches_memory(result):
-        levels = result.missed_levels
-        return levels and (levels[-1] == "l3" or "l3" not in levels
-                           and levels[-1] in ("l2", "l1d", "l1i"))
+    def _reaches_memory(self, result):
+        # Only a miss in the hierarchy's last cache level reads memory.
+        hier = self.hierarchy
+        last = "l3" if hier.l3_banks else "l2" if hier.l2s else None
+        return last is None or result.missed_levels[-1] == last
 
     def __getattr__(self, name):
         # Raise AttributeError (never recurse) for dunders and for

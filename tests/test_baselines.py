@@ -5,6 +5,7 @@ from repro.baselines.graphite import graphite_simulator
 from repro.baselines.pdes import PDESSimulator
 from repro.baselines.reference import reference_simulator
 from repro.baselines.tlb import PAGE_BITS, TLB, TLBMemory
+from repro.config import westmere
 from repro.core import ZSim
 from repro.memory.contention import MD1Model
 from repro.memory.hierarchy import MemoryHierarchy
@@ -167,6 +168,27 @@ class TestMD1Accuracy:
         # M/D/1 captures well under half of that contention (Figure 6
         # right: the queueing curve hugs the no-contention curve).
         assert (md1 - none) < 0.5 * (weave - none)
+
+    def test_only_memory_reads_queue(self):
+        """On westmere (L1, L2, L3) under load, an access that misses
+        the L1 and hits the L2 gets no queueing delay: the bare
+        hierarchy's zero-load latency.  Memory reads are delayed."""
+        cfg = westmere(1, "simple")
+        mem = ZSim(cfg, contention_model="md1").mem
+        bare = MemoryHierarchy(cfg, build_weave=False)
+        sets, bits = cfg.l1d.num_sets, bare.line_bits
+        # Ways + 1 lines of one L1 set push the first out of the L1
+        # only; the other lines load every channel's queue.
+        conflict = [(k * sets) << bits for k in range(cfg.l1d.ways + 1)]
+        load = [line << bits for line in range(1, 400) if line % sets]
+        got, want = [], []
+        for addr in conflict + load + conflict[:1]:
+            got.append(mem.access(0, addr, False))
+            want.append(bare.access(0, addr, False))
+        assert list(got[-1].missed_levels) == ["l1d"]
+        assert got[-1].latency == want[-1].latency
+        assert got[-2].missed_levels[-1] == "l3"
+        assert got[-2].latency > want[-2].latency
 
     def test_md1_wait_grows_with_load(self):
         model = MD1Model(service_cycles=10, window=1000)
