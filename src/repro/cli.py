@@ -16,12 +16,7 @@ Subcommands:
 * ``report`` — render flight-recorder post-mortem capsules as
   human-readable timelines (paths or directories; corrupt capsules are
   skipped with a warning).
-* ``top`` — watch a running simulation (or fleet campaign) through its
-  status file.
-* ``fleet`` — crash-tolerant experiment campaigns: ``fleet run`` a
-  sweep spec under the durable journal, ``fleet resume`` a killed
-  campaign, ``fleet status`` its aggregated snapshot (see
-  docs/resilience.md).
+* ``top`` — watch a running simulation through its status file.
 
 ``run`` carries the resilience layer's flags (see docs/resilience.md):
 ``--supervise``, ``--watchdog-budget``, ``--checkpoint-dir`` /
@@ -568,92 +563,6 @@ def cmd_top(args):
         _time.sleep(period)
 
 
-def _fleet_orchestrator(args, spec_data=None, resume=False):
-    from repro.fleet import FleetOrchestrator
-    return FleetOrchestrator(
-        args.dir, spec_data=spec_data, resume=resume,
-        workers=args.workers, quarantine_after=args.quarantine_after,
-        job_timeout_s=args.job_timeout, term_grace_s=args.term_grace,
-        backoff_base_s=args.backoff_base,
-        checkpoint_every=args.checkpoint_every,
-        status_port=args.status_port, seed=args.seed,
-        retry_quarantined=getattr(args, "retry_quarantined", False),
-        rotate_bytes=args.rotate_bytes)
-
-
-def _fleet_campaign(args, orchestrator):
-    print("campaign %s: %d job(s) x %d worker(s) in %s"
-          % (orchestrator.spec.name, len(orchestrator.jobs),
-             orchestrator.workers, orchestrator.directory))
-    if orchestrator.monitor.port is not None:
-        print("status exposition: http://127.0.0.1:%d/metrics"
-              % orchestrator.monitor.port)
-    print("watch with: repro top %s"
-          % os.path.join(orchestrator.directory, "status.json"))
-    code = orchestrator.run()
-    summary = orchestrator.summary()
-    counts = summary["counts"]
-    print("campaign %s: %s (%d attempt(s), %d retried)"
-          % (summary["campaign"],
-             ", ".join("%d %s" % (counts[k], k) for k in sorted(counts)),
-             summary["attempts"], summary["retries"]))
-    for job_id in summary["quarantined"]:
-        print("  quarantined: %s (post-mortems under %s)"
-              % (job_id, os.path.join(orchestrator.directory, "jobs",
-                                      job_id)))
-    if code == EXIT_WALL_BUDGET:
-        print("campaign drained; resume with: repro fleet resume %s"
-              % orchestrator.directory)
-    return code
-
-
-def cmd_fleet_run(args):
-    import json
-
-    from repro.errors import FleetError
-    if args.log_level:
-        from repro.obs import configure_logging
-        configure_logging(args.log_level)
-    try:
-        with open(args.spec) as fh:
-            spec_data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise SystemExit("could not read sweep spec %s: %s"
-                         % (args.spec, exc))
-    try:
-        orchestrator = _fleet_orchestrator(args, spec_data=spec_data)
-    except FleetError as exc:
-        raise SystemExit(str(exc))
-    return _fleet_campaign(args, orchestrator)
-
-
-def cmd_fleet_resume(args):
-    from repro.errors import FleetError
-    if args.log_level:
-        from repro.obs import configure_logging
-        configure_logging(args.log_level)
-    try:
-        orchestrator = _fleet_orchestrator(args, resume=True)
-    except FleetError as exc:
-        raise SystemExit(str(exc))
-    return _fleet_campaign(args, orchestrator)
-
-
-def cmd_fleet_status(args):
-    import json
-
-    from repro.obs.monitor import render_top
-    path = os.path.join(args.dir, "status.json")
-    try:
-        with open(path) as fh:
-            status = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise SystemExit("no readable campaign status at %s (%s)"
-                         % (path, exc))
-    print(render_top(status))
-    return 0 if status.get("state") in ("running", "done") else 1
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -841,72 +750,6 @@ def build_parser():
     top.add_argument("--once", action="store_true",
                      help="print one frame and exit")
     top.set_defaults(func=cmd_top)
-
-    fleet = sub.add_parser(
-        "fleet", help="crash-tolerant experiment campaigns "
-                      "(durable journal, retries, quarantine)")
-    fsub = fleet.add_subparsers(dest="fleet_command", required=True)
-
-    def add_fleet_knobs(p):
-        p.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="concurrent jobs (default 2)")
-        p.add_argument("--quarantine-after", type=int, default=3,
-                       metavar="K",
-                       help="park a job after K consecutive attempts "
-                            "without checkpoint progress (default 3)")
-        p.add_argument("--job-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-attempt wall budget: SIGTERM (the "
-                            "run checkpoints and exits %d), then "
-                            "SIGKILL after --term-grace"
-                            % EXIT_WALL_BUDGET)
-        p.add_argument("--term-grace", type=float, default=10.0,
-                       metavar="SECONDS",
-                       help="grace between SIGTERM and SIGKILL "
-                            "(default 10)")
-        p.add_argument("--backoff-base", type=float, default=0.5,
-                       metavar="SECONDS",
-                       help="retry backoff base; decorrelated jitter "
-                            "in [base, 8*base] (default 0.5)")
-        p.add_argument("--checkpoint-every", type=int, default=2,
-                       metavar="N",
-                       help="per-job checkpoint stride in intervals "
-                            "(default 2)")
-        p.add_argument("--status-port", type=int, default=None,
-                       metavar="PORT",
-                       help="serve campaign status on 127.0.0.1:PORT "
-                            "(0 picks an ephemeral port)")
-        p.add_argument("--rotate-bytes", type=int, default=None,
-                       metavar="BYTES",
-                       help="compact the journal past this size")
-        p.add_argument("--seed", type=int, default=0,
-                       help="campaign seed for the backoff jitter")
-        p.add_argument("--log-level", default=None,
-                       choices=("debug", "info", "warning", "error"),
-                       help="enable structured logging at this level")
-
-    frun = fsub.add_parser(
-        "run", help="execute a sweep spec JSON as a fresh campaign")
-    frun.add_argument("spec", help="sweep spec JSON")
-    frun.add_argument("--dir", required=True, metavar="DIR",
-                      help="campaign directory (journal, status, "
-                           "per-job checkpoints and stats)")
-    add_fleet_knobs(frun)
-    frun.set_defaults(func=cmd_fleet_run)
-
-    fres = fsub.add_parser(
-        "resume", help="resume a killed or drained campaign: replay "
-                       "the journal, re-run only incomplete jobs")
-    fres.add_argument("dir", help="campaign directory")
-    fres.add_argument("--retry-quarantined", action="store_true",
-                      help="unpark quarantined jobs and retry them")
-    add_fleet_knobs(fres)
-    fres.set_defaults(func=cmd_fleet_resume)
-
-    fstat = fsub.add_parser(
-        "status", help="print a campaign's status snapshot once")
-    fstat.add_argument("dir", help="campaign directory")
-    fstat.set_defaults(func=cmd_fleet_status)
 
     return parser
 

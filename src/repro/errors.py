@@ -168,30 +168,6 @@ class RunInterrupted(WallClockExceeded):
         self.reason = reason
 
 
-class FleetError(SimulationError):
-    """A campaign-level failure in the fleet orchestrator: an invalid
-    sweep spec, an unreadable journal, or a campaign directory in a
-    state that cannot be resumed.  Per-job failures never raise this —
-    they are retried and, past the quarantine threshold, parked as
-    :class:`JobQuarantined`."""
-
-
-class JobQuarantined(FleetError):
-    """A sweep job failed ``quarantine_after`` consecutive attempts and
-    was parked by the circuit breaker.  Raised internally by the
-    orchestrator's failure bookkeeping (and caught there: one rotten
-    spec must not burn the fleet's retry budget); carries the evidence
-    a post-mortem needs."""
-
-    def __init__(self, message, job=None, attempts=None, exit_code=None,
-                 capsules=()):
-        super().__init__(message)
-        self.job = job                  # job id
-        self.attempts = attempts        # attempts consumed
-        self.exit_code = exit_code      # last exit code observed
-        self.capsules = list(capsules)  # post-mortem capsule paths
-
-
 class CheckpointError(SimulationError):
     """A checkpoint could not be written, read, or applied."""
 

@@ -48,23 +48,6 @@ STATUS_VERSION = 1
 RATE_WINDOW = 32
 
 
-def write_status_json(path, status):
-    """Atomically rewrite ``path`` with ``status`` as JSON (write to a
-    pid-unique temp, then ``os.replace``): readers never see a torn
-    write.  Shared by the run monitor and the fleet monitor.  Returns
-    True on success (failures are logged, never raised: a full disk
-    must not kill the run being monitored)."""
-    tmp = "%s.%d.tmp" % (path, os.getpid())
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(status, fh, indent=1, sort_keys=True)
-        os.replace(tmp, path)
-        return True
-    except OSError as exc:
-        _log.warning("could not write status file %s: %s", path, exc)
-        return False
-
-
 def prune_status_orphans(path):
     """Remove stale ``<path>.<pid>.tmp`` files left next to a status
     file by a SIGKILL mid-write.  Only temps for this exact target
@@ -206,9 +189,20 @@ class RunMonitor:
         return status
 
     def _write(self):
+        """Atomically rewrite the status file (write to a pid-unique
+        temp, then ``os.replace``): readers never see a torn write.
+        Failures are logged, never raised: a full disk must not kill
+        the run being monitored."""
         if self.path is None:
             return
-        write_status_json(self.path, self.status)
+        tmp = "%s.%d.tmp" % (self.path, os.getpid())
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(self.status, fh, indent=1, sort_keys=True)
+            os.replace(tmp, self.path)
+        except OSError as exc:
+            _log.warning("could not write status file %s: %s",
+                         self.path, exc)
 
 
 def _spec_hit_rate(sim):
@@ -271,61 +265,8 @@ _GAUGES = (
 )
 
 
-#: (fleet-status key, metric name, help text)
-_FLEET_GAUGES = (
-    ("jobs_total", "repro_fleet_jobs_total", "Jobs in the sweep spec"),
-    ("progress", "repro_fleet_progress",
-     "Completed-job fraction in [0, 1]"),
-    ("attempts", "repro_fleet_attempts", "Job attempts launched"),
-    ("retries", "repro_fleet_retries", "Job attempts beyond the first"),
-    ("jobs_per_s", "repro_fleet_jobs_per_second",
-     "Job completion rate"),
-    ("eta_s", "repro_fleet_eta_seconds",
-     "Estimated seconds to campaign completion"),
-    ("elapsed_s", "repro_fleet_elapsed_seconds",
-     "Wall seconds since campaign start"),
-)
-
-
-def _fleet_prometheus_text(status):
-    """Prometheus text exposition for a fleet (campaign) status
-    snapshot — same endpoint, ``repro_fleet_*`` namespace."""
-    lines = []
-    state = status.get("state", "running")
-    lines.append("# HELP repro_fleet_info Campaign identity "
-                 "(value is always 1)")
-    lines.append("# TYPE repro_fleet_info gauge")
-    lines.append('repro_fleet_info{run_id="%s",campaign="%s",'
-                 'state="%s"} 1'
-                 % (status.get("run_id", ""),
-                    status.get("campaign", ""), state))
-    lines.append("# HELP repro_fleet_state Campaign state "
-                 "(0=running 1=done 2=stopped 3=failed)")
-    lines.append("# TYPE repro_fleet_state gauge")
-    lines.append("repro_fleet_state %d" % _STATE_CODES.get(state, 3))
-    for key, metric, help_text in _FLEET_GAUGES:
-        value = status.get(key)
-        if value is None:
-            continue
-        lines.append("# HELP %s %s" % (metric, help_text))
-        lines.append("# TYPE %s gauge" % metric)
-        lines.append("%s %.10g" % (metric, float(value)))
-    counts = status.get("counts") or {}
-    if counts:
-        lines.append("# HELP repro_fleet_jobs Jobs per state")
-        lines.append("# TYPE repro_fleet_jobs gauge")
-        for key in sorted(counts):
-            lines.append('repro_fleet_jobs{state="%s"} %d'
-                         % (key, counts[key]))
-    return "\n".join(lines) + "\n"
-
-
 def prometheus_text(status):
-    """Render a status snapshot as Prometheus text exposition.  Fleet
-    (campaign) snapshots get the ``repro_fleet_*`` namespace; single
-    runs the ``repro_*`` one."""
-    if status.get("kind") == "fleet":
-        return _fleet_prometheus_text(status)
+    """Render a status snapshot as Prometheus text exposition."""
     lines = []
     state = status.get("state", "running")
     lines.append("# HELP repro_run_info Run identity (value is always 1)")
@@ -433,60 +374,10 @@ def _progress_bar(progress, width=30):
     return "[%s%s]" % ("#" * filled, "-" * (width - filled))
 
 
-def _render_fleet_top(status, now):
-    """One frame of the fleet (campaign) terminal view."""
-    state = status.get("state", "?")
-    counts = status.get("counts") or {}
-    total = status.get("jobs_total")
-    lines = []
-    lines.append("repro fleet — campaign %s (run %s, pid %s)   "
-                 "state: %-8s workers: %s"
-                 % (status.get("campaign", "?"),
-                    status.get("run_id", "?"), status.get("pid", "?"),
-                    state, status.get("workers", "?")))
-    progress = status.get("progress")
-    lines.append("%s %s   jobs %s/%s done   running %s   backoff %s   "
-                 "failed %s   quarantined %s"
-                 % (_progress_bar(progress),
-                    "%3d%%" % round(100 * progress)
-                    if progress is not None else "  ?%",
-                    counts.get("done", 0), total if total is not None
-                    else "?", counts.get("running", 0),
-                    counts.get("backoff", 0), counts.get("failed", 0),
-                    counts.get("quarantined", 0)))
-    rate = status.get("jobs_per_s")
-    lines.append("rate %s jobs/s   eta %s   elapsed %s   attempts %s "
-                 "(%s retries)"
-                 % ("%.3f" % rate if rate is not None else "?",
-                    _fmt_seconds(status.get("eta_s")),
-                    _fmt_seconds(status.get("elapsed_s")),
-                    status.get("attempts", 0),
-                    status.get("retries", 0)))
-    running = status.get("running") or {}
-    if running:
-        cells = []
-        for job in sorted(running):
-            info = running[job]
-            cells.append("%s:a%s %s" % (job, info.get("attempt", "?"),
-                                        _fmt_seconds(info.get("age_s"))))
-        lines.append("running: " + " | ".join(cells))
-    quarantined = status.get("quarantined") or []
-    if quarantined:
-        lines.append("quarantined: " + " ".join(quarantined))
-    if status.get("updated_monotonic") is not None:
-        age = max(0.0, now - status["updated_monotonic"])
-        stale = "  (STALE?)" if state == "running" and age > 30 else ""
-        lines.append("status written %.1fs ago%s" % (age, stale))
-    return "\n".join(lines)
-
-
 def render_top(status, now=None):
-    """One frame of the ``repro top`` terminal view.  Renders both
-    single-run and fleet (campaign) status files."""
+    """One frame of the ``repro top`` terminal view."""
     if now is None:
         now = time.monotonic()
-    if status.get("kind") == "fleet":
-        return _render_fleet_top(status, now)
     state = status.get("state", "?")
     age = None
     if status.get("updated_monotonic") is not None:

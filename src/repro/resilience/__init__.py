@@ -10,8 +10,8 @@ in-memory snapshot, and the checkpointer persists barrier snapshots so
 a killed run resumes to an identical stats tree.
 
 The root re-exports what a guarded run executes: checkpoints and the
-integrity sentinel.  The supervisor (:mod:`repro.resilience.supervisor`),
-its backoff (:mod:`repro.resilience.backoff`) and fault injection
+integrity sentinel.  The supervisor (:mod:`repro.resilience.supervisor`,
+with its recovery backoff) and fault injection
 (:mod:`repro.resilience.faults`) are imported from their modules.
 """
 

@@ -170,11 +170,9 @@ def write_checkpoint(path, sim, interval, limit, meta=None):
     return path
 
 
-def read_checkpoint(path, load_sim=True):
-    """Read and validate a checkpoint capsule.  The embedded simulator
-    is unpickled into ``capsule['sim']`` unless ``load_sim`` is False
-    (light readers — fleet journaling, chain inspection — only need the
-    header fields and meta, not a reconstructed simulator)."""
+def read_checkpoint(path):
+    """Read and validate a checkpoint capsule; the embedded simulator
+    is unpickled into ``capsule['sim']``."""
     with open(path, "rb") as fh:
         header = fh.readline()
         body = fh.read()
@@ -194,8 +192,7 @@ def read_checkpoint(path, load_sim=True):
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
         raise CheckpointError("%s failed its checksum" % (path,))
     capsule = pickle.loads(body)
-    if load_sim:
-        capsule["sim"] = pickle.loads(capsule["sim"])
+    capsule["sim"] = pickle.loads(capsule["sim"])
     return capsule
 
 
@@ -295,10 +292,9 @@ class Checkpointer:
 
     def _prune_orphans(self):
         """Remove stale ``*.tmp`` files a SIGKILL mid-write left behind
-        by an earlier attempt of this same run id (fleet retries reuse
-        the job id as the run id).  Own-prefix only: in a shared
-        checkpoint directory, other runs' in-flight temp files must
-        stay untouched."""
+        by an earlier process with this same run id.  Own-prefix only:
+        in a shared checkpoint directory, other runs' in-flight temp
+        files must stay untouched."""
         prefix = self._prefix()
         try:
             names = os.listdir(self.directory)

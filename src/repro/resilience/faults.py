@@ -390,13 +390,6 @@ class FaultPlan:
         without a ``w<N>`` selector stays deterministic per seed)."""
         return self._rng
 
-    # -- bookkeeping ---------------------------------------------------
-
-    def remaining(self):
-        """Faults that have not fired (a test asserting full coverage
-        of its matrix checks this is empty)."""
-        return [f for f in self.faults if not f.fired]
-
     def __repr__(self):
         return "FaultPlan(%s)" % "; ".join(f.describe()
                                            for f in self.faults)

@@ -19,7 +19,7 @@ three pieces (ISSUE 9):
   sub-digests.  The chain value is recorded into the flight ring,
   embedded in checkpoint capsule meta (``meta["integrity"]``, with
   *deep* full tag+MESI digests so ``--resume`` and ``repro verify`` can
-  re-derive them), and journaled per job by the fleet orchestrator.
+  re-derive them).
 
 * **Online invariant auditor.**  At a configurable stride
   (``--audit-every N``; 0 = off) the sentinel checks structural
@@ -221,7 +221,7 @@ class IntegritySentinel:
         }
 
     def summary(self):
-        """Counters for the stats tree / fleet journal."""
+        """The sentinel's counters and its current chain value."""
         return {"fingerprints": self.fingerprints, "audits": self.audits,
                 "violations": self.violations, "chain": self.chain,
                 "interval": self.interval}

@@ -46,7 +46,7 @@ snapshot and replays the whole span serially.  An integrity fault
 demotes the backend immediately (a rung that corrupts state silently
 has forfeited its trust), and a *second* divergence at the same
 (interval, component) raises out of the supervisor so the process exits
-non-zero and the fleet's circuit breaker quarantines the job.
+non-zero.
 
 Faults that are not execution faults — deadlocks, wall-clock budget,
 simulated-program errors — are properties of the simulation itself and
@@ -55,11 +55,11 @@ propagate untouched.
 
 from __future__ import annotations
 
+import random
 import time
 
 from repro.errors import ExecutionFault, IntegrityError
 from repro.obs.log import get_logger
-from repro.resilience.backoff import DecorrelatedJitter
 from repro.resilience.checkpoint import discard, restore, snapshot
 
 _log = get_logger("resilience.supervisor")
@@ -68,6 +68,41 @@ _log = get_logger("resilience.supervisor")
 #: floor (the reference backend cannot execution-fault).
 _LADDER = {"process": "parallel", "parallel": "serial",
            "pipelined": "serial"}
+
+
+#: A backoff draw never exceeds this multiple of the base.
+JITTER_CAP = 8
+
+
+class DecorrelatedJitter:
+    """Seeded decorrelated-jitter draw sequence (AWS-style), in whole
+    intervals.
+
+    Each draw is uniform in ``[base, min(3 * previous, JITTER_CAP *
+    base)]``, so consecutive draws stretch the window geometrically and
+    :meth:`reset` shrinks it back to the base.  A ``base`` of 0
+    disables backoff (every draw is 0).
+    """
+
+    def __init__(self, base, seed=0):
+        self.base = base
+        self._rng = random.Random(seed)
+        self._prev = 0
+
+    def next(self):
+        """Draw the next backoff; grows the window off the previous
+        draw."""
+        base = self.base
+        if base <= 0:
+            return 0
+        prev = self._prev or base
+        draw = self._rng.randint(base, min(prev * 3, base * JITTER_CAP))
+        self._prev = draw
+        return draw
+
+    def reset(self):
+        """Shrink the window back to the base (call on success)."""
+        self._prev = 0
 
 
 class Supervisor:
@@ -92,7 +127,7 @@ class Supervisor:
         # Span mode (integrity sentinel with auditing on): the snapshot
         # at the last fingerprint-verified barrier, the limit cycle of
         # every interval executed since, and the strike counts per
-        # (interval, component) — two strikes escalate to the fleet.
+        # (interval, component) — two strikes fail the run.
         self._verified = None
         self._span_limits = []
         self._strikes = {}
@@ -229,7 +264,7 @@ class Supervisor:
                 # The same fingerprint diverged twice: the damage
                 # reproduces across rungs, so recovery cannot be
                 # trusted.  Raising out of the supervisor fails the
-                # attempt; the fleet's breaker quarantines the job.
+                # run.
                 _log.error("integrity fault at interval %s (%s) "
                            "diverged twice; escalating for quarantine",
                            fault.interval, fault.component)
@@ -270,9 +305,7 @@ class Supervisor:
         """Decorrelated-jitter backoff draw (in intervals): uniform in
         ``[base, min(3 * previous, cap * base)]``.  Consecutive faults
         stretch the window geometrically; a success (or a demotion)
-        resets it.  (The draw sequence lives in
-        :class:`repro.resilience.backoff.DecorrelatedJitter`, shared
-        with the fleet orchestrator's retry pacing.)"""
+        resets it."""
         return self._jitter.next()
 
     def _recover(self, fault, payload, limit):

@@ -160,6 +160,12 @@ def latest(directory):
     return found[0][1] if found else None
 
 
+def unfired(plan):
+    """The faults of a ``FaultPlan`` that have not fired (a test that
+    covers its whole fault matrix asserts this is empty)."""
+    return [fault for fault in plan.faults if not fault.fired]
+
+
 def occupancy(array):
     """Total resident lines of a ``CacheArray``."""
     return sum(len(lines) for lines in array._lines)

@@ -216,9 +216,18 @@ def _flag_destinations():
     return dests
 
 
+#: Flags of ``repro run`` and ``repro verify`` that stay: a scan that
+#: misses any of them has lost track of cli.py, and its empty unread
+#: set proves nothing.
+KNOWN_FLAGS = {"checkpoint_dir", "resume", "status_port", "inject_faults",
+               "stats_out", "replay"}
+
+
 def test_every_cli_flag_is_read():
     dests = _flag_destinations()
-    assert len(dests) > 50, "the scan lost track of cli.py's flags"
+    missing = sorted(KNOWN_FLAGS - dests)
+    assert not missing, (
+        "the scan lost track of cli.py's flags: %s" % ", ".join(missing))
     read = _reads([SRC / "cli.py"])
     unread = sorted(dests - read)
     assert not unread, (

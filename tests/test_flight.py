@@ -14,6 +14,7 @@ import os
 import pytest
 
 import repro
+from repro.cli import main
 from repro.core import ZSim
 from repro.config import small_test_system
 from repro.errors import DeadlockError, RunInterrupted
@@ -229,6 +230,35 @@ class TestFailurePathCapsules:
                      if e["kind"] == "interval"]
         assert intervals
         assert intervals[-1]["instrs"] > 0
+
+
+class TestReportRobustness:
+    def _capsule_dir(self, tmp_path):
+        flight = FlightRecorder(capsule_dir=str(tmp_path))
+        flight.record("dispatch", worker=0, interval=1)
+        good = flight.capture(kind="crash", message="it broke")
+        bad = str(tmp_path / "postmortem-dead-001.json")
+        with open(bad, "w") as fh:
+            fh.write('{"version": 1, "trunc')
+        return good, bad
+
+    def test_skips_corrupt_capsules_with_a_warning(self, tmp_path,
+                                                   capsys):
+        self._capsule_dir(tmp_path)
+        assert main(["report", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "skipping unreadable capsule" in captured.err
+        assert "it broke" in captured.out
+
+    def test_fails_only_when_nothing_is_readable(self, tmp_path):
+        good, _bad = self._capsule_dir(tmp_path)
+        os.unlink(good)
+        with pytest.raises(SystemExit, match="no readable capsule"):
+            main(["report", str(tmp_path)])
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        with pytest.raises(SystemExit, match="no post-mortem capsules"):
+            main(["report", str(empty)])
 
 
 # ---------------------------------------------------------------------

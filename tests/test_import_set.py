@@ -31,7 +31,6 @@ NEVER = (
     "repro.exec.parallel",
     "repro.exec.pipelined",
     "repro.exec.process",
-    "repro.fleet",
     "repro.harness",
     "repro.memory.dramsim",
     "repro.memory.noc_weave",

@@ -50,7 +50,7 @@ from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload
 
 from conftest import (fill, reference_check_coherence,
-                      reference_check_inclusion)
+                      reference_check_inclusion, unfired)
 
 WATCHDOG_S = 0.25
 
@@ -357,7 +357,7 @@ class TestSilentCorruptionRecovery:
         entry = supervisor.history[0]
         assert entry["kind"] == "IntegrityError"
         assert entry["component"].startswith("mem.")
-        assert sim.backend.fault_plan.remaining() == []
+        assert unfired(sim.backend.fault_plan) == []
         assert_equivalent(baseline, _stats_tree(result))
 
     def test_corruption_predating_detection(self, serial_baseline):
@@ -396,8 +396,8 @@ class TestSilentCorruptionRecovery:
 
     def test_second_strike_escalates(self):
         """A divergence that reproduces at the same (interval,
-        component) raises out of the supervisor: the fleet's breaker
-        quarantines, recovery is not retried forever."""
+        component) raises out of the supervisor and fails the run:
+        recovery is not retried forever."""
         sim = _sim("parallel")
         supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
         interval = sim.config.boundweave.interval_cycles
@@ -414,6 +414,25 @@ class TestSilentCorruptionRecovery:
 # ---------------------------------------------------------------------
 # Checkpoints: capsule records, resume verification, repro verify
 # ---------------------------------------------------------------------
+
+
+def _tamper_first_component(path):
+    """Flip one bit of a capsule's first recorded component digest and
+    re-seal it with a valid CRC, so only the integrity check can catch
+    it.  The body is decoded in place: the embedded simulator stays a
+    pickle.  Returns the tampered component's name."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        capsule = pickle.loads(fh.read())
+    components = capsule["meta"]["integrity"]["components"]
+    key = sorted(components)[0]
+    components[key] ^= 1
+    body = pickle.dumps(capsule, protocol=pickle.HIGHEST_PROTOCOL)
+    with open(path, "wb") as fh:
+        fh.write(b"repro-ckpt %d %08x\n"
+                 % (FORMAT_VERSION, zlib.crc32(body) & 0xFFFFFFFF))
+        fh.write(body)
+    return key
 
 
 def _run_with_checkpoints(tmp_path, audit_every=1, every=2):
@@ -449,14 +468,7 @@ class TestCheckpointIntegration:
     def test_resume_refuses_tampered_capsule(self, tmp_path):
         sim, _result = _run_with_checkpoints(tmp_path)
         path = sim.checkpointer.last_path
-        capsule = read_checkpoint(path, load_sim=False)
-        key = sorted(capsule["meta"]["integrity"]["components"])[0]
-        capsule["meta"]["integrity"]["components"][key] ^= 1
-        body = pickle.dumps(capsule, protocol=pickle.HIGHEST_PROTOCOL)
-        with open(path, "wb") as fh:
-            fh.write(b"repro-ckpt %d %08x\n"
-                     % (FORMAT_VERSION, zlib.crc32(body) & 0xFFFFFFFF))
-            fh.write(body)
+        key = _tamper_first_component(path)
         tampered = read_checkpoint(path)
         config = _config("serial")
         wl = mt_workload("blackscholes", scale=1 / 64,
@@ -525,15 +537,7 @@ class TestVerifyCommand:
     def test_verify_flags_tampered_capsule(self, tmp_path, capsys):
         ckpts = self._checkpointed_run(tmp_path)
         paths = sorted(ckpts.glob("ckpt-*.pkl"))
-        path = paths[-1]
-        capsule = read_checkpoint(str(path), load_sim=False)
-        key = sorted(capsule["meta"]["integrity"]["components"])[0]
-        capsule["meta"]["integrity"]["components"][key] ^= 1
-        body = pickle.dumps(capsule, protocol=pickle.HIGHEST_PROTOCOL)
-        with open(path, "wb") as fh:
-            fh.write(b"repro-ckpt %d %08x\n"
-                     % (FORMAT_VERSION, zlib.crc32(body) & 0xFFFFFFFF))
-            fh.write(body)
+        key = _tamper_first_component(paths[-1])
         assert cli_main(["verify", str(ckpts), "--replay", "0"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and key in out

@@ -23,11 +23,10 @@ BUDGETS = {
     "memory": 2275,
     "core": 1944,
     "cpu": 858,
-    "resilience": 1528,
-    "obs": 1323,
+    "resilience": 1487,
+    "obs": 1214,
     "exec": 1711,
-    "fleet": 1189,
-    "cli.py": 930,
+    "cli.py": 773,
     "baselines": 274,
     "config": 502,
     "dbt": 360,

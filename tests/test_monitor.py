@@ -4,6 +4,7 @@ terminal view."""
 
 import glob
 import json
+import os
 import time
 import urllib.request
 
@@ -170,3 +171,17 @@ class TestCLITop:
         from repro.cli import main
         with pytest.raises(SystemExit, match="status file"):
             main(["top", str(tmp_path / "nope.json"), "--once"])
+
+
+class TestOrphanCleanup:
+    def test_monitor_prunes_stale_status_temps(self, tmp_path):
+        from repro.obs.monitor import prune_status_orphans
+        status = str(tmp_path / "status.json")
+        stale = status + ".4242.tmp"
+        unrelated = str(tmp_path / "other.json.4242.tmp")
+        for path in (stale, unrelated):
+            with open(path, "w") as fh:
+                fh.write("{}")
+        prune_status_orphans(status)
+        assert not os.path.exists(stale)
+        assert os.path.exists(unrelated)

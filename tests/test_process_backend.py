@@ -25,11 +25,11 @@ from repro.exec.process import ProcessBackend
 from repro.exec.serial import SerialBackend
 from repro.resilience import Checkpointer, read_checkpoint
 from repro.resilience.faults import FaultPlan, SigKillWorker, SigStopWorker
-from repro.resilience.supervisor import Supervisor
+from repro.resilience.supervisor import DecorrelatedJitter, Supervisor
 from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload
 
-from conftest import latest
+from conftest import latest, unfired
 
 INSTRS = 20_000
 
@@ -125,7 +125,7 @@ class TestProcessCrashTolerance:
         plan = FaultPlan.parse("sigkill@2:w0")
         sim.backend.fault_plan = plan
         result = sim.run()
-        assert plan.remaining() == []
+        assert unfired(plan) == []
         assert_equivalent(_stats_tree(result), serial_baseline,
                           context="sigkill mid-interval vs serial")
         host = result.stats().to_dict()["host"]["exec"]
@@ -141,7 +141,7 @@ class TestProcessCrashTolerance:
         plan = FaultPlan.parse("sigstop@3:w1")
         sim.backend.fault_plan = plan
         result = sim.run()
-        assert plan.remaining() == []
+        assert unfired(plan) == []
         assert_equivalent(_stats_tree(result), serial_baseline,
                           context="sigstop past heartbeat vs serial")
         host = result.stats().to_dict()["host"]["exec"]
@@ -243,6 +243,15 @@ class TestBackoffJitter:
     def test_zero_base_disables_backoff(self):
         sup = self._supervisor(seed=1, base=0)
         assert sup._next_backoff() == 0
+
+    def test_reset_restarts_the_window(self):
+        # reset() shrinks the decorrelated window back to the base
+        # (the RNG stream keeps advancing: draws stay decorrelated).
+        jitter = DecorrelatedJitter(2, seed=7)
+        for _ in range(16):
+            jitter.next()
+        jitter.reset()
+        assert 2 <= jitter.next() <= 6
 
     def test_recovery_surfaces_attempt_and_backoff(self):
         sim, _ = _build("parallel")

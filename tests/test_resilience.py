@@ -47,12 +47,14 @@ from repro.resilience import (
     read_latest_checkpoint,
     write_checkpoint,
 )
+from repro.obs.flight import FlightRecorder
+from repro.resilience.checkpoint import MAGIC
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import Supervisor
 from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload
 
-from conftest import latest
+from conftest import latest, unfired
 
 WATCHDOG_S = 0.25
 
@@ -145,7 +147,7 @@ class TestFaultPlanGrammar:
         plan = FaultPlan.parse("raise@2:w0")
         ctx = {"interval": 2, "worker": 0, "phase": "bound"}
         fn = plan.wrap(lambda i: None, ctx, backend=None, epoch=0)
-        assert fn is not None and plan.remaining() == []
+        assert fn is not None and unfired(plan) == []
         # Second dispatch with the same context: already consumed.
         sentinel = object()
         assert plan.wrap(sentinel, ctx, backend=None, epoch=0) is sentinel
@@ -167,7 +169,7 @@ class TestFaultMatrix:
         sim.backend.fault_plan = plan
         supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
         tree = _stats_tree(sim.run())
-        assert plan.remaining() == [], "fault never fired: %s" % spec
+        assert unfired(plan) == [], "fault never fired: %s" % spec
         assert supervisor.recoveries >= 1
         assert not supervisor.fallback_permanent
         assert_equivalent(tree, serial_baseline,
@@ -537,6 +539,62 @@ class TestCheckpointFormat:
         assert legacy.name in names
         # latest() reads across runs and both filename forms.
         assert latest(str(tmp_path)).endswith("-%08d.pkl" % 2)
+
+
+class TestCheckpointFallback:
+    @staticmethod
+    def _write_capsule(path, interval):
+        # A well-formed capsule file without a real simulator: the
+        # fallback decision rides on the header (magic, version, CRC),
+        # which is all these tests corrupt.
+        capsule = {"version": FORMAT_VERSION, "interval": interval,
+                   "sim": pickle.dumps({"fake": True})}
+        body = pickle.dumps(capsule)
+        header = b"%s %d %08x\n" % (MAGIC, FORMAT_VERSION,
+                                    zlib.crc32(body) & 0xFFFFFFFF)
+        with open(path, "wb") as fh:
+            fh.write(header + body)
+
+    def _write_two(self, tmp_path):
+        newest = str(tmp_path / "ckpt-x-00000004.pkl")
+        older = str(tmp_path / "ckpt-x-00000002.pkl")
+        self._write_capsule(older, 2)
+        self._write_capsule(newest, 4)
+        return older, newest
+
+    def test_falls_back_past_a_corrupt_newest(self, tmp_path):
+        older, newest = self._write_two(tmp_path)
+        with open(newest, "r+b") as fh:  # truncate mid-body
+            fh.truncate(20)
+        flight = FlightRecorder()
+        path, capsule = read_latest_checkpoint(str(tmp_path),
+                                               flight=flight)
+        assert path == older
+        assert capsule["interval"] == 2
+        assert any(e["kind"] == "checkpoint_fallback"
+                   for e in flight.events())
+
+    def test_raises_only_when_no_candidate_is_valid(self, tmp_path):
+        older, newest = self._write_two(tmp_path)
+        for path in (older, newest):
+            with open(path, "r+b") as fh:
+                fh.truncate(20)
+        with pytest.raises(CheckpointError, match="all 2 candidate"):
+            read_latest_checkpoint(str(tmp_path))
+        with pytest.raises(CheckpointError, match="no checkpoints"):
+            read_latest_checkpoint(str(tmp_path / "empty"))
+
+
+class TestOrphanCleanup:
+    def test_checkpointer_prunes_only_its_own_temps(self, tmp_path):
+        mine = str(tmp_path / "ckpt-run1-00000003.pkl.999.tmp")
+        other = str(tmp_path / "ckpt-run2-00000003.pkl.999.tmp")
+        for path in (mine, other):
+            with open(path, "w") as fh:
+                fh.write("stale")
+        Checkpointer(str(tmp_path), run_id="run1")
+        assert not os.path.exists(mine)
+        assert os.path.exists(other)
 
 
 class TestResume:
