@@ -336,7 +336,7 @@ class OOOCore(Core):
                 ports_used[exec_cycle] = occ | (free & -free)
                 ports_ops += 1
                 if ports_ops >= 4096:
-                    self._prune_ports(exec_min)
+                    self._prune_ports(issue_clock)
                     ports_ops = 0
                 done = exec_cycle + lat
             elif utype == _LOAD:
@@ -358,7 +358,7 @@ class OOOCore(Core):
                 ports_used[exec_cycle] = occ | (free & -free)
                 ports_ops += 1
                 if ports_ops >= 4096:
-                    self._prune_ports(exec_min)
+                    self._prune_ports(issue_clock)
                     ports_ops = 0
                 ready = store_buffer.get(addr >> 3)
                 if ready is not None:
@@ -400,7 +400,7 @@ class OOOCore(Core):
                 ports_used[exec_cycle] = occ | (free & -free)
                 ports_ops += 1
                 if ports_ops >= 4096:
-                    self._prune_ports(exec_min)
+                    self._prune_ports(issue_clock)
                     ports_ops = 0
                 last_store = exec_cycle
                 done = exec_cycle + (lat if lat > 1 else 1)
@@ -433,7 +433,7 @@ class OOOCore(Core):
                 ports_used[exec_cycle] = occ | (free & -free)
                 ports_ops += 1
                 if ports_ops >= 4096:
-                    self._prune_ports(exec_min)
+                    self._prune_ports(issue_clock)
                     ports_ops = 0
                 done = exec_cycle + lat
                 if utype == _FENCE:

@@ -571,15 +571,11 @@ def _namd_stats():
     return _stats_tree(sim.run())
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: OOOCore._simulate_bbl prunes port occupancy below "
-    "the exec_min of the µop that triggers the prune, but a younger "
-    "independent µop can still execute below it (its search starts at "
-    "its own dispatch); pruning at issue_clock is the fix (ROADMAP)"))
 def test_port_prune_is_invisible(monkeypatch):
     """Forgetting port occupancy is host-side bookkeeping: with the
-    prune turned off the simulated stats must not move.  Today they do,
-    by one cycle at 50,000 instructions (33,438 vs 33,439)."""
+    prune turned off the simulated stats must not move.  The prune
+    forgets only cycles below ``issue_clock``, which bounds every later
+    µop's execution cycle from below."""
     pruned = _namd_stats()
     monkeypatch.setattr(OOOCore, "_prune_ports", lambda self, horizon: None)
     assert_equivalent(_namd_stats(), pruned, ignore=("host",),
