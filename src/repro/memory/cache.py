@@ -220,16 +220,12 @@ class Cache(_Directory):
         return self.array.deep_items() + super().deep_items()
 
     def fill_stats(self, node):
-        """Dump counters into a :class:`~repro.stats.StatsNode`."""
-        node.set("accesses", self.accesses)
-        node.set("hits", self.hits)
-        node.set("misses", self.misses)
-        node.set("evictions", self.evictions)
-        node.set("writebacks", self.writebacks)
-        node.set("invalidations", self.invalidations)
-        node.set("downgrades", self.downgrades)
-        node.set("upgrades", self.upgrades)
-        node.set("prefetch_fills", self.prefetch_fills)
+        """Dump counters into a :class:`~repro.stats.StatsNode`.  An
+        ifetch never writes, so an L1I has no writebacks or upgrades."""
+        names = ("accesses", "hits", "misses", "evictions", "invalidations",
+                 "downgrades", "prefetch_fills", "writebacks", "upgrades")
+        for name in names[:-2] if self.level == "l1i" else names:
+            node.set(name, getattr(self, name))
 
     def __repr__(self):
         return "Cache(%s)" % self.name
