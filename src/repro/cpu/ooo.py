@@ -46,13 +46,13 @@ class OOOCore(Core):
 
     __slots__ = ("bpred", "_fetch_clock", "_decode_clock", "_issue_clock",
                  "_issue_slots", "_retire_clock", "_retire_slots",
-                 "_scoreboard", "_ports_used", "_ports_ops",
-                 "_ports_pruned", "_rob", "_window", "_store_buffer",
-                 "_store_order", "_load_releases", "_last_store_cycle",
-                 "_last_mem_done", "_fence_cycle", "_line_bytes",
-                 "_last_fetch_line", "_mispredict_resume", "_lsd_recent",
-                 "lsd_streams", "cond_branches", "mispredicts",
-                 "forwarded_loads", "wrong_path_fetches", "debug_trace")
+                 "_scoreboard", "_ports_used", "_rob", "_window",
+                 "_store_buffer", "_store_order", "_load_releases",
+                 "_last_store_cycle", "_last_mem_done", "_fence_cycle",
+                 "_line_bytes", "_last_fetch_line", "_mispredict_resume",
+                 "_lsd_recent", "lsd_streams", "cond_branches",
+                 "mispredicts", "forwarded_loads", "wrong_path_fetches",
+                 "debug_trace")
 
     def __init__(self, core_id, mem, config):
         super().__init__(core_id, mem, config)
@@ -67,8 +67,6 @@ class OOOCore(Core):
         # Execution ports: cycle -> used-port mask; a µop lands at the
         # first cycle >= its dispatch with a free port in its mask.
         self._ports_used = {}
-        self._ports_ops = 0
-        self._ports_pruned = 0
         # Rings sized by the hardware they model: full <=> len == size,
         # the head is [0], and append() on a full ring evicts it.
         self._rob = deque(maxlen=config.rob_size)   # retire cycles
@@ -134,13 +132,9 @@ class OOOCore(Core):
                self.wrong_path_fetches, self.lsd_streams)
 
     def _prune_ports(self, horizon):
-        """Forget port occupancy below ``horizon``, in place."""
-        if horizon > self._ports_pruned:
-            used = self._ports_used
-            kept = {c: m for c, m in used.items() if c >= horizon}
-            used.clear()
-            used.update(kept)
-            self._ports_pruned = horizon
+        """Forget port occupancy below ``horizon``."""
+        self._ports_used = {c: m for c, m in self._ports_used.items()
+                            if c >= horizon}
 
     # ------------------------------------------------------------------
 
@@ -165,6 +159,9 @@ class OOOCore(Core):
             return RunOutcome.LIMIT
         finally:
             flush()
+            # Every later µop executes at or after its dispatch, which
+            # is at or after the issue clock: older occupancy is dead.
+            self._prune_ports(self._issue_clock)
 
     # ------------------------------------------------------------------
 
@@ -247,11 +244,10 @@ class OOOCore(Core):
         window_size = config.issue_window_size
         load_queue_size = config.load_queue_size
         store_queue_size = config.store_queue_size
-        # Port occupancy, inlined: the dict, its getter, and the prune
-        # countdown live in locals shared by every schedule site below.
+        # Port occupancy, inlined: the dict and its getter live in
+        # locals shared by every schedule site below.
         ports_used = self._ports_used
         ports_used_get = ports_used.get
-        ports_ops = self._ports_ops
         rob = self._rob
         rob_append = rob.append
         window = self._window
@@ -334,10 +330,6 @@ class OOOCore(Core):
                     occ = ports_used_get(exec_cycle, 0)
                     free = portmask & ~occ
                 ports_used[exec_cycle] = occ | (free & -free)
-                ports_ops += 1
-                if ports_ops >= 4096:
-                    self._prune_ports(issue_clock)
-                    ports_ops = 0
                 done = exec_cycle + lat
             elif utype == _LOAD:
                 addr = addrs[mem_slot]
@@ -356,10 +348,6 @@ class OOOCore(Core):
                     occ = ports_used_get(exec_cycle, 0)
                     free = portmask & ~occ
                 ports_used[exec_cycle] = occ | (free & -free)
-                ports_ops += 1
-                if ports_ops >= 4096:
-                    self._prune_ports(issue_clock)
-                    ports_ops = 0
                 ready = store_buffer.get(addr >> 3)
                 if ready is not None:
                     # Store-to-load forwarding: bypass the memory system.
@@ -398,10 +386,6 @@ class OOOCore(Core):
                     occ = ports_used_get(exec_cycle, 0)
                     free = portmask & ~occ
                 ports_used[exec_cycle] = occ | (free & -free)
-                ports_ops += 1
-                if ports_ops >= 4096:
-                    self._prune_ports(issue_clock)
-                    ports_ops = 0
                 last_store = exec_cycle
                 done = exec_cycle + (lat if lat > 1 else 1)
                 if data_hit(addr, True):
@@ -431,10 +415,6 @@ class OOOCore(Core):
                     occ = ports_used_get(exec_cycle, 0)
                     free = portmask & ~occ
                 ports_used[exec_cycle] = occ | (free & -free)
-                ports_ops += 1
-                if ports_ops >= 4096:
-                    self._prune_ports(issue_clock)
-                    ports_ops = 0
                 done = exec_cycle + lat
                 if utype == _FENCE:
                     fence_cycle = done
@@ -476,7 +456,6 @@ class OOOCore(Core):
         for reg, idx in decoded.final_writes:
             sb[reg] = done_cycles[idx]
 
-        self._ports_ops = ports_ops
         self._last_store_cycle = last_store
         self._last_mem_done = last_mem_done
         self._fence_cycle = fence_cycle

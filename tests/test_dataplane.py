@@ -580,3 +580,25 @@ def test_port_prune_is_invisible(monkeypatch):
     monkeypatch.setattr(OOOCore, "_prune_ports", lambda self, horizon: None)
     assert_equivalent(_namd_stats(), pruned, ignore=("host",),
                       context="port prune off vs on")
+
+
+def test_run_until_keeps_no_port_occupancy_below_the_issue_clock(
+        monkeypatch):
+    """``run_until`` forgets, on exit, the port occupancy of every cycle
+    below the issue clock: no later µop can read it.  Checked after every
+    call of a 4-core run (interval limits and syscall exits) and of the
+    one-core namd run."""
+    run_until = OOOCore.run_until
+    held = []
+
+    def checked(self, limit_cycle):
+        outcome = run_until(self, limit_cycle)
+        assert min(self._ports_used, default=self._issue_clock) \
+            >= self._issue_clock
+        held.append(len(self._ports_used))
+        return outcome
+
+    monkeypatch.setattr(OOOCore, "run_until", checked)
+    _run(small_test_system(num_cores=4, core_model="ooo"), "weave")
+    _namd_stats()
+    assert len(held) > 20 and max(held) > 0

@@ -22,7 +22,7 @@ SRC = pathlib.Path(repro.__file__).parent
 BUDGETS = {
     "memory": 2275,
     "core": 1944,
-    "cpu": 858,
+    "cpu": 837,
     "resilience": 1487,
     "obs": 1214,
     "exec": 1711,

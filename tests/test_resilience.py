@@ -416,6 +416,14 @@ _FORMAT_4_SLOTS = {
 }
 
 
+#: Format 5 dropped the OOO core's prune countdown and horizon (port
+#: occupancy is pruned when ``run_until`` returns); every other slot is
+#: format 4's.
+_FORMAT_5_SLOTS = dict(_FORMAT_4_SLOTS)
+_FORMAT_5_SLOTS[OOOCore] = _FORMAT_4_SLOTS[OOOCore] - {"_ports_ops",
+                                                      "_ports_pruned"}
+
+
 def _slot_names(cls):
     return {name for klass in cls.__mro__
             for name in vars(klass).get("__slots__", ())}
@@ -471,15 +479,16 @@ class TestCheckpointFormat:
         assert excinfo.value.found == FORMAT_VERSION + 1
         assert excinfo.value.expected == FORMAT_VERSION
 
-    @pytest.mark.parametrize("found", (1, 2, 3))
+    @pytest.mark.parametrize("found", (1, 2, 3, 4))
     def test_old_capsule_is_refused_not_migrated(self, tmp_path, found):
         """A v1 capsule holds list rings with head indices and
         list-of-edge events, a v2 capsule a pickled event pool this
         build has no class for, a v3 capsule model objects as
-        ``__dict__`` state and repr-based deep digests; none is
-        migrated, all are refused typed — with a valid checksum, by file
-        and through the directory fallback."""
-        assert FORMAT_VERSION == 4
+        ``__dict__`` state and repr-based deep digests, a v4 capsule OOO
+        cores with a port-prune countdown; none is migrated, all are
+        refused typed — with a valid checksum, by file and through the
+        directory fallback."""
+        assert FORMAT_VERSION == 5
         sim, _ = _small_sim()
         path = str(tmp_path / "ckpt-00000001.pkl")
         write_checkpoint(path, sim, interval=1, limit=1000)
@@ -488,7 +497,7 @@ class TestCheckpointFormat:
             b"repro-ckpt %d %08x\n" % (found, zlib.crc32(body)) + body)
         with pytest.raises(CheckpointVersionError) as excinfo:
             read_checkpoint(path)
-        assert (excinfo.value.found, excinfo.value.expected) == (found, 4)
+        assert (excinfo.value.found, excinfo.value.expected) == (found, 5)
         with pytest.raises(CheckpointError, match="format v%d" % found):
             read_latest_checkpoint(str(tmp_path))
 
@@ -615,8 +624,10 @@ class TestResume:
     @pytest.mark.parametrize("cls", list(_FORMAT_4_SLOTS),
                              ids=lambda cls: cls.__name__)
     def test_format_4_pins_the_slots_of_every_pickled_class(self, cls):
-        assert FORMAT_VERSION == 4
-        assert _slot_names(cls) == _FORMAT_4_SLOTS[cls]
+        """Format 4's slot table, minus what format 5 dropped, is what
+        this build pickles: a slot change without a bump fails here."""
+        assert FORMAT_VERSION == 5
+        assert _slot_names(cls) == _FORMAT_5_SLOTS[cls]
 
     @pytest.mark.parametrize("core_model", ("simple", "ooo"))
     def test_model_objects_never_carry_a_dict(self, tmp_path, core_model):
@@ -624,13 +635,13 @@ class TestResume:
         3.11 drop its inline attribute storage for good, slowing every
         later access: no model object may have one — fresh, after a
         capture, or rebuilt from a capsule."""
-        for cls in _FORMAT_4_SLOTS:
+        for cls in _FORMAT_5_SLOTS:
             assert all("__slots__" in vars(klass)
                        for klass in cls.__mro__[:-1]), cls
 
         def assert_no_dicts(state):
             objects = _model_objects(state)
-            assert {type(obj) for obj in objects} <= set(_FORMAT_4_SLOTS)
+            assert {type(obj) for obj in objects} <= set(_FORMAT_5_SLOTS)
             assert not [obj for obj in objects if hasattr(obj, "__dict__")]
 
         sim, _ = _small_sim(core_model=core_model)
