@@ -27,7 +27,8 @@ class CacheArray:
     a shared all-free tuple — and :meth:`_materialise` builds the real
     thing on the first fill.  Host cost then follows the sets a run
     touches, not the sets the chip was configured with.  ``_free`` (and
-    the cheap integrity digest over it) deliberately stays dense.
+    the cheap integrity digest over it) deliberately stays dense, one
+    byte per set: an array has at most 255 ways.
     """
 
     __slots__ = ("num_sets", "hash_sets", "ways", "repl", "seed", "_free",
@@ -35,8 +36,8 @@ class CacheArray:
 
     def __init__(self, num_sets, ways, repl="lru", seed=0,
                  hash_sets=False):
-        if num_sets < 1 or ways < 1:
-            raise ValueError("Array needs at least one set and one way")
+        if num_sets < 1 or not 1 <= ways <= 255:
+            raise ValueError("Array needs at least one set and 1-255 ways")
         self.num_sets = num_sets
         #: XOR-fold the upper address bits into the set index (zsim's
         #: hashed arrays): spreads pathological strides across sets.
@@ -51,7 +52,7 @@ class CacheArray:
         self._blank_sets()
         #: Free ways per set: lets a steady-state fill (full set) skip
         #: the way scan and go straight to the replacement policy.
-        self._free = [ways] * num_sets
+        self._free = bytearray([ways]) * num_sets
 
     def _blank_sets(self):
         # Per set: line -> (way, state); way -> line; replacement policy.
@@ -144,10 +145,8 @@ class CacheArray:
         # vector digest below already encodes per-set occupancy
         # exactly, and an O(sets) len() walk at every barrier blows
         # the sentinel's hotpath budget on large L3 arrays.
-        free = self._free
         yield (self.num_sets, self.ways,
-               zlib.crc32(bytes(free)) & 0xFFFFFFFF
-               if self.ways < 256 else tuple(free))
+               zlib.crc32(self._free) & 0xFFFFFFFF)
 
     def deep_items(self):
         """The full tag+MESI contents by value for a deep digest: one

@@ -39,7 +39,7 @@ from repro.obs.log import get_logger
 #: On-disk format version; bump on any incompatible capsule change.
 #: v2: bounded-deque OOO rings, inline first weave edges.  v3: no
 #: recycling pools.  v4: model objects pickle their ``__slots__`` and
-#: deep digests are by value.  v5: no OOO port-prune counters.
+#: deep digests are by value.  v5: no OOO prune counters, byte _free.
 FORMAT_VERSION = 5
 MAGIC = b"repro-ckpt"
 

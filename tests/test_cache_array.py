@@ -45,6 +45,10 @@ class TestBasics:
     def test_bad_geometry(self):
         with pytest.raises(ValueError):
             CacheArray(0, 2)
+        # Free-way counts are one byte a set.
+        with pytest.raises(ValueError):
+            CacheArray(4, 256)
+        assert bytes(CacheArray(4, 255)._free) == bytes([255] * 4)
 
 
 class TestEviction:
@@ -190,7 +194,7 @@ class TestSparseSets:
         assert sorted(twin.resident_lines()) == sorted(
             before["resident"] + [(7, MESI.S)])
         assert twin.materialised_sets() == [3, 7]
-        assert twin._free == [2] * 3 + [0] + [2] * 3 + [1] + [2] * 8
+        assert list(twin._free) == [2] * 3 + [0] + [2] * 3 + [1] + [2] * 8
         for idx in set(range(16)) - {3, 7}:
             assert twin.lookup(idx, touch=False) is None
             assert not twin._lines[idx]

@@ -417,8 +417,8 @@ _FORMAT_4_SLOTS = {
 
 
 #: Format 5 dropped the OOO core's prune countdown and horizon (port
-#: occupancy is pruned when ``run_until`` returns); every other slot is
-#: format 4's.
+#: occupancy is pruned when ``run_until`` returns) and made
+#: ``CacheArray._free`` a bytearray; every other slot is format 4's.
 _FORMAT_5_SLOTS = dict(_FORMAT_4_SLOTS)
 _FORMAT_5_SLOTS[OOOCore] = _FORMAT_4_SLOTS[OOOCore] - {"_ports_ops",
                                                       "_ports_pruned"}
@@ -485,9 +485,9 @@ class TestCheckpointFormat:
         list-of-edge events, a v2 capsule a pickled event pool this
         build has no class for, a v3 capsule model objects as
         ``__dict__`` state and repr-based deep digests, a v4 capsule OOO
-        cores with a port-prune countdown; none is migrated, all are
-        refused typed — with a valid checksum, by file and through the
-        directory fallback."""
+        cores with a port-prune countdown and list free-way vectors;
+        none is migrated, all are refused typed — with a valid checksum,
+        by file and through the directory fallback."""
         assert FORMAT_VERSION == 5
         sim, _ = _small_sim()
         path = str(tmp_path / "ckpt-00000001.pkl")
