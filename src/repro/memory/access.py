@@ -51,7 +51,7 @@ class AccessRecord:
         self.hit_level = None
         self.invalidations = 0
         #: Off-critical-path writebacks: (weave_component, offset, kind).
-        self.wbacks = []
+        self.wbacks = ()
 
     def __repr__(self):
         return ("AccessRecord(lat=%d, hit=%s, missed=%s)"

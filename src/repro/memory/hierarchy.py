@@ -660,8 +660,7 @@ class MemoryHierarchy:
                         wb_weave = vparent.ctrl_weaves[
                             victim % vparent._num_ctrls]
                         if wb_weave is not None:
-                            ctx.wbacks.append(
-                                (wb_weave, latency, _SK_WBACK))
+                            ctx.wbacks += ((wb_weave, latency, _SK_WBACK),)
                     else:
                         # Dirty data lands in the parent; inclusion
                         # guarantees the line is resident.
@@ -705,7 +704,6 @@ class MemoryHierarchy:
         else:
             l2 = self.l2s[core_id]
         array = l2.array
-        wbacks = ctx.wbacks
         for pf_line in self.prefetchers[core_id].observe(line):
             idx = array.set_index(pf_line)
             if pf_line in array._lines[idx]:
@@ -713,8 +711,7 @@ class MemoryHierarchy:
             l2.prefetch_fills += 1
             pf_ctx = AccessRecord(core_id, pf_line, False)
             self._walk_access(l2, pf_line, False, pf_ctx, idx, None)
-            wbacks.extend(pf_ctx.steps)
-            wbacks.extend(pf_ctx.wbacks)
+            ctx.wbacks += (*pf_ctx.steps, *pf_ctx.wbacks)
 
     # ------------------------------------------------------------------
     # Stats and invariants

@@ -217,7 +217,7 @@ class ReferenceMainMemory(MainMemory):
             self.writebacks += 1
             weave = self.ctrl_weaves[line % self.config.controllers]
             if weave is not None:
-                ctx.wbacks.append((weave, ctx.latency, StepKind.WBACK))
+                ctx.wbacks += ((weave, ctx.latency, StepKind.WBACK),)
 
 
 def prefetch(hier, core_id, line, ctx):
@@ -229,8 +229,7 @@ def prefetch(hier, core_id, line, ctx):
     for pf_line in hier.prefetchers[core_id].observe(line):
         pf_ctx = AccessRecord(core_id, pf_line, False)
         if l2.prefetch_fill(pf_line, pf_ctx):
-            ctx.wbacks.extend(pf_ctx.steps)
-            ctx.wbacks.extend(pf_ctx.wbacks)
+            ctx.wbacks += (*pf_ctx.steps, *pf_ctx.wbacks)
 
 
 @contextlib.contextmanager

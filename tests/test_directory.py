@@ -204,7 +204,7 @@ class SetDirectoryMainMemory(ReferenceMainMemory):
             self.writebacks += 1
             weave = self.ctrl_weaves[line % self.config.controllers]
             if weave is not None:
-                ctx.wbacks.append((weave, ctx.latency, "WBACK"))
+                ctx.wbacks += ((weave, ctx.latency, "WBACK"),)
 
     def sharers_of(self, line):
         return set(self._sharers.get(line, ()))

@@ -107,8 +107,8 @@ class TestEdgeDeliveryOrder:
             record = AccessRecord(0, 99, write=True)
             record.latency = service
             record.steps.append((parent_bank, 0, "HIT"))
-            record.wbacks.extend((child_bank, offset, i)
-                                 for i, offset in enumerate(child_offsets))
+            record.wbacks = tuple((child_bank, offset, i)
+                                  for i, offset in enumerate(child_offsets))
             engine.run_interval({0: [(100, record)]})
         assert log == want_log
         assert engine.domains[-1].crossings == \

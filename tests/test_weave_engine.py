@@ -86,7 +86,7 @@ class TestRetiming:
         res = AccessRecord(0, 7, write=True)
         res.latency = 30
         res.steps.append((bank, 10, StepKind.MISS))
-        res.wbacks.append((bank, res.latency, StepKind.WBACK))
+        res.wbacks = ((bank, res.latency, StepKind.WBACK),)
         engine.run_interval({0: [(50, res)]})
         assert bank.events_executed == 2  # miss + writeback
 
@@ -279,9 +279,9 @@ class _Lockstep:
                     record.steps.append(
                         (banks[pick % len(banks)], offset, kind))
                 record.latency = offset + slack
-                for pick, wb_offset in wbacks:
-                    record.wbacks.append((banks[pick % len(banks)],
-                                          wb_offset, StepKind.WBACK))
+                record.wbacks = tuple((banks[pick % len(banks)], wb_offset,
+                                       StepKind.WBACK)
+                                      for pick, wb_offset in wbacks)
                 trace.append((issue, record))
         return traces
 
