@@ -9,9 +9,18 @@ interval.  Instead, each resource tracks its busy *intervals*, so a
 request can claim any hole at or after its arrival cycle — the same
 property zsim's cycle-granular weave port/bank state has.
 
+Single-size contract: all requests to one timeline have the same
+duration (a port's occupancy, a bank's busy time, a burst, a link
+slot), so a gap shorter than it can never be claimed and
+:meth:`Timeline.reserve` merges it.  Mixed sizes still never overlap,
+but a short request may find such a merged gap busy.
+
 Old intervals are pruned behind a horizon; a straggler arriving further
 back than the horizon sees a free resource, which errs on the
-uncontended (bound-consistent) side.
+uncontended (bound-consistent) side.  A straggler's start is the one a
+gap-keeping timeline gives only while it arrives within
+:data:`PRUNE_HORIZON` of the newest reservation: further back, a merged
+interval may cover cycles that timeline would have pruned.
 """
 
 from __future__ import annotations
@@ -50,22 +59,17 @@ class Timeline:
         """Claim the first free gap of ``duration`` cycles starting at or
         after ``earliest``; returns the start cycle of the reservation.
 
-        Single pass (ISSUE 10): the gap scan of :meth:`first_gap` is
-        inlined, and the scan cursor doubles as the insertion index — at
-        scan end every earlier interval starts at or before the landed
-        candidate and every later one starts at or beyond
-        ``candidate + duration``, which is exactly the
-        ``bisect_right(starts, candidate)`` position the two-pass
-        version recomputed."""
+        Single pass: the gap scan of :meth:`first_gap` is inlined, and
+        its cursor is the insertion index.  A gap left on either side
+        shorter than ``duration`` is merged (the contract above)."""
         if duration <= 0:
             return earliest
         starts, ends = self._starts, self._ends
         if not ends or earliest >= ends[-1]:
             # Lands past all recorded occupancy (the common case when
-            # events arrive in rough time order): append, merging with
-            # a touching last interval — identical list state to the
-            # general path's insert-then-merge.
-            if ends and ends[-1] == earliest:
+            # events arrive in rough time order): append, or extend the
+            # last interval over a gap too short to use.
+            if ends and earliest - ends[-1] < duration:
                 ends[-1] = earliest + duration
             else:
                 starts.append(earliest)
@@ -84,15 +88,19 @@ class Timeline:
             if ends[idx] > candidate:
                 candidate = ends[idx]
             idx += 1
-        starts.insert(idx, candidate)
-        ends.insert(idx, candidate + duration)
-        # Merge with touching neighbours (keeps the lists short).
-        if idx + 1 < len(starts) and ends[idx] >= starts[idx + 1]:
-            ends[idx] = max(ends[idx], ends[idx + 1])
-            del starts[idx + 1], ends[idx + 1]
-        if idx > 0 and ends[idx - 1] >= starts[idx]:
-            ends[idx - 1] = max(ends[idx - 1], ends[idx])
-            del starts[idx], ends[idx]
+        end = candidate + duration
+        merge_prev = idx > 0 and candidate - ends[idx - 1] < duration
+        if idx < n and starts[idx] - end < duration:
+            if merge_prev:
+                ends[idx - 1] = ends[idx]
+                del starts[idx], ends[idx]
+            else:
+                starts[idx] = candidate
+        elif merge_prev:
+            ends[idx - 1] = end
+        else:
+            starts.insert(idx, candidate)
+            ends.insert(idx, end)
         if len(starts) > 64 and candidate - PRUNE_HORIZON > \
                 self._pruned_before:
             self._prune(candidate - PRUNE_HORIZON)

@@ -3,9 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.timeline import MultiTimeline, Timeline
+from repro.memory.timeline import PRUNE_HORIZON, MultiTimeline, Timeline
 
 from conftest import busy_at
+from reference_timeline import ReferenceTimeline, reference_multi_timeline
 
 
 class TestTimeline:
@@ -99,3 +100,54 @@ class TestMultiTimeline:
             load += delta
             peak = max(peak, load)
         assert peak <= servers
+
+
+#: Arrival offsets from the newest reservation: mostly near it (gaps
+#: shorter and longer than the request), some far back or far ahead so
+#: that the horizon prune runs.
+_OFFSETS = st.lists(
+    st.one_of(st.integers(-80, 80),
+              st.integers(-PRUNE_HORIZON, PRUNE_HORIZON)),
+    min_size=1, max_size=400)
+
+
+class TestMergeMatchesReference:
+    """Merging unusable gaps is invisible to single-size streams: the
+    shipped timelines grant every request the start the gap-keeping
+    reference (``tests/reference_timeline.py``) grants, as long as
+    stragglers arrive within ``PRUNE_HORIZON`` of the newest
+    reservation."""
+
+    @staticmethod
+    def _replay(shipped, reference, duration, offsets):
+        # 80 intervals with gaps the request fits in: past the 64 at
+        # which the prune starts, so a forward jump past the horizon
+        # prunes both timelines.
+        for i in range(80):
+            assert shipped.reserve(3 * duration * i, duration) == \
+                reference.reserve(3 * duration * i, duration)
+        newest = 3 * duration * 79
+        for offset in offsets:
+            earliest = max(0, newest - PRUNE_HORIZON, newest + offset)
+            start = shipped.reserve(earliest, duration)
+            assert start == reference.reserve(earliest, duration)
+            newest = max(newest, start)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), _OFFSETS)
+    def test_timeline(self, duration, offsets):
+        self._replay(Timeline(), ReferenceTimeline(), duration, offsets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 40), _OFFSETS)
+    def test_multi_timeline(self, servers, duration, offsets):
+        self._replay(MultiTimeline(servers),
+                     reference_multi_timeline(servers), duration, offsets)
+
+    def test_merging_shortens_the_lists(self):
+        """The point of the merge: gaps of one cycle between requests of
+        two cycles leave one interval instead of fifty."""
+        shipped, reference = Timeline(), ReferenceTimeline()
+        for i in range(50):
+            assert shipped.reserve(3 * i, 2) == reference.reserve(3 * i, 2)
+        assert (len(shipped), len(reference)) == (1, 50)
