@@ -22,8 +22,8 @@ Subcommands:
 ``--supervise``, ``--watchdog-budget``, ``--checkpoint-dir`` /
 ``--checkpoint-every`` / ``--resume``, ``--max-wall-seconds``, and the
 fault-injection harness ``--inject-faults`` — plus the observability
-flags (docs/observability.md): ``--status-file``/``--status-port``
-(live monitor), ``--flight-dir``/``--no-flight`` (flight recorder).
+flags (docs/observability.md): ``--status-file`` (live monitor),
+``--flight-dir``/``--no-flight`` (flight recorder).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _resolve_workload(name, scale, num_threads):
 def _make_telemetry(args):
     """Build the observability context (or None) from run flags."""
     want_trace = bool(args.trace_out or args.trace_timeline)
-    want_metrics = bool(args.metrics_out or args.metrics_csv)
+    want_metrics = bool(args.metrics_out)
     if not want_trace and not want_metrics:
         return None
     from repro.obs import Telemetry
@@ -101,10 +101,6 @@ def _write_telemetry(args, telemetry):
     if args.metrics_out:
         telemetry.write_metrics(args.metrics_out)
         print("metrics written to %s" % args.metrics_out)
-    if args.metrics_csv:
-        with open(args.metrics_csv, "w") as handle:
-            handle.write(telemetry.metrics.samples_csv())
-        print("interval samples written to %s" % args.metrics_csv)
 
 
 def _run_meta(args, workload, threads):
@@ -117,8 +113,11 @@ def _run_meta(args, workload, threads):
 
 
 def _resume_sim(args, meta, threads, telemetry, flight=None):
+    """The simulator restored from ``--resume``, and the run id of the
+    capsule it came from (None for a legacy unqualified name)."""
     from repro.errors import CheckpointError
     from repro.resilience import read_checkpoint, read_latest_checkpoint
+    from repro.resilience.checkpoint import parse_name
     path = args.resume
     try:
         if os.path.isdir(path):
@@ -145,17 +144,21 @@ def _resume_sim(args, meta, threads, telemetry, flight=None):
     print("resuming from %s (interval %d)" % (path, capsule["interval"]))
     from repro.errors import IntegrityError
     try:
-        return ZSim.resume(capsule, threads, backend=args.backend,
-                           telemetry=telemetry, flight=flight)
+        sim = ZSim.resume(capsule, threads, backend=args.backend,
+                          telemetry=telemetry, flight=flight)
     except IntegrityError as exc:
         raise SystemExit(
             "refusing to resume from %s: %s (certify the directory "
             "with `repro verify`)" % (path, exc))
+    parsed = parse_name(os.path.basename(path))
+    return sim, parsed[0] if parsed else None
 
 
-def _setup_resilience(args, sim, meta):
+def _setup_resilience(args, sim, meta, run_id):
     """Wire the resilience layer onto a built simulator from run
-    flags."""
+    flags.  ``run_id`` is the resumed capsule's (None for a fresh run),
+    so the checkpointer prunes the killed run's temps and capsules as
+    its own."""
     from repro.resilience import Checkpointer
     from repro.resilience.faults import FaultPlan
     from repro.resilience.supervisor import Supervisor
@@ -173,7 +176,7 @@ def _setup_resilience(args, sim, meta):
     if args.checkpoint_dir:
         sim.checkpointer = Checkpointer(args.checkpoint_dir,
                                         every=args.checkpoint_every,
-                                        meta=meta)
+                                        meta=meta, run_id=run_id)
     if args.max_wall_seconds:
         sim.max_wall_seconds = args.max_wall_seconds
 
@@ -239,18 +242,13 @@ def _make_flight(args):
 
 
 def _setup_monitor(args, sim):
-    """Install a live RunMonitor when --status-file/--status-port asked
-    for one."""
-    if not args.status_file and args.status_port is None:
+    """Install a live RunMonitor when --status-file asked for one."""
+    if not args.status_file:
         return
     from repro.obs.monitor import RunMonitor
     run_id = sim.flight.run_id if sim.flight is not None else None
     sim.monitor = RunMonitor(path=args.status_file,
-                             port=args.status_port,
                              target_instrs=args.instrs, run_id=run_id)
-    if sim.monitor.port is not None:
-        print("status exposition: http://127.0.0.1:%d/metrics"
-              % sim.monitor.port)
 
 
 def cmd_run(args):
@@ -269,8 +267,9 @@ def cmd_run(args):
     telemetry = _make_telemetry(args)
     meta = _run_meta(args, workload, threads)
     flight = _make_flight(args)
+    run_id = None
     if args.resume:
-        sim = _resume_sim(args, meta, threads, telemetry, flight)
+        sim, run_id = _resume_sim(args, meta, threads, telemetry, flight)
     else:
         sim = ZSim(config, threads=threads,
                    contention_model=args.contention,
@@ -286,7 +285,7 @@ def cmd_run(args):
                 audit_every=args.audit_every)
         else:
             sentinel.audit_every = args.audit_every
-    _setup_resilience(args, sim, meta)
+    _setup_resilience(args, sim, meta, run_id)
     _setup_monitor(args, sim)
     profiler = None
     if args.profile:
@@ -620,8 +619,6 @@ def build_parser():
     run.add_argument("--metrics-out", default=None,
                      help="write the metrics registry (counters, "
                           "histograms, per-interval samples) as JSON")
-    run.add_argument("--metrics-csv", default=None,
-                     help="write the per-interval sample table as CSV")
     run.add_argument("--profile", default=None, metavar="OUT.pstats",
                      help="profile the simulation loop with cProfile "
                           "and dump pstats data to this path on exit "
@@ -669,11 +666,6 @@ def build_parser():
                      help="atomically rewrite a JSON status file at "
                           "every interval barrier (watch it with "
                           "`repro top PATH`)")
-    run.add_argument("--status-port", type=int, default=None,
-                     metavar="PORT",
-                     help="serve live status on 127.0.0.1:PORT "
-                          "(/metrics is Prometheus text exposition; "
-                          "0 picks an ephemeral port)")
     run.add_argument("--flight-dir", default=None, metavar="DIR",
                      help="directory for flight-recorder post-mortem "
                           "capsules (default: --checkpoint-dir, else "

@@ -102,7 +102,6 @@ class SimulationResult:
         self.host_model = sim.host_model
         self.weave_stats = sim.weave.stats if sim.weave else None
         self.wall_seconds = wall_seconds
-        self.stat_samples = list(sim.stat_samples)
         self.instrs = sum(core.instrs for core in sim.cores)
         self.uops = sum(core.uops for core in sim.cores)
         self.cycles = max((core.cycle for core in sim.cores), default=0)
@@ -242,8 +241,8 @@ class ZSim:
 
     def __init__(self, config, threads=(), contention_model="weave",
                  profiler=None, host_threads=HostModel.DEFAULT_THREADS,
-                 mem_wrapper=None, stats_period_intervals=0,
-                 telemetry=None, backend=None, flight=None):
+                 mem_wrapper=None, telemetry=None, backend=None,
+                 flight=None):
         if contention_model not in CONTENTION_MODELS:
             raise ValueError("Unknown contention model: %r"
                              % (contention_model,))
@@ -316,7 +315,7 @@ class ZSim:
         #: set capacity/capsule_dir.
         self.flight = _flight_recorder(flight)
         #: Optional live run monitor (repro.obs.monitor.RunMonitor),
-        #: installed by the CLI's --status-file/--status-port flags.
+        #: installed by the CLI's --status-file flag.
         self.monitor = None
         #: State-integrity sentinel (repro.resilience.integrity):
         #: fingerprint chain at every barrier plus invariant audits at
@@ -338,10 +337,6 @@ class ZSim:
         #: checked at each interval barrier, where state is consistent.
         self._stop_requested = None
         self._resume = None
-        #: Periodic stats sampling (zsim's periodic HDF5 dumps): every
-        #: N intervals a (cycle, instrs) sample is appended.
-        self.stats_period_intervals = stats_period_intervals
-        self.stat_samples = []
         if telemetry is not None and telemetry.tracer is not None:
             self._name_tracks(telemetry.tracer)
         for thread in threads:
@@ -418,33 +413,29 @@ class ZSim:
                 bound_start, bound_end, weave_seconds, domain_events = \
                     outcome
                 intervals_run += 1
-                if (self.stats_period_intervals
-                        and intervals_run % self.stats_period_intervals
-                        == 0):
-                    self.stat_samples.append(
-                        (max(c.cycle for c in self.cores),
-                         sum(c.instrs for c in self.cores)))
-                if telem is not None:
-                    self._record_interval_telemetry(
-                        tracer, metrics, intervals_run, limit,
-                        bound_start, bound_end, weave_seconds,
-                        domain_events)
                 # Interval-barrier observability (dereferenced per
                 # iteration: restore() preserves these, but the objects
                 # are host-side and could be swapped by a harness).
+                # Every observer reads the one (cycle, instrs) pair.
                 flight = self.flight
                 monitor = self.monitor
-                if flight is not None or monitor is not None:
+                if (telem is not None or flight is not None
+                        or monitor is not None):
                     cycle = max(c.cycle for c in self.cores)
                     instrs = sum(c.instrs for c in self.cores)
+                    if telem is not None:
+                        self._record_interval_telemetry(
+                            tracer, metrics, intervals_run, limit, cycle,
+                            instrs, bound_start, bound_end,
+                            weave_seconds, domain_events)
                     if flight is not None:
                         flight.record("interval",
                                       interval=intervals_run,
                                       limit=limit, cycle=cycle,
                                       instrs=instrs)
                     if monitor is not None:
-                        monitor.update(self, intervals_run, limit,
-                                       cycle=cycle, instrs=instrs)
+                        monitor.update(self, intervals_run, limit, cycle,
+                                       instrs)
                 limit = self._advance_limit(limit, interval)
                 if self.checkpointer is not None:
                     # After _advance_limit so the capsule records the
@@ -621,12 +612,11 @@ class ZSim:
                                   "weave domain%d" % domain.domain_id)
 
     def _record_interval_telemetry(self, tracer, metrics, interval_no,
-                                   limit, bound_start, bound_end,
-                                   weave_seconds, domain_events):
+                                   limit, cycle, instrs, bound_start,
+                                   bound_end, weave_seconds,
+                                   domain_events):
         """One interval's worth of spans and metric samples (only called
         when telemetry is attached)."""
-        cycle = max(c.cycle for c in self.cores)
-        instrs = sum(c.instrs for c in self.cores)
         if tracer is not None:
             tracer.complete_raw("bound", "phase", bound_start, bound_end,
                                 TID_MAIN, {"interval": interval_no,

@@ -158,8 +158,6 @@ class WeaveEngine:
                     domain.events_executed)
                 metrics.histogram("weave.domain_crossings").record(
                     domain.crossings)
-            metrics.inc("weave.intervals")
-            metrics.inc("weave.events", total)
 
     # ------------------------------------------------------------------
 

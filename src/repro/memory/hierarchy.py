@@ -35,14 +35,14 @@ _SK_WBACK = StepKind.WBACK
 _WALK_DEPTH = 8
 
 
-def _hit_probe(l1, shift, histogram, metrics):
+def _hit_probe(l1, shift, histogram):
     """``(hit, flush)`` for an unhashed LRU L1: the only code outside
     the coherence walk that serves an L1 hit.  ``hit(addr, write)``
     serves a hit as the walk does (one LRU touch, a write stores M) and
     returns True; a miss, or a write to an S line, returns False
     untouched.  ``flush()`` adds the hits served so far to the L1's
-    counters, ``histogram`` and ``metrics`` (unless None; sums, so bulk
-    is exact) and returns their number."""
+    counters and ``histogram`` (sums, so bulk is exact) and returns
+    their number."""
     array = l1.array
     lines, repls, num_sets = array._lines, array._repl, array.num_sets
     served = 0
@@ -71,8 +71,6 @@ def _hit_probe(l1, shift, histogram, metrics):
             l1.accesses += hits
             l1.hits += hits
             histogram.record(l1.latency, hits)
-            if metrics is not None:
-                metrics.record(l1.latency, hits)
         return hits
     return hit, flush
 
@@ -89,7 +87,6 @@ class MemoryHierarchy:
         #: buckets); always on — recording is one list increment — and
         #: dumped as the ``access_latency`` histogram in fill_stats.
         self.access_latency = Log2Histogram("access_latency")
-        self._metrics_latency = None
         self.attach_telemetry(telemetry)
         self.line_bits = config.l1d.line_bytes.bit_length() - 1
         num_tiles = config.num_tiles
@@ -266,7 +263,6 @@ class MemoryHierarchy:
         blank."""
         state = self.__dict__.copy()
         state["_telem"] = None
-        state["_metrics_latency"] = None
         state["profiler"] = None
         state["_walk_caches"] = [None] * _WALK_DEPTH
         state["_walk_idx"] = [0] * _WALK_DEPTH
@@ -323,7 +319,7 @@ class MemoryHierarchy:
                 or l1i.array.hash_sets or l1d.array.hash_sets
                 or l1i.array.repl != "lru" or l1d.array.repl != "lru"):
             return None
-        args = self.line_bits, self.access_latency, self._metrics_latency
+        args = self.line_bits, self.access_latency
         fetch_hit, fetch_flush = _hit_probe(l1i, *args)
         data_hit, data_flush = _hit_probe(l1d, *args)
 
@@ -369,11 +365,10 @@ class MemoryHierarchy:
             hist.min = latency
         if hist.max is None or latency > hist.max:
             hist.max = latency
-        if self._metrics_latency is not None:
-            self._metrics_latency.record(latency)
-            if result.missed_levels:
-                self._telem.metrics.inc("mem.misses.%s"
-                                        % result.missed_levels[-1])
+        if self._telem is not None:
+            metrics = self._telem.metrics
+            if metrics is not None and result.missed_levels:
+                metrics.inc("mem.misses.%s" % result.missed_levels[-1])
         if self.profiler is not None:
             self.profiler.record(result, cycle)
         return result
@@ -683,13 +678,8 @@ class MemoryHierarchy:
 
     def attach_telemetry(self, telemetry):
         """Install (or detach, with None) the observability context; the
-        metrics-side latency histogram is cached so the hot path pays a
-        single identity check when telemetry is off."""
+        hot path pays a single identity check when telemetry is off."""
         self._telem = telemetry
-        self._metrics_latency = (
-            telemetry.metrics.histogram("mem.access_latency")
-            if telemetry is not None and telemetry.metrics is not None
-            else None)
 
     def _prefetch(self, core_id, line, ctx):
         """Train the core's stride prefetcher on the L2 access stream

@@ -7,9 +7,10 @@ stats dumps, and event/crossing accounting.  Three pillars:
 * :mod:`repro.obs.tracer` — span/instant tracing, exportable as Chrome
   trace-event JSON (load it in ``chrome://tracing`` / Perfetto) or as a
   compact text timeline.
-* :mod:`repro.obs.metrics` — a registry of counters, gauges, and log-2
-  bucketed histograms, sampled once per simulated interval (zsim's
-  periodic HDF5 dumps), serializable to JSON/CSV.
+* :mod:`repro.obs.metrics` — a registry of counters and log-2 bucketed
+  histograms plus one sample row per simulated interval (zsim's
+  periodic HDF5 dumps), serializable to JSON.  It holds only numbers
+  the stats tree does not.
 * :mod:`repro.obs.context` — the :class:`Telemetry` object threaded
   through the simulator.  Every hot-path call site guards on
   ``telem is not None`` so a run without telemetry pays nothing.
@@ -21,8 +22,8 @@ their modules, which a run loads only when it turns them on:
 
 * :mod:`repro.obs.flight` — the always-on ``FlightRecorder`` ring
   buffer and its post-mortem capsules (``repro report``).
-* :mod:`repro.obs.monitor` — the ``RunMonitor`` live status file and
-  Prometheus-style exposition (``repro top``).
+* :mod:`repro.obs.monitor` — the ``RunMonitor`` live status file
+  (``repro top``).
 """
 
 from repro.obs.context import Telemetry

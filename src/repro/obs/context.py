@@ -11,8 +11,7 @@ scheduler).  The contract for instrumented code is:
   nothing is allocated, formatted, or timed.
 
 Either pillar can be switched off individually (``Telemetry(trace=False)``
-still collects metrics), and :meth:`Telemetry.disable` turns an existing
-context into a no-op without detaching it from the simulator.
+still collects metrics).
 """
 
 from __future__ import annotations
@@ -24,14 +23,9 @@ from repro.obs.tracer import Tracer
 class Telemetry:
     """Instrumentation context: a tracer plus a metrics registry."""
 
-    def __init__(self, trace=True, metrics=True, max_trace_events=1_000_000):
-        self.tracer = Tracer(max_events=max_trace_events) if trace else None
+    def __init__(self, trace=True, metrics=True):
+        self.tracer = Tracer() if trace else None
         self.metrics = MetricsRegistry() if metrics else None
-
-    def disable(self):
-        """Turn this context into a no-op (keeps collected data)."""
-        self.tracer = None
-        self.metrics = None
 
     # Convenience writers used by the CLI -----------------------------
 

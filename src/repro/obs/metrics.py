@@ -1,10 +1,12 @@
 """Metrics registry: counters, log-2 histograms, interval samples.
 
 A flat namespace of dotted metric names (``sched.context_switches``,
-``mem.access_latency``).  The registry also collects *per-interval
+``mem.misses.l3``).  The registry also collects *per-interval
 samples* — one row per simulated interval with the bound/weave phase
 timings and progress counters — mirroring zsim's periodic HDF5 stats
-dumps.  Serializes to JSON (everything) and CSV (the sample table).
+dumps.  Serializes to JSON.  A number the stats tree already holds
+(the access-latency histogram, the weave's event and interval counts)
+is read from the stats tree, not counted here a second time.
 """
 
 from __future__ import annotations
@@ -67,30 +69,8 @@ class MetricsRegistry:
         with open(path, "w") as handle:
             handle.write(self.to_json(indent=indent))
 
-    def samples_csv(self):
-        """The interval-sample table as CSV text (union of columns)."""
-        if not self.samples:
-            return ""
-        columns = ["interval"]
-        for row in self.samples:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
-        lines = [",".join(columns)]
-        for row in self.samples:
-            lines.append(",".join(_csv_cell(row.get(col))
-                                  for col in columns))
-        return "\n".join(lines) + "\n"
-
     def __repr__(self):
         return ("MetricsRegistry(%d counters, %d histograms, %d samples)"
                 % (len(self._counters), len(self._histograms),
                    len(self.samples)))
 
-
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return "%.9g" % value
-    return str(value)

@@ -5,9 +5,7 @@ and its final stats dump.  :class:`RunMonitor` fixes that with the
 cheapest possible interface — one small JSON file, atomically rewritten
 at every interval barrier (write-to-temp + ``os.replace``, so readers
 never see a torn write).  Anything can watch it: ``repro top`` renders
-a terminal view, CI asserts on it, and ``--status-port`` additionally
-serves the same numbers as Prometheus-style text exposition for real
-scrape pipelines.
+a terminal view and CI asserts on it.
 
 Status file schema (``version`` 1)::
 
@@ -72,35 +70,23 @@ def prune_status_orphans(path):
 class RunMonitor:
     """Per-interval status publication for one simulation run."""
 
-    def __init__(self, path=None, port=None, target_instrs=None,
-                 run_id=None):
+    def __init__(self, path=None, target_instrs=None, run_id=None):
         self.path = path
         self.target_instrs = target_instrs
         self.run_id = run_id or os.urandom(4).hex()
         self.state = "running"
-        #: The latest snapshot dict (what the file/server publish).
+        #: The latest snapshot dict (what the file publishes).
         self.status = {}
         self._start = time.monotonic()
         self._samples = deque(maxlen=RATE_WINDOW)
-        self._server = None
         if path:
             prune_status_orphans(path)
-        if port is not None:
-            self._server = StatusServer(self, port)
-
-    @property
-    def port(self):
-        """Bound exposition port (None without ``--status-port``)."""
-        return self._server.port if self._server is not None else None
 
     # -- publication ---------------------------------------------------
 
-    def update(self, sim, interval, limit, cycle=None, instrs=None):
-        """Publish one interval's status (called at the barrier)."""
-        if cycle is None:
-            cycle = max((c.cycle for c in sim.cores), default=0)
-        if instrs is None:
-            instrs = sum(c.instrs for c in sim.cores)
+    def update(self, sim, interval, limit, cycle, instrs):
+        """Publish one interval's status (called at the barrier with
+        the barrier's max core cycle and total instructions)."""
         now = time.monotonic()
         self._samples.append((now, interval, instrs))
         self.status = self._snapshot(sim, interval, limit, cycle,
@@ -108,8 +94,7 @@ class RunMonitor:
         self._write()
 
     def finish(self, sim, state):
-        """Publish the terminal state (``done``/``stopped``/``failed``)
-        and stop the exposition server."""
+        """Publish the terminal state (``done``/``stopped``/``failed``)."""
         self.state = state
         status = dict(self.status) if self.status else self._snapshot(
             sim, 0, 0, 0, 0, time.monotonic())
@@ -120,12 +105,6 @@ class RunMonitor:
             status["eta_s"] = 0.0
         self.status = status
         self._write()
-        self.close()
-
-    def close(self):
-        server, self._server = self._server, None
-        if server is not None:
-            server.stop()
 
     # -- snapshot assembly ---------------------------------------------
 
@@ -228,118 +207,6 @@ def _worker_liveness(sim, now):
         return {}
     return {str(w): {"last_event": kind, "age_s": round(now - t, 6)}
             for w, (t, kind) in sorted(flight.worker_state.items())}
-
-
-# ---------------------------------------------------------------------
-# Prometheus-style text exposition
-# ---------------------------------------------------------------------
-
-_STATE_CODES = {"running": 0, "done": 1, "stopped": 2, "failed": 3}
-
-#: (status key, metric name, help text)
-_GAUGES = (
-    ("interval", "repro_interval", "Completed simulation intervals"),
-    ("cycle", "repro_cycle", "Max simulated core cycle"),
-    ("instrs", "repro_instrs", "Total simulated instructions"),
-    ("target_instrs", "repro_target_instrs",
-     "Instruction target for this run"),
-    ("progress", "repro_progress", "Run progress in [0, 1]"),
-    ("intervals_per_s", "repro_intervals_per_second",
-     "Interval completion rate"),
-    ("instrs_per_s", "repro_instrs_per_second",
-     "Simulated instruction rate"),
-    ("eta_s", "repro_eta_seconds", "Estimated seconds to completion"),
-    ("elapsed_s", "repro_elapsed_seconds", "Wall seconds since start"),
-    ("spec_hit_rate", "repro_spec_hit_rate",
-     "Process-backend speculation hit rate"),
-    ("recoveries", "repro_recoveries", "Supervisor fault recoveries"),
-    ("demotions", "repro_demotions", "Degradation-ladder demotions"),
-    ("integrity_fingerprints", "repro_integrity_fingerprints",
-     "Interval barriers fingerprinted by the integrity sentinel"),
-    ("integrity_audits", "repro_integrity_audits",
-     "Online invariant audits run by the integrity sentinel"),
-    ("integrity_violations", "repro_integrity_violations",
-     "Integrity violations detected (silent corruption caught)"),
-    ("integrity_rollbacks", "repro_integrity_rollbacks",
-     "Supervisor rollbacks to a fingerprint-verified checkpoint"),
-)
-
-
-def prometheus_text(status):
-    """Render a status snapshot as Prometheus text exposition."""
-    lines = []
-    state = status.get("state", "running")
-    lines.append("# HELP repro_run_info Run identity (value is always 1)")
-    lines.append("# TYPE repro_run_info gauge")
-    lines.append('repro_run_info{run_id="%s",backend="%s",state="%s"} 1'
-                 % (status.get("run_id", ""),
-                    status.get("backend", ""), state))
-    lines.append("# HELP repro_state Run state "
-                 "(0=running 1=done 2=stopped 3=failed)")
-    lines.append("# TYPE repro_state gauge")
-    lines.append("repro_state %d" % _STATE_CODES.get(state, 3))
-    for key, metric, help_text in _GAUGES:
-        value = status.get(key)
-        if value is None:
-            continue
-        lines.append("# HELP %s %s" % (metric, help_text))
-        lines.append("# TYPE %s gauge" % metric)
-        lines.append("%s %.10g" % (metric, float(value)))
-    workers = status.get("workers") or {}
-    if workers:
-        lines.append("# HELP repro_worker_age_seconds Seconds since a "
-                     "worker's last recorded event")
-        lines.append("# TYPE repro_worker_age_seconds gauge")
-        for wid in sorted(workers):
-            lines.append('repro_worker_age_seconds{worker="%s"} %.10g'
-                         % (wid, float(workers[wid].get("age_s", 0.0))))
-    return "\n".join(lines) + "\n"
-
-
-class StatusServer:
-    """Minimal HTTP exposition: ``/metrics`` (Prometheus text) and
-    ``/`` (the raw status JSON), served from a daemon thread."""
-
-    def __init__(self, monitor, port):
-        import threading
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self, _monitor=monitor):
-                status = _monitor.status or {}
-                if self.path.startswith("/metrics"):
-                    body = prometheus_text(status).encode()
-                    ctype = "text/plain; version=0.0.4"
-                else:
-                    body = json.dumps(status, sort_keys=True,
-                                      indent=1).encode()
-                    ctype = "application/json"
-                self.send_response(200)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass  # no per-request stderr noise
-
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", int(port)),
-                                          Handler)
-        self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-status-server", daemon=True)
-        self._thread.start()
-        _log.info("status exposition on http://127.0.0.1:%d/metrics",
-                  self.port)
-
-    def stop(self):
-        try:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-        except Exception:
-            pass
-        self._thread.join(timeout=2.0)
 
 
 # ---------------------------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 
 PID = 0
 TID_MAIN = 0
@@ -83,15 +82,6 @@ class Tracer:
                             "ts": self.now(), "s": "t",
                             "pid": PID, "tid": tid,
                             "args": args or {}})
-
-    @contextmanager
-    def span(self, name, cat, tid=TID_MAIN, args=None):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.complete_raw(name, cat, start, time.perf_counter(),
-                              tid, args)
 
     # ------------------------------------------------------------------
     # Export

@@ -196,14 +196,15 @@ def read_checkpoint(path):
     return capsule
 
 
-def _parse_interval(name):
-    """Interval number of a checkpoint filename, or None.  Accepts both
-    the current run-qualified form (``ckpt-<runid>-<interval>.pkl``) and
-    the legacy unqualified one (``ckpt-<interval>.pkl``)."""
+def parse_name(name):
+    """``(run_id, interval)`` of a checkpoint filename, or None.  The
+    current form is ``ckpt-<runid>-<interval>.pkl``; the legacy
+    unqualified ``ckpt-<interval>.pkl`` has run id None."""
     if not (name.startswith("ckpt-") and name.endswith(".pkl")):
         return None
+    run_id, _, interval = name[5:-4].rpartition("-")
     try:
-        return int(name[5:-4].rsplit("-", 1)[-1])
+        return run_id or None, int(interval)
     except ValueError:
         return None
 
@@ -218,9 +219,9 @@ def checkpoints(directory):
         return []
     found = []
     for name in names:
-        interval = _parse_interval(name)
-        if interval is not None:
-            found.append((interval, os.path.join(directory, name)))
+        parsed = parse_name(name)
+        if parsed is not None:
+            found.append((parsed[1], os.path.join(directory, name)))
     found.sort(key=lambda pair: (-pair[0], pair[1]))
     return found
 

@@ -408,13 +408,10 @@ class Supervisor:
         self._jitter.reset()
 
     def _note_telemetry(self, entry):
+        """A trace instant per fault; the counts are the stats tree's
+        ``host/resilience``."""
         telem = self.sim._telem
-        if telem is None:
-            return
-        if telem.metrics is not None:
-            telem.metrics.inc("resilience.faults")
-            telem.metrics.inc("resilience.faults.%s" % entry["kind"])
-        if telem.tracer is not None:
+        if telem is not None and telem.tracer is not None:
             from repro.obs.tracer import TID_MAIN
             telem.tracer.instant("execution fault", "resilience",
                                  TID_MAIN, dict(entry))

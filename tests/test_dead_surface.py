@@ -37,13 +37,8 @@ SRC = ROOT / "src" / "repro"
 CALLERS = (SRC, ROOT / "benchmarks", ROOT / "examples")
 API_DOC = ROOT / "docs" / "api.md"
 
-MAX_ALLOWLIST = 10
-ALLOWLIST = {
-    "obs/monitor.py:StatusServer.__init__.Handler.do_GET":
-        "http.server dispatches GET requests to it by name",
-    "obs/monitor.py:StatusServer.__init__.Handler.log_message":
-        "http.server calls it to log each request; silenced here",
-}
+MAX_ALLOWLIST = 0
+ALLOWLIST = {}
 
 
 def _is_dunder(name):
@@ -219,7 +214,7 @@ def _flag_destinations():
 #: Flags of ``repro run`` and ``repro verify`` that stay: a scan that
 #: misses any of them has lost track of cli.py, and its empty unread
 #: set proves nothing.
-KNOWN_FLAGS = {"checkpoint_dir", "resume", "status_port", "inject_faults",
+KNOWN_FLAGS = {"checkpoint_dir", "resume", "status_file", "inject_faults",
                "stats_out", "replay"}
 
 

@@ -20,6 +20,7 @@ from repro.harness.autointerval import (
 )
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.prefetcher import StridePrefetcher
+from repro.obs import Telemetry
 from repro.stats.ascii_plot import line_plot
 from repro.workloads import spec_workload
 from repro.workloads.base import KernelSpec, Workload
@@ -211,23 +212,21 @@ class TestAsciiPlot:
 
 class TestPeriodicStats:
     def test_samples_collected(self, tiny_config):
+        """zsim's periodic stats dumps: the metrics registry records
+        one (cycle, instrs) row at every interval barrier."""
         wl = Workload(KernelSpec(name="ps", barrier_iters=0, seed=1), 2)
+        telemetry = Telemetry(trace=False)
         sim = ZSim(tiny_config,
                    wl.make_threads(target_instrs=30_000, num_threads=2),
-                   stats_period_intervals=5)
+                   telemetry=telemetry)
         res = sim.run()
-        assert len(res.stat_samples) >= 2
-        cycles = [c for c, _i in res.stat_samples]
-        instrs = [i for _c, i in res.stat_samples]
+        samples = telemetry.metrics.samples
+        assert len(samples) == res.intervals >= 2
+        cycles = [row["cycle"] for row in samples]
+        instrs = [row["instrs"] for row in samples]
         assert cycles == sorted(cycles)
         assert instrs == sorted(instrs)
-
-    def test_disabled_by_default(self, tiny_config):
-        wl = Workload(KernelSpec(name="ps2", barrier_iters=0, seed=1), 1)
-        sim = ZSim(tiny_config,
-                   wl.make_threads(target_instrs=5_000, num_threads=1))
-        res = sim.run()
-        assert res.stat_samples == []
+        assert (cycles[-1], instrs[-1]) == (res.cycles, res.instrs)
 
 
 class TestAutoInterval:

@@ -20,13 +20,13 @@ import repro
 SRC = pathlib.Path(repro.__file__).parent
 
 BUDGETS = {
-    "memory": 2275,
-    "core": 1944,
+    "memory": 2265,
+    "core": 1932,
     "cpu": 837,
-    "resilience": 1487,
-    "obs": 1214,
+    "resilience": 1485,
+    "obs": 1046,
     "exec": 1711,
-    "cli.py": 773,
+    "cli.py": 765,
     "baselines": 274,
     "config": 502,
     "dbt": 360,

@@ -1,16 +1,14 @@
 """The live run monitor (repro.obs.monitor): the atomically-rewritten
-status file, the Prometheus text exposition, and the ``repro top``
-terminal view."""
+status file and the ``repro top`` terminal view."""
 
 import glob
 import json
 import os
 import time
-import urllib.request
 
 from repro.core import ZSim
 from repro.config import small_test_system
-from repro.obs.monitor import RunMonitor, prometheus_text, render_top
+from repro.obs.monitor import RunMonitor, render_top
 from repro.obs.monitor import STATUS_VERSION
 from repro.workloads import mt_workload
 
@@ -66,7 +64,7 @@ class TestStatusFile:
         assert sim.monitor.status["progress"] == 1.0
 
 
-class TestPrometheusText:
+class TestRenderTop:
     STATUS = {
         "run_id": "abcd1234", "backend": "process", "state": "running",
         "interval": 7, "cycle": 70_000, "instrs": 12_345,
@@ -75,60 +73,8 @@ class TestPrometheusText:
         "eta_s": 2.1, "elapsed_s": 0.3, "spec_hit_rate": 0.93,
         "recoveries": 1, "demotions": 0,
         "workers": {"0": {"last_event": "hb_slack", "age_s": 0.2}},
+        "pid": 4242, "updated_monotonic": 1000.0, "demotion_path": "",
     }
-
-    def test_exposition_carries_the_gauges(self):
-        text = prometheus_text(self.STATUS)
-        assert 'repro_run_info{run_id="abcd1234",backend="process"' \
-            in text
-        assert "repro_state 0" in text
-        assert "repro_progress 0.12" in text
-        assert "repro_spec_hit_rate 0.93" in text
-        assert 'repro_worker_age_seconds{worker="0"} 0.2' in text
-        assert text.endswith("\n")
-
-    def test_none_values_are_omitted(self):
-        status = dict(self.STATUS, spec_hit_rate=None, eta_s=None)
-        text = prometheus_text(status)
-        assert "repro_spec_hit_rate" not in text
-        assert "repro_eta_seconds" not in text
-
-    def test_terminal_states_are_coded(self):
-        for state, code in (("done", 1), ("stopped", 2), ("failed", 3)):
-            text = prometheus_text(dict(self.STATUS, state=state))
-            assert "repro_state %d" % code in text
-
-
-class TestStatusServer:
-    def test_ephemeral_port_serves_metrics_and_json(self):
-        sim = _build()
-        monitor = RunMonitor(port=0, target_instrs=INSTRS)
-        sim.monitor = monitor
-        assert monitor.port  # 0 resolved to a real ephemeral port
-        try:
-            monitor.update(sim, 1, 10_000)
-            base = "http://127.0.0.1:%d" % monitor.port
-            with urllib.request.urlopen(base + "/metrics") as resp:
-                body = resp.read().decode()
-            assert "repro_state 0" in body
-            assert "repro_interval 1" in body
-            with urllib.request.urlopen(base + "/") as resp:
-                status = json.loads(resp.read().decode())
-            assert status["interval"] == 1
-        finally:
-            monitor.close()
-            sim.backend.shutdown()
-
-    def test_close_is_idempotent(self):
-        monitor = RunMonitor(port=0)
-        monitor.close()
-        monitor.close()
-
-
-class TestRenderTop:
-    STATUS = dict(TestPrometheusText.STATUS,
-                  pid=4242, updated_monotonic=1000.0,
-                  demotion_path="")
 
     def test_frame_shows_identity_progress_and_rates(self):
         text = render_top(self.STATUS, now=1000.5)

@@ -606,6 +606,33 @@ class TestOrphanCleanup:
         assert os.path.exists(other)
 
 
+    def test_resume_prunes_the_killed_runs_files(self, tmp_path):
+        """``--resume DIR --checkpoint-dir DIR`` carries on under the
+        killed run's id: its orphaned temp goes, and its capsules are
+        pruned with the new ones to ``keep``."""
+        from repro.cli import main as cli_main
+        ckpts = str(tmp_path)
+        argv = ["run", "--config", "test", "--cores", "2",
+                "--workload", "blackscholes", "--scale", "0.02",
+                "--instrs", "8000", "--checkpoint-dir", ckpts,
+                "--checkpoint-every", "1", "--no-flight"]
+        # The "killed" run: a budget spent at once checkpoints interval
+        # 0 and stops.
+        assert cli_main(argv + ["--max-wall-seconds", "1e-9"]) == 75
+        (capsule,) = os.listdir(ckpts)
+        orphan = os.path.join(ckpts, capsule + ".4242.tmp")
+        with open(orphan, "w") as fh:
+            fh.write("stale")
+        # The capsule carries the spent budget; the resumed run gets a
+        # fresh one, as a resume with the original flags would.
+        assert cli_main(argv + ["--resume", ckpts,
+                                "--max-wall-seconds", "3600"]) == 0
+        assert not os.path.exists(orphan)
+        left = os.listdir(ckpts)
+        assert len(left) <= 2  # the Checkpointer's default keep
+        assert capsule not in left
+
+
 class TestResume:
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         baseline_sim, _ = _small_sim()
