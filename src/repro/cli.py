@@ -35,7 +35,8 @@ import sys
 from repro.config import small_test_system, tiled_chip, westmere
 from repro.config.loader import load_config
 from repro.core.simulator import CONTENTION_MODELS, ZSim
-from repro.errors import ConfigError, WallClockExceeded
+from repro.errors import (CheckpointError, ConfigError, IntegrityError,
+                          WallClockExceeded)
 from repro.exec import BACKEND_NAMES
 
 #: Exit status for a run that stopped on ``--max-wall-seconds`` (the
@@ -115,7 +116,6 @@ def _run_meta(args, workload, threads):
 def _resume_sim(args, meta, threads, telemetry, flight=None):
     """The simulator restored from ``--resume``, and the run id of the
     capsule it came from (None for a legacy unqualified name)."""
-    from repro.errors import CheckpointError
     from repro.resilience import read_checkpoint, read_latest_checkpoint
     from repro.resilience.checkpoint import parse_name
     path = args.resume
@@ -142,7 +142,6 @@ def _resume_sim(args, meta, threads, telemetry, flight=None):
             "checkpoint %s was written by a different run (%s); resume "
             "needs the original workload flags" % (path, "; ".join(diffs)))
     print("resuming from %s (interval %d)" % (path, capsule["interval"]))
-    from repro.errors import IntegrityError
     try:
         sim = ZSim.resume(capsule, threads, backend=args.backend,
                           telemetry=telemetry, flight=flight)
@@ -276,15 +275,12 @@ def cmd_run(args):
                    telemetry=telemetry, backend=args.backend,
                    flight=flight)
     if args.audit_every is not None:
-        # Resumed capsules predating the sentinel (or written with
-        # auditing off) can still opt in; a fresh sim already has one.
-        sentinel = getattr(sim, "integrity", None)
-        if sentinel is None:
+        # 0 still chains, and a capsule written without a sentinel gets
+        # one on resume: the flag sets the stride either way.
+        if sim.integrity is None:
             from repro.resilience import IntegritySentinel
-            sim.integrity = IntegritySentinel(
-                audit_every=args.audit_every)
-        else:
-            sentinel.audit_every = args.audit_every
+            sim.integrity = IntegritySentinel()
+        sim.integrity.audit_every = args.audit_every
     _setup_resilience(args, sim, meta, run_id)
     _setup_monitor(args, sim)
     profiler = None
@@ -307,17 +303,24 @@ def cmd_run(args):
                     print("profile written to %s (inspect with: "
                           "python -m pstats %s)"
                           % (args.profile, args.profile))
-    except WallClockExceeded as exc:
-        # Covers RunInterrupted too (SIGTERM/SIGINT): same resumable
-        # exit, no traceback.
-        print("stopped: %s" % exc)
-        if exc.checkpoint_path:
-            print("resume with: repro run --resume %s <original flags>"
-                  % exc.checkpoint_path)
+    except (WallClockExceeded, IntegrityError) as exc:
+        # No traceback.  A budget or signal stop (RunInterrupted too) is
+        # resumable by design; an integrity fault would only reproduce,
+        # so it exits 1 and points at the audited capsules.
+        stopped = isinstance(exc, WallClockExceeded)
+        if stopped:
+            print("stopped: %s" % exc)
+        else:
+            print("integrity fault at interval %s in %s: %s"
+                  % (exc.interval, exc.component, exc.excerpt))
         if sim.flight is not None and sim.flight.capsules:
             print("post-mortem capsule: %s (render with: repro report)"
                   % sim.flight.capsules[-1])
-        return EXIT_WALL_BUDGET
+        resume = exc.checkpoint_path if stopped else args.checkpoint_dir
+        if resume:
+            print("resume with: repro run --resume %s <original flags>"
+                  % resume)
+        return EXIT_WALL_BUDGET if stopped else 1
     config = sim.config  # the capsule's config when resuming
     print("workload %s on %s (%d cores, %s, %s contention, %s backend)"
           % (workload.name, config.name, config.num_cores,
@@ -330,15 +333,10 @@ def cmd_run(args):
                  if summary["fallback_permanent"] else ""))
         if summary.get("demotions"):
             print("  degradation ladder: %s" % summary["demotion_path"])
-        if summary.get("integrity_rollbacks"):
-            print("  integrity rollbacks: %d (silent corruption caught "
-                  "and replayed from a verified barrier)"
-                  % summary["integrity_rollbacks"])
     if sim.integrity is not None:
         s = sim.integrity.summary()
-        print("  integrity: chain %08x over %d barrier(s), %d audit(s), "
-              "%d violation(s)" % (s["chain"], s["fingerprints"],
-                                   s["audits"], s["violations"]))
+        print("  integrity: chain %08x over %d barrier(s), %d audit(s)"
+              % (s["chain"], s["fingerprints"], s["audits"]))
     print("  instrs  : %d" % result.instrs)
     print("  cycles  : %d" % result.cycles)
     print("  IPC     : %.3f" % result.ipc)
@@ -424,7 +422,6 @@ def _replay_span(capsule, interval_a, interval_b):
 
 
 def cmd_verify(args):
-    from repro.errors import CheckpointError, IntegrityError
     from repro.resilience import read_checkpoint
     from repro.resilience.checkpoint import checkpoints
     from repro.resilience.integrity import verify_state
@@ -656,11 +653,9 @@ def build_parser():
     run.add_argument("--audit-every", type=int, default=None,
                      metavar="N",
                      help="integrity sentinel: fingerprint-chain every "
-                          "interval barrier and run the invariant "
-                          "auditor every N barriers; under "
-                          "--supervise, violations roll back to the "
-                          "last verified barrier (0 chains without "
-                          "auditing; default: config's "
+                          "barrier, audit invariants every N barriers "
+                          "and before each checkpoint; a violation "
+                          "exits 1 (0 chains without auditing; default: "
                           "boundweave.audit_every, normally off)")
     run.add_argument("--status-file", default=None, metavar="PATH",
                      help="atomically rewrite a JSON status file at "

@@ -219,9 +219,9 @@ class SimulationResult:
             for key, value in sorted(self.host_dbt.items()):
                 node.set(key, value)
         if self.integrity:
-            # Sentinel counters live under host/: a recovered run
-            # fingerprints replayed intervals twice, so these may
-            # legitimately differ from a fault-free run's.
+            # Host-side: the sentinel is restored with the state it
+            # fingerprints, so replays are not counted twice, but a
+            # checkpoint adds any audit the stride skipped.
             node = host.child("integrity")
             for key, value in sorted(self.integrity.items()):
                 node.set(key, value)
@@ -497,8 +497,8 @@ class ZSim:
             bound_times, domain_events, weave_seconds,
             measured_seconds=(bound_end - bound_start) + weave_seconds)
         self.bound.preempt(limit)
-        # Fingerprint (and, on stride, audit) the barrier state; raises
-        # IntegrityError for the supervisor's rollback-to-verified path.
+        # Fingerprint (and, on stride, audit) the barrier state; an
+        # IntegrityError ends the run with its post-mortem capsule.
         sentinel = self.integrity
         if sentinel is not None:
             sentinel.observe(self, self.bound.intervals)

@@ -13,8 +13,8 @@ matters operationally:
   interval on the serial backend from the interval-boundary snapshot
   (see :mod:`repro.resilience`).
 * Everything else — deadlocked simulated threads, bad configs, corrupt
-  checkpoints, an exhausted wall-clock budget — is a property of the
-  simulation itself and is never retried.
+  checkpoints, a failed integrity audit, an exhausted wall-clock budget
+  — is a property of the simulation itself and is never retried.
 """
 
 from __future__ import annotations
@@ -106,15 +106,16 @@ class HorizonViolation(ExecutionFault):
         self.floor = floor
 
 
-class IntegrityError(ExecutionFault):
-    """The state-integrity sentinel caught silent corruption: an online
+class IntegrityError(SimulationError):
+    """The state-integrity sentinel caught silent corruption: an
     invariant audit failed (MESI single-writer, inclusion, weave queue
-    discipline, scheduler bookkeeping) or an interval
-    fingerprint diverged from its recorded chain value.  Recoverable —
-    but unlike other execution faults the damage may predate detection,
-    so the supervisor rewinds to the last *fingerprint-verified*
-    snapshot (not just the current interval) and replays the whole span
-    serially (see repro.resilience.integrity).
+    discipline, scheduler bookkeeping) or a capsule's fingerprint
+    diverged from its recorded digest.  Not an :class:`ExecutionFault`:
+    the simulator is deterministic, so replaying the interval would
+    reproduce a model bug, and the run ends instead, carrying its
+    post-mortem capsule.  Every checkpoint capsule was audited before
+    it was written, so the newest one is a clean restart point (see
+    repro.resilience.integrity).
 
     Attributes:
         component: dotted path of the guilty subsystem
@@ -122,15 +123,21 @@ class IntegrityError(ExecutionFault):
         excerpt: short state excerpt pinpointing the violation.
         fingerprint: observed digest (fingerprint divergences only).
         expected: recorded digest the observation was checked against.
+        interval: the barrier's 1-based interval number.
+        phase: ``"audit"``, or the verifying context (``"resume"``,
+            ``"verify"``).
     """
 
     def __init__(self, message, component=None, excerpt=None,
-                 fingerprint=None, expected=None, **ctx):
-        super().__init__(message, **ctx)
+                 fingerprint=None, expected=None, interval=None,
+                 phase=None):
+        super().__init__(message)
         self.component = component
         self.excerpt = excerpt
         self.fingerprint = fingerprint
         self.expected = expected
+        self.interval = interval
+        self.phase = phase
 
 
 class ProcessPoolError(ExecutionFault):

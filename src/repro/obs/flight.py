@@ -266,11 +266,10 @@ def render_report(capsule, last_seconds=None, max_events=None):
         integrity = snap.get("integrity") or {}
         if integrity:
             lines.append("  integrity: chain %08x, %s fingerprint(s), "
-                         "%s audit(s), %s violation(s)"
+                         "%s audit(s)"
                          % (int(integrity.get("chain", 0)),
                             integrity.get("fingerprints", 0),
-                            integrity.get("audits", 0),
-                            integrity.get("violations", 0)))
+                            integrity.get("audits", 0)))
         exec_stats = snap.get("exec") or {}
         if exec_stats:
             interesting = {k: v for k, v in sorted(exec_stats.items())

@@ -157,14 +157,11 @@ class RunMonitor:
             status["recoveries"] = summary["recoveries"]
             status["demotions"] = summary["demotions"]
             status["demotion_path"] = summary["demotion_path"]
-            status["integrity_rollbacks"] = summary.get(
-                "integrity_rollbacks", 0)
         sentinel = getattr(sim, "integrity", None)
         if sentinel is not None:
             integrity = sentinel.summary()
             status["integrity_fingerprints"] = integrity["fingerprints"]
             status["integrity_audits"] = integrity["audits"]
-            status["integrity_violations"] = integrity["violations"]
         return status
 
     def _write(self):

@@ -16,8 +16,9 @@ both recovery layers possible:
   only).
 * **On-disk checkpoints** (:class:`Checkpointer`): the same capture
   wrapped in a versioned, checksummed file so ``repro run --resume`` can
-  restart a killed run.  Streams are reconstructed by fast-forwarding a
-  fresh workload generator to the recorded position
+  restart a killed run, or one an integrity fault ended (capsules are
+  audited before they are written).  Streams are reconstructed by
+  fast-forwarding a fresh workload generator to the recorded position
   (``InstrumentedStream.resume_source``), which is deterministic by the
   workload seeding contract.
 
@@ -320,12 +321,16 @@ class Checkpointer:
         path = os.path.join(self.directory,
                             "%s%08d.pkl" % (self._prefix(), interval))
         meta = dict(self.meta)
-        sentinel = getattr(sim, "integrity", None)
+        sentinel = sim.integrity
         if sentinel is not None:
+            # No capsule holds a state that fails the auditor: an
+            # IntegrityError here ends the run before anything is
+            # written, and the newest capsule stays a clean restart.
+            sentinel.audit_unaudited(sim)
             # Deep digests: ``--resume`` and ``repro verify`` check the
             # restored state against these before trusting the capsule.
             meta["integrity"] = sentinel.capsule_record(sim)
-        flight = getattr(sim, "flight", None)
+        flight = sim.flight
         try:
             write_checkpoint(path, sim, interval, limit, meta)
         except OSError as exc:

@@ -26,16 +26,18 @@ three pieces (ISSUE 9):
   invariants the engine must preserve at every barrier: MESI
   single-writer and inclusion, cache-array free-way bookkeeping, weave
   queues drained and horizon floors respected, and scheduler run-queue /
-  running-slot consistency.
-  A violation raises :class:`~repro.errors.IntegrityError` carrying the
-  component path and a state excerpt.
+  running-slot consistency.  A violation raises
+  :class:`~repro.errors.IntegrityError` carrying the component path and
+  a state excerpt, and the run ends with its post-mortem capsule.
 
-* **Rollback-to-verified.**  The supervisor treats an
-  :class:`~repro.errors.IntegrityError` (or a fingerprint divergence)
-  as its second trigger: because the corruption may predate detection,
-  it rewinds to the last *fingerprint-verified* snapshot — the previous
-  audited barrier, not merely the current interval — and replays the
-  whole span serially (see :mod:`repro.resilience.supervisor`).
+* **Audited capsules.**  The simulator is deterministic, so a violation
+  is a model bug or an injected ``corrupt@I:cN`` fault, and replaying
+  the interval would only reproduce it.  The clean restart point is on
+  disk instead: with auditing on, ``Checkpointer.save`` audits any
+  barrier the stride skipped before writing it, so no capsule holds a
+  state that fails the auditor.  :func:`verify_state` audits restored
+  state too, so ``--resume`` and ``repro verify`` refuse a capsule an
+  older build wrote from a corrupt state.
 
 Digest depth: the per-barrier chain uses *cheap* digests (counters,
 occupancy, free-way CRCs — O(sets), not O(lines)) so the default-stride
@@ -138,6 +140,28 @@ def audit_invariants(sim):
     return violations
 
 
+def check_invariants(sim, interval, phase):
+    """Raise :class:`~repro.errors.IntegrityError` naming the first
+    :func:`audit_invariants` violation, after recording every one as an
+    ``integrity_violation`` flight-ring event."""
+    violations = audit_invariants(sim)
+    if not violations:
+        return
+    component, excerpt = violations[0]
+    flight = getattr(sim, "flight", None)
+    if flight is not None:
+        for comp, text in violations:
+            flight.record("integrity_violation", interval=interval,
+                          component=comp, excerpt=text)
+    raise IntegrityError(
+        "integrity audit failed at interval %s: %s — %s%s"
+        % (interval, component, excerpt,
+           " (+%d more violation(s))" % (len(violations) - 1)
+           if len(violations) > 1 else ""),
+        component=component, excerpt=excerpt, interval=interval,
+        phase=phase)
+
+
 # ---------------------------------------------------------------------
 # The sentinel
 # ---------------------------------------------------------------------
@@ -148,9 +172,9 @@ class IntegritySentinel:
 
     Deliberately *part of simulated state*: the sentinel pickles with
     the simulator (it is **not** in ``checkpoint._detached``), so every
-    snapshot restore — supervisor rollback or ``--resume`` — rewinds
-    the chain to the barrier it is restoring, and replayed intervals
-    re-derive identical chain values.
+    snapshot restore — supervisor interval replay or ``--resume`` —
+    rewinds the chain to the barrier it is restoring, and replayed
+    intervals re-derive identical chain values.
     """
 
     def __init__(self, audit_every=0):
@@ -164,7 +188,6 @@ class IntegritySentinel:
         self.components = {}
         self.fingerprints = 0
         self.audits = 0
-        self.violations = 0
 
     # -- per-barrier hook ---------------------------------------------
 
@@ -178,7 +201,7 @@ class IntegritySentinel:
         self.components = digests
         self.interval = interval
         self.fingerprints += 1
-        flight = getattr(sim, "flight", None)
+        flight = sim.flight
         if flight is not None:
             flight.record("fingerprint", interval=interval,
                           chain="%08x" % self.chain)
@@ -189,23 +212,13 @@ class IntegritySentinel:
     def audit(self, sim, interval=None):
         """Run the invariant auditor now; raises on any violation."""
         self.audits += 1
-        violations = audit_invariants(sim)
-        if not violations:
-            return
-        self.violations += len(violations)
-        component, excerpt = violations[0]
-        flight = getattr(sim, "flight", None)
-        if flight is not None:
-            for comp, text in violations:
-                flight.record("integrity_violation", interval=interval,
-                              component=comp, excerpt=text)
-        raise IntegrityError(
-            "integrity audit failed at interval %s: %s — %s%s"
-            % (interval, component, excerpt,
-               " (+%d more violation(s))" % (len(violations) - 1)
-               if len(violations) > 1 else ""),
-            component=component, excerpt=excerpt, interval=interval,
-            phase="audit")
+        check_invariants(sim, interval, "audit")
+
+    def audit_unaudited(self, sim):
+        """Audit the current barrier unless the stride already did (a
+        checkpoint is only written from an audited state)."""
+        if self.audit_every and self.interval % self.audit_every:
+            self.audit(sim, self.interval)
 
     # -- checkpoint / verify support ----------------------------------
 
@@ -223,16 +236,15 @@ class IntegritySentinel:
     def summary(self):
         """The sentinel's counters and its current chain value."""
         return {"fingerprints": self.fingerprints, "audits": self.audits,
-                "violations": self.violations, "chain": self.chain,
-                "interval": self.interval}
+                "chain": self.chain, "interval": self.interval}
 
 
 def verify_state(sim, record, context="resume"):
-    """Recompute deep digests on a (restored) simulator and check them
-    against a checkpoint capsule's ``meta["integrity"]`` record.
-    Returns the digests on success; raises
-    :class:`~repro.errors.IntegrityError` naming the first diverging
-    component otherwise."""
+    """Recompute deep digests on a (restored) simulator, check them
+    against a checkpoint capsule's ``meta["integrity"]`` record, then
+    audit the state's invariants.  Returns the digests on success;
+    raises :class:`~repro.errors.IntegrityError` naming the first
+    diverging component or the first violation otherwise."""
     digests = fingerprint_components(sim, deep=True)
     expected = dict(record.get("components") or {})
     guilty = [name for name in sorted(set(digests) | set(expected))
@@ -245,6 +257,9 @@ def verify_state(sim, record, context="resume"):
         digests = dict(digests, chain=sentinel.chain)
         expected["chain"] = record["chain"]
     if not guilty:
+        # Matching digests only prove the capsule holds what was
+        # written; the audit proves that what was written is sound.
+        check_invariants(sim, record.get("interval"), context)
         return digests
     name = guilty[0]
     raise IntegrityError(
@@ -255,7 +270,7 @@ def verify_state(sim, record, context="resume"):
            len(guilty), ", ".join(guilty[:8])),
         component=name, fingerprint=digests.get(name),
         expected=expected.get(name), interval=record.get("interval"),
-        phase="verify")
+        phase=context)
 
 
 def _hex(value):

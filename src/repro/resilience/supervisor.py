@@ -35,22 +35,10 @@ before giving up on parallelism entirely.  Landing on serial is the
 permanent fallback — serial is the reference semantics and cannot
 execution-fault.
 
-**Span mode** (integrity sentinel aboard with auditing on): corruption
-caught by an audit may predate detection by up to the audit stride, so
-per-interval snapshots are not enough.  The supervisor instead keeps
-one snapshot at the last *fingerprint-verified* barrier (the previous
-audited barrier, or the end of a serial replay) and records the limit
-cycle of every interval since.  On any fault — typed or
-:class:`~repro.errors.IntegrityError` — it rewinds to the verified
-snapshot and replays the whole span serially.  An integrity fault
-demotes the backend immediately (a rung that corrupts state silently
-has forfeited its trust), and a *second* divergence at the same
-(interval, component) raises out of the supervisor so the process exits
-non-zero.
-
 Faults that are not execution faults — deadlocks, wall-clock budget,
-simulated-program errors — are properties of the simulation itself and
-propagate untouched.
+simulated-program errors, and :class:`~repro.errors.IntegrityError` —
+are properties of the simulation itself and propagate untouched: a
+deterministic replay would only reproduce them.
 """
 
 from __future__ import annotations
@@ -58,7 +46,7 @@ from __future__ import annotations
 import random
 import time
 
-from repro.errors import ExecutionFault, IntegrityError
+from repro.errors import ExecutionFault
 from repro.obs.log import get_logger
 from repro.resilience.checkpoint import discard, restore, snapshot
 
@@ -124,14 +112,6 @@ class Supervisor:
         self._serial.start(sim)
         self._consecutive = 0
         self._backoff_left = 0
-        # Span mode (integrity sentinel with auditing on): the snapshot
-        # at the last fingerprint-verified barrier, the limit cycle of
-        # every interval executed since, and the strike counts per
-        # (interval, component) — two strikes fail the run.
-        self._verified = None
-        self._span_limits = []
-        self._strikes = {}
-        self.integrity_rollbacks = 0
         self.recoveries = 0
         self.fallback_permanent = False
         self.last_backoff_intervals = 0
@@ -149,9 +129,6 @@ class Supervisor:
         """Execute one interval under supervision; returns the same
         telemetry tuple as ``ZSim._execute_interval``."""
         sim = self.sim
-        sentinel = getattr(sim, "integrity", None)
-        if sentinel is not None and sentinel.audit_every:
-            return self._run_span(limit)
         if self.fallback_permanent:
             return sim._execute_interval(limit, backend=self._serial)
         if self._backoff_left > 0:
@@ -168,138 +145,6 @@ class Supervisor:
         self._jitter.reset()
         discard(sim)
         return outcome
-
-    # ------------------------------------------------------------------
-    # Span mode: rollback-to-verified (integrity sentinel aboard)
-    # ------------------------------------------------------------------
-
-    def _run_span(self, limit):
-        """One interval in span mode.  A snapshot is taken only at
-        audited (fingerprint-verified) barriers; the stream replay logs
-        stay armed across the span, so a fault anywhere inside it can
-        rewind all the way back.  Serial is *not* exempt here: silent
-        corruption is detectable (and injectable) on every backend."""
-        sim = self.sim
-        if self._verified is None:
-            self._verified = snapshot(sim)
-            self._span_limits = []
-        backend = None
-        if self.fallback_permanent:
-            backend = self._serial
-        elif self._backoff_left > 0:
-            self._backoff_left -= 1
-            backend = self._serial
-        try:
-            outcome = sim._execute_interval(limit, backend=backend)
-        except ExecutionFault as fault:
-            return self._recover_span(fault, limit)
-        self._span_limits.append(limit)
-        self._consecutive = 0
-        self._jitter.reset()
-        sentinel = sim.integrity
-        if sentinel is not None \
-                and sim.bound.intervals % sentinel.audit_every == 0:
-            # This barrier passed its audit: it is the new verified
-            # floor.  Drop the old span's logs and re-arm.
-            self._commit_span()
-        return outcome
-
-    def _commit_span(self):
-        """Advance the verified floor to the current barrier."""
-        sim = self.sim
-        discard(sim)
-        self._verified = snapshot(sim)
-        self._span_limits = []
-
-    def _recover_span(self, fault, limit):
-        """Rewind to the last fingerprint-verified barrier and replay
-        the whole span serially.  See the module docs for the
-        demote-immediately and two-strike escalation rules."""
-        sim = self.sim
-        integrity = isinstance(fault, IntegrityError)
-        self._consecutive += 1
-        self.recoveries += 1
-        span = len(self._span_limits) + 1
-        entry = {
-            "interval": fault.interval,
-            "kind": type(fault).__name__,
-            "message": str(fault),
-            "phase": fault.phase,
-            "worker": fault.worker,
-            "core": fault.core,
-            "domain": fault.domain,
-            "attempt": self.recoveries,
-            "consecutive": self._consecutive,
-            "rollback_intervals": span,
-        }
-        if integrity:
-            entry["component"] = fault.component
-            self.integrity_rollbacks += 1
-        self.history.append(entry)
-        _log.warning("%s in interval %s: %s — rewinding %d interval(s) "
-                     "to the last verified barrier and replaying "
-                     "serially", entry["kind"], entry["interval"], fault,
-                     span)
-        self._note_telemetry(entry)
-        flight = getattr(sim, "flight", None)
-        if flight is not None:
-            flight.record("recovery", fault=entry["kind"],
-                          interval=entry["interval"],
-                          phase=entry["phase"], worker=entry["worker"],
-                          component=entry.get("component"),
-                          rollback_intervals=span,
-                          consecutive=self._consecutive)
-            flight.capture(
-                sim, kind=entry["kind"], message=entry["message"],
-                recovery="rewound %d interval(s) to the last "
-                         "fingerprint-verified barrier and replayed "
-                         "on the serial backend" % span,
-                worker=entry["worker"], interval=entry["interval"],
-                phase=entry["phase"])
-        if integrity:
-            key = (fault.interval, fault.component)
-            strikes = self._strikes.get(key, 0) + 1
-            self._strikes[key] = strikes
-            if strikes >= 2:
-                # The same fingerprint diverged twice: the damage
-                # reproduces across rungs, so recovery cannot be
-                # trusted.  Raising out of the supervisor fails the
-                # run.
-                _log.error("integrity fault at interval %s (%s) "
-                           "diverged twice; escalating for quarantine",
-                           fault.interval, fault.component)
-                raise fault
-        recover_start = time.perf_counter()
-        sim.backend.recover()
-        restore(sim, self._verified)
-        if integrity:
-            # A backend that corrupted state silently has forfeited its
-            # trust: demote immediately, not after max_retries.
-            self._demote(entry["interval"])
-        elif self._consecutive >= self.max_retries:
-            self._demote(entry["interval"])
-        backoff = 0
-        if not self.fallback_permanent:
-            backoff = self._next_backoff()
-            self._backoff_left = backoff
-        entry["backoff_intervals"] = backoff
-        self.last_backoff_intervals = backoff
-        self.total_backoff_intervals += backoff
-        replay = self._span_limits + [limit]
-        self._span_limits = []
-        outcome = None
-        for replay_limit in replay:
-            # A violation that reproduces on the serial reference is a
-            # genuine engine bug (or tampering), not host corruption:
-            # it propagates and fails the run loudly.
-            outcome = sim._execute_interval(replay_limit,
-                                            backend=self._serial)
-        self._commit_span()
-        _log.info("span of %d interval(s) replayed serially in %.3f s",
-                  span, time.perf_counter() - recover_start)
-        return outcome
-
-    # ------------------------------------------------------------------
 
     def _next_backoff(self):
         """Decorrelated-jitter backoff draw (in intervals): uniform in
@@ -422,7 +267,6 @@ class Supervisor:
         """Counters for the stats tree (``host/resilience``)."""
         return {
             "recoveries": self.recoveries,
-            "integrity_rollbacks": self.integrity_rollbacks,
             "fallback_permanent": int(self.fallback_permanent),
             "consecutive": self._consecutive,
             "last_backoff_intervals": self.last_backoff_intervals,

@@ -6,14 +6,16 @@ Headline properties:
   backend produces the same chain, and the chain survives checkpoint
   and resume.
 * Silent corruption — state damage that raises nothing — is detected
-  by the online auditor within one audit stride, rolled back to the
-  last fingerprint-verified barrier, and replayed serially to a stats
-  tree byte-identical to a fault-free serial run.
+  by the online auditor within one audit stride and ends the run with
+  a typed ``IntegrityError``.  Every capsule was audited before it was
+  written, so resuming the newest one gives a stats tree byte-identical
+  to a fault-free serial run.
 * ``repro verify`` certifies a clean checkpoint chain and flags a
-  tampered capsule, and ``--resume`` refuses one outright.
+  tampered or corrupt capsule, and ``--resume`` refuses one outright.
 """
 
 import pickle
+import random
 import zlib
 
 import pytest
@@ -29,7 +31,8 @@ from repro.config import (
 )
 from repro.config.loader import config_from_dict, load_config
 from repro.core import ZSim
-from repro.errors import ConfigError, ExecutionFault, IntegrityError
+from repro.errors import (ConfigError, ExecutionFault, IntegrityError,
+                          SimulationError)
 from repro.memory.coherence import MESI
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.resilience import (
@@ -43,14 +46,15 @@ from repro.resilience import (
     verify_state,
     write_checkpoint,
 )
-from repro.resilience.faults import FaultPlan
+from repro.resilience.checkpoint import checkpoints
+from repro.resilience.faults import CorruptEvent, FaultPlan
 from repro.resilience.supervisor import Supervisor
 from repro.resilience.integrity import _crc
 from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload
 
 from conftest import (fill, reference_check_coherence,
-                      reference_check_inclusion, unfired)
+                      reference_check_inclusion)
 
 WATCHDOG_S = 0.25
 
@@ -123,7 +127,6 @@ class TestFingerprintChain:
             sim = _sim(backend)
             sim.run()
             assert sim.integrity.chain == serial_chain, backend
-            assert sim.integrity.violations == 0
 
     def test_component_digests_name_subsystems(self):
         sim = _sim("serial")
@@ -147,7 +150,6 @@ class TestFingerprintChain:
         summary = sim.integrity.summary()
         assert summary["fingerprints"] == 4
         assert summary["audits"] == 2
-        assert summary["violations"] == 0
         assert result.stats().to_dict()["host"]["integrity"] == summary
 
 
@@ -161,7 +163,8 @@ class TestAuditor:
         sim = _sim("serial")
         sim.run()
         assert sim.integrity.audits > 0
-        assert sim.integrity.violations == 0
+        assert not [e for e in sim.flight.events()
+                    if e["kind"] == "integrity_violation"]
 
     def test_inclusion_violation_detected(self):
         """Manufacture the silent-corruption shape by hand: evict a
@@ -194,10 +197,13 @@ class TestAuditor:
             sim.integrity.audit(sim)
         assert info.value.component == "sched"
 
-    def test_integrity_error_is_execution_fault(self):
+    def test_integrity_error_is_not_an_execution_fault(self):
+        """Interval replay would reproduce it: the supervisor must let
+        it end the run."""
         err = IntegrityError("boom", component="core0", excerpt="x",
                              interval=3, phase="audit")
-        assert isinstance(err, ExecutionFault)
+        assert isinstance(err, SimulationError)
+        assert not isinstance(err, ExecutionFault)
         assert err.component == "core0"
         assert err.interval == 3
 
@@ -340,51 +346,70 @@ class TestDigestEncoding:
 
 
 # ---------------------------------------------------------------------
-# Silent corruption: detect, roll back, recover (the tentpole e2e)
+# Silent corruption: detect, end the run, resume from an audited capsule
 # ---------------------------------------------------------------------
 
 
+def _resume_newest(directory):
+    """Resume the newest capsule in ``directory`` (no fault plan) and
+    run it to completion."""
+    capsule = read_checkpoint(checkpoints(directory)[0][1])
+    config = _config("serial")
+    wl = mt_workload("blackscholes", scale=1 / 64,
+                     num_threads=config.num_cores)
+    return ZSim.resume(capsule, wl.make_threads(target_instrs=25_000),
+                       backend="serial", flight=False).run()
+
+
 class TestSilentCorruptionRecovery:
-    @pytest.mark.parametrize("backend", ("parallel", "process"))
-    def test_corrupt_detected_and_rolled_back(self, backend,
-                                              serial_baseline):
-        baseline, _chain = serial_baseline
+    @pytest.mark.parametrize("backend", ("serial", "parallel"))
+    def test_corrupt_ends_the_run(self, backend):
+        """A supervisor does not replay an integrity fault: it leaves
+        ``sim.run()`` with its post-mortem capsule."""
         sim = _sim(backend)
         sim.backend.fault_plan = FaultPlan.parse("corrupt@3:c2")
         supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
-        result = sim.run()
-        assert supervisor.integrity_rollbacks == 1
-        entry = supervisor.history[0]
-        assert entry["kind"] == "IntegrityError"
-        assert entry["component"].startswith("mem.")
-        assert unfired(sim.backend.fault_plan) == []
-        assert_equivalent(baseline, _stats_tree(result))
+        with pytest.raises(IntegrityError) as info:
+            sim.run()
+        assert info.value.interval == 3
+        assert info.value.component.startswith("mem.")
+        assert supervisor.recoveries == 0
+        assert sim.flight.last_capsule["reason"]["kind"] == \
+            "IntegrityError"
+        events = [e for e in sim.flight.events()
+                  if e["kind"] == "integrity_violation"]
+        assert events and events[0]["component"] == info.value.component
 
-    def test_corruption_predating_detection(self, serial_baseline):
-        """With stride 2, corruption lands at an unaudited barrier and
-        propagates silently; the rollback must span back past it to the
-        last *verified* barrier, not just the previous interval."""
+    @pytest.mark.parametrize("audit_every", (2, 4))
+    def test_capsules_left_pass_the_audit(self, tmp_path, audit_every,
+                                          serial_baseline):
+        """The corruption lands at a barrier the stride skips; the
+        checkpoint there audits it first, so no capsule holds it and
+        the newest one resumes to the fault-free result."""
         baseline, _chain = serial_baseline
-        sim = _sim("parallel", audit_every=2)
+        sim = _sim("serial", audit_every=audit_every)
         sim.backend.fault_plan = FaultPlan.parse("corrupt@3:c2")
-        supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
-        result = sim.run()
-        assert supervisor.integrity_rollbacks == 1
-        assert supervisor.history[0]["interval"] == 4
-        assert supervisor.history[0]["rollback_intervals"] == 2
-        assert_equivalent(baseline, _stats_tree(result))
+        sim.checkpointer = Checkpointer(str(tmp_path), every=1)
+        with pytest.raises(IntegrityError) as info:
+            sim.run()
+        assert info.value.interval == 3
+        left = checkpoints(str(tmp_path))
+        assert [interval for interval, _path in left] == [2, 1]
+        for _interval, path in left:
+            assert audit_invariants(read_checkpoint(path)["sim"]) == []
+        assert_equivalent(baseline, _stats_tree(_resume_newest(tmp_path)))
 
-    def test_integrity_fault_demotes_immediately(self):
-        sim = _sim("parallel")
-        sim.backend.fault_plan = FaultPlan.parse("corrupt@3:c2")
-        supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
-        sim.run()
-        assert len(supervisor.demotions) == 1
-        assert supervisor.demotions[0]["from"] == "parallel"
+    def test_aligned_strides_audit_once(self, tmp_path):
+        """A barrier the stride already audited is not audited again
+        before its checkpoint."""
+        sim = _sim("serial", audit_every=2)
+        sim.checkpointer = Checkpointer(str(tmp_path), every=2)
+        sim.run(max_intervals=4)
+        assert sim.integrity.audits == 2
 
     def test_loud_corrupt_still_recovers(self, serial_baseline):
         """The d-selector flavor (weave queue timestamps) keeps its
-        HorizonViolation path under the span supervisor."""
+        HorizonViolation path: interval replay under the supervisor."""
         baseline, _chain = serial_baseline
         sim = _sim("parallel")
         sim.backend.fault_plan = FaultPlan.parse("corrupt@3:d1")
@@ -393,22 +418,6 @@ class TestSilentCorruptionRecovery:
         assert supervisor.recoveries == 1
         assert supervisor.history[0]["kind"] == "HorizonViolation"
         assert_equivalent(baseline, _stats_tree(result))
-
-    def test_second_strike_escalates(self):
-        """A divergence that reproduces at the same (interval,
-        component) raises out of the supervisor and fails the run:
-        recovery is not retried forever."""
-        sim = _sim("parallel")
-        supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
-        interval = sim.config.boundweave.interval_cycles
-        supervisor.run_interval(interval)
-        fault = IntegrityError("synthetic divergence",
-                               component="core0", interval=2,
-                               phase="audit")
-        supervisor._recover_span(fault, 2 * interval)
-        assert supervisor.integrity_rollbacks == 1
-        with pytest.raises(IntegrityError):
-            supervisor._recover_span(fault, 3 * interval)
 
 
 # ---------------------------------------------------------------------
@@ -515,16 +524,56 @@ class TestCheckpointIntegration:
         assert list(tmp_path.iterdir()) == []
 
 
+def _write_corrupt_capsule(path):
+    """A capsule as an older build could write it: silently corrupted
+    state, sealed with digests and a chain taken from that same state,
+    so only an audit of the restored state can tell."""
+    sim = _sim("serial")
+    sim.run(max_intervals=2)
+    assert CorruptEvent(2, core=2).apply_state(sim, random.Random(0))
+    limit = 3 * sim.config.boundweave.interval_cycles
+    write_checkpoint(str(path), sim, 2, limit,
+                     {"integrity": sim.integrity.capsule_record(sim)})
+    return path
+
+
+_RUN_FLAGS = ["--config", "test", "--cores", "8", "--workload",
+              "blackscholes", "--scale", "0.02", "--instrs", "20000"]
+
+
 class TestVerifyCommand:
     def _checkpointed_run(self, tmp_path):
         ckpts = tmp_path / "ckpts"
-        argv = ["run", "--config", "test", "--cores", "8",
-                "--workload", "blackscholes", "--scale", "0.02",
-                "--instrs", "20000", "--audit-every", "1",
-                "--checkpoint-dir", str(ckpts),
-                "--checkpoint-every", "2", "--no-flight"]
+        argv = ["run"] + _RUN_FLAGS + [
+            "--audit-every", "1", "--checkpoint-dir", str(ckpts),
+            "--checkpoint-every", "2", "--no-flight"]
         assert cli_main(argv) == 0
         return ckpts
+
+    def test_run_exits_typed_then_resumes_clean(self, tmp_path, capsys):
+        """An integrity fault exits 1 with three lines and no
+        traceback; the checkpoint directory certifies, and resuming it
+        without the fault plan matches the fault-free run."""
+        clean, resumed = tmp_path / "clean.json", tmp_path / "resumed.json"
+        ckpts = tmp_path / "ckpts"
+        assert cli_main(["run"] + _RUN_FLAGS + [
+            "--no-flight", "--stats-json", str(clean)]) == 0
+        capsys.readouterr()
+        argv = ["run"] + _RUN_FLAGS + [
+            "--audit-every", "4", "--checkpoint-dir", str(ckpts)]
+        assert cli_main(argv + ["--inject-faults", "corrupt@3:c2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(
+            "integrity fault at interval 3 in mem.l1d-2: line 0x")
+        assert lines[1].startswith("post-mortem capsule: %s" % ckpts)
+        assert lines[2] == ("resume with: repro run --resume %s "
+                            "<original flags>" % ckpts)
+        assert len(lines) == 3
+        assert cli_main(["verify", str(ckpts)]) == 0
+        assert cli_main(argv + ["--resume", str(ckpts), "--no-flight",
+                                "--stats-json", str(resumed)]) == 0
+        assert cli_main(["diff", str(clean), str(resumed),
+                         "--ignore", "host"]) == 0
 
     def test_verify_certifies_clean_chain(self, tmp_path, capsys):
         ckpts = self._checkpointed_run(tmp_path)
@@ -541,6 +590,22 @@ class TestVerifyCommand:
         assert cli_main(["verify", str(ckpts), "--replay", "0"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and key in out
+
+    def test_verify_and_resume_refuse_a_corrupt_state(self, tmp_path,
+                                                      capsys):
+        path = _write_corrupt_capsule(tmp_path / "ckpt-old-00000002.pkl")
+        assert cli_main(["verify", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "mem.l1d-2" in out
+        config = _config("serial")
+        wl = mt_workload("blackscholes", scale=1 / 64,
+                         num_threads=config.num_cores)
+        with pytest.raises(IntegrityError) as info:
+            ZSim.resume(read_checkpoint(str(path)),
+                        wl.make_threads(target_instrs=25_000),
+                        backend="serial", flight=False)
+        assert info.value.component == "mem.l1d-2"
+        assert info.value.phase == "resume"
 
     def test_verify_flags_missing_record(self, tmp_path, capsys):
         sim = _sim("serial", audit_every=0)   # no sentinel at all

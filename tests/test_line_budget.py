@@ -23,10 +23,10 @@ BUDGETS = {
     "memory": 2265,
     "core": 1932,
     "cpu": 837,
-    "resilience": 1485,
-    "obs": 1046,
+    "resilience": 1349,
+    "obs": 1042,
     "exec": 1711,
-    "cli.py": 765,
+    "cli.py": 760,
     "baselines": 274,
     "config": 502,
     "dbt": 360,
