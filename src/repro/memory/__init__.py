@@ -13,7 +13,7 @@ from repro.memory.contention import MD1Model
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.network import Network
 from repro.memory.timeline import MultiTimeline, Timeline
-from repro.memory.replacement import LRU, RandomRepl, TreePLRU, make_policy
+from repro.memory.replacement import RandomRepl, TreePLRU, make_policy
 from repro.memory.weave import CacheBankWeave, MemCtrlWeave, WeaveComponent
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "Cache",
     "CacheArray",
     "CacheBankWeave",
-    "LRU",
     "MD1Model",
     "MESI",
     "MainMemory",

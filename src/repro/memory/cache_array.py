@@ -2,7 +2,11 @@
 
 The array stores MESI states for lines and answers lookup /
 invalidate; the coherence walk fills it in place (``_materialise``,
-``_free``), delegating victim choice to a replacement policy.  Shared
+``_free``).  A true-LRU set is one ``dict``, line -> state, in recency
+order, least recent first: a hit moves its line to the end, a fill
+appends, a full set's victim is its first key, and a state change
+assigns in place.  A ``tree`` or ``random`` set also gets a policy
+object that picks victims by way (repro.memory.replacement).  Shared
 caches are banked at a level above this (one array per bank).
 """
 
@@ -14,7 +18,8 @@ from repro.memory.replacement import make_policy
 
 #: The line map every untouched set shares.  Never written: the two fill
 #: sites materialise a set first, and every other path only reads
-#: (``get`` / ``pop`` with a default / ``in`` all miss on it).
+#: (``get`` / ``pop`` with a default / ``in`` all miss on it).  Compare
+#: by identity: an emptied set's own map is ``== {}`` too.
 _NO_LINES = {}
 
 
@@ -22,17 +27,16 @@ class CacheArray:
     """One bank's worth of sets x ways.
 
     Per-set state is sparse: a set that no fill has reached yet holds no
-    dict, way list or policy object of its own — ``_repl[idx] is None``
-    marks it, ``_lines[idx]`` is the shared empty map and ``_ways[idx]``
-    a shared all-free tuple — and :meth:`_materialise` builds the real
-    thing on the first fill.  Host cost then follows the sets a run
-    touches, not the sets the chip was configured with.  ``_free`` (and
-    the cheap integrity digest over it) deliberately stays dense, one
-    byte per set: an array has at most 255 ways.
+    dict (or policy object) of its own — ``_lines[idx] is _NO_LINES``
+    marks it — and :meth:`_materialise` builds the real thing on the
+    first fill.  Host cost then follows the sets a run touches, not the
+    sets the chip was configured with.  ``_free`` (and the cheap
+    integrity digest over it) deliberately stays dense, one byte per
+    set: an array has at most 255 ways.
     """
 
     __slots__ = ("num_sets", "hash_sets", "ways", "repl", "seed", "_free",
-                 "_lines", "_ways", "_repl")
+                 "_lines", "_repl")
 
     def __init__(self, num_sets, ways, repl="lru", seed=0,
                  hash_sets=False):
@@ -49,54 +53,48 @@ class CacheArray:
         self.repl = repl
         self.seed = seed
         make_policy(repl, ways, seed)  # reject a bad name or geometry now
-        self._blank_sets()
+        self._lines = [_NO_LINES] * num_sets
+        #: Per-set way-picking policies (None while untouched); an LRU
+        #: array has none.
+        self._repl = None if repl == "lru" else [None] * num_sets
         #: Free ways per set: lets a steady-state fill (full set) skip
-        #: the way scan and go straight to the replacement policy.
+        #: straight to the victim.
         self._free = bytearray([ways]) * num_sets
 
-    def _blank_sets(self):
-        # Per set: line -> (way, state); way -> line; replacement policy.
-        self._lines = [_NO_LINES] * self.num_sets
-        self._ways = [(None,) * self.ways] * self.num_sets
-        self._repl = [None] * self.num_sets
-
     def _materialise(self, idx):
-        """Give untouched set ``idx`` its own line map, way list and
-        replacement policy; returns the three."""
+        """Give untouched set ``idx`` its own line map (and policy);
+        returns the map."""
+        if self._repl is not None:
+            self._repl[idx] = make_policy(self.repl, self.ways,
+                                          self.seed + idx)
         lines = self._lines[idx] = {}
-        ways = self._ways[idx] = [None] * self.ways
-        repl = self._repl[idx] = make_policy(self.repl, self.ways,
-                                             self.seed + idx)
-        return lines, ways, repl
-
-    def num_materialised(self):
-        """How many sets own state (a C-speed count, for stats)."""
-        return self.num_sets - self._repl.count(None)
+        return lines
 
     def materialised_sets(self):
         """Indices of the sets that own state, ascending."""
-        return [idx for idx, repl in enumerate(self._repl)
-                if repl is not None]
+        return [idx for idx, lines in enumerate(self._lines)
+                if lines is not _NO_LINES]
+
+    def num_materialised(self):
+        """How many sets own state (for stats)."""
+        return len(self.materialised_sets())
 
     def __getstate__(self):
         # Carry only materialised sets: capsules and snapshots shrink
         # with the array, and the placeholders are rebuilt on load
         # rather than pickled (an unpickled copy of the shared map would
-        # no longer be the object the rest of the module knows).
-        lines, ways, repl = self._lines, self._ways, self._repl
+        # no longer be the object the rest of the module knows).  A
+        # pickled dict keeps its order, so recency survives.
         return (self.num_sets, self.hash_sets, self.ways, self.repl,
-                self.seed, self._free,
-                {idx: (lines[idx], ways[idx], repl[idx])
-                 for idx in self.materialised_sets()})
+                self.seed, self._free, self._repl,
+                {idx: self._lines[idx] for idx in self.materialised_sets()})
 
     def __setstate__(self, state):
         (self.num_sets, self.hash_sets, self.ways, self.repl, self.seed,
-         self._free, sets) = state
-        self._blank_sets()
-        for idx, (lines, ways, repl) in sets.items():
+         self._free, self._repl, sets) = state
+        self._lines = [_NO_LINES] * self.num_sets
+        for idx, lines in sets.items():
             self._lines[idx] = lines
-            self._ways[idx] = ways
-            self._repl[idx] = repl
 
     def set_index(self, line):
         if self.hash_sets:
@@ -107,36 +105,39 @@ class CacheArray:
     def lookup(self, line, touch=True):
         """Return the MESI state of ``line`` or None if not present."""
         idx = self.set_index(line)
-        entry = self._lines[idx].get(line)
-        if entry is None:
-            return None
-        way, state = entry
-        if touch:
-            self._repl[idx].touch(way)
+        lines = self._lines[idx]
+        state = lines.get(line)
+        if state is not None and touch:
+            if self._repl is None:
+                del lines[line]
+                lines[line] = state
+            else:
+                self._repl[idx].hit(line)
         return state
 
     def update_state(self, line, state):
-        """Change the state of a resident line."""
-        idx = self.set_index(line)
-        way, _ = self._lines[idx][line]
-        self._lines[idx][line] = (way, state)
+        """Change the state of a resident line (its recency stays)."""
+        lines = self._lines[self.set_index(line)]
+        if line not in lines:
+            raise KeyError(line)
+        lines[line] = state
 
     def invalidate(self, line):
         """Remove ``line``; returns its state, or None if absent."""
         idx = self.set_index(line)
-        entry = self._lines[idx].pop(line, None)
-        if entry is None:
+        state = self._lines[idx].pop(line, None)
+        if state is None:
             return None
-        way, state = entry
-        self._ways[idx][way] = None
         self._free[idx] += 1
+        if self._repl is not None:
+            self._repl[idx].free(line)
         return state
 
     def resident_lines(self):
-        """All resident (line, state) pairs (test/debug helper)."""
+        """All resident (line, state) pairs, set by set, each set least
+        recently used first (test/debug helper)."""
         for lines in self._lines:
-            for line, (_, state) in lines.items():
-                yield line, state
+            yield from lines.items()
 
     def integrity_items(self):
         """Digest items for the integrity sentinel: geometry, occupancy
@@ -150,15 +151,18 @@ class CacheArray:
 
     def deep_items(self):
         """The full tag+MESI contents by value for a deep digest: one
-        ``(idx, sorted line map)`` per non-empty set, ascending (see
+        ``(idx, line map items in recency order, way-picking policy's
+        way list or None)`` per non-empty set, ascending (see
         repro.resilience.integrity)."""
-        return [(idx, sorted(lines.items()))
+        repl = self._repl
+        return [(idx, list(lines.items()),
+                 None if repl is None else repl[idx]._way_line)
                 for idx, lines in enumerate(self._lines) if lines]
 
     def audit_invariants(self, component):
         """Bookkeeping invariants the sentinel's auditor checks: the
-        free-way count of every set matches its residency, and each
-        resident line's way back-pointer agrees with the way array.
+        free-way count of every set matches its residency, and a
+        way-picking policy's way list holds exactly the resident lines.
         Returns ``(component, excerpt)`` violation pairs."""
         violations = []
         if _NO_LINES:
@@ -172,12 +176,15 @@ class CacheArray:
                     (component,
                      "set %d free-way count %d != %d ways - %d resident"
                      % (idx, self._free[idx], self.ways, len(lines))))
-            ways = self._ways[idx]
-            for line, (way, _state) in lines.items():
-                if ways[way] != line:
-                    violations.append(
-                        (component,
-                         "set %d way %d holds %r but the line map says "
-                         "0x%x" % (idx, way, ways[way], line)))
-                    break
+            if self._repl is None:
+                continue
+            policy = self._repl[idx]
+            held = {line: way for way, line in enumerate(policy._way_line)
+                    if line is not None}
+            if held != policy._line_way or held.keys() != lines.keys():
+                violations.append(
+                    (component,
+                     "set %d way list %r disagrees with the line map %s"
+                     % (idx, policy._way_line,
+                        sorted("0x%x" % line for line in lines))))
         return violations

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from repro.memory.access import AccessRecord, StepKind
 from repro.memory.cache import Cache, MainMemory
+from repro.memory.cache_array import _NO_LINES
 from repro.memory.coherence import MESI
 from repro.memory.network import Network
-from repro.memory.replacement import LRU as _LRU
 from repro.memory.weave import CacheBankWeave, MemCtrlWeave
 from repro.obs.histogram import Log2Histogram
 
@@ -38,29 +38,28 @@ _WALK_DEPTH = 8
 def _hit_probe(l1, shift, histogram):
     """``(hit, flush)`` for an unhashed LRU L1: the only code outside
     the coherence walk that serves an L1 hit.  ``hit(addr, write)``
-    serves a hit as the walk does (one LRU touch, a write stores M) and
-    returns True; a miss, or a write to an S line, returns False
-    untouched.  ``flush()`` adds the hits served so far to the L1's
-    counters and ``histogram`` (sums, so bulk is exact) and returns
-    their number."""
+    serves a hit as the walk does (the line moves to the recency end, a
+    write stores M) and returns True; a miss, or a write to an S line,
+    returns False untouched.  ``flush()`` adds the hits served so far
+    to the L1's counters and ``histogram`` (sums, so bulk is exact) and
+    returns their number."""
     array = l1.array
-    lines, repls, num_sets = array._lines, array._repl, array.num_sets
+    lines, num_sets = array._lines, array.num_sets
     served = 0
 
     def hit(addr, write=False):
         nonlocal served
         line = addr >> shift
-        idx = line % num_sets
-        entry = lines[idx].get(line)
-        if entry is None:
+        set_lines = lines[line % num_sets]
+        state = set_lines.get(line)
+        if state is None:
             return False
         if write:
-            if entry[1] < _MESI_E:
+            if state < _MESI_E:
                 return False
-            lines[idx][line] = (entry[0], _MESI_M)
-        repl = repls[idx]
-        repl._stamp[entry[0]] = repl._clock
-        repl._clock += 1
+            state = _MESI_M
+        del set_lines[line]
+        set_lines[line] = state
         served += 1
         return True
 
@@ -376,7 +375,7 @@ class MemoryHierarchy:
     def _walk_access(self, c, line, write, ctx, idx, entry):
         """The coherence walk, as one iterative frame.  It starts at
         cache ``c``, which its caller has already looked up (``idx`` /
-        ``entry`` are the set and the entry it peeked) and charged:
+        ``entry`` are the set and the state it peeked) and charged:
         :meth:`access` counts the L1 access, its latency and a miss;
         :meth:`_prefetch` enters at the L2 on a miss and counts only a
         prefetch fill.  A hit at ``c`` is always an L1 (a hit or an
@@ -491,13 +490,14 @@ class MemoryHierarchy:
                     steps.append((c.weave, arrival, _SK_MISS))
         # -- Hit bookkeeping (cache ``c``; main memory handled above) --
         if entry is not None:
-            repl = array._repl[idx]
-            if type(repl) is _LRU:
-                repl._stamp[entry[0]] = repl._clock
-                repl._clock += 1
+            state = entry
+            if array._repl is None:
+                # LRU touch: move the line to the recency end.
+                hit_lines = lines[idx]
+                del hit_lines[line]
+                hit_lines[line] = state
             else:
-                repl.touch(entry[0])
-            state = entry[1]
+                array._repl[idx].hit(line)
             c.hits += 1
             if ctx.hit_level is None:
                 ctx.hit_level = c.level
@@ -521,11 +521,11 @@ class MemoryHierarchy:
                 parent.acquire_exclusive(line, c, ctx)
                 latency = ctx.latency
                 state = _MESI_E
-                lines[idx][line] = (entry[0], _MESI_E)
+                lines[idx][line] = _MESI_E
             if depth == 0:
                 # L1 hit: apply the access to our own copy.
                 if write:
-                    lines[idx][line] = (lines[idx][line][0], _MESI_M)
+                    lines[idx][line] = _MESI_M
                     state = _MESI_M
                 ctx.latency = latency
                 return state
@@ -576,41 +576,29 @@ class MemoryHierarchy:
                         state = _MESI_E
                     else:
                         state = _MESI_S
-            # CacheArray.fill, inlined (the walk guarantees a miss here).
+            # The fill (the walk guarantees a miss here): an LRU set
+            # appends and evicts its first (least recent) line; a
+            # way-picking policy is called out to.
             carray = cc.array
             cidx = idxs[i]
-            crepl = carray._repl[cidx]
-            if crepl is None:
+            clines = carray._lines[cidx]
+            if clines is _NO_LINES:
                 # First fill into this set (sparse per-set state).
-                clines, cways, crepl = carray._materialise(cidx)
-            else:
-                clines = carray._lines[cidx]
-                cways = carray._ways[cidx]
+                clines = carray._materialise(cidx)
+            crepl = carray._repl
             cfree = carray._free
-            crepl_lru = type(crepl) is _LRU
             if cfree[cidx]:
-                way = cways.index(None)
                 cfree[cidx] -= 1
                 victim = None
-            elif crepl_lru:
-                # LRU.victim, inlined: smallest stamp.
-                cstamp = crepl._stamp
-                way = cstamp.index(min(cstamp))
-                victim = cways[way]
-                vstate = clines[victim][1]
-                del clines[victim]
+                if crepl is not None:
+                    crepl[cidx].fill(line)
+            elif crepl is None:
+                victim = next(iter(clines))
+                vstate = clines.pop(victim)
             else:
-                way = crepl.victim()
-                victim = cways[way]
-                vstate = clines[victim][1]
-                del clines[victim]
-            cways[way] = line
-            clines[line] = (way, state)
-            if crepl_lru:
-                crepl._stamp[way] = crepl._clock
-                crepl._clock += 1
-            else:
-                crepl.touch(way)
+                victim = crepl[cidx].replace(line)
+                vstate = clines.pop(victim)
+            clines[line] = state
             if victim is not None:
                 # Evict the victim (inclusive: purge below first).
                 cc.evictions += 1
@@ -664,14 +652,13 @@ class MemoryHierarchy:
                             victim % parray.num_sets
                             if not parray.hash_sets
                             else parray.set_index(victim)]
-                        pentry = plines.get(victim)
-                        if pentry is not None:
-                            plines[victim] = (pentry[0], _MESI_M)
+                        if victim in plines:
+                            plines[victim] = _MESI_M
             grantor = cc
             i -= 1
         if write:
             # Leaf (L1): apply the access to our own copy.
-            clines[line] = (way, _MESI_M)
+            clines[line] = _MESI_M
             state = _MESI_M
         ctx.latency = latency
         return state

@@ -1,9 +1,12 @@
-"""Cache replacement policies.
+"""Cache replacement policies that name ways.
 
-Each cache set owns one policy instance tracking way metadata.  Policies
-are fully decoupled from the associative array (the paper stresses that
-zsim's cache models keep array, replacement, and coherence separate for
-modularity).
+True LRU needs no policy object: an LRU set is a line map whose
+insertion order is the recency order (see repro.memory.cache_array).
+The policies here pick a *way*, so each set of a ``tree`` or ``random``
+array owns one instance, which also owns that set's way list and
+line -> way map.  Policies stay decoupled from the associative array
+(the paper stresses that zsim's cache models keep array, replacement,
+and coherence separate for modularity).
 """
 
 from __future__ import annotations
@@ -12,12 +15,15 @@ import random
 
 
 class ReplacementPolicy:
-    """Interface: per-set policy over ``ways`` ways."""
+    """Interface: per-set policy over ``ways`` ways.  Subclasses define
+    ``touch`` and ``victim``; the way bookkeeping is shared."""
 
-    __slots__ = ("ways",)
+    __slots__ = ("ways", "_way_line", "_line_way")
 
     def __init__(self, ways):
         self.ways = ways
+        self._way_line = [None] * ways   # way -> resident line
+        self._line_way = {}              # resident line -> way
 
     def touch(self, way):
         """Record a hit/fill on ``way``."""
@@ -27,40 +33,31 @@ class ReplacementPolicy:
         """Pick the way to evict (set is full)."""
         raise NotImplementedError
 
+    def fill(self, line):
+        """Place ``line`` in the lowest free way."""
+        self._place(self._way_line.index(None), line)
 
-class LRU(ReplacementPolicy):
-    """True least-recently-used, as per-way recency stamps.
+    def replace(self, line):
+        """Evict the victim way's line for ``line``; returns the evicted
+        line."""
+        way = self.victim()
+        evicted = self._way_line[way]
+        del self._line_way[evicted]
+        self._place(way, line)
+        return evicted
 
-    A touch writes one monotonically increasing stamp (O(1), ISSUE 10 —
-    the recency-list representation paid an O(ways) ``list.remove`` on
-    the walk's hottest op); the victim is the way with the smallest
-    stamp.  Stamps are always distinct, so the victim sequence is
-    exactly the recency-list one: initial stamps ``0..ways-1`` make way
-    0 the first victim, and every touch moves a way logically to the
-    end of the order.
-    """
+    def _place(self, way, line):
+        self._way_line[way] = line
+        self._line_way[line] = way
+        self.touch(way)
 
-    __slots__ = ("_stamp", "_clock")
+    def hit(self, line):
+        """Record a hit on resident ``line``."""
+        self.touch(self._line_way[line])
 
-    def __init__(self, ways):
-        super().__init__(ways)
-        self._stamp = list(range(ways))
-        self._clock = ways
-
-    def __getstate__(self):
-        # The most numerous object in a capsule: tuples pickle fastest.
-        return self.ways, self._stamp, self._clock
-
-    def __setstate__(self, state):
-        self.ways, self._stamp, self._clock = state
-
-    def touch(self, way):
-        self._stamp[way] = self._clock
-        self._clock += 1
-
-    def victim(self):
-        stamp = self._stamp
-        return stamp.index(min(stamp))
+    def free(self, line):
+        """Forget invalidated ``line``: its way becomes free."""
+        self._way_line[self._line_way.pop(line)] = None
 
 
 class TreePLRU(ReplacementPolicy):
@@ -124,15 +121,18 @@ class RandomRepl(ReplacementPolicy):
         return self._rng.randrange(self.ways)
 
 
-_POLICIES = {"lru": LRU, "tree": TreePLRU, "random": RandomRepl}
+_POLICIES = {"lru": None, "tree": TreePLRU, "random": RandomRepl}
 
 
 def make_policy(name, ways, seed=0):
-    """Instantiate a replacement policy by config name."""
+    """Instantiate a replacement policy by config name: None for
+    ``lru``, whose sets need no policy object."""
     try:
         cls = _POLICIES[name]
     except KeyError:
         raise ValueError("Unknown replacement policy: %r" % (name,))
+    if cls is None:
+        return None
     if cls is RandomRepl:
         return cls(ways, seed)
     return cls(ways)

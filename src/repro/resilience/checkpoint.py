@@ -39,9 +39,9 @@ from repro.obs.log import get_logger
 
 #: On-disk format version; bump on any incompatible capsule change.
 #: v2: bounded-deque OOO rings, inline first weave edges.  v3: no
-#: recycling pools.  v4: model objects pickle their ``__slots__`` and
-#: deep digests are by value.  v5: no OOO prune counters, byte _free.
-FORMAT_VERSION = 5
+#: recycling pools.  v4: slot pickles, by-value deep digests.  v5: no
+#: OOO prune counters, byte _free.  v6: recency-ordered LRU line maps.
+FORMAT_VERSION = 6
 MAGIC = b"repro-ckpt"
 
 _log = get_logger("resilience.checkpoint")

@@ -218,8 +218,8 @@ class CorruptEvent(Fault):
         copy of a line the victim core's L1D still holds.  The
         directory is deliberately left stale — the corruption must be
         symptomless until an audit walks the hierarchy.  Deterministic:
-        residency iteration order is insertion order, identical across
-        same-seeded runs."""
+        residency iterates set by set, least recently used first,
+        identical across same-seeded runs."""
         core = self.core or 0
         l1d = sim.hierarchy.l1d[min(core, len(sim.hierarchy.l1d) - 1)]
         for line, _state in l1d.array.resident_lines():

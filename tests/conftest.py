@@ -12,6 +12,7 @@ from repro.isa.opcodes import Opcode
 from repro.isa.program import BBLExec, Instruction, Program
 from repro.isa.registers import gp
 from repro.memory.access import AccessRecord
+from repro.memory.cache_array import _NO_LINES
 from repro.memory.coherence import MESI
 from repro.resilience.checkpoint import checkpoints
 
@@ -87,37 +88,38 @@ def fill(array, line, state):
     (None, None).  The shipped walk inlines this; tests and the
     recursive reference walk fill through it."""
     idx = array.set_index(line)
-    repl = array._repl[idx]
-    if repl is None:
-        lines, ways, repl = array._materialise(idx)
-    else:
-        lines = array._lines[idx]
-        if line in lines:
-            raise ValueError("fill() of already-present line 0x%x" % line)
-        ways = array._ways[idx]
+    lines = array._lines[idx]
+    if lines is _NO_LINES:
+        lines = array._materialise(idx)
+    elif line in lines:
+        raise ValueError("fill() of already-present line 0x%x" % line)
+    policy = None if array._repl is None else array._repl[idx]
     victim_line = victim_state = None
     if array._free[idx]:
-        # Lowest free way, matching the historical scan order.
-        way = ways.index(None)
         array._free[idx] -= 1
+        if policy is not None:
+            policy.fill(line)
     else:
-        way = repl.victim()
-        victim_line = ways[way]
-        victim_state = lines[victim_line][1]
-        del lines[victim_line]
-    ways[way] = line
-    lines[line] = (way, state)
-    repl.touch(way)
+        # LRU: the set's first line is its least recent.
+        victim_line = (next(iter(lines)) if policy is None
+                       else policy.replace(line))
+        victim_state = lines.pop(victim_line)
+    lines[line] = state
     return victim_line, victim_state
 
 
 def would_evict(array, line):
     """Line that filling ``line`` into ``array`` (a ``CacheArray``)
-    would evict right now, or None; mutates nothing."""
+    would evict right now, or None; mutates nothing but a ``random``
+    policy's RNG."""
     idx = array.set_index(line)
-    if line in array._lines[idx] or array._free[idx]:
+    lines = array._lines[idx]
+    if line in lines or array._free[idx]:
         return None
-    return array._ways[idx][array._repl[idx].victim()]
+    if array._repl is None:
+        return next(iter(lines))
+    policy = array._repl[idx]
+    return policy._way_line[policy.victim()]
 
 
 class JournalWeaveEngine(WeaveEngine):

@@ -162,7 +162,7 @@ class TestSparseSets:
         fill(array, 5 + 64, MESI.S)
         fill(array, 9, MESI.M)
         assert array.materialised_sets() == [5, 9]
-        # An emptied set stays materialised (its policy has history).
+        # An emptied set stays materialised: its map is not _NO_LINES.
         array.invalidate(9)
         assert array.num_materialised() == 2
         assert array.audit_invariants("a") == []

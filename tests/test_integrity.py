@@ -344,6 +344,24 @@ class TestDigestEncoding:
         assert fingerprint_components(_clone(sim), deep=True) == deep
         assert deep != fingerprint_components(sim)
 
+    def test_deep_digest_covers_recency(self):
+        """Same lines, same states, different LRU order: the deep digest
+        tells the two apart (it decides every later victim), the cheap
+        per-barrier one need not."""
+        sim = _sim("serial")
+        sim.run(max_intervals=3)
+        twin = _clone(sim)
+        array = twin.hierarchy.l1d[0].array
+        lines = next(lines for lines in array._lines if len(lines) >= 2)
+        array.lookup(next(iter(lines)))  # least recent -> most recent
+        assert sorted(array.resident_lines()) == sorted(
+            sim.hierarchy.l1d[0].array.resident_lines())
+        assert fingerprint_components(twin) == fingerprint_components(sim)
+        deep, twin_deep = (fingerprint_components(state, deep=True)
+                           for state in (sim, twin))
+        assert [name for name in deep if deep[name] != twin_deep[name]] \
+            == ["mem.l1d-0"]
+
 
 # ---------------------------------------------------------------------
 # Silent corruption: detect, end the run, resume from an audited capsule
@@ -417,6 +435,7 @@ class TestSilentCorruptionRecovery:
         result = sim.run()
         assert supervisor.recoveries == 1
         assert supervisor.history[0]["kind"] == "HorizonViolation"
+        assert supervisor.history[0]["interval"] == 3
         assert_equivalent(baseline, _stats_tree(result))
 
 

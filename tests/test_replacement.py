@@ -1,48 +1,153 @@
 """Tests for replacement policies."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from repro.config import small_test_system
+from repro.core import ZSim
+from repro.memory.cache_array import CacheArray
+from repro.memory.coherence import MESI
 from repro.memory.replacement import (
-    LRU,
     RandomRepl,
     TreePLRU,
     make_policy,
 )
+from repro.workloads import mt_workload
+
+from conftest import fill, would_evict
+from recency_model import RecencyModel
+
+
+def _lru_set(ways):
+    """One true-LRU set: a ``CacheArray`` of a single set."""
+    return CacheArray(1, ways)
+
+
+_MODEL_OPS = ("fill", "fill", "fill", "hit", "lookup", "lookup", "peek",
+              "update", "invalidate")
+
+
+@st.composite
+def _model_runs(draw):
+    """A geometry of 1-4 sets x 1-8 ways and an op sequence over it."""
+    num_sets = draw(st.integers(1, 4))
+    ways = draw(st.integers(1, 8))
+    ops = draw(st.lists(
+        st.tuples(st.sampled_from(_MODEL_OPS),
+                  st.integers(0, num_sets * (ways + 1) - 1),
+                  st.sampled_from([MESI.S, MESI.E, MESI.M])),
+        min_size=8, max_size=120))
+    return num_sets, ways, ops
+
+
+def _lockstep(num_sets, ways, ops):
+    """Run ``ops`` on a ``CacheArray`` and a ``RecencyModel`` of the
+    same geometry, asserting agreement after every step."""
+    array = CacheArray(num_sets, ways)
+    model = RecencyModel(num_sets, ways)
+    far = num_sets * ways * 4  # a line of the same set, never resident
+    for op, line, state in ops:
+        resident = model.lookup(line, touch=False) is not None
+        if op == "fill" and not resident:
+            assert fill(array, line, state) == model.fill(line, state)
+        elif op == "hit" and resident:
+            # The walk's hit: a touch, then a write stores M.
+            assert array.lookup(line) == model.lookup(line)
+            array.update_state(line, MESI.M)
+            model.update_state(line, MESI.M)
+        elif op == "lookup":
+            assert array.lookup(line) == model.lookup(line)
+        elif op == "peek":
+            assert array.lookup(line, touch=False) \
+                == model.lookup(line, touch=False)
+        elif op == "update" and resident:
+            array.update_state(line, state)
+            model.update_state(line, state)
+        elif op == "invalidate":
+            assert array.invalidate(line) == model.invalidate(line)
+        assert would_evict(array, line + far) \
+            == model.next_victim(line + far)
+        assert list(array.resident_lines()) == model.resident()
+    assert array.audit_invariants("a") == []
 
 
 class TestLRU:
-    def test_initial_victim_is_way_zero(self):
-        assert LRU(4).victim() == 0
+    """True LRU is the array's own line-map order (no policy object);
+    a plain recency-list model is its oracle."""
+
+    def test_first_fill_is_first_victim(self):
+        array = _lru_set(4)
+        for line in range(4):
+            fill(array, line, MESI.E)
+        assert fill(array, 4, MESI.E) == (0, MESI.E)
 
     def test_victim_is_least_recent(self):
-        lru = LRU(4)
-        for way in (0, 1, 2, 3):
-            lru.touch(way)
-        assert lru.victim() == 0
-        lru.touch(0)
-        assert lru.victim() == 1
+        array = _lru_set(4)
+        for line in (0, 1, 2, 3):
+            fill(array, line, MESI.E)
+        assert would_evict(array, 9) == 0
+        array.lookup(0)
+        assert would_evict(array, 9) == 1
 
     def test_touch_reorders(self):
-        lru = LRU(3)
-        lru.touch(0)
-        lru.touch(1)
-        lru.touch(2)
-        lru.touch(0)  # 1 is now LRU
-        assert lru.victim() == 1
+        array = _lru_set(3)
+        for line in (0, 1, 2):
+            fill(array, line, MESI.E)
+        array.lookup(0)  # 1 is now LRU
+        assert would_evict(array, 9) == 1
+        # A state change and an untouched peek keep the order.
+        array.update_state(1, MESI.M)
+        assert array.lookup(1, touch=False) == MESI.M
+        assert fill(array, 9, MESI.E) == (1, MESI.M)
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(0, 7), min_size=1, max_size=60))
-    def test_victim_matches_reference_model(self, touches):
-        """The victim is always the way touched least recently."""
-        lru = LRU(8)
-        order = list(range(8))
-        for way in touches:
-            lru.touch(way)
-            order.remove(way)
-            order.append(way)
-        assert lru.victim() == order[0]
+    @settings(max_examples=200, deadline=None)
+    @given(_model_runs())
+    def test_victim_matches_reference_model(self, run):
+        """Random fills, hits, touching and untouched lookups, state
+        changes and invalidations drive the array and the model in
+        lockstep: after every step the fill victims, the next victim
+        of the op's set and the residency, in recency order, agree."""
+        _lockstep(*run)
+
+    @pytest.mark.parametrize("mutant", ("hit-does-not-move",
+                                        "update-moves"))
+    def test_reference_model_catches_a_recency_bug(self, monkeypatch,
+                                                   mutant):
+        """The lockstep property fails on an array whose hit leaves the
+        line in place, or whose state change moves it."""
+        shipped_lookup = CacheArray.lookup
+        shipped_update = CacheArray.update_state
+
+        def lookup(self, line, touch=True):
+            return shipped_lookup(self, line, touch=False)
+
+        def update_state(self, line, state):
+            shipped_update(self, line, state)
+            shipped_lookup(self, line)
+
+        if mutant == "hit-does-not-move":
+            monkeypatch.setattr(CacheArray, "lookup", lookup)
+        else:
+            monkeypatch.setattr(CacheArray, "update_state", update_state)
+
+        # The pinned example fails under both mutants, so the check does
+        # not rest on what the search happens to draw.
+        @settings(max_examples=200, deadline=None, database=None,
+                  phases=(Phase.explicit, Phase.generate),
+                  report_multiple_bugs=False)
+        @given(_model_runs())
+        @example((1, 2, [("fill", 0, MESI.E), ("fill", 1, MESI.E),
+                         ("hit", 0, MESI.E), ("update", 1, MESI.S)]))
+        def lockstep(run):
+            _lockstep(*run)
+
+        with pytest.raises(AssertionError):
+            lockstep()
 
 
 class TestTreePLRU:
@@ -71,11 +176,12 @@ class TestTreePLRU:
             assert victim != way
 
     def test_two_way_behaves_like_lru(self):
-        plru, lru = TreePLRU(2), LRU(2)
+        plru, order = TreePLRU(2), [0, 1]
         for way in (0, 1, 0, 0, 1):
             plru.touch(way)
-            lru.touch(way)
-            assert plru.victim() == lru.victim()
+            order.remove(way)
+            order.append(way)
+            assert plru.victim() == order[0]
 
 
 class TestRandom:
@@ -91,12 +197,64 @@ class TestRandom:
 
 
 class TestFactory:
-    @pytest.mark.parametrize("name,cls", [("lru", LRU),
-                                          ("tree", TreePLRU),
+    @pytest.mark.parametrize("name,cls", [("tree", TreePLRU),
                                           ("random", RandomRepl)])
     def test_make_policy(self, name, cls):
         assert isinstance(make_policy(name, 4), cls)
 
+    def test_lru_needs_no_policy_object(self):
+        assert make_policy("lru", 4) is None
+        assert CacheArray(4, 2)._repl is None
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_policy("clock", 4)
+
+
+class TestWayBookkeeping:
+    """A way-picking policy owns its set's way list and line -> way
+    map: first free way on a fill, the victim way on a replace."""
+
+    def test_fill_replace_free(self):
+        policy = TreePLRU(2)
+        policy.fill(10)
+        policy.fill(11)
+        assert policy._way_line == [10, 11]
+        assert policy.replace(12) == 10  # way 0 was touched first
+        assert policy._line_way == {12: 0, 11: 1}
+        policy.free(11)
+        policy.fill(13)
+        assert policy._way_line == [12, 13]
+        policy.hit(12)
+        assert policy.victim() == 1
+
+
+#: Stats digests (sha256 of the stats tree without ``host``) of a
+#: 4-core OOO run of canneal with every cache level on one policy.  How
+#: LRU sets are stored must not move these; a change that moves
+#: simulated results on purpose re-pins them, as it regenerates the
+#: figure files.
+_POLICY_RUN_DIGESTS = {
+    "tree": "2a045fe0adbf7559d60ec1e57306a6852cee27b2"
+            "df4ae6bf20508d7f61a2b2c8",
+    "random": "25a382c5d3103b03d5088a0ab409bdea6ca2c289"
+              "40e3653627a4b0c704add793",
+}
+
+
+@pytest.mark.parametrize("repl", sorted(_POLICY_RUN_DIGESTS))
+def test_way_picking_policies_keep_their_results(repl):
+    cfg = small_test_system(num_cores=4, core_model="ooo")
+    cfg = dataclasses.replace(cfg, **{
+        level: dataclasses.replace(getattr(cfg, level), repl=repl)
+        for level in ("l1i", "l1d", "l2", "l3")})
+    wl = mt_workload("canneal", scale=1 / 16, num_threads=4)
+    sim = ZSim(cfg, threads=wl.make_threads(target_instrs=20_000))
+    tree = sim.run().stats().to_dict()
+    tree.pop("host")
+    for level in ("l1d", "l2", "l3"):
+        assert sum(cache.evictions for cache in sim.hierarchy.all_caches()
+                   if cache.level == level) > 0
+    digest = hashlib.sha256(
+        json.dumps(tree, sort_keys=True, default=str).encode()).hexdigest()
+    assert digest == _POLICY_RUN_DIGESTS[repl]

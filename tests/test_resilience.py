@@ -37,7 +37,7 @@ from repro.errors import (
 )
 from repro.exec import make_backend
 from repro.exec.serial import SerialBackend
-from repro.memory import (LRU, Cache, CacheArray, CacheBankWeave, MainMemory,
+from repro.memory import (Cache, CacheArray, CacheBankWeave, MainMemory,
                           MemCtrlWeave, RandomRepl, TreePLRU)
 from repro.resilience import (
     FORMAT_VERSION,
@@ -368,11 +368,10 @@ _CORE_SLOTS = {"bbls", "config", "core_id", "instrs", "l1d_misses",
 _WEAVE_SLOTS = {"name", "tile", "domain", "events_executed"}
 
 #: The slot names each model class pickles in a format-4 capsule (the
-#: union over its MRO).  A capsule restores slots by name, so changing
-#: one of these sets changes the capsule format: bump FORMAT_VERSION
-#: together with this table.
+#: union over its MRO; format 4's LRU policy class no longer exists).  A
+#: capsule restores slots by name, so changing one of these sets changes
+#: the capsule format: bump FORMAT_VERSION together with this table.
 _FORMAT_4_SLOTS = {
-    LRU: {"ways", "_stamp", "_clock"},
     TreePLRU: {"ways", "_bits"},
     RandomRepl: {"ways", "_rng"},
     CacheArray: {"num_sets", "hash_sets", "ways", "repl", "seed", "_free",
@@ -423,6 +422,15 @@ _FORMAT_5_SLOTS = dict(_FORMAT_4_SLOTS)
 _FORMAT_5_SLOTS[OOOCore] = _FORMAT_4_SLOTS[OOOCore] - {"_ports_ops",
                                                       "_ports_pruned"}
 
+#: Format 6 made an LRU set a recency-ordered line map (no way list, no
+#: LRU policy object); a way-picking policy owns its set's way list and
+#: line -> way map.
+_FORMAT_6_SLOTS = dict(_FORMAT_5_SLOTS)
+_FORMAT_6_SLOTS[CacheArray] = _FORMAT_5_SLOTS[CacheArray] - {"_ways"}
+for _policy in (TreePLRU, RandomRepl):
+    _FORMAT_6_SLOTS[_policy] = _FORMAT_5_SLOTS[_policy] | {"_way_line",
+                                                           "_line_way"}
+
 
 def _slot_names(cls):
     return {name for klass in cls.__mro__
@@ -436,7 +444,8 @@ def _model_objects(sim):
     objects += [core.bpred for core in sim.cores if hasattr(core, "bpred")]
     for cache in hierarchy.all_caches():
         objects += [cache, cache.array]
-        objects += [repl for repl in cache.array._repl if repl is not None]
+        objects += [repl for repl in cache.array._repl or ()
+                    if repl is not None]
     objects += hierarchy.weave_components + list(sim.weave.core_weaves)
     objects += [thread.stream for thread in sim.scheduler.threads]
     return objects
@@ -462,6 +471,30 @@ class TestCheckpointFormat:
         assert capsule["meta"] == {"workload": "blackscholes"}
         assert capsule["config_name"] == sim.config.name
 
+    def test_roundtrip_keeps_every_next_victim(self, tmp_path):
+        """A capsule carries each set's recency order: after a round
+        trip every set names the same next victim and lists its lines
+        in the same order."""
+        sim, _ = _small_sim()
+        sim.run(max_intervals=4)
+        path = str(tmp_path / "ckpt.pkl")
+        write_checkpoint(path, sim, interval=4, limit=4000)
+        restored = read_checkpoint(path)["sim"]
+
+        def victims(state):
+            return {cache.name: [next(iter(lines), None)
+                                 for lines in cache.array._lines]
+                    for cache in state.hierarchy.all_caches()}
+
+        before = victims(sim)
+        assert any(victim is not None for names in before.values()
+                   for victim in names)
+        assert victims(restored) == before
+        for mine, theirs in zip(sim.hierarchy.all_caches(),
+                                restored.hierarchy.all_caches()):
+            assert list(theirs.array.resident_lines()) \
+                == list(mine.array.resident_lines())
+
     def test_not_a_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.pkl"
         path.write_bytes(b"hello world\nnot a checkpoint")
@@ -479,16 +512,17 @@ class TestCheckpointFormat:
         assert excinfo.value.found == FORMAT_VERSION + 1
         assert excinfo.value.expected == FORMAT_VERSION
 
-    @pytest.mark.parametrize("found", (1, 2, 3, 4))
+    @pytest.mark.parametrize("found", (1, 2, 3, 4, 5))
     def test_old_capsule_is_refused_not_migrated(self, tmp_path, found):
         """A v1 capsule holds list rings with head indices and
         list-of-edge events, a v2 capsule a pickled event pool this
         build has no class for, a v3 capsule model objects as
         ``__dict__`` state and repr-based deep digests, a v4 capsule OOO
-        cores with a port-prune countdown and list free-way vectors;
-        none is migrated, all are refused typed — with a valid checksum,
-        by file and through the directory fallback."""
-        assert FORMAT_VERSION == 5
+        cores with a port-prune countdown and list free-way vectors, a
+        v5 capsule LRU stamp objects, way lists and ``(way, state)``
+        line maps; none is migrated, all are refused typed — with a
+        valid checksum, by file and through the directory fallback."""
+        assert FORMAT_VERSION == 6
         sim, _ = _small_sim()
         path = str(tmp_path / "ckpt-00000001.pkl")
         write_checkpoint(path, sim, interval=1, limit=1000)
@@ -497,7 +531,7 @@ class TestCheckpointFormat:
             b"repro-ckpt %d %08x\n" % (found, zlib.crc32(body)) + body)
         with pytest.raises(CheckpointVersionError) as excinfo:
             read_checkpoint(path)
-        assert (excinfo.value.found, excinfo.value.expected) == (found, 5)
+        assert (excinfo.value.found, excinfo.value.expected) == (found, 6)
         with pytest.raises(CheckpointError, match="format v%d" % found):
             read_latest_checkpoint(str(tmp_path))
 
@@ -651,10 +685,11 @@ class TestResume:
     @pytest.mark.parametrize("cls", list(_FORMAT_4_SLOTS),
                              ids=lambda cls: cls.__name__)
     def test_format_4_pins_the_slots_of_every_pickled_class(self, cls):
-        """Format 4's slot table, minus what format 5 dropped, is what
-        this build pickles: a slot change without a bump fails here."""
-        assert FORMAT_VERSION == 5
-        assert _slot_names(cls) == _FORMAT_5_SLOTS[cls]
+        """Format 4's slot table, as formats 5 and 6 changed it, is
+        what this build pickles: a slot change without a bump fails
+        here."""
+        assert FORMAT_VERSION == 6
+        assert _slot_names(cls) == _FORMAT_6_SLOTS[cls]
 
     @pytest.mark.parametrize("core_model", ("simple", "ooo"))
     def test_model_objects_never_carry_a_dict(self, tmp_path, core_model):
@@ -662,13 +697,13 @@ class TestResume:
         3.11 drop its inline attribute storage for good, slowing every
         later access: no model object may have one — fresh, after a
         capture, or rebuilt from a capsule."""
-        for cls in _FORMAT_5_SLOTS:
+        for cls in _FORMAT_6_SLOTS:
             assert all("__slots__" in vars(klass)
                        for klass in cls.__mro__[:-1]), cls
 
         def assert_no_dicts(state):
             objects = _model_objects(state)
-            assert {type(obj) for obj in objects} <= set(_FORMAT_5_SLOTS)
+            assert {type(obj) for obj in objects} <= set(_FORMAT_6_SLOTS)
             assert not [obj for obj in objects if hasattr(obj, "__dict__")]
 
         sim, _ = _small_sim(core_model=core_model)
