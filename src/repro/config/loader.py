@@ -147,13 +147,6 @@ def config_from_dict(data, base=None):
     return config.validate()
 
 
-def save_config(config, path):
-    """Write a config as JSON."""
-    with open(path, "w") as handle:
-        json.dump(config_to_dict(config), handle, indent=2,
-                  sort_keys=True)
-
-
 def load_config(path, base=None):
     """Load a :class:`SystemConfig` from a JSON file.  Any rejection,
     including an unreadable file or malformed JSON, is a ConfigError

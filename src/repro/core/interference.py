@@ -106,9 +106,6 @@ class InterferenceProfiler:
             return 0.0
         return self.reordered[interval_length] / self.total_accesses
 
-    def fractions(self):
-        return {n: self.fraction(n) for n in self.interval_lengths}
-
     def eviction_fraction(self, interval_length):
         """Fraction of accesses whose shared-cache eviction interferes
         (requires ``track_evictions=True``)."""

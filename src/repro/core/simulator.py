@@ -16,8 +16,8 @@ import time
 
 from repro.core.bound import BoundPhase
 from repro.core.domains import CoreWeave
-from repro.errors import (CheckpointError, DeadlockError, RunInterrupted,
-                          WallClockExceeded)
+from repro.errors import (CheckpointError, DeadlockError, ExecutionFault,
+                          RunInterrupted, WallClockExceeded)
 from repro.core.host import HostModel
 from repro.core.weave import WeaveEngine
 from repro.cpu import make_core
@@ -484,15 +484,20 @@ class ZSim:
         if backend is None:
             backend = self.backend
         bound_start = time.perf_counter()
-        bound_times = self.bound.run_interval(limit, backend=backend)
-        bound_end = time.perf_counter()
-        # Silent-corruption seam: core-selector `corrupt` faults damage
-        # architectural state between the phases — undetectable except
-        # by the integrity sentinel (see FaultPlan.scribble).
-        plan = getattr(backend, "fault_plan", None)
-        if plan is not None:
-            plan.scribble(self, self.bound.intervals)
-        weave_seconds, domain_events = self._weave_interval(backend)
+        try:
+            bound_times = self.bound.run_interval(limit, backend=backend)
+            bound_end = time.perf_counter()
+            # Silent-corruption seam: core-selector `corrupt` faults
+            # damage architectural state between the phases, which only
+            # the integrity sentinel detects (see FaultPlan.scribble).
+            plan = getattr(backend, "fault_plan", None)
+            if plan is not None:
+                plan.scribble(self, self.bound.intervals)
+            weave_seconds, domain_events = self._weave_interval(backend)
+        except ExecutionFault as fault:
+            # A weave drain loop cannot name the interval it faulted in.
+            fault.interval = fault.interval or self.bound.intervals
+            raise
         self.host_model.record_interval(
             bound_times, domain_events, weave_seconds,
             measured_seconds=(bound_end - bound_start) + weave_seconds)

@@ -2,11 +2,10 @@
 
 Provides the translation cache (decode-once basic-block descriptors) and
 the instrumentation layer that turns functional execution streams into
-timed streams, including fast-forwarding and magic ops.  Trace capture
-and replay live in :mod:`repro.dbt.tracing`.
+timed streams, including fast-forwarding.
 """
 
-from repro.dbt.instrumentation import InstrumentedStream, MagicOp
+from repro.dbt.instrumentation import InstrumentedStream
 from repro.dbt.translation_cache import TranslationCache
 
-__all__ = ["InstrumentedStream", "MagicOp", "TranslationCache"]
+__all__ = ["InstrumentedStream", "TranslationCache"]

@@ -3,10 +3,9 @@
 zsim instruments every basic block, load, and store so that executing the
 program drives the timing models.  Here the functional side is a Python
 iterator of :class:`~repro.isa.program.BBLExec` records; the instrumenter
-attaches decoded descriptors from the translation cache, dispatches magic
-ops, and supports fast-forwarding (running the functional stream at full
-speed with no timing models attached, as zsim does before the region of
-interest).
+attaches decoded descriptors from the translation cache and supports
+fast-forwarding (running the functional stream at full speed with no
+timing models attached, as zsim does before the region of interest).
 
 Checkpoint/replay support (see :mod:`repro.resilience`): the underlying
 functional source is usually a generator and cannot be pickled, but it
@@ -30,38 +29,25 @@ from __future__ import annotations
 from collections import deque
 
 from repro.dbt.translation_cache import TranslationCache
-from repro.isa.opcodes import Opcode
-
-
-class MagicOp:
-    """Magic-op codes embedded in workloads (special NOP sequences)."""
-
-    ROI_BEGIN = 1
-    ROI_END = 2
-    HEARTBEAT = 3
 
 
 class InstrumentedStream:
     """Wraps a functional BBLExec stream with decode-once instrumentation.
 
-    Iterating yields ``(decoded_bbl, bbl_exec)`` pairs.  Magic ops invoke
-    registered handlers inline, mirroring how zsim recognizes magic NOP
-    sequences at instrumentation time.
+    Iterating yields ``(decoded_bbl, bbl_exec)`` pairs.
     """
 
-    __slots__ = ("_stream", "tcache", "program_id", "magic_handler",
-                 "instrs_retired", "bbls_executed", "pulled", "_pushback",
-                 "_log", "_log_mark")
+    __slots__ = ("_stream", "tcache", "program_id", "instrs_retired",
+                 "bbls_executed", "pulled", "_pushback", "_log",
+                 "_log_mark")
 
-    def __init__(self, stream, translation_cache=None, program_id=0,
-                 magic_handler=None):
+    def __init__(self, stream, translation_cache=None, program_id=0):
         self._stream = iter(stream)
         # Note: an empty TranslationCache is falsy (len == 0), so an
         # explicit None check is required to honor shared caches.
         self.tcache = (translation_cache if translation_cache is not None
                        else TranslationCache())
         self.program_id = program_id
-        self.magic_handler = magic_handler
         self.instrs_retired = 0
         self.bbls_executed = 0
         #: Records drawn from the underlying source so far.  Re-served
@@ -91,9 +77,6 @@ class InstrumentedStream:
         decoded = self.tcache.translate(block, self.program_id)
         self.instrs_retired += block.num_instrs
         self.bbls_executed += 1
-        if (self.magic_handler is not None
-                and block.instructions[0].opcode == Opcode.MAGIC):
-            self.magic_handler(bbl_exec)
         return decoded, bbl_exec
 
     def fast_forward(self, num_instrs):

@@ -1,12 +1,6 @@
 """Experiment harness: drivers regenerating the paper's tables/figures."""
 
 from repro.harness import table1
-from repro.harness.autointerval import (
-    configured_with_interval,
-    select_interval,
-)
-from repro.harness.roi import RoiTracker, roi_stream
-from repro.harness.sampling import sampled_ipc
 from repro.harness.performance import (
     MODEL_SETS,
     host_scalability,
@@ -30,11 +24,6 @@ from repro.harness.validation import (
 
 __all__ = [
     "MODEL_SETS",
-    "RoiTracker",
-    "configured_with_interval",
-    "roi_stream",
-    "sampled_ipc",
-    "select_interval",
     "host_scalability",
     "interval_sensitivity",
     "model_grid",

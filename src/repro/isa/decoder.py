@@ -30,16 +30,15 @@ FETCH_LINE_BYTES = 64
 class DecodedBBL:
     """Decoded descriptor for one static basic block.
 
-    Beyond the per-µop :class:`~repro.isa.uops.Uop` objects, the
-    descriptor carries the *schedule-once* data plane: flat parallel
+    The descriptor is the *schedule-once* data plane: flat per-µop
     tuples, frontend aggregates, and a static intra-block dependency
-    schedule, all built at translation time so dynamic executions touch
-    only precomputed scalars (the paper's decode-once amortization,
-    extended through scheduling).
+    schedule, all built at translation time from the decoder's
+    :class:`~repro.isa.uops.Uop` list so dynamic executions touch only
+    precomputed scalars (the paper's decode-once amortization, extended
+    through scheduling).
 
     Attributes:
         block: the static :class:`~repro.isa.program.BasicBlock`.
-        uops: tuple of :class:`~repro.isa.uops.Uop` in program order.
         decode_cycles: frontend cycles needed to predecode + decode the
             block (the max of the length-predecoder and decoder limits).
         branch_uop_index: index of the terminating branch µop, or -1.
@@ -62,7 +61,7 @@ class DecodedBBL:
             scoreboard entries later blocks can observe.
     """
 
-    __slots__ = ("block", "uops", "decode_cycles", "branch_uop_index",
+    __slots__ = ("block", "decode_cycles", "branch_uop_index",
                  "conditional", "fused_pairs", "num_loads", "num_stores",
                  "num_uops", "fetch_lines", "mem_ops", "has_syscall",
                  "flat", "final_writes")
@@ -70,7 +69,6 @@ class DecodedBBL:
     def __init__(self, block, uops, decode_cycles, branch_uop_index,
                  conditional, fused_pairs):
         self.block = block
-        self.uops = uops = tuple(uops)
         self.decode_cycles = decode_cycles
         self.branch_uop_index = branch_uop_index
         self.conditional = conditional
@@ -126,7 +124,7 @@ class DecodedBBL:
 
     def __repr__(self):
         return ("DecodedBBL(block=%d, %d uops, %d decode cycles)"
-                % (self.block.bbl_id, len(self.uops), self.decode_cycles))
+                % (self.block.bbl_id, self.num_uops, self.decode_cycles))
 
 
 def _fuse_macro_ops(instructions):

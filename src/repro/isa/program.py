@@ -96,10 +96,6 @@ class Program:
     def block(self, bbl_id):
         return self.blocks[bbl_id]
 
-    @property
-    def num_blocks(self):
-        return len(self.blocks)
-
     def __repr__(self):
         return "Program(%r, %d blocks)" % (self.name, len(self.blocks))
 

@@ -158,7 +158,7 @@ class Supervisor:
         self._consecutive += 1
         self.recoveries += 1
         entry = {
-            "interval": fault.interval or sim.bound.intervals,
+            "interval": fault.interval,
             "kind": type(fault).__name__,
             "message": str(fault),
             "phase": fault.phase,

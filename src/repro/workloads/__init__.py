@@ -1,7 +1,7 @@
 """Synthetic workloads standing in for the paper's benchmark suites.
 
 Process mixes are in :mod:`repro.workloads.multiprogrammed` and the
-Section 3.3 classes in :mod:`repro.workloads.server`.
+Section 3.3 client-server workload in :mod:`repro.workloads.server`.
 """
 
 from repro.workloads.base import (

@@ -1,18 +1,12 @@
-"""Client-server and managed-runtime workload builders (Section 3.3).
+"""Client-server workload builder (Section 3.3).
 
-The paper's virtualization layer exists for exactly these workload
-classes — "we have used zsim to simulate JVM workloads like SPECJBB;
-h-store, a multiprocess, client-server workload...; and memcached with
-user-level TCP/IP".  This module provides reusable builders:
-
-* :func:`client_server_threads` — an h-store/memcached-shaped workload:
-  a server process serving futex-signalled requests from client
-  processes, with request latencies observable through the virtualized
-  clock (timeouts evaluate against simulated time).
-* :func:`managed_runtime_threads` — a SPECJBB/JVM-shaped workload:
-  barrier-phased workers sized to the *simulated* core count plus
-  background GC threads that sleep on simulated time, so more threads
-  than cores exercise the round-robin scheduler.
+The paper's virtualization layer exists for workload classes like these
+— "we have used zsim to simulate JVM workloads like SPECJBB; h-store, a
+multiprocess, client-server workload...; and memcached with user-level
+TCP/IP".  :func:`client_server_threads` builds an h-store/memcached-shaped
+workload: a server process serving futex-signalled requests from client
+processes, with request latencies observable through the virtualized
+clock (timeouts evaluate against simulated time).
 """
 
 from __future__ import annotations
@@ -23,12 +17,11 @@ from repro.isa.opcodes import Opcode
 from repro.isa.program import BBLExec, Instruction, Program
 from repro.isa.registers import gp
 from repro.virt.process import SimProcess, SimThread
-from repro.virt.syscalls import Barrier, FutexWait, FutexWake, Sleep
-from repro.virt.sysview import SystemView
+from repro.virt.syscalls import FutexWait, FutexWake
 
 
-def _service_blocks(name):
-    program = Program(name)
+def _service_blocks():
+    program = Program("client-server")
     work = program.add_block(
         [Instruction(Opcode.LOAD, gp(14), dst1=gp(2)),
          Instruction(Opcode.ALU, gp(2), gp(3), gp(2)),
@@ -71,7 +64,7 @@ def client_server_threads(num_clients=2, requests_per_client=8,
     functional stream, like a real binary, can only observe simulated
     time through the virtualized interface).
     """
-    program, work, sys_block = _service_blocks("client-server")
+    program, work, sys_block = _service_blocks()
     tcache = TranslationCache()
     server_proc = SimProcess("server")
 
@@ -146,37 +139,3 @@ def _install_log_hook(sim, request_log):
     scheduler.handle_syscall = handle
     scheduler._wake = wake
 
-
-def managed_runtime_threads(config, phases=4, iters_per_phase=150,
-                            gc_threads=2, gc_sleep_cycles=20_000,
-                            gc_scan_iters=100):
-    """SPECJBB/JVM-shaped workload: worker pool sized from the simulated
-    system view + background GC threads (more threads than cores)."""
-    program, work, sys_block = _service_blocks("managed-runtime")
-    tcache = TranslationCache()
-    process = SimProcess("jvm")
-    num_workers = SystemView(config).cpu_count()
-
-    def worker_stream(tid):
-        base = 0x1000_0000 + tid * 0x100_0000
-        for phase in range(phases):
-            for i in range(iters_per_phase):
-                addr = base + (i * 64) % 32768
-                yield BBLExec(work, (addr, addr))
-            yield BBLExec(sys_block, (),
-                          syscall=Barrier(("gen", phase), num_workers))
-
-    def gc_stream(tid):
-        base = 0x8000_0000
-        for _cycle in range(phases):
-            yield BBLExec(sys_block, (), syscall=Sleep(gc_sleep_cycles))
-            for i in range(gc_scan_iters):
-                yield BBLExec(work, (base + i * 64, base + i * 64))
-
-    threads = [SimThread(InstrumentedStream(worker_stream(t), tcache),
-                         name="worker-%d" % t, process=process)
-               for t in range(num_workers)]
-    threads += [SimThread(InstrumentedStream(gc_stream(t), tcache),
-                          name="gc-%d" % t, process=process)
-                for t in range(gc_threads)]
-    return threads

@@ -4,7 +4,7 @@ Three layers of guarantees:
 
 * the schedule-once ``DecodedBBL`` tables (``flat``, ``mem_ops``,
   ``fetch_lines``, ``final_writes``) are field-for-field faithful to the
-  legacy per-µop objects and to an independently simulated scoreboard;
+  opcode table's µops and to an independently simulated scoreboard;
 * the shipped access path (L1 hits served in the core, every other
   access down the flattened walk) produces the simulated stats of the
   recursive reference walk, every run that can take the core probe
@@ -27,7 +27,9 @@ from repro.cpu.ooo import OOOCore
 from repro.exec.process import _RecordingMem
 from repro.exec.serial import SerialBackend
 from repro.isa.decoder import FETCH_LINE_BYTES, decode_bbl
-from repro.isa.uops import UopType
+from repro.isa.opcodes import Opcode, decode_instruction
+from repro.isa.registers import RFLAGS, RIP
+from repro.isa.uops import PORTS_BRANCH, Uop, UopType
 from repro.memory.coherence import MESI
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import Telemetry
@@ -41,7 +43,7 @@ from reference_walk import reference_classes
 
 
 # ---------------------------------------------------------------------
-# Flat descriptor tables vs the legacy µop objects
+# Flat descriptor tables vs the opcode table's µops
 # ---------------------------------------------------------------------
 
 
@@ -61,9 +63,32 @@ def _workload_blocks():
     return blocks
 
 
+def _uops(block):
+    """The block's µops re-derived from the opcode table
+    (``decode_instruction``), each CMP + conditional branch pair fused
+    into one branch µop that reads the compare's sources."""
+    instrs = block.instructions
+    uops = []
+    mem_slot = 0
+    i = 0
+    while i < len(instrs):
+        instr = instrs[i]
+        if (instr.opcode == Opcode.CMP and i + 1 < len(instrs)
+                and instrs[i + 1].opcode == Opcode.COND_BRANCH):
+            uops.append(Uop(UopType.BRANCH, instr.src1, instr.src2, RIP,
+                            RFLAGS, lat=1, ports=PORTS_BRANCH))
+            i += 2
+            continue
+        instr_uops, slots = decode_instruction(instr, mem_slot)
+        mem_slot += slots
+        uops += instr_uops
+        i += 1
+    return uops
+
+
 def _reference_schedule(uops):
-    """Recompute the static dependency schedule by walking the legacy
-    Uop objects with an explicit last-writer scoreboard."""
+    """Recompute the static dependency schedule by walking the Uop
+    objects with an explicit last-writer scoreboard."""
     last_writer = {}
     rows = []
     final = {}
@@ -88,16 +113,17 @@ class TestFlatDescriptorFidelity:
     def test_flat_matches_uops_field_for_field(self):
         for block in _workload_blocks():
             decoded = decode_bbl(block)
-            assert len(decoded.flat) == len(decoded.uops)
-            assert decoded.num_uops == len(decoded.uops)
-            for row, uop in zip(decoded.flat, decoded.uops):
+            uops = _uops(block)
+            assert len(decoded.flat) == len(uops)
+            assert decoded.num_uops == len(uops)
+            for row, uop in zip(decoded.flat, uops):
                 assert row[:4] == (uop.type, uop.lat, uop.ports,
                                    uop.mem_slot)
 
     def test_static_schedule_matches_scoreboard_walk(self):
         for block in _workload_blocks():
             decoded = decode_bbl(block)
-            rows, final = _reference_schedule(decoded.uops)
+            rows, final = _reference_schedule(_uops(block))
             assert [row[4:] for row in decoded.flat] == rows
             assert dict(decoded.final_writes) == final
 
@@ -113,7 +139,7 @@ class TestFlatDescriptorFidelity:
     def test_aggregates_match_uops(self):
         for block in _workload_blocks():
             decoded = decode_bbl(block)
-            uops = decoded.uops
+            uops = _uops(block)
             assert decoded.num_loads == sum(
                 1 for u in uops if u.type == UopType.LOAD)
             assert decoded.num_stores == sum(

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.dbt.instrumentation import InstrumentedStream, MagicOp
+from repro.dbt.instrumentation import InstrumentedStream
 from repro.dbt.translation_cache import TranslationCache
-from repro.isa.opcodes import Opcode
-from repro.isa.program import BBLExec, Instruction, Program
-from repro.isa.registers import gp
 
 from conftest import build_program, stream_of
 
@@ -100,19 +97,3 @@ class TestInstrumentedStream:
         assert skipped == 5 * block.num_instrs
         with pytest.raises(StopIteration):
             next(stream)
-
-    def test_magic_op_dispatch(self):
-        program = Program("magic")
-        magic = program.add_block([Instruction(Opcode.MAGIC)])
-        normal = program.add_block([Instruction(Opcode.ALU, gp(1), gp(2))])
-        seen = []
-
-        def gen():
-            yield BBLExec(normal)
-            yield BBLExec(magic, syscall=MagicOp.ROI_BEGIN)
-            yield BBLExec(normal)
-
-        stream = InstrumentedStream(gen(), magic_handler=seen.append)
-        list(stream)
-        assert len(seen) == 1
-        assert seen[0].syscall == MagicOp.ROI_BEGIN

@@ -7,10 +7,12 @@ checks that the code it has is reached.  Three rules, all by AST:
 
 * **Defs.**  Every function, class and method under ``src/repro``
   (dunders excluded) is named — as a name, attribute, import or string
-  — by ``src/repro``, ``benchmarks/`` or ``examples/``, or appears in
-  ``docs/api.md``.  A def's own body does not count as a reference,
-  nor do package ``__init__`` re-exports and ``__all__`` lists: a name
-  that only a re-export and a test mention is test-only surface.
+  — by ``src/repro``, ``benchmarks/`` or ``examples/``.  A def's own
+  body does not count as a reference, nor do package ``__init__``
+  re-exports and ``__all__`` lists: a name that only a re-export and a
+  test mention is test-only surface.  Documenting a def does not keep
+  it alive either: docs/api.md describes code that runs, it is not a
+  caller.
 * **Config fields.**  Every field of the dataclasses in
   ``config/system.py`` is read, as an attribute or a ``getattr`` string,
   somewhere in ``src/repro`` other than its own declaration.  A field
@@ -18,10 +20,16 @@ checks that the code it has is reached.  Three rules, all by AST:
 * **CLI flags.**  Every ``add_argument`` destination in ``cli.py`` is
   read there.  A flag nothing reads parses and changes nothing.
 
+One more rule keeps docs/api.md honest the other way round: every
+backticked dotted ``repro.…`` path in it imports and resolves, so a
+deletion that leaves its API entry behind fails here.
+
 The scan is by bare name, so a name defined twice is alive if either
-def is used; methods that several classes share (``reset``,
-``describe`` ...) need a review by hand.  ``stats()`` leaves are out of
-scope: they are data, and every stats digest depends on them.
+def is used, and a def whose name is also an attribute or a string key
+elsewhere (``ipc``, ``"perf_error"``) looks alive whatever calls it;
+methods that several classes share (``reset``, ``describe`` ...) need a
+review by hand.  ``stats()`` leaves are out of scope: they are data,
+and every stats digest depends on them.
 
 ``ALLOWLIST`` holds the defs that only a framework calls.  It may only
 shrink, and an entry whose def is gone or used fails the test.
@@ -30,6 +38,7 @@ shrink, and an entry whose def is gone or used fails the test.
 import ast
 import functools
 import pathlib
+import pkgutil
 import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -125,11 +134,8 @@ def _scan():
             for qualname, name, first, last in _defs(tree):
                 if not _is_dunder(name):
                     defs.append((path, qualname, name, first, last))
-    documented = set(re.findall(r"\w+", API_DOC.read_text()))
     dead = {}
     for path, qualname, name, first, last in defs:
-        if name in documented:
-            continue
         if any(where != path or not first <= line <= last
                for where, line in refs.get(name, ())):
             continue
@@ -152,6 +158,21 @@ def test_allowlist_only_shrinks():
     assert not stale, (
         "allowlist entries whose def is gone or now reached: %s; "
         "remove them" % ", ".join(stale))
+
+
+def test_every_api_doc_path_resolves():
+    paths = sorted(set(re.findall(r"`(repro(?:\.\w+)+)",
+                                  API_DOC.read_text())))
+    assert len(paths) > 10, "the scan lost track of docs/api.md"
+    broken = []
+    for dotted in paths:
+        try:
+            pkgutil.resolve_name(dotted)
+        except (ImportError, AttributeError) as exc:
+            broken.append("%s (%s)" % (dotted, exc))
+    assert not broken, (
+        "docs/api.md names paths that do not import: %s. Fix the entry "
+        "or delete it with the code" % "; ".join(broken))
 
 
 def _config_fields():

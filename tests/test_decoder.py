@@ -25,13 +25,14 @@ class TestFusion:
     def test_cmp_branch_fuses(self):
         decoded = decode_bbl(block_of([Opcode.CMP, Opcode.COND_BRANCH]))
         assert decoded.num_uops == 1
-        assert decoded.uops[0].type == UopType.BRANCH
+        assert decoded.flat[0][0] == UopType.BRANCH
         assert decoded.fused_pairs == 1
 
     def test_fused_uop_reads_compare_sources(self):
         decoded = decode_bbl(block_of([Opcode.CMP, Opcode.COND_BRANCH]))
-        uop = decoded.uops[0]
-        assert uop.src1 == gp(1) and uop.src2 == gp(2)
+        _type, _lat, _ports, _slot, _dep1, gsrc1, _dep2, gsrc2 = \
+            decoded.flat[0]
+        assert gsrc1 == gp(1) and gsrc2 == gp(2)
 
     def test_cmp_without_branch_does_not_fuse(self):
         decoded = decode_bbl(block_of([Opcode.CMP, Opcode.ALU]))
@@ -103,8 +104,7 @@ class TestMemSlots:
         block = block_of([Opcode.LOAD, Opcode.STORE, Opcode.ALU_STORE,
                           Opcode.ALU])
         decoded = decode_bbl(block)
-        mem_uops = [u for u in decoded.uops if u.is_mem]
-        slots_used = {u.mem_slot for u in mem_uops}
+        slots_used = {row[3] for row in decoded.flat if row[3] >= 0}
         assert slots_used == set(range(block.num_mem_slots))
 
     def test_loads_and_stores_counted(self):
@@ -129,7 +129,7 @@ def test_decode_properties(opcodes, end_branch):
     block = block_of(opcodes)
     decoded = decode_bbl(block)
     # µop slots are in-range and in nondecreasing program order.
-    slots = [u.mem_slot for u in decoded.uops if u.is_mem]
+    slots = [row[3] for row in decoded.flat if row[3] >= 0]
     assert slots == sorted(slots)
     assert all(0 <= s < block.num_mem_slots for s in slots)
     # Decode cycles bounded below by both frontend constraints.
@@ -149,5 +149,5 @@ def test_decoding_is_deterministic():
     ops = [random.Random(7).choice(_MIXABLE) for _ in range(12)]
     a = decode_bbl(block_of(ops))
     b = decode_bbl(block_of(ops))
-    assert [u.type for u in a.uops] == [u.type for u in b.uops]
+    assert a.flat == b.flat
     assert a.decode_cycles == b.decode_cycles

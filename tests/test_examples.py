@@ -5,6 +5,7 @@ rotting.  Slow examples are exercised through their main() with stdout
 captured (same process — imports are cheap, simulations dominate).
 """
 
+import re
 import runpy
 import sys
 
@@ -28,9 +29,17 @@ def test_client_server(monkeypatch, capsys):
 
 
 def test_managed_runtime(monkeypatch, capsys):
+    """More threads than cores all run, switching cores; the GC threads'
+    four 20 us sleeps on simulated time bound the run from below."""
     out = run_example(monkeypatch, capsys, "managed_runtime")
     assert "process tree: java -> helper" in out
-    assert "context switches" in out
+    threads, cores, switches = map(int, re.search(
+        r"threads: (\d+) on (\d+) cores, (\d+) context switches",
+        out).groups())
+    assert threads > cores and switches > threads
+    simulated_ms = float(re.search(r"\(([\d.]+) ms simulated\)",
+                                   out).group(1))
+    assert simulated_ms >= 4 * 0.020
 
 
 def test_thousand_core_scaling_tiny(monkeypatch, capsys):

@@ -27,7 +27,6 @@ NEVER = (
     "multiprocessing",
     "repro.baselines",
     "repro.cli",
-    "repro.dbt.tracing",
     "repro.exec.parallel",
     "repro.exec.pipelined",
     "repro.exec.process",

@@ -163,7 +163,7 @@ class TestProgram:
         blocks = [build.add_block([Instruction(Opcode.NOP)])
                   for _ in range(5)]
         assert [b.bbl_id for b in blocks] == list(range(5))
-        assert program.num_blocks == 5
+        assert len(program.blocks) == 5
 
     def test_mem_slot_counting(self):
         block = BasicBlock(0, 0, [

@@ -21,20 +21,20 @@ SRC = pathlib.Path(repro.__file__).parent
 
 BUDGETS = {
     "memory": 2258,
-    "core": 1932,
+    "core": 1924,
     "cpu": 837,
     "resilience": 1349,
     "obs": 1042,
     "exec": 1711,
     "cli.py": 760,
     "baselines": 274,
-    "config": 502,
-    "dbt": 360,
-    "harness": 660,
-    "isa": 722,
-    "stats": 487,
+    "config": 494,
+    "dbt": 215,
+    "harness": 428,
+    "isa": 716,
+    "stats": 429,
     "virt": 740,
-    "workloads": 947,
+    "workloads": 906,
 }
 
 

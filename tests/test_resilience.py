@@ -31,12 +31,14 @@ from repro.errors import (
     ConfigError,
     DeadlockError,
     ExecutionFault,
+    HorizonViolation,
     WallClockExceeded,
     WatchdogTimeout,
     WorkerFailure,
 )
 from repro.exec import make_backend
 from repro.exec.serial import SerialBackend
+from repro.isa.decoder import DecodedBBL
 from repro.memory import (Cache, CacheArray, CacheBankWeave, MainMemory,
                           MemCtrlWeave, RandomRepl, TreePLRU)
 from repro.resilience import (
@@ -227,6 +229,17 @@ class TestUnsupervisedPropagation:
         assert "injected failure" in failure.traceback_text
         assert failure.interval == 2
         assert isinstance(failure, ExecutionFault)
+
+    @pytest.mark.parametrize("backend", ["parallel", "pipelined"])
+    def test_horizon_violation_names_its_interval(self, backend):
+        """The drain loop that raises a HorizonViolation does not know
+        the interval; the run names it, so a caller without a Supervisor
+        reads the interval the fault came from."""
+        sim = _matrix_sim(backend)
+        sim.backend.fault_plan = FaultPlan.parse("corrupt@3")
+        with pytest.raises(HorizonViolation) as excinfo:
+            sim.run()
+        assert excinfo.value.interval == 3
 
     def test_killed_worker_surfaces_as_watchdog_timeout(self):
         sim = _matrix_sim("parallel")
@@ -431,6 +444,18 @@ for _policy in (TreePLRU, RandomRepl):
     _FORMAT_6_SLOTS[_policy] = _FORMAT_5_SLOTS[_policy] | {"_way_line",
                                                            "_line_way"}
 
+#: Format 7 dropped the stream's magic-op handler and the BBL
+#: descriptor's Uop tuple.  A capsule pickles every translation-cache
+#: entry, so the table now pins the descriptor's slots too: its flat
+#: tables are its only µop data.
+_FORMAT_7_SLOTS = dict(_FORMAT_6_SLOTS)
+_FORMAT_7_SLOTS[InstrumentedStream] = (
+    _FORMAT_6_SLOTS[InstrumentedStream] - {"magic_handler"})
+_FORMAT_7_SLOTS[DecodedBBL] = {
+    "block", "decode_cycles", "branch_uop_index", "conditional",
+    "fused_pairs", "num_loads", "num_stores", "num_uops", "fetch_lines",
+    "mem_ops", "has_syscall", "flat", "final_writes"}
+
 
 def _slot_names(cls):
     return {name for klass in cls.__mro__
@@ -447,7 +472,10 @@ def _model_objects(sim):
         objects += [repl for repl in cache.array._repl or ()
                     if repl is not None]
     objects += hierarchy.weave_components + list(sim.weave.core_weaves)
-    objects += [thread.stream for thread in sim.scheduler.threads]
+    streams = [thread.stream for thread in sim.scheduler.threads]
+    objects += streams
+    objects += [decoded for stream in streams
+                for decoded in stream.tcache._cache.values()]
     return objects
 
 
@@ -512,7 +540,7 @@ class TestCheckpointFormat:
         assert excinfo.value.found == FORMAT_VERSION + 1
         assert excinfo.value.expected == FORMAT_VERSION
 
-    @pytest.mark.parametrize("found", (1, 2, 3, 4, 5))
+    @pytest.mark.parametrize("found", (1, 2, 3, 4, 5, 6))
     def test_old_capsule_is_refused_not_migrated(self, tmp_path, found):
         """A v1 capsule holds list rings with head indices and
         list-of-edge events, a v2 capsule a pickled event pool this
@@ -520,9 +548,11 @@ class TestCheckpointFormat:
         ``__dict__`` state and repr-based deep digests, a v4 capsule OOO
         cores with a port-prune countdown and list free-way vectors, a
         v5 capsule LRU stamp objects, way lists and ``(way, state)``
-        line maps; none is migrated, all are refused typed — with a
-        valid checksum, by file and through the directory fallback."""
-        assert FORMAT_VERSION == 6
+        line maps, a v6 capsule streams with a magic-op handler slot and
+        BBL descriptors with a Uop tuple; none is migrated, all are
+        refused typed — with a valid checksum, by file and through the
+        directory fallback."""
+        assert FORMAT_VERSION == 7
         sim, _ = _small_sim()
         path = str(tmp_path / "ckpt-00000001.pkl")
         write_checkpoint(path, sim, interval=1, limit=1000)
@@ -531,7 +561,7 @@ class TestCheckpointFormat:
             b"repro-ckpt %d %08x\n" % (found, zlib.crc32(body)) + body)
         with pytest.raises(CheckpointVersionError) as excinfo:
             read_checkpoint(path)
-        assert (excinfo.value.found, excinfo.value.expected) == (found, 6)
+        assert (excinfo.value.found, excinfo.value.expected) == (found, 7)
         with pytest.raises(CheckpointError, match="format v%d" % found):
             read_latest_checkpoint(str(tmp_path))
 
@@ -682,14 +712,14 @@ class TestResume:
         assert_equivalent(_stats_tree(resumed.run()), baseline,
                           context="resume vs uninterrupted")
 
-    @pytest.mark.parametrize("cls", list(_FORMAT_4_SLOTS),
+    @pytest.mark.parametrize("cls", list(_FORMAT_7_SLOTS),
                              ids=lambda cls: cls.__name__)
     def test_format_4_pins_the_slots_of_every_pickled_class(self, cls):
-        """Format 4's slot table, as formats 5 and 6 changed it, is
+        """Format 4's slot table, as formats 5 to 7 changed it, is
         what this build pickles: a slot change without a bump fails
         here."""
-        assert FORMAT_VERSION == 6
-        assert _slot_names(cls) == _FORMAT_6_SLOTS[cls]
+        assert FORMAT_VERSION == 7
+        assert _slot_names(cls) == _FORMAT_7_SLOTS[cls]
 
     @pytest.mark.parametrize("core_model", ("simple", "ooo"))
     def test_model_objects_never_carry_a_dict(self, tmp_path, core_model):
@@ -697,13 +727,13 @@ class TestResume:
         3.11 drop its inline attribute storage for good, slowing every
         later access: no model object may have one — fresh, after a
         capture, or rebuilt from a capsule."""
-        for cls in _FORMAT_6_SLOTS:
+        for cls in _FORMAT_7_SLOTS:
             assert all("__slots__" in vars(klass)
                        for klass in cls.__mro__[:-1]), cls
 
         def assert_no_dicts(state):
             objects = _model_objects(state)
-            assert {type(obj) for obj in objects} <= set(_FORMAT_6_SLOTS)
+            assert {type(obj) for obj in objects} <= set(_FORMAT_7_SLOTS)
             assert not [obj for obj in objects if hasattr(obj, "__dict__")]
 
         sim, _ = _small_sim(core_model=core_model)

@@ -1,15 +1,10 @@
-"""Tests for the client-server and managed-runtime workload builders."""
+"""Tests for the client-server workload builder."""
 
 
-from repro.config import small_test_system, westmere
+from repro.config import westmere
 from repro.core import ZSim
-from repro.virt.process import ThreadState
 from repro.virt.timing import VirtualClock
-from repro.workloads.server import (
-    RequestLog,
-    client_server_threads,
-    managed_runtime_threads,
-)
+from repro.workloads.server import RequestLog, client_server_threads
 
 
 class TestClientServer:
@@ -53,41 +48,3 @@ class TestClientServer:
         threads = client_server_threads(num_clients=3)
         names = {t.process.name for t in threads}
         assert names == {"server", "client-0", "client-1", "client-2"}
-
-
-class TestManagedRuntime:
-    def test_more_threads_than_cores(self):
-        cfg = small_test_system(num_cores=4, core_model="simple")
-        threads = managed_runtime_threads(cfg, phases=2,
-                                          iters_per_phase=60)
-        assert len(threads) == cfg.num_cores + 2  # workers + GC
-        sim = ZSim(cfg, threads=threads)
-        sim.run()
-        assert sim.scheduler.all_done
-        assert sim.scheduler.context_switches > len(threads)
-
-    def test_gc_threads_sleep_on_simulated_time(self):
-        cfg = small_test_system(num_cores=2, core_model="simple")
-        threads = managed_runtime_threads(cfg, phases=2,
-                                          iters_per_phase=40,
-                                          gc_sleep_cycles=50_000)
-        sim = ZSim(cfg, threads=threads)
-        res = sim.run()
-        # The run must span at least the GC sleep periods.
-        assert res.cycles >= 2 * 50_000
-        gc = [t for t in sim.scheduler.threads
-              if t.name.startswith("gc-")]
-        assert all(t.state == ThreadState.DONE for t in gc)
-
-    def test_workers_share_barrier_phases(self):
-        cfg = small_test_system(num_cores=3, core_model="simple")
-        threads = managed_runtime_threads(cfg, phases=3,
-                                          iters_per_phase=30,
-                                          gc_threads=0)
-        sim = ZSim(cfg, threads=threads)
-        sim.run()
-        assert sim.scheduler.all_done
-        # Workers finish within a few intervals of each other
-        # (barrier-synchronized).
-        cycles = [c.cycle for c in sim.cores if c.instrs > 0]
-        assert max(cycles) - min(cycles) < 5_000

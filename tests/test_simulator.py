@@ -170,7 +170,7 @@ class TestProfilerIntegration:
         prof = InterferenceProfiler((1000, 10_000, 100_000))
         res, _ = run(tiny_config, workload(shared_fraction=0.4),
                      profiler=prof)
-        f = prof.fractions()
+        f = {n: prof.fraction(n) for n in prof.interval_lengths}
         assert f[1000] <= f[10_000] <= f[100_000]
         assert prof.total_accesses > 0
 

@@ -6,16 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.aggregate import (
-    confidence_interval_95,
-    hmean,
-    ipc,
-    mean_abs,
-    mpki,
-    perf_error,
-    run_until_tight,
-    stdev,
-)
+from repro.stats.aggregate import hmean, mean_abs, stdev
 from repro.stats.counters import StatsNode
 from repro.stats.reporting import format_table
 
@@ -72,21 +63,6 @@ class TestStatsNode:
 
 
 class TestMetrics:
-    def test_ipc(self):
-        assert ipc(100, 50) == 2.0
-        assert ipc(100, 0) == 0.0
-
-    def test_mpki(self):
-        assert mpki(5, 1000) == 5.0
-        assert mpki(5, 0) == 0.0
-
-    def test_perf_error_sign_convention(self):
-        """Positive = simulator overestimates (paper Section 4.1)."""
-        assert perf_error(1.1, 1.0) == pytest.approx(0.1)
-        assert perf_error(0.9, 1.0) == pytest.approx(-0.1)
-        with pytest.raises(ValueError):
-            perf_error(1.0, 0.0)
-
     def test_hmean_known_value(self):
         assert hmean([1, 1]) == 1.0
         assert hmean([2, 6]) == 3.0
@@ -113,31 +89,6 @@ class TestMetrics:
     def test_hmean_bounds(self, values):
         h = hmean(values)
         assert min(values) - 1e-9 <= h <= max(values) + 1e-9
-
-
-class TestConfidence:
-    def test_single_sample_infinite(self):
-        assert confidence_interval_95([1.0]) == float("inf")
-
-    def test_tight_samples_tight_ci(self):
-        assert confidence_interval_95([10.0] * 5) == 0.0
-
-    def test_run_until_tight_deterministic(self):
-        calls = []
-
-        def run():
-            calls.append(1)
-            return 42.0
-        value, samples = run_until_tight(run)
-        assert value == 42.0
-        assert len(calls) == 3  # min_runs
-
-    def test_run_until_tight_noisy_stops_at_max(self):
-        import random
-        rng = random.Random(0)
-        value, samples = run_until_tight(lambda: rng.uniform(0, 100),
-                                         max_runs=5)
-        assert len(samples) == 5
 
 
 class TestReporting:
