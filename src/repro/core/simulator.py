@@ -136,8 +136,6 @@ class SimulationResult:
             "translations": translations,
             "translation_hits": thits,
             "translation_hit_rate": thits / lookups if lookups else 0.0,
-            "translation_evictions": sum(t.evictions
-                                         for t in tcaches.values()),
             "fastpath_hits": fast,
             # No such path any more; benchmarks/perf/worker.py indexes it.
             "l2_fastpath_hits": 0,

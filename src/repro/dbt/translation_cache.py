@@ -10,25 +10,16 @@ later execution reuses the descriptor.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.isa.decoder import decode_bbl
 
 
 class TranslationCache:
     """Caches decoded basic blocks keyed by (program id, block id)."""
 
-    def __init__(self, capacity=None):
-        """``capacity`` optionally bounds the number of cached blocks;
-        when full, the least-recently-*used* block is evicted (a simple
-        stand-in for Pin's code-cache eviction).  Hits refresh recency,
-        so a hot block survives capacity pressure indefinitely."""
-        self._cache = OrderedDict()
-        self._capacity = capacity
+    def __init__(self):
+        self._cache = {}
         self.translations = 0
         self.hits = 0
-        #: Blocks dropped by capacity pressure.
-        self.evictions = 0
 
     def translate(self, block, program_id=0):
         """Return the decoded descriptor for ``block``, decoding on miss."""
@@ -36,22 +27,23 @@ class TranslationCache:
         decoded = self._cache.get(key)
         if decoded is not None:
             self.hits += 1
-            if self._capacity is not None:
-                # Unbounded caches never evict, so recency bookkeeping
-                # would be pure overhead on the hottest path in the
-                # simulator.
-                self._cache.move_to_end(key)
             return decoded
-        decoded = decode_bbl(block)
-        if self._capacity is not None and len(self._cache) >= self._capacity:
-            self._cache.popitem(last=False)
-            self.evictions += 1
-        self._cache[key] = decoded
+        decoded = self._cache[key] = decode_bbl(block)
         self.translations += 1
         return decoded
 
+    def __getstate__(self):
+        """A descriptor is a deterministic function of its block, so a
+        capsule carries the blocks and the counters; a load decodes
+        again without counting, so resumed counters match a straight
+        run's."""
+        return ({key: decoded.block for key, decoded in self._cache.items()},
+                self.translations, self.hits)
+
+    def __setstate__(self, state):
+        blocks, self.translations, self.hits = state
+        self._cache = {key: decode_bbl(block)
+                       for key, block in blocks.items()}
+
     def __len__(self):
         return len(self._cache)
-
-    def __contains__(self, key):
-        return key in self._cache

@@ -7,8 +7,9 @@ model, and — when the access reached contention-modeled components — the
 core's weave trace holds it until the interval's weave phase has run.
 It accumulates the zero-load latency (the *bound* on the access), the
 per-level hit/miss record for stats attribution, and the *weave chain*:
-the ordered list of (component, offset, kind) steps that the weave phase
-turns into timed events (Figure 4 of the paper).
+the ordered (component, offset, kind) steps that the weave phase turns
+into timed events (Figure 4 of the paper).  Both are tuples shared by
+every record on the same path: read-only.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class AccessRecord:
         #: Weave chain: (weave_component, offset_cycles, kind). Offsets are
         #: relative to the cycle the core issues the access and reflect
         #: zero-load timing, i.e. each event's lower bound.
-        self.steps = []
-        self.missed_levels = []
+        self.steps = ()
+        self.missed_levels = ()
         self.hit_level = None
         self.invalidations = 0
         #: Off-critical-path writebacks: (weave_component, offset, kind).

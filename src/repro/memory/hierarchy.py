@@ -24,10 +24,6 @@ _MESI_S = MESI.S
 _MESI_E = MESI.E
 _MESI_M = MESI.M
 
-_SK_HIT = StepKind.HIT
-_SK_MISS = StepKind.MISS
-_SK_READ = StepKind.READ
-_SK_NOC = StepKind.NOC
 _SK_WBACK = StepKind.WBACK
 
 #: Scratch depth for the flattened walk: strictly more cache levels than
@@ -190,9 +186,10 @@ class MemoryHierarchy:
         self._wire_children()
         self._rewire_parents()
 
-        # --- Walk scratch (preallocated path of the flattened walk) ----
+        # --- Walk scratch, and the path chain memo of _price_path ------
         self._walk_caches = [None] * _WALK_DEPTH
         self._walk_idx = [0] * _WALK_DEPTH
+        self._chains = {}
         self.fastpath_hits = 0
         self.slow_accesses = 0
 
@@ -259,16 +256,18 @@ class MemoryHierarchy:
         """Telemetry and the profiler are host-side observers, never
         simulated state; the routing tables are rebuilt on load.  The
         walk scratch holds only a dead path, so checkpoints ship it
-        blank."""
+        blank, and the path chains (derived) not at all."""
         state = self.__dict__.copy()
         state["_telem"] = None
         state["profiler"] = None
         state["_walk_caches"] = [None] * _WALK_DEPTH
         state["_walk_idx"] = [0] * _WALK_DEPTH
+        del state["_chains"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        self._chains = {}
         self._rewire_parents()
 
     def _wire_children(self):
@@ -347,7 +346,6 @@ class MemoryHierarchy:
         result.latency = l1.latency
         if entry is None:
             l1.misses += 1
-            result.missed_levels.append(l1.level)
         self._walk_access(l1, line, write, result, idx, entry)
         if (self.prefetchers and not ifetch
                 and "l1d" in result.missed_levels):
@@ -385,40 +383,30 @@ class MemoryHierarchy:
         Two loops over a preallocated path scratch — descend routing each
         miss to its parent and counting the next level, until a hit or
         main memory, then unwind granting, filling and evicting — with
-        the latency accumulator, step list, and routing tables bound to
-        locals.  Coherence fan-out (subtree invalidation/downgrade,
-        upgrade acquires) dispatches into the cache helpers; of those
-        only ``acquire_exclusive`` reads or writes ``ctx.latency``, so
-        the local accumulator is synced around exactly that call.  The
+        the latency accumulator and routing tables bound to locals;
+        between them, the path's shared chain (:meth:`_price_path`).
+        Coherence fan-out (subtree invalidation/downgrade, upgrade
+        acquires) dispatches into the cache helpers; of those only
+        ``acquire_exclusive`` reads or writes ``ctx.latency``, so the
+        local accumulator is synced around exactly that call.  The
         tests replay it against a recursive reference walk
         (``tests/reference_walk.py``)."""
-        latency = ctx.latency
-        steps = ctx.steps
-        missed = ctx.missed_levels
         caches = self._walk_caches
         idxs = self._walk_idx
         depth = 0
         array = c.array
         lines = array._lines
         state = _MESI_S
+        ctrl = None
         # -- Descend: route misses up until a hit or main memory -------
         while entry is None:
             banks = c._parent_banks
             if len(banks) == 1:
                 parent = banks[0]
-                net = c._parent_net[0]
             else:
                 key = ((line * _HASH_MULT) & 0xFFFFFFFF) >> 8 \
                     if c._parent_hashed else line
-                bank = key % len(banks)
-                parent = banks[bank]
-                net = c._parent_net[bank]
-            if c.noc_routes is not None:
-                route = c.noc_routes.get(
-                    (c.tile, getattr(parent, "tile", c.tile)))
-                if route is not None:
-                    steps.append((route, latency, _SK_NOC))
-            latency += net
+                parent = banks[key % len(banks)]
             caches[depth] = c
             idxs[depth] = idx
             depth += 1
@@ -427,18 +415,6 @@ class MemoryHierarchy:
                 m = parent
                 m.reads += 1
                 ctrl = line % m._num_ctrls
-                src_tile = c.tile
-                ctrl_tile = m._ctrl_tiles[ctrl]
-                if m.noc_routes is not None and src_tile != ctrl_tile:
-                    route = m.noc_routes.get((src_tile, ctrl_tile))
-                    if route is not None:
-                        steps.append((route, latency, _SK_NOC))
-                latency += m._net_to_ctrl[src_tile][ctrl]
-                arrival = latency
-                latency += m._zero_load
-                weave = m.ctrl_weaves[ctrl]
-                if weave is not None:
-                    steps.append((weave, arrival, _SK_READ))
                 rid = c.child_id
                 rbit = 1 << rid
                 sharers = m._sharers
@@ -473,8 +449,6 @@ class MemoryHierarchy:
                 break
             c = parent
             c.accesses += 1
-            arrival = latency
-            latency = arrival + c.latency
             array = c.array
             lines = array._lines
             ns = array.num_sets
@@ -485,9 +459,12 @@ class MemoryHierarchy:
             entry = lines[idx].get(line)
             if entry is None:
                 c.misses += 1
-                missed.append(c.level)
-                if c.weave is not None:
-                    steps.append((c.weave, arrival, _SK_MISS))
+        # -- The path's chain: ``c`` hit, or read controller ``ctrl`` --
+        latency = ctx.latency
+        if depth:
+            key = (caches[0].level, caches[0].tile, latency, c, ctrl)
+            ctx.steps, ctx.missed_levels, latency = (
+                self._chains.get(key) or self._price_path(key, depth))
         # -- Hit bookkeeping (cache ``c``; main memory handled above) --
         if entry is not None:
             state = entry
@@ -499,26 +476,16 @@ class MemoryHierarchy:
             else:
                 array._repl[idx].hit(line)
             c.hits += 1
-            if ctx.hit_level is None:
-                ctx.hit_level = c.level
-            if c.weave is not None:
-                steps.append((c.weave, arrival, _SK_HIT))
+            ctx.hit_level = c.level
             if write and state == _MESI_S:
                 # Upgrade: gain exclusivity from the parent level.
                 c.upgrades += 1
                 banks = c._parent_banks
-                if len(banks) == 1:
-                    parent = banks[0]
-                    net = c._parent_net[0]
-                else:
-                    key = ((line * _HASH_MULT) & 0xFFFFFFFF) >> 8 \
-                        if c._parent_hashed else line
-                    bank = key % len(banks)
-                    parent = banks[bank]
-                    net = c._parent_net[bank]
-                latency += net
-                ctx.latency = latency
-                parent.acquire_exclusive(line, c, ctx)
+                bank = 0 if len(banks) == 1 else (
+                    ((line * _HASH_MULT) & 0xFFFFFFFF) >> 8
+                    if c._parent_hashed else line) % len(banks)
+                ctx.latency = latency + c._parent_net[bank]
+                banks[bank].acquire_exclusive(line, c, ctx)
                 latency = ctx.latency
                 state = _MESI_E
                 lines[idx][line] = _MESI_E
@@ -662,6 +629,38 @@ class MemoryHierarchy:
             state = _MESI_M
         ctx.latency = latency
         return state
+
+    def _price_path(self, key, depth):
+        """Price and memoise path ``key``: the scratch's first ``depth``
+        caches missed in turn from the charged entry latency, then
+        ``end`` hit or, with ``ctrl`` set, read that controller.  The only
+        code that prices a path: its records share the returned tuples."""
+        _level, _tile, latency, end, ctrl = key
+        path = self._walk_caches[:depth]
+        missed = tuple(c.level for c in path)
+        if ctrl is None:
+            path.append(end)
+        steps = []
+        for c, parent in zip(path, path[1:]):
+            route = (c.noc_routes or {}).get((c.tile, parent.tile))
+            if route is not None:
+                steps.append((route, latency, StepKind.NOC))
+            arrival = latency + c._parent_net[c._parent_banks.index(parent)]
+            latency = arrival + parent.latency
+            if parent.weave is not None:
+                steps.append((parent.weave, arrival, StepKind.HIT
+                              if parent is end and ctrl is None
+                              else StepKind.MISS))
+        if ctrl is not None:
+            m = self.mainmem
+            route = (m.noc_routes or {}).get((end.tile, m._ctrl_tiles[ctrl]))
+            if route is not None:
+                steps.append((route, latency, StepKind.NOC))
+            arrival = latency + m._net_to_ctrl[end.tile][ctrl]
+            latency = arrival + m._zero_load
+            if m.ctrl_weaves[ctrl] is not None:
+                steps.append((m.ctrl_weaves[ctrl], arrival, StepKind.READ))
+        return self._chains.setdefault(key, (tuple(steps), missed, latency))
 
     def attach_telemetry(self, telemetry):
         """Install (or detach, with None) the observability context; the

@@ -38,10 +38,10 @@ from repro.errors import CheckpointError, CheckpointVersionError
 from repro.obs.log import get_logger
 
 #: On-disk format version; bump on any incompatible capsule change.
-#: v2: deque OOO rings, inline weave edges.  v3: no recycling pools.
-#: v4: slot pickles, by-value digests.  v5: no OOO prune counters, byte
-#: _free.  v6: recency-ordered LRU maps.  v7: no magic handler, no Uops.
-FORMAT_VERSION = 7
+#: v2: deque OOO rings, inline weave edges.  v3: no recycling pools.  v4:
+#: slot pickles, by-value digests.  v5: no OOO prune counters, byte _free.
+#: v6: recency LRU maps.  v7: no magic handler, no Uops.  v8: blocks only.
+FORMAT_VERSION = 8
 MAGIC = b"repro-ckpt"
 
 _log = get_logger("resilience.checkpoint")

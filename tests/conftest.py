@@ -150,7 +150,10 @@ def recursive_walk(cache, line, write, ctx, idx, entry):
     ``staticmethod`` on a hierarchy of ``reference_walk`` classes): the
     shipped fast path and prefetch entry stay live and only the walk
     beneath them is the recursive reference.  Like the shipped walk it
-    starts at ``cache`` with that level's access already charged."""
+    starts at ``cache`` with that level's access already charged, and
+    records that level's miss (the chain's first missed level)."""
+    if entry is None:
+        ctx.missed_levels += (cache.level,)
     return cache.serve(line, write, None, ctx, entry is not None,
                        ctx.latency - cache.latency)
 

@@ -53,9 +53,9 @@ class ReferenceCache(Cache):
         hit = self.array.lookup(line, touch=False) is not None
         if not hit:
             self.misses += 1
-            ctx.missed_levels.append(self.level)
+            ctx.missed_levels += (self.level,)
             if self.weave is not None:
-                ctx.steps.append((self.weave, arrival, StepKind.MISS))
+                ctx.steps += ((self.weave, arrival, StepKind.MISS),)
         return self.serve(line, write, requester, ctx, hit, arrival)
 
     def serve(self, line, write, requester, ctx, hit, arrival):
@@ -70,7 +70,7 @@ class ReferenceCache(Cache):
             if ctx.hit_level is None:
                 ctx.hit_level = self.level
             if self.weave is not None:
-                ctx.steps.append((self.weave, arrival, StepKind.HIT))
+                ctx.steps += ((self.weave, arrival, StepKind.HIT),)
             if write and state == MESI.S:
                 # Upgrade: gain exclusivity from the parent level.
                 self.upgrades += 1
@@ -93,7 +93,7 @@ class ReferenceCache(Cache):
             route = self.noc_routes.get(
                 (self.tile, getattr(parent, "tile", self.tile)))
             if route is not None:
-                ctx.steps.append((route, ctx.latency, StepKind.NOC))
+                ctx.steps += ((route, ctx.latency, StepKind.NOC),)
         ctx.latency += net
         granted = parent.handle_access(line, write, self, ctx)
         victim, vstate = conftest.fill(self.array, line, granted)
@@ -181,13 +181,13 @@ class ReferenceMainMemory(MainMemory):
         if self.noc_routes is not None and src_tile != ctrl_tile:
             route = self.noc_routes.get((src_tile, ctrl_tile))
             if route is not None:
-                ctx.steps.append((route, ctx.latency, StepKind.NOC))
+                ctx.steps += ((route, ctx.latency, StepKind.NOC),)
         ctx.latency += self.network.latency(src_tile, ctrl_tile)
         arrival = ctx.latency
         ctx.latency += self.config.zero_load_latency
         weave = self.ctrl_weaves[ctrl]
         if weave is not None:
-            ctx.steps.append((weave, arrival, StepKind.READ))
+            ctx.steps += ((weave, arrival, StepKind.READ),)
         rid = requester.child_id
         rbit = 1 << rid
         mask = self._sharers.get(line, 0)

@@ -1,5 +1,7 @@
 """Tests for the DBT substrate: translation cache + instrumentation."""
 
+import pickle
+
 import pytest
 
 from repro.dbt.instrumentation import InstrumentedStream
@@ -27,28 +29,27 @@ class TestTranslationCache:
         assert a is not b
         assert cache.translations == 2
 
-    def test_capacity_eviction(self):
-        program = build_program(num_blocks=5)
-        cache = TranslationCache(capacity=3)
+    def test_pickle_ships_blocks_and_redecodes(self):
+        """A capsule carries blocks and counters, never a decoded
+        descriptor; the load re-derives each descriptor without counting
+        a translation."""
+        program = build_program(num_blocks=3)
+        cache = TranslationCache()
+        for block in program.blocks + program.blocks[:1]:
+            cache.translate(block, program_id=2)
+        blob = pickle.dumps(cache)
+        assert b"DecodedBBL" not in blob
+        loaded = pickle.loads(blob)
+        assert (loaded.translations, loaded.hits, len(loaded)) == (3, 1, 3)
         for block in program.blocks:
-            cache.translate(block)
-        assert len(cache) == 3
-        assert cache.evictions == 2
-        # The oldest translations were evicted.
-        assert (0, 0) not in cache and (0, 4) in cache
-
-    def test_lru_hit_refreshes_recency(self):
-        program = build_program(num_blocks=4)
-        cache = TranslationCache(capacity=3)
-        for block in program.blocks[:3]:
-            cache.translate(block)
-        # Re-touch block 0: it becomes most-recent and must survive the
-        # eviction forced by block 3.
-        cache.translate(program.block(0))
-        cache.translate(program.block(3))
-        assert (0, 0) in cache
-        assert (0, 1) not in cache
-        assert cache.evictions == 1
+            want = cache.translate(block, program_id=2)
+            got = loaded.translate(block, program_id=2)
+            assert got is not want
+            assert [getattr(got, name) for name in got.__slots__
+                    if name != "block"] == \
+                [getattr(want, name) for name in want.__slots__
+                 if name != "block"]
+        assert (loaded.translations, loaded.hits) == (3, 4)
 
 
 class TestInstrumentedStream:

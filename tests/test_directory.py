@@ -9,7 +9,9 @@ as the shipped hierarchy (bitmask directories, L1 hits served by the
 core probe, flattened walk, prefetch fills entering that walk at the
 L2).  Every access must return the same latency/miss/invalidation
 record and weave steps, and the final arrays, counters, and (decoded)
-directories must match.
+directories must match.  It runs on one tile and on four: only the
+four-tile shape (NoC route steps, a bank and a controller per tile)
+can tell a path-chain key that forgot a component from a right one.
 """
 
 import dataclasses
@@ -18,7 +20,7 @@ import random
 
 import pytest
 
-from repro.config import small_test_system
+from repro.config import small_test_system, tiled_chip
 from repro.memory.cache import Cache, MainMemory
 from repro.memory.coherence import MESI
 from repro.memory.hierarchy import MemoryHierarchy
@@ -158,12 +160,12 @@ class SetDirectoryMainMemory(ReferenceMainMemory):
         if self.noc_routes is not None and src_tile != ctrl_tile:
             route = self.noc_routes.get((src_tile, ctrl_tile))
             if route is not None:
-                ctx.steps.append((route, ctx.latency, "NOC"))
+                ctx.steps += ((route, ctx.latency, "NOC"),)
         ctx.latency += self.network.latency(src_tile, ctrl_tile)
         arrival = ctx.latency
         ctx.latency += self.config.zero_load_latency
         if self.ctrl_weaves[ctrl] is not None:
-            ctx.steps.append((self.ctrl_weaves[ctrl], arrival, "READ"))
+            ctx.steps += ((self.ctrl_weaves[ctrl], arrival, "READ"),)
         sharers = self._sharers.setdefault(line, set())
         if write:
             for child in list(sharers):
@@ -215,10 +217,11 @@ class SetDirectoryMainMemory(ReferenceMainMemory):
 # ---------------------------------------------------------------------
 
 
-def _build_hierarchy(reference, prefetch_degree=0):
-    cfg = small_test_system(num_cores=4, core_model="ooo")
-    cfg = dataclasses.replace(cfg, l2=dataclasses.replace(
-        cfg.l2, prefetch_degree=prefetch_degree))
+def _build_hierarchy(reference, prefetch_degree=0, cfg=None):
+    if cfg is None:
+        cfg = small_test_system(num_cores=4, core_model="ooo")
+        cfg = dataclasses.replace(cfg, l2=dataclasses.replace(
+            cfg.l2, prefetch_degree=prefetch_degree))
     if not reference:
         return MemoryHierarchy(cfg)
     # The flat walk inlines bitmask directory ops; the reference
@@ -228,6 +231,22 @@ def _build_hierarchy(reference, prefetch_degree=0):
         h = MemoryHierarchy(cfg)
     h.access = functools.partial(reference_access, h)
     return h
+
+
+def _four_tile_config():
+    """``tiled_chip(4, cores_per_tile=2)`` with the weave-phase NoC on,
+    caches small enough that the traffic fills and evicts at every
+    level (its four controllers, one per tile, stay), and the L1I as
+    fast as the L1D (as ``CacheConfig``'s defaults have it)."""
+    cfg = tiled_chip(4, core_model="ooo", cores_per_tile=2)
+    small = {"l1i": (4, 2), "l1d": (4, 4), "l2": (16, 4), "l3": (64, 8)}
+    cfg = dataclasses.replace(
+        cfg, network=dataclasses.replace(cfg.network, weave_model=True),
+        **{level: dataclasses.replace(getattr(cfg, level), size_kb=size,
+                                      ways=ways)
+           for level, (size, ways) in small.items()})
+    return dataclasses.replace(cfg, l1i=dataclasses.replace(
+        cfg.l1i, latency=cfg.l1d.latency)).validate()
 
 
 def _directory_picture(h):
@@ -295,6 +314,46 @@ def _traffic(seed, count, num_cores, line_bits, strided=False):
     return accesses
 
 
+def _lockstep(ref, bit, seed, strided=False, fetches=False):
+    """Drive ``ref`` (set directories, recursive walk) and ``bit`` (the
+    shipped hierarchy) through the same randomized traffic: every
+    access's record and weave steps, then the arrays, counters and
+    decoded directories, must match.  With ``fetches``, every fifth
+    read is an instruction fetch."""
+    assert type(ref.l1d[0]) is SetDirectoryCache
+    assert type(ref.mainmem) is SetDirectoryMainMemory
+    num_cores = len(bit.l1d)
+    # Each access is offered to the L1 probe first, as a core does.
+    probes = [bit.l1_probe(core) for core in range(num_cores)]
+    for i, (core, addr, write) in enumerate(
+            _traffic(seed, 4000, num_cores, bit.line_bits,
+                     strided=strided)):
+        fetch_hit, data_hit, _latency, _flush = probes[core]
+        fetch = fetches and not write and i % 5 == 0
+        l1 = (bit.l1i if fetch else bit.l1d)[core]
+        want = ref.access(core, addr, write, ifetch=fetch)
+        if fetch_hit(addr) if fetch else data_hit(addr, write):
+            record = (l1.latency, (), l1.level, 0, (), (), ())
+        else:
+            got = bit.access(core, addr, write, ifetch=fetch)
+            record = (got.latency, tuple(got.missed_levels),
+                      got.hit_level, got.invalidations,
+                      got.shared_evictions, _named(got.steps),
+                      _named(got.wbacks))
+        expect = (want.latency, tuple(want.missed_levels),
+                  want.hit_level, want.invalidations,
+                  want.shared_evictions, _named(want.steps),
+                  _named(want.wbacks))
+        assert record == expect, \
+            "access %d diverged: %r vs %r" % (i, record, expect)
+    for probe in probes:
+        probe[3]()
+    assert bit.fastpath_hits > 0 and bit.slow_accesses > 0
+    assert _state_picture(bit) == _state_picture(ref)
+    assert _directory_picture(bit) == _directory_picture(ref)
+    assert bit.check_inclusion() == [] and bit.check_coherence() == []
+
+
 class TestBitmaskDirectoryLockstep:
     @pytest.mark.parametrize("seed, prefetch_degree", [
         *(pytest.param(seed, 0, id=str(seed)) for seed in (1, 7, 2026)),
@@ -302,38 +361,30 @@ class TestBitmaskDirectoryLockstep:
     def test_lockstep_with_reference_directory(self, seed, prefetch_degree):
         ref = _build_hierarchy(True, prefetch_degree)
         bit = _build_hierarchy(False, prefetch_degree)
-        assert type(ref.l1d[0]) is SetDirectoryCache
-        assert type(ref.mainmem) is SetDirectoryMainMemory
-        # Each access is offered to the L1 probe first, as a core does.
-        probes = [bit.l1_probe(core) for core in range(4)]
-        for i, (core, addr, write) in enumerate(
-                _traffic(seed, 4000, 4, bit.line_bits,
-                         strided=prefetch_degree > 0)):
-            _fetch_hit, data_hit, latency, _flush = probes[core]
-            want = ref.access(core, addr, write)
-            if data_hit(addr, write):
-                record = (latency, (), "l1d", 0, (), (), ())
-            else:
-                got = bit.access(core, addr, write)
-                record = (got.latency, tuple(got.missed_levels),
-                          got.hit_level, got.invalidations,
-                          got.shared_evictions, _named(got.steps),
-                          _named(got.wbacks))
-            expect = (want.latency, tuple(want.missed_levels),
-                      want.hit_level, want.invalidations,
-                      want.shared_evictions, _named(want.steps),
-                      _named(want.wbacks))
-            assert record == expect, \
-                "access %d diverged: %r vs %r" % (i, record, expect)
-        for probe in probes:
-            probe[3]()
-        assert bit.fastpath_hits > 0 and bit.slow_accesses > 0
+        _lockstep(ref, bit, seed, strided=prefetch_degree > 0)
         fills = sum(l2.prefetch_fills for l2 in bit.l2s)
         assert (fills > 0) == (prefetch_degree > 0)
-        assert _state_picture(bit) == _state_picture(ref)
-        assert _directory_picture(bit) == _directory_picture(ref)
-        assert bit.check_inclusion() == [] and bit.check_coherence() == []
 
+    @pytest.mark.parametrize("seed", (3, 2027))
+    def test_lockstep_on_four_tiles(self, seed):
+        """Four tiles of two cores (shared L2 per tile, one L3 bank and
+        one controller per tile, NoC route steps in the weave chains):
+        the shapes a path key must tell apart — entry tile, bank and
+        controller — all occur.  The two L1Ds of each tile differ in
+        latency, so two entries of one level and tile charge different
+        entry latencies, and fetches enter the L1I at the even L1Ds'
+        latency, so only the entry level tells those paths apart."""
+        ref = _build_hierarchy(True, cfg=_four_tile_config())
+        bit = _build_hierarchy(False, cfg=_four_tile_config())
+        for h in (ref, bit):
+            for core, l1d in enumerate(h.l1d):
+                l1d.latency += core % 2
+        _lockstep(ref, bit, seed, fetches=True)
+        kinds = {kind for key in bit._chains
+                 for _comp, _offset, kind in bit._chains[key][0]}
+        assert {"NOC", "MISS", "HIT", "READ"} <= kinds
+        assert {key[:2] for key in bit._chains} == {
+            (level, tile) for level in ("l1i", "l1d") for tile in range(4)}
     def test_directory_decodes_to_reference_after_upgrade_storm(self):
         """Write-heavy traffic on one line: the pure ping-pong case."""
         ref = _build_hierarchy(reference=True)

@@ -106,7 +106,7 @@ class TestEdgeDeliveryOrder:
         else:
             record = AccessRecord(0, 99, write=True)
             record.latency = service
-            record.steps.append((parent_bank, 0, "HIT"))
+            record.steps = ((parent_bank, 0, "HIT"),)
             record.wbacks = tuple((child_bank, offset, i)
                                   for i, offset in enumerate(child_offsets))
             engine.run_interval({0: [(100, record)]})

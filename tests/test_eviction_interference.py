@@ -13,7 +13,7 @@ from repro.workloads.base import KernelSpec, Workload
 
 def access(core, line, cycle, evictions=()):
     record = AccessRecord(core, line, write=True)
-    record.missed_levels.append("l1d")
+    record.missed_levels = ("l1d",)
     record.shared_evictions = tuple(evictions)
     return record, cycle
 

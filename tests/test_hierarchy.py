@@ -1,12 +1,22 @@
 """Tests for the hierarchy builder: wiring, latencies, traces, stats."""
 
+import dataclasses
+import pickle
+import types
+
 import pytest
 
 from repro.config import small_test_system, tiled_chip, westmere
+from repro.core import ZSim
 from repro.memory.access import StepKind
 from repro.memory.cache import hash_line
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.resilience import Checkpointer, read_checkpoint
+from repro.stats.diff import assert_equivalent
 from repro.stats.counters import StatsNode
+from repro.workloads import mt_workload
+
+from conftest import latest
 
 
 class TestConstruction:
@@ -133,6 +143,85 @@ class TestTraceRecording:
                 assert kind == StepKind.WBACK
                 assert comp.name.startswith("memctrl")
         assert seen_wback
+
+
+def _four_tiles():
+    """Four tiles of two cores with the weave-phase NoC on."""
+    cfg = tiled_chip(4, core_model="simple", cores_per_tile=2)
+    return dataclasses.replace(cfg, network=dataclasses.replace(
+        cfg.network, weave_model=True)).validate()
+
+
+class TestSharedChains:
+    """The walk prices each path once; every record on it shares the
+    path's ``steps`` and ``missed_levels`` tuples."""
+
+    def test_two_cores_of_a_tile_share_one_chain(self):
+        h = MemoryHierarchy(_four_tiles())
+        first = 0x40
+        bank = h.l2s[0].parent_select(first)[0]
+        ctrls = h.mainmem._num_ctrls
+        second, third = [line for line in range(first + 1, first + 4096)
+                         if h.l2s[0].parent_select(line)[0] is bank
+                         and line % ctrls == first % ctrls][:2]
+        a = h.access(0, first << h.line_bits, write=False)
+        b = h.access(1, second << h.line_bits, write=False)
+        assert a.missed_levels == ("l1d", "l2", "l3")
+        assert type(a.steps) is tuple and type(a.missed_levels) is tuple
+        assert b.steps is a.steps and b.missed_levels is a.missed_levels
+        assert b.latency == a.latency
+        # Core 2 sits on tile 1: its own NoC route to the same bank.
+        c = h.access(2, third << h.line_bits, write=False)
+        assert c.missed_levels == a.missed_levels
+        assert c.steps != a.steps
+
+    def test_memo_holds_no_more_entries_than_paths(self):
+        cfg = _four_tiles()
+        records = []
+
+        def recording(mem):
+            def access(*args, **kwargs):
+                record = mem.access(*args, **kwargs)
+                records.append(record)
+                return record
+            return types.SimpleNamespace(access=access, config=mem.config)
+
+        wl = mt_workload("blackscholes", scale=1 / 64, num_threads=8)
+        sim = ZSim(cfg, threads=wl.make_threads(target_instrs=4_000),
+                   mem_wrapper=recording)
+        sim.run()
+        tile = cfg.core_tile
+        paths = {(tile(r.core_id), r.missed_levels, r.hit_level,
+                  tuple((comp.name, offset, kind)
+                        for comp, offset, kind in r.steps))
+                 for r in records if r.missed_levels}
+        chains = sim.hierarchy._chains
+        assert 0 < len(chains) <= len(paths)
+        assert all(type(r.steps) is tuple and type(r.missed_levels) is tuple
+                   for r in records)
+
+    def test_capsules_carry_no_memo_and_resume_matches(self, tmp_path):
+        def make():
+            wl = mt_workload("blackscholes", scale=1 / 64, num_threads=8)
+            return ZSim(_four_tiles(),
+                        threads=wl.make_threads(target_instrs=6_000)), wl
+
+        straight, _ = make()
+        want = straight.run().stats().to_dict()
+        partial, wl = make()
+        partial.checkpointer = Checkpointer(str(tmp_path), every=1)
+        partial.run(max_intervals=3)
+        hier = partial.hierarchy
+        assert hier._chains
+        blob = pickle.dumps(hier)
+        assert b"_chains" not in blob
+        assert pickle.loads(blob)._chains == {}
+        capsule = read_checkpoint(latest(str(tmp_path)))
+        assert capsule["sim"].hierarchy._chains == {}
+        resumed = ZSim.resume(capsule, wl.make_threads(target_instrs=6_000))
+        assert_equivalent(resumed.run().stats().to_dict(), want,
+                          ignore=("host",),
+                          context="resume vs straight, four tiles")
 
 
 class TestStats:

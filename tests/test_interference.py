@@ -7,7 +7,7 @@ from repro.memory.access import AccessRecord
 def access(core, line, cycle, write=False, hit=True, invs=0):
     record = AccessRecord(core, line, write)
     if not hit:
-        record.missed_levels.append("l1d")
+        record.missed_levels = ("l1d",)
     record.invalidations = invs
     return record, cycle
 

@@ -21,7 +21,7 @@ SRC = pathlib.Path(repro.__file__).parent
 
 BUDGETS = {
     "memory": 2258,
-    "core": 1924,
+    "core": 1922,
     "cpu": 837,
     "resilience": 1349,
     "obs": 1042,
@@ -29,7 +29,7 @@ BUDGETS = {
     "cli.py": 760,
     "baselines": 274,
     "config": 494,
-    "dbt": 215,
+    "dbt": 207,
     "harness": 428,
     "isa": 716,
     "stats": 429,

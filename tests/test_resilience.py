@@ -456,6 +456,12 @@ _FORMAT_7_SLOTS[DecodedBBL] = {
     "fused_pairs", "num_loads", "num_stores", "num_uops", "fetch_lines",
     "mem_ops", "has_syscall", "flat", "final_writes"}
 
+#: Format 8 stopped pickling decoded descriptors: a translation cache
+#: ships its blocks and counters and decodes again on load, so no
+#: descriptor slot is part of the format any more.
+_FORMAT_8_SLOTS = dict(_FORMAT_7_SLOTS)
+del _FORMAT_8_SLOTS[DecodedBBL]
+
 
 def _slot_names(cls):
     return {name for klass in cls.__mro__
@@ -473,10 +479,7 @@ def _model_objects(sim):
                     if repl is not None]
     objects += hierarchy.weave_components + list(sim.weave.core_weaves)
     streams = [thread.stream for thread in sim.scheduler.threads]
-    objects += streams
-    objects += [decoded for stream in streams
-                for decoded in stream.tcache._cache.values()]
-    return objects
+    return objects + streams
 
 
 def _small_sim(instrs=8_000, core_model="simple"):
@@ -540,7 +543,7 @@ class TestCheckpointFormat:
         assert excinfo.value.found == FORMAT_VERSION + 1
         assert excinfo.value.expected == FORMAT_VERSION
 
-    @pytest.mark.parametrize("found", (1, 2, 3, 4, 5, 6))
+    @pytest.mark.parametrize("found", (1, 2, 3, 4, 5, 6, 7))
     def test_old_capsule_is_refused_not_migrated(self, tmp_path, found):
         """A v1 capsule holds list rings with head indices and
         list-of-edge events, a v2 capsule a pickled event pool this
@@ -549,10 +552,11 @@ class TestCheckpointFormat:
         cores with a port-prune countdown and list free-way vectors, a
         v5 capsule LRU stamp objects, way lists and ``(way, state)``
         line maps, a v6 capsule streams with a magic-op handler slot and
-        BBL descriptors with a Uop tuple; none is migrated, all are
+        BBL descriptors with a Uop tuple, a v7 capsule translation
+        caches of decoded descriptors; none is migrated, all are
         refused typed — with a valid checksum, by file and through the
         directory fallback."""
-        assert FORMAT_VERSION == 7
+        assert FORMAT_VERSION == 8
         sim, _ = _small_sim()
         path = str(tmp_path / "ckpt-00000001.pkl")
         write_checkpoint(path, sim, interval=1, limit=1000)
@@ -561,7 +565,7 @@ class TestCheckpointFormat:
             b"repro-ckpt %d %08x\n" % (found, zlib.crc32(body)) + body)
         with pytest.raises(CheckpointVersionError) as excinfo:
             read_checkpoint(path)
-        assert (excinfo.value.found, excinfo.value.expected) == (found, 7)
+        assert (excinfo.value.found, excinfo.value.expected) == (found, 8)
         with pytest.raises(CheckpointError, match="format v%d" % found):
             read_latest_checkpoint(str(tmp_path))
 
@@ -712,14 +716,14 @@ class TestResume:
         assert_equivalent(_stats_tree(resumed.run()), baseline,
                           context="resume vs uninterrupted")
 
-    @pytest.mark.parametrize("cls", list(_FORMAT_7_SLOTS),
+    @pytest.mark.parametrize("cls", list(_FORMAT_8_SLOTS),
                              ids=lambda cls: cls.__name__)
     def test_format_4_pins_the_slots_of_every_pickled_class(self, cls):
-        """Format 4's slot table, as formats 5 to 7 changed it, is
+        """Format 4's slot table, as formats 5 to 8 changed it, is
         what this build pickles: a slot change without a bump fails
         here."""
-        assert FORMAT_VERSION == 7
-        assert _slot_names(cls) == _FORMAT_7_SLOTS[cls]
+        assert FORMAT_VERSION == 8
+        assert _slot_names(cls) == _FORMAT_8_SLOTS[cls]
 
     @pytest.mark.parametrize("core_model", ("simple", "ooo"))
     def test_model_objects_never_carry_a_dict(self, tmp_path, core_model):
@@ -727,13 +731,13 @@ class TestResume:
         3.11 drop its inline attribute storage for good, slowing every
         later access: no model object may have one — fresh, after a
         capture, or rebuilt from a capsule."""
-        for cls in _FORMAT_7_SLOTS:
+        for cls in _FORMAT_8_SLOTS:
             assert all("__slots__" in vars(klass)
                        for klass in cls.__mro__[:-1]), cls
 
         def assert_no_dicts(state):
             objects = _model_objects(state)
-            assert {type(obj) for obj in objects} <= set(_FORMAT_7_SLOTS)
+            assert {type(obj) for obj in objects} <= set(_FORMAT_8_SLOTS)
             assert not [obj for obj in objects if hasattr(obj, "__dict__")]
 
         sim, _ = _small_sim(core_model=core_model)

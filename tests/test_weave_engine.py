@@ -18,7 +18,7 @@ def make_result(core_id, line, latency, steps):
     """Fabricate an AccessRecord with an explicit weave chain."""
     record = AccessRecord(core_id, line, write=False)
     record.latency = latency
-    record.steps.extend(steps)
+    record.steps = tuple(steps)
     return record
 
 
@@ -85,7 +85,7 @@ class TestRetiming:
         engine, bank = engine_with_bank(num_cores=1)
         res = AccessRecord(0, 7, write=True)
         res.latency = 30
-        res.steps.append((bank, 10, StepKind.MISS))
+        res.steps = ((bank, 10, StepKind.MISS),)
         res.wbacks = ((bank, res.latency, StepKind.WBACK),)
         engine.run_interval({0: [(50, res)]})
         assert bank.events_executed == 2  # miss + writeback
@@ -276,8 +276,8 @@ class _Lockstep:
                 for pick, step in steps:
                     offset += step
                     kind = StepKind.MISS if step % 2 else StepKind.HIT
-                    record.steps.append(
-                        (banks[pick % len(banks)], offset, kind))
+                    record.steps += (
+                        (banks[pick % len(banks)], offset, kind),)
                 record.latency = offset + slack
                 record.wbacks = tuple((banks[pick % len(banks)], wb_offset,
                                        StepKind.WBACK)
