@@ -19,7 +19,7 @@ Subcommands:
 * ``top`` — watch a running simulation through its status file.
 
 ``run`` carries the resilience layer's flags (see docs/resilience.md):
-``--supervise``, ``--watchdog-budget``, ``--checkpoint-dir`` /
+``--watchdog-budget``, ``--checkpoint-dir`` /
 ``--checkpoint-every`` / ``--resume``, ``--max-wall-seconds``, and the
 fault-injection harness ``--inject-faults`` — plus the observability
 flags (docs/observability.md): ``--status-file`` (live monitor),
@@ -35,8 +35,8 @@ import sys
 from repro.config import small_test_system, tiled_chip, westmere
 from repro.config.loader import load_config
 from repro.core.simulator import CONTENTION_MODELS, ZSim
-from repro.errors import (CheckpointError, ConfigError, IntegrityError,
-                          WallClockExceeded)
+from repro.errors import (CheckpointError, ConfigError, ExecutionFault,
+                          IntegrityError, WallClockExceeded)
 from repro.exec import BACKEND_NAMES
 
 #: Exit status for a run that stopped on ``--max-wall-seconds`` (the
@@ -160,7 +160,6 @@ def _setup_resilience(args, sim, meta, run_id):
     its own."""
     from repro.resilience import Checkpointer
     from repro.resilience.faults import FaultPlan
-    from repro.resilience.supervisor import Supervisor
     if args.watchdog_budget:
         sim.backend.watchdog_budget = args.watchdog_budget
     if getattr(args, "pool_size", None):
@@ -169,9 +168,6 @@ def _setup_resilience(args, sim, meta, run_id):
         sim.backend.heartbeat_budget_s = args.heartbeat_budget
     if args.inject_faults:
         sim.backend.fault_plan = FaultPlan.parse(args.inject_faults)
-    if args.supervise or args.inject_faults:
-        Supervisor(sim,
-                   max_retries=sim.config.boundweave.recovery_max_retries)
     if args.checkpoint_dir:
         sim.checkpointer = Checkpointer(args.checkpoint_dir,
                                         every=args.checkpoint_every,
@@ -303,16 +299,19 @@ def cmd_run(args):
                     print("profile written to %s (inspect with: "
                           "python -m pstats %s)"
                           % (args.profile, args.profile))
-    except (WallClockExceeded, IntegrityError) as exc:
+    except (WallClockExceeded, IntegrityError, ExecutionFault) as exc:
         # No traceback.  A budget or signal stop (RunInterrupted too) is
-        # resumable by design; an integrity fault would only reproduce,
-        # so it exits 1 and points at the audited capsules.
+        # resumable by design; an integrity or execution fault ends the
+        # run, so it exits 1 and points at the audited capsules.
         stopped = isinstance(exc, WallClockExceeded)
         if stopped:
             print("stopped: %s" % exc)
-        else:
+        elif isinstance(exc, IntegrityError):
             print("integrity fault at interval %s in %s: %s"
                   % (exc.interval, exc.component, exc.excerpt))
+        else:
+            print("%s at interval %s: %s"
+                  % (type(exc).__name__, exc.interval, exc))
         if sim.flight is not None and sim.flight.capsules:
             print("post-mortem capsule: %s (render with: repro report)"
                   % sim.flight.capsules[-1])
@@ -325,14 +324,6 @@ def cmd_run(args):
     print("workload %s on %s (%d cores, %s, %s contention, %s backend)"
           % (workload.name, config.name, config.num_cores,
              config.core.model, sim.contention_model, sim.backend.name))
-    if sim.supervisor is not None and sim.supervisor.summary()["recoveries"]:
-        summary = sim.supervisor.summary()
-        print("  recovered from %d execution fault(s)%s"
-              % (summary["recoveries"],
-                 " — fell back to the serial backend permanently"
-                 if summary["fallback_permanent"] else ""))
-        if summary.get("demotions"):
-            print("  degradation ladder: %s" % summary["demotion_path"])
     if sim.integrity is not None:
         s = sim.integrity.summary()
         print("  integrity: chain %08x over %d barrier(s), %d audit(s)"
@@ -623,10 +614,6 @@ def build_parser():
     run.add_argument("--log-level", default=None,
                      choices=("debug", "info", "warning", "error"),
                      help="enable structured logging at this level")
-    run.add_argument("--supervise", action="store_true",
-                     help="supervised execution: recover from backend "
-                          "faults by replaying the interval serially "
-                          "(implied by --inject-faults)")
     run.add_argument("--watchdog-budget", type=float, default=None,
                      metavar="SECONDS",
                      help="seconds of no worker progress before a pass "
@@ -649,7 +636,8 @@ def build_parser():
     run.add_argument("--inject-faults", default=None, metavar="PLAN",
                      help="deterministic fault plan, e.g. "
                           "'kill@3:w0;corrupt@5:d1' (see "
-                          "docs/resilience.md); enables supervision")
+                          "docs/resilience.md); a fault ends the run "
+                          "typed, resumable from its checkpoints")
     run.add_argument("--audit-every", type=int, default=None,
                      metavar="N",
                      help="integrity sentinel: fingerprint-chain every "

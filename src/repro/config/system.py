@@ -142,10 +142,6 @@ class BoundWeaveConfig:
     #: Watchdog: seconds of no worker progress before a pass raises a
     #: typed WatchdogTimeout (see repro.resilience).  0 disables.
     watchdog_budget_s: float = 0.0
-    #: Supervisor: consecutive faulted intervals tolerated before the
-    #: run degrades down the backend ladder (process -> parallel ->
-    #: serial); on serial it falls back permanently.
-    recovery_max_retries: int = 3
     #: Process backend: OS worker processes forked per interval.
     #: 0 = auto (host CPU count minus one, capped by host_threads).
     process_workers: int = 0
@@ -219,8 +215,6 @@ class SystemConfig:
                               % (self.boundweave.backend,))
         if self.boundweave.watchdog_budget_s < 0:
             raise ConfigError("watchdog_budget_s must be >= 0")
-        if self.boundweave.recovery_max_retries < 1:
-            raise ConfigError("recovery_max_retries must be >= 1")
         if self.boundweave.process_workers < 0:
             raise ConfigError("process_workers must be >= 0 (0 = auto)")
         if self.boundweave.heartbeat_budget_s <= 0:

@@ -106,8 +106,6 @@ class SimulationResult:
         self.uops = sum(core.uops for core in sim.cores)
         self.cycles = max((core.cycle for core in sim.cores), default=0)
         self.intervals = sim.bound.intervals
-        self.resilience = (sim.supervisor.summary()
-                           if sim.supervisor is not None else None)
         self.integrity = (sim.integrity.summary()
                           if sim.integrity is not None else None)
         self.host_exec = sim.backend.host_stats()
@@ -202,13 +200,6 @@ class SimulationResult:
             node = host.child("exec")
             for key, value in sorted(self.host_exec.items()):
                 node.set(key, value)
-        if self.resilience:
-            # Host-side supervision counters live under host/ so stats
-            # comparisons that exclude host wall-clock noise exclude
-            # recovery bookkeeping with it.
-            node = host.child("resilience")
-            for key, value in sorted(self.resilience.items()):
-                node.set(key, value)
         if self.host_dbt:
             # Data-plane amortization (decode/schedule-once, L1 fast
             # path): host-side — hit rates depend on interval
@@ -218,8 +209,8 @@ class SimulationResult:
                 node.set(key, value)
         if self.integrity:
             # Host-side: the sentinel is restored with the state it
-            # fingerprints, so replays are not counted twice, but a
-            # checkpoint adds any audit the stride skipped.
+            # fingerprints, but a checkpoint adds any audit the stride
+            # skipped.
             node = host.child("integrity")
             for key, value in sorted(self.integrity.items()):
                 node.set(key, value)
@@ -325,10 +316,8 @@ class ZSim:
         if bw.audit_every:
             from repro.resilience.integrity import IntegritySentinel
             self.integrity = IntegritySentinel(audit_every=bw.audit_every)
-        #: Resilience layer hooks (see repro.resilience): a Supervisor
-        #: attaches itself here; a Checkpointer/wall budget is installed
-        #: by the harness.  All optional; None means unsupervised.
-        self.supervisor = None
+        #: Resilience layer hooks (see repro.resilience): a Checkpointer
+        #: and wall budget installed by the harness.  None means off.
         self.checkpointer = None
         self.max_wall_seconds = None
         #: Cooperative stop: set by request_stop() (signal handlers);
@@ -397,24 +386,17 @@ class ZSim:
         gc_thresholds = gc.get_threshold()
         gc.set_threshold(200_000, 50, 50)
         try:
-            # Always dereference self.scheduler inside the loop: a
-            # resilience restore swaps the simulator's __dict__, so any
-            # captured subsystem reference would go stale.
             while not self._done(self.scheduler, intervals_run,
                                  max_instrs, max_cycles, max_intervals):
                 self._check_wall_budget(start_wall, intervals_run, limit)
                 self._check_stop_request(intervals_run, limit)
-                if self.supervisor is not None:
-                    outcome = self.supervisor.run_interval(limit)
-                else:
-                    outcome = self._execute_interval(limit)
                 bound_start, bound_end, weave_seconds, domain_events = \
-                    outcome
+                    self._execute_interval(limit)
                 intervals_run += 1
                 # Interval-barrier observability (dereferenced per
-                # iteration: restore() preserves these, but the objects
-                # are host-side and could be swapped by a harness).
-                # Every observer reads the one (cycle, instrs) pair.
+                # iteration: the objects are host-side and could be
+                # swapped by a harness).  Every observer reads the one
+                # (cycle, instrs) pair.
                 flight = self.flight
                 monitor = self.monitor
                 if (telem is not None or flight is not None
@@ -451,13 +433,16 @@ class ZSim:
                                     interval=intervals_run)
             raise
         except BaseException as exc:
-            # Deadlocks, typed faults the supervisor could not absorb,
-            # and plain crashes: dump the black box before unwinding.
+            # Deadlocks, execution and integrity faults, and plain
+            # crashes: dump the black box before unwinding.  A typed
+            # fault ends the run and names its interval; the newest
+            # checkpoint resumes it.
             run_state = "failed"
             if self.flight is not None:
-                self.flight.capture(self, kind=type(exc).__name__,
-                                    message=str(exc),
-                                    interval=intervals_run)
+                self.flight.capture(
+                    self, kind=type(exc).__name__, message=str(exc),
+                    interval=getattr(exc, "interval", None)
+                    or intervals_run)
             raise
         finally:
             gc.set_threshold(*gc_thresholds)
@@ -471,16 +456,13 @@ class ZSim:
                   intervals_run, wall, result.mips)
         return result
 
-    def _execute_interval(self, limit, backend=None):
+    def _execute_interval(self, limit):
         """One interval of the bound-weave loop: bound passes to the
         limit cycle, weave phase with contention feedback, host-model
-        accounting, and the barrier preemption sweep.  ``backend``
-        overrides the configured backend (the resilience supervisor
-        passes the serial reference for degraded re-runs).  Returns the
+        accounting, and the barrier preemption sweep.  Returns the
         ``(bound_start, bound_end, weave_seconds, domain_events)``
         telemetry tuple."""
-        if backend is None:
-            backend = self.backend
+        backend = self.backend
         bound_start = time.perf_counter()
         try:
             bound_times = self.bound.run_interval(limit, backend=backend)
@@ -573,12 +555,10 @@ class ZSim:
                 traces[core.core_id] = core.take_trace()
         return traces
 
-    def _weave_interval(self, backend=None):
+    def _weave_interval(self, backend):
         """Run the weave phase for the traces of the interval that just
         ended (through the execution backend) and apply the resulting
         contention delays.  Returns (weave_seconds, domain_events)."""
-        if backend is None:
-            backend = self.backend
         if self.weave is None:
             for core in self.cores:
                 core.trace.clear()

@@ -169,8 +169,8 @@ class OOOCore(Core):
         # The inner loop consumes the flat schedule-once descriptor
         # (decoded.flat + the static dependency schedule) with every hot
         # name bound to a local.  Stage clocks live in locals and are
-        # written back at the end; a fault mid-block is recovered by the
-        # supervisor's snapshot restore, never by reusing this core.
+        # written back at the end; a fault mid-block ends the run, and a
+        # resume restarts from a barrier capsule, never from this core.
         # L1 hits are served by ``probe`` (see cpu.base.l1_probe).
         block = decoded.block
         num_uops = decoded.num_uops

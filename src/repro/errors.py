@@ -8,13 +8,15 @@ matters operationally:
 
 * :class:`ExecutionFault` — something went wrong *executing* an interval
   (a worker died, stalled past the watchdog budget, or tripped the weave
-  horizon invariant).  Interval barriers are consistent global states,
-  so these are **recoverable**: the resilience supervisor re-runs the
-  interval on the serial backend from the interval-boundary snapshot
-  (see :mod:`repro.resilience`).
+  horizon invariant).  Like an :class:`IntegrityError`, it ends the run
+  typed with a post-mortem capsule.  Interval barriers are consistent
+  global states and the run is deterministic, so ``repro run --resume``
+  continues from the newest checkpoint to the fault-free result (see
+  :mod:`repro.resilience`).
 * Everything else — deadlocked simulated threads, bad configs, corrupt
   checkpoints, a failed integrity audit, an exhausted wall-clock budget
-  — is a property of the simulation itself and is never retried.
+  — is a property of the simulation itself.  No fault is retried
+  in-process.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class DeadlockError(SimulationError):
 
 class ExecutionFault(SimulationError):
     """Base class for faults in *how* an interval executed (not in the
-    simulated program).  Recoverable by interval replay."""
+    simulated program).  Ends the run; resumable from a checkpoint."""
 
     def __init__(self, message, phase=None, interval=None, worker=None,
                  core=None, domain=None):
@@ -145,8 +147,7 @@ class ProcessPoolError(ExecutionFault):
     itself errored, the whole pool died repeatedly, or a speculation
     replay diverged from its validated prefix.  Individual worker
     deaths never raise this — they degrade to inline execution — so
-    when it does surface, the supervisor's degradation ladder demotes
-    the backend a rung (process -> parallel -> serial)."""
+    when it does surface the run ends, resumable on another backend."""
 
 
 class WallClockExceeded(SimulationError):

@@ -22,12 +22,13 @@ attached so backends with real workers can report measured idle time
 (``exec.worker_idle_us``) instead of the serial backend's apportioned
 spans.
 
-Supervision hooks (see :mod:`repro.resilience`): ``watchdog_budget``
-bounds how long a backend waits for worker progress before raising a
-typed :class:`~repro.errors.WatchdogTimeout`; ``fault_plan`` lets the
-deterministic fault-injection harness wrap dispatched jobs; ``recover()``
-invalidates in-flight work (via the pool epoch) and abandons a poisoned
-pool so a degraded re-run can proceed with fresh workers.
+Fault hooks (see :mod:`repro.resilience`): ``watchdog_budget`` bounds
+how long a backend waits for worker progress before raising a typed
+:class:`~repro.errors.WatchdogTimeout`; ``fault_plan`` lets the
+deterministic fault-injection harness wrap dispatched jobs.  A faulted
+run ends, and ``shutdown()`` (called from the run's ``finally``) must
+quiesce a poisoned pool: bump the pool epoch so in-flight work goes
+stale, then join or abandon the workers within a bounded grace.
 """
 
 from __future__ import annotations
@@ -83,12 +84,6 @@ class ExecutionBackend:
         epoch are stale: workers drop them on arrival, and fault
         wrappers stop stalling when the epoch moves on."""
         return getattr(self, "_epoch", 0)
-
-    def recover(self):
-        """Invalidate in-flight work and abandon the worker pool after
-        an execution fault (workers may be stalled or dead); the next
-        pass lazily builds a fresh pool.  Default: plain shutdown."""
-        self.shutdown()
 
     # -- bound phase ---------------------------------------------------
 

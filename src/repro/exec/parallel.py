@@ -39,9 +39,9 @@ captured with their dispatch context and re-raised as a typed
 a configurable watchdog bounds how long a pass waits for worker progress
 (a stalled or killed worker surfaces as
 :class:`~repro.errors.WatchdogTimeout` instead of hanging the turnstile
-forever); and a pool epoch lets ``recover()`` abandon a poisoned pool —
-in-flight jobs from the old epoch are dropped on arrival, so an
-interval re-run never races against stale work.
+forever); and a pool epoch lets ``shutdown()`` abandon a poisoned pool —
+in-flight jobs from the old epoch are dropped on arrival, so no stale
+job mutates state after the faulted run ended.
 
 Wall-clock scaling on stock CPython is still bounded by the GIL (see
 docs/bound_weave.md); the worker/locking infrastructure is exercised
@@ -116,9 +116,9 @@ class _Worker(threading.Thread):
             fn, done, errors, ctx, epoch = job
             killed = False
             try:
-                # Stale jobs (dispatched before a recover()) are dropped:
-                # running them would mutate state an interval re-run has
-                # already rewound.  Their completion is still signaled.
+                # Stale jobs (dispatched before a shutdown()) are dropped:
+                # running them would mutate state after the faulted run
+                # ended.  Their completion is still signaled.
                 if epoch == self._backend.pool_epoch():
                     fn(self.index)
             except WorkerKilled:
@@ -199,12 +199,6 @@ class ParallelBackend(ExecutionBackend):
 
     def pool_epoch(self):
         return self._epoch
-
-    def recover(self):
-        """Invalidate in-flight work and abandon the pool after an
-        execution fault; the next pass builds a fresh pool lazily."""
-        self.abort_pass()
-        self.shutdown()
 
     def _ensure_pool(self, want):
         """Grow the pool (lazily) to min(want, host_threads) workers."""

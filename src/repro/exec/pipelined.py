@@ -27,8 +27,8 @@ chained to the original (typed :class:`~repro.errors.ExecutionFault`
 instances pass through untouched), the feedback wait honors
 ``watchdog_budget`` so a stalled or killed stage thread raises
 :class:`~repro.errors.WatchdogTimeout` instead of wedging the driver,
-and ``recover()`` abandons the stage via the pool epoch — a stale job
-finishing late is dropped rather than applied to rewound state.
+and ``shutdown()`` fences the stage with the pool epoch — a stale job
+finishing late is dropped rather than applied after the run ended.
 """
 
 from __future__ import annotations
@@ -85,20 +85,6 @@ class PipelinedBackend(ExecutionBackend):
             thread.join(timeout=self.SHUTDOWN_JOIN_S)
             self._jobs = None
 
-    def recover(self):
-        """Abandon the stage thread after an execution fault.  It may be
-        stalled or dead mid-job, so no join: the epoch bump makes any
-        late completion stale, and the next interval builds a fresh
-        stage lazily."""
-        self._epoch += 1
-        thread, self._thread = self._thread, None
-        if thread is not None and self._jobs is not None:
-            try:
-                self._jobs.put_nowait(None)
-            except queue.Full:
-                pass
-        self._jobs = None
-
     def _ensure_stage(self):
         if self._thread is None:
             self._jobs = queue.Queue(maxsize=self.QUEUE_DEPTH)
@@ -112,10 +98,10 @@ class PipelinedBackend(ExecutionBackend):
             self._thread.start()
 
     def _stage_loop(self, jobs):
-        # ``jobs`` is bound at thread creation: after recover() abandons
-        # this thread and nulls self._jobs, a stale loop iteration must
-        # still have a queue to block on (it drains the None sentinel
-        # recover() left there and exits).
+        # ``jobs`` is bound at thread creation: after shutdown() abandons
+        # a wedged thread and nulls self._jobs, a stale loop iteration
+        # must still have a queue to block on (it drains the None
+        # sentinel shutdown() left there and exits).
         while True:
             t0 = time.perf_counter()
             job = jobs.get()
@@ -129,7 +115,7 @@ class PipelinedBackend(ExecutionBackend):
                 if epoch == self._epoch:
                     slot["delays"] = fn(0)
                 else:
-                    slot["stale"] = True  # dropped: dispatched pre-recover
+                    slot["stale"] = True  # dropped: dispatched pre-shutdown
             except WorkerKilled:
                 killed = True
             except BaseException as exc:

@@ -38,9 +38,8 @@ simulated results may not):
   epoch-fenced, so a stale message from a previous generation is
   dropped — at the next pass.  Systemic failure (fork errors or the
   whole pool dying repeatedly) raises a typed
-  :class:`~repro.errors.ProcessPoolError`, which the resilience
-  supervisor's degradation ladder turns into a demotion:
-  process -> parallel (threads) -> serial.
+  :class:`~repro.errors.ProcessPoolError`, an execution fault that ends
+  the run typed; ``--resume`` continues it from its newest checkpoint.
 
 The weave phase runs inline on the driver: weave events hold live
 component references (not picklable without an event IR) and the
@@ -74,8 +73,8 @@ _log = get_logger("exec.process")
 MIN_SPECULATE_CORES = 2
 
 #: Consecutive systemic pool failures (fork errors or the whole pool
-#: dying) tolerated before a pass raises ProcessPoolError so the
-#: supervisor's degradation ladder can demote the backend.
+#: dying) tolerated before a pass raises ProcessPoolError, which ends
+#: the run typed.
 MAX_POOL_FAILURES = 2
 
 #: Bounded-grace shutdown: seconds to wait for a worker to exit before
@@ -167,8 +166,8 @@ class _PrefixReplayMem(_ForwardingMem):
                 # The determinism claim broke: the re-run diverged from
                 # the recorded prefix while its inputs matched.  The
                 # hierarchy already absorbed the prefix, so this pass
-                # cannot be patched up — surface a typed fault and let
-                # the supervisor rewind the interval.
+                # cannot be patched up — surface a typed fault that
+                # ends the run.
                 raise ProcessPoolError(
                     "speculation replay diverged at access %d of core %d"
                     % (i, core_id), phase="bound", core=core_id)
@@ -244,9 +243,6 @@ class ProcessBackend(ExecutionBackend):
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=1.0)
-
-    def recover(self):
-        self.shutdown()
 
     def host_stats(self):
         stats = dict(self.counters)
@@ -458,7 +454,7 @@ class ProcessBackend(ExecutionBackend):
         if self._pool_failures_in_a_row >= MAX_POOL_FAILURES:
             # The driver state is untouched (speculation never mutates
             # it), but the pool is systemically broken: surface a typed
-            # fault so the supervisor's ladder can demote the backend.
+            # fault that ends the run.
             raise ProcessPoolError(
                 "process pool failed %d times in a row: %s"
                 % (self._pool_failures_in_a_row, reason),

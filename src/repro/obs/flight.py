@@ -18,15 +18,13 @@ events.  The flight recorder is the black box for exactly those cases:
 * **Sources.**  The simulator records interval barriers; every
   execution backend records its dispatch seams (bound passes, weave
   intervals, process-pool forks, speculation commits/mismatches,
-  heartbeat slack, worker deaths); the resilience supervisor records
-  recoveries and ladder demotions; the fault-injection harness records
+  heartbeat slack, worker deaths); the fault-injection harness records
   each fault it fires; the checkpointer records saves.
 * **Post-mortem capsules.**  On any typed fault, deadlock, signal stop,
   or unhandled crash, :meth:`FlightRecorder.capture` freezes the ring
-  plus a stats snapshot, the supervisor's demotion path, and per-worker
-  last-seen state into a JSON capsule written next to the checkpoints
-  (``capsule_dir``; in-memory only when unset, so library use never
-  sprays files).  ``repro report <capsule>`` renders the final seconds
+  plus a stats snapshot and per-worker last-seen state into a JSON
+  capsule written next to the checkpoints (``capsule_dir``; in-memory
+  only when unset, so library use never sprays files).  ``repro report <capsule>`` renders the final seconds
   as a human-readable timeline.
 
 Events are ``(t_monotonic, kind, fields)`` tuples.  ``time.monotonic``
@@ -154,13 +152,6 @@ class FlightRecorder:
         except Exception:
             pass
         try:
-            if sim.supervisor is not None:
-                summary = sim.supervisor.summary()
-                snap["resilience"] = summary
-                snap["demotion_path"] = summary.get("demotion_path", "")
-        except Exception:
-            pass
-        try:
             sentinel = sim.integrity
             if sentinel is not None:
                 snap["integrity"] = sentinel.summary()
@@ -256,13 +247,6 @@ def render_report(capsule, last_seconds=None, max_events=None):
             "  state    : backend=%s interval=%s cycle=%s instrs=%s"
             % (snap.get("backend", "?"), snap.get("intervals", "?"),
                snap.get("cycle", "?"), snap.get("instrs", "?")))
-        resilience = snap.get("resilience") or {}
-        if resilience.get("recoveries"):
-            lines.append("  recovered: %s fault(s), %s demotion(s)%s"
-                         % (resilience.get("recoveries"),
-                            resilience.get("demotions", 0),
-                            " — ladder %s" % snap["demotion_path"]
-                            if snap.get("demotion_path") else ""))
         integrity = snap.get("integrity") or {}
         if integrity:
             lines.append("  integrity: chain %08x, %s fingerprint(s), "

@@ -20,7 +20,6 @@ Status file schema (``version`` 1)::
       "eta_s": 13.0,                # null when no target
       "elapsed_s": 12.8, "updated_monotonic": 12345.6,
       "spec_hit_rate": 0.93,        # process backend only, else null
-      "recoveries": 0, "demotions": 0, "demotion_path": "",
       "workers": {"0": {"last_event": "worker_done", "age_s": 0.2}}
     }
 
@@ -146,17 +145,8 @@ class RunMonitor:
             "elapsed_s": now - self._start,
             "updated_monotonic": now,
             "spec_hit_rate": _spec_hit_rate(sim),
-            "recoveries": 0,
-            "demotions": 0,
-            "demotion_path": "",
             "workers": _worker_liveness(sim, now),
         }
-        supervisor = getattr(sim, "supervisor", None)
-        if supervisor is not None:
-            summary = supervisor.summary()
-            status["recoveries"] = summary["recoveries"]
-            status["demotions"] = summary["demotions"]
-            status["demotion_path"] = summary["demotion_path"]
         sentinel = getattr(sim, "integrity", None)
         if sentinel is not None:
             integrity = sentinel.summary()
@@ -266,12 +256,8 @@ def render_top(status, now=None):
                     _fmt_seconds(status.get("eta_s")),
                     _fmt_seconds(status.get("elapsed_s"))))
     spec = status.get("spec_hit_rate")
-    resil = "recoveries %s   demotions %s%s" % (
-        status.get("recoveries", 0), status.get("demotions", 0),
-        "  (%s)" % status["demotion_path"]
-        if status.get("demotion_path") else "")
-    lines.append(("speculation hit rate %d%%   " % round(100 * spec)
-                  if spec is not None else "") + resil)
+    if spec is not None:
+        lines.append("speculation hit rate %d%%" % round(100 * spec))
     workers = status.get("workers") or {}
     if workers:
         cells = []

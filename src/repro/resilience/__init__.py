@@ -1,24 +1,22 @@
-"""Resilience layer: supervised execution, interval checkpoints, and
+"""Resilience layer: interval checkpoints, the integrity sentinel, and
 deterministic fault injection (see docs/resilience.md).
 
-The layer leans on two guarantees the engine already provides — interval
-barriers are consistent global states, and execution backends never
-change simulated results — to turn host-side failures (dead or stalled
-workers, corrupted event queues, killed processes) into recoverable
-events: the supervisor replays the faulted interval serially from an
-in-memory snapshot, and the checkpointer persists barrier snapshots so
-a killed run resumes to an identical stats tree.
+The layer leans on two guarantees the engine already provides: interval
+barriers are consistent global states, and a run is deterministic.  So
+no fault is replayed in-process.  Every fault ends the run typed, with
+a post-mortem capsule, and the checkpointer's newest barrier capsule is
+a clean restart point: ``repro run --resume`` continues from it to the
+stats tree an uninterrupted run produces.
 
 The root re-exports what a guarded run executes: checkpoints and the
-integrity sentinel.  The supervisor (:mod:`repro.resilience.supervisor`,
-with its recovery backoff) and fault injection
-(:mod:`repro.resilience.faults`) are imported from their modules.
+integrity sentinel.  Fault injection (:mod:`repro.resilience.faults`)
+is imported from its module.
 """
 
 from repro.resilience.checkpoint import (Checkpointer, capture_state,
                                          checkpoints, discard,
                                          read_checkpoint,
-                                         read_latest_checkpoint, restore,
+                                         read_latest_checkpoint,
                                          snapshot, write_checkpoint,
                                          FORMAT_VERSION)
 from repro.resilience.integrity import (IntegritySentinel,
@@ -30,5 +28,5 @@ __all__ = [
     "Checkpointer", "FORMAT_VERSION", "IntegritySentinel",
     "audit_invariants", "capture_state", "checkpoints", "discard",
     "fingerprint_components", "read_checkpoint", "read_latest_checkpoint",
-    "restore", "snapshot", "verify_state", "write_checkpoint",
+    "snapshot", "verify_state", "write_checkpoint",
 ]

@@ -2,25 +2,16 @@
 
 The interval barrier is the engine's consistent global state: every
 core has reached the limit cycle, the weave phase has drained, and the
-scheduler holds no mid-syscall state.  Snapshotting there is what makes
-both recovery layers possible:
+scheduler holds no mid-syscall state.  A capsule written there is a
+clean restart point, and the run is deterministic, so a run that ended
+for any reason (killed, stopped on its wall budget, or ended by a typed
+fault) resumes from its newest capsule to the same stats tree
+(``repro run --resume``).  Capsules are audited before they are
+written, so none holds a state that fails the integrity auditor.
 
-* **In-memory snapshots** (:func:`snapshot` / :func:`restore`): the
-  resilience supervisor captures the simulator before each supervised
-  interval; when an :class:`~repro.errors.ExecutionFault` surfaces, it
-  restores the snapshot and replays the interval on the serial backend.
-  Restoration swaps the simulator's ``__dict__`` wholesale — rewinding
-  every counter, queue, and RNG — then splices the *original* live
-  instruction streams back in, rewound to the barrier via their replay
-  logs (generators cannot be pickled, so clones carry position metadata
-  only).
-* **On-disk checkpoints** (:class:`Checkpointer`): the same capture
-  wrapped in a versioned, checksummed file so ``repro run --resume`` can
-  restart a killed run, or one an integrity fault ended (capsules are
-  audited before they are written).  Streams are reconstructed by
-  fast-forwarding a fresh workload generator to the recorded position
-  (``InstrumentedStream.resume_source``), which is deterministic by the
-  workload seeding contract.
+Streams are reconstructed by fast-forwarding a fresh workload generator
+to the recorded position (``InstrumentedStream.resume_source``), which
+is deterministic by the workload seeding contract.
 
 File format: one ASCII header line ``repro-ckpt <version> <crc32>``
 followed by a pickle payload.  The CRC covers the payload; mismatches
@@ -41,7 +32,8 @@ from repro.obs.log import get_logger
 #: v2: deque OOO rings, inline weave edges.  v3: no recycling pools.  v4:
 #: slot pickles, by-value digests.  v5: no OOO prune counters, byte _free.
 #: v6: recency LRU maps.  v7: no magic handler, no Uops.  v8: blocks only.
-FORMAT_VERSION = 8
+#: v9: streams without replay-log slots.
+FORMAT_VERSION = 9
 MAGIC = b"repro-ckpt"
 
 _log = get_logger("resilience.checkpoint")
@@ -49,21 +41,20 @@ _log = get_logger("resilience.checkpoint")
 
 def _detached(sim):
     """Attribute names on ZSim that hold host-side machinery (threads,
-    file handles, supervision state) and must survive a restore.
-    ``_stop_requested`` is here for both directions: a capsule must not
-    embalm a pending SIGTERM (the resumed run would instantly stop
-    again), and an interval replay must not swallow one.  The flight
-    recorder and live monitor are host-side observers (ring of host
-    timestamps, status-file handles): a resumed run gets fresh ones."""
-    return ("backend", "supervisor", "checkpointer", "_telem",
-            "_stop_requested", "flight", "monitor")
+    file handles) and stay out of a capsule.  ``_stop_requested`` is
+    here so a capsule never embalms a pending SIGTERM (the resumed run
+    would instantly stop again).  The flight recorder and live monitor
+    are host-side observers (ring of host timestamps, status-file
+    handles): a resumed run gets fresh ones."""
+    return ("backend", "checkpointer", "_telem", "_stop_requested",
+            "flight", "monitor")
 
 
 def capture_state(sim):
     """Pickle the simulator at an interval barrier.  Host-side
-    machinery (backend worker threads, telemetry sinks, the profiler,
-    the supervision layer itself) is detached around the dump; the
-    returned bytes contain only simulated state."""
+    machinery (backend worker threads, telemetry sinks, the profiler)
+    is detached around the dump; the returned bytes contain only
+    simulated state."""
     saved = {name: getattr(sim, name, None) for name in _detached(sim)}
     profiler = sim.hierarchy.profiler
     telem = sim._telem
@@ -84,49 +75,14 @@ def capture_state(sim):
             sim.attach_telemetry(telem)
 
 
-def snapshot(sim):
-    """In-memory snapshot for interval replay: arm the replay log on
-    every instruction stream, then capture.  Pair with :func:`restore`
-    (on fault) or :func:`discard` (on success)."""
-    for thread in sim.scheduler.threads:
-        thread.stream.begin_log()
-    return capture_state(sim)
+#: The capture a capsule holds, under the name the perf suite's
+#: ``resilience.snapshot_ms_16c`` row times; kept only for that row.
+snapshot = capture_state
 
 
 def discard(sim):
-    """Drop the replay logs armed by :func:`snapshot` after the
-    interval committed."""
-    for thread in sim.scheduler.threads:
-        thread.stream.discard_log()
-
-
-def restore(sim, payload):
-    """Rewind ``sim`` to the state captured by :func:`snapshot`.
-
-    Only call after the backend's ``recover()`` has quiesced its
-    workers: a straggler job mutating state (or pulling stream records)
-    during the swap would corrupt the rewound position.
-    """
-    clone = pickle.loads(payload)
-    originals = [thread.stream for thread in sim.scheduler.threads]
-    for stream in originals:
-        stream.rollback_log()
-    preserved = {name: getattr(sim, name, None) for name in _detached(sim)}
-    profiler = sim.hierarchy.profiler
-    sim.__dict__.clear()
-    sim.__dict__.update(clone.__dict__)
-    # The clone's streams are position metadata without generators;
-    # splice the live originals (just rewound to the barrier) back in.
-    for thread, stream in zip(sim.scheduler.threads, originals):
-        thread.stream = stream
-    for core_id, thread in enumerate(sim.scheduler._running):
-        sim.cores[core_id].stream = (thread.stream if thread is not None
-                                     else None)
-    for name, value in preserved.items():
-        setattr(sim, name, value)
-    sim.hierarchy.profiler = profiler
-    if sim._telem is not None:
-        sim.attach_telemetry(sim._telem)
+    """No-op: capture arms nothing that needs dropping.  Kept only
+    because the perf suite's snapshot row calls it after each capture."""
 
 
 # ---------------------------------------------------------------------

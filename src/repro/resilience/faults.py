@@ -14,10 +14,12 @@ the horizon invariant fires*.  Backends consult the plan at two seams:
   rewrite one queued timestamp in place — the heap surfaces it out of
   order and :class:`~repro.errors.HorizonViolation` fires on pop.
 
-Faults simulate *host* failures, never simulated-program behavior, so a
-supervised run that recovers from every injected fault must produce a
-stats tree identical to a fault-free run — that is the property
-``tests/test_resilience.py`` asserts and the CI smoke job guards.
+Faults simulate *host* failures, never simulated-program behavior.  A
+fault that surfaces ends the run typed with a post-mortem capsule, and a
+resume from the newest checkpoint without the plan must produce a stats
+tree identical to a fault-free run — that is the property
+``tests/test_resilience.py`` asserts and the CI ``fault-exit`` job
+guards.
 
 The plan grammar (CLI ``--inject-faults``) is ``;``-separated entries::
 
@@ -121,10 +123,10 @@ class KillWorker(Fault):
 
 
 class StallWorker(Fault):
-    """The worker hangs instead of working: it spins until recovery
-    bumps the pool epoch (or ``seconds``/the hard cap elapses).  If no
-    recovery ever comes, the job degrades into a plain delay so an
-    unwatched run stays sound."""
+    """The worker hangs instead of working: it spins until the faulted
+    run's shutdown bumps the pool epoch (or ``seconds``/the hard cap
+    elapses).  If no shutdown ever comes, the job degrades into a plain
+    delay so an unwatched run stays sound."""
 
     kind = "stall"
     HARD_CAP_S = 30.0
@@ -144,8 +146,8 @@ class StallWorker(Fault):
 class DelayJob(Fault):
     """The job runs late — past the watchdog budget if ``seconds``
     exceeds it.  After the sleep the job only runs if its epoch is
-    still current; a recovered interval must not be re-mutated by a
-    straggler."""
+    still current; a straggler must not mutate a run that already
+    ended."""
 
     kind = "delay"
     DEFAULT_S = 0.05
@@ -162,7 +164,7 @@ class RaiseInJob(Fault):
     """The job raises a plain RuntimeError *after* doing its work (so
     pass-ordering obligations like the bound turnstile are met and the
     hang-free guarantee holds even unwatched).  State WAS mutated when
-    the error surfaces — exactly the case interval replay must rewind."""
+    the error surfaces, so only a barrier capsule is a clean restart."""
 
     kind = "raise"
 

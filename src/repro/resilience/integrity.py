@@ -3,9 +3,8 @@
 The bound-weave engine's determinism contract — every backend produces
 byte-identical simulated state — is enforced offline by test oracles,
 but a *silently* corrupted cache line or scoreboard entry (a bad host,
-a buggy executor, an injected ``corrupt`` fault) sails through the
-supervisor, which only reacts to typed faults, and poisons every
-downstream interval and checkpoint.  This module closes that loop with
+a buggy executor, an injected ``corrupt`` fault) raises nothing on
+its own, and poisons every downstream interval and checkpoint.  This module closes that loop with
 three pieces (ISSUE 9):
 
 * **Interval fingerprint chain.**  At every interval barrier the
@@ -171,10 +170,10 @@ class IntegritySentinel:
     """Fingerprint-chain + audit state for one run.
 
     Deliberately *part of simulated state*: the sentinel pickles with
-    the simulator (it is **not** in ``checkpoint._detached``), so every
-    snapshot restore — supervisor interval replay or ``--resume`` —
-    rewinds the chain to the barrier it is restoring, and replayed
-    intervals re-derive identical chain values.
+    the simulator (it is **not** in ``checkpoint._detached``), so a
+    ``--resume`` continues the chain from the barrier it restores, and
+    the resumed intervals derive the chain values an uninterrupted run
+    would.
     """
 
     def __init__(self, audit_every=0):

@@ -100,7 +100,7 @@ class Scheduler:
 
     def blocked_report(self):
         """Per-thread blocked-state snapshot for diagnostics (deadlock
-        errors, supervisor logs): one dict per live thread."""
+        errors): one dict per live thread."""
         with self._lock:
             return [{"thread": t.name, "state": t.state,
                      "core": t.core, "home_core": t.home_core,

@@ -2,9 +2,10 @@
 ring + post-mortem capsules on every failure path.
 
 The contract under test: any typed fault, deadlock, signal stop, or
-crash leaves a capsule that names what failed and how the run (would
-have) recovered — and the ring itself stays strictly bounded, so the
-default-on recorder cannot grow a long run's memory.
+crash leaves a capsule that names what failed (and, for a worker death
+the process backend absorbs, how it recovered) — and the ring itself
+stays strictly bounded, so the default-on recorder cannot grow a long
+run's memory.
 """
 
 import glob
@@ -17,11 +18,12 @@ import repro
 from repro.cli import main
 from repro.core import ZSim
 from repro.config import small_test_system
-from repro.errors import DeadlockError, RunInterrupted
+from repro.errors import DeadlockError, ExecutionFault, RunInterrupted
 from repro.obs.flight import (CAPSULE_VERSION, FlightRecorder, load_capsule,
                               render_report)
+from repro.resilience import Checkpointer, read_latest_checkpoint
 from repro.resilience.faults import FaultPlan
-from repro.resilience.supervisor import Supervisor
+from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload
 
 INSTRS = 20_000
@@ -184,26 +186,35 @@ class TestFailurePathCapsules:
         # repeated whole-pool death surfaces (ProcessPoolError).
         ("process", "sigkill@2:w0;sigkill@3:w0", 3),
     ))
-    def test_supervised_fault_recovery_leaves_a_capsule(
+    def test_execution_fault_ends_typed_and_resumes(
             self, tmp_path, backend, plan, interval):
+        """The fault ends the run typed; its capsule names the kind
+        and interval, and the newest checkpoint resumes to the
+        fault-free result."""
         flight = FlightRecorder(capsule_dir=str(tmp_path))
         sim = _build(backend, flight)
         if backend == "process":
             sim.backend.pool_size = 1
         sim.backend.fault_plan = FaultPlan.parse(plan)
-        Supervisor(sim, max_retries=3, backoff_intervals=0)
-        sim.run()  # recovered, not fatal — but the capsule remains
-        recovered = [load_capsule(p) for p in flight.capsules]
-        recovered = [c for c in recovered
-                     if c["reason"].get("recovery")
-                     and "serial backend" in c["reason"]["recovery"]]
-        assert recovered, "recovery must leave a post-mortem"
-        capsule = recovered[0]
+        ckpts = str(tmp_path / "ckpts")
+        sim.checkpointer = Checkpointer(ckpts, every=1)
+        with pytest.raises(ExecutionFault) as excinfo:
+            sim.run()
+        assert excinfo.value.interval == interval
+        capsule = load_capsule(flight.capsules[-1])
+        assert capsule["reason"]["kind"] == type(excinfo.value).__name__
         assert capsule["reason"]["interval"] == interval
-        kinds = {e["kind"] for e in capsule["events"]}
-        assert "fault_injected" in kinds
-        assert any(e["kind"] == "recovery"
-                   for e in flight.events())
+        assert "fault_injected" in {e["kind"] for e in capsule["events"]}
+        _path, ckpt = read_latest_checkpoint(ckpts)
+        threads = mt_workload("blackscholes", scale=1 / 64,
+                              num_threads=4).make_threads(
+                                  target_instrs=INSTRS)
+        resumed = ZSim.resume(ckpt, threads, backend="serial",
+                              flight=False).run().stats().to_dict()
+        clean = _build("serial", False).run().stats().to_dict()
+        resumed.pop("host")
+        clean.pop("host")
+        assert_equivalent(resumed, clean, context="%s resumed" % plan)
 
     def test_process_worker_sigkill_leaves_a_named_capsule(
             self, tmp_path):

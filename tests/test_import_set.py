@@ -35,7 +35,6 @@ NEVER = (
     "repro.memory.noc_weave",
     "repro.obs.monitor",
     "repro.resilience.faults",
-    "repro.resilience.supervisor",
     "repro.stats.ascii_plot",
     "repro.stats.diff",
     "repro.workloads.multiprogrammed",

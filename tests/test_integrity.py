@@ -31,8 +31,8 @@ from repro.config import (
 )
 from repro.config.loader import config_from_dict, load_config
 from repro.core import ZSim
-from repro.errors import (ConfigError, ExecutionFault, IntegrityError,
-                          SimulationError)
+from repro.errors import (ConfigError, ExecutionFault, HorizonViolation,
+                          IntegrityError, SimulationError)
 from repro.memory.coherence import MESI
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.resilience import (
@@ -48,7 +48,6 @@ from repro.resilience import (
 )
 from repro.resilience.checkpoint import checkpoints
 from repro.resilience.faults import CorruptEvent, FaultPlan
-from repro.resilience.supervisor import Supervisor
 from repro.resilience.integrity import _crc
 from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload
@@ -198,8 +197,8 @@ class TestAuditor:
         assert info.value.component == "sched"
 
     def test_integrity_error_is_not_an_execution_fault(self):
-        """Interval replay would reproduce it: the supervisor must let
-        it end the run."""
+        """Interval replay would reproduce it: it ends the run, as an
+        execution fault does, but it is a property of the simulation."""
         err = IntegrityError("boom", component="core0", excerpt="x",
                              interval=3, phase="audit")
         assert isinstance(err, SimulationError)
@@ -382,16 +381,14 @@ def _resume_newest(directory):
 class TestSilentCorruptionRecovery:
     @pytest.mark.parametrize("backend", ("serial", "parallel"))
     def test_corrupt_ends_the_run(self, backend):
-        """A supervisor does not replay an integrity fault: it leaves
-        ``sim.run()`` with its post-mortem capsule."""
+        """An integrity fault leaves ``sim.run()`` with its post-mortem
+        capsule."""
         sim = _sim(backend)
         sim.backend.fault_plan = FaultPlan.parse("corrupt@3:c2")
-        supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
         with pytest.raises(IntegrityError) as info:
             sim.run()
         assert info.value.interval == 3
         assert info.value.component.startswith("mem.")
-        assert supervisor.recoveries == 0
         assert sim.flight.last_capsule["reason"]["kind"] == \
             "IntegrityError"
         events = [e for e in sim.flight.events()
@@ -425,18 +422,22 @@ class TestSilentCorruptionRecovery:
         sim.run(max_intervals=4)
         assert sim.integrity.audits == 2
 
-    def test_loud_corrupt_still_recovers(self, serial_baseline):
+    def test_loud_corrupt_still_recovers(self, tmp_path, serial_baseline):
         """The d-selector flavor (weave queue timestamps) keeps its
-        HorizonViolation path: interval replay under the supervisor."""
+        HorizonViolation path: the run ends typed, its capsule names
+        the fault, and the newest checkpoint resumes to the fault-free
+        result."""
         baseline, _chain = serial_baseline
         sim = _sim("parallel")
         sim.backend.fault_plan = FaultPlan.parse("corrupt@3:d1")
-        supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
-        result = sim.run()
-        assert supervisor.recoveries == 1
-        assert supervisor.history[0]["kind"] == "HorizonViolation"
-        assert supervisor.history[0]["interval"] == 3
-        assert_equivalent(baseline, _stats_tree(result))
+        sim.checkpointer = Checkpointer(str(tmp_path), every=1)
+        with pytest.raises(HorizonViolation) as info:
+            sim.run()
+        assert info.value.interval == 3
+        reason = sim.flight.last_capsule["reason"]
+        assert (reason["kind"], reason["interval"]) == (
+            "HorizonViolation", 3)
+        assert_equivalent(baseline, _stats_tree(_resume_newest(tmp_path)))
 
 
 # ---------------------------------------------------------------------

@@ -21,15 +21,15 @@ SRC = pathlib.Path(repro.__file__).parent
 
 BUDGETS = {
     "memory": 2258,
-    "core": 1922,
+    "core": 1902,
     "cpu": 837,
-    "resilience": 1349,
-    "obs": 1042,
-    "exec": 1711,
-    "cli.py": 760,
+    "resilience": 1026,
+    "obs": 1012,
+    "exec": 1682,
+    "cli.py": 748,
     "baselines": 274,
-    "config": 494,
-    "dbt": 207,
+    "config": 488,
+    "dbt": 164,
     "harness": 428,
     "isa": 716,
     "stats": 429,

@@ -71,9 +71,8 @@ class TestRenderTop:
         "target_instrs": 100_000, "progress": 0.12,
         "intervals_per_s": 3.5, "instrs_per_s": 41_000.0,
         "eta_s": 2.1, "elapsed_s": 0.3, "spec_hit_rate": 0.93,
-        "recoveries": 1, "demotions": 0,
         "workers": {"0": {"last_event": "hb_slack", "age_s": 0.2}},
-        "pid": 4242, "updated_monotonic": 1000.0, "demotion_path": "",
+        "pid": 4242, "updated_monotonic": 1000.0,
     }
 
     def test_frame_shows_identity_progress_and_rates(self):
@@ -83,7 +82,6 @@ class TestRenderTop:
         assert " 12%" in text
         assert "interval 7" in text
         assert "speculation hit rate 93%" in text
-        assert "recoveries 1" in text
         assert "STALE" not in text
 
     def test_stale_running_status_is_flagged(self):
@@ -92,12 +90,12 @@ class TestRenderTop:
         done = dict(self.STATUS, state="done")
         assert "STALE" not in render_top(done, now=1100.0)
 
-    def test_demotion_path_and_workers_render(self):
-        status = dict(self.STATUS, demotion_path="process->parallel",
-                      demotions=1)
-        text = render_top(status, now=1000.5)
-        assert "(process->parallel)" in text
+    def test_workers_render(self):
+        text = render_top(self.STATUS, now=1000.5)
         assert "workers: 0:hb_slack 0.2s" in text
+        no_spec = render_top(dict(self.STATUS, spec_hit_rate=None),
+                             now=1000.5)
+        assert "speculation" not in no_spec
 
 
 class TestCLITop:

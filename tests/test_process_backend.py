@@ -7,9 +7,8 @@ The headline properties:
   run — its cores re-run inline on the driver and the final stats tree
   is byte-identical to an uninterrupted serial run, with the recovery
   visible only under ``stats()["host"]``.
-* **The degradation ladder**: systemic pool failure demotes the run
-  process -> parallel -> serial under supervision, and the demoted run
-  still matches the fault-free serial reference.
+* **Typed systemic failure**: a pool that dies whole, repeatedly, ends
+  the run with a typed ``ProcessPoolError``.
 """
 
 import os
@@ -22,10 +21,8 @@ from repro.config import small_test_system
 from repro.errors import ProcessPoolError, RunInterrupted, WallClockExceeded
 from repro.exec import make_backend
 from repro.exec.process import ProcessBackend
-from repro.exec.serial import SerialBackend
 from repro.resilience import Checkpointer, read_checkpoint
 from repro.resilience.faults import FaultPlan, SigKillWorker, SigStopWorker
-from repro.resilience.supervisor import DecorrelatedJitter, Supervisor
 from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload
 
@@ -164,109 +161,6 @@ class TestProcessCrashTolerance:
         sim.backend.shutdown()     # second shutdown is a no-op
         sim.run(max_intervals=3)   # pool re-forks per pass
         sim.backend.shutdown()
-
-
-# ---------------------------------------------------------------------
-# The degradation ladder (under supervision)
-# ---------------------------------------------------------------------
-
-
-class TestDegradationLadder:
-    def test_process_to_parallel_to_serial(self, serial_baseline):
-        sim, _ = _build("process")
-        sim.backend.pool_size = 1
-        sim.backend.heartbeat_budget_s = 2.0
-        sim.backend.watchdog_budget = 0.25
-        # Two whole-pool deaths -> ProcessPoolError -> demote to
-        # parallel; a killed thread worker at interval 6 -> demote to
-        # serial (permanent).
-        plan = FaultPlan.parse("sigkill@2:w0;sigkill@3:w0;kill@6:bound")
-        sim.backend.fault_plan = plan
-        supervisor = Supervisor(sim, max_retries=1, backoff_intervals=0)
-        result = sim.run()
-
-        assert [(d["from"], d["to"]) for d in supervisor.demotions] == [
-            ("process", "parallel"), ("parallel", "serial")]
-        assert supervisor.fallback_permanent
-        assert isinstance(sim.backend, SerialBackend)
-        assert sim.host_model.backend_name == "serial"
-        # Degraded, not wrong.
-        assert_equivalent(_stats_tree(result), serial_baseline,
-                          context="fully demoted run vs serial")
-        res = result.stats().to_dict()["host"]["resilience"]
-        assert res["demotions"] == 2
-        assert res["demotion_path"] == "process->parallel->serial"
-        assert res["recoveries"] == 2
-
-    def test_demotion_transfers_watchdog_and_fault_plan(self):
-        sim, _ = _build("process")
-        sim.backend.pool_size = 1
-        plan = FaultPlan.parse("sigkill@2:w0;sigkill@3:w0")
-        sim.backend.fault_plan = plan
-        sim.backend.watchdog_budget = 0.25
-        Supervisor(sim, max_retries=1, backoff_intervals=0)
-        sim.run(max_intervals=5)
-        assert sim.backend.name == "parallel"
-        assert sim.backend.fault_plan is plan
-        assert sim.backend.watchdog_budget == 0.25
-
-
-# ---------------------------------------------------------------------
-# Recovery backoff: decorrelated jitter
-# ---------------------------------------------------------------------
-
-
-class TestBackoffJitter:
-    def _supervisor(self, seed, base=2):
-        sim, _ = _build("serial")
-        return Supervisor(sim, max_retries=10, backoff_intervals=base,
-                          seed=seed)
-
-    def test_draws_stay_in_the_jitter_window(self):
-        sup = self._supervisor(seed=123, base=2)
-        prev = 2
-        for _ in range(50):
-            draw = sup._next_backoff()
-            assert 2 <= draw <= 16  # [base, 8 * base]
-            assert draw <= max(2, 3 * prev)
-            prev = draw
-
-    def test_schedule_is_reproducible_per_seed(self):
-        a = [self._supervisor(seed=7)._next_backoff() for _ in range(1)]
-        sup_a = self._supervisor(seed=7)
-        sup_b = self._supervisor(seed=7)
-        a = [sup_a._next_backoff() for _ in range(20)]
-        b = [sup_b._next_backoff() for _ in range(20)]
-        assert a == b
-        assert len(set(a)) > 1  # actually jittered, not constant
-
-    def test_zero_base_disables_backoff(self):
-        sup = self._supervisor(seed=1, base=0)
-        assert sup._next_backoff() == 0
-
-    def test_reset_restarts_the_window(self):
-        # reset() shrinks the decorrelated window back to the base
-        # (the RNG stream keeps advancing: draws stay decorrelated).
-        jitter = DecorrelatedJitter(2, seed=7)
-        for _ in range(16):
-            jitter.next()
-        jitter.reset()
-        assert 2 <= jitter.next() <= 6
-
-    def test_recovery_surfaces_attempt_and_backoff(self):
-        sim, _ = _build("parallel")
-        sim.backend.watchdog_budget = 0.25
-        sim.backend.fault_plan = FaultPlan.parse("kill@2")
-        supervisor = Supervisor(sim, max_retries=5, backoff_intervals=2)
-        result = sim.run()
-        entry = supervisor.history[0]
-        assert entry["attempt"] == 1
-        assert 2 <= entry["backoff_intervals"] <= 16
-        summary = result.stats().to_dict()["host"]["resilience"]
-        assert summary["last_backoff_intervals"] == \
-            entry["backoff_intervals"]
-        assert summary["total_backoff_intervals"] >= \
-            entry["backoff_intervals"]
 
 
 # ---------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Resilience layer: supervised execution, interval checkpoints, and
-the deterministic fault-injection harness (repro.resilience).
+"""Resilience layer: interval checkpoints, typed fault exits, and the
+deterministic fault-injection harness (repro.resilience).
 
-The headline property: a supervised run that recovers from every
-injected host fault produces a stats tree identical to a fault-free
-serial run — faults change wall time and the recovery log, never
-simulated results.
+The headline property: every injected host fault ends the run typed,
+with its interval, and a resume from the newest checkpoint without the
+fault plan produces a stats tree identical to a fault-free serial run —
+faults change wall time and how the run got there, never simulated
+results.
 """
 
 import dataclasses
@@ -52,7 +53,6 @@ from repro.resilience import (
 from repro.obs.flight import FlightRecorder
 from repro.resilience.checkpoint import MAGIC
 from repro.resilience.faults import FaultPlan
-from repro.resilience.supervisor import Supervisor
 from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload
 
@@ -65,6 +65,15 @@ WATCHDOG_S = 0.25
 #: corrupt -> HorizonViolation.
 FAULT_MATRIX = ("raise@2:w0", "kill@2", "stall@3", "delay@2:0.4",
                 "corrupt@3")
+
+#: The typed fault each matrix spec ends the run with, and its interval.
+FAULT_EXITS = {
+    "raise@2:w0": (WorkerFailure, 2),
+    "kill@2": (WatchdogTimeout, 2),
+    "stall@3": (WatchdogTimeout, 3),
+    "delay@2:0.4": (WatchdogTimeout, 2),
+    "corrupt@3": (HorizonViolation, 3),
+}
 
 
 def _matrix_config(backend):
@@ -156,64 +165,43 @@ class TestFaultPlanGrammar:
 
 
 # ---------------------------------------------------------------------
-# The fault matrix: every fault caught, recovered, and invisible in the
-# final stats
+# The fault matrix: every fault ends the run typed, and the newest
+# capsule resumes to the fault-free result
 # ---------------------------------------------------------------------
+
+
+def _resume_latest(directory):
+    """Resume the newest valid capsule with fresh threads and no fault
+    plan, and run it to completion."""
+    _path, capsule = read_latest_checkpoint(directory)
+    wl = mt_workload("blackscholes", scale=1 / 64, num_threads=16)
+    return ZSim.resume(capsule, wl.make_threads(target_instrs=25_000),
+                       flight=False).run()
 
 
 class TestFaultMatrix:
     @pytest.mark.parametrize("backend", ["parallel", "pipelined"])
     @pytest.mark.parametrize("spec", FAULT_MATRIX)
-    def test_supervised_run_matches_serial(self, backend, spec,
-                                           serial_baseline):
+    def test_fault_ends_the_run_and_resume_matches(
+            self, tmp_path, backend, spec, serial_baseline):
         sim = _matrix_sim(backend)
         plan = FaultPlan.parse(spec, seed=7)
         sim.backend.fault_plan = plan
-        supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
-        tree = _stats_tree(sim.run())
+        sim.checkpointer = Checkpointer(str(tmp_path), every=1)
+        kind, interval = FAULT_EXITS[spec]
+        with pytest.raises(kind) as excinfo:
+            sim.run()
         assert unfired(plan) == [], "fault never fired: %s" % spec
-        assert supervisor.recoveries >= 1
-        assert not supervisor.fallback_permanent
-        assert_equivalent(tree, serial_baseline,
-                          context="%s under %s" % (spec, backend))
-
-    def test_history_records_fault_context(self, serial_baseline):
-        sim = _matrix_sim("parallel")
-        sim.backend.fault_plan = FaultPlan.parse("raise@2:w0")
-        supervisor = Supervisor(sim, max_retries=3, backoff_intervals=1)
-        sim.run()
-        assert len(supervisor.history) == 1
-        entry = supervisor.history[0]
-        assert entry["kind"] == "WorkerFailure"
-        assert entry["interval"] == 2
-        assert entry["worker"] == 0
-
-    def test_stats_tree_reports_recovery_counters(self):
-        sim = _matrix_sim("parallel")
-        sim.backend.fault_plan = FaultPlan.parse("raise@2:w0")
-        Supervisor(sim, max_retries=3, backoff_intervals=1)
-        tree = sim.run().stats().to_dict()
-        res = tree["host"]["resilience"]
-        assert res["recoveries"] == 1
-        assert res["fallback_permanent"] == 0
-
-
-class TestPermanentFallback:
-    def test_repeated_faults_fall_back_to_serial(self, serial_baseline):
-        sim = _matrix_sim("parallel")
-        sim.backend.fault_plan = FaultPlan.parse("raise@2:w0")
-        supervisor = Supervisor(sim, max_retries=1, backoff_intervals=0)
-        tree = _stats_tree(sim.run())
-        assert supervisor.fallback_permanent
-        assert isinstance(sim.backend, SerialBackend)
-        assert sim.host_model.backend_name == "serial"
-        # Degraded, not wrong: the run still matches the reference.
-        assert_equivalent(tree, serial_baseline,
-                          context="permanent fallback")
+        assert excinfo.value.interval == interval
+        assert sim.flight.last_capsule["reason"]["kind"] == kind.__name__
+        assert sim.checkpointer.saved == interval - 1
+        assert_equivalent(_stats_tree(_resume_latest(str(tmp_path))),
+                          serial_baseline,
+                          context="%s under %s, resumed" % (spec, backend))
 
 
 # ---------------------------------------------------------------------
-# Unsupervised failure propagation (the satellite fixes in repro.exec)
+# Failure propagation out of the backends (repro.exec)
 # ---------------------------------------------------------------------
 
 
@@ -233,8 +221,8 @@ class TestUnsupervisedPropagation:
     @pytest.mark.parametrize("backend", ["parallel", "pipelined"])
     def test_horizon_violation_names_its_interval(self, backend):
         """The drain loop that raises a HorizonViolation does not know
-        the interval; the run names it, so a caller without a Supervisor
-        reads the interval the fault came from."""
+        the interval; the run names it, so the caller reads the
+        interval the fault came from."""
         sim = _matrix_sim(backend)
         sim.backend.fault_plan = FaultPlan.parse("corrupt@3")
         with pytest.raises(HorizonViolation) as excinfo:
@@ -280,6 +268,39 @@ class TestUnsupervisedPropagation:
         with pytest.raises(RuntimeError, match="exploded"):
             sim.run()
         assert shutdowns  # the try/finally in ZSim.run fired
+
+
+class TestFaultExit:
+    def test_cli_fault_exits_typed_then_resumes_clean(self, tmp_path,
+                                                      capsys):
+        """``repro run`` ends on an execution fault: exit 1, the fault's
+        kind and interval, the capsule and the resume hint, and no
+        traceback.  Resuming the checkpoint directory without the plan
+        matches the fault-free run outside ``host``."""
+        from repro.cli import main as cli_main
+        flags = ["--config", "test", "--cores", "4", "--workload",
+                 "blackscholes", "--scale", "0.02", "--instrs", "20000",
+                 "--backend", "parallel"]
+        clean, resumed = tmp_path / "clean.json", tmp_path / "resumed.json"
+        ckpts = str(tmp_path / "ckpts")
+        assert cli_main(["run"] + flags + [
+            "--no-flight", "--stats-json", str(clean)]) == 0
+        capsys.readouterr()
+        assert cli_main(["run"] + flags + [
+            "--inject-faults", "raise@3:w0", "--checkpoint-dir", ckpts,
+            "--checkpoint-every", "1"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("WorkerFailure at interval 3: ")
+        assert lines[1].startswith("post-mortem capsule: %s" % ckpts)
+        assert lines[2] == ("resume with: repro run --resume %s "
+                            "<original flags>" % ckpts)
+        assert "Traceback" not in captured.out + captured.err
+        assert cli_main(["run"] + flags + [
+            "--resume", ckpts, "--no-flight",
+            "--stats-json", str(resumed)]) == 0
+        assert cli_main(["diff", str(clean), str(resumed),
+                         "--ignore", "host"]) == 0
 
 
 # ---------------------------------------------------------------------
@@ -332,8 +353,8 @@ class TestTypedErrors:
         cfg = small_test_system(num_cores=2)
         cfg = dataclasses.replace(
             cfg, boundweave=dataclasses.replace(cfg.boundweave,
-                                                recovery_max_retries=0))
-        with pytest.raises(ConfigError, match="retries"):
+                                                heartbeat_budget_s=0.0))
+        with pytest.raises(ConfigError, match="heartbeat"):
             cfg.validate()
 
 
@@ -462,6 +483,13 @@ _FORMAT_7_SLOTS[DecodedBBL] = {
 _FORMAT_8_SLOTS = dict(_FORMAT_7_SLOTS)
 del _FORMAT_8_SLOTS[DecodedBBL]
 
+#: Format 9 dropped the stream's replay log (pushback queue, log and
+#: log mark): no fault is replayed in-process, a run resumes from disk.
+_FORMAT_9_SLOTS = dict(_FORMAT_8_SLOTS)
+_FORMAT_9_SLOTS[InstrumentedStream] = (
+    _FORMAT_8_SLOTS[InstrumentedStream] - {"_pushback", "_log",
+                                           "_log_mark"})
+
 
 def _slot_names(cls):
     return {name for klass in cls.__mro__
@@ -543,7 +571,7 @@ class TestCheckpointFormat:
         assert excinfo.value.found == FORMAT_VERSION + 1
         assert excinfo.value.expected == FORMAT_VERSION
 
-    @pytest.mark.parametrize("found", (1, 2, 3, 4, 5, 6, 7))
+    @pytest.mark.parametrize("found", (1, 2, 3, 4, 5, 6, 7, 8))
     def test_old_capsule_is_refused_not_migrated(self, tmp_path, found):
         """A v1 capsule holds list rings with head indices and
         list-of-edge events, a v2 capsule a pickled event pool this
@@ -553,10 +581,10 @@ class TestCheckpointFormat:
         v5 capsule LRU stamp objects, way lists and ``(way, state)``
         line maps, a v6 capsule streams with a magic-op handler slot and
         BBL descriptors with a Uop tuple, a v7 capsule translation
-        caches of decoded descriptors; none is migrated, all are
-        refused typed — with a valid checksum, by file and through the
-        directory fallback."""
-        assert FORMAT_VERSION == 8
+        caches of decoded descriptors, a v8 capsule streams with
+        replay-log slots; none is migrated, all are refused typed — with
+        a valid checksum, by file and through the directory fallback."""
+        assert FORMAT_VERSION == 9
         sim, _ = _small_sim()
         path = str(tmp_path / "ckpt-00000001.pkl")
         write_checkpoint(path, sim, interval=1, limit=1000)
@@ -565,7 +593,7 @@ class TestCheckpointFormat:
             b"repro-ckpt %d %08x\n" % (found, zlib.crc32(body)) + body)
         with pytest.raises(CheckpointVersionError) as excinfo:
             read_checkpoint(path)
-        assert (excinfo.value.found, excinfo.value.expected) == (found, 8)
+        assert (excinfo.value.found, excinfo.value.expected) == (found, 9)
         with pytest.raises(CheckpointError, match="format v%d" % found):
             read_latest_checkpoint(str(tmp_path))
 
@@ -716,14 +744,14 @@ class TestResume:
         assert_equivalent(_stats_tree(resumed.run()), baseline,
                           context="resume vs uninterrupted")
 
-    @pytest.mark.parametrize("cls", list(_FORMAT_8_SLOTS),
+    @pytest.mark.parametrize("cls", list(_FORMAT_9_SLOTS),
                              ids=lambda cls: cls.__name__)
     def test_format_4_pins_the_slots_of_every_pickled_class(self, cls):
-        """Format 4's slot table, as formats 5 to 8 changed it, is
+        """Format 4's slot table, as formats 5 to 9 changed it, is
         what this build pickles: a slot change without a bump fails
         here."""
-        assert FORMAT_VERSION == 8
-        assert _slot_names(cls) == _FORMAT_8_SLOTS[cls]
+        assert FORMAT_VERSION == 9
+        assert _slot_names(cls) == _FORMAT_9_SLOTS[cls]
 
     @pytest.mark.parametrize("core_model", ("simple", "ooo"))
     def test_model_objects_never_carry_a_dict(self, tmp_path, core_model):
@@ -731,13 +759,13 @@ class TestResume:
         3.11 drop its inline attribute storage for good, slowing every
         later access: no model object may have one — fresh, after a
         capture, or rebuilt from a capsule."""
-        for cls in _FORMAT_8_SLOTS:
+        for cls in _FORMAT_9_SLOTS:
             assert all("__slots__" in vars(klass)
                        for klass in cls.__mro__[:-1]), cls
 
         def assert_no_dicts(state):
             objects = _model_objects(state)
-            assert {type(obj) for obj in objects} <= set(_FORMAT_8_SLOTS)
+            assert {type(obj) for obj in objects} <= set(_FORMAT_9_SLOTS)
             assert not [obj for obj in objects if hasattr(obj, "__dict__")]
 
         sim, _ = _small_sim(core_model=core_model)
@@ -747,23 +775,6 @@ class TestResume:
         capture_state(sim)
         assert_no_dicts(sim)
         assert_no_dicts(read_checkpoint(latest(str(tmp_path)))["sim"])
-
-    def test_resume_after_fault_recovery_matches(self, tmp_path,
-                                                 serial_baseline):
-        """Checkpointing composes with supervision: recover from a kill
-        fault, checkpoint, stop, resume, and the stats still match."""
-        sim = _matrix_sim("parallel")
-        sim.backend.fault_plan = FaultPlan.parse("kill@2")
-        Supervisor(sim, max_retries=3, backoff_intervals=1)
-        sim.checkpointer = Checkpointer(str(tmp_path), every=1)
-        sim.run(max_intervals=6)
-
-        capsule = read_checkpoint(latest(str(tmp_path)))
-        wl = mt_workload("blackscholes", scale=1 / 64, num_threads=16)
-        resumed = ZSim.resume(capsule, wl.make_threads(
-            target_instrs=25_000))
-        assert_equivalent(_stats_tree(resumed.run()), serial_baseline,
-                          context="resume after recovery")
 
     def test_resume_rejects_wrong_thread_count(self, tmp_path):
         sim, wl = _small_sim()
