@@ -96,12 +96,5 @@ class TLBMemory:
         return (translated(probe[0], self.itlbs[core_id]),
                 translated(probe[1], self.dtlbs[core_id])) + probe[2:]
 
-    def tlb_mpki(self, core_id, instrs, data_only=True):
-        tlb = self.dtlbs[core_id]
-        misses = tlb.misses
-        if not data_only:
-            misses += self.itlbs[core_id].misses
-        return 1000.0 * misses / instrs if instrs else 0.0
-
     def __getattr__(self, name):
         return getattr(self.hierarchy, name)

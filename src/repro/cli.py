@@ -183,18 +183,13 @@ class _GracefulStop:
     budget); a second signal takes the previous disposition, so it
     force-quits."""
 
-    SIGNALS = ("SIGTERM", "SIGINT")
-
     def __init__(self, sim):
         self.sim = sim
         self._previous = {}
 
     def __enter__(self):
         import signal
-        for name in self.SIGNALS:
-            signum = getattr(signal, name, None)
-            if signum is None:
-                continue
+        for signum in (signal.SIGTERM, signal.SIGINT):
             try:
                 self._previous[signum] = signal.signal(signum,
                                                        self._handle)
@@ -299,6 +294,12 @@ def cmd_run(args):
                     print("profile written to %s (inspect with: "
                           "python -m pstats %s)"
                           % (args.profile, args.profile))
+                plan = sim.backend.fault_plan
+                unfired = plan and "; ".join(
+                    fault.describe() for fault in plan.unfired())
+                if unfired:
+                    print("repro: warning: fault never fired: "
+                          + unfired, file=sys.stderr)
     except (WallClockExceeded, IntegrityError, ExecutionFault) as exc:
         # No traceback.  A budget or signal stop (RunInterrupted too) is
         # resumable by design; an integrity or execution fault ends the
@@ -328,6 +329,8 @@ def cmd_run(args):
         s = sim.integrity.summary()
         print("  integrity: chain %08x over %d barrier(s), %d audit(s)"
               % (s["chain"], s["fingerprints"], s["audits"]))
+    if unfired:
+        print("  unfired : " + unfired)
     print("  instrs  : %d" % result.instrs)
     print("  cycles  : %d" % result.cycles)
     print("  IPC     : %.3f" % result.ipc)
@@ -360,14 +363,11 @@ def cmd_validate(args):
 
 def cmd_list_workloads(_args):
     from repro.workloads import PARSEC, SPEC_CPU2006, SPEC_OMP, SPLASH2
-    print("SPEC CPU2006-like (single-threaded):")
-    print("  " + " ".join(SPEC_CPU2006))
-    print("PARSEC-like:")
-    print("  " + " ".join(PARSEC))
-    print("SPLASH-2-like:")
-    print("  " + " ".join(SPLASH2))
-    print("SPEC OMP-like:")
-    print("  " + " ".join(SPEC_OMP))
+    for suite, names in (("SPEC CPU2006-like (single-threaded)",
+                          SPEC_CPU2006), ("PARSEC-like", PARSEC),
+                         ("SPLASH-2-like", SPLASH2),
+                         ("SPEC OMP-like", SPEC_OMP)):
+        print("%s:\n  %s" % (suite, " ".join(names)))
     print("Other: stream")
     return 0
 

@@ -162,7 +162,7 @@ class SystemConfig:
 
     The chip is organized as ``num_tiles`` tiles of ``cores_per_tile``
     cores.  Each core has private L1I/L1D; an optional L2 is private per
-    core or shared per tile; the optional L3 is a banked, fully shared
+    core or shared per tile; the required L3 is a banked, fully shared
     last-level cache (one bank per tile by default).
     """
 
@@ -182,7 +182,7 @@ class SystemConfig:
     l2: Optional[CacheConfig] = field(default_factory=lambda: CacheConfig(
         name="l2", size_kb=256, ways=8, latency=7))
     l2_shared_per_tile: bool = False
-    l3: Optional[CacheConfig] = field(default_factory=lambda: CacheConfig(
+    l3: CacheConfig = field(default_factory=lambda: CacheConfig(
         name="l3", size_kb=12 * 1024, ways=16, latency=14, banks=6))
     network: NetworkConfig = field(default_factory=NetworkConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
@@ -198,9 +198,9 @@ class SystemConfig:
         pre-existing ``except ValueError`` callers keep working)."""
         if self.num_tiles < 1 or self.cores_per_tile < 1:
             raise ConfigError("System needs at least one core")
-        for cache in (self.l1i, self.l1d):
+        for cache in (self.l1i, self.l1d, self.l3):
             if cache is None:
-                raise ConfigError("L1 caches are mandatory")
+                raise ConfigError("L1 and L3 caches are mandatory")
         line = self.l1d.line_bytes
         for cache in (self.l1i, self.l1d, self.l2, self.l3):
             if cache is not None and cache.line_bytes != line:

@@ -63,7 +63,7 @@ class _MD1Memory:
 
     def access(self, core_id, addr, write, cycle=0, ifetch=False):
         result = self.hierarchy.access(core_id, addr, write, cycle, ifetch)
-        if result.missed_levels and self._reaches_memory(result):
+        if "l3" in result.missed_levels:     # only an L3 miss reads memory
             line = result.line
             model = self._models[line % self._channels]
             wait = model.latency(cycle) - model.service
@@ -73,12 +73,6 @@ class _MD1Memory:
     def l1_probe(self, core_id):
         # An L1 hit never reaches memory, so it never queues.
         return self.hierarchy.l1_probe(core_id)
-
-    def _reaches_memory(self, result):
-        # Only a miss in the hierarchy's last cache level reads memory.
-        hier = self.hierarchy
-        last = "l3" if hier.l3_banks else "l2" if hier.l2s else None
-        return last is None or result.missed_levels[-1] == last
 
     def __getattr__(self, name):
         # Raise AttributeError (never recurse) for dunders and for
@@ -139,9 +133,7 @@ class SimulationResult:
             "l2_fastpath_hits": 0,
             "slow_accesses": slow,
             "fastpath_hit_rate": fast / accesses if accesses else 0.0,
-            "dir_bitmask_ops": (
-                sum(c.dir_ops for c in caches)
-                + hierarchy.mainmem.dir_ops),
+            "dir_bitmask_ops": sum(c.dir_ops for c in caches),
             # Sparse per-set state: how much of the configured chip this
             # run paid for.  Counted here, never on the access path.
             "cache_sets_total": sum(c.array.num_sets for c in caches),
@@ -160,12 +152,6 @@ class SimulationResult:
     @property
     def ipc(self):
         return self.instrs / self.cycles if self.cycles else 0.0
-
-    @property
-    def perf(self):
-        """1/time performance metric for multithreaded validation
-        (the paper measures perf = 1/time, not IPC)."""
-        return 1.0 / self.cycles if self.cycles else 0.0
 
     def core_mpki(self, level):
         """Aggregate MPKI across cores at one cache level."""

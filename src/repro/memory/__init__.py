@@ -6,7 +6,7 @@ config or contention model uses them: :mod:`repro.memory.prefetcher`,
 """
 
 from repro.memory.access import AccessRecord, StepKind
-from repro.memory.cache import Cache, MainMemory, hash_line
+from repro.memory.cache import Cache, MainMemory
 from repro.memory.cache_array import CacheArray
 from repro.memory.coherence import MESI
 from repro.memory.contention import MD1Model
@@ -33,6 +33,5 @@ __all__ = [
     "StepKind",
     "TreePLRU",
     "WeaveComponent",
-    "hash_line",
     "make_policy",
 ]

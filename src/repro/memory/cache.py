@@ -15,6 +15,10 @@ Shared caches are banked: each bank is its own :class:`Cache` instance;
 all banks of a level share one children list so child identities are
 stable across banks.
 
+Every directory is an in-cache one: the L3 banks track the L2s (or
+L1s) above them, and main memory keeps none.  Each line maps to one L3
+bank, so memory could never see a second sharer of a line.
+
 The coherence walk runs on integers (ISSUE 10): every cache carries a
 stable ``child_id`` — its index in its parent level's shared children
 list — and directories store **bitmasks over child indices** instead of
@@ -22,8 +26,8 @@ sets of cache objects.  Sharer updates are single OR/AND-NOT int ops,
 owner lookups are dict-of-int reads, and invalidation/downgrade fan-out
 iterates set bits.  Parent routing is a precomputed table
 (``_parent_banks`` / ``_parent_net`` / ``_parent_hashed``) installed by
-the hierarchy builder — the per-line bank arithmetic is inlined at the
-call sites (:meth:`Cache.parent_select` wraps it for introspection).
+the hierarchy builder; :func:`_bank` is the one rule that picks a
+line's bank among several.
 """
 
 from __future__ import annotations
@@ -35,29 +39,17 @@ _MESI_S = MESI.S
 _MESI_E = MESI.E
 _MESI_M = MESI.M
 
-_HASH_MULT = 0x9E3779B1
+
+def _bank(c, line):
+    """Index of ``line``'s bank among cache ``c``'s parent banks (more
+    than one): a cheap multiplicative hash spreads lines across the
+    banks of Table 2's "hashed" shared L3, else the line interleaves."""
+    if c._parent_hashed:
+        line = ((line * 0x9E3779B1) & 0xFFFFFFFF) >> 8
+    return line % len(c._parent_banks)
 
 
-def hash_line(line):
-    """Cheap address hash used to spread lines across banks (Table 2's
-    "hashed" shared L3)."""
-    return ((line * _HASH_MULT) & 0xFFFFFFFF) >> 8
-
-
-class _Directory:
-    """The bitmask directory caches and main memory keep over their
-    ``children``: ``_sharers`` maps a line to the bitmask of child ids
-    holding it, ``_owner`` to the child id holding it in E/M."""
-
-    __slots__ = ()
-
-    def deep_items(self):
-        """The full directory by value for a deep integrity digest,
-        keyed by child id (ids are stamped by the builder and pickled)."""
-        return [sorted(self._sharers.items()), sorted(self._owner.items())]
-
-
-class Cache(_Directory):
+class Cache:
     """One coherent cache (a private cache or one bank of a shared one)."""
 
     __slots__ = ("name", "level", "latency", "tile", "array", "children",
@@ -124,14 +116,12 @@ class Cache(_Directory):
         """Route ``line`` to its parent: returns ``(parent, net_latency)``.
 
         Introspection-friendly wrapper over the routing table; the walk
-        inlines the same arithmetic (``MemoryHierarchy._walk_access``)."""
+        reads the table itself and calls :func:`_bank` below a
+        multi-bank level (``MemoryHierarchy._walk_access``)."""
         banks = self._parent_banks
         if banks is None:
             return None, 0
-        if len(banks) == 1:
-            return banks[0], self._parent_net[0]
-        key = hash_line(line) if self._parent_hashed else line
-        idx = key % len(banks)
+        idx = 0 if len(banks) == 1 else _bank(self, line)
         return banks[idx], self._parent_net[idx]
 
     def acquire_exclusive(self, line, requester, ctx):
@@ -216,8 +206,11 @@ class Cache(_Directory):
         yield from self.array.integrity_items()
 
     def deep_items(self):
-        """The array and the directory by value (deep digests)."""
-        return self.array.deep_items() + super().deep_items()
+        """The array and the directory by value for a deep integrity
+        digest, the directory keyed by child id (ids are stamped by the
+        builder and pickled)."""
+        return self.array.deep_items() + [sorted(self._sharers.items()),
+                                          sorted(self._owner.items())]
 
     def fill_stats(self, node):
         """Dump counters into a :class:`~repro.stats.StatsNode`.  An
@@ -231,18 +224,14 @@ class Cache(_Directory):
         return "Cache(%s)" % self.name
 
 
-class MainMemory(_Directory):
-    """Terminal level: memory controllers with a directory over the top
-    cache level.  The directory is only exercised when the top level is
-    not a single shared cache (e.g., multiple per-tile L2s and no L3);
-    like :class:`Cache` it is bitmask-over-children (``children`` holds
-    every potential requester — the L3 banks, or the top private level
-    when there is no L3)."""
+class MainMemory:
+    """Terminal level: the memory controllers, with no directory.  The
+    L3 banks above are the last directories; a line maps to one bank,
+    so a read to memory is always granted E."""
 
     __slots__ = ("config", "network", "num_tiles", "level", "name",
-                 "children", "down_latency", "ctrl_weaves", "noc_routes",
-                 "_num_ctrls", "_zero_load", "_ctrl_tiles", "_net_to_ctrl",
-                 "_sharers", "_owner", "reads", "writebacks", "dir_ops")
+                 "ctrl_weaves", "noc_routes", "_num_ctrls", "_zero_load",
+                 "_ctrl_tiles", "_net_to_ctrl", "reads", "writebacks")
 
     def __init__(self, config, network, num_tiles):
         self.config = config
@@ -250,8 +239,6 @@ class MainMemory(_Directory):
         self.num_tiles = num_tiles
         self.level = "mem"
         self.name = "mem"
-        self.children = []
-        self.down_latency = 0
         #: One weave component per controller, set by the hierarchy.
         self.ctrl_weaves = [None] * config.controllers
         self.noc_routes = None
@@ -259,11 +246,8 @@ class MainMemory(_Directory):
         # MemoryHierarchy._rewire_parents (also after unpickle).
         self._num_ctrls = self._zero_load = None
         self._ctrl_tiles = self._net_to_ctrl = None
-        self._sharers = {}            # line -> int bitmask of child ids
-        self._owner = {}              # line -> child id
         self.reads = 0
         self.writebacks = 0
-        self.dir_ops = 0
 
     def controller_tile(self, ctrl):
         if self.config.controllers >= self.num_tiles:
@@ -271,26 +255,12 @@ class MainMemory(_Directory):
         stride = self.num_tiles // self.config.controllers
         return (ctrl * stride) % self.num_tiles
 
-    def acquire_exclusive(self, line, requester, ctx):
-        rid = requester.child_id
-        self.dir_ops += 1
-        others = self._sharers.get(line, 0) & ~(1 << rid)
-        if others:
-            children = self.children
-            while others:
-                low = others & -others
-                others ^= low
-                children[low.bit_length() - 1].invalidate_subtree(line)
-                ctx.invalidations += 1
-        self._sharers[line] = 1 << rid
-        self._owner[line] = rid
-
     def integrity_items(self):
         """Cheap digest items for the integrity sentinel (same shape as
-        :meth:`Cache.integrity_items`, minus the array)."""
+        :meth:`Cache.integrity_items`, minus the directory and the
+        array)."""
         yield self.name
         yield (self.reads, self.writebacks)
-        yield (len(self._sharers), len(self._owner))
 
     def fill_stats(self, node):
         node.set("reads", self.reads)

@@ -2,23 +2,23 @@
 
 Builds the arbitrarily configurable hierarchies the paper supports from a
 :class:`~repro.config.SystemConfig`: per-core split L1s, an optional
-private-per-core or shared-per-tile L2, a banked fully-shared inclusive
-L3, a zero-load NoC, and per-tile memory controllers.  Shared levels get
-weave timing models; private levels are bound-phase only (contention in
-private levels is predominantly due to the core itself, Section 3.2.1).
+private-per-core or shared-per-tile L2, the required banked, fully
+shared, inclusive L3, a zero-load NoC, and per-tile memory controllers.
+The L3 banks hold the last directories: each line maps to one bank, so
+main memory keeps none.  Shared levels get weave timing models; private
+levels are bound-phase only (contention in private levels is
+predominantly due to the core itself, Section 3.2.1).
 """
 
 from __future__ import annotations
 
 from repro.memory.access import AccessRecord, StepKind
-from repro.memory.cache import Cache, MainMemory
+from repro.memory.cache import Cache, MainMemory, _bank
 from repro.memory.cache_array import _NO_LINES
 from repro.memory.coherence import MESI
 from repro.memory.network import Network
 from repro.memory.weave import CacheBankWeave, MemCtrlWeave
 from repro.obs.histogram import Log2Histogram
-
-_HASH_MULT = 0x9E3779B1
 
 _MESI_S = MESI.S
 _MESI_E = MESI.E
@@ -118,24 +118,21 @@ class MemoryHierarchy:
 
         # --- L3: banked, fully shared, inclusive ----------------------
         self.l3_banks = []
-        if config.l3 is not None:
-            l3 = config.l3
-            for bank in range(l3.banks):
-                cache = Cache("l3b%d" % bank, "l3", l3.num_sets, l3.ways,
-                              l3.latency, repl=l3.repl,
-                              tile=bank % num_tiles, seed=bank,
-                              hash_sets=l3.hash_sets)
-                cache.down_latency = (self.network.round_trip(0, 0)
-                                      + config.l1d.latency)
-                if build_weave:
-                    weave = CacheBankWeave(
-                        cache.name, l3.latency, ports=l3.ports,
-                        mshrs=l3.mshrs,
-                        miss_hold_cycles=config.memory.zero_load_latency,
-                        tile=cache.tile)
-                    cache.weave = weave
-                    self.weave_components.append(weave)
-                self.l3_banks.append(cache)
+        l3 = config.l3
+        for bank in range(l3.banks):
+            cache = Cache("l3b%d" % bank, "l3", l3.num_sets, l3.ways,
+                          l3.latency, repl=l3.repl, tile=bank % num_tiles,
+                          seed=bank, hash_sets=l3.hash_sets)
+            cache.down_latency = (self.network.round_trip(0, 0)
+                                  + config.l1d.latency)
+            if build_weave:
+                weave = CacheBankWeave(
+                    cache.name, l3.latency, ports=l3.ports, mshrs=l3.mshrs,
+                    miss_hold_cycles=config.memory.zero_load_latency,
+                    tile=cache.tile)
+                cache.weave = weave
+                self.weave_components.append(weave)
+            self.l3_banks.append(cache)
 
         # --- L2: private per core, or shared per tile -----------------
         self.l2s = []
@@ -197,12 +194,9 @@ class MemoryHierarchy:
     # Wiring helpers
     # ------------------------------------------------------------------
 
-    def _route_to_l3_or_mem(self, cache):
+    def _route_to_l3(self, cache):
         """Routing-table triple for a cache whose parent level is the
-        L3 (banked, per-bank net latency precomputed) or, absent an L3,
-        main memory (which adds its own network latency)."""
-        if not self.l3_banks:
-            return (self.mainmem,), (0,), False
+        L3 (banked, per-bank net latency precomputed)."""
         banks = tuple(self.l3_banks)
         net = tuple(self.network.latency(cache.tile, bank.tile)
                     for bank in banks)
@@ -215,8 +209,8 @@ class MemoryHierarchy:
         memory); ``Cache.__getstate__`` drops them to keep capsules
         cycle-free and :meth:`__setstate__` re-runs this pass after a
         checkpoint load.  Idempotent by construction.  The per-line
-        bank arithmetic (hash mult + mask included) is inlined at the
-        walk's call sites, so nothing unpickleable is installed."""
+        bank rule is the module function ``_bank``, so nothing
+        unpickleable is installed."""
         # Controller routing tables for the flattened walk's terminal
         # level: the tile of every controller and the zero-load network
         # latency from every source tile to it (both pure functions of
@@ -237,7 +231,7 @@ class MemoryHierarchy:
             cache._parent_hashed = False
         for cache in self.l2s:
             (cache._parent_banks, cache._parent_net,
-             cache._parent_hashed) = self._route_to_l3_or_mem(cache)
+             cache._parent_hashed) = self._route_to_l3(cache)
         for core in range(self.config.num_cores):
             for cache in (self.l1i[core], self.l1d[core]):
                 if self.l2s:
@@ -250,7 +244,7 @@ class MemoryHierarchy:
                     cache._parent_hashed = False
                 else:
                     (cache._parent_banks, cache._parent_net,
-                     cache._parent_hashed) = self._route_to_l3_or_mem(cache)
+                     cache._parent_hashed) = self._route_to_l3(cache)
 
     def __getstate__(self):
         """Telemetry and the profiler are host-side observers, never
@@ -273,15 +267,12 @@ class MemoryHierarchy:
     def _wire_children(self):
         """Populate children lists so directories know their subtrees.
 
-        ``MainMemory.children`` holds every potential requester — the
-        L3 banks, or the whole top cache level when there is no L3 —
-        so its bitmask directory always has a child index to grant to.
-        Every cache's ``child_id`` is its index in its parent level's
+        The L2s and the L3 banks keep directories; main memory keeps
+        none, so the L3 banks are nobody's children.  Every other
+        cache's ``child_id`` is its index in its parent level's
         children list; each cache has exactly one parent level and all
         banks of a level share one children order, so ids are
         unambiguous and stable across banks."""
-        for cache in self.l3_banks:
-            self.mainmem.children.append(cache)
         if self.l2s:
             for core in range(self.config.num_cores):
                 if self.config.l2_shared_per_tile:
@@ -293,13 +284,10 @@ class MemoryHierarchy:
             uppers = self.l2s
         else:
             uppers = self.l1i + self.l1d
-        if self.l3_banks:
-            for upper in uppers:
-                for cache in self.l3_banks:
-                    cache.children.append(upper)
-        else:
-            self.mainmem.children.extend(uppers)
-        for parent in ([self.mainmem] + self.l3_banks + self.l2s):
+        for upper in uppers:
+            for cache in self.l3_banks:
+                cache.children.append(upper)
+        for parent in self.l3_banks + self.l2s:
             for idx, child in enumerate(parent.children):
                 child.child_id = idx
 
@@ -388,63 +376,30 @@ class MemoryHierarchy:
         Coherence fan-out (subtree invalidation/downgrade, upgrade
         acquires) dispatches into the cache helpers; of those only
         ``acquire_exclusive`` reads or writes ``ctx.latency``, so the
-        local accumulator is synced around exactly that call.  The
-        tests replay it against a recursive reference walk
-        (``tests/reference_walk.py``)."""
+        local accumulator is synced around exactly that call.  Main
+        memory keeps no directory: an L3 miss reads a controller and is
+        granted E, and an L3 victim only writes back.  The tests replay
+        the walk against a recursive reference walk whose memory keeps
+        a directory (``tests/reference_walk.py``), and assert that it
+        never acts."""
         caches = self._walk_caches
         idxs = self._walk_idx
         depth = 0
         array = c.array
         lines = array._lines
-        state = _MESI_S
         ctrl = None
         # -- Descend: route misses up until a hit or main memory -------
         while entry is None:
             banks = c._parent_banks
-            if len(banks) == 1:
-                parent = banks[0]
-            else:
-                key = ((line * _HASH_MULT) & 0xFFFFFFFF) >> 8 \
-                    if c._parent_hashed else line
-                parent = banks[key % len(banks)]
+            parent = banks[0] if len(banks) == 1 else banks[_bank(c, line)]
             caches[depth] = c
             idxs[depth] = idx
             depth += 1
             if parent.level == "mem":
-                # -- Terminal level: main memory, inlined --------------
-                m = parent
-                m.reads += 1
-                ctrl = line % m._num_ctrls
-                rid = c.child_id
-                rbit = 1 << rid
-                sharers = m._sharers
-                mask = sharers.get(line, 0)
-                m.dir_ops += 1
-                if write:
-                    others = mask & ~rbit
-                    if others:
-                        children = m.children
-                        while others:
-                            low = others & -others
-                            others ^= low
-                            children[low.bit_length() - 1] \
-                                .invalidate_subtree(line)
-                            ctx.invalidations += 1
-                    sharers[line] = rbit
-                    m._owner[line] = rid
-                    state = _MESI_E
-                else:
-                    owner = m._owner.get(line)
-                    if owner is not None and owner != rid:
-                        m.children[owner].downgrade_subtree(line)
-                        del m._owner[line]
-                    mask |= rbit
-                    sharers[line] = mask
-                    if mask == rbit:
-                        m._owner[line] = rid
-                        state = _MESI_E
-                    else:
-                        state = _MESI_S
+                # -- Terminal level: main memory reads controller ``ctrl``
+                parent.reads += 1
+                ctrl = line % parent._num_ctrls
+                state = _MESI_E
                 grantor = None
                 break
             c = parent
@@ -481,9 +436,7 @@ class MemoryHierarchy:
                 # Upgrade: gain exclusivity from the parent level.
                 c.upgrades += 1
                 banks = c._parent_banks
-                bank = 0 if len(banks) == 1 else (
-                    ((line * _HASH_MULT) & 0xFFFFFFFF) >> 8
-                    if c._parent_hashed else line) % len(banks)
+                bank = 0 if len(banks) == 1 else _bank(c, line)
                 ctx.latency = latency + c._parent_net[bank]
                 banks[bank].acquire_exclusive(line, c, ctx)
                 latency = ctx.latency
@@ -582,36 +535,34 @@ class MemoryHierarchy:
                         dirty |= children[low.bit_length() - 1] \
                             .invalidate_subtree(victim)
                 vbanks = cc._parent_banks
-                if len(vbanks) == 1:
-                    vparent = vbanks[0]
-                else:
-                    key = ((victim * _HASH_MULT) & 0xFFFFFFFF) >> 8 \
-                        if cc._parent_hashed else victim
-                    vparent = vbanks[key % len(vbanks)]
-                # The parent's directory drops ``cc`` (a cache or main
-                # memory: both keep the same bitmask directory).
-                vparent.dir_ops += 1
-                psharers = vparent._sharers
-                pmask = psharers.get(victim)
-                if pmask is not None:
-                    pmask &= ~(1 << cc.child_id)
-                    if pmask:
-                        psharers[victim] = pmask
-                    else:
-                        del psharers[victim]
-                if vparent._owner.get(victim) == cc.child_id:
-                    del vparent._owner[victim]
-                if dirty:
-                    cc.writebacks += 1
-                    if vparent.level == "mem":
-                        # Memory writeback, timestamped from the local
-                        # accumulator.
+                vparent = vbanks[0] if len(vbanks) == 1 \
+                    else vbanks[_bank(cc, victim)]
+                if vparent.level == "mem":
+                    # An L3 victim: memory keeps no directory, so only a
+                    # dirty line's writeback is left, timestamped from
+                    # the local accumulator.
+                    if dirty:
+                        cc.writebacks += 1
                         vparent.writebacks += 1
                         wb_weave = vparent.ctrl_weaves[
                             victim % vparent._num_ctrls]
                         if wb_weave is not None:
                             ctx.wbacks += ((wb_weave, latency, _SK_WBACK),)
-                    else:
+                else:
+                    # The parent's directory drops ``cc``.
+                    vparent.dir_ops += 1
+                    psharers = vparent._sharers
+                    pmask = psharers.get(victim)
+                    if pmask is not None:
+                        pmask &= ~(1 << cc.child_id)
+                        if pmask:
+                            psharers[victim] = pmask
+                        else:
+                            del psharers[victim]
+                    if vparent._owner.get(victim) == cc.child_id:
+                        del vparent._owner[victim]
+                    if dirty:
+                        cc.writebacks += 1
                         # Dirty data lands in the parent; inclusion
                         # guarantees the line is resident.
                         parray = vparent.array

@@ -156,11 +156,6 @@ class MemCtrlWeave(WeaveComponent):
         self.bus_conflict_cycles = 0
         self.powerdown_exits = 0
 
-    def _map(self, line):
-        channel = (line >> 4) % self.channels
-        bank = (line >> 1) % self.num_banks
-        return channel, bank
-
     def occupy(self, cycle, kind, line=0):
         self.events_executed += 1
         channel = (line >> 4) % self.channels

@@ -181,9 +181,8 @@ class FlightRecorder:
             _log.warning("could not write post-mortem capsule %s: %s",
                          path, exc)
             return None
+        # The caller names the capsule (``repro run`` prints its path).
         self.capsules.append(path)
-        _log.warning("post-mortem capsule written: %s (%s)", path,
-                     capsule["reason"]["kind"])
         return path
 
     def __repr__(self):

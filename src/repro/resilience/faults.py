@@ -225,10 +225,8 @@ class CorruptEvent(Fault):
         core = self.core or 0
         l1d = sim.hierarchy.l1d[min(core, len(sim.hierarchy.l1d) - 1)]
         for line, _state in l1d.array.resident_lines():
-            parent, _net = l1d.parent_select(line)
-            array = getattr(parent, "array", None)
-            if array is None:
-                continue  # parent is main memory: nothing to corrupt
+            # An L1's parent is an L2 or an L3 bank, never main memory.
+            array = l1d.parent_select(line)[0].array
             if array.lookup(line, touch=False) is not None:
                 array.invalidate(line)
                 self.fired = True
@@ -284,7 +282,8 @@ class FaultPlan:
 
     def __init__(self, faults=(), seed=0):
         self.faults = list(faults)
-        self._rng = random.Random(seed)
+        #: Seeded: victim picks and corrupted timestamps repeat.
+        self.rng = random.Random(seed)
 
     # -- construction --------------------------------------------------
 
@@ -359,7 +358,7 @@ class FaultPlan:
             if (not fault.dispatch and not fault.process
                     and not fault.fired and fault.interval == interval
                     and fault.core is None):
-                fault.apply(weave, self._rng)
+                fault.apply(weave, self.rng)
 
     def scribble(self, sim, interval):
         """Silent state-corruption seam: called by the simulator between
@@ -371,7 +370,7 @@ class FaultPlan:
             if (isinstance(fault, CorruptEvent)
                     and fault.core is not None and not fault.fired
                     and fault.interval == interval):
-                if fault.apply_state(sim, self._rng):
+                if fault.apply_state(sim, self.rng):
                     flight = getattr(sim, "flight", None)
                     if flight is not None:
                         flight.record("fault_injected", fault=fault.kind,
@@ -386,11 +385,9 @@ class FaultPlan:
                 if fault.process and not fault.fired
                 and fault.interval == interval]
 
-    @property
-    def rng(self):
-        """The plan's seeded RNG (victim selection for process faults
-        without a ``w<N>`` selector stays deterministic per seed)."""
-        return self._rng
+    def unfired(self):
+        """The faults that never fired, in plan order."""
+        return [fault for fault in self.faults if not fault.fired]
 
     def __repr__(self):
         return "FaultPlan(%s)" % "; ".join(f.describe()

@@ -75,7 +75,8 @@ def fingerprint_components(sim, deep=False):
     for core in sim.cores:
         digests["core%d" % core.core_id] = _crc(core.integrity_items())
     hierarchy = sim.hierarchy
-    for cache in hierarchy.all_caches() + [hierarchy.mainmem]:
+    digests["mem.mem"] = _crc(hierarchy.mainmem.integrity_items())
+    for cache in hierarchy.all_caches():
         crc = _crc(cache.integrity_items())
         if deep:
             # The by-value state, pickled at C speed with the memo off:

@@ -25,10 +25,6 @@ class StatsNode:
         self._histograms = {}
         self._children = {}
 
-    def counter(self, name, initial=0):
-        """Get-or-create a counter; returns its current value."""
-        return self._counters.setdefault(name, initial)
-
     def inc(self, name, amount=1):
         self._counters[name] = self._counters.get(name, 0) + amount
 
@@ -55,16 +51,8 @@ class StatsNode:
         return node
 
     @property
-    def counters(self):
-        return dict(self._counters)
-
-    @property
     def histograms(self):
         return dict(self._histograms)
-
-    @property
-    def children(self):
-        return dict(self._children)
 
     def to_dict(self):
         """Serialize the subtree to nested dicts."""

@@ -33,7 +33,7 @@ class SystemView:
             "l1d_kb": cfg.l1d.size_kb,
             "l1i_kb": cfg.l1i.size_kb,
             "l2_kb": cfg.l2.size_kb if cfg.l2 else 0,
-            "l3_kb": cfg.l3.size_kb if cfg.l3 else 0,
+            "l3_kb": cfg.l3.size_kb,
         }
 
     def proc_cpuinfo(self):

@@ -165,12 +165,6 @@ def latest(directory):
     return found[0][1] if found else None
 
 
-def unfired(plan):
-    """The faults of a ``FaultPlan`` that have not fired (a test that
-    covers its whole fault matrix asserts this is empty)."""
-    return [fault for fault in plan.faults if not fault.fired]
-
-
 def occupancy(array):
     """Total resident lines of a ``CacheArray``."""
     return sum(len(lines) for lines in array._lines)
@@ -184,7 +178,7 @@ def line_state(cache, line):
 
 
 def sharers_of(cache, line):
-    """Children of ``cache`` (or main memory) sharing ``line``, as a set
+    """Children of ``cache`` sharing ``line``, as a set
     of objects: the bitmask directory decoded."""
     mask = cache._sharers.get(line, 0)
     return {child for idx, child in enumerate(cache.children)

@@ -12,6 +12,12 @@ test finds is the walk's.
 Hierarchies built inside :func:`reference_classes` are made of these
 classes; ``conftest.reference_access`` and ``conftest.recursive_walk``
 then route accesses through them.
+
+Shipped main memory keeps no directory: each line maps to one L3 bank,
+so memory can never see two sharers.  The reference memory keeps the
+directory it used to have, as an oracle, and counts what it would have
+done: the tests assert that it never held two sharers of a line and
+never sent an invalidation or a downgrade.
 """
 
 import contextlib
@@ -24,17 +30,16 @@ from repro.memory.coherence import MESI
 import conftest
 
 
-def _drop_child(directory, line, child):
-    """Directory side of ``child`` evicting ``line``."""
-    directory.dir_ops += 1
+def _drop_child(directory, line, child_id):
+    """Directory side of child ``child_id`` evicting ``line``."""
     mask = directory._sharers.get(line)
     if mask is not None:
-        mask &= ~(1 << child.child_id)
+        mask &= ~(1 << child_id)
         if mask:
             directory._sharers[line] = mask
         else:
             del directory._sharers[line]
-    if directory._owner.get(line) == child.child_id:
+    if directory._owner.get(line) == child_id:
         del directory._owner[line]
 
 
@@ -162,16 +167,37 @@ class ReferenceCache(Cache):
 
     def child_evicted(self, line, child, dirty, ctx):
         """A child evicted its copy (writeback if dirty)."""
-        _drop_child(self, line, child)
+        self.dir_ops += 1
+        _drop_child(self, line, child.child_id)
         if dirty and self.array.lookup(line, touch=False) is not None:
             # Dirty data lands here; inclusion keeps the line resident.
             self.array.update_state(line, MESI.M)
 
 
 class ReferenceMainMemory(MainMemory):
-    """Main memory as the recursive walk's terminal level."""
+    """Main memory as the recursive walk's terminal level, with the
+    bitmask directory shipped memory dropped.  Its children are the
+    requesters in order of first request (the builder stamps no id on
+    an L3 bank).  ``max_sharers`` is the most sharers any line had and
+    ``fanouts`` the invalidations and downgrades sent; the shipped
+    walk's E grant from memory is right only while they stay at most 1
+    and 0."""
 
-    __slots__ = ()
+    __slots__ = ("_sharers", "_owner", "children", "max_sharers",
+                 "fanouts")
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._sharers = {}            # line -> int bitmask of child ids
+        self._owner = {}              # line -> child id
+        self.children = []
+        self.max_sharers = 0
+        self.fanouts = 0
+
+    def id_of(self, child):
+        if child not in self.children:
+            self.children.append(child)
+        return self.children.index(child)
 
     def handle_access(self, line, write, requester, ctx):
         self.reads += 1
@@ -188,36 +214,58 @@ class ReferenceMainMemory(MainMemory):
         weave = self.ctrl_weaves[ctrl]
         if weave is not None:
             ctx.steps += ((weave, arrival, StepKind.READ),)
-        rid = requester.child_id
+        rid = self.id_of(requester)
         rbit = 1 << rid
         mask = self._sharers.get(line, 0)
-        self.dir_ops += 1
         if write:
             for idx, child in enumerate(self.children):
                 if mask >> idx & 1 and idx != rid:
                     child.invalidate_subtree(line)
                     ctx.invalidations += 1
+                    self.fanouts += 1
             self._sharers[line] = rbit
             self._owner[line] = rid
             return MESI.E
         owner = self._owner.get(line)
         if owner is not None and owner != rid:
             self.children[owner].downgrade_subtree(line)
+            self.fanouts += 1
             del self._owner[line]
         mask |= rbit
         self._sharers[line] = mask
+        self.max_sharers = max(self.max_sharers, bin(mask).count("1"))
         if mask == rbit:
             self._owner[line] = rid
             return MESI.E
         return MESI.S
 
+    def acquire_exclusive(self, line, requester, ctx):
+        """An upgrade from an L3 bank in S (which an E grant rules
+        out): every other sharer is invalidated."""
+        rid = self.id_of(requester)
+        for idx, child in enumerate(self.children):
+            if self._sharers.get(line, 0) >> idx & 1 and idx != rid:
+                child.invalidate_subtree(line)
+                ctx.invalidations += 1
+                self.fanouts += 1
+        self._sharers[line] = 1 << rid
+        self._owner[line] = rid
+
     def child_evicted(self, line, child, dirty, ctx):
-        _drop_child(self, line, child)
+        _drop_child(self, line, self.id_of(child))
         if dirty:
             self.writebacks += 1
             weave = self.ctrl_weaves[line % self.config.controllers]
             if weave is not None:
                 ctx.wbacks += ((weave, ctx.latency, StepKind.WBACK),)
+
+
+def assert_memory_directory_idle(mem):
+    """The reference memory directory never acted: no line ever had two
+    sharers, and no invalidation or downgrade was sent."""
+    assert mem.max_sharers <= 1 and mem.fanouts == 0, \
+        "memory directory acted: %d sharers, %d fan-outs" % (
+            mem.max_sharers, mem.fanouts)
 
 
 def prefetch(hier, core_id, line, ctx):

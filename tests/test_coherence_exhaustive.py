@@ -8,9 +8,12 @@ the shipped hierarchy and the recursive reference walk in lockstep.  At
 every reachable state:
 
 * inclusion and single-writer/multiple-reader hold;
-* each directory's sharer bits are exactly the children holding the line;
+* each cache directory's sharer bits are exactly the children holding
+  the line;
 * a directory owner holds the line in E or M;
-* the shipped walk agrees with the reference, access by access.
+* the shipped walk agrees with the reference, access by access;
+* the reference memory directory (shipped memory keeps none) never holds
+  two sharers of a line, and never invalidates or downgrades.
 """
 
 import dataclasses
@@ -22,7 +25,7 @@ from repro.memory.coherence import MESI
 from repro.memory.hierarchy import MemoryHierarchy
 
 from conftest import reference_access
-from reference_walk import reference_classes
+from reference_walk import assert_memory_directory_idle, reference_classes
 
 DEPTH = 6
 #: Two lines in set 0 of the 1-way L1D (64 sets) and L2 (256 sets).
@@ -40,7 +43,7 @@ def _config(shared_l2):
 
 
 def _directories(h):
-    return h.l2s + h.l3_banks + [h.mainmem]
+    return h.l2s + h.l3_banks
 
 
 def _canonical(h):
@@ -76,7 +79,7 @@ def _check_invariants(h):
     # Sharer bits: rebuilt from residency, each line at the directory
     # its holder routes it to.
     expected = {d.name: {} for d in _directories(h)}
-    for child in h.all_caches():
+    for child in h.l1i + h.l1d + h.l2s:
         for line, _state in child.array.resident_lines():
             parent, _net = child.parent_select(line)
             sharers = expected[parent.name]
@@ -115,6 +118,7 @@ def _explore(shared_l2):
                 for step in path + (op,):
                     got = access(shipped, step, False)
                     want = access(reference, step, True)
+                    assert_memory_directory_idle(reference.mainmem)
                 _check_invariants(shipped)
                 assert _record(got) == _record(want)
                 key = _canonical(shipped)

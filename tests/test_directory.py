@@ -9,9 +9,12 @@ as the shipped hierarchy (bitmask directories, L1 hits served by the
 core probe, flattened walk, prefetch fills entering that walk at the
 L2).  Every access must return the same latency/miss/invalidation
 record and weave steps, and the final arrays, counters, and (decoded)
-directories must match.  It runs on one tile and on four: only the
-four-tile shape (NoC route steps, a bank and a controller per tile)
-can tell a path-chain key that forgot a component from a right one.
+cache directories must match.  The reference memory keeps a directory
+the shipped one dropped; after every access it must never have held
+two sharers of a line nor sent an invalidation or a downgrade.  It runs
+on one tile and on four: only the four-tile shape (NoC route steps, a
+bank and a controller per tile) can tell a path-chain key that forgot
+a component from a right one.
 """
 
 import dataclasses
@@ -21,12 +24,13 @@ import random
 import pytest
 
 from repro.config import small_test_system, tiled_chip
-from repro.memory.cache import Cache, MainMemory
+from repro.memory.cache import Cache
 from repro.memory.coherence import MESI
 from repro.memory.hierarchy import MemoryHierarchy
 
 from conftest import reference_access, sharers_of
 from reference_walk import (ReferenceCache, ReferenceMainMemory,
+                            assert_memory_directory_idle,
                             reference_classes)
 
 
@@ -150,7 +154,8 @@ class SetDirectoryCache(ReferenceCache):
 
 
 class SetDirectoryMainMemory(ReferenceMainMemory):
-    """Pre-refactor MainMemory directory (sets of top-level caches)."""
+    """Pre-refactor MainMemory directory (sets of top-level caches),
+    counting sharers and fan-outs as its base class does."""
 
     def handle_access(self, line, write, requester, ctx):
         self.reads += 1
@@ -172,6 +177,7 @@ class SetDirectoryMainMemory(ReferenceMainMemory):
                 if child is not requester:
                     child.invalidate_subtree(line)
                     ctx.invalidations += 1
+                    self.fanouts += 1
             sharers.clear()
             sharers.add(requester)
             self._owner[line] = requester
@@ -179,8 +185,10 @@ class SetDirectoryMainMemory(ReferenceMainMemory):
         owner = self._owner.get(line)
         if owner is not None and owner is not requester:
             owner.downgrade_subtree(line)
+            self.fanouts += 1
             del self._owner[line]
         sharers.add(requester)
+        self.max_sharers = max(self.max_sharers, len(sharers))
         if len(sharers) == 1:
             self._owner[line] = requester
             return MESI.E
@@ -191,6 +199,7 @@ class SetDirectoryMainMemory(ReferenceMainMemory):
             if child is not requester:
                 child.invalidate_subtree(line)
                 ctx.invalidations += 1
+                self.fanouts += 1
         self._sharers[line] = {requester}
         self._owner[line] = requester
 
@@ -250,10 +259,10 @@ def _four_tile_config():
 
 
 def _directory_picture(h):
-    """Directory state decoded to names: comparable across the bitmask
-    and set-of-objects representations."""
+    """Cache directory state decoded to names: comparable across the
+    bitmask and set-of-objects representations."""
     picture = {}
-    for cache in h.all_caches() + [h.mainmem]:
+    for cache in h.all_caches():
         decode = getattr(cache, "sharers_of", None) or functools.partial(
             sharers_of, cache)
         sharers = {line: tuple(sorted(c.name for c in decode(line)))
@@ -261,7 +270,7 @@ def _directory_picture(h):
         owners = {}
         for line in list(cache._owner):
             owner = cache._owner[line]
-            if not isinstance(owner, (Cache, MainMemory)):
+            if not isinstance(owner, Cache):
                 owner = cache.children[owner]
             owners[line] = owner.name
         picture[cache.name] = (sharers, owners)
@@ -332,6 +341,7 @@ def _lockstep(ref, bit, seed, strided=False, fetches=False):
         fetch = fetches and not write and i % 5 == 0
         l1 = (bit.l1i if fetch else bit.l1d)[core]
         want = ref.access(core, addr, write, ifetch=fetch)
+        assert_memory_directory_idle(ref.mainmem)
         if fetch_hit(addr) if fetch else data_hit(addr, write):
             record = (l1.latency, (), l1.level, 0, (), (), ())
         else:
@@ -395,6 +405,7 @@ class TestBitmaskDirectoryLockstep:
             write = i % 3 != 0
             got = bit.access(core, addr, write)
             want = ref.access(core, addr, write)
+            assert_memory_directory_idle(ref.mainmem)
             assert (got.latency, got.invalidations) == \
                 (want.latency, want.invalidations)
         assert _directory_picture(bit) == _directory_picture(ref)

@@ -9,7 +9,7 @@ import pytest
 from repro.config import small_test_system, tiled_chip, westmere
 from repro.core import ZSim
 from repro.memory.access import StepKind
-from repro.memory.cache import hash_line
+from repro.memory.cache import _bank
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.resilience import Checkpointer, read_checkpoint
 from repro.stats.diff import assert_equivalent
@@ -77,9 +77,16 @@ class TestBankSelection:
             banks = {select(line)[0] for select in selects}
             assert len(banks) == 1
 
-    def test_hash_line_deterministic(self):
-        assert hash_line(1234) == hash_line(1234)
-        assert hash_line(1) != hash_line(2)
+    def test_bank_rule_deterministic(self):
+        """``_bank`` is the one rule: deterministic, it spreads
+        neighbouring lines, and ``parent_select`` routes by it."""
+        l2 = MemoryHierarchy(westmere()).l2s[0]
+        assert l2._parent_hashed
+        assert _bank(l2, 1234) == _bank(l2, 1234)
+        assert _bank(l2, 1) != _bank(l2, 2)
+        for line in (0, 17, 12345):
+            assert l2.parent_select(line)[0] \
+                is l2._parent_banks[_bank(l2, line)]
 
 
 class TestZeroLoadLatency:

@@ -673,6 +673,16 @@ class TestConfigTyping:
         with pytest.raises(ConfigError, match="audit_every"):
             config_from_dict({"boundweave": {"audit_every": -1}})
 
+    def test_an_l3_is_required(self):
+        """A chip without an L3 is refused typed, by the dataclass, the
+        dict loader and the hierarchy builder alike (it validates before
+        it builds anything)."""
+        cfg = SystemConfig(l3=None)
+        for build in (cfg.validate, lambda: config_from_dict({"l3": None}),
+                      lambda: MemoryHierarchy(cfg)):
+            with pytest.raises(ConfigError, match="L3"):
+                build()
+
     @pytest.mark.parametrize("text,match", [
         (None, "No such file"),
         ('{"l2": ', "Expecting"),

@@ -20,19 +20,19 @@ import repro
 SRC = pathlib.Path(repro.__file__).parent
 
 BUDGETS = {
-    "memory": 2258,
-    "core": 1902,
+    "memory": 2173,
+    "core": 1888,
     "cpu": 837,
-    "resilience": 1026,
-    "obs": 1012,
+    "resilience": 1024,
+    "obs": 1011,
     "exec": 1682,
     "cli.py": 748,
-    "baselines": 274,
+    "baselines": 267,
     "config": 488,
     "dbt": 164,
     "harness": 428,
     "isa": 716,
-    "stats": 429,
+    "stats": 417,
     "virt": 740,
     "workloads": 906,
 }

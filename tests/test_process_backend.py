@@ -26,7 +26,7 @@ from repro.resilience.faults import FaultPlan, SigKillWorker, SigStopWorker
 from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload
 
-from conftest import latest, unfired
+from conftest import latest
 
 INSTRS = 20_000
 
@@ -122,7 +122,7 @@ class TestProcessCrashTolerance:
         plan = FaultPlan.parse("sigkill@2:w0")
         sim.backend.fault_plan = plan
         result = sim.run()
-        assert unfired(plan) == []
+        assert plan.unfired() == []
         assert_equivalent(_stats_tree(result), serial_baseline,
                           context="sigkill mid-interval vs serial")
         host = result.stats().to_dict()["host"]["exec"]
@@ -138,7 +138,7 @@ class TestProcessCrashTolerance:
         plan = FaultPlan.parse("sigstop@3:w1")
         sim.backend.fault_plan = plan
         result = sim.run()
-        assert unfired(plan) == []
+        assert plan.unfired() == []
         assert_equivalent(_stats_tree(result), serial_baseline,
                           context="sigstop past heartbeat vs serial")
         host = result.stats().to_dict()["host"]["exec"]

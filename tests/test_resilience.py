@@ -56,7 +56,7 @@ from repro.resilience.faults import FaultPlan
 from repro.stats.diff import assert_equivalent
 from repro.workloads import mt_workload
 
-from conftest import latest, unfired
+from conftest import latest
 
 WATCHDOG_S = 0.25
 
@@ -158,7 +158,7 @@ class TestFaultPlanGrammar:
         plan = FaultPlan.parse("raise@2:w0")
         ctx = {"interval": 2, "worker": 0, "phase": "bound"}
         fn = plan.wrap(lambda i: None, ctx, backend=None, epoch=0)
-        assert fn is not None and unfired(plan) == []
+        assert fn is not None and plan.unfired() == []
         # Second dispatch with the same context: already consumed.
         sentinel = object()
         assert plan.wrap(sentinel, ctx, backend=None, epoch=0) is sentinel
@@ -191,7 +191,7 @@ class TestFaultMatrix:
         kind, interval = FAULT_EXITS[spec]
         with pytest.raises(kind) as excinfo:
             sim.run()
-        assert unfired(plan) == [], "fault never fired: %s" % spec
+        assert plan.unfired() == [], "fault never fired: %s" % spec
         assert excinfo.value.interval == interval
         assert sim.flight.last_capsule["reason"]["kind"] == kind.__name__
         assert sim.checkpointer.saved == interval - 1
@@ -295,12 +295,30 @@ class TestFaultExit:
         assert lines[1].startswith("post-mortem capsule: %s" % ckpts)
         assert lines[2] == ("resume with: repro run --resume %s "
                             "<original flags>" % ckpts)
-        assert "Traceback" not in captured.out + captured.err
+        output = captured.out + captured.err
+        assert "Traceback" not in output
+        # The capsule is named once (by the CLI), and the plan fired.
+        capsule = lines[1].split()[2]
+        assert output.count(capsule) == 1
+        assert "never fired" not in output
         assert cli_main(["run"] + flags + [
             "--resume", ckpts, "--no-flight",
             "--stats-json", str(resumed)]) == 0
         assert cli_main(["diff", str(clean), str(resumed),
                          "--ignore", "host"]) == 0
+
+
+    def test_cli_reports_a_fault_that_never_fired(self, capsys):
+        """A plan naming a domain the run does not have injects nothing:
+        the run completes and says so on stderr and in its summary."""
+        from repro.cli import main as cli_main
+        assert cli_main(["run", "--config", "test", "--cores", "4",
+                         "--instrs", "5000", "--no-flight",
+                         "--inject-faults", "corrupt@6:d1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count(
+            "repro: warning: fault never fired: corrupt@6:d1") == 1
+        assert "  unfired : corrupt@6:d1" in captured.out.splitlines()
 
 
 # ---------------------------------------------------------------------
@@ -490,6 +508,12 @@ _FORMAT_9_SLOTS[InstrumentedStream] = (
     _FORMAT_8_SLOTS[InstrumentedStream] - {"_pushback", "_log",
                                            "_log_mark"})
 
+#: Format 10 dropped main memory's directory: every chip has a banked L3
+#: and a line maps to one bank, so memory never had a second sharer.
+_FORMAT_10_SLOTS = dict(_FORMAT_9_SLOTS)
+_FORMAT_10_SLOTS[MainMemory] = _FORMAT_9_SLOTS[MainMemory] - {
+    "children", "down_latency", "_sharers", "_owner", "dir_ops"}
+
 
 def _slot_names(cls):
     return {name for klass in cls.__mro__
@@ -571,7 +595,7 @@ class TestCheckpointFormat:
         assert excinfo.value.found == FORMAT_VERSION + 1
         assert excinfo.value.expected == FORMAT_VERSION
 
-    @pytest.mark.parametrize("found", (1, 2, 3, 4, 5, 6, 7, 8))
+    @pytest.mark.parametrize("found", (1, 2, 3, 4, 5, 6, 7, 8, 9))
     def test_old_capsule_is_refused_not_migrated(self, tmp_path, found):
         """A v1 capsule holds list rings with head indices and
         list-of-edge events, a v2 capsule a pickled event pool this
@@ -582,9 +606,10 @@ class TestCheckpointFormat:
         line maps, a v6 capsule streams with a magic-op handler slot and
         BBL descriptors with a Uop tuple, a v7 capsule translation
         caches of decoded descriptors, a v8 capsule streams with
-        replay-log slots; none is migrated, all are refused typed — with
-        a valid checksum, by file and through the directory fallback."""
-        assert FORMAT_VERSION == 9
+        replay-log slots, a v9 capsule a main memory with a directory;
+        none is migrated, all are refused typed — with a valid checksum,
+        by file and through the directory fallback."""
+        assert FORMAT_VERSION == 10
         sim, _ = _small_sim()
         path = str(tmp_path / "ckpt-00000001.pkl")
         write_checkpoint(path, sim, interval=1, limit=1000)
@@ -593,7 +618,7 @@ class TestCheckpointFormat:
             b"repro-ckpt %d %08x\n" % (found, zlib.crc32(body)) + body)
         with pytest.raises(CheckpointVersionError) as excinfo:
             read_checkpoint(path)
-        assert (excinfo.value.found, excinfo.value.expected) == (found, 9)
+        assert (excinfo.value.found, excinfo.value.expected) == (found, 10)
         with pytest.raises(CheckpointError, match="format v%d" % found):
             read_latest_checkpoint(str(tmp_path))
 
@@ -744,14 +769,14 @@ class TestResume:
         assert_equivalent(_stats_tree(resumed.run()), baseline,
                           context="resume vs uninterrupted")
 
-    @pytest.mark.parametrize("cls", list(_FORMAT_9_SLOTS),
+    @pytest.mark.parametrize("cls", list(_FORMAT_10_SLOTS),
                              ids=lambda cls: cls.__name__)
     def test_format_4_pins_the_slots_of_every_pickled_class(self, cls):
-        """Format 4's slot table, as formats 5 to 9 changed it, is
+        """Format 4's slot table, as formats 5 to 10 changed it, is
         what this build pickles: a slot change without a bump fails
         here."""
-        assert FORMAT_VERSION == 9
-        assert _slot_names(cls) == _FORMAT_9_SLOTS[cls]
+        assert FORMAT_VERSION == 10
+        assert _slot_names(cls) == _FORMAT_10_SLOTS[cls]
 
     @pytest.mark.parametrize("core_model", ("simple", "ooo"))
     def test_model_objects_never_carry_a_dict(self, tmp_path, core_model):
@@ -759,13 +784,13 @@ class TestResume:
         3.11 drop its inline attribute storage for good, slowing every
         later access: no model object may have one — fresh, after a
         capture, or rebuilt from a capsule."""
-        for cls in _FORMAT_9_SLOTS:
+        for cls in _FORMAT_10_SLOTS:
             assert all("__slots__" in vars(klass)
                        for klass in cls.__mro__[:-1]), cls
 
         def assert_no_dicts(state):
             objects = _model_objects(state)
-            assert {type(obj) for obj in objects} <= set(_FORMAT_9_SLOTS)
+            assert {type(obj) for obj in objects} <= set(_FORMAT_10_SLOTS)
             assert not [obj for obj in objects if hasattr(obj, "__dict__")]
 
         sim, _ = _small_sim(core_model=core_model)
