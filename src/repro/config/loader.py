@@ -45,14 +45,14 @@ _SECTION_TYPES = {
 
 
 def config_to_dict(config):
-    """Serialize any config dataclass to a plain dict (None elided)."""
-    out = dataclasses.asdict(config)
-
+    """Serialize any config dataclass to a plain dict (a None section,
+    as in a chip without an L2, is kept; any other None is elided)."""
     def prune(node):
         if isinstance(node, dict):
-            return {k: prune(v) for k, v in node.items() if v is not None}
+            return {k: prune(v) for k, v in node.items()
+                    if v is not None or k in _SECTION_TYPES}
         return node
-    return prune(out)
+    return prune(dataclasses.asdict(config))
 
 
 # Scalar annotation -> accepted runtime types.  Annotations are strings

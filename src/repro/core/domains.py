@@ -37,12 +37,12 @@ class Domain:
         self.events_executed = 0
         self.crossings = 0
         self.crossing_requeues = 0
-        #: Horizon invariant floor: within one interval, every push lands
-        #: at or above the cycle of the pop that caused it, so per-domain
-        #: pops are nondecreasing in *every* legal execution (serial
-        #: earliest-first, parallel batches, sync steps).  A pop below
-        #: the floor means a corrupt timestamp or a broken executor.
-        self._pop_floor = None
+        #: Horizon invariant floor, checked at every pop: an interval
+        #: starts it at the bound phase's lower bound (IntervalFloor), and
+        #: every push lands at or above the pop that caused it, so pops
+        #: are nondecreasing from there in *every* legal execution.  A pop
+        #: below it means a corrupt timestamp or a broken executor.
+        self._pop_floor = 0
 
     def push(self, cycle, item):
         self._seq += 1
@@ -50,9 +50,8 @@ class Domain:
 
     def pop(self):
         cycle, _seq, item = heapq.heappop(self._queue)
-        floor = self._pop_floor
-        if floor is not None and cycle < floor:
-            raise horizon_violation(self.domain_id, cycle, floor)
+        if cycle < self._pop_floor:
+            raise horizon_violation(self.domain_id, cycle, self._pop_floor)
         self._pop_floor = cycle
         if cycle > self.current_cycle:
             self.current_cycle = cycle
@@ -81,13 +80,13 @@ class Domain:
             yield tuple(sorted((cycle, seq)
                                for cycle, seq, _item in self._queue))
 
-    def reset_interval_stats(self):
+    def reset_interval_stats(self, floor):
         self.events_executed = 0
         self.crossings = 0
         self.crossing_requeues = 0
         # New interval, new floor: delays from a congested interval may
         # legitimately exceed the next interval's earliest timestamps.
-        self._pop_floor = None
+        self._pop_floor = floor
 
     def __repr__(self):
         return "Domain(%d, %d queued)" % (self.domain_id, len(self._queue))

@@ -179,27 +179,17 @@ class SimulationResult:
         self.hierarchy.fill_stats(root.child("mem"))
         host = root.child("host")
         self.host_model.fill_stats(host)
-        if self.host_exec:
-            # Backend pool counters (worker deaths, respawns,
-            # speculation outcomes) are host-side too: under host/ they
-            # never perturb simulated-result comparisons.
-            node = host.child("exec")
-            for key, value in sorted(self.host_exec.items()):
-                node.set(key, value)
-        if self.host_dbt:
-            # Data-plane amortization (decode/schedule-once, L1 fast
-            # path): host-side — hit rates depend on interval
-            # sizing and wrappers, never on simulated results.
-            node = host.child("dbt")
-            for key, value in sorted(self.host_dbt.items()):
-                node.set(key, value)
-        if self.integrity:
-            # Host-side: the sentinel is restored with the state it
-            # fingerprints, but a checkpoint adds any audit the stride
-            # skipped.
-            node = host.child("integrity")
-            for key, value in sorted(self.integrity.items()):
-                node.set(key, value)
+        # Host-side too, so never in simulated-result comparisons: the
+        # backend pool's counters, the data plane's hit rates (they
+        # depend on interval sizing and wrappers) and the sentinel's (a
+        # checkpoint adds any audit the stride skipped).
+        for name, counters in (("exec", self.host_exec),
+                               ("dbt", self.host_dbt),
+                               ("integrity", self.integrity)):
+            if counters:
+                node = host.child(name)
+                for key, value in sorted(counters.items()):
+                    node.set(key, value)
         if self.weave_stats is not None:
             weave = root.child("weave")
             weave.set("intervals", self.weave_stats.intervals)
@@ -263,7 +253,7 @@ class ZSim:
                                  else bw.ooo_mlp_window)
             self.weave = WeaveEngine(
                 self.core_weaves, self.hierarchy.weave_components,
-                config.num_tiles, bw.num_domains,
+                config.num_tiles, bw.num_domains, floor=self.hierarchy.floor,
                 crossing_deps=bw.crossing_dependencies,
                 mlp_window=mlp_window, telemetry=telemetry)
         self.host_model = HostModel(host_threads)
@@ -533,28 +523,32 @@ class ZSim:
         return max_cycles is not None and \
             max(c.cycle for c in self.cores) >= max_cycles
 
-    def _collect_traces(self):
-        """Harvest the weave traces every core recorded this interval."""
-        traces = {}
-        for core in self.cores:
-            if core.trace:
-                traces[core.core_id] = core.take_trace()
-        return traces
-
     def _weave_interval(self, backend):
         """Run the weave phase for the traces of the interval that just
-        ended (through the execution backend) and apply the resulting
-        contention delays.  Returns (weave_seconds, domain_events)."""
+        ended (through the execution backend), apply the resulting
+        contention delays, and raise the interval floor to the lowest
+        cycle any core (idle ones at their frozen clocks) can still issue
+        an access at.  Returns (weave_seconds, domain_events)."""
         if self.weave is None:
             for core in self.cores:
                 core.trace.clear()
             return 0.0, []
-        traces = self._collect_traces()
+        floor = float("inf")
+        traces = {}
+        for core in self.cores:
+            if core.trace:
+                traces[core.core_id] = core.trace
+                core.trace = []
+            else:  # no trace, no delay: its floor is final
+                floor = min(floor, core.issue_floor)
         weave_start = time.perf_counter()
         delays = backend.run_weave(self.weave, traces)
         weave_seconds = time.perf_counter() - weave_start
         for core_id, delay in delays.items():
-            self.cores[core_id].apply_delay(delay)
+            core = self.cores[core_id]
+            core.apply_delay(delay)
+            floor = min(floor, core.issue_floor)
+        self.weave.floor.cycle = floor
         return weave_seconds, self.weave.last_interval_domain_events
 
     def attach_telemetry(self, telemetry):

@@ -30,6 +30,7 @@ from collections import deque
 
 from repro.core.events import WeaveEvent
 from repro.core.domains import assign_domains, horizon_violation
+from repro.memory.timeline import IntervalFloor
 from repro.obs.tracer import TID_DOMAIN
 
 
@@ -65,7 +66,8 @@ class WeaveEngine:
     """Executes the weave phase of each interval."""
 
     def __init__(self, core_weaves, components, num_tiles, num_domains=0,
-                 crossing_deps=True, mlp_window=None, telemetry=None):
+                 crossing_deps=True, mlp_window=None, telemetry=None,
+                 floor=None):
         self.core_weaves = core_weaves
         self.components = list(components)
         self.crossing_deps = crossing_deps
@@ -81,6 +83,7 @@ class WeaveEngine:
         #: Per-domain executed-event counts of the last interval, for the
         #: host-parallelism model.
         self.last_interval_domain_events = [0] * len(self.domains)
+        self.floor = IntervalFloor() if floor is None else floor
 
     # ------------------------------------------------------------------
 
@@ -100,7 +103,7 @@ class WeaveEngine:
         start = time.perf_counter() if telem is not None else 0.0
         domains = self.domains
         for domain in domains:
-            domain.reset_interval_stats()
+            domain.reset_interval_stats(self.floor.cycle)
         if executor is None and len(domains) == 1:
             delays = self._drain_single(traces)
         elif executor is None and self.crossing_deps:
@@ -207,9 +210,8 @@ class WeaveEngine:
             while heap:
                 (cycle, did, _s, pos, issue, record, index,
                  core) = heappop(heap)
-                floor = floors[did]
-                if floor is not None and cycle < floor:
-                    raise horizon_violation(did, cycle, floor)
+                if cycle < floors[did]:
+                    raise horizon_violation(did, cycle, floors[did])
                 floors[did] = cycle
                 if pos > 0:
                     steps = record.steps
@@ -284,6 +286,8 @@ class WeaveEngine:
                                         core))
         except BaseException:
             pending[did] = 1  # popped when the drain broke off: not run
+            if floors[did] == cycle > domains[did].current_cycle:
+                domains[did].current_cycle = cycle  # it passed the floor
             raise
         finally:
             for entry in heap:
@@ -294,7 +298,8 @@ class WeaveEngine:
                 domain._seq = seq
                 domain._pop_floor = floor
                 domain.crossings += crossed
-                if floor is not None and floor > domain.current_cycle:
+                # One that ran nothing holds the interval's floor.
+                if domain.events_executed and floor > domain.current_cycle:
                     domain.current_cycle = floor
             self._spill(heap)
         return self._delays(traces, last_done)
@@ -322,7 +327,7 @@ class WeaveEngine:
         try:
             while heap:
                 cycle, _s, pos, issue, record, index, core = heappop(heap)
-                if floor is not None and cycle < floor:
+                if cycle < floor:
                     raise horizon_violation(0, cycle, floor)
                 floor = cycle
                 if pos > 0:
@@ -381,12 +386,14 @@ class WeaveEngine:
                                         issue, record, index, core))
         except BaseException:
             in_hand = 1
+            if floor == cycle > domain.current_cycle:
+                domain.current_cycle = cycle  # it passed the floor
             raise
         finally:
             domain.events_executed += seq - domain._seq - len(heap) - in_hand
             domain._seq = seq
             domain._pop_floor = floor
-            if floor is not None and floor > domain.current_cycle:
+            if domain.events_executed and floor > domain.current_cycle:
                 domain.current_cycle = floor
             self._spill((entry[0], 0) + entry[1:] for entry in heap)
         return self._delays(traces, last_done)

@@ -11,6 +11,7 @@ bound-weave engine:
   everything else goes through ``mem.access``.
 * :meth:`Core.apply_delay` applies the weave phase's contention feedback
   by shifting the core's clocks forward (the delay is always >= 0).
+* ``Core.issue_floor``: no later access is stamped below it.
 """
 
 from __future__ import annotations
@@ -110,11 +111,6 @@ class Core:
                 self.l3_misses += 1
         return result
 
-    def take_trace(self):
-        """Detach and return this interval's trace."""
-        trace, self.trace = self.trace, []
-        return trace
-
     def fill_stats(self, node):
         node.set("instrs", self.instrs)
         node.set("uops", self.uops)
@@ -128,20 +124,17 @@ class Core:
         node.set("stores", self.stores)
 
     def integrity_items(self):
-        """State items folded into the integrity sentinel's per-core
-        digest (see :mod:`repro.resilience.integrity`): the retired-work
-        counters and miss attribution every model shares.  Timing models
-        extend this with their clocks and scoreboards.  Yield only
-        plain data (ints, strings, tuples) — object reprs would leak
-        host addresses into the digest."""
+        """The retired-work counters and miss attribution every model
+        folds into the integrity sentinel's per-core digest; timing
+        models add their clocks.  Plain data only: object reprs would
+        leak host addresses into the digest."""
         yield (self.core_id, self.instrs, self.uops, self.bbls,
                self.l1i_misses, self.l1d_misses, self.l2_misses,
                self.l3_misses, self.loads, self.stores)
 
     @property
     def ipc(self):
-        cycle = self.cycle
-        return self.instrs / cycle if cycle > 0 else 0.0
+        return self.instrs / self.cycle if self.cycle > 0 else 0.0
 
 
 def _miss(addr, write=False):

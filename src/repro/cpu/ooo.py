@@ -100,6 +100,11 @@ class OOOCore(Core):
     def cycle(self):
         return self._retire_clock
 
+    @property
+    def issue_floor(self):
+        # fetches from the fetch clock on, µops from the issue clock on
+        return min(self._fetch_clock, self._issue_clock)
+
     def apply_delay(self, delay):
         if delay < 0:
             raise ValueError("Weave delay must be >= 0, got %d" % delay)

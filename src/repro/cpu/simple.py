@@ -26,6 +26,8 @@ class SimpleCore(Core):
     def cycle(self):
         return self._cycle
 
+    issue_floor = cycle  # no access is stamped below the clock
+
     def run_until(self, limit_cycle):
         # Consumes only the flat schedule-once descriptor fields
         # (fetch_lines, mem_ops, has_syscall): no per-µop object walks.

@@ -97,10 +97,11 @@ class WatchdogTimeout(ExecutionFault):
 
 
 class HorizonViolation(ExecutionFault):
-    """A weave domain popped an event below its per-interval cycle
-    floor: event timestamps are corrupt or an executor broke the
-    horizon discipline (pops per domain are nondecreasing within an
-    interval in every legal execution)."""
+    """A weave domain popped an event below its floor: below the
+    interval floor (the bound phase's lower bound on every access the
+    interval replays), or below its own previous pop, which is legal in
+    no execution.  Event timestamps are corrupt, a record was issued
+    below the bound, or an executor broke the horizon discipline."""
 
     def __init__(self, message, cycle=None, floor=None, **ctx):
         super().__init__(message, **ctx)

@@ -17,6 +17,7 @@ from repro.memory.cache import Cache, MainMemory, _bank
 from repro.memory.cache_array import _NO_LINES
 from repro.memory.coherence import MESI
 from repro.memory.network import Network
+from repro.memory.timeline import IntervalFloor
 from repro.memory.weave import CacheBankWeave, MemCtrlWeave
 from repro.obs.histogram import Log2Histogram
 
@@ -89,6 +90,7 @@ class MemoryHierarchy:
         self.network = Network(config.network, num_tiles)
         self.mainmem = MainMemory(config.memory, self.network, num_tiles)
         self.weave_components = []
+        self.floor = IntervalFloor()  # the weave timelines prune at it
 
         # Optional weave-phase NoC (the paper's future work, see
         # repro.memory.noc_weave): one route component per tile pair.
@@ -97,7 +99,7 @@ class MemoryHierarchy:
         if build_weave and config.network.weave_model \
                 and config.network.topology != "ideal" and num_tiles > 1:
             from repro.memory.noc_weave import NocFabric, NocRouteWeave
-            self.noc_fabric = NocFabric(self.network, num_tiles,
+            self.noc_fabric = NocFabric(self.network, num_tiles, self.floor,
                                         config.network.link_occupancy)
             self.noc_routes = {}
             for src in range(num_tiles):
@@ -111,7 +113,7 @@ class MemoryHierarchy:
         if build_weave:
             for ctrl in range(config.memory.controllers):
                 weave = MemCtrlWeave("memctrl%d" % ctrl, config.memory,
-                                     config.core.freq_mhz,
+                                     config.core.freq_mhz, self.floor,
                                      tile=self.mainmem.controller_tile(ctrl))
                 self.mainmem.ctrl_weaves[ctrl] = weave
                 self.weave_components.append(weave)
@@ -129,7 +131,7 @@ class MemoryHierarchy:
                 weave = CacheBankWeave(
                     cache.name, l3.latency, ports=l3.ports, mshrs=l3.mshrs,
                     miss_hold_cycles=config.memory.zero_load_latency,
-                    tile=cache.tile)
+                    tile=cache.tile, floor=self.floor)
                 cache.weave = weave
                 self.weave_components.append(weave)
             self.l3_banks.append(cache)
@@ -152,7 +154,7 @@ class MemoryHierarchy:
                         cache.name, l2.latency, ports=l2.ports,
                         mshrs=l2.mshrs,
                         miss_hold_cycles=config.memory.zero_load_latency,
-                        tile=tile)
+                        tile=tile, floor=self.floor)
                     cache.weave = weave
                     self.weave_components.append(weave)
                 self.l2s.append(cache)
@@ -202,6 +204,10 @@ class MemoryHierarchy:
                     for bank in banks)
         return banks, net, self.config.l3.hash_banks
 
+    def _l2_of(self, core):
+        return self.l2s[self.config.core_tile(core)
+                        if self.config.l2_shared_per_tile else core]
+
     def _rewire_parents(self):
         """(Re)install the parent routing tables on every cache.
 
@@ -235,11 +241,7 @@ class MemoryHierarchy:
         for core in range(self.config.num_cores):
             for cache in (self.l1i[core], self.l1d[core]):
                 if self.l2s:
-                    if self.config.l2_shared_per_tile:
-                        parent = self.l2s[self.config.core_tile(core)]
-                    else:
-                        parent = self.l2s[core]
-                    cache._parent_banks = (parent,)
+                    cache._parent_banks = (self._l2_of(core),)
                     cache._parent_net = (0,)
                     cache._parent_hashed = False
                 else:
@@ -275,10 +277,7 @@ class MemoryHierarchy:
         unambiguous and stable across banks."""
         if self.l2s:
             for core in range(self.config.num_cores):
-                if self.config.l2_shared_per_tile:
-                    parent = self.l2s[self.config.core_tile(core)]
-                else:
-                    parent = self.l2s[core]
+                parent = self._l2_of(core)
                 parent.children.append(self.l1i[core])
                 parent.children.append(self.l1d[core])
             uppers = self.l2s

@@ -31,18 +31,19 @@ class NocFabric:
     #: Cycles a message occupies each link (head + body flits).
     DEFAULT_LINK_OCCUPANCY = 2
 
-    def __init__(self, network, num_tiles,
+    def __init__(self, network, num_tiles, floor=None,
                  link_occupancy=DEFAULT_LINK_OCCUPANCY):
         self.network = network
         self.num_tiles = num_tiles
         self.link_occupancy = link_occupancy
+        self.floor = floor
         self._links = {}
         self.link_stall_cycles = 0
 
     def link(self, src, dst):
         timeline = self._links.get((src, dst))
         if timeline is None:
-            timeline = Timeline()
+            timeline = Timeline(self.floor)
             self._links[(src, dst)] = timeline
         return timeline
 

@@ -15,31 +15,39 @@ slot), so a gap shorter than it can never be claimed and
 :meth:`Timeline.reserve` merges it.  Mixed sizes still never overlap,
 but a short request may find such a merged gap busy.
 
-Old intervals are pruned behind a horizon; a straggler arriving further
-back than the horizon sees a free resource, which errs on the
-uncontended (bound-consistent) side.  A straggler's start is the one a
-gap-keeping timeline gives only while it arrives within
-:data:`PRUNE_HORIZON` of the newest reservation: further back, a merged
-interval may cover cycles that timeline would have pruned.
+History ending at or before the interval floor (:class:`IntervalFloor`,
+checked at every weave pop) is pruned: no later request reads it, nor by
+the contract depends on a merge with it.  Behind a lagging floor
+:data:`PRUNE_HORIZON` caps it; a straggler behind that sees a free resource.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-#: How far back busy history is kept, cycles.
+#: How far back busy history is kept behind a lagging floor, cycles.
 PRUNE_HORIZON = 100_000
 
 
-class Timeline:
-    """Busy intervals of a single-server resource."""
+class IntervalFloor:
+    """The lowest cycle any core of one simulator can still issue an
+    access at, raised at every barrier; never shared by two simulators."""
 
-    __slots__ = ("_starts", "_ends", "_pruned_before")
+    __slots__ = ("cycle",)
 
     def __init__(self):
+        self.cycle = 0
+
+
+class Timeline:
+    """Busy intervals of a single-server resource, pruned at ``floor``."""
+
+    __slots__ = ("_starts", "_ends", "_floor")
+
+    def __init__(self, floor=None):
         self._starts = []
         self._ends = []
-        self._pruned_before = 0
+        self._floor = IntervalFloor() if floor is None else floor
 
     def first_gap(self, earliest, duration):
         """Where :meth:`reserve` would land, without mutating."""
@@ -74,9 +82,9 @@ class Timeline:
             else:
                 starts.append(earliest)
                 ends.append(earliest + duration)
-            if len(starts) > 64 and earliest - PRUNE_HORIZON > \
-                    self._pruned_before:
-                self._prune(earliest - PRUNE_HORIZON)
+                if len(starts) > 64 and ends[0] <= max(
+                        self._floor.cycle, earliest - PRUNE_HORIZON):
+                    self._prune(earliest)
             return earliest
         idx = bisect_right(starts, earliest)
         if idx > 0 and ends[idx - 1] > earliest:
@@ -101,22 +109,16 @@ class Timeline:
         else:
             starts.insert(idx, candidate)
             ends.insert(idx, end)
-        if len(starts) > 64 and candidate - PRUNE_HORIZON > \
-                self._pruned_before:
-            self._prune(candidate - PRUNE_HORIZON)
+            if n >= 64 and ends[0] <= max(
+                    self._floor.cycle, candidate - PRUNE_HORIZON):
+                self._prune(candidate)
         return candidate
 
-    def _prune(self, before):
-        self._pruned_before = before
-        ends = self._ends
-        if not ends or ends[0] > before:
-            # Nothing old enough to cut: a long timeline whose horizon
-            # advances every reserve hits this on each call.
-            return
-        cut = bisect_right(ends, before)
-        if cut:
-            del self._starts[:cut]
-            del ends[:cut]
+    def _prune(self, newest):  # the list grew past 64: cut what is dead
+        cut = bisect_right(self._ends,
+                           max(self._floor.cycle, newest - PRUNE_HORIZON))
+        del self._starts[:cut]
+        del self._ends[:cut]
 
     def __len__(self):
         return len(self._starts)
@@ -127,13 +129,11 @@ class MultiTimeline:
 
     __slots__ = ("_timelines",)
 
-    def __init__(self, count):
-        self._timelines = [Timeline() for _ in range(max(1, count))]
+    def __init__(self, count, floor=None):
+        self._timelines = [Timeline(floor) for _ in range(max(1, count))]
 
     def reserve(self, earliest, duration):
         timelines = self._timelines
-        if len(timelines) == 1:
-            return timelines[0].reserve(earliest, duration)
         best = timelines[0]
         best_start = best.first_gap(earliest, duration)
         for timeline in timelines[1:]:

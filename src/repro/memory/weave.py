@@ -69,13 +69,13 @@ class CacheBankWeave(WeaveComponent):
     PORT_OCCUPANCY = 2
 
     def __init__(self, name, latency, ports=1, mshrs=16,
-                 miss_hold_cycles=100, tile=0):
+                 miss_hold_cycles=100, tile=0, floor=None):
         super().__init__(name, tile)
         self.latency = latency
         self.ports = max(1, ports)
         self.mshrs = max(1, mshrs)
         self.miss_hold_cycles = miss_hold_cycles
-        self._port_timeline = MultiTimeline(self.ports)
+        self._port_timeline = MultiTimeline(self.ports, floor)
         self._mshr_release = []      # min-heap of release cycles
         self.port_stall_cycles = 0
         self.mshr_stall_cycles = 0
@@ -124,7 +124,7 @@ class MemCtrlWeave(WeaveComponent):
     #: Data burst length (BL8 over a DDR bus), bus cycles.
     BURST_CYCLES = 4
 
-    def __init__(self, name, mem_config, core_mhz, tile=0):
+    def __init__(self, name, mem_config, core_mhz, floor=None, tile=0):
         super().__init__(name, tile)
         self.cfg = mem_config
         t = mem_config.timing
@@ -148,9 +148,9 @@ class MemCtrlWeave(WeaveComponent):
         self._pd_threshold = mem_config.powerdown_threshold * self.ratio
         self._pd_exit = int(round(
             mem_config.powerdown_exit_cycles * self.ratio))
-        self._banks = [[Timeline() for _ in range(self.num_banks)]
+        self._banks = [[Timeline(floor) for _ in range(self.num_banks)]
                        for _ in range(self.channels)]
-        self._data_bus = [Timeline() for _ in range(self.channels)]
+        self._data_bus = [Timeline(floor) for _ in range(self.channels)]
         self._last_activity = [0] * self.channels
         self.bank_conflict_cycles = 0
         self.bus_conflict_cycles = 0

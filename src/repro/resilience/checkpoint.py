@@ -32,8 +32,8 @@ from repro.obs.log import get_logger
 #: v2: deque OOO rings, inline weave edges.  v3: no recycling pools.  v4:
 #: slot pickles, by-value digests.  v5: no OOO prune counters, byte _free.
 #: v6: recency LRU maps.  v7: no magic handler, no Uops.  v8: blocks only.
-#: v9: streams without replay-log slots.  v10: no memory directory.
-FORMAT_VERSION = 10
+#: v9: no replay log.  v10: no memory directory.  v11: timeline floors.
+FORMAT_VERSION = 11
 MAGIC = b"repro-ckpt"
 
 _log = get_logger("resilience.checkpoint")

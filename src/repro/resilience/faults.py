@@ -206,8 +206,8 @@ class CorruptEvent(Fault):
         else:
             rng.shuffle(domains)
         for domain in domains:
-            # Need >= 2 entries: the corrupted one must not be the very
-            # first pop (no floor yet, nothing to violate).
+            # A leaf of a queue with >= 2 entries: heappop's sift
+            # surfaces it on the second pop, below the first pop's cycle.
             if len(domain._queue) >= 2:
                 cycle, seq, item = domain._queue[-1]
                 domain._queue[-1] = (cycle - self.DELTA, seq, item)

@@ -1,16 +1,22 @@
-"""The gap-keeping timeline: the reference for the shipped one.
+"""Reference timelines for the shipped one.
 
 ``repro.memory.timeline.Timeline.reserve`` merges every gap a
 reservation leaves shorter than its own duration, because under the
 single-size contract no later request can use it.  This module keeps
 the ``reserve`` it replaced, which merges only touching intervals and so
-keeps every gap.  ``first_gap`` and the horizon prune are the shipped
-code, so any divergence a test finds is the merge's.
+keeps every gap.  ``first_gap`` and the prune (at the interval floor, or
+``PRUNE_HORIZON`` behind the newest reservation) are the shipped code,
+so any divergence a test finds is the merge's (the reference prunes
+after every reservation past 64 intervals, not only one that grows
+the list, which is exact as well).
+
+:class:`UnprunedTimeline` is the shipped timeline with its prune turned
+off: any divergence from it is the prune's.
 """
 
 from bisect import bisect_right
 
-from repro.memory.timeline import PRUNE_HORIZON, MultiTimeline, Timeline
+from repro.memory.timeline import MultiTimeline, Timeline
 
 
 class ReferenceTimeline(Timeline):
@@ -28,9 +34,8 @@ class ReferenceTimeline(Timeline):
             else:
                 starts.append(earliest)
                 ends.append(earliest + duration)
-            if len(starts) > 64 and earliest - PRUNE_HORIZON > \
-                    self._pruned_before:
-                self._prune(earliest - PRUNE_HORIZON)
+            if len(starts) > 64:
+                self._prune(earliest)
             return earliest
         idx = bisect_right(starts, earliest)
         if idx > 0 and ends[idx - 1] > earliest:
@@ -50,15 +55,23 @@ class ReferenceTimeline(Timeline):
         if idx > 0 and ends[idx - 1] >= starts[idx]:
             ends[idx - 1] = max(ends[idx - 1], ends[idx])
             del starts[idx], ends[idx]
-        if len(starts) > 64 and candidate - PRUNE_HORIZON > \
-                self._pruned_before:
-            self._prune(candidate - PRUNE_HORIZON)
+        if len(starts) > 64:
+            self._prune(candidate)
         return candidate
 
 
-def reference_multi_timeline(count):
-    """A :class:`MultiTimeline` whose servers are reference timelines."""
-    multi = MultiTimeline(count)
-    multi._timelines = [ReferenceTimeline()
-                        for _ in multi._timelines]
+class UnprunedTimeline(Timeline):
+    """A :class:`Timeline` that keeps all of its history."""
+
+    __slots__ = ()
+
+    def _prune(self, newest):
+        pass
+
+
+def reference_multi_timeline(count, floor=None, server=ReferenceTimeline):
+    """A :class:`MultiTimeline` whose servers are ``server`` timelines
+    sharing ``floor``."""
+    multi = MultiTimeline(count, floor)
+    multi._timelines = [server(floor) for _ in multi._timelines]
     return multi

@@ -13,6 +13,7 @@ from repro.config.loader import (
     load_config,
 )
 from repro.core import ZSim
+from repro.errors import ConfigError
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.prefetcher import StridePrefetcher
 from repro.obs import Telemetry
@@ -125,6 +126,20 @@ class TestConfigLoader:
     def test_round_trip_tiled(self):
         cfg = tiled_chip(num_tiles=4)
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    def test_round_trip_keeps_a_missing_section(self):
+        """A chip without an L2 comes back without one (not with the
+        default 256 KB L2), through a dict and through JSON; a chip
+        without an L3 comes back refused typed."""
+        cfg = small_test_system()
+        cfg.l2 = None
+        data = config_to_dict(cfg)
+        assert data["l2"] is None
+        assert config_from_dict(data) == cfg
+        assert config_from_dict(json.loads(json.dumps(data))).l2 is None
+        cfg.l3 = None
+        with pytest.raises(ConfigError, match="L3"):
+            config_from_dict(config_to_dict(cfg))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="Unknown config key"):

@@ -41,7 +41,9 @@ from repro.exec import make_backend
 from repro.exec.serial import SerialBackend
 from repro.isa.decoder import DecodedBBL
 from repro.memory import (Cache, CacheArray, CacheBankWeave, MainMemory,
-                          MemCtrlWeave, RandomRepl, TreePLRU)
+                          MemCtrlWeave, MultiTimeline, RandomRepl, Timeline,
+                          TreePLRU)
+from repro.memory.timeline import IntervalFloor
 from repro.resilience import (
     FORMAT_VERSION,
     Checkpointer,
@@ -514,6 +516,14 @@ _FORMAT_10_SLOTS = dict(_FORMAT_9_SLOTS)
 _FORMAT_10_SLOTS[MainMemory] = _FORMAT_9_SLOTS[MainMemory] - {
     "children", "down_latency", "_sharers", "_owner", "dir_ops"}
 
+#: Format 11 pins the weave timelines: each holds the interval floor its
+#: simulator shares with them and prunes at, and no prune mark of its
+#: own.
+_FORMAT_11_SLOTS = dict(_FORMAT_10_SLOTS)
+_FORMAT_11_SLOTS[Timeline] = {"_starts", "_ends", "_floor"}
+_FORMAT_11_SLOTS[MultiTimeline] = {"_timelines"}
+_FORMAT_11_SLOTS[IntervalFloor] = {"cycle"}
+
 
 def _slot_names(cls):
     return {name for klass in cls.__mro__
@@ -530,6 +540,14 @@ def _model_objects(sim):
         objects += [repl for repl in cache.array._repl or ()
                     if repl is not None]
     objects += hierarchy.weave_components + list(sim.weave.core_weaves)
+    objects.append(hierarchy.floor)
+    for weave in hierarchy.weave_components:
+        ports = getattr(weave, "_port_timeline", None)
+        if ports is not None:
+            objects += [ports] + ports._timelines
+        for banks in getattr(weave, "_banks", ()):
+            objects += banks
+        objects += getattr(weave, "_data_bus", ())
     streams = [thread.stream for thread in sim.scheduler.threads]
     return objects + streams
 
@@ -595,7 +613,7 @@ class TestCheckpointFormat:
         assert excinfo.value.found == FORMAT_VERSION + 1
         assert excinfo.value.expected == FORMAT_VERSION
 
-    @pytest.mark.parametrize("found", (1, 2, 3, 4, 5, 6, 7, 8, 9))
+    @pytest.mark.parametrize("found", (1, 2, 3, 4, 5, 6, 7, 8, 9, 10))
     def test_old_capsule_is_refused_not_migrated(self, tmp_path, found):
         """A v1 capsule holds list rings with head indices and
         list-of-edge events, a v2 capsule a pickled event pool this
@@ -606,10 +624,11 @@ class TestCheckpointFormat:
         line maps, a v6 capsule streams with a magic-op handler slot and
         BBL descriptors with a Uop tuple, a v7 capsule translation
         caches of decoded descriptors, a v8 capsule streams with
-        replay-log slots, a v9 capsule a main memory with a directory;
+        replay-log slots, a v9 capsule a main memory with a directory, a
+        v10 capsule timelines with a prune mark and no interval floor;
         none is migrated, all are refused typed — with a valid checksum,
         by file and through the directory fallback."""
-        assert FORMAT_VERSION == 10
+        assert FORMAT_VERSION == 11
         sim, _ = _small_sim()
         path = str(tmp_path / "ckpt-00000001.pkl")
         write_checkpoint(path, sim, interval=1, limit=1000)
@@ -618,7 +637,7 @@ class TestCheckpointFormat:
             b"repro-ckpt %d %08x\n" % (found, zlib.crc32(body)) + body)
         with pytest.raises(CheckpointVersionError) as excinfo:
             read_checkpoint(path)
-        assert (excinfo.value.found, excinfo.value.expected) == (found, 10)
+        assert (excinfo.value.found, excinfo.value.expected) == (found, 11)
         with pytest.raises(CheckpointError, match="format v%d" % found):
             read_latest_checkpoint(str(tmp_path))
 
@@ -769,14 +788,14 @@ class TestResume:
         assert_equivalent(_stats_tree(resumed.run()), baseline,
                           context="resume vs uninterrupted")
 
-    @pytest.mark.parametrize("cls", list(_FORMAT_10_SLOTS),
+    @pytest.mark.parametrize("cls", list(_FORMAT_11_SLOTS),
                              ids=lambda cls: cls.__name__)
     def test_format_4_pins_the_slots_of_every_pickled_class(self, cls):
-        """Format 4's slot table, as formats 5 to 10 changed it, is
+        """Format 4's slot table, as formats 5 to 11 changed it, is
         what this build pickles: a slot change without a bump fails
         here."""
-        assert FORMAT_VERSION == 10
-        assert _slot_names(cls) == _FORMAT_10_SLOTS[cls]
+        assert FORMAT_VERSION == 11
+        assert _slot_names(cls) == _FORMAT_11_SLOTS[cls]
 
     @pytest.mark.parametrize("core_model", ("simple", "ooo"))
     def test_model_objects_never_carry_a_dict(self, tmp_path, core_model):
@@ -784,13 +803,13 @@ class TestResume:
         3.11 drop its inline attribute storage for good, slowing every
         later access: no model object may have one — fresh, after a
         capture, or rebuilt from a capsule."""
-        for cls in _FORMAT_10_SLOTS:
+        for cls in _FORMAT_11_SLOTS:
             assert all("__slots__" in vars(klass)
                        for klass in cls.__mro__[:-1]), cls
 
         def assert_no_dicts(state):
             objects = _model_objects(state)
-            assert {type(obj) for obj in objects} <= set(_FORMAT_10_SLOTS)
+            assert {type(obj) for obj in objects} <= set(_FORMAT_11_SLOTS)
             assert not [obj for obj in objects if hasattr(obj, "__dict__")]
 
         sim, _ = _small_sim(core_model=core_model)

@@ -1,11 +1,18 @@
 """End-to-end tests of the ZSim simulator."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.config import westmere
 from repro.core import InterferenceProfiler, ZSim
+from repro.errors import HorizonViolation
+from repro.exec.serial import SerialBackend
 from repro.virt.process import SimThread
+from repro.workloads import spec_workload
 from repro.workloads.base import KernelSpec, Workload
 
 
@@ -229,3 +236,82 @@ class TestDeadlockDetection:
         assert "worker-a, worker-b" in message
         assert "SimThread" not in message
         assert "[" not in message  # no list repr leaking through
+
+
+class _EarlyRecord(SerialBackend):
+    """Re-issues a record one cycle below the interval floor in the
+    fourth interval, and notes what every weave component had run."""
+
+    occupied = None
+
+    def run_weave(self, weave, traces):
+        if weave.stats.intervals == 3:
+            trace = next(trace for trace in traces.values() if trace)
+            trace.insert(0, (weave.floor.cycle - 1, trace[0][1]))
+            self.occupied = self.events(weave)
+        return super().run_weave(weave, traces)
+
+    @staticmethod
+    def events(weave):
+        return [comp.events_executed
+                for comp in weave.components + weave.core_weaves]
+
+
+#: Defines ``short_run()``: a 16-core run from scratch; returns its
+#: cycles and the sha256 of its simulated stats tree.
+_SHORT_RUN = """
+import hashlib, json
+from repro.config import tiled_chip
+from repro.core import ZSim
+from repro.workloads import mt_workload
+
+def short_run():
+    threads = mt_workload("blackscholes", 1 / 32, 16).make_threads(
+        target_instrs=20_000, num_threads=16, seed_offset=4)
+    result = ZSim(tiled_chip(1, cores_per_tile=16), threads=threads,
+                  flight=False).run()
+    tree = result.stats().to_dict()
+    tree.pop("host")
+    text = json.dumps(tree, sort_keys=True, default=str)
+    return result.cycles, hashlib.sha256(text.encode()).hexdigest()
+"""
+
+
+class TestIntervalFloor:
+    def test_a_record_below_the_floor_is_refused(self, tiny_config):
+        """Every pop checks the interval floor, the first one of an
+        interval too: a record issued below it ends the run typed,
+        naming the interval and the domain, before any weave component
+        runs an event of that interval."""
+        backend = _EarlyRecord()
+        sim = ZSim(tiny_config, backend=backend, flight=False,
+                   threads=workload().make_threads(target_instrs=40_000))
+        with pytest.raises(HorizonViolation) as info:
+            sim.run()
+        floor = sim.weave.floor.cycle
+        assert floor > 0
+        error = info.value
+        assert (error.interval, error.domain, error.cycle, error.floor) == \
+            (4, 0, floor - 1, floor)
+        assert ("domain 0 popped an event at cycle %d below its interval "
+                "floor %d" % (floor - 1, floor)) in str(error)
+        assert backend.events(sim.weave) == backend.occupied
+
+    def test_the_floor_belongs_to_its_simulator(self):
+        """A long single-core run leaves its floor far above a short
+        run's clocks; the short run after it in the same process gives
+        the digest a fresh process gives."""
+        threads = spec_workload("mcf", 1 / 32).make_threads(
+            target_instrs=300_000, seed_offset=4)
+        long_sim = ZSim(westmere(1, "ooo"), threads=threads, flight=False)
+        long_sim.run()
+        scope = {}
+        exec(_SHORT_RUN, scope)
+        cycles, digest = scope["short_run"]()
+        assert long_sim.weave.floor.cycle > 10 * cycles
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        fresh = subprocess.run(
+            [sys.executable, "-c", _SHORT_RUN + "print(short_run()[1])"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300, check=True).stdout.strip()
+        assert digest == fresh
